@@ -9,8 +9,9 @@ mean comparisons are low-variance.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -28,12 +29,11 @@ from .channel import (
     UP,
     TrialChannels,
     draw_trial,
-    link_channel,
-    make_path_set,
     mean_angles_from_geometry,
-    translation_phases,
-    wavelength_m,
+    realize_channels,
 )
+# Not called here; sweepbench/tracer.py wraps this name in this namespace.
+from .channel import link_channel  # noqa: F401
 from .optimizer import (
     ProblemContext,
     RisState,
@@ -72,14 +72,13 @@ class BaselineKind(str, Enum):
     HD_RELAY = "hd_relay"
 
 
-# Stable sub-stream tags; FD and HD relays share one search family so the
-# half-duplex rate is exactly half the full-duplex rate on matched trials.
+# Stable sub-stream tags of the searching kinds; hd_relay has no search of
+# its own, it halves the fd_relay outcome of the same trial.
 _PSO_FAMILY = {
     BaselineKind.MOVABLE_RIS_JOINT: 0,
     BaselineKind.FIXED_RIS_OPT_PHASE: 1,
     BaselineKind.MOVABLE_RIS_RANDOM_PHASE: 2,
     BaselineKind.FD_RELAY: 3,
-    BaselineKind.HD_RELAY: 3,
 }
 
 _AUX_TAG = {
@@ -99,7 +98,7 @@ class TrialOutcome:
     flagged: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioPack:
     """Per-scenario precomputation shared by every trial and baseline kind.
 
@@ -107,7 +106,9 @@ class ScenarioPack:
     the platform footprint), never on channel draws, so they are built once.
     The relay reuses the transmit precoder toward the platform and carries
     its own receive/transmit stages; its arrays mirror the Rx and Tx antenna
-    counts and do not scale with the RIS element count.
+    counts and do not scale with the RIS element count. ``fd_relay_outcomes``
+    keeps each trial's full-duplex relay search, which the half-duplex relay
+    halves instead of searching again.
     """
 
     config: SystemConfig
@@ -120,6 +121,9 @@ class ScenarioPack:
     tx_power_w: float
     noise_power_w: float
     pso_seed: int = 0
+    fd_relay_outcomes: dict[int, TrialOutcome] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
 
 def _relay_stages(
@@ -141,8 +145,7 @@ def _relay_stages(
     relay_ref = geometry.reference_ris_position()
     means_hop1 = mean_angles_from_geometry(geometry.tx_position, relay_ref, UP, DOWN)
     means_hop2 = mean_angles_from_geometry(relay_ref, geometry.ue_position, DOWN, UP)
-    widen_el = _platform_elevation_halfwidth(geometry, geometry.tx_position)
-    widen_az = _platform_azimuth_halfwidth(geometry, geometry.tx_position)
+    widen_el, widen_az = _platform_halfwidths(geometry, geometry.tx_position)
     beams_rx = select_beams(
         build_grid(*rx_shape),
         angle_support(
@@ -152,13 +155,12 @@ def _relay_stages(
         config.num_streams,
         min(config.max_rf_chains, rx_shape[0] * rx_shape[1]),
     )
-    widen_el2 = _platform_elevation_halfwidth(geometry, geometry.ue_position)
-    widen_az2 = _platform_azimuth_halfwidth(geometry, geometry.ue_position)
+    widen_el, widen_az = _platform_halfwidths(geometry, geometry.ue_position)
     beams_tx = select_beams(
         build_grid(*tx_shape),
         angle_support(
             means_hop2.dep_elevation, means_hop2.dep_azimuth,
-            spread_el + widen_el2, spread_az + widen_az2,
+            spread_el + widen_el, spread_az + widen_az,
         ),
         config.num_streams,
         min(config.max_rf_chains, tx_shape[0] * tx_shape[1]),
@@ -169,40 +171,37 @@ def _relay_stages(
     return f2_hop1, f1_hop2
 
 
-def _platform_elevation_halfwidth(geometry: DeploymentGeometry, node) -> float:
-    """Spread of platform-corner elevations (seen from the platform) around the center."""
+def _platform_halfwidths(geometry: DeploymentGeometry, node) -> tuple[float, float]:
+    """Corner-to-center spreads of elevation and azimuth, seen from the platform."""
     cx, cy = geometry.platform_center()
     z = geometry.ris_height_m
-    center = mean_angles_from_geometry((cx, cy, z), node, DOWN, UP).dep_elevation
-    worst = 0.0
+    center = mean_angles_from_geometry((cx, cy, z), node, DOWN, UP)
+    worst_el = worst_az = 0.0
     for x in geometry.platform_x_range:
         for y in geometry.platform_y_range:
-            el = mean_angles_from_geometry((x, y, z), node, DOWN, UP).dep_elevation
-            worst = max(worst, abs(el - center))
-    return worst
+            corner = mean_angles_from_geometry((x, y, z), node, DOWN, UP)
+            worst_el = max(worst_el, abs(corner.dep_elevation - center.dep_elevation))
+            worst_az = max(worst_az, abs(math.remainder(
+                corner.dep_azimuth - center.dep_azimuth, 2.0 * math.pi)))
+    return worst_el, worst_az
 
 
-def _platform_azimuth_halfwidth(geometry: DeploymentGeometry, node) -> float:
-    cx, cy = geometry.platform_center()
-    z = geometry.ris_height_m
-    center = mean_angles_from_geometry((cx, cy, z), node, DOWN, UP).dep_azimuth
-    worst = 0.0
-    for x in geometry.platform_x_range:
-        for y in geometry.platform_y_range:
-            az = mean_angles_from_geometry((x, y, z), node, DOWN, UP).dep_azimuth
-            worst = max(worst, abs(math.remainder(az - center, 2.0 * math.pi)))
-    return worst
-
-
+@functools.lru_cache(maxsize=1)
 def build_scenario_pack(
     config: SystemConfig,
     geometry: DeploymentGeometry,
     seed: int,
     pso_seed: int | None = None,
 ) -> ScenarioPack:
-    """Precompute RF stages; ``pso_seed`` re-keys only the search streams."""
+    """Precompute RF stages; ``pso_seed`` re-keys only the search streams.
+
+    Consecutive calls with identical arguments return the same pack, so the
+    kinds at one swept value share it, and with it the fd_relay searches.
+    """
     f1, f2 = design_rf_stages(config, geometry)
     relay_f2, relay_f1 = _relay_stages(config, geometry)
+    for stage in (f1, f2, relay_f2, relay_f1):
+        stage.flags.writeable = False  # every caller of the cached pack shares them
     return ScenarioPack(
         config=config,
         geometry=geometry,
@@ -278,82 +277,59 @@ def _movable_random_phase(pack: ScenarioPack, trial_index: int) -> TrialOutcome:
     return TrialOutcome(best_val, x, y, phases, context.saw_rank_deficiency)
 
 
-@dataclass
-class _RelayContext:
-    """Two-hop decode-and-forward evaluation with frozen trial randomness.
+def _min_hop_rate(
+    pack: ScenarioPack, trial: TrialChannels, x: float, y: float
+) -> tuple[float, bool]:
+    """Two-hop decode-and-forward rate with the relay at (x, y).
 
-    Hop 1 reuses the trial's transmitter-side draw, hop 2 the receiver-side
-    draw. No self-interference is modeled: the full-duplex rate is an ideal
-    upper bound min(hop rates); half duplex additionally halves it.
+    Hop 1 reuses the trial's transmitter-side draw into the relay's receive
+    array, hop 2 the receiver-side draw out of its transmit array. No
+    self-interference is modeled: the rate is the ideal full-duplex bound
+    min(hop rates). Returns (rate, whether either hop was rank deficient).
     """
-
-    pack: ScenarioPack
-    trial: TrialChannels
-    rank_deficient: bool = False
-
-    def min_hop_rate(self, x: float, y: float) -> float:
-        pack = self.pack
-        config = pack.config
-        relay_pos = (x, y, pack.geometry.ris_height_m)
-        cx, cy = pack.geometry.platform_center()
-        delta = (x - cx, y - cy)
-        lam = wavelength_m(config.carrier_frequency_ghz)
-        means1 = mean_angles_from_geometry(pack.geometry.tx_position, relay_pos, UP, DOWN)
-        gains1 = self.trial.gains_tx_ris * translation_phases(
-            means1.arr_elevation + self.trial.offsets_tx_ris.arr_elevation,
-            means1.arr_azimuth + self.trial.offsets_tx_ris.arr_azimuth,
-            delta, lam,
-        )
-        paths1 = make_path_set(means1, self.trial.offsets_tx_ris, gains1, "tx_ris")
-        h1 = link_channel(
-            paths1, config.tx_antennas, config.rx_antennas,
-            config.carrier_frequency_ghz, config.path_loss_exponent,
-            config.element_spacing_wavelengths, config.path_loss_mode,
-        )
-        rate1, deficient1 = hybrid_link_rate(
-            pack.relay_f2_hop1, h1, pack.f1,
-            pack.tx_power_w, config.num_streams, pack.noise_power_w,
-        )
-        means2 = mean_angles_from_geometry(relay_pos, pack.geometry.ue_position, DOWN, UP)
-        gains2 = self.trial.gains_ris_rx * translation_phases(
-            means2.dep_elevation + self.trial.offsets_ris_rx.dep_elevation,
-            means2.dep_azimuth + self.trial.offsets_ris_rx.dep_azimuth,
-            delta, lam,
-        )
-        paths2 = make_path_set(means2, self.trial.offsets_ris_rx, gains2, "ris_rx")
-        h2 = link_channel(
-            paths2, config.tx_antennas, config.rx_antennas,
-            config.carrier_frequency_ghz, config.path_loss_exponent,
-            config.element_spacing_wavelengths, config.path_loss_mode,
-        )
-        rate2, deficient2 = hybrid_link_rate(
-            pack.f2, h2, pack.relay_f1_hop2,
-            pack.tx_power_w, config.num_streams, pack.noise_power_w,
-        )
-        if deficient1 or deficient2:
-            self.rank_deficient = True
-        return min(rate1, rate2)
+    config = pack.config
+    hops = realize_channels(
+        config, pack.geometry, trial, (x, y), config.rx_antennas, config.tx_antennas
+    )
+    rate1, deficient1 = hybrid_link_rate(
+        pack.relay_f2_hop1, hops.h_tx_ris, pack.f1,
+        pack.tx_power_w, config.num_streams, pack.noise_power_w,
+    )
+    rate2, deficient2 = hybrid_link_rate(
+        pack.f2, hops.h_ris_rx, pack.relay_f1_hop2,
+        pack.tx_power_w, config.num_streams, pack.noise_power_w,
+    )
+    return min(rate1, rate2), deficient1 or deficient2
 
 
 def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcome:
     """Movable DF relay bound; ``duplex`` is "fd" or "hd" (hd = fd / 2).
 
-    Both duplex modes share the same position search stream, so the
-    half-duplex rate is exactly half the full-duplex rate on every trial.
+    The position search runs once per trial of a pack, for whichever mode
+    asks first, and is stored on the pack; half duplex halves the stored
+    full-duplex outcome, so the identity holds exactly on every trial.
     """
     if duplex not in ("fd", "hd"):
         raise ValueError(f"duplex must be 'fd' or 'hd', got {duplex!r}")
-    context = _RelayContext(pack, trial_channels(pack, trial_index))
-    rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO, _PSO_FAMILY[BaselineKind.FD_RELAY])
+    fd = pack.fd_relay_outcomes.get(trial_index)
+    if fd is None:
+        trial = trial_channels(pack, trial_index)
+        rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO,
+                         _PSO_FAMILY[BaselineKind.FD_RELAY])
+        rank_deficient = False
 
-    def position_fitness(vec: np.ndarray) -> float:
-        x, y = decode_xy(vec[0], vec[1], pack.geometry)
-        return context.min_hop_rate(x, y)
+        def position_fitness(vec: np.ndarray) -> float:
+            nonlocal rank_deficient
+            x, y = decode_xy(vec[0], vec[1], pack.geometry)
+            rate, deficient = _min_hop_rate(pack, trial, x, y)
+            rank_deficient = rank_deficient or deficient
+            return rate
 
-    best_vec, best_val, _ = run_pso(position_fitness, 2, pack.config.pso, rng)
-    x, y = decode_xy(best_vec[0], best_vec[1], pack.geometry)
-    rate = best_val if duplex == "fd" else best_val / 2.0
-    return TrialOutcome(rate, x, y, None, context.rank_deficient)
+        best_vec, best_val, _ = run_pso(position_fitness, 2, pack.config.pso, rng)
+        x, y = decode_xy(best_vec[0], best_vec[1], pack.geometry)
+        fd = pack.fd_relay_outcomes[trial_index] = TrialOutcome(
+            best_val, x, y, None, rank_deficient)
+    return fd if duplex == "fd" else replace(fd, rate=fd.rate / 2.0)
 
 
 def run_baseline(

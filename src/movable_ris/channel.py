@@ -34,7 +34,6 @@ __all__ = [
     "mean_angles_from_geometry",
     "draw_angle_offsets",
     "draw_gains",
-    "draw_paths",
     "draw_trial",
     "make_path_set",
     "link_channel",
@@ -228,20 +227,6 @@ def make_path_set(
     )
 
 
-def draw_paths(
-    means: LinkAngles,
-    spread_el: float,
-    spread_az: float,
-    num_paths: int,
-    rng: np.random.Generator,
-    link: str = "tx_ris",
-) -> PathSet:
-    """Draw a full path set: gains first, then the four offset blocks."""
-    gains = draw_gains(num_paths, rng)
-    offsets = draw_angle_offsets(spread_el, spread_az, num_paths, rng)
-    return make_path_set(means, offsets, gains, link)
-
-
 def draw_trial(config: SystemConfig, rng: np.random.Generator) -> TrialChannels:
     """One Monte Carlo trial's worth of frozen randomness for both links.
 
@@ -323,14 +308,18 @@ def realize_channels(
     geometry: DeploymentGeometry,
     trial: TrialChannels,
     ris_xy: tuple[float, float],
+    rx_shape: tuple[int, int] | None = None,
+    tx_shape: tuple[int, int] | None = None,
 ) -> ChannelRealization:
-    """Rebuild both hop matrices for a trial at the given RIS position.
+    """Rebuild both hop matrices for a trial at the given platform position.
 
     Mean angles and distances follow the position; the trial's gains and
     angular offsets stay frozen. Each path additionally picks up the
     deterministic translation phase of the moved phase reference (relative
     to the platform center, where the factor is exactly 1), evaluated at the
-    RIS-side direction of that path.
+    platform-side direction of that path. ``rx_shape`` and ``tx_shape`` are
+    the platform node's receive (hop 1) and transmit (hop 2) array sizes;
+    both default to the RIS element grid, and a relay passes its own arrays.
     """
     ris_pos = (ris_xy[0], ris_xy[1], geometry.ris_height_m)
     means_ti = mean_angles_from_geometry(geometry.tx_position, ris_pos, UP, DOWN)
@@ -355,7 +344,7 @@ def realize_channels(
     h_ti = link_channel(
         paths_ti,
         config.tx_antennas,
-        config.ris_elements,
+        config.ris_elements if rx_shape is None else rx_shape,
         config.carrier_frequency_ghz,
         config.path_loss_exponent,
         config.element_spacing_wavelengths,
@@ -363,7 +352,7 @@ def realize_channels(
     )
     h_ir = link_channel(
         paths_ir,
-        config.ris_elements,
+        config.ris_elements if tx_shape is None else tx_shape,
         config.rx_antennas,
         config.carrier_frequency_ghz,
         config.path_loss_exponent,

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .baselines import BaselineKind, build_scenario_pack, make_problem_context
-from .harness import SweepSpec, emit_plot_script, sweep, write_results
+from .harness import SweepSpec, apply_swept_value, emit_plot_script, sweep, write_results
 from .optimizer import brute_force_joint, run
 from .scenario import (
     STREAM_PSO,
@@ -139,6 +139,10 @@ def _run_sweep(args, kind: str, values: tuple, out_name: str) -> int:
     power = getattr(args, "power_dbm", None)
     if power is not None:
         config = replace(config, tx_power_dbm=power)
+    for value in values:
+        errors = validate(*apply_swept_value(config, geometry, kind, value))
+        if errors:
+            raise ConfigError(f"invalid {kind} value {value!r}: " + "; ".join(errors))
     spec = SweepSpec(
         kind=kind,
         values=values,

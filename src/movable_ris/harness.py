@@ -81,6 +81,7 @@ class RateResult:
     config_digest: str
     ris_x: float
     ris_y: float
+    pso_seed: int | None = None  # None: the searches are keyed by ``seed``
     per_trial_rates: list[float] = field(default_factory=list)
     per_trial_positions: list[tuple[float, float]] = field(default_factory=list)
     failed_trials: list[int] = field(default_factory=list)
@@ -185,6 +186,7 @@ def monte_carlo_point(
         config_digest=config_digest(config, geometry),
         ris_x=positions[best][0] if best >= 0 else math.nan,
         ris_y=positions[best][1] if best >= 0 else math.nan,
+        pso_seed=pso_seed,
         per_trial_rates=rates,
         per_trial_positions=positions,
         failed_trials=failed,
@@ -265,6 +267,7 @@ def write_results(
                 "stderr": r.stderr,
                 "trials": r.trials,
                 "seed": r.seed,
+                "pso_seed": r.pso_seed,
                 "per_trial_rates": r.per_trial_rates,
                 "per_trial_positions": [list(p) for p in r.per_trial_positions],
                 "failed_trials": r.failed_trials,
@@ -277,16 +280,6 @@ def write_results(
     meta_path = out_dir / "results_meta.json"
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return csv_path, meta_path
-
-
-def read_results_csv(path: Path) -> list[dict]:
-    """Parse an emitted CSV back into row dictionaries (round-trip helper)."""
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        rows.append(dict(zip(header, line.split(","))))
-    return rows
 
 
 _LINE_PLOT_TEMPLATE = """\

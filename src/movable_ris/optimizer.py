@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import BeamformerSet, achievable_rate, bb_stages, effective_channel
+from .beamforming import hybrid_link_rate
+# Not called here; sweepbench/tracer.py wraps these names in this namespace.
+from .beamforming import achievable_rate, bb_stages, effective_channel  # noqa: F401
 from .channel import TrialChannels, composite_channel, realize_channels
 from .scenario import DeploymentGeometry, PsoParams, SystemConfig
 
@@ -118,13 +120,13 @@ class ProblemContext:
 
     def rate_for(self, state: RisState) -> float:
         h_ti, h_ir = self.hop_matrices(state.x, state.y)
-        h = composite_channel(h_ir, state.phases, h_ti)
-        eff = effective_channel(self.f2, h, self.f1)
-        bb = bb_stages(eff, self.tx_power_w, self.config.num_streams, self.f1)
-        if bb.rank_deficient:
+        rate, rank_deficient = hybrid_link_rate(
+            self.f2, composite_channel(h_ir, state.phases, h_ti), self.f1,
+            self.tx_power_w, self.config.num_streams, self.noise_power_w,
+        )
+        if rank_deficient:
             self.saw_rank_deficiency = True
-        bf = BeamformerSet(self.f1, bb.b1, self.f2, bb.b2, bb.streams, bb.rank_deficient)
-        return achievable_rate(bf, eff, self.noise_power_w)
+        return rate
 
 
 def fitness(vector: np.ndarray, context: ProblemContext) -> float:

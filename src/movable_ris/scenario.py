@@ -161,6 +161,13 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
     """
     errors: list[str] = []
 
+    flat = scenario_fields(config, geometry)
+    flat.update({f"pso_{k}": v for k, v in flat.pop("pso").items()})
+    for name, value in flat.items():
+        values = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            errors.append(f"{name} must be finite, got {value!r}")
+
     for name, shape in (
         ("tx_antennas", config.tx_antennas),
         ("rx_antennas", config.rx_antennas),

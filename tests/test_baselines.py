@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from movable_ris import baselines
 from movable_ris.baselines import (
     BaselineKind,
     build_scenario_pack,
@@ -102,6 +103,47 @@ def test_hd_is_exactly_half_fd():
         assert (hd.x, hd.y) == (fd.x, fd.y)
 
 
+def test_fd_then_hd_runs_one_search(monkeypatch):
+    _, _, pack = small_pack(seed=43)
+    run_pso = baselines.run_pso
+    searches = []
+
+    def counting(*args, **kwargs):
+        searches.append(1)
+        return run_pso(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "run_pso", counting)
+    fd = relay_rate(pack, 0, "fd")
+    hd = relay_rate(pack, 0, "hd")
+    assert len(searches) == 1
+    assert hd.rate == fd.rate / 2.0
+
+
+def test_hd_first_on_new_pack_is_half_fd():
+    _, _, pack = small_pack(seed=44)
+    for t in range(3):
+        hd = relay_rate(replace(pack, fd_relay_outcomes={}), t, "hd")
+        fd = relay_rate(replace(pack, fd_relay_outcomes={}), t, "fd")
+        assert hd.rate == fd.rate / 2.0
+        assert (hd.x, hd.y) == (fd.x, fd.y)
+
+
+def test_scenario_pack_reused_only_for_identical_arguments():
+    config, geometry = default_config()
+    pack = build_scenario_pack(config, geometry, 5, None)
+    assert build_scenario_pack(config, geometry, 5, None) is pack
+    for args in (
+        (config, geometry, 6, None),
+        (config, geometry, 5, 9),
+        (replace(config, tx_power_dbm=20.0), geometry, 5, None),
+        (config, replace(geometry, ue_position=(90.0, 100.0, 2.0)), 5, None),
+    ):
+        other = build_scenario_pack(*args)
+        assert other is not pack
+        assert build_scenario_pack(*args) is other
+        pack = other
+
+
 def test_relay_rejects_unknown_duplex():
     _, _, pack = small_pack()
     with pytest.raises(ValueError):
@@ -135,17 +177,16 @@ def test_relay_symmetric_geometry_prefers_midline():
     )
     geometry = replace(geometry, tx_position=(0.0, 0.0, 2.0), ue_position=(110.0, 110.0, 2.0))
     pack = build_scenario_pack(config, geometry, 7)
-    from movable_ris.baselines import _RelayContext
+    from movable_ris.baselines import _min_hop_rate
 
     trial = trial_channels(pack, 0)
     trial.gains_tx_ris = np.ones_like(trial.gains_tx_ris)
     trial.gains_ris_rx = np.ones_like(trial.gains_ris_rx)
-    ctx = _RelayContext(pack, trial)
     grid = np.linspace(40.0, 70.0, 13)
     best, best_xy = -1.0, None
     for x in grid:
         for y in grid:
-            r = ctx.min_hop_rate(float(x), float(y))
+            r, _ = _min_hop_rate(pack, trial, float(x), float(y))
             if r > best:
                 best, best_xy = r, (float(x), float(y))
     step = grid[1] - grid[0]

@@ -11,11 +11,13 @@ from movable_ris.channel import (
     UP,
     DegenerateGeometryError,
     LinkAngles,
+    PathSet,
     composite_channel,
+    draw_angle_offsets,
     draw_gains,
-    draw_paths,
     draw_trial,
     link_channel,
+    make_path_set,
     mean_angles_from_geometry,
     path_amplitude,
     path_loss_linear,
@@ -25,6 +27,21 @@ from movable_ris.channel import (
     wavelength_m,
 )
 from movable_ris.scenario import default_config, rng_stream
+
+
+def draw_paths(
+    means: LinkAngles,
+    spread_el: float,
+    spread_az: float,
+    num_paths: int,
+    rng: np.random.Generator,
+    link: str = "tx_ris",
+) -> PathSet:
+    """Draw a full path set: gains first, then the four offset blocks."""
+    gains = draw_gains(num_paths, rng)
+    offsets = draw_angle_offsets(spread_el, spread_az, num_paths, rng)
+    return make_path_set(means, offsets, gains, link)
+
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 dims = st.integers(min_value=1, max_value=12)

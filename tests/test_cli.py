@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -107,6 +108,25 @@ def test_unknown_baseline_is_an_error(tmp_path, capsys):
     assert "unknown baseline" in capsys.readouterr().err
 
 
+def test_non_finite_swept_power_is_an_error(tmp_path, tiny_config_file, capsys):
+    out = tmp_path / "nan"
+    rc = main([
+        "sweep-power", "--powers", "nan",
+        "--config", str(tiny_config_file), "--out", str(out),
+    ])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_config_value_is_an_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY_CONFIG + "carrier_frequency_ghz = inf\n")
+    rc = main(["sweep-power", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "carrier_frequency_ghz must be finite" in capsys.readouterr().err
+
+
 def test_seed_and_pso_overrides(tmp_path, tiny_config_file):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -124,6 +144,19 @@ def test_seed_and_pso_overrides(tmp_path, tiny_config_file):
     a = (out1 / "results.csv").read_text()
     b = (out2 / "results.csv").read_text()
     assert a != b  # different seeds change the numbers
+
+
+def test_pso_seed_recorded_in_meta(tmp_path, tiny_config_file):
+    args = [
+        "sweep-power", "--powers", "10", "--baselines", "fd_relay", "--trials", "1",
+        "--config", str(tiny_config_file),
+    ]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--pso-seed", "7", "--out", str(tmp_path / "b")]) == 0
+    metas = [json.loads((tmp_path / name / "results_meta.json").read_text())
+             for name in ("a", "b")]
+    assert [r["pso_seed"] for r in metas[0]["results"]] == [None]
+    assert [r["pso_seed"] for r in metas[1]["results"]] == [7]
 
 
 def test_cli_byte_identical_repeat(tmp_path, tiny_config_file):

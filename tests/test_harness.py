@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,17 @@ from movable_ris.harness import (
     apply_swept_value,
     emit_plot_script,
     monte_carlo_point,
-    read_results_csv,
     sweep,
     write_results,
 )
 from movable_ris.scenario import PsoParams, default_config
+
+
+def read_results_csv(path: Path) -> list[dict]:
+    """Parse an emitted CSV back into row dictionaries."""
+    lines = Path(path).read_text().strip().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
 def small_scenario():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,16 @@ def test_validate_empty_platform_range():
     bad = replace(geometry, platform_x_range=(70.0, 40.0))
     errors = validate(config, bad)
     assert any("empty range" in e for e in errors)
+
+
+def test_validate_rejects_non_finite_values():
+    config, geometry = default_config()
+    bad = replace(config, tx_power_dbm=math.nan, carrier_frequency_ghz=math.inf)
+    errors = validate(bad, geometry)
+    assert any("tx_power_dbm must be finite" in e for e in errors)
+    assert any("carrier_frequency_ghz must be finite" in e for e in errors)
+    bad_geo = replace(geometry, ue_position=(100.0, -math.inf, 2.0))
+    assert any("ue_position must be finite" in e for e in validate(config, bad_geo))
 
 
 def test_validate_collects_multiple_errors():
