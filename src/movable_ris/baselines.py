@@ -29,8 +29,8 @@ from .channel import (
     UP,
     TrialChannels,
     draw_trial,
+    link_channel_stream,
     mean_angles_from_geometry,
-    realize_channels,
 )
 # Not called here; sweepbench/tracer.py wraps this name in this namespace.
 from .channel import link_channel  # noqa: F401
@@ -248,8 +248,8 @@ def fixed_ris_rate(
         rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO,
                          _PSO_FAMILY[BaselineKind.FIXED_RIS_OPT_PHASE])
 
-        def phase_fitness(vec: np.ndarray) -> float:
-            return context.rate_for(RisState(cx, cy, (TWO_PI * vec) % TWO_PI))
+        def phase_fitness(vecs: np.ndarray) -> np.ndarray:
+            return context.rate_for(RisState(cx, cy, (TWO_PI * vecs) % TWO_PI))
 
         best_vec, best_val, _ = run_pso(
             phase_fitness, pack.config.num_ris, pack.config.pso, rng
@@ -268,8 +268,8 @@ def _movable_random_phase(pack: ScenarioPack, trial_index: int) -> TrialOutcome:
     rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO,
                      _PSO_FAMILY[BaselineKind.MOVABLE_RIS_RANDOM_PHASE])
 
-    def position_fitness(vec: np.ndarray) -> float:
-        x, y = decode_xy(vec[0], vec[1], pack.geometry)
+    def position_fitness(vecs: np.ndarray) -> np.ndarray:
+        x, y = decode_xy(vecs[..., 0], vecs[..., 1], pack.geometry)
         return context.rate_for(RisState(x, y, phases))
 
     best_vec, best_val, _ = run_pso(position_fitness, 2, pack.config.pso, rng)
@@ -277,29 +277,33 @@ def _movable_random_phase(pack: ScenarioPack, trial_index: int) -> TrialOutcome:
     return TrialOutcome(best_val, x, y, phases, context.saw_rank_deficiency)
 
 
-def _min_hop_rate(
-    pack: ScenarioPack, trial: TrialChannels, x: float, y: float
-) -> tuple[float, bool]:
+def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y):
     """Two-hop decode-and-forward rate with the relay at (x, y).
 
     Hop 1 reuses the trial's transmitter-side draw into the relay's receive
     array, hop 2 the receiver-side draw out of its transmit array. No
     self-interference is modeled: the rate is the ideal full-duplex bound
-    min(hop rates). Returns (rate, whether either hop was rank deficient).
+    min(hop rates). Returns (rate, whether either hop was rank deficient),
+    element-wise over (Z,) coordinate arrays. Hop 1 is reduced to its rates
+    before hop 2 is built.
     """
     config = pack.config
-    hops = realize_channels(
-        config, pack.geometry, trial, (x, y), config.rx_antennas, config.tx_antennas
-    )
+    xy = np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
     rate1, deficient1 = hybrid_link_rate(
-        pack.relay_f2_hop1, hops.h_tx_ris, pack.f1,
-        pack.tx_power_w, config.num_streams, pack.noise_power_w,
+        pack.relay_f2_hop1,
+        link_channel_stream(config, pack.geometry, trial, xy, "tx_ris", config.rx_antennas),
+        pack.f1, pack.tx_power_w, config.num_streams, pack.noise_power_w,
     )
     rate2, deficient2 = hybrid_link_rate(
-        pack.f2, hops.h_ris_rx, pack.relay_f1_hop2,
-        pack.tx_power_w, config.num_streams, pack.noise_power_w,
+        pack.f2,
+        link_channel_stream(config, pack.geometry, trial, xy, "ris_rx", config.tx_antennas),
+        pack.relay_f1_hop2, pack.tx_power_w, config.num_streams, pack.noise_power_w,
     )
-    return min(rate1, rate2), deficient1 or deficient2
+    rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
+    deficient = deficient1 | deficient2
+    if np.ndim(x) == 0 and np.ndim(y) == 0:
+        return float(rate[0]), bool(deficient[0])
+    return rate, deficient
 
 
 def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcome:
@@ -318,12 +322,12 @@ def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcom
                          _PSO_FAMILY[BaselineKind.FD_RELAY])
         rank_deficient = False
 
-        def position_fitness(vec: np.ndarray) -> float:
+        def position_fitness(vecs: np.ndarray) -> np.ndarray:
             nonlocal rank_deficient
-            x, y = decode_xy(vec[0], vec[1], pack.geometry)
-            rate, deficient = _min_hop_rate(pack, trial, x, y)
-            rank_deficient = rank_deficient or deficient
-            return rate
+            x, y = decode_xy(vecs[..., 0], vecs[..., 1], pack.geometry)
+            rates, deficient = _min_hop_rate(pack, trial, x, y)
+            rank_deficient = rank_deficient or bool(np.any(deficient))
+            return rates
 
         best_vec, best_val, _ = run_pso(position_fitness, 2, pack.config.pso, rng)
         x, y = decode_xy(best_vec[0], best_vec[1], pack.geometry)

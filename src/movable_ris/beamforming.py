@@ -74,21 +74,30 @@ class AngleSupport:
 
 @dataclass
 class EffectiveChannel:
-    """Reduced channel seen by the digital stages, with its SVD."""
+    """Reduced channel seen by the digital stages, with its SVD.
 
-    matrix: np.ndarray       # (n_rx_beams, n_tx_beams)
+    For a stack of channels every field carries the stack's leading axes
+    and ``rank`` is an integer array.
+    """
+
+    matrix: np.ndarray       # (..., n_rx_beams, n_tx_beams)
     u: np.ndarray            # left singular vectors
     singular_values: np.ndarray
     vh: np.ndarray           # right singular vectors, conjugate-transposed
-    rank: int
+    rank: int | np.ndarray
+
+    def select(self, rows: np.ndarray) -> EffectiveChannel:
+        """The stack entries picked by a boolean mask over the leading axes."""
+        return EffectiveChannel(self.matrix[rows], self.u[rows], self.singular_values[rows],
+                                self.vh[rows], self.rank[rows])
 
 
 @dataclass
 class BbStages:
-    b1: np.ndarray           # (n_tx_beams, streams)
-    b2: np.ndarray           # (streams, n_rx_beams)
+    b1: np.ndarray           # (..., n_tx_beams, streams)
+    b2: np.ndarray           # (..., streams, n_rx_beams)
     streams: int
-    rank_deficient: bool
+    rank_deficient: bool | np.ndarray
 
 
 @dataclass
@@ -296,26 +305,49 @@ def design_rf_stages(
                      config.element_spacing_wavelengths)
 
 
-def effective_channel(f2: np.ndarray, h: np.ndarray, f1: np.ndarray) -> EffectiveChannel:
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def effective_channel(f2: np.ndarray, h, f1: np.ndarray) -> EffectiveChannel:
     """Reduced channel F2 H F1 with a deterministically phased SVD.
 
-    Each right singular vector's first non-negligible entry is rotated to be
+    ``h`` is one channel matrix, a (..., M_2, M_1) stack, or an iterable of
+    matrices that is consumed one matrix at a time (the result is then a
+    stack), so large channel matrices need not be held all at once. Each
+    right singular vector's first non-negligible entry is rotated to be
     real-positive (the matching left vector absorbs the conjugate), so
     repeated factorizations of the same matrix are identical.
     """
-    mat = f2 @ h @ f1
+    if isinstance(h, np.ndarray):
+        mat = f2 @ h @ f1
+    else:
+        mat = np.stack([f2 @ h_b @ f1 for h_b in h])
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    for k in range(s.shape[0]):
-        v = vh[k]
-        nz = np.flatnonzero(np.abs(v) > 1e-12 * max(1.0, float(np.abs(v).max())))
-        if nz.size == 0:
-            continue
-        c = v[nz[0]] / abs(v[nz[0]])
-        vh[k] *= np.conj(c)
-        u[:, k] *= c
-    tol = max(mat.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    return EffectiveChannel(mat, u, s, vh, rank)
+    mag = np.abs(vh)
+    significant = mag > 1e-12 * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
+    rotate = significant.any(axis=-1)  # (..., k): vectors with an entry to rotate
+    lead = np.take_along_axis(vh, np.argmax(significant, axis=-1)[..., None], axis=-1)
+    lead = lead[..., 0][rotate]
+    # np.hypot matches abs() of one complex scalar bit for bit; np.abs may not
+    c = lead / np.hypot(lead.real, lead.imag)
+    vh[rotate] *= np.conj(c)[:, None]
+    u.swapaxes(-1, -2)[rotate] *= c[:, None]
+    tol = max(mat.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    rank = np.sum(s > tol, axis=-1)
+    return EffectiveChannel(mat, u, s, vh, rank if rank.ndim else int(rank))
+
+
+def _norm_squared(matrices: np.ndarray) -> np.ndarray:
+    """||M||_F^2 of each matrix in a stack, one np.linalg.norm call per matrix."""
+    flat = matrices.reshape(-1, *matrices.shape[-2:])
+    return np.reshape([float(np.linalg.norm(m) ** 2) for m in flat], matrices.shape[:-2])
+
+
+def _stream_count(rank: int, num_streams: int) -> int:
+    """Streams a channel of the given rank carries: rank-deficient ones degrade."""
+    return min(num_streams, max(rank, 1))
 
 
 def bb_stages(
@@ -331,70 +363,109 @@ def bb_stages(
     equals P_T exactly even for non-orthogonal analog beams (the factor is 1
     to machine precision at half-wavelength spacing). Rank-deficient
     channels degrade to rank-many streams and are flagged, not resampled.
+    Every channel of a stack must have the same stream count;
+    ``hybrid_link_rate`` groups a stack by it.
     """
-    streams = num_streams
-    rank_deficient = eff.rank < num_streams
-    if rank_deficient:
-        streams = max(eff.rank, 1)
-    v1 = eff.vh[:streams].conj().T
-    u1 = eff.u[:, :streams]
+    ranks = np.ravel(eff.rank).tolist()
+    counts = {_stream_count(rank, num_streams) for rank in ranks}
+    if len(counts) != 1:
+        raise ValueError("channels of one stack must share a stream count")
+    streams = counts.pop()
+    deficient = [rank < num_streams for rank in ranks]
+    rank_deficient = np.array(deficient) if np.ndim(eff.rank) else deficient[0]
+    v1 = _hermitian(eff.vh[..., :streams, :])
+    u1 = eff.u[..., :streams]
     b1 = math.sqrt(tx_power_w / streams) * v1
-    b2 = u1.conj().T
+    b2 = _hermitian(u1)
     if f1 is not None:
-        actual = float(np.linalg.norm(f1 @ b1) ** 2)
-        if actual > 0.0:
-            b1 = b1 * math.sqrt(tx_power_w / actual)
+        actual = _norm_squared(f1 @ b1)
+        scaled = actual > 0.0
+        b1[scaled] *= np.sqrt(tx_power_w / actual[scaled])[..., None, None]
     return BbStages(b1, b2, streams, rank_deficient)
+
+
+def _whitened_rate(w: np.ndarray, q: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """Rates from whitened eigenvalues after a ridge proportional to the noise scale."""
+    n = w.shape[-1]
+    ridge = (1e-12 * trace / n)[:, None]
+    w = w + ridge[..., None] * np.eye(n)
+    evals, evecs = np.linalg.eigh(w)
+    evals = np.maximum(evals, ridge)
+    w_isqrt = (evecs / np.sqrt(evals)[:, None, :]) @ _hermitian(evecs)
+    s = w_isqrt @ q @ _hermitian(w_isqrt)
+    lam = np.maximum(np.linalg.eigvalsh(0.5 * (s + _hermitian(s))), 0.0)
+    return np.sum(np.log2(1.0 + lam), axis=-1)
 
 
 def achievable_rate(
     bf: BeamformerSet, eff: EffectiveChannel, noise_power_w: float
-) -> float:
+) -> float | np.ndarray:
     """Spectral efficiency in bps/Hz of the combined two-stage link.
 
     R = log2 det(I + W^-1 (B2 Heff B1)(B2 Heff B1)^H) with the noise
     covariance W = sigma^2 B2 F2 F2^H B2^H. Ill-conditioned W falls back to
     a whitened eigenvalue evaluation; a singular W is ridge-regularized at
-    1e-12 relative to its trace.
+    1e-12 relative to its trace. A stack gives one rate per channel.
     """
     b2f2 = bf.b2 @ bf.f2
-    w = noise_power_w * (b2f2 @ b2f2.conj().T)
+    w = noise_power_w * (b2f2 @ _hermitian(b2f2))
     g = bf.b2 @ eff.matrix @ bf.b1
-    q = g @ g.conj().T
+    q = g @ _hermitian(g)
+    batch = w.shape[:-2]
+    n = w.shape[-1]
+    w = w.reshape(-1, n, n)
+    q = q.reshape(-1, n, n)
 
-    trace = float(np.trace(w).real)
-    if trace <= 0.0 or not np.isfinite(trace):
+    trace = np.trace(w, axis1=-2, axis2=-1).real
+    degenerate = (trace <= 0.0) | ~np.isfinite(trace)
+    if degenerate.any():
         logger.warning("noise covariance degenerate; applying ridge")
-        w = w + 1e-12 * np.eye(w.shape[0])
-        trace = float(np.trace(w).real)
+        w = np.where(degenerate[:, None, None], w + 1e-12 * np.eye(n), w)
+        trace = np.trace(w, axis1=-2, axis2=-1).real
 
     cond = np.linalg.cond(w)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        # ridge proportional to the noise scale, then whitened eigenvalues
-        ridge = 1e-12 * trace / w.shape[0]
-        w = w + ridge * np.eye(w.shape[0])
-        evals, evecs = np.linalg.eigh(w)
-        evals = np.maximum(evals, ridge)
-        w_isqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
-        s = w_isqrt @ q @ w_isqrt.conj().T
-        lam = np.maximum(np.linalg.eigvalsh(0.5 * (s + s.conj().T)), 0.0)
-        return float(np.sum(np.log2(1.0 + lam)))
-
-    m = np.eye(w.shape[0]) + np.linalg.solve(w, q)
-    _, logdet = np.linalg.slogdet(m)
-    return max(float(logdet / math.log(2.0)), 0.0)
+    fallback = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+    rates = np.empty(trace.shape)
+    if fallback.any():
+        rates[fallback] = _whitened_rate(w[fallback], q[fallback], trace[fallback])
+    direct = ~fallback
+    if direct.any():
+        m = np.eye(n) + np.linalg.solve(w[direct], q[direct])
+        logdet = np.linalg.slogdet(m)[1] / math.log(2.0)
+        rates[direct] = np.where(logdet < 0.0, 0.0, logdet)  # max(logdet, 0.0), NaN kept
+    rates = rates.reshape(batch)
+    return rates if batch else float(rates)
 
 
 def hybrid_link_rate(
     f2: np.ndarray,
-    h: np.ndarray,
+    h,
     f1: np.ndarray,
     tx_power_w: float,
     num_streams: int,
     noise_power_w: float,
-) -> tuple[float, bool]:
-    """Full pipeline for one channel matrix: returns (rate, rank_deficient)."""
-    eff = effective_channel(f2, h, f1)
-    bb = bb_stages(eff, tx_power_w, num_streams, f1)
-    bf = BeamformerSet(f1, bb.b1, f2, bb.b2, bb.streams, bb.rank_deficient)
-    return achievable_rate(bf, eff, noise_power_w), bb.rank_deficient
+) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
+    """Full pipeline for one channel matrix, a (B, M_2, M_1) stack, or an iterable of them.
+
+    ``h`` is taken as by ``effective_channel``. Returns (rate,
+    rank_deficient): a float and a bool for one matrix, (B,) arrays otherwise.
+    Channels are grouped by stream count (rank-deficient ones carry fewer
+    streams) and each group runs as one stack.
+    """
+    single = isinstance(h, np.ndarray) and h.ndim == 2
+    eff = effective_channel(f2, h[None] if single else h, f1)
+    # Rank bookkeeping in Python ints: integer-array ufuncs would map numpy code
+    # that nothing else in a sweep touches, which shows in peak RSS.
+    ranks = eff.rank.tolist()
+    streams = [_stream_count(rank, num_streams) for rank in ranks]
+    rates = np.empty(len(ranks))
+    for count in set(streams):
+        rows = np.array([s == count for s in streams])
+        group = eff if rows.all() else eff.select(rows)
+        bb = bb_stages(group, tx_power_w, num_streams, f1)
+        bf = BeamformerSet(f1, bb.b1, f2, bb.b2, bb.streams, bb.rank_deficient)
+        rates[rows] = achievable_rate(bf, group, noise_power_w)
+    rank_deficient = np.array([rank < num_streams for rank in ranks])
+    if single:
+        return float(rates[0]), bool(rank_deficient[0])
+    return rates, rank_deficient

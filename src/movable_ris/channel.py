@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "composite_channel",
     "translation_phases",
     "wavelength_m",
+    "link_channel_stream",
     "realize_channels",
 ]
 
@@ -72,7 +73,11 @@ class AngleOffsets(NamedTuple):
 
 @dataclass
 class PathSet:
-    """L resolved paths of one link: gains plus absolute angles."""
+    """L resolved paths of one link: gains plus absolute angles.
+
+    Built at a stack of platform positions, every field carries the stack's
+    leading axes (``distance_m`` with a trailing axis of length 1).
+    """
 
     gains: np.ndarray
     dep_elevation: np.ndarray
@@ -99,7 +104,7 @@ class TrialChannels:
 
 @dataclass
 class ChannelRealization:
-    """Both hop matrices at one RIS position plus their source paths."""
+    """Both hop matrices at one RIS position (or a stack) plus their source paths."""
 
     h_tx_ris: np.ndarray  # (M_I, M_1)
     h_ris_rx: np.ndarray  # (M_2, M_I)
@@ -123,23 +128,36 @@ def steering_vector(
     return v / math.sqrt(m_x * m_y)
 
 
-def steering_matrix(
+def _steering_factors(
     elevations: np.ndarray, azimuths: np.ndarray, m_x: int, m_y: int, spacing: float
-) -> np.ndarray:
-    """Stack of unnormalized steering vectors, one column per direction.
-
-    Entries have unit modulus; shape (m_x*m_y, len(elevations)).
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis phase factors (..., m_x, L) and (..., m_y, L) of a steering matrix."""
     el = np.asarray(elevations, dtype=float)
     az = np.asarray(azimuths, dtype=float)
     ux = np.sin(el) * np.cos(az)  # directional cosines
     uy = np.sin(el) * np.sin(az)
     mx = np.arange(m_x)[:, None]
     my = np.arange(m_y)[:, None]
-    px = np.exp(-2j * np.pi * spacing * mx * ux[None, :])  # (m_x, L)
-    py = np.exp(-2j * np.pi * spacing * my * uy[None, :])  # (m_y, L)
-    # x-major: element index n = m_x_index * m_y + m_y_index
-    return (px[:, None, :] * py[None, :, :]).reshape(m_x * m_y, -1)
+    px = np.exp(-2j * np.pi * spacing * mx * ux[..., None, :])
+    py = np.exp(-2j * np.pi * spacing * my * uy[..., None, :])
+    return px, py
+
+
+def _kron_columns(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Column-wise Kronecker product, x-major: row n = m_x_index * m_y + m_y_index."""
+    rows = px.shape[-2] * py.shape[-2]
+    return (px[..., :, None, :] * py[..., None, :, :]).reshape(*px.shape[:-2], rows, px.shape[-1])
+
+
+def steering_matrix(
+    elevations: np.ndarray, azimuths: np.ndarray, m_x: int, m_y: int, spacing: float
+) -> np.ndarray:
+    """Stack of unnormalized steering vectors, one column per direction.
+
+    Entries have unit modulus; angles of shape (..., L) give shape
+    (..., m_x*m_y, L), one matrix per leading index.
+    """
+    return _kron_columns(*_steering_factors(elevations, azimuths, m_x, m_y, spacing))
 
 
 def path_loss_linear(carrier_ghz: float, distance_m: float, exponent: float) -> float:
@@ -187,10 +205,11 @@ def mean_angles_from_geometry(
     if tau == 0.0:
         raise DegenerateGeometryError(f"coincident positions {pos_a}")
     u = v / tau
-    dep_el = math.acos(float(np.clip(np.dot(u, boresight_a), -1.0, 1.0)))
+    # clipped with min/max: np.clip on a scalar costs more than the rest of the call
+    dep_el = math.acos(min(max(float(np.dot(u, boresight_a)), -1.0), 1.0))
     dep_az = math.atan2(u[1], u[0])
     w = -u
-    arr_el = math.acos(float(np.clip(np.dot(w, boresight_b), -1.0, 1.0)))
+    arr_el = math.acos(min(max(float(np.dot(w, boresight_b)), -1.0), 1.0))
     arr_az = math.atan2(w[1], w[0])
     return LinkAngles(dep_el, dep_az, arr_el, arr_az, tau)
 
@@ -255,15 +274,63 @@ def translation_phases(
     -2*pi/lambda * (delta . u) with u the path's in-plane direction cosines.
     This deterministic geometric term is what makes rates vary on a
     wavelength scale across the platform; without it a platform translation
-    would be phase-transparent.
+    would be phase-transparent. ``delta_xy`` may be a (..., 2) stack of
+    translations against angles of shape (..., L).
     """
+    delta = np.asarray(delta_xy, dtype=float)
     ux = np.sin(elevations) * np.cos(azimuths)
     uy = np.sin(elevations) * np.sin(azimuths)
-    return np.exp(-2j * np.pi * (delta_xy[0] * ux + delta_xy[1] * uy) / wavelength_m)
+    return np.exp(-2j * np.pi * (delta[..., 0:1] * ux + delta[..., 1:2] * uy) / wavelength_m)
 
 
 def wavelength_m(carrier_ghz: float) -> float:
     return 0.299792458 / carrier_ghz
+
+
+class _LinkFactors(NamedTuple):
+    """A link matrix in factored form: H = A_r diag(coef) A_t^T.
+
+    Each steering matrix A is kept as its per-axis factors (..., m, L), of
+    which it is the column-wise Kronecker product; ``coef`` (..., L) is the
+    path amplitude times the path gain. Every field is small next to H and
+    they share their leading axes.
+    """
+
+    rx_x: np.ndarray
+    rx_y: np.ndarray
+    tx_x: np.ndarray
+    tx_y: np.ndarray
+    coef: np.ndarray
+
+    def matrix(self) -> np.ndarray:
+        """H, with the fields' leading axes."""
+        left = _kron_columns(self.rx_x, self.rx_y)
+        left *= self.coef[..., None, :]
+        return left @ np.swapaxes(_kron_columns(self.tx_x, self.tx_y), -1, -2)
+
+
+def _link_factors(
+    paths: PathSet,
+    tx_shape: tuple[int, int],
+    rx_shape: tuple[int, int],
+    carrier_ghz: float,
+    exponent: float,
+    spacing: float,
+    mode: str = "alpha",
+) -> _LinkFactors:
+    """The sum-of-paths channel of ``link_channel`` in factored form."""
+    rx_x, rx_y = _steering_factors(
+        paths.arr_elevation, paths.arr_azimuth, rx_shape[0], rx_shape[1], spacing
+    )
+    tx_x, tx_y = _steering_factors(
+        paths.dep_elevation, paths.dep_azimuth, tx_shape[0], tx_shape[1], spacing
+    )
+    distance = np.asarray(paths.distance_m, dtype=float)
+    amp = np.reshape(
+        [path_amplitude(carrier_ghz, float(d), exponent, mode) for d in distance.flat],
+        distance.shape,
+    )
+    return _LinkFactors(rx_x, rx_y, tx_x, tx_y, amp * paths.gains)
 
 
 def link_channel(
@@ -279,84 +346,135 @@ def link_channel(
 
     Each path contributes amp * z_l * a_r a_t^T with unit-modulus steering
     entries, so a single unit-gain path at unit attenuation has Frobenius
-    norm sqrt(num_rx * num_tx).
+    norm sqrt(num_rx * num_tx). A path set with leading axes gives one
+    matrix per leading index.
     """
-    a_r = steering_matrix(
-        paths.arr_elevation, paths.arr_azimuth, rx_shape[0], rx_shape[1], spacing
-    )
-    a_t = steering_matrix(
-        paths.dep_elevation, paths.dep_azimuth, tx_shape[0], tx_shape[1], spacing
-    )
-    amp = path_amplitude(carrier_ghz, paths.distance_m, exponent, mode)
-    return (a_r * (amp * paths.gains)) @ a_t.T
+    return _link_factors(paths, tx_shape, rx_shape, carrier_ghz, exponent, spacing, mode).matrix()
 
 
 def composite_channel(
     h_ris_rx: np.ndarray, phases: np.ndarray, h_tx_ris: np.ndarray
 ) -> np.ndarray:
-    """End-to-end matrix H_IR diag(e^{j phi}) H_TI, shape (M_2, M_1)."""
+    """End-to-end matrix H_IR diag(e^{j phi}) H_TI, shape (..., M_2, M_1).
+
+    Hops and phases may carry leading stack axes, which broadcast.
+    """
     phases = np.asarray(phases, dtype=float)
-    if h_ris_rx.shape[1] != phases.shape[0] or phases.shape[0] != h_tx_ris.shape[0]:
+    if h_ris_rx.shape[-1] != phases.shape[-1] or phases.shape[-1] != h_tx_ris.shape[-2]:
         raise ValueError(
-            f"dimension mismatch: {h_ris_rx.shape} x diag({phases.shape[0]}) x {h_tx_ris.shape}"
+            f"dimension mismatch: {h_ris_rx.shape} x diag({phases.shape[-1]}) x {h_tx_ris.shape}"
         )
-    return (h_ris_rx * np.exp(1j * phases)) @ h_tx_ris
+    return (h_ris_rx * np.exp(1j * phases)[..., None, :]) @ h_tx_ris
+
+
+def _stacked_means(means: list[LinkAngles], shape: tuple[int, ...]) -> LinkAngles:
+    """One LinkAngles whose fields are (*shape, 1) arrays, one entry per position."""
+    return LinkAngles(*(np.reshape(field, (*shape, 1)) for field in zip(*means)))
+
+
+def _link_paths(
+    config: SystemConfig,
+    geometry: DeploymentGeometry,
+    trial: TrialChannels,
+    ris_xy,
+    link: str,
+) -> tuple[PathSet, LinkAngles]:
+    """Paths and mean angles of one hop at the platform position(s).
+
+    ``link`` is "tx_ris" (Tx into the platform) or "ris_rx" (platform out to
+    the UE). Mean angles and distances follow the position; the trial's
+    gains and angular offsets stay frozen. Each path additionally picks up
+    the deterministic translation phase of the moved phase reference
+    (relative to the platform center, where the factor is exactly 1),
+    evaluated at the platform-side direction of that path. ``ris_xy`` is
+    one (x, y) pair or a (..., 2) stack; the results then carry the stack's
+    leading axes.
+
+    Mean angles stay scalar per position (``math.acos``/``math.atan2`` on
+    each link): their vectorized numpy forms round differently.
+    """
+    xy = np.asarray(ris_xy, dtype=float)
+    z = geometry.ris_height_m
+    into = link == "tx_ris"
+    means = _stacked_means(
+        [
+            mean_angles_from_geometry(geometry.tx_position, (x, y, z), UP, DOWN) if into
+            else mean_angles_from_geometry((x, y, z), geometry.ue_position, DOWN, UP)
+            for x, y in xy.reshape(-1, 2)
+        ],
+        xy.shape[:-1],
+    )
+    if into:
+        gains, offsets = trial.gains_tx_ris, trial.offsets_tx_ris
+        side_el = means.arr_elevation + offsets.arr_elevation
+        side_az = means.arr_azimuth + offsets.arr_azimuth
+    else:
+        gains, offsets = trial.gains_ris_rx, trial.offsets_ris_rx
+        side_el = means.dep_elevation + offsets.dep_elevation
+        side_az = means.dep_azimuth + offsets.dep_azimuth
+    delta = xy - geometry.platform_center()
+    gains = gains * translation_phases(
+        side_el, side_az, delta, wavelength_m(config.carrier_frequency_ghz)
+    )
+    return make_path_set(means, offsets, gains, link), means
+
+
+def _link_arguments(config: SystemConfig, paths: PathSet, platform_shape) -> tuple:
+    """``link_channel``/``_link_factors`` arguments for a hop's paths.
+
+    The platform node's array for the hop defaults to the RIS element grid.
+    """
+    platform = config.ris_elements if platform_shape is None else platform_shape
+    into = paths.link == "tx_ris"
+    return (
+        paths,
+        config.tx_antennas if into else platform,
+        platform if into else config.rx_antennas,
+        config.carrier_frequency_ghz,
+        config.path_loss_exponent,
+        config.element_spacing_wavelengths,
+        config.path_loss_mode,
+    )
+
+
+def link_channel_stream(
+    config: SystemConfig,
+    geometry: DeploymentGeometry,
+    trial: TrialChannels,
+    ris_xy: np.ndarray,
+    link: str,
+    platform_shape: tuple[int, int] | None = None,
+) -> Iterator[np.ndarray]:
+    """One hop's matrices at a (B, 2) stack of positions, yielded one at a time.
+
+    Paths and link factors are built for the whole stack at once; each
+    matrix is expanded only when the consumer asks for it, so a search
+    holds one hop matrix per hop instead of B of them.
+    """
+    paths, _ = _link_paths(config, geometry, trial, ris_xy, link)
+    factors = _link_factors(*_link_arguments(config, paths, platform_shape))
+    for entry in zip(*factors):
+        yield _LinkFactors(*entry).matrix()
 
 
 def realize_channels(
     config: SystemConfig,
     geometry: DeploymentGeometry,
     trial: TrialChannels,
-    ris_xy: tuple[float, float],
+    ris_xy,
     rx_shape: tuple[int, int] | None = None,
     tx_shape: tuple[int, int] | None = None,
 ) -> ChannelRealization:
-    """Rebuild both hop matrices for a trial at the given platform position.
+    """Rebuild both hop matrices for a trial at the given platform position(s).
 
     Mean angles and distances follow the position; the trial's gains and
-    angular offsets stay frozen. Each path additionally picks up the
-    deterministic translation phase of the moved phase reference (relative
-    to the platform center, where the factor is exactly 1), evaluated at the
-    platform-side direction of that path. ``rx_shape`` and ``tx_shape`` are
-    the platform node's receive (hop 1) and transmit (hop 2) array sizes;
-    both default to the RIS element grid, and a relay passes its own arrays.
+    angular offsets stay frozen, and each path picks up the translation
+    phase of the moved platform. ``rx_shape`` and ``tx_shape`` are the
+    platform node's receive (hop 1) and transmit (hop 2) array sizes; both
+    default to the RIS element grid, and a relay passes its own arrays.
     """
-    ris_pos = (ris_xy[0], ris_xy[1], geometry.ris_height_m)
-    means_ti = mean_angles_from_geometry(geometry.tx_position, ris_pos, UP, DOWN)
-    means_ir = mean_angles_from_geometry(ris_pos, geometry.ue_position, DOWN, UP)
-    cx, cy = geometry.platform_center()
-    delta = (ris_xy[0] - cx, ris_xy[1] - cy)
-    lam = wavelength_m(config.carrier_frequency_ghz)
-    gains_ti = trial.gains_tx_ris * translation_phases(
-        means_ti.arr_elevation + trial.offsets_tx_ris.arr_elevation,
-        means_ti.arr_azimuth + trial.offsets_tx_ris.arr_azimuth,
-        delta,
-        lam,
-    )
-    gains_ir = trial.gains_ris_rx * translation_phases(
-        means_ir.dep_elevation + trial.offsets_ris_rx.dep_elevation,
-        means_ir.dep_azimuth + trial.offsets_ris_rx.dep_azimuth,
-        delta,
-        lam,
-    )
-    paths_ti = make_path_set(means_ti, trial.offsets_tx_ris, gains_ti, "tx_ris")
-    paths_ir = make_path_set(means_ir, trial.offsets_ris_rx, gains_ir, "ris_rx")
-    h_ti = link_channel(
-        paths_ti,
-        config.tx_antennas,
-        config.ris_elements if rx_shape is None else rx_shape,
-        config.carrier_frequency_ghz,
-        config.path_loss_exponent,
-        config.element_spacing_wavelengths,
-        config.path_loss_mode,
-    )
-    h_ir = link_channel(
-        paths_ir,
-        config.ris_elements if tx_shape is None else tx_shape,
-        config.rx_antennas,
-        config.carrier_frequency_ghz,
-        config.path_loss_exponent,
-        config.element_spacing_wavelengths,
-        config.path_loss_mode,
-    )
+    paths_ti, means_ti = _link_paths(config, geometry, trial, ris_xy, "tx_ris")
+    paths_ir, means_ir = _link_paths(config, geometry, trial, ris_xy, "ris_rx")
+    h_ti = link_channel(*_link_arguments(config, paths_ti, rx_shape))
+    h_ir = link_channel(*_link_arguments(config, paths_ir, tx_shape))
     return ChannelRealization(h_ti, h_ir, paths_ti, paths_ir, means_ti, means_ir)

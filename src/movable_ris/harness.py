@@ -17,8 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineKind, build_scenario_pack, run_baseline, trial_channels
-from .channel import realize_channels
+from .beamforming import InvalidBeamError
+from .channel import DegenerateGeometryError, realize_channels
 from .scenario import (
+    ConfigError,
     DeploymentGeometry,
     SystemConfig,
     config_digest,
@@ -45,6 +47,15 @@ CSV_HEADER = (
 SWEEP_KINDS = ("power", "elements", "ue_scenarios", "single")
 
 DEFAULT_BASELINES = tuple(BaselineKind)
+
+# The geometric and numerical failures a single trial may end in; any other
+# exception is a bug and propagates.
+TRIAL_FAILURES = (
+    DegenerateGeometryError,
+    InvalidBeamError,
+    np.linalg.LinAlgError,
+    FloatingPointError,
+)
 
 
 @dataclass(frozen=True)
@@ -103,18 +114,18 @@ def format_swept_value(kind: str, value) -> str:
 def apply_swept_value(
     config: SystemConfig, geometry: DeploymentGeometry, kind: str, value
 ) -> tuple[SystemConfig, DeploymentGeometry]:
-    """Materialize one sweep point's configuration."""
+    """Materialize one sweep point's configuration; bad values raise ConfigError."""
     if kind in ("power", "single"):
         return replace(config, tx_power_dbm=float(value)), geometry
     if kind == "elements":
         side = math.isqrt(int(value))
         if side * side != int(value):
-            raise ValueError(f"element count {value} is not a perfect square")
+            raise ConfigError(f"element count {value} is not a perfect square")
         return replace(config, ris_elements=(side, side)), geometry
     if kind == "ue_scenarios":
         pos = tuple(float(v) for v in value)
         if len(pos) != 3:
-            raise ValueError(f"ue position must have 3 coordinates, got {value!r}")
+            raise ConfigError(f"ue position must have 3 coordinates, got {value!r}")
         return config, replace(geometry, ue_position=pos)
     raise ValueError(f"unknown sweep kind {kind!r}")
 
@@ -141,9 +152,10 @@ def monte_carlo_point(
 ) -> RateResult:
     """Average one baseline over ``trials`` frozen channel draws.
 
-    Trial t consumes substreams keyed by (seed, t); per-trial errors are
+    Trial t consumes substreams keyed by (seed, t). A trial fails when it
+    raises one of TRIAL_FAILURES or its rate is not finite; failures are
     recorded, never silently dropped, and the point is flagged when more
-    than 10% of trials fail.
+    than 10% of trials fail. Any other exception propagates.
     """
     pack = build_scenario_pack(config, geometry, seed, pso_seed)
     rates: list[float] = []
@@ -153,8 +165,12 @@ def monte_carlo_point(
     for t in range(trials):
         try:
             outcome = run_baseline(kind, pack, t)
-        except Exception:
+        except TRIAL_FAILURES:
             logger.exception("trial %d of %s failed", t, kind.value)
+            failed.append(t)
+            continue
+        if not math.isfinite(outcome.rate):
+            logger.warning("trial %d of %s gave rate %r", t, kind.value, outcome.rate)
             failed.append(t)
             continue
         rates.append(float(outcome.rate))

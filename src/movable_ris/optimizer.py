@@ -5,8 +5,9 @@ affinely onto the platform rectangle, the rest scale to phases in [0, 2pi).
 The swarm follows the usual velocity recursion with the social term pulling
 toward the global best and the cognitive term toward each particle's personal
 best; both bests are strict argmaxes over history, so the global-best value
-sequence never decreases. A grid-exhaustive oracle covers tiny instances for
-verification.
+sequence never decreases. Objectives score a whole swarm at once: they take
+the (Z, D) positions of one iteration and return (Z,) values. A
+grid-exhaustive oracle covers tiny instances for verification.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .beamforming import hybrid_link_rate
 # Not called here; sweepbench/tracer.py wraps these names in this namespace.
 from .beamforming import achievable_rate, bb_stages, effective_channel  # noqa: F401
-from .channel import TrialChannels, composite_channel, realize_channels
+from .channel import TrialChannels, composite_channel, link_channel_stream, realize_channels
 from .scenario import DeploymentGeometry, PsoParams, SystemConfig
 
 __all__ = [
@@ -46,29 +47,37 @@ MAX_ORACLE_POINTS = 10**7
 
 @dataclass(frozen=True)
 class RisState:
-    """Decoded platform position and per-element phase shifts."""
+    """Decoded platform position and per-element phase shifts.
 
-    x: float
-    y: float
+    A batch of states has (Z,) positions and/or (Z, M_I) phases; a scalar
+    position or a 1-D phase vector is shared by the whole batch.
+    """
+
+    x: float | np.ndarray
+    y: float | np.ndarray
     phases: np.ndarray  # values in [0, 2*pi)
 
 
-def decode_xy(px: float, py: float, geometry: DeploymentGeometry) -> tuple[float, float]:
+def decode_xy(px, py, geometry: DeploymentGeometry):
+    """Platform coordinates of unit-square coordinates, element-wise for arrays."""
     x0, x1 = geometry.platform_x_range
     y0, y1 = geometry.platform_y_range
-    # plain floats: positions end up in CSV fields via repr
-    return (float(x0 + px * (x1 - x0)), float(y0 + py * (y1 - y0)))
+    x = x0 + np.asarray(px, dtype=float) * (x1 - x0)
+    y = y0 + np.asarray(py, dtype=float) * (y1 - y0)
+    if x.ndim == 0:
+        return float(x), float(y)  # plain floats: positions end up in CSV fields via repr
+    return x, y
 
 
 def decode(vector: np.ndarray, geometry: DeploymentGeometry) -> RisState:
-    """Map a unit-hypercube point onto the feasible set.
+    """Map a unit-hypercube point, or a (Z, D) batch of them, onto the feasible set.
 
     Positions land in the platform box and phases in [0, 2pi) by
     construction; the single wrap 2pi -> 0 is the only non-injective point.
     """
     v = np.asarray(vector, dtype=float)
-    x, y = decode_xy(v[0], v[1], geometry)
-    phases = (TWO_PI * v[2:]) % TWO_PI
+    x, y = decode_xy(v[..., 0], v[..., 1], geometry)
+    phases = (TWO_PI * v[..., 2:]) % TWO_PI
     return RisState(x, y, phases)
 
 
@@ -91,8 +100,8 @@ class ProblemContext:
     The RF stages are fixed for the whole search; only mean geometry (and
     hence the hop matrices) and the phase diagonal change between calls, so
     the objective is deterministic and the swarm's argmax semantics are well
-    defined. Consecutive evaluations at an unchanged position reuse the hop
-    matrices, which makes phase-only searches cheap.
+    defined. A batch at one shared position reuses that position's hop
+    matrices across calls, which makes phase-only searches cheap.
     """
 
     config: SystemConfig
@@ -111,26 +120,46 @@ class ProblemContext:
         return self.config.num_ris + 2
 
     def hop_matrices(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-        key = (x, y)
+        key = (float(x), float(y))
         if self._cache_key != key:
             real = realize_channels(self.config, self.geometry, self.trial, key)
             self._cache_key = key
             self._cache = (real.h_tx_ris, real.h_ris_rx)
         return self._cache
 
-    def rate_for(self, state: RisState) -> float:
-        h_ti, h_ir = self.hop_matrices(state.x, state.y)
+    def rate_for(self, state: RisState) -> float | np.ndarray:
+        """Rate (bps/Hz) of one state, or the (Z,) rates of a batched state.
+
+        A batch at one position uses that position's cached hops; a batch of
+        positions streams its hop matrices one particle at a time. Composite
+        matrices are streamed too, and every smaller quantity is stacked.
+        """
+        batch = np.broadcast_shapes(np.shape(state.x), np.shape(state.y),
+                                    np.shape(state.phases)[:-1])
+        if np.ndim(state.x) == 0 and np.ndim(state.y) == 0:
+            h_ti, h_ir = self.hop_matrices(state.x, state.y)
+            if not batch:
+                return self._link_rate(composite_channel(h_ir, state.phases, h_ti))
+            h_ti, h_ir = itertools.repeat(h_ti), itertools.repeat(h_ir)
+        else:
+            xy = np.stack(np.broadcast_arrays(state.x, state.y), axis=-1)
+            h_ti = link_channel_stream(self.config, self.geometry, self.trial, xy, "tx_ris")
+            h_ir = link_channel_stream(self.config, self.geometry, self.trial, xy, "ris_rx")
+        phases = np.broadcast_to(state.phases, (*batch, self.config.num_ris))
+        return self._link_rate(map(composite_channel, h_ir, phases, h_ti))
+
+    def _link_rate(self, h) -> float | np.ndarray:
         rate, rank_deficient = hybrid_link_rate(
-            self.f2, composite_channel(h_ir, state.phases, h_ti), self.f1,
+            self.f2, h, self.f1,
             self.tx_power_w, self.config.num_streams, self.noise_power_w,
         )
-        if rank_deficient:
+        if np.any(rank_deficient):
             self.saw_rank_deficiency = True
         return rate
 
 
-def fitness(vector: np.ndarray, context: ProblemContext) -> float:
-    """Objective value (bps/Hz) of one particle position."""
+def fitness(vector: np.ndarray, context: ProblemContext) -> float | np.ndarray:
+    """Objective value (bps/Hz) of one particle position, or (Z,) values of a (Z, D) batch."""
     return context.rate_for(decode(vector, context.geometry))
 
 
@@ -145,14 +174,27 @@ class SwarmState:
     history: list[float]        # global best after init and each iteration
 
 
+def _evaluate(fitness_fn, positions: np.ndarray) -> np.ndarray:
+    """One objective call on the (Z, D) swarm; checks that it gave (Z,) values."""
+    values = np.array(fitness_fn(positions), dtype=float)
+    if values.shape != positions.shape[:1]:
+        raise ValueError(
+            f"objective gave shape {values.shape} for {positions.shape[0]} particles"
+        )
+    return values
+
+
 def init_swarm(
     fitness_fn, dim: int, params: PsoParams, rng: np.random.Generator
 ) -> SwarmState:
-    """Uniform positions, zero velocities, bests from the initial evaluation."""
+    """Uniform positions, zero velocities, bests from the initial evaluation.
+
+    ``fitness_fn`` maps the (Z, D) positions to (Z,) values.
+    """
     z = params.swarm_size
     positions = rng.random((z, dim))
     velocities = np.zeros((z, dim))
-    values = np.array([fitness_fn(positions[i]) for i in range(z)])
+    values = _evaluate(fitness_fn, positions)
     g = int(np.argmax(values))  # first maximum: lowest particle index wins ties
     return SwarmState(
         positions=positions,
@@ -185,7 +227,8 @@ def pso_step(
     fresh per-dimension uniforms Y1 then Y2, clamped to +-velocity_clamp.
     Positions are clamped to [0,1] and the velocity of any clamped dimension
     is zeroed. Bests update only on strict improvement, which keeps the
-    earliest iteration and lowest particle index on ties.
+    earliest iteration and lowest particle index on ties; a NaN value never
+    becomes a best.
     """
     z, dim = state.positions.shape
     y1 = rng.random((z, dim))
@@ -203,15 +246,15 @@ def pso_step(
     state.positions = pos
     state.velocities = vel
 
-    for i in range(z):
-        value = fitness_fn(pos[i])
-        if value > state.best_values[i]:
-            state.best_values[i] = value
-            state.best_positions[i] = pos[i].copy()
-    for i in range(z):
-        if state.best_values[i] > state.global_best_value:
-            state.global_best_value = float(state.best_values[i])
-            state.global_best_position = state.best_positions[i].copy()
+    values = _evaluate(fitness_fn, pos)
+    improved = values > state.best_values
+    state.best_values[improved] = values[improved]
+    state.best_positions[improved] = pos[improved]
+    # The first maximum among non-NaN personal bests, as a strict-> scan in index order finds.
+    i = int(np.argmax(np.where(np.isnan(state.best_values), -np.inf, state.best_values)))
+    if state.best_values[i] > state.global_best_value:
+        state.global_best_value = float(state.best_values[i])
+        state.global_best_position = state.best_positions[i].copy()
     state.history.append(state.global_best_value)
     return state
 
@@ -219,7 +262,11 @@ def pso_step(
 def run_pso(
     fitness_fn, dim: int, params: PsoParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, float, list[float]]:
-    """Full search: returns (best vector, best value, history of length T+1)."""
+    """Full search: returns (best vector, best value, history of length T+1).
+
+    ``fitness_fn`` is called once per iteration on the (Z, D) positions and
+    returns their (Z,) values.
+    """
     state = init_swarm(fitness_fn, dim, params, rng)
     for t in range(1, params.iterations + 1):
         pso_step(state, params, t, rng, fitness_fn)

@@ -1,0 +1,183 @@
+"""Batched and looped evaluation agree bit for bit.
+
+Every search objective scores a (Z, D) batch in one call. Each test here
+compares that call with the same objective evaluated one particle at a time,
+by bytes, not within a tolerance.
+"""
+
+import math
+from contextlib import contextmanager
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from movable_ris import baselines, beamforming, optimizer
+from movable_ris.baselines import BaselineKind, build_scenario_pack
+from movable_ris.beamforming import hybrid_link_rate
+from movable_ris.scenario import PsoParams, default_config, rng_stream
+
+SEARCHES = (
+    BaselineKind.MOVABLE_RIS_JOINT,
+    BaselineKind.FIXED_RIS_OPT_PHASE,
+    BaselineKind.MOVABLE_RIS_RANDOM_PHASE,
+    BaselineKind.FD_RELAY,
+)
+
+
+def _pack(seed=5):
+    config, geometry = default_config()
+    config = replace(config, tx_antennas=(4, 4), rx_antennas=(4, 4), ris_elements=(2, 3),
+                     pso=PsoParams(swarm_size=6, iterations=4))
+    return build_scenario_pack(config, geometry, seed)
+
+
+def _ill_conditioned(pack):
+    """The same pack with two nearly parallel receive beams, so W is near singular."""
+    def squeeze(f2):
+        f2 = f2.copy()
+        f2[1] = f2[0] + 1e-9 * f2[1]
+        return f2
+    return replace(pack, f2=squeeze(pack.f2), relay_f2_hop1=squeeze(pack.relay_f2_hop1),
+                   fd_relay_outcomes={})
+
+
+@contextmanager
+def _objective_of(kind, pack, trial_index, zero_channel=False):
+    """The batch objective a search of ``kind`` hands to its swarm, without searching."""
+    captured = []
+
+    def capture(fitness_fn, dim, params, rng):
+        captured.append(fitness_fn)
+        return np.full(dim, 0.5), 0.0, [0.0]
+
+    real_trial = baselines.trial_channels
+
+    def trial_channels(pack, index):
+        trial = real_trial(pack, index)
+        if zero_channel:
+            trial.gains_tx_ris = np.zeros_like(trial.gains_tx_ris)
+            trial.gains_ris_rx = np.zeros_like(trial.gains_ris_rx)
+        return trial
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "run_pso", capture)
+        mp.setattr(optimizer, "run_pso", capture)
+        mp.setattr(baselines, "trial_channels", trial_channels)
+        # a private outcome store: the placeholder search must not reach the cached pack
+        baselines.run_baseline(kind, replace(pack, fd_relay_outcomes={}), trial_index)
+        yield captured[0]
+
+
+def _particles(draw_seed, count, dim, clamp, duplicate):
+    rng = rng_stream(draw_seed, 0)
+    p = rng.random((count, dim))
+    if clamp:  # particles pinned to the box walls, as pso_step leaves them
+        p[rng.random((count, dim)) < 0.3] = 0.0
+        p[rng.random((count, dim)) < 0.3] = 1.0
+    if duplicate and count > 1:
+        p[-1] = p[0]
+    return p
+
+
+def _same_bytes(batch, rows):
+    batch = np.asarray(batch, dtype=float)
+    assert batch.shape == (len(rows),)
+    assert batch.tobytes() == np.asarray(rows, dtype=float).tobytes(), (batch, rows)
+
+
+@given(
+    kind=st.sampled_from(SEARCHES),
+    trial_index=st.integers(min_value=0, max_value=50),
+    draw_seed=st.integers(min_value=0, max_value=10_000),
+    count=st.integers(min_value=1, max_value=7),
+    clamp=st.booleans(),
+    duplicate=st.booleans(),
+    zero_channel=st.booleans(),
+    ill_conditioned=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_batch_objective_equals_per_particle(kind, trial_index, draw_seed, count, clamp,
+                                             duplicate, zero_channel, ill_conditioned):
+    pack = _pack()
+    if ill_conditioned:
+        pack = _ill_conditioned(pack)
+    dim = {BaselineKind.FIXED_RIS_OPT_PHASE: pack.config.num_ris,
+           BaselineKind.MOVABLE_RIS_JOINT: pack.config.num_ris + 2}.get(kind, 2)
+    particles = _particles(draw_seed, count, dim, clamp, duplicate)
+    with _objective_of(kind, pack, trial_index, zero_channel) as objective:
+        batch = objective(particles)
+        rows = [objective(p) for p in particles]
+    assert all(isinstance(r, float) for r in rows)
+    _same_bytes(batch, rows)
+    if zero_channel:
+        assert not np.any(batch)
+
+
+def test_relay_batch_equals_min_hop_rate_rows():
+    pack = _pack()
+    trial = baselines.trial_channels(pack, 2)
+    xy = _particles(12, 9, 2, clamp=True, duplicate=True)
+    x, y = optimizer.decode_xy(xy[:, 0], xy[:, 1], pack.geometry)
+    rates, deficient = baselines._min_hop_rate(pack, trial, x, y)
+    rows = [baselines._min_hop_rate(pack, trial, float(a), float(b)) for a, b in zip(x, y)]
+    _same_bytes(rates, [r for r, _ in rows])
+    assert deficient.tolist() == [d for _, d in rows]
+
+
+def test_ill_conditioned_pack_reaches_the_eigenvalue_fallback(monkeypatch):
+    # keeps the property test above honest about what it covers
+    calls = []
+    real = beamforming._whitened_rate
+
+    def counted(w, q, trace):
+        calls.append(len(w))
+        return real(w, q, trace)
+
+    monkeypatch.setattr(beamforming, "_whitened_rate", counted)
+    pack = _ill_conditioned(_pack())
+    context = baselines.make_problem_context(pack, 0)
+    particles = _particles(3, 6, pack.config.num_ris + 2, clamp=False, duplicate=False)
+    assert np.all(np.isfinite(optimizer.fitness(particles, context)))
+    assert sum(calls) == 6
+
+
+def _random_stack(rng, count, rows, cols, zero_rows, rank_one_rows):
+    h = rng.standard_normal((count, rows, cols)) + 1j * rng.standard_normal((count, rows, cols))
+    for i in zero_rows:
+        h[i] = 0.0
+    for i in rank_one_rows:
+        h[i] = np.outer(h[i][:, 0], h[i][0])
+    return h
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    count=st.integers(min_value=1, max_value=6),
+    streams=st.integers(min_value=1, max_value=3),
+    near_parallel=st.booleans(),
+    noise=st.sampled_from([1e-3, 0.0]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_rate_pipeline_equals_per_matrix(seed, count, streams, near_parallel, noise,
+                                                 data):
+    """Rank-deficient, eigenvalue-fallback and ridge (zero noise) rows inside one stack."""
+    rng = rng_stream(seed, 1)
+    m, n_rf = 6, 3
+    zero_rows = data.draw(st.sets(st.integers(0, count - 1)))
+    rank_one_rows = data.draw(st.sets(st.integers(0, count - 1))) - zero_rows
+    h = _random_stack(rng, count, m, m, zero_rows, rank_one_rows)
+    f1 = (rng.standard_normal((m, n_rf)) + 1j * rng.standard_normal((m, n_rf))) / math.sqrt(m)
+    f2 = (rng.standard_normal((n_rf, m)) + 1j * rng.standard_normal((n_rf, m))) / math.sqrt(m)
+    if near_parallel:
+        f2[1] = f2[0] + 1e-9 * f2[1]
+    rates, deficient = hybrid_link_rate(f2, h, f1, 2.0, streams, noise)
+    streamed, _ = hybrid_link_rate(f2, iter(h), f1, 2.0, streams, noise)
+    rows = [hybrid_link_rate(f2, h_b, f1, 2.0, streams, noise) for h_b in h]
+    _same_bytes(rates, [r for r, _ in rows])
+    _same_bytes(streamed, [r for r, _ in rows])
+    assert deficient.tolist() == [d for _, d in rows]
+    assert all(deficient[i] for i in zero_rows | rank_one_rows if streams > 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -119,6 +120,17 @@ def test_non_finite_swept_power_is_an_error(tmp_path, tiny_config_file, capsys):
     assert not out.exists()
 
 
+def test_non_square_element_count_is_an_error(tmp_path, tiny_config_file, capsys):
+    out = tmp_path / "el"
+    rc = main([
+        "sweep-elements", "--elements", "15",
+        "--config", str(tiny_config_file), "--out", str(out),
+    ])
+    assert rc == 2
+    assert "error: element count 15 is not a perfect square" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_config_value_is_an_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(TINY_CONFIG + "carrier_frequency_ghz = inf\n")
@@ -179,6 +191,29 @@ def test_cli_byte_identical_repeat(tmp_path, tiny_config_file):
         assert rc.returncode == 0, rc.stderr
         outs.append((out / "results.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+# results.csv of the criterion-7 invocation (tests/test_acceptance.py), recorded
+# before the swarm objectives were batched; batching must not move a bit of it.
+CRITERION_7_CSV_SHA256 = "ea3bb3bbe54fb9bfc71f0b496ff277b9181c566956922684a02ff2e2f5fc3f28"
+
+
+def test_criterion_7_invocation_golden_bytes(tmp_path):
+    cfg = tmp_path / "acceptance.cfg"
+    cfg.write_text(
+        "tx_antennas = 4 4\nrx_antennas = 4 4\nris_elements = 2 2\n"
+        "pso_swarm_size = 6\npso_iterations = 8\n"
+    )
+    out = tmp_path / "out"
+    rc = main([
+        "sweep-power", "--powers", "10,30",
+        "--baselines", "movable_ris_joint,fd_relay,hd_relay",
+        "--trials", "3", "--seed", "12345",
+        "--config", str(cfg), "--out", str(out),
+    ])
+    assert rc == 0
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == CRITERION_7_CSV_SHA256
 
 
 def test_oracle_check_passes(tmp_path, capsys):

@@ -16,7 +16,7 @@ from movable_ris.harness import (
     sweep,
     write_results,
 )
-from movable_ris.scenario import PsoParams, default_config
+from movable_ris.scenario import ConfigError, PsoParams, default_config
 
 
 def read_results_csv(path: Path) -> list[dict]:
@@ -82,8 +82,10 @@ def test_apply_swept_value():
     assert c3.ris_elements == (6, 6)
     _, g4 = apply_swept_value(config, geometry, "ue_scenarios", (80.0, 60.0, 2.0))
     assert g4.ue_position == (80.0, 60.0, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         apply_swept_value(config, geometry, "elements", 35)  # not a square
+    with pytest.raises(ConfigError):
+        apply_swept_value(config, geometry, "ue_scenarios", (80.0, 60.0))
 
 
 def test_sweep_cardinality_and_order():
@@ -239,7 +241,7 @@ def test_trial_failures_recorded_and_point_flagged(monkeypatch):
 
     def flaky(kind, pack, trial_index):
         if trial_index % 3 == 0:
-            raise RuntimeError("injected trial failure")
+            raise np.linalg.LinAlgError("injected trial failure")
         return real_run(kind, pack, trial_index)
 
     monkeypatch.setattr(harness_mod, "run_baseline", flaky)
@@ -250,6 +252,43 @@ def test_trial_failures_recorded_and_point_flagged(monkeypatch):
     assert r.point_flagged  # 3/9 > 10%
     assert len(r.per_trial_rates) == 6
     assert r.mean_rate == pytest.approx(np.mean(r.per_trial_rates))
+
+
+def test_trial_bug_propagates(monkeypatch):
+    import movable_ris.harness as harness_mod
+
+    config, geometry = small_scenario()
+
+    def broken(kind, pack, trial_index):
+        raise IndexError("injected shape bug")
+
+    monkeypatch.setattr(harness_mod, "run_baseline", broken)
+    with pytest.raises(IndexError, match="injected shape bug"):
+        harness_mod.monte_carlo_point(
+            config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 3, 9
+        )
+
+
+def test_non_finite_rate_is_a_failed_trial(monkeypatch):
+    import movable_ris.harness as harness_mod
+
+    config, geometry = small_scenario()
+    real_run = harness_mod.run_baseline
+
+    def nan_on_one(kind, pack, trial_index):
+        outcome = real_run(kind, pack, trial_index)
+        if trial_index == 1:
+            outcome = replace(outcome, rate=math.nan)
+        return outcome
+
+    monkeypatch.setattr(harness_mod, "run_baseline", nan_on_one)
+    r = harness_mod.monte_carlo_point(
+        config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 4, 9
+    )
+    assert r.failed_trials == [1]
+    assert len(r.per_trial_rates) == len(r.per_trial_positions) == 3
+    assert all(math.isfinite(rate) for rate in r.per_trial_rates)
+    assert math.isfinite(r.mean_rate)
 
 
 def test_mean_rate_non_decreasing_in_power_per_kind():

@@ -101,8 +101,10 @@ def test_fitness_phase_wrap_invariance():
 
 
 def _quadratic(center):
+    """Negated squared distance to ``center``, one value per row of a (Z, D) batch."""
+
     def f(v):
-        return -float(np.sum((v - center) ** 2))
+        return -np.sum((v - center) ** 2, axis=-1)
 
     return f
 
@@ -173,6 +175,105 @@ def test_global_best_history_monotone(seed):
     _, _, history = run_pso(_quadratic(center), 3, params, rng)
     assert len(history) == 13
     assert all(a <= b for a, b in zip(history, history[1:]))
+
+
+def _reference_run_pso(row_fn, dim, params, rng):
+    """Per-particle swarm loop: one objective call per particle, strict-> bests."""
+    z = params.swarm_size
+    pos = rng.random((z, dim))
+    vel = np.zeros((z, dim))
+    values = np.array([row_fn(pos[i]) for i in range(z)])
+    g = int(np.argmax(values))
+    best_pos, best_val = pos.copy(), values.copy()
+    gbest_pos, gbest_val = pos[g].copy(), float(values[g])
+    history = [gbest_val]
+    for t in range(1, params.iterations + 1):
+        frac = (t - 1) / (params.iterations - 1) if params.iterations > 1 else 0.0
+        inertia = params.inertia_start + (params.inertia_end - params.inertia_start) * frac
+        y1 = rng.random((z, dim))
+        y2 = rng.random((z, dim))
+        vel = (params.social_weight * y1 * (gbest_pos[None, :] - pos)
+               + params.cognitive_weight * y2 * (best_pos - pos) + inertia * vel)
+        np.clip(vel, -params.velocity_clamp, params.velocity_clamp, out=vel)
+        pos = pos + vel
+        vel[(pos < 0.0) | (pos > 1.0)] = 0.0
+        np.clip(pos, 0.0, 1.0, out=pos)
+        for i in range(z):
+            value = row_fn(pos[i])
+            if value > best_val[i]:
+                best_val[i] = value
+                best_pos[i] = pos[i].copy()
+        for i in range(z):
+            if best_val[i] > gbest_val:
+                gbest_val = float(best_val[i])
+                gbest_pos = best_pos[i].copy()
+        history.append(gbest_val)
+    return gbest_pos, gbest_val, history
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    swarm_size=st.integers(min_value=1, max_value=6),
+    dim=st.integers(min_value=1, max_value=4),
+    iterations=st.integers(min_value=0, max_value=12),
+    center=st.floats(min_value=-0.5, max_value=1.5),
+    levels=st.sampled_from([1.0, 4.0, 1e6]),
+    nan_at_wall=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_run_pso_matches_per_particle_loop(seed, swarm_size, dim, iterations, center, levels,
+                                           nan_at_wall):
+    # Coarse levels give ties; NaN on the upper wall appears only after a
+    # clamp, never at the uniform start, and must never become a best.
+    def row_fn(v):
+        if nan_at_wall and np.any(v == 1.0):
+            return math.nan
+        return -float(np.round(np.sum((v - center) ** 2) * levels)) / levels
+
+    def batch_fn(positions):
+        return [row_fn(v) for v in positions]
+
+    params = PsoParams(swarm_size=swarm_size, iterations=iterations, velocity_clamp=0.8)
+    best_vec, best_val, history = run_pso(batch_fn, dim, params, rng_stream(seed, 0))
+    ref_vec, ref_val, ref_history = _reference_run_pso(row_fn, dim, params, rng_stream(seed, 0))
+    assert best_vec.tobytes() == ref_vec.tobytes()
+    assert best_val == ref_val
+    assert history == ref_history
+    assert all(a <= b for a, b in zip(history, history[1:]))
+    assert history[-1] == best_val
+
+
+@given(
+    best=st.lists(st.one_of(st.floats(-3, 3), st.just(math.nan)), min_size=1, max_size=6),
+    new=st.lists(st.one_of(st.floats(-3, 3), st.just(math.nan)), min_size=6, max_size=6),
+    gbest=st.floats(-3, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_pso_step_bests_follow_strict_scan(best, new, gbest):
+    # Any swarm state, NaN personal bests included: bests move only on a
+    # strict improvement, and the global best is what an index-order
+    # strict-> scan picks, so a NaN is never chosen the way np.argmax would.
+    z = len(best)
+    values = np.array(new[:z])
+    state = init_swarm(lambda p: np.zeros(len(p)), 2, PsoParams(swarm_size=z), rng_stream(1, 0))
+    state.best_values = np.array(best)
+    state.global_best_value = gbest
+    expected_best = [v if v > b else b for v, b in zip(values, best)]
+    expected_g, expected_i = gbest, None
+    for i, b in enumerate(expected_best):
+        if b > expected_g:
+            expected_g, expected_i = b, i
+    pso_step(state, PsoParams(swarm_size=z), 1, rng_stream(2, 0), lambda p: values)
+    assert np.array_equal(state.best_values, expected_best, equal_nan=True)
+    assert state.history[-1] == expected_g == state.global_best_value
+    if expected_i is not None:
+        assert np.array_equal(state.global_best_position, state.best_positions[expected_i])
+
+
+def test_objective_must_return_one_value_per_particle():
+    params = PsoParams(swarm_size=4, iterations=1)
+    with pytest.raises(ValueError, match="shape"):
+        run_pso(lambda p: np.zeros(len(p) + 1), 2, params, rng_stream(8, 0))
 
 
 def test_run_zero_iterations_returns_init_best():
