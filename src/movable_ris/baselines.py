@@ -16,14 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .beamforming import (
-    angle_support,
-    build_grid,
-    design_rf_stages,
-    hybrid_link_rate,
-    rf_stages,
-    select_beams,
-)
+from .beamforming import angle_support, covering_rf_stages, design_rf_stages, hybrid_link_rate
 from .channel import (
     DOWN,
     UP,
@@ -137,8 +130,6 @@ def _relay_stages(
     """
     spread_el = math.radians(config.angular_spread_deg[0])
     spread_az = math.radians(config.angular_spread_deg[1])
-    rx_shape = config.rx_antennas
-    tx_shape = config.tx_antennas
     # Hop-1 arrival support at the relay: the relay array looks back at the Tx
     # from anywhere on the platform, which in relay-local terms mirrors the
     # Tx's departure footprint.
@@ -146,28 +137,16 @@ def _relay_stages(
     means_hop1 = mean_angles_from_geometry(geometry.tx_position, relay_ref, UP, DOWN)
     means_hop2 = mean_angles_from_geometry(relay_ref, geometry.ue_position, DOWN, UP)
     widen_el, widen_az = _platform_halfwidths(geometry, geometry.tx_position)
-    beams_rx = select_beams(
-        build_grid(*rx_shape),
-        angle_support(
-            means_hop1.arr_elevation, means_hop1.arr_azimuth,
-            spread_el + widen_el, spread_az + widen_az,
-        ),
-        config.num_streams,
-        min(config.max_rf_chains, rx_shape[0] * rx_shape[1]),
+    support_rx = angle_support(
+        means_hop1.arr_elevation, means_hop1.arr_azimuth,
+        spread_el + widen_el, spread_az + widen_az,
     )
     widen_el, widen_az = _platform_halfwidths(geometry, geometry.ue_position)
-    beams_tx = select_beams(
-        build_grid(*tx_shape),
-        angle_support(
-            means_hop2.dep_elevation, means_hop2.dep_azimuth,
-            spread_el + widen_el, spread_az + widen_az,
-        ),
-        config.num_streams,
-        min(config.max_rf_chains, tx_shape[0] * tx_shape[1]),
+    support_tx = angle_support(
+        means_hop2.dep_elevation, means_hop2.dep_azimuth,
+        spread_el + widen_el, spread_az + widen_az,
     )
-    f1_hop2, f2_hop1 = rf_stages(
-        beams_tx, beams_rx, tx_shape, rx_shape, config.element_spacing_wavelengths
-    )
+    f1_hop2, f2_hop1 = covering_rf_stages(config, support_tx, support_rx)
     return f2_hop1, f1_hop2
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "select_beams",
     "rf_steering_column",
     "rf_stages",
+    "covering_rf_stages",
     "design_rf_stages",
     "effective_channel",
     "bb_stages",
@@ -272,6 +273,23 @@ def platform_support(
     )
 
 
+def covering_rf_stages(
+    config: SystemConfig, support_tx: AngleSupport, support_rx: AngleSupport
+) -> tuple[np.ndarray, np.ndarray]:
+    """F1 and F2 on the configured Tx and Rx arrays, with beams covering the supports.
+
+    Each side gets at least ``num_streams`` and at most ``max_rf_chains``
+    beams (never more than its antenna count).
+    """
+    shapes = (config.tx_antennas, config.rx_antennas)
+    beams_tx, beams_rx = (
+        select_beams(build_grid(*shape), support, config.num_streams,
+                     min(config.max_rf_chains, shape[0] * shape[1]))
+        for shape, support in zip(shapes, (support_tx, support_rx))
+    )
+    return rf_stages(beams_tx, beams_rx, *shapes, config.element_spacing_wavelengths)
+
+
 def design_rf_stages(
     config: SystemConfig, geometry: DeploymentGeometry
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -289,20 +307,7 @@ def design_rf_stages(
     support_rx = platform_support(
         geometry.ue_position, UP, geometry, spread_el, spread_az, departure=False
     )
-    beams_tx = select_beams(
-        build_grid(*config.tx_antennas),
-        support_tx,
-        config.num_streams,
-        min(config.max_rf_chains, config.num_tx),
-    )
-    beams_rx = select_beams(
-        build_grid(*config.rx_antennas),
-        support_rx,
-        config.num_streams,
-        min(config.max_rf_chains, config.num_rx),
-    )
-    return rf_stages(beams_tx, beams_rx, config.tx_antennas, config.rx_antennas,
-                     config.element_spacing_wavelengths)
+    return covering_rf_stages(config, support_tx, support_rx)
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
@@ -444,16 +449,15 @@ def hybrid_link_rate(
     tx_power_w: float,
     num_streams: int,
     noise_power_w: float,
-) -> tuple[float, bool] | tuple[np.ndarray, np.ndarray]:
-    """Full pipeline for one channel matrix, a (B, M_2, M_1) stack, or an iterable of them.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full pipeline for a (B, M_2, M_1) stack of channel matrices or an iterable of them.
 
-    ``h`` is taken as by ``effective_channel``. Returns (rate,
-    rank_deficient): a float and a bool for one matrix, (B,) arrays otherwise.
-    Channels are grouped by stream count (rank-deficient ones carry fewer
-    streams) and each group runs as one stack.
+    ``h`` is taken as by ``effective_channel``; one matrix is a stack of
+    one. Returns (rates, rank_deficient) as (B,) arrays. Channels are
+    grouped by stream count (rank-deficient ones carry fewer streams) and
+    each group runs as one stack.
     """
-    single = isinstance(h, np.ndarray) and h.ndim == 2
-    eff = effective_channel(f2, h[None] if single else h, f1)
+    eff = effective_channel(f2, h, f1)
     # Rank bookkeeping in Python ints: integer-array ufuncs would map numpy code
     # that nothing else in a sweep touches, which shows in peak RSS.
     ranks = eff.rank.tolist()
@@ -465,7 +469,4 @@ def hybrid_link_rate(
         bb = bb_stages(group, tx_power_w, num_streams, f1)
         bf = BeamformerSet(f1, bb.b1, f2, bb.b2, bb.streams, bb.rank_deficient)
         rates[rows] = achievable_rate(bf, group, noise_power_w)
-    rank_deficient = np.array([rank < num_streams for rank in ranks])
-    if single:
-        return float(rates[0]), bool(rank_deficient[0])
-    return rates, rank_deficient
+    return rates, np.array([rank < num_streams for rank in ranks])

@@ -85,11 +85,6 @@ class PathSet:
     arr_elevation: np.ndarray
     arr_azimuth: np.ndarray
     distance_m: float
-    link: str  # "tx_ris" or "ris_rx"
-
-    @property
-    def num_paths(self) -> int:
-        return len(self.gains)
 
 
 @dataclass
@@ -104,14 +99,10 @@ class TrialChannels:
 
 @dataclass
 class ChannelRealization:
-    """Both hop matrices at one RIS position (or a stack) plus their source paths."""
+    """Both hop matrices at one RIS position."""
 
     h_tx_ris: np.ndarray  # (M_I, M_1)
     h_ris_rx: np.ndarray  # (M_2, M_I)
-    paths_tx_ris: PathSet
-    paths_ris_rx: PathSet
-    means_tx_ris: LinkAngles
-    means_ris_rx: LinkAngles
 
 
 def steering_vector(
@@ -231,9 +222,7 @@ def draw_gains(num_paths: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths)) / math.sqrt(2.0)
 
 
-def make_path_set(
-    means: LinkAngles, offsets: AngleOffsets, gains: np.ndarray, link: str
-) -> PathSet:
+def make_path_set(means: LinkAngles, offsets: AngleOffsets, gains: np.ndarray) -> PathSet:
     """Combine frozen offsets/gains with (possibly new) mean angles."""
     return PathSet(
         gains=gains,
@@ -242,7 +231,6 @@ def make_path_set(
         arr_elevation=means.arr_elevation + offsets.arr_elevation,
         arr_azimuth=means.arr_azimuth + offsets.arr_azimuth,
         distance_m=means.distance_m,
-        link=link,
     )
 
 
@@ -367,43 +355,34 @@ def composite_channel(
     return (h_ris_rx * np.exp(1j * phases)[..., None, :]) @ h_tx_ris
 
 
-def _stacked_means(means: list[LinkAngles], shape: tuple[int, ...]) -> LinkAngles:
-    """One LinkAngles whose fields are (*shape, 1) arrays, one entry per position."""
-    return LinkAngles(*(np.reshape(field, (*shape, 1)) for field in zip(*means)))
-
-
 def _link_paths(
     config: SystemConfig,
     geometry: DeploymentGeometry,
     trial: TrialChannels,
-    ris_xy,
+    xy: np.ndarray,
     link: str,
-) -> tuple[PathSet, LinkAngles]:
-    """Paths and mean angles of one hop at the platform position(s).
+) -> PathSet:
+    """Paths of one hop at a (B, 2) stack of platform positions.
 
     ``link`` is "tx_ris" (Tx into the platform) or "ris_rx" (platform out to
     the UE). Mean angles and distances follow the position; the trial's
     gains and angular offsets stay frozen. Each path additionally picks up
     the deterministic translation phase of the moved phase reference
     (relative to the platform center, where the factor is exactly 1),
-    evaluated at the platform-side direction of that path. ``ris_xy`` is
-    one (x, y) pair or a (..., 2) stack; the results then carry the stack's
-    leading axes.
+    evaluated at the platform-side direction of that path. Every field of
+    the result has a leading axis of length B.
 
     Mean angles stay scalar per position (``math.acos``/``math.atan2`` on
     each link): their vectorized numpy forms round differently.
     """
-    xy = np.asarray(ris_xy, dtype=float)
     z = geometry.ris_height_m
     into = link == "tx_ris"
-    means = _stacked_means(
-        [
-            mean_angles_from_geometry(geometry.tx_position, (x, y, z), UP, DOWN) if into
-            else mean_angles_from_geometry((x, y, z), geometry.ue_position, DOWN, UP)
-            for x, y in xy.reshape(-1, 2)
-        ],
-        xy.shape[:-1],
-    )
+    per_position = [
+        mean_angles_from_geometry(geometry.tx_position, (x, y, z), UP, DOWN) if into
+        else mean_angles_from_geometry((x, y, z), geometry.ue_position, DOWN, UP)
+        for x, y in xy
+    ]
+    means = LinkAngles(*(np.reshape(field, (-1, 1)) for field in zip(*per_position)))
     if into:
         gains, offsets = trial.gains_tx_ris, trial.offsets_tx_ris
         side_el = means.arr_elevation + offsets.arr_elevation
@@ -416,25 +395,7 @@ def _link_paths(
     gains = gains * translation_phases(
         side_el, side_az, delta, wavelength_m(config.carrier_frequency_ghz)
     )
-    return make_path_set(means, offsets, gains, link), means
-
-
-def _link_arguments(config: SystemConfig, paths: PathSet, platform_shape) -> tuple:
-    """``link_channel``/``_link_factors`` arguments for a hop's paths.
-
-    The platform node's array for the hop defaults to the RIS element grid.
-    """
-    platform = config.ris_elements if platform_shape is None else platform_shape
-    into = paths.link == "tx_ris"
-    return (
-        paths,
-        config.tx_antennas if into else platform,
-        platform if into else config.rx_antennas,
-        config.carrier_frequency_ghz,
-        config.path_loss_exponent,
-        config.element_spacing_wavelengths,
-        config.path_loss_mode,
-    )
+    return make_path_set(means, offsets, gains)
 
 
 def link_channel_stream(
@@ -449,10 +410,21 @@ def link_channel_stream(
 
     Paths and link factors are built for the whole stack at once; each
     matrix is expanded only when the consumer asks for it, so a search
-    holds one hop matrix per hop instead of B of them.
+    holds one hop matrix per hop instead of B of them. The platform node's
+    array defaults to the RIS element grid; a relay passes its own.
     """
-    paths, _ = _link_paths(config, geometry, trial, ris_xy, link)
-    factors = _link_factors(*_link_arguments(config, paths, platform_shape))
+    paths = _link_paths(config, geometry, trial, np.asarray(ris_xy, dtype=float), link)
+    platform = config.ris_elements if platform_shape is None else platform_shape
+    into = link == "tx_ris"
+    factors = _link_factors(
+        paths,
+        config.tx_antennas if into else platform,
+        platform if into else config.rx_antennas,
+        config.carrier_frequency_ghz,
+        config.path_loss_exponent,
+        config.element_spacing_wavelengths,
+        config.path_loss_mode,
+    )
     for entry in zip(*factors):
         yield _LinkFactors(*entry).matrix()
 
@@ -462,19 +434,13 @@ def realize_channels(
     geometry: DeploymentGeometry,
     trial: TrialChannels,
     ris_xy,
-    rx_shape: tuple[int, int] | None = None,
-    tx_shape: tuple[int, int] | None = None,
 ) -> ChannelRealization:
-    """Rebuild both hop matrices for a trial at the given platform position(s).
+    """Both hop matrices of a trial with the RIS at one (x, y) platform position.
 
-    Mean angles and distances follow the position; the trial's gains and
-    angular offsets stay frozen, and each path picks up the translation
-    phase of the moved platform. ``rx_shape`` and ``tx_shape`` are the
-    platform node's receive (hop 1) and transmit (hop 2) array sizes; both
-    default to the RIS element grid, and a relay passes its own arrays.
+    Built as the single entry of ``link_channel_stream`` for each hop, so a
+    lone position and a stack of them share one code path.
     """
-    paths_ti, means_ti = _link_paths(config, geometry, trial, ris_xy, "tx_ris")
-    paths_ir, means_ir = _link_paths(config, geometry, trial, ris_xy, "ris_rx")
-    h_ti = link_channel(*_link_arguments(config, paths_ti, rx_shape))
-    h_ir = link_channel(*_link_arguments(config, paths_ir, tx_shape))
-    return ChannelRealization(h_ti, h_ir, paths_ti, paths_ir, means_ti, means_ir)
+    xy = np.asarray(ris_xy, dtype=float).reshape(1, 2)
+    (h_ti,) = link_channel_stream(config, geometry, trial, xy, "tx_ris")
+    (h_ir,) = link_channel_stream(config, geometry, trial, xy, "ris_rx")
+    return ChannelRealization(h_ti, h_ir)

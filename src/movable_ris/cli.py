@@ -160,6 +160,11 @@ def _run_sweep(args, kind: str, values: tuple, out_name: str) -> int:
         print(f"{r.swept_value:>24}  {r.baseline.value:<26} "
               f"{r.mean_rate:8.3f} +- {r.stderr:.3f} bps/Hz{flag}")
     print(f"wrote {csv_path}\nwrote {meta_path}\nwrote {script_path}")
+    flagged = [f"{r.swept_value} {r.baseline.value}" for r in results if r.point_flagged]
+    if flagged:
+        print(f"flagged points (over 10% of trials failed): {'; '.join(flagged)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "SwarmState",
     "decode",
     "decode_xy",
-    "encode",
     "fitness",
     "init_swarm",
     "pso_step",
@@ -43,6 +42,9 @@ TWO_PI = 2.0 * math.pi
 
 # Grid-point budget above which brute_force_joint refuses to run.
 MAX_ORACLE_POINTS = 10**7
+
+# Phase-grid rows brute_force_joint scores per rate_for call.
+_ORACLE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -79,18 +81,6 @@ def decode(vector: np.ndarray, geometry: DeploymentGeometry) -> RisState:
     x, y = decode_xy(v[..., 0], v[..., 1], geometry)
     phases = (TWO_PI * v[..., 2:]) % TWO_PI
     return RisState(x, y, phases)
-
-
-def encode(state: RisState, geometry: DeploymentGeometry) -> np.ndarray:
-    """Inverse of decode for in-range states (phases taken mod 2pi)."""
-    x0, x1 = geometry.platform_x_range
-    y0, y1 = geometry.platform_y_range
-    return np.concatenate(
-        (
-            [(state.x - x0) / (x1 - x0), (state.y - y0) / (y1 - y0)],
-            (np.asarray(state.phases) % TWO_PI) / TWO_PI,
-        )
-    )
 
 
 @dataclass
@@ -130,32 +120,28 @@ class ProblemContext:
     def rate_for(self, state: RisState) -> float | np.ndarray:
         """Rate (bps/Hz) of one state, or the (Z,) rates of a batched state.
 
-        A batch at one position uses that position's cached hops; a batch of
-        positions streams its hop matrices one particle at a time. Composite
-        matrices are streamed too, and every smaller quantity is stacked.
+        A single state is a batch of one, unwrapped to a float. A batch at
+        one position uses that position's cached hops; a batch of positions
+        streams its hop matrices one particle at a time. Composite matrices
+        are streamed too, and every smaller quantity is stacked.
         """
         batch = np.broadcast_shapes(np.shape(state.x), np.shape(state.y),
                                     np.shape(state.phases)[:-1])
         if np.ndim(state.x) == 0 and np.ndim(state.y) == 0:
-            h_ti, h_ir = self.hop_matrices(state.x, state.y)
-            if not batch:
-                return self._link_rate(composite_channel(h_ir, state.phases, h_ti))
-            h_ti, h_ir = itertools.repeat(h_ti), itertools.repeat(h_ir)
+            h_ti, h_ir = map(itertools.repeat, self.hop_matrices(state.x, state.y))
         else:
             xy = np.stack(np.broadcast_arrays(state.x, state.y), axis=-1)
             h_ti = link_channel_stream(self.config, self.geometry, self.trial, xy, "tx_ris")
             h_ir = link_channel_stream(self.config, self.geometry, self.trial, xy, "ris_rx")
-        phases = np.broadcast_to(state.phases, (*batch, self.config.num_ris))
-        return self._link_rate(map(composite_channel, h_ir, phases, h_ti))
-
-    def _link_rate(self, h) -> float | np.ndarray:
-        rate, rank_deficient = hybrid_link_rate(
-            self.f2, h, self.f1,
+        n = self.config.num_ris
+        phases = np.broadcast_to(state.phases, (*batch, n)).reshape(-1, n)
+        rates, rank_deficient = hybrid_link_rate(
+            self.f2, map(composite_channel, h_ir, phases, h_ti), self.f1,
             self.tx_power_w, self.config.num_streams, self.noise_power_w,
         )
         if np.any(rank_deficient):
             self.saw_rank_deficiency = True
-        return rate
+        return rates if batch else float(rates[0])
 
 
 def fitness(vector: np.ndarray, context: ProblemContext) -> float | np.ndarray:
@@ -214,6 +200,14 @@ def _inertia(params: PsoParams, t: int) -> float:
     return params.inertia_start + (params.inertia_end - params.inertia_start) * frac
 
 
+def _first_max(values: np.ndarray) -> int:
+    """Index of the first maximum among non-NaN values, as a strict-> scan in index order finds.
+
+    Plain ``np.argmax`` would return the first NaN.
+    """
+    return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+
+
 def pso_step(
     state: SwarmState,
     params: PsoParams,
@@ -250,8 +244,7 @@ def pso_step(
     improved = values > state.best_values
     state.best_values[improved] = values[improved]
     state.best_positions[improved] = pos[improved]
-    # The first maximum among non-NaN personal bests, as a strict-> scan in index order finds.
-    i = int(np.argmax(np.where(np.isnan(state.best_values), -np.inf, state.best_values)))
+    i = _first_max(state.best_values)
     if state.best_values[i] > state.global_best_value:
         state.global_best_value = float(state.best_values[i])
         state.global_best_position = state.best_positions[i].copy()
@@ -291,7 +284,10 @@ def brute_force_joint(
     Positions use ``position_steps`` points per axis spanning [0,1]
     inclusive (the platform midpoint when position_steps == 1); phases use
     ``phase_steps`` points k/phase_steps covering [0, 2pi) without the
-    duplicate endpoint. Refuses grids above MAX_ORACLE_POINTS.
+    duplicate endpoint. Refuses grids above MAX_ORACLE_POINTS. Points are
+    visited in ``itertools.product`` order and the first maximum wins; a
+    NaN value is never picked. Each position scores its phase grid in
+    chunks through one set of cached hop matrices.
     """
     num_phases = context.config.num_ris
     total = position_steps**2 * phase_steps**num_phases
@@ -302,11 +298,14 @@ def brute_force_joint(
 
     best_vec = None
     best_val = -math.inf
-    axes = [pos_grid, pos_grid] + [phase_grid] * num_phases
-    for combo in itertools.product(*axes):
-        vec = np.asarray(combo)
-        value = fitness(vec, context)
-        if value > best_val:
-            best_val = value
-            best_vec = vec
-    return decode(best_vec, context.geometry), float(best_val)
+    for px, py in itertools.product(pos_grid, pos_grid):
+        x, y = decode_xy(px, py, context.geometry)
+        rows = itertools.product(phase_grid, repeat=num_phases)
+        while chunk := list(itertools.islice(rows, _ORACLE_CHUNK)):
+            grid = np.array(chunk)
+            values = context.rate_for(RisState(x, y, (TWO_PI * grid) % TWO_PI))
+            i = _first_max(values)
+            if values[i] > best_val:
+                best_val = float(values[i])
+                best_vec = np.concatenate(([px, py], grid[i]))
+    return decode(best_vec, context.geometry), best_val

@@ -223,6 +223,12 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
         errors.append("ris_height_m must be positive")
     if tuple(geometry.tx_position) == tuple(geometry.ue_position):
         errors.append("tx and ue positions coincide")
+    # the RIS array faces down: a node at or above its plane is behind it
+    for name, position in (("tx_position", geometry.tx_position),
+                           ("ue_position", geometry.ue_position)):
+        if position[2] >= geometry.ris_height_m:
+            errors.append(f"{name} z = {position[2]!r} must lie below the RIS plane "
+                          f"(ris_height_m = {geometry.ris_height_m!r})")
 
     return errors
 

@@ -176,8 +176,8 @@ def test_stacked_rate_pipeline_equals_per_matrix(seed, count, streams, near_para
         f2[1] = f2[0] + 1e-9 * f2[1]
     rates, deficient = hybrid_link_rate(f2, h, f1, 2.0, streams, noise)
     streamed, _ = hybrid_link_rate(f2, iter(h), f1, 2.0, streams, noise)
-    rows = [hybrid_link_rate(f2, h_b, f1, 2.0, streams, noise) for h_b in h]
-    _same_bytes(rates, [r for r, _ in rows])
-    _same_bytes(streamed, [r for r, _ in rows])
-    assert deficient.tolist() == [d for _, d in rows]
+    rows = [hybrid_link_rate(f2, h_b[None], f1, 2.0, streams, noise) for h_b in h]
+    _same_bytes(rates, [r[0] for r, _ in rows])
+    _same_bytes(streamed, [r[0] for r, _ in rows])
+    assert deficient.tolist() == [d[0] for _, d in rows]
     assert all(deficient[i] for i in zero_rows | rank_one_rows if streams > 1)

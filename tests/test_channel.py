@@ -35,12 +35,11 @@ def draw_paths(
     spread_az: float,
     num_paths: int,
     rng: np.random.Generator,
-    link: str = "tx_ris",
 ) -> PathSet:
     """Draw a full path set: gains first, then the four offset blocks."""
     gains = draw_gains(num_paths, rng)
     offsets = draw_angle_offsets(spread_el, spread_az, num_paths, rng)
-    return make_path_set(means, offsets, gains, link)
+    return make_path_set(means, offsets, gains)
 
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
@@ -281,11 +280,20 @@ def test_realization_deterministic_bit_identical():
 
 
 def test_translation_phase_reference_is_identity_at_center():
+    # at the platform center the hop equals the untranslated path set's channel
     config, geometry = default_config()
     trial = draw_trial(config, rng_stream(2, 0))
     center = geometry.platform_center()
     real = realize_channels(config, geometry, trial, center)
-    np.testing.assert_allclose(real.paths_tx_ris.gains, trial.gains_tx_ris, atol=1e-15)
+    means = mean_angles_from_geometry(
+        geometry.tx_position, geometry.reference_ris_position(), UP, DOWN
+    )
+    paths = make_path_set(means, trial.offsets_tx_ris, trial.gains_tx_ris)
+    h = link_channel(
+        paths, config.tx_antennas, config.ris_elements, config.carrier_frequency_ghz,
+        config.path_loss_exponent, config.element_spacing_wavelengths, config.path_loss_mode,
+    )
+    np.testing.assert_allclose(real.h_tx_ris, h, rtol=1e-12, atol=0.0)
 
 
 def test_translation_phases_unit_modulus_and_varying():

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from movable_ris.cli import main
@@ -70,6 +71,46 @@ def test_ue_scenarios_subcommand(tmp_path, tiny_config_file):
     assert rc == 0
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_ue_above_the_ris_plane_is_an_error(tmp_path, tiny_config_file, capsys):
+    out = tmp_path / "ue"
+    rc = main([
+        "ue-scenarios", "--ue-positions", "60,90,6",
+        "--config", str(tiny_config_file), "--out", str(out),
+    ])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flagged_point_exits_one_after_writing(tmp_path, tiny_config_file, capsys, monkeypatch):
+    from movable_ris import harness
+
+    real_run = harness.run_baseline
+
+    def failing_relay(kind, pack, trial_index):
+        if kind.value == "hd_relay":
+            raise np.linalg.LinAlgError("injected trial failure")
+        return real_run(kind, pack, trial_index)
+
+    monkeypatch.setattr(harness, "run_baseline", failing_relay)
+    out = tmp_path / "flagged"
+    rc = main([
+        "sweep-power", "--powers", "0,10",
+        "--baselines", "fixed_ris_random_phase,hd_relay",
+        "--trials", "2",
+        "--config", str(tiny_config_file), "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1
+    for name in ("results.csv", "results_meta.json", "plot_results.py"):
+        assert (out / name).exists()
+    assert captured.out.count("[FLAGGED]") == 2
+    err_lines = [line for line in captured.err.splitlines() if "flagged points" in line]
+    assert err_lines == [
+        "flagged points (over 10% of trials failed): 0.0 hd_relay; 10.0 hd_relay"
+    ]
 
 
 def test_sweep_elements_subcommand(tmp_path, tiny_config_file):

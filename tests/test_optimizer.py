@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from movable_ris import optimizer
 from movable_ris.baselines import build_scenario_pack, make_problem_context
 from movable_ris.optimizer import (
+    TWO_PI,
     RisState,
     brute_force_joint,
     decode,
-    encode,
     fitness,
     init_swarm,
     pso_step,
@@ -25,6 +27,18 @@ def tiny_scenario(ris=(1, 2), seed=123):
     config, geometry = default_config()
     config = replace(config, tx_antennas=(2, 2), rx_antennas=(2, 2), ris_elements=ris)
     return config, geometry, build_scenario_pack(config, geometry, seed)
+
+
+def encode(state: RisState, geometry) -> np.ndarray:
+    """Inverse of decode for in-range states (phases taken mod 2pi)."""
+    x0, x1 = geometry.platform_x_range
+    y0, y1 = geometry.platform_y_range
+    return np.concatenate(
+        (
+            [(state.x - x0) / (x1 - x0), (state.y - y0) / (y1 - y0)],
+            (np.asarray(state.phases) % TWO_PI) / TWO_PI,
+        )
+    )
 
 
 # --- decode ------------------------------------------------------------------
@@ -361,21 +375,56 @@ def test_brute_force_single_point_equals_fitness():
     assert value == pytest.approx(ctx.rate_for(state), abs=1e-12)
 
 
-def test_brute_force_matches_hand_loop():
-    config, geometry, pack = tiny_scenario(ris=(1, 1))
-    ctx = make_problem_context(pack, 0)
-    state, value = brute_force_joint(ctx, 4, 8)
-    best = -1.0
+def _nan_where_last_phase_is_low(rate_for):
+    """A rate_for that reads NaN wherever the last element's phase is below pi.
+
+    In grid order that is the first half of every run of phase_steps points,
+    so every chunk of the oracle's phase grid holds a NaN.
+    """
+    def patched(state):
+        values = rate_for(state)
+        return np.where(np.asarray(state.phases)[..., -1] < math.pi, math.nan, values)[()]
+    return patched
+
+
+def _hand_loop(ctx, geometry, num_ris, position_steps, phase_steps):
+    """Reference oracle: one point at a time in grid order, first strict maximum."""
+    best = -math.inf
     best_state = None
-    for gx in np.linspace(0, 1, 4):
-        for gy in np.linspace(0, 1, 4):
-            for k in range(8):
-                cand = decode(np.array([gx, gy, k / 8]), geometry)
+    for gx in np.linspace(0, 1, position_steps):
+        for gy in np.linspace(0, 1, position_steps):
+            for ks in itertools.product(range(phase_steps), repeat=num_ris):
+                cand = decode(np.array([gx, gy, *(k / phase_steps for k in ks)]), geometry)
                 r = ctx.rate_for(cand)
                 if r > best:
                     best, best_state = r, cand
-    assert value == pytest.approx(best, abs=1e-12)
-    assert (state.x, state.y) == (best_state.x, best_state.y)
+    return best_state, best
+
+
+def test_brute_force_matches_hand_loop(monkeypatch):
+    cases = [  # (RIS shape, trial, phase rows per rate_for call, NaN values)
+        ((1, 1), 0, None, False),
+        ((1, 2), 0, None, False),  # the criterion-3 toy
+        ((1, 2), 1, None, False),
+        ((1, 2), 2, 7, False),     # chunks split each position's phase grid
+        ((1, 2), 3, 7, True),      # a NaN is never the maximum
+    ]
+    for ris, trial, chunk, with_nan in cases:
+        config, geometry, pack = tiny_scenario(ris=ris)
+        ctx = make_problem_context(pack, trial)
+        with monkeypatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(optimizer, "_ORACLE_CHUNK", chunk)
+            if with_nan:
+                mp.setattr(ctx, "rate_for", _nan_where_last_phase_is_low(ctx.rate_for))
+            state, value = brute_force_joint(ctx, 4, 8)
+            best_state, best = _hand_loop(ctx, geometry, config.num_ris, 4, 8)
+        assert isinstance(value, float)
+        assert np.float64(value).tobytes() == np.float64(best).tobytes()
+        assert (state.x, state.y) == (best_state.x, best_state.y)
+        assert state.phases.tobytes() == best_state.phases.tobytes()
+        if with_nan:
+            assert state.phases[-1] >= math.pi
 
 
 def test_brute_force_refuses_oversized_grid():

@@ -99,6 +99,18 @@ def test_validate_rejects_non_finite_values():
     assert any("ue_position must be finite" in e for e in validate(config, bad_geo))
 
 
+def test_validate_rejects_nodes_at_or_above_the_ris_plane():
+    config, geometry = default_config()
+    at_plane = replace(geometry, tx_position=(0.0, 0.0, geometry.ris_height_m))
+    assert any("tx_position z = 5.0 must lie below the RIS plane" in e
+               for e in validate(config, at_plane))
+    above = replace(geometry, ue_position=(60.0, 90.0, 9.0))
+    assert any("ue_position z = 9.0 must lie below the RIS plane" in e
+               for e in validate(config, above))
+    just_below = replace(geometry, ue_position=(60.0, 90.0, 4.999))
+    assert validate(config, just_below) == []
+
+
 def test_validate_collects_multiple_errors():
     config, geometry = default_config()
     bad_cfg = replace(config, num_paths=0, bandwidth_hz=-1.0)
