@@ -328,26 +328,35 @@ def effective_channel(f2: np.ndarray, h, f1: np.ndarray) -> EffectiveChannel:
     if isinstance(h, np.ndarray):
         mat = f2 @ h @ f1
     else:
-        mat = np.stack([f2 @ h_b @ f1 for h_b in h])
+        mat = np.array([f2 @ h_b @ f1 for h_b in h])
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     mag = np.abs(vh)
     significant = mag > 1e-12 * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
     rotate = significant.any(axis=-1)  # (..., k): vectors with an entry to rotate
-    lead = np.take_along_axis(vh, np.argmax(significant, axis=-1)[..., None], axis=-1)
-    lead = lead[..., 0][rotate]
+    lead = np.take_along_axis(vh, np.argmax(significant, axis=-1)[..., None], axis=-1)[..., 0]
+    if rotate.all():
+        rotate = ...  # the usual case: every vector, without boolean-mask copies
+    lead = lead[rotate]
     # np.hypot matches abs() of one complex scalar bit for bit; np.abs may not
     c = lead / np.hypot(lead.real, lead.imag)
-    vh[rotate] *= np.conj(c)[:, None]
-    u.swapaxes(-1, -2)[rotate] *= c[:, None]
+    vh[rotate] *= np.conj(c)[..., None]
+    u.swapaxes(-1, -2)[rotate] *= c[..., None]
     tol = max(mat.shape[-2:]) * np.finfo(float).eps * s[..., :1]
     rank = np.sum(s > tol, axis=-1)
     return EffectiveChannel(mat, u, s, vh, rank if rank.ndim else int(rank))
 
 
 def _norm_squared(matrices: np.ndarray) -> np.ndarray:
-    """||M||_F^2 of each matrix in a stack, one np.linalg.norm call per matrix."""
-    flat = matrices.reshape(-1, *matrices.shape[-2:])
-    return np.reshape([float(np.linalg.norm(m) ** 2) for m in flat], matrices.shape[:-2])
+    """||M||_F^2 of each matrix in a stack, rounded as float(np.linalg.norm(M) ** 2).
+
+    Each matrix takes the two strided dot products np.linalg.norm makes;
+    every batched form tried sums in another order.
+    """
+    out = []
+    for m in matrices.reshape(-1, *matrices.shape[-2:]):
+        x = m.ravel(order="K")
+        out.append(math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) ** 2)
+    return np.reshape(out, matrices.shape[:-2])
 
 
 def _stream_count(rank: int, num_streams: int) -> int:
@@ -385,6 +394,8 @@ def bb_stages(
     if f1 is not None:
         actual = _norm_squared(f1 @ b1)
         scaled = actual > 0.0
+        if scaled.all():
+            scaled = ...  # every matrix, without boolean-mask copies
         b1[scaled] *= np.sqrt(tx_power_w / actual[scaled])[..., None, None]
     return BbStages(b1, b2, streams, rank_deficient)
 
@@ -431,11 +442,13 @@ def achievable_rate(
     cond = np.linalg.cond(w)
     fallback = ~np.isfinite(cond) | (cond > _COND_LIMIT)
     rates = np.empty(trace.shape)
+    direct = slice(None)  # every row, without boolean-mask copies
     if fallback.any():
         rates[fallback] = _whitened_rate(w[fallback], q[fallback], trace[fallback])
-    direct = ~fallback
-    if direct.any():
-        m = np.eye(n) + np.linalg.solve(w[direct], q[direct])
+        direct = ~fallback
+        w, q = w[direct], q[direct]
+    if len(w):
+        m = np.eye(n) + np.linalg.solve(w, q)
         logdet = np.linalg.slogdet(m)[1] / math.log(2.0)
         rates[direct] = np.where(logdet < 0.0, 0.0, logdet)  # max(logdet, 0.0), NaN kept
     rates = rates.reshape(batch)
@@ -460,13 +473,16 @@ def hybrid_link_rate(
     eff = effective_channel(f2, h, f1)
     # Rank bookkeeping in Python ints: integer-array ufuncs would map numpy code
     # that nothing else in a sweep touches, which shows in peak RSS.
-    ranks = eff.rank.tolist()
-    streams = [_stream_count(rank, num_streams) for rank in ranks]
-    rates = np.empty(len(ranks))
-    for count in set(streams):
-        rows = np.array([s == count for s in streams])
-        group = eff if rows.all() else eff.select(rows)
+    streams = [_stream_count(rank, num_streams) for rank in eff.rank.tolist()]
+    counts = set(streams)
+    rates = np.empty(len(streams))
+    deficient = np.empty(len(streams), dtype=bool)
+    whole = len(counts) == 1  # the usual case: the whole stack, without mask copies
+    for count in counts:
+        rows = slice(None) if whole else np.array([s == count for s in streams])
+        group = eff if whole else eff.select(rows)
         bb = bb_stages(group, tx_power_w, num_streams, f1)
         bf = BeamformerSet(f1, bb.b1, f2, bb.b2, bb.streams, bb.rank_deficient)
         rates[rows] = achievable_rate(bf, group, noise_power_w)
-    return rates, np.array([rank < num_streams for rank in ranks])
+        deficient[rows] = bb.rank_deficient
+    return rates, deficient

@@ -119,36 +119,24 @@ def steering_vector(
     return v / math.sqrt(m_x * m_y)
 
 
-def _steering_factors(
-    elevations: np.ndarray, azimuths: np.ndarray, m_x: int, m_y: int, spacing: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis phase factors (..., m_x, L) and (..., m_y, L) of a steering matrix."""
-    el = np.asarray(elevations, dtype=float)
-    az = np.asarray(azimuths, dtype=float)
-    ux = np.sin(el) * np.cos(az)  # directional cosines
-    uy = np.sin(el) * np.sin(az)
-    mx = np.arange(m_x)[:, None]
-    my = np.arange(m_y)[:, None]
-    px = np.exp(-2j * np.pi * spacing * mx * ux[..., None, :])
-    py = np.exp(-2j * np.pi * spacing * my * uy[..., None, :])
-    return px, py
-
-
-def _kron_columns(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product, x-major: row n = m_x_index * m_y + m_y_index."""
-    rows = px.shape[-2] * py.shape[-2]
-    return (px[..., :, None, :] * py[..., None, :, :]).reshape(*px.shape[:-2], rows, px.shape[-1])
-
-
 def steering_matrix(
     elevations: np.ndarray, azimuths: np.ndarray, m_x: int, m_y: int, spacing: float
 ) -> np.ndarray:
     """Stack of unnormalized steering vectors, one column per direction.
 
     Entries have unit modulus; angles of shape (..., L) give shape
-    (..., m_x*m_y, L), one matrix per leading index.
+    (..., m_x*m_y, L), one matrix per leading index. Each column is the
+    x-major Kronecker product of its per-axis phase factors: row n =
+    m_x_index * m_y + m_y_index.
     """
-    return _kron_columns(*_steering_factors(elevations, azimuths, m_x, m_y, spacing))
+    el = np.asarray(elevations, dtype=float)
+    az = np.asarray(azimuths, dtype=float)
+    ux = np.sin(el) * np.cos(az)  # directional cosines
+    uy = np.sin(el) * np.sin(az)
+    px = np.exp(-2j * np.pi * spacing * np.arange(m_x)[:, None] * ux[..., None, :])
+    py = np.exp(-2j * np.pi * spacing * np.arange(m_y)[:, None] * uy[..., None, :])
+    kron = px[..., :, None, :] * py[..., None, :, :]
+    return kron.reshape(*ux.shape[:-1], m_x * m_y, ux.shape[-1])
 
 
 def path_loss_linear(carrier_ghz: float, distance_m: float, exponent: float) -> float:
@@ -189,20 +177,36 @@ def mean_angles_from_geometry(
     from each node; elevations are measured from each array's boresight
     normal, so a broadside link has elevation 0.
     """
-    a = np.asarray(pos_a, dtype=float)
-    b = np.asarray(pos_b, dtype=float)
-    v = b - a
-    tau = float(np.linalg.norm(v))
-    if tau == 0.0:
-        raise DegenerateGeometryError(f"coincident positions {pos_a}")
-    u = v / tau
-    # clipped with min/max: np.clip on a scalar costs more than the rest of the call
-    dep_el = math.acos(min(max(float(np.dot(u, boresight_a)), -1.0), 1.0))
-    dep_az = math.atan2(u[1], u[0])
+    means = _stacked_mean_angles(np.reshape(pos_a, (1, 3)), np.reshape(pos_b, (1, 3)),
+                                 boresight_a, boresight_b)
+    return LinkAngles(*(float(field[0]) for field in means))
+
+
+def _stacked_mean_angles(pos_a, pos_b, boresight_a, boresight_b) -> LinkAngles:
+    """``mean_angles_from_geometry`` for (B, 3) stacks of node pairs; fields are (B,) arrays.
+
+    Lengths and boresight projections are stacked vector-vector matmuls,
+    which take the same dot product as ``np.linalg.norm`` of one 3-vector;
+    ``math.acos``/``math.atan2`` run once per pair, since numpy's
+    vectorized forms round differently.
+    """
+    v = np.asarray(pos_b, dtype=float) - np.asarray(pos_a, dtype=float)
+    tau = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    if not tau.all():
+        where = np.broadcast_to(pos_a, v.shape)[np.argmin(tau)]
+        raise DegenerateGeometryError(f"coincident positions {tuple(where.tolist())}")
+    u = v / tau[:, None]
     w = -u
-    arr_el = math.acos(min(max(float(np.dot(w, boresight_b)), -1.0), 1.0))
-    arr_az = math.atan2(w[1], w[0])
-    return LinkAngles(dep_el, dep_az, arr_el, arr_az, tau)
+    cos_a = (u[:, None, :] @ np.reshape(boresight_a, (3, 1)))[:, 0, 0]
+    cos_b = (w[:, None, :] @ np.reshape(boresight_b, (3, 1)))[:, 0, 0]
+    # clipped with min/max: np.clip on a scalar costs more than acos itself
+    angles = [
+        (math.acos(min(max(ca, -1.0), 1.0)), math.atan2(uy, ux),
+         math.acos(min(max(cb, -1.0), 1.0)), math.atan2(wy, wx))
+        for ca, cb, (ux, uy, _), (wx, wy, _) in zip(cos_a.tolist(), cos_b.tolist(),
+                                                    u.tolist(), w.tolist())
+    ]
+    return LinkAngles(*np.array(angles).reshape(-1, 4).T, tau)
 
 
 def draw_angle_offsets(
@@ -275,28 +279,6 @@ def wavelength_m(carrier_ghz: float) -> float:
     return 0.299792458 / carrier_ghz
 
 
-class _LinkFactors(NamedTuple):
-    """A link matrix in factored form: H = A_r diag(coef) A_t^T.
-
-    Each steering matrix A is kept as its per-axis factors (..., m, L), of
-    which it is the column-wise Kronecker product; ``coef`` (..., L) is the
-    path amplitude times the path gain. Every field is small next to H and
-    they share their leading axes.
-    """
-
-    rx_x: np.ndarray
-    rx_y: np.ndarray
-    tx_x: np.ndarray
-    tx_y: np.ndarray
-    coef: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        """H, with the fields' leading axes."""
-        left = _kron_columns(self.rx_x, self.rx_y)
-        left *= self.coef[..., None, :]
-        return left @ np.swapaxes(_kron_columns(self.tx_x, self.tx_y), -1, -2)
-
-
 def _link_factors(
     paths: PathSet,
     tx_shape: tuple[int, int],
@@ -305,20 +287,23 @@ def _link_factors(
     exponent: float,
     spacing: float,
     mode: str = "alpha",
-) -> _LinkFactors:
-    """The sum-of-paths channel of ``link_channel`` in factored form."""
-    rx_x, rx_y = _steering_factors(
-        paths.arr_elevation, paths.arr_azimuth, rx_shape[0], rx_shape[1], spacing
-    )
-    tx_x, tx_y = _steering_factors(
-        paths.dep_elevation, paths.dep_azimuth, tx_shape[0], tx_shape[1], spacing
-    )
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sum-of-paths channel of ``link_channel`` as H = left @ right.
+
+    ``left`` (..., num_rx, L) holds the receive steering columns scaled by
+    each path's amplitude times gain, ``right`` (..., L, num_tx) the
+    transposed transmit steering matrix; both keep the path set's leading
+    axes.
+    """
     distance = np.asarray(paths.distance_m, dtype=float)
     amp = np.reshape(
         [path_amplitude(carrier_ghz, float(d), exponent, mode) for d in distance.flat],
         distance.shape,
     )
-    return _LinkFactors(rx_x, rx_y, tx_x, tx_y, amp * paths.gains)
+    left = steering_matrix(paths.arr_elevation, paths.arr_azimuth, *rx_shape, spacing)
+    left *= (amp * paths.gains)[..., None, :]
+    right = steering_matrix(paths.dep_elevation, paths.dep_azimuth, *tx_shape, spacing)
+    return left, np.swapaxes(right, -1, -2)
 
 
 def link_channel(
@@ -337,7 +322,8 @@ def link_channel(
     norm sqrt(num_rx * num_tx). A path set with leading axes gives one
     matrix per leading index.
     """
-    return _link_factors(paths, tx_shape, rx_shape, carrier_ghz, exponent, spacing, mode).matrix()
+    left, right = _link_factors(paths, tx_shape, rx_shape, carrier_ghz, exponent, spacing, mode)
+    return left @ right
 
 
 def composite_channel(
@@ -371,18 +357,12 @@ def _link_paths(
     (relative to the platform center, where the factor is exactly 1),
     evaluated at the platform-side direction of that path. Every field of
     the result has a leading axis of length B.
-
-    Mean angles stay scalar per position (``math.acos``/``math.atan2`` on
-    each link): their vectorized numpy forms round differently.
     """
-    z = geometry.ris_height_m
+    platform = np.column_stack((xy, np.full(len(xy), geometry.ris_height_m)))
     into = link == "tx_ris"
-    per_position = [
-        mean_angles_from_geometry(geometry.tx_position, (x, y, z), UP, DOWN) if into
-        else mean_angles_from_geometry((x, y, z), geometry.ue_position, DOWN, UP)
-        for x, y in xy
-    ]
-    means = LinkAngles(*(np.reshape(field, (-1, 1)) for field in zip(*per_position)))
+    means = (_stacked_mean_angles(geometry.tx_position, platform, UP, DOWN) if into
+             else _stacked_mean_angles(platform, geometry.ue_position, DOWN, UP))
+    means = LinkAngles(*(field[:, None] for field in means))
     if into:
         gains, offsets = trial.gains_tx_ris, trial.offsets_tx_ris
         side_el = means.arr_elevation + offsets.arr_elevation
@@ -408,15 +388,16 @@ def link_channel_stream(
 ) -> Iterator[np.ndarray]:
     """One hop's matrices at a (B, 2) stack of positions, yielded one at a time.
 
-    Paths and link factors are built for the whole stack at once; each
-    matrix is expanded only when the consumer asks for it, so a search
-    holds one hop matrix per hop instead of B of them. The platform node's
-    array defaults to the RIS element grid; a relay passes its own.
+    Paths and the scaled Kronecker columns of both ends are built for the
+    whole stack at once; each matrix is one product, formed only when the
+    consumer asks for it, so a search holds one hop matrix per hop instead
+    of B of them. The platform node's array defaults to the RIS element
+    grid; a relay passes its own.
     """
     paths = _link_paths(config, geometry, trial, np.asarray(ris_xy, dtype=float), link)
     platform = config.ris_elements if platform_shape is None else platform_shape
     into = link == "tx_ris"
-    factors = _link_factors(
+    left, right = _link_factors(
         paths,
         config.tx_antennas if into else platform,
         platform if into else config.rx_antennas,
@@ -425,8 +406,7 @@ def link_channel_stream(
         config.element_spacing_wavelengths,
         config.path_loss_mode,
     )
-    for entry in zip(*factors):
-        yield _LinkFactors(*entry).matrix()
+    yield from map(np.matmul, left, right)
 
 
 def realize_channels(

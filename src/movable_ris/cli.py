@@ -179,6 +179,10 @@ def _cmd_single_run(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    for flag in ("seeds", "position_steps", "phase_steps"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
     config, geometry = _load_scenario(args)
     config = replace(
         config,

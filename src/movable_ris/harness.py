@@ -199,7 +199,7 @@ def monte_carlo_point(
         stderr=stderr,
         trials=trials,
         seed=seed,
-        config_digest=config_digest(config, geometry),
+        config_digest=config_digest(config, geometry, pso_seed),
         ris_x=positions[best][0] if best >= 0 else math.nan,
         ris_y=positions[best][1] if best >= 0 else math.nan,
         pso_seed=pso_seed,
@@ -251,7 +251,11 @@ def write_results(
     config: SystemConfig,
     geometry: DeploymentGeometry,
 ) -> tuple[Path, Path]:
-    """Write results.csv plus a metadata sidecar; refuses an empty table."""
+    """Write results.csv plus a metadata sidecar; refuses an empty table.
+
+    The sidecar's digest takes the ``pso_seed`` of the first result, which
+    every result of one sweep shares.
+    """
     if not results:
         raise ValueError("refusing to write an empty result table")
     out_dir = Path(out_dir)
@@ -267,7 +271,7 @@ def write_results(
 
     meta = {
         "config": scenario_fields(config, geometry),
-        "config_digest": config_digest(config, geometry),
+        "config_digest": config_digest(config, geometry, results[0].pso_seed),
         "conventions": {
             "mean_angles": "recomputed from geometry at every RIS position",
             "fixed_ris_position": "platform center",

@@ -21,7 +21,8 @@ import numpy as np
 from .beamforming import hybrid_link_rate
 # Not called here; sweepbench/tracer.py wraps these names in this namespace.
 from .beamforming import achievable_rate, bb_stages, effective_channel  # noqa: F401
-from .channel import TrialChannels, composite_channel, link_channel_stream, realize_channels
+from .channel import composite_channel  # noqa: F401
+from .channel import TrialChannels, link_channel_stream, realize_channels
 from .scenario import DeploymentGeometry, PsoParams, SystemConfig
 
 __all__ = [
@@ -122,8 +123,10 @@ class ProblemContext:
 
         A single state is a batch of one, unwrapped to a float. A batch at
         one position uses that position's cached hops; a batch of positions
-        streams its hop matrices one particle at a time. Composite matrices
-        are streamed too, and every smaller quantity is stacked.
+        streams its hop matrices one particle at a time. Each particle's
+        composite H_IR diag(e^{j phi}) H_TI is formed as the rate pipeline
+        reduces it, with the phase factors of the whole batch taken at once,
+        and every smaller quantity is stacked.
         """
         batch = np.broadcast_shapes(np.shape(state.x), np.shape(state.y),
                                     np.shape(state.phases)[:-1])
@@ -134,9 +137,10 @@ class ProblemContext:
             h_ti = link_channel_stream(self.config, self.geometry, self.trial, xy, "tx_ris")
             h_ir = link_channel_stream(self.config, self.geometry, self.trial, xy, "ris_rx")
         n = self.config.num_ris
-        phases = np.broadcast_to(state.phases, (*batch, n)).reshape(-1, n)
+        factors = np.exp(1j * np.broadcast_to(state.phases, (*batch, n)).reshape(-1, n))
+        composites = ((h_ir_b * e_b) @ h_ti_b for h_ti_b, h_ir_b, e_b in zip(h_ti, h_ir, factors))
         rates, rank_deficient = hybrid_link_rate(
-            self.f2, map(composite_channel, h_ir, phases, h_ti), self.f1,
+            self.f2, composites, self.f1,
             self.tx_power_w, self.config.num_streams, self.noise_power_w,
         )
         if np.any(rank_deficient):
@@ -181,7 +185,7 @@ def init_swarm(
     positions = rng.random((z, dim))
     velocities = np.zeros((z, dim))
     values = _evaluate(fitness_fn, positions)
-    g = int(np.argmax(values))  # first maximum: lowest particle index wins ties
+    g = _first_max(values)  # lowest particle index wins ties; a NaN is never picked
     return SwarmState(
         positions=positions,
         velocities=velocities,
@@ -284,11 +288,13 @@ def brute_force_joint(
     Positions use ``position_steps`` points per axis spanning [0,1]
     inclusive (the platform midpoint when position_steps == 1); phases use
     ``phase_steps`` points k/phase_steps covering [0, 2pi) without the
-    duplicate endpoint. Refuses grids above MAX_ORACLE_POINTS. Points are
-    visited in ``itertools.product`` order and the first maximum wins; a
-    NaN value is never picked. Each position scores its phase grid in
-    chunks through one set of cached hop matrices.
+    duplicate endpoint. Refuses steps below 1 and grids above
+    MAX_ORACLE_POINTS. Points are visited in ``itertools.product`` order
+    and the first maximum wins; a NaN value is never picked. Each position
+    scores its phase grid in chunks through one set of cached hop matrices.
     """
+    if position_steps < 1 or phase_steps < 1:
+        raise ValueError(f"grid steps must be >= 1, got {position_steps} and {phase_steps}")
     num_phases = context.config.num_ris
     total = position_steps**2 * phase_steps**num_phases
     if total > MAX_ORACLE_POINTS:

@@ -356,9 +356,18 @@ def parse_config(
     return config, geometry
 
 
-def config_digest(config: SystemConfig, geometry: DeploymentGeometry) -> str:
-    """Stable 16-hex-char digest; changes iff any config/geometry field changes."""
+def config_digest(
+    config: SystemConfig, geometry: DeploymentGeometry, pso_seed: int | None = None
+) -> str:
+    """Stable 16-hex-char digest; changes iff any config/geometry field changes.
+
+    A set ``pso_seed`` is folded in as one more ``key = value`` line, so runs
+    with different search streams are told apart; unset, the digest is that
+    of the configuration alone.
+    """
     text = serialize_config(config, geometry)
+    if pso_seed is not None:
+        text += f"pso_seed = {pso_seed}\n"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -1,0 +1,289 @@
+"""The batched building blocks of one fitness evaluation, against scalar references.
+
+Each reference below is the per-position or per-matrix computation the
+batched code replaced, kept here so the comparison does not run through
+the code under test. Comparisons are by bytes, not within a tolerance.
+"""
+
+import math
+import tracemalloc
+from contextlib import contextmanager
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from movable_ris import baselines, beamforming, channel, optimizer
+from movable_ris.baselines import build_scenario_pack
+from movable_ris.beamforming import effective_channel, hybrid_link_rate
+from movable_ris.channel import (
+    DOWN,
+    UP,
+    DegenerateGeometryError,
+    LinkAngles,
+    composite_channel,
+    make_path_set,
+    mean_angles_from_geometry,
+    path_amplitude,
+    steering_matrix,
+    translation_phases,
+    wavelength_m,
+)
+from movable_ris.scenario import PsoParams, default_config, rng_stream
+
+
+def _reference_mean_angles(pos_a, pos_b, boresight_a, boresight_b) -> LinkAngles:
+    """One link's mean angles with np.linalg.norm and np.dot on its 3-vectors."""
+    v = np.asarray(pos_b, dtype=float) - np.asarray(pos_a, dtype=float)
+    tau = float(np.linalg.norm(v))
+    if tau == 0.0:
+        raise DegenerateGeometryError(f"coincident positions {pos_a}")
+    u = v / tau
+    w = -u
+    return LinkAngles(
+        math.acos(min(max(float(np.dot(u, boresight_a)), -1.0), 1.0)),
+        math.atan2(u[1], u[0]),
+        math.acos(min(max(float(np.dot(w, boresight_b)), -1.0), 1.0)),
+        math.atan2(w[1], w[0]),
+        tau,
+    )
+
+
+def _angle_bytes(angles: LinkAngles) -> bytes:
+    return np.array([np.asarray(field, dtype=float) for field in angles]).tobytes()
+
+
+GEOMETRY = default_config()[1]
+NODES = (GEOMETRY.tx_position, GEOMETRY.ue_position)
+CORNERS = tuple((x, y) for x in GEOMETRY.platform_x_range for y in GEOMETRY.platform_y_range)
+BELOW_NODES = tuple(node[:2] for node in NODES)  # platform points straight above a node
+coordinate = st.floats(min_value=-200.0, max_value=300.0, allow_nan=False)
+platform_xy = st.one_of(
+    st.sampled_from(CORNERS + BELOW_NODES + (GEOMETRY.platform_center(),)),
+    st.tuples(coordinate, coordinate),  # mostly off the platform
+)
+
+
+@given(
+    node=st.one_of(st.sampled_from(NODES),
+                   st.tuples(coordinate, coordinate, st.floats(min_value=0.0, max_value=4.9))),
+    xy=st.lists(platform_xy, min_size=1, max_size=8),
+    height=st.sampled_from([GEOMETRY.ris_height_m, 0.1, 37.5]),
+)
+@settings(max_examples=200, deadline=None)
+def test_stacked_mean_angles_equal_scalar_reference(node, xy, height):
+    platform = [(x, y, height) for x, y in xy]
+    for pos_a, pos_b, bore in ((node, platform, (UP, DOWN)), (platform, node, (DOWN, UP))):
+        batch = channel._stacked_mean_angles(np.broadcast_to(pos_a, (len(xy), 3)),
+                                             np.broadcast_to(pos_b, (len(xy), 3)), *bore)
+        pairs = [(node, p) if pos_a is node else (p, node) for p in platform]
+        rows = [_reference_mean_angles(a, b, *bore) for a, b in pairs]
+        assert _angle_bytes(batch) == _angle_bytes(LinkAngles(*zip(*rows)))
+        assert all(_angle_bytes(mean_angles_from_geometry(a, b, *bore)) == _angle_bytes(r)
+                   for (a, b), r in zip(pairs, rows))
+
+
+def test_coincident_nodes_still_raise():
+    node = (55.0, 45.0, GEOMETRY.ris_height_m)
+    with pytest.raises(DegenerateGeometryError, match="coincident"):
+        mean_angles_from_geometry(node, node)
+    stack = np.array([(50.0, 50.0, 5.0), node, (60.0, 60.0, 5.0)])
+    with pytest.raises(DegenerateGeometryError, match="coincident"):
+        channel._stacked_mean_angles(stack, node, DOWN, UP)
+    geometry = replace(GEOMETRY, tx_position=node)
+    trial = channel.draw_trial(default_config()[0], rng_stream(1, 0))
+    with pytest.raises(DegenerateGeometryError):
+        channel.realize_channels(default_config()[0], geometry, trial, node[:2])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 70), st.integers(1, 4)),
+    exponent=st.integers(min_value=-150, max_value=150),
+    transposed=st.booleans(),
+    zero_rows=st.sets(st.integers(0, 5)),
+)
+@settings(max_examples=200, deadline=None)
+def test_norm_squared_equals_linalg_norm(seed, shape, exponent, transposed, zero_rows):
+    rng = rng_stream(seed, 3)
+    m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0**exponent
+    for i in zero_rows & set(range(shape[0])):
+        m[i] = 0.0
+    if transposed:  # a strided view: np.linalg.norm ravels it in memory order
+        m = np.swapaxes(m, -1, -2)
+    got = beamforming._norm_squared(m)
+    assert got.shape == shape[:1]
+    assert got.tobytes() == np.array([float(np.linalg.norm(x) ** 2) for x in m]).tobytes()
+    assert beamforming._norm_squared(m[0]).tobytes() == np.float64(got[0]).tobytes()
+
+
+# --- hop matrices to the reduced channel ----------------------------------------
+
+
+def _reference_hop(config, geometry, trial, x, y, link, platform_shape=None):
+    """One position's hop matrix, built path by path as a single-position loop would."""
+    z = geometry.ris_height_m
+    into = link == "tx_ris"
+    if into:
+        means = _reference_mean_angles(geometry.tx_position, (x, y, z), UP, DOWN)
+        gains, offsets = trial.gains_tx_ris, trial.offsets_tx_ris
+    else:
+        means = _reference_mean_angles((x, y, z), geometry.ue_position, DOWN, UP)
+        gains, offsets = trial.gains_ris_rx, trial.offsets_ris_rx
+    paths = make_path_set(means, offsets, gains)
+    side = (paths.arr_elevation, paths.arr_azimuth) if into else (
+        paths.dep_elevation, paths.dep_azimuth)
+    delta = np.array([x, y]) - geometry.platform_center()
+    paths.gains = gains * translation_phases(*side, delta,
+                                             wavelength_m(config.carrier_frequency_ghz))
+    platform = config.ris_elements if platform_shape is None else platform_shape
+    tx_shape, rx_shape = (config.tx_antennas, platform) if into else (platform, config.rx_antennas)
+    spacing = config.element_spacing_wavelengths
+    amp = path_amplitude(config.carrier_frequency_ghz, paths.distance_m,
+                         config.path_loss_exponent, config.path_loss_mode)
+    left = steering_matrix(paths.arr_elevation, paths.arr_azimuth, *rx_shape, spacing)
+    left *= (amp * paths.gains)[None, :]
+    right = steering_matrix(paths.dep_elevation, paths.dep_azimuth, *tx_shape, spacing)
+    return left @ right.T
+
+
+def _toy_pack(seed):
+    config, geometry = default_config()
+    config = replace(config, tx_antennas=(4, 4), rx_antennas=(4, 4), ris_elements=(2, 3),
+                     pso=PsoParams(swarm_size=6, iterations=4))
+    return build_scenario_pack(config, geometry, seed)
+
+
+def _default_pack(seed):
+    return build_scenario_pack(*default_config(), seed)
+
+
+@contextmanager
+def _effective_channels():
+    """Every EffectiveChannel the rate pipeline builds inside the block, in call order."""
+    seen = []
+
+    def spy(f2, h, f1):
+        eff = effective_channel(f2, h, f1)
+        seen.append(eff)
+        return eff
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beamforming, "effective_channel", spy)
+        yield seen
+
+
+def _eff_bytes(eff, row=...):
+    """Bytes of an EffectiveChannel's arrays, or of one row of a stacked one."""
+    return [a[row].tobytes() for a in (eff.matrix, eff.u, eff.singular_values, eff.vh)]
+
+
+def _positions(pack, draw_seed, count, clamp):
+    rng = rng_stream(draw_seed, 2)
+    p = rng.random((count, 2))
+    if clamp:  # platform walls, as pso_step leaves particles
+        p[rng.random((count, 2)) < 0.3] = 0.0
+        p[rng.random((count, 2)) < 0.3] = 1.0
+    return optimizer.decode_xy(p[:, 0], p[:, 1], pack.geometry)
+
+
+@given(
+    scale=st.sampled_from(["default", "toy"]),
+    trial_index=st.integers(min_value=0, max_value=30),
+    draw_seed=st.integers(min_value=0, max_value=10_000),
+    count=st.integers(min_value=1, max_value=6),
+    clamp=st.booleans(),
+    shared=st.sampled_from(["none", "phases", "position"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_ris_loop_equals_composite_then_effective_channel(
+    scale, trial_index, draw_seed, count, clamp, shared
+):
+    pack = (_default_pack if scale == "default" else _toy_pack)(4)
+    context = baselines.make_problem_context(pack, trial_index)
+    x, y = _positions(pack, draw_seed, count, clamp)
+    n = pack.config.num_ris
+    shared_phases = shared == "phases"
+    phases = rng_stream(draw_seed, 5).uniform(0.0, 2 * math.pi, n if shared_phases else (count, n))
+    state = optimizer.RisState(x, y, phases)
+    if shared == "position":  # one position: the cached-hop path of a phase-only search
+        state = optimizer.RisState(float(x[0]), float(y[0]), phases)
+        x, y = np.full(count, x[0]), np.full(count, y[0])
+    with _effective_channels() as seen:
+        rates = context.rate_for(state)
+    (batch,) = seen
+    for b in range(count):
+        h_ti = _reference_hop(pack.config, pack.geometry, context.trial, x[b], y[b], "tx_ris")
+        h_ir = _reference_hop(pack.config, pack.geometry, context.trial, x[b], y[b], "ris_rx")
+        h = composite_channel(h_ir, phases if shared_phases else phases[b], h_ti)
+        row = effective_channel(pack.f2, h, pack.f1)
+        assert _eff_bytes(batch, b) == _eff_bytes(row)
+        assert batch.rank[b] == row.rank
+        rate, _ = hybrid_link_rate(pack.f2, h[None], pack.f1, pack.tx_power_w,
+                                   pack.config.num_streams, pack.noise_power_w)
+        assert rates[b].tobytes() == rate[0].tobytes()
+
+
+@given(
+    scale=st.sampled_from(["default", "toy"]),
+    trial_index=st.integers(min_value=0, max_value=30),
+    draw_seed=st.integers(min_value=0, max_value=10_000),
+    count=st.integers(min_value=1, max_value=6),
+    clamp=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_relay_loop_equals_per_particle_effective_channel(
+    scale, trial_index, draw_seed, count, clamp
+):
+    pack = (_default_pack if scale == "default" else _toy_pack)(4)
+    config = pack.config
+    trial = baselines.trial_channels(pack, trial_index)
+    x, y = _positions(pack, draw_seed, count, clamp)
+    with _effective_channels() as seen:
+        rates, _ = baselines._min_hop_rate(pack, trial, x, y)
+    hop1, hop2 = seen
+    for b in range(count):
+        h1 = _reference_hop(config, pack.geometry, trial, x[b], y[b], "tx_ris", config.rx_antennas)
+        h2 = _reference_hop(config, pack.geometry, trial, x[b], y[b], "ris_rx", config.tx_antennas)
+        for batch, row in ((hop1, effective_channel(pack.relay_f2_hop1, h1, pack.f1)),
+                           (hop2, effective_channel(pack.f2, h2, pack.relay_f1_hop2))):
+            assert _eff_bytes(batch, b) == _eff_bytes(row)
+        args = (pack.tx_power_w, config.num_streams, pack.noise_power_w)
+        rate1, _ = hybrid_link_rate(pack.relay_f2_hop1, h1[None], pack.f1, *args)
+        rate2, _ = hybrid_link_rate(pack.f2, h2[None], pack.relay_f1_hop2, *args)
+        assert rates[b].tobytes() == min(rate1[0], rate2[0]).tobytes()
+
+
+# --- memory ---------------------------------------------------------------------
+
+# A (10, 64, 64) complex stack alone is 655 KB: holding every particle's
+# composite or hop matrix at once would cross this.
+BATCH_PEAK_BYTES = 1 << 20
+
+
+@pytest.mark.parametrize("kind", ["joint", "relay"])
+def test_default_scale_batch_peak_allocation(kind):
+    pack = _default_pack(3)
+    particles = rng_stream(7, 0).random((10, pack.config.num_ris + 2))
+    if kind == "joint":
+        context = baselines.make_problem_context(pack, 0)
+
+        def objective():
+            return optimizer.fitness(particles, context)
+    else:
+        trial = baselines.trial_channels(pack, 0)
+        x, y = optimizer.decode_xy(particles[:, 0], particles[:, 1], pack.geometry)
+
+        def objective():
+            return baselines._min_hop_rate(pack, trial, x, y)
+
+    objective()  # first-call allocations (caches, lazy imports) are not the batch's
+    tracemalloc.start()
+    try:
+        objective()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < BATCH_PEAK_BYTES, f"{kind} batch peaked at {peak} bytes"

@@ -1,12 +1,15 @@
+import csv
 import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from movable_ris.cli import main
+from movable_ris.scenario import config_digest, default_config, parse_config
 
 TINY_CONFIG = """
 tx_antennas = 2 2
@@ -212,6 +215,26 @@ def test_pso_seed_recorded_in_meta(tmp_path, tiny_config_file):
     assert [r["pso_seed"] for r in metas[1]["results"]] == [7]
 
 
+def test_pso_seed_folds_into_the_digest(tmp_path, tiny_config_file):
+    args = [
+        "sweep-power", "--powers", "10", "--baselines", "fd_relay", "--trials", "1",
+        "--config", str(tiny_config_file),
+    ]
+    digests = {}
+    for name, extra in (("unset", []), ("7", ["--pso-seed", "7"]), ("8", ["--pso-seed", "8"])):
+        out = tmp_path / name
+        assert main(args + extra + ["--out", str(out)]) == 0
+        row = next(csv.DictReader((out / "results.csv").read_text().splitlines()))
+        meta = json.loads((out / "results_meta.json").read_text())
+        digests[name] = (row["config_digest"], meta["config_digest"])
+    # two search streams are told apart, in the CSV and in the sidecar
+    assert digests["7"][0] != digests["8"][0] and digests["7"][1] != digests["8"][1]
+    assert digests["7"][0] != digests["unset"][0]
+    # without --pso-seed the sidecar digest is that of the configuration alone
+    config, geometry = parse_config(TINY_CONFIG, default_config())
+    assert digests["unset"][1] == config_digest(replace(config, monte_carlo_trials=1), geometry)
+
+
 def test_cli_byte_identical_repeat(tmp_path, tiny_config_file):
     # determinism across separate processes (same interpreter, same seed)
     outs = []
@@ -263,3 +286,12 @@ def test_oracle_check_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "oracle-check:" in out
     assert rc == 0, out
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--position-steps", "--phase-steps"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_oracle_check_rejects_counts_below_one(flag, value, capsys):
+    rc = main(["oracle-check", flag, value])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and flag in err

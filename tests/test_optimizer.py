@@ -197,7 +197,10 @@ def _reference_run_pso(row_fn, dim, params, rng):
     pos = rng.random((z, dim))
     vel = np.zeros((z, dim))
     values = np.array([row_fn(pos[i]) for i in range(z)])
-    g = int(np.argmax(values))
+    g, top = 0, -math.inf
+    for i in range(z):  # index-order strict-> scan: the first maximum, never a NaN
+        if values[i] > top:
+            g, top = i, values[i]
     best_pos, best_val = pos.copy(), values.copy()
     gbest_pos, gbest_val = pos[g].copy(), float(values[g])
     history = [gbest_val]
@@ -255,6 +258,29 @@ def test_run_pso_matches_per_particle_loop(seed, swarm_size, dim, iterations, ce
     assert history == ref_history
     assert all(a <= b for a, b in zip(history, history[1:]))
     assert history[-1] == best_val
+
+
+def test_nan_at_the_first_particle_does_not_poison_the_search():
+    # One NaN at particle 0 of the initial swarm: the global best starts at the
+    # best finite particle, so the search and its whole history stay finite.
+    calls = []
+
+    def objective(positions):
+        values = -np.sum((positions - 0.3) ** 2, axis=1)
+        if not calls:
+            values[0] = math.nan
+            calls.append(values.copy())
+        return values
+
+    params = PsoParams(swarm_size=5, iterations=4)
+    state = init_swarm(objective, 3, params, rng_stream(4, 0))
+    first = calls[0]
+    assert state.global_best_value == np.nanmax(first)
+    assert np.array_equal(state.global_best_position, state.positions[np.nanargmax(first)])
+    calls.clear()
+    _, best_val, history = run_pso(objective, 3, params, rng_stream(4, 0))
+    assert len(history) == params.iterations + 1
+    assert all(math.isfinite(h) for h in history) and best_val == history[-1]
 
 
 @given(
@@ -457,3 +483,10 @@ def test_fitness_at_brute_force_argmax_beats_random_particles():
     # the grid argmax dominates random sampling on the same landscape almost
     # surely; allow the tiny chance a random point lands on a better peak
     assert oracle >= np.quantile(random_vals, 0.95)
+
+
+@pytest.mark.parametrize("steps", [(0, 8), (4, 0), (-1, 2)])
+def test_brute_force_rejects_steps_below_one(steps):
+    _, _, pack = tiny_scenario()
+    with pytest.raises(ValueError, match="grid steps must be >= 1"):
+        brute_force_joint(make_problem_context(pack, 0), *steps)
