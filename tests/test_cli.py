@@ -280,6 +280,24 @@ def test_criterion_7_invocation_golden_bytes(tmp_path):
     assert digest == CRITERION_7_CSV_SHA256
 
 
+# results.csv of a default-scale element sweep over the kinds the criterion-7
+# run leaves out: the phase-only search, the position-only search and the
+# unsearched fixed RIS.
+ELEMENT_SWEEP_CSV_SHA256 = "23ce8395e46b30d83f120ae1b04c89f527030a188d5c653611cf45ed6451cc6e"
+
+
+def test_default_scale_element_sweep_golden_bytes(tmp_path):
+    out = tmp_path / "out"
+    rc = main([
+        "sweep-elements", "--elements", "16,100", "--trials", "2",
+        "--baselines", "fixed_ris_opt_phase,movable_ris_random_phase,fixed_ris_random_phase",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == ELEMENT_SWEEP_CSV_SHA256
+
+
 def test_oracle_check_passes(tmp_path, capsys):
     # 25 seeds keeps this quick; the acceptance suite runs the full 50
     rc = main(["oracle-check", "--seeds", "25"])
