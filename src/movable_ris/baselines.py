@@ -17,20 +17,14 @@ from enum import Enum
 import numpy as np
 
 from .beamforming import angle_support, covering_rf_stages, design_rf_stages, hybrid_link_rate
-from .channel import (
-    DOWN,
-    UP,
-    TrialChannels,
-    draw_trial,
-    link_channel_stream,
-    mean_angles_from_geometry,
-)
+from .channel import DOWN, UP, TrialChannels, draw_trial, hop_factors, mean_angles_from_geometry
 # Not called here; sweepbench/tracer.py wraps this name in this namespace.
 from .channel import link_channel  # noqa: F401
 from .optimizer import (
     ProblemContext,
     RisState,
     TWO_PI,
+    batch_objective,
     decode_xy,
     run,
     run_pso,
@@ -227,15 +221,14 @@ def fixed_ris_rate(
         rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO,
                          _PSO_FAMILY[BaselineKind.FIXED_RIS_OPT_PHASE])
 
+        @batch_objective
         def phase_fitness(vecs: np.ndarray) -> np.ndarray:
-            return context.rate_for(RisState(cx, cy, (TWO_PI * vecs) % TWO_PI))
+            return context.search_rates(RisState(cx, cy, (TWO_PI * vecs) % TWO_PI))
 
-        best_vec, best_val, _ = run_pso(
-            phase_fitness, pack.config.num_ris, pack.config.pso, rng
-        )
+        best_vec, _, _ = run_pso(phase_fitness, pack.config.num_ris, pack.config.pso, rng)
         phases = (TWO_PI * best_vec) % TWO_PI
-        return TrialOutcome(best_val, cx, cy, phases, context.saw_rank_deficiency)
-    phases = _random_phases(pack, trial_index, BaselineKind.FIXED_RIS_RANDOM_PHASE)
+    else:
+        phases = _random_phases(pack, trial_index, BaselineKind.FIXED_RIS_RANDOM_PHASE)
     rate = context.rate_for(RisState(cx, cy, phases))
     return TrialOutcome(rate, cx, cy, phases, context.saw_rank_deficiency)
 
@@ -247,16 +240,18 @@ def _movable_random_phase(pack: ScenarioPack, trial_index: int) -> TrialOutcome:
     rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO,
                      _PSO_FAMILY[BaselineKind.MOVABLE_RIS_RANDOM_PHASE])
 
+    @batch_objective
     def position_fitness(vecs: np.ndarray) -> np.ndarray:
-        x, y = decode_xy(vecs[..., 0], vecs[..., 1], pack.geometry)
-        return context.rate_for(RisState(x, y, phases))
+        x, y = decode_xy(vecs[:, 0], vecs[:, 1], pack.geometry)
+        return context.search_rates(RisState(x, y, phases))
 
-    best_vec, best_val, _ = run_pso(position_fitness, 2, pack.config.pso, rng)
+    best_vec, _, _ = run_pso(position_fitness, 2, pack.config.pso, rng)
     x, y = decode_xy(best_vec[0], best_vec[1], pack.geometry)
-    return TrialOutcome(best_val, x, y, phases, context.saw_rank_deficiency)
+    rate = context.rate_for(RisState(x, y, phases))
+    return TrialOutcome(rate, x, y, phases, context.saw_rank_deficiency)
 
 
-def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y):
+def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y, factored: bool = False):
     """Two-hop decode-and-forward rate with the relay at (x, y).
 
     Hop 1 reuses the trial's transmitter-side draw into the relay's receive
@@ -264,20 +259,20 @@ def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y):
     self-interference is modeled: the rate is the ideal full-duplex bound
     min(hop rates). Returns (rate, whether either hop was rank deficient),
     element-wise over (Z,) coordinate arrays. Hop 1 is reduced to its rates
-    before hop 2 is built.
+    before hop 2 is built. The reference forms each hop matrix H = L R;
+    ``factored``, the search objective, reduces the factors as (F2 L)(R F1)
+    and agrees with it up to rounding.
     """
     config = pack.config
     xy = np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
-    rate1, deficient1 = hybrid_link_rate(
-        pack.relay_f2_hop1,
-        link_channel_stream(config, pack.geometry, trial, xy, "tx_ris", config.rx_antennas),
-        pack.f1, pack.tx_power_w, config.num_streams, pack.noise_power_w,
-    )
-    rate2, deficient2 = hybrid_link_rate(
-        pack.f2,
-        link_channel_stream(config, pack.geometry, trial, xy, "ris_rx", config.tx_antennas),
-        pack.relay_f1_hop2, pack.tx_power_w, config.num_streams, pack.noise_power_w,
-    )
+    budget = (pack.tx_power_w, config.num_streams, pack.noise_power_w)
+    hop_rates = []
+    for link, relay_shape, f2, f1 in (("tx_ris", config.rx_antennas, pack.relay_f2_hop1, pack.f1),
+                                      ("ris_rx", config.tx_antennas, pack.f2, pack.relay_f1_hop2)):
+        left, right = hop_factors(config, pack.geometry, trial, xy, link, relay_shape)
+        h = (f2 @ left) @ (right @ f1) if factored else map(np.matmul, left, right)
+        hop_rates.append(hybrid_link_rate(f2, h, f1, *budget, reduced=factored))
+    (rate1, deficient1), (rate2, deficient2) = hop_rates
     rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
     deficient = deficient1 | deficient2
     if np.ndim(x) == 0 and np.ndim(y) == 0:
@@ -301,17 +296,19 @@ def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcom
                          _PSO_FAMILY[BaselineKind.FD_RELAY])
         rank_deficient = False
 
+        @batch_objective
         def position_fitness(vecs: np.ndarray) -> np.ndarray:
             nonlocal rank_deficient
-            x, y = decode_xy(vecs[..., 0], vecs[..., 1], pack.geometry)
-            rates, deficient = _min_hop_rate(pack, trial, x, y)
+            x, y = decode_xy(vecs[:, 0], vecs[:, 1], pack.geometry)
+            rates, deficient = _min_hop_rate(pack, trial, x, y, factored=True)
             rank_deficient = rank_deficient or bool(np.any(deficient))
             return rates
 
-        best_vec, best_val, _ = run_pso(position_fitness, 2, pack.config.pso, rng)
+        best_vec, _, _ = run_pso(position_fitness, 2, pack.config.pso, rng)
         x, y = decode_xy(best_vec[0], best_vec[1], pack.geometry)
+        rate, deficient = _min_hop_rate(pack, trial, x, y)
         fd = pack.fd_relay_outcomes[trial_index] = TrialOutcome(
-            best_val, x, y, None, rank_deficient)
+            rate, x, y, None, rank_deficient or deficient)
     return fd if duplex == "fd" else replace(fd, rate=fd.rate / 2.0)
 
 

@@ -320,15 +320,22 @@ def effective_channel(f2: np.ndarray, h, f1: np.ndarray) -> EffectiveChannel:
 
     ``h`` is one channel matrix, a (..., M_2, M_1) stack, or an iterable of
     matrices that is consumed one matrix at a time (the result is then a
-    stack), so large channel matrices need not be held all at once. Each
-    right singular vector's first non-negligible entry is rotated to be
-    real-positive (the matching left vector absorbs the conjugate), so
-    repeated factorizations of the same matrix are identical.
+    stack), so large channel matrices need not be held all at once.
     """
     if isinstance(h, np.ndarray):
         mat = f2 @ h @ f1
     else:
         mat = np.array([f2 @ h_b @ f1 for h_b in h])
+    return _decompose(mat)
+
+
+def _decompose(mat: np.ndarray) -> EffectiveChannel:
+    """The EffectiveChannel of an already reduced matrix or stack.
+
+    Each right singular vector's first non-negligible entry is rotated to be
+    real-positive (the matching left vector absorbs the conjugate), so
+    repeated factorizations of the same matrix are identical.
+    """
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     mag = np.abs(vh)
     significant = mag > 1e-12 * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
@@ -462,15 +469,17 @@ def hybrid_link_rate(
     tx_power_w: float,
     num_streams: int,
     noise_power_w: float,
+    reduced: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full pipeline for a (B, M_2, M_1) stack of channel matrices or an iterable of them.
 
-    ``h`` is taken as by ``effective_channel``; one matrix is a stack of
-    one. Returns (rates, rank_deficient) as (B,) arrays. Channels are
-    grouped by stream count (rank-deficient ones carry fewer streams) and
-    each group runs as one stack.
+    ``h`` is taken as by ``effective_channel``, or with ``reduced`` is a
+    stack already reduced to F2 H F1 (as a search's factored hops are); one
+    matrix is a stack of one. Returns (rates, rank_deficient) as (B,)
+    arrays. Channels are grouped by stream count (rank-deficient ones carry
+    fewer streams) and each group runs as one stack.
     """
-    eff = effective_channel(f2, h, f1)
+    eff = _decompose(h) if reduced else effective_channel(f2, h, f1)
     # Rank bookkeeping in Python ints: integer-array ufuncs would map numpy code
     # that nothing else in a sweep touches, which shows in peak RSS.
     streams = [_stream_count(rank, num_streams) for rank in eff.rank.tolist()]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ __all__ = [
     "composite_channel",
     "translation_phases",
     "wavelength_m",
-    "link_channel_stream",
+    "hop_factors",
     "realize_channels",
 ]
 
@@ -378,26 +378,24 @@ def _link_paths(
     return make_path_set(means, offsets, gains)
 
 
-def link_channel_stream(
+def hop_factors(
     config: SystemConfig,
     geometry: DeploymentGeometry,
     trial: TrialChannels,
     ris_xy: np.ndarray,
     link: str,
     platform_shape: tuple[int, int] | None = None,
-) -> Iterator[np.ndarray]:
-    """One hop's matrices at a (B, 2) stack of positions, yielded one at a time.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One hop at a (B, 2) stack of positions as ``_link_factors``, H_b = left[b] @ right[b].
 
-    Paths and the scaled Kronecker columns of both ends are built for the
-    whole stack at once; each matrix is one product, formed only when the
-    consumer asks for it, so a search holds one hop matrix per hop instead
-    of B of them. The platform node's array defaults to the RIS element
-    grid; a relay passes its own.
+    A search reduces the factors against its RF stages without forming a
+    hop matrix. The platform node's array defaults to the RIS element grid;
+    a relay passes its own.
     """
     paths = _link_paths(config, geometry, trial, np.asarray(ris_xy, dtype=float), link)
     platform = config.ris_elements if platform_shape is None else platform_shape
     into = link == "tx_ris"
-    left, right = _link_factors(
+    return _link_factors(
         paths,
         config.tx_antennas if into else platform,
         platform if into else config.rx_antennas,
@@ -406,7 +404,6 @@ def link_channel_stream(
         config.element_spacing_wavelengths,
         config.path_loss_mode,
     )
-    yield from map(np.matmul, left, right)
 
 
 def realize_channels(
@@ -417,10 +414,10 @@ def realize_channels(
 ) -> ChannelRealization:
     """Both hop matrices of a trial with the RIS at one (x, y) platform position.
 
-    Built as the single entry of ``link_channel_stream`` for each hop, so a
-    lone position and a stack of them share one code path.
+    Each is the product of the ``hop_factors`` of a stack of one, so a lone
+    position and a stack of them share one code path.
     """
     xy = np.asarray(ris_xy, dtype=float).reshape(1, 2)
-    (h_ti,) = link_channel_stream(config, geometry, trial, xy, "tx_ris")
-    (h_ir,) = link_channel_stream(config, geometry, trial, xy, "ris_rx")
-    return ChannelRealization(h_ti, h_ir)
+    (l_ti,), (r_ti,) = hop_factors(config, geometry, trial, xy, "tx_ris")
+    (l_ir,), (r_ir,) = hop_factors(config, geometry, trial, xy, "ris_rx")
+    return ChannelRealization(l_ti @ r_ti, l_ir @ r_ir)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -97,6 +98,8 @@ def _load_scenario(args) -> tuple[SystemConfig, DeploymentGeometry]:
         pso = replace(pso, iterations=args.pso_iters)
     if pso is not config.pso:
         config = replace(config, pso=pso)
+    if args.pso_seed is not None and args.pso_seed < 0:
+        raise ConfigError(f"--pso-seed must be a non-negative integer, got {args.pso_seed}")
     errors = validate(config, geometry)
     if errors:
         raise ConfigError("invalid configuration: " + "; ".join(errors))
@@ -183,6 +186,8 @@ def _cmd_oracle_check(args) -> int:
         value = getattr(args, flag)
         if value < 1:
             raise ConfigError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+    if not (math.isfinite(args.ratio) and args.ratio > 0.0):
+        raise ConfigError(f"--ratio must be a finite positive fraction, got {args.ratio}")
     config, geometry = _load_scenario(args)
     config = replace(
         config,

@@ -22,7 +22,7 @@ from .beamforming import hybrid_link_rate
 # Not called here; sweepbench/tracer.py wraps these names in this namespace.
 from .beamforming import achievable_rate, bb_stages, effective_channel  # noqa: F401
 from .channel import composite_channel  # noqa: F401
-from .channel import TrialChannels, link_channel_stream, realize_channels
+from .channel import TrialChannels, hop_factors, realize_channels
 from .scenario import DeploymentGeometry, PsoParams, SystemConfig
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "SwarmState",
     "decode",
     "decode_xy",
+    "batch_objective",
     "fitness",
     "init_swarm",
     "pso_step",
@@ -91,8 +92,9 @@ class ProblemContext:
     The RF stages are fixed for the whole search; only mean geometry (and
     hence the hop matrices) and the phase diagonal change between calls, so
     the objective is deterministic and the swarm's argmax semantics are well
-    defined. A batch at one shared position reuses that position's hop
-    matrices across calls, which makes phase-only searches cheap.
+    defined. The hop matrices of the last position asked for, and their
+    reductions against the RF stages, are cached, which makes phase-only
+    searches cheap.
     """
 
     config: SystemConfig
@@ -104,53 +106,73 @@ class ProblemContext:
     noise_power_w: float
     saw_rank_deficiency: bool = False
     _cache_key: tuple[float, float] | None = field(default=None, repr=False)
-    _cache: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _cache: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
         return self.config.num_ris + 2
 
-    def hop_matrices(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+    def hop_matrices(self, x: float, y: float) -> tuple[np.ndarray, ...]:
+        """H_TI, H_IR and their reductions F2 H_IR, H_TI F1 at one position."""
         key = (float(x), float(y))
         if self._cache_key != key:
             real = realize_channels(self.config, self.geometry, self.trial, key)
             self._cache_key = key
-            self._cache = (real.h_tx_ris, real.h_ris_rx)
+            self._cache = (real.h_tx_ris, real.h_ris_rx,
+                           self.f2 @ real.h_ris_rx, real.h_tx_ris @ self.f1)
         return self._cache
 
-    def rate_for(self, state: RisState) -> float | np.ndarray:
-        """Rate (bps/Hz) of one state, or the (Z,) rates of a batched state.
+    def _rates(self, h, reduced: bool) -> np.ndarray:
+        rates, deficient = hybrid_link_rate(self.f2, h, self.f1, self.tx_power_w,
+                                            self.config.num_streams, self.noise_power_w, reduced)
+        self.saw_rank_deficiency |= bool(np.any(deficient))
+        return rates
 
-        A single state is a batch of one, unwrapped to a float. A batch at
-        one position uses that position's cached hops; a batch of positions
-        streams its hop matrices one particle at a time. Each particle's
-        composite H_IR diag(e^{j phi}) H_TI is formed as the rate pipeline
-        reduces it, with the phase factors of the whole batch taken at once,
-        and every smaller quantity is stacked.
+    def rate_for(self, state: RisState) -> float | np.ndarray:
+        """Reference rate (bps/Hz) at one position: a float for one phase vector, (Z,) for (Z, M_I).
+
+        Each composite H_IR diag(e^{j phi}) H_TI is formed from the cached
+        hop matrices and reduced by the rate pipeline. Reported rates and the
+        grid oracle come from here.
         """
-        batch = np.broadcast_shapes(np.shape(state.x), np.shape(state.y),
-                                    np.shape(state.phases)[:-1])
+        h_ti, h_ir, _, _ = self.hop_matrices(state.x, state.y)
+        phases = np.asarray(state.phases, dtype=float)
+        factors = np.exp(1j * phases.reshape(-1, self.config.num_ris))
+        rates = self._rates(((h_ir * e_b) @ h_ti for e_b in factors), reduced=False)
+        return rates if phases.ndim > 1 else float(rates[0])
+
+    def search_rates(self, state: RisState) -> np.ndarray:
+        """Search objective: ``rate_for`` up to rounding, for (Z,) positions and/or (Z, M_I) phases.
+
+        No hop or composite matrix is formed. At one position the cached
+        A = F2 H_IR and C = H_TI F1 give (A diag(e^{j phi})) C; per-particle
+        positions reduce the hop factors H = L R as
+        ((F2 L_IR) R_IR diag(e^{j phi})) (L_TI (R_TI F1)).
+        """
         if np.ndim(state.x) == 0 and np.ndim(state.y) == 0:
-            h_ti, h_ir = map(itertools.repeat, self.hop_matrices(state.x, state.y))
+            _, _, a, c = self.hop_matrices(state.x, state.y)
         else:
             xy = np.stack(np.broadcast_arrays(state.x, state.y), axis=-1)
-            h_ti = link_channel_stream(self.config, self.geometry, self.trial, xy, "tx_ris")
-            h_ir = link_channel_stream(self.config, self.geometry, self.trial, xy, "ris_rx")
-        n = self.config.num_ris
-        factors = np.exp(1j * np.broadcast_to(state.phases, (*batch, n)).reshape(-1, n))
-        composites = ((h_ir_b * e_b) @ h_ti_b for h_ti_b, h_ir_b, e_b in zip(h_ti, h_ir, factors))
-        rates, rank_deficient = hybrid_link_rate(
-            self.f2, composites, self.f1,
-            self.tx_power_w, self.config.num_streams, self.noise_power_w,
-        )
-        if np.any(rank_deficient):
-            self.saw_rank_deficiency = True
-        return rates if batch else float(rates[0])
+            l_ti, r_ti = hop_factors(self.config, self.geometry, self.trial, xy, "tx_ris")
+            l_ir, r_ir = hop_factors(self.config, self.geometry, self.trial, xy, "ris_rx")
+            a = (self.f2 @ l_ir) @ r_ir
+            c = l_ti @ (r_ti @ self.f1)
+        e = np.exp(1j * np.asarray(state.phases, dtype=float))
+        return self._rates((a * e[..., None, :]) @ c, reduced=True)
+
+
+def batch_objective(score):
+    """An objective of (Z, D) positions that also scores one (D,) position, as a batch of one."""
+    def objective(vectors: np.ndarray) -> float | np.ndarray:
+        v = np.asarray(vectors, dtype=float)
+        values = score(v.reshape(-1, v.shape[-1]))
+        return values if v.ndim > 1 else float(values[0])
+    return objective
 
 
 def fitness(vector: np.ndarray, context: ProblemContext) -> float | np.ndarray:
-    """Objective value (bps/Hz) of one particle position, or (Z,) values of a (Z, D) batch."""
-    return context.rate_for(decode(vector, context.geometry))
+    """Search objective (bps/Hz) of one particle position, or (Z,) values of a (Z, D) batch."""
+    return batch_objective(lambda v: context.search_rates(decode(v, context.geometry)))(vector)
 
 
 @dataclass
@@ -212,6 +234,11 @@ def _first_max(values: np.ndarray) -> int:
     return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
 
 
+def _beats(new, best):
+    """Strict improvement, element-wise; any non-NaN value beats a NaN best."""
+    return (new > best) | (np.isnan(best) & ~np.isnan(new))
+
+
 def pso_step(
     state: SwarmState,
     params: PsoParams,
@@ -226,7 +253,8 @@ def pso_step(
     Positions are clamped to [0,1] and the velocity of any clamped dimension
     is zeroed. Bests update only on strict improvement, which keeps the
     earliest iteration and lowest particle index on ties; a NaN value never
-    becomes a best.
+    becomes a best, and a best that is NaN (from a NaN initial value) gives
+    way to the first non-NaN value.
     """
     z, dim = state.positions.shape
     y1 = rng.random((z, dim))
@@ -245,11 +273,11 @@ def pso_step(
     state.velocities = vel
 
     values = _evaluate(fitness_fn, pos)
-    improved = values > state.best_values
+    improved = _beats(values, state.best_values)
     state.best_values[improved] = values[improved]
     state.best_positions[improved] = pos[improved]
     i = _first_max(state.best_values)
-    if state.best_values[i] > state.global_best_value:
+    if _beats(state.best_values[i], state.global_best_value):
         state.global_best_value = float(state.best_values[i])
         state.global_best_position = state.best_positions[i].copy()
     state.history.append(state.global_best_value)
@@ -273,11 +301,15 @@ def run_pso(
 def run(
     context: ProblemContext, params: PsoParams, rng: np.random.Generator
 ) -> tuple[RisState, float, list[float]]:
-    """Joint position/phase search over the full M_I + 2 dimensions."""
-    best_vec, best_val, history = run_pso(
+    """Joint position/phase search over the full M_I + 2 dimensions.
+
+    The swarm climbs ``fitness``; the rate returned is ``rate_for`` of the returned state.
+    """
+    best_vec, _, history = run_pso(
         lambda v: fitness(v, context), context.dimension, params, rng
     )
-    return decode(best_vec, context.geometry), best_val, history
+    state = decode(best_vec, context.geometry)
+    return state, context.rate_for(state), history
 
 
 def brute_force_joint(

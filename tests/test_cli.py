@@ -313,3 +313,23 @@ def test_oracle_check_rejects_counts_below_one(flag, value, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf", "0", "-0.5"])
+def test_oracle_check_rejects_a_meaningless_ratio(ratio, capsys):
+    rc = main(["oracle-check", "--ratio", ratio])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "--ratio" in err
+
+
+@pytest.mark.parametrize("kinds", ["fixed_ris_random_phase",
+                                   "fixed_ris_random_phase,fixed_ris_opt_phase"])
+def test_negative_pso_seed_is_an_error_before_any_work(tmp_path, kinds, capsys):
+    out = tmp_path / "out"
+    rc = main(["sweep-power", "--powers", "30", "--baselines", kinds, "--trials", "1",
+               "--pso-seed", "-1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "--pso-seed" in err
+    assert not out.exists()
