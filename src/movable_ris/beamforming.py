@@ -475,7 +475,7 @@ def hybrid_link_rate(
 
     ``h`` is taken as by ``effective_channel``, or with ``reduced`` is a
     stack already reduced to F2 H F1 (as a search's factored hops are); one
-    matrix is a stack of one. Returns (rates, rank_deficient) as (B,)
+    matrix goes in as a stack of one. Returns (rates, rank_deficient) as (B,)
     arrays. Channels are grouped by stream count (rank-deficient ones carry
     fewer streams) and each group runs as one stack.
     """
