@@ -24,7 +24,6 @@ from .optimizer import (
     ProblemContext,
     RisState,
     TWO_PI,
-    batch_objective,
     decode_xy,
     run,
     run_pso,
@@ -211,6 +210,27 @@ def _random_phases(pack: ScenarioPack, trial_index: int, kind: BaselineKind) -> 
     return rng.uniform(0.0, TWO_PI, pack.config.num_ris)
 
 
+def _search(pack: ScenarioPack, trial_index: int, kind: BaselineKind, context, dim: int,
+            decode_state) -> TrialOutcome:
+    """One swarm search of ``kind`` on one trial, reported through the reference pipeline.
+
+    The swarm runs on the kind's own stream over ``dim`` unit-interval
+    coordinates and climbs ``context.search_rates`` of the decoded (Z, D)
+    batches; the outcome is ``context.rate_for`` of the decoded best vector.
+    """
+    rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO, _PSO_FAMILY[kind])
+    best_vec, _, _ = run_pso(lambda v: context.search_rates(decode_state(v)), dim,
+                             pack.config.pso, rng)
+    state = decode_state(best_vec)
+    rate = context.rate_for(state)
+    return TrialOutcome(rate, state.x, state.y, state.phases, context.saw_rank_deficiency)
+
+
+def _on_platform(geometry: DeploymentGeometry, phases):
+    """Decoder of unit-square coordinates, (Z, 2) or (2,), to states sharing ``phases``."""
+    return lambda v: RisState(*decode_xy(v[..., 0], v[..., 1], geometry), phases)
+
+
 def fixed_ris_rate(
     pack: ScenarioPack, trial_index: int, optimize_phase: bool
 ) -> TrialOutcome:
@@ -218,37 +238,18 @@ def fixed_ris_rate(
     context = make_problem_context(pack, trial_index)
     cx, cy = pack.geometry.platform_center()
     if optimize_phase:
-        rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO,
-                         _PSO_FAMILY[BaselineKind.FIXED_RIS_OPT_PHASE])
-
-        @batch_objective
-        def phase_fitness(vecs: np.ndarray) -> np.ndarray:
-            return context.search_rates(RisState(cx, cy, (TWO_PI * vecs) % TWO_PI))
-
-        best_vec, _, _ = run_pso(phase_fitness, pack.config.num_ris, pack.config.pso, rng)
-        phases = (TWO_PI * best_vec) % TWO_PI
-    else:
-        phases = _random_phases(pack, trial_index, BaselineKind.FIXED_RIS_RANDOM_PHASE)
+        return _search(pack, trial_index, BaselineKind.FIXED_RIS_OPT_PHASE, context,
+                       pack.config.num_ris, lambda v: RisState(cx, cy, (TWO_PI * v) % TWO_PI))
+    phases = _random_phases(pack, trial_index, BaselineKind.FIXED_RIS_RANDOM_PHASE)
     rate = context.rate_for(RisState(cx, cy, phases))
     return TrialOutcome(rate, cx, cy, phases, context.saw_rank_deficiency)
 
 
 def _movable_random_phase(pack: ScenarioPack, trial_index: int) -> TrialOutcome:
     """Phases drawn once per trial, position searched over the platform."""
-    context = make_problem_context(pack, trial_index)
     phases = _random_phases(pack, trial_index, BaselineKind.MOVABLE_RIS_RANDOM_PHASE)
-    rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO,
-                     _PSO_FAMILY[BaselineKind.MOVABLE_RIS_RANDOM_PHASE])
-
-    @batch_objective
-    def position_fitness(vecs: np.ndarray) -> np.ndarray:
-        x, y = decode_xy(vecs[:, 0], vecs[:, 1], pack.geometry)
-        return context.search_rates(RisState(x, y, phases))
-
-    best_vec, _, _ = run_pso(position_fitness, 2, pack.config.pso, rng)
-    x, y = decode_xy(best_vec[0], best_vec[1], pack.geometry)
-    rate = context.rate_for(RisState(x, y, phases))
-    return TrialOutcome(rate, x, y, phases, context.saw_rank_deficiency)
+    return _search(pack, trial_index, BaselineKind.MOVABLE_RIS_RANDOM_PHASE,
+                   make_problem_context(pack, trial_index), 2, _on_platform(pack.geometry, phases))
 
 
 def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y, factored: bool = False):
@@ -257,11 +258,12 @@ def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y, factored: bool
     Hop 1 reuses the trial's transmitter-side draw into the relay's receive
     array, hop 2 the receiver-side draw out of its transmit array. No
     self-interference is modeled: the rate is the ideal full-duplex bound
-    min(hop rates). Returns (rate, whether either hop was rank deficient),
-    element-wise over (Z,) coordinate arrays. Hop 1 is reduced to its rates
-    before hop 2 is built. The reference forms each hop matrix H = L R;
-    ``factored``, the search objective, reduces the factors as (F2 L)(R F1)
-    and agrees with it up to rounding.
+    min(hop rates). Returns (Z,) rates and whether either hop was rank
+    deficient, element-wise over (Z,) coordinate arrays; scalar coordinates
+    are a batch of one. Hop 1 is reduced to its rates before hop 2 is built.
+    The reference forms each hop matrix H = L R; ``factored``, the search
+    objective, reduces the factors as (F2 L)(R F1) and agrees with it up to
+    rounding.
     """
     config = pack.config
     xy = np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
@@ -274,10 +276,27 @@ def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y, factored: bool
         hop_rates.append(hybrid_link_rate(f2, h, f1, *budget, reduced=factored))
     (rate1, deficient1), (rate2, deficient2) = hop_rates
     rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
-    deficient = deficient1 | deficient2
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        return float(rate[0]), bool(deficient[0])
-    return rate, deficient
+    return rate, deficient1 | deficient2
+
+
+@dataclass
+class _RelaySearch:
+    """The two-hop relay rate behind ProblemContext's search surface; states carry no phases."""
+
+    pack: ScenarioPack
+    trial: TrialChannels
+    saw_rank_deficiency: bool = field(default=False, init=False)
+
+    def _rates(self, state: RisState, factored: bool) -> np.ndarray:
+        rates, deficient = _min_hop_rate(self.pack, self.trial, state.x, state.y, factored)
+        self.saw_rank_deficiency |= bool(np.any(deficient))
+        return rates
+
+    def search_rates(self, state: RisState) -> np.ndarray:
+        return self._rates(state, factored=True)
+
+    def rate_for(self, state: RisState) -> float:
+        return float(self._rates(state, factored=False)[0])
 
 
 def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcome:
@@ -291,24 +310,10 @@ def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcom
         raise ValueError(f"duplex must be 'fd' or 'hd', got {duplex!r}")
     fd = pack.fd_relay_outcomes.get(trial_index)
     if fd is None:
-        trial = trial_channels(pack, trial_index)
-        rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO,
-                         _PSO_FAMILY[BaselineKind.FD_RELAY])
-        rank_deficient = False
-
-        @batch_objective
-        def position_fitness(vecs: np.ndarray) -> np.ndarray:
-            nonlocal rank_deficient
-            x, y = decode_xy(vecs[:, 0], vecs[:, 1], pack.geometry)
-            rates, deficient = _min_hop_rate(pack, trial, x, y, factored=True)
-            rank_deficient = rank_deficient or bool(np.any(deficient))
-            return rates
-
-        best_vec, _, _ = run_pso(position_fitness, 2, pack.config.pso, rng)
-        x, y = decode_xy(best_vec[0], best_vec[1], pack.geometry)
-        rate, deficient = _min_hop_rate(pack, trial, x, y)
-        fd = pack.fd_relay_outcomes[trial_index] = TrialOutcome(
-            rate, x, y, None, rank_deficient or deficient)
+        fd = pack.fd_relay_outcomes[trial_index] = _search(
+            pack, trial_index, BaselineKind.FD_RELAY,
+            _RelaySearch(pack, trial_channels(pack, trial_index)), 2,
+            _on_platform(pack.geometry, None))
     return fd if duplex == "fd" else replace(fd, rate=fd.rate / 2.0)
 
 

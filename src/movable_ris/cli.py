@@ -120,21 +120,22 @@ def _parse_baselines(text: str | None) -> tuple[BaselineKind, ...]:
     return tuple(kinds)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _swept_values(text: str, flag: str, parse, sep: str) -> tuple:
+    """The nonempty ``sep``-separated items of a swept flag; a bad or empty list raises."""
+    try:
+        values = tuple(parse(tok) for tok in text.split(sep) if tok.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+    if not values:
+        raise ConfigError(f"{flag}: no values in {text!r}")
+    return values
 
 
-def _parse_positions(text: str) -> tuple[tuple[float, float, float], ...]:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        coords = tuple(float(tok) for tok in chunk.split(","))
-        if len(coords) != 3:
-            raise ConfigError(f"UE position needs 3 coordinates: {chunk!r}")
-        out.append(coords)
-    return tuple(out)
+def _parse_position(text: str) -> tuple[float, float, float]:
+    coords = tuple(float(tok) for tok in text.split(","))
+    if len(coords) != 3:
+        raise ValueError(f"UE position needs 3 coordinates: {text.strip()!r}")
+    return coords
 
 
 def _run_sweep(args, kind: str, values: tuple, out_name: str) -> int:
@@ -222,19 +223,17 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "sweep-power":
-            powers = _parse_floats(args.powers) if args.powers else DEFAULT_POWERS
+            powers = (_swept_values(args.powers, "--powers", float, ",")
+                      if args.powers is not None else DEFAULT_POWERS)
             return _run_sweep(args, "power", powers, "sweep-power")
         if args.command == "sweep-elements":
-            elements = (
-                tuple(int(v) for v in _parse_floats(args.elements))
-                if args.elements
-                else DEFAULT_ELEMENTS
-            )
+            elements = (_swept_values(args.elements, "--elements", int, ",")
+                        if args.elements is not None else DEFAULT_ELEMENTS)
             return _run_sweep(args, "elements", elements, "sweep-elements")
         if args.command == "ue-scenarios":
-            positions = (
-                _parse_positions(args.ue_positions) if args.ue_positions else DEFAULT_UE_POSITIONS
-            )
+            positions = (_swept_values(args.ue_positions, "--ue-positions", _parse_position, ";")
+                         if args.ue_positions is not None
+                         else DEFAULT_UE_POSITIONS)
             return _run_sweep(args, "ue_scenarios", positions, "ue-scenarios")
         if args.command == "single-run":
             return _cmd_single_run(args)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ from .scenario import (
     DeploymentGeometry,
     SystemConfig,
     config_digest,
-    scenario_fields,
 )
 
 __all__ = [
@@ -118,7 +117,7 @@ def apply_swept_value(
     if kind in ("power", "single"):
         return replace(config, tx_power_dbm=float(value)), geometry
     if kind == "elements":
-        side = math.isqrt(int(value))
+        side = math.isqrt(max(int(value), 0))  # a negative count is no square either
         if side * side != int(value):
             raise ConfigError(f"element count {value} is not a perfect square")
         return replace(config, ris_elements=(side, side)), geometry
@@ -270,7 +269,7 @@ def write_results(
     csv_path.write_text("\n".join(lines) + "\n")
 
     meta = {
-        "config": scenario_fields(config, geometry),
+        "config": {**asdict(config), **asdict(geometry)},
         "config_digest": config_digest(config, geometry, results[0].pso_seed),
         "conventions": {
             "mean_angles": "recomputed from geometry at every RIS position",

@@ -31,7 +31,6 @@ __all__ = [
     "SwarmState",
     "decode",
     "decode_xy",
-    "batch_objective",
     "fitness",
     "init_swarm",
     "pso_step",
@@ -161,18 +160,9 @@ class ProblemContext:
         return self._rates((a * e[..., None, :]) @ c, reduced=True)
 
 
-def batch_objective(score):
-    """An objective of (Z, D) positions that also scores one (D,) position, as a batch of one."""
-    def objective(vectors: np.ndarray) -> float | np.ndarray:
-        v = np.asarray(vectors, dtype=float)
-        values = score(v.reshape(-1, v.shape[-1]))
-        return values if v.ndim > 1 else float(values[0])
-    return objective
-
-
-def fitness(vector: np.ndarray, context: ProblemContext) -> float | np.ndarray:
-    """Search objective (bps/Hz) of one particle position, or (Z,) values of a (Z, D) batch."""
-    return batch_objective(lambda v: context.search_rates(decode(v, context.geometry)))(vector)
+def fitness(vectors: np.ndarray, context: ProblemContext) -> np.ndarray:
+    """Search objective (bps/Hz): the (Z,) values of a (Z, D) batch of particle positions."""
+    return context.search_rates(decode(vectors, context.geometry))
 
 
 @dataclass

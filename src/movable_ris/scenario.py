@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import typing
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -161,12 +162,10 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
     """
     errors: list[str] = []
 
-    flat = scenario_fields(config, geometry)
-    flat.update({f"pso_{k}": v for k, v in flat.pop("pso").items()})
-    for name, value in flat.items():
-        values = value if isinstance(value, list) else [value]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            errors.append(f"{name} must be finite, got {value!r}")
+    for key, value, length in _config_items(config, geometry):
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if length else (value,))):
+            errors.append(f"{key} must be finite, got {value!r}")
 
     for name, shape in (
         ("tx_antennas", config.tx_antennas),
@@ -235,40 +234,37 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
 
 # --- flat key/value config file -------------------------------------------
 
-_CONFIG_SCALARS = {
-    "carrier_frequency_ghz": float,
-    "bandwidth_hz": float,
-    "noise_psd_dbm_per_hz": float,
-    "tx_power_dbm": float,
-    "path_loss_exponent": float,
-    "num_paths": int,
-    "element_spacing_wavelengths": float,
-    "num_streams": int,
-    "max_rf_chains": int,
-    "path_loss_mode": str,
-    "monte_carlo_trials": int,
-    "rng_seed": int,
-}
 
-_CONFIG_PAIRS = {
-    "tx_antennas": int,
-    "rx_antennas": int,
-    "ris_elements": int,
-    "angular_spread_deg": float,
-}
+def _config_keys() -> dict[str, tuple[type, str, type, int]]:
+    """Config-file key -> (dataclass, field, element cast, tuple length; 0 for a scalar).
 
-_PSO_FIELDS = {
-    "pso_swarm_size": ("swarm_size", int),
-    "pso_iterations": ("iterations", int),
-    "pso_social_weight": ("social_weight", float),
-    "pso_cognitive_weight": ("cognitive_weight", float),
-    "pso_inertia_start": ("inertia_start", float),
-    "pso_inertia_end": ("inertia_end", float),
-    "pso_velocity_clamp": ("velocity_clamp", float),
-}
+    One pass per dataclass: SystemConfig, PsoParams (keys prefixed ``pso_``),
+    DeploymentGeometry, each taking its tuple fields and then its scalars in
+    field order. Casts come from the field annotations. This is the line
+    order of ``serialize_config``, so it is what ``config_digest`` hashes.
+    """
+    keys: dict = {}
+    for cls, prefix in ((SystemConfig, ""), (PsoParams, "pso_"), (DeploymentGeometry, "")):
+        hints = typing.get_type_hints(cls)
+        entries = []
+        for f in fields(cls):
+            hint = hints[f.name]
+            if hint is PsoParams:
+                continue  # its fields have their own pass
+            args = typing.get_args(hint)  # (int, int) for tuple[int, int], () for a scalar
+            entries.append((prefix + f.name, (cls, f.name, args[0] if args else hint, len(args))))
+        keys.update(sorted(entries, key=lambda entry: entry[1][3] == 0))  # stable: tuples first
+    return keys
 
-_GEOMETRY_TRIPLES = ("tx_position", "ue_position")
-_GEOMETRY_PAIRS = ("platform_x_range", "platform_y_range")
+
+_CONFIG_KEYS = _config_keys()
+
+
+def _config_items(config: SystemConfig, geometry: DeploymentGeometry) -> list[tuple]:
+    """(key, value, tuple length) of every config-file key, in file order."""
+    owners = {SystemConfig: config, PsoParams: config.pso, DeploymentGeometry: geometry}
+    return [(key, getattr(owners[cls], name), length)
+            for key, (cls, name, _, length) in _CONFIG_KEYS.items()]
 
 
 def _fmt(value) -> str:
@@ -279,22 +275,8 @@ def _fmt(value) -> str:
 
 def serialize_config(config: SystemConfig, geometry: DeploymentGeometry) -> str:
     """Flat ``key = value`` text; floats use repr so parsing round-trips bit-identically."""
-    lines = []
-    for name in _CONFIG_PAIRS:
-        pair = getattr(config, name)
-        lines.append(f"{name} = {_fmt(pair[0])} {_fmt(pair[1])}")
-    for name in _CONFIG_SCALARS:
-        lines.append(f"{name} = {_fmt(getattr(config, name))}")
-    for key, (attr, _) in _PSO_FIELDS.items():
-        lines.append(f"{key} = {_fmt(getattr(config.pso, attr))}")
-    for name in _GEOMETRY_TRIPLES:
-        p = getattr(geometry, name)
-        lines.append(f"{name} = {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
-    for name in _GEOMETRY_PAIRS:
-        p = getattr(geometry, name)
-        lines.append(f"{name} = {_fmt(p[0])} {_fmt(p[1])}")
-    lines.append(f"ris_height_m = {_fmt(geometry.ris_height_m)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {' '.join(map(_fmt, value if length else (value,)))}\n"
+                   for key, value, length in _config_items(config, geometry))
 
 
 def parse_config(
@@ -306,9 +288,7 @@ def parse_config(
     Lines are ``name = value`` with ``#`` comments; unknown keys raise.
     """
     config, geometry = base if base is not None else default_config()
-    cfg_updates: dict = {}
-    pso_updates: dict = {}
-    geo_updates: dict = {}
+    updates: dict[type, dict] = {SystemConfig: {}, PsoParams: {}, DeploymentGeometry: {}}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -318,42 +298,21 @@ def parse_config(
             raise ConfigError(f"line {lineno}: expected 'name = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        cls, name, cast, length = _CONFIG_KEYS[key]
         tokens = value.split()
         try:
-            if key in _CONFIG_SCALARS:
-                (tok,) = tokens
-                cfg_updates[key] = _CONFIG_SCALARS[key](tok)
-            elif key in _CONFIG_PAIRS:
-                a, b = tokens
-                cast = _CONFIG_PAIRS[key]
-                cfg_updates[key] = (cast(a), cast(b))
-            elif key in _PSO_FIELDS:
-                attr, cast = _PSO_FIELDS[key]
-                (tok,) = tokens
-                pso_updates[attr] = cast(tok)
-            elif key in _GEOMETRY_TRIPLES:
-                a, b, c = tokens
-                geo_updates[key] = (float(a), float(b), float(c))
-            elif key in _GEOMETRY_PAIRS:
-                a, b = tokens
-                geo_updates[key] = (float(a), float(b))
-            elif key == "ris_height_m":
-                (tok,) = tokens
-                geo_updates[key] = float(tok)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except (ValueError, TypeError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            if len(tokens) != max(length, 1):
+                raise ValueError(f"{len(tokens)} tokens")
+            parsed = tuple(map(cast, tokens))
+        except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value.strip()!r}") from exc
+        updates[cls][name] = parsed if length else parsed[0]
 
-    if pso_updates:
-        cfg_updates["pso"] = replace(config.pso, **pso_updates)
-    if cfg_updates:
-        config = replace(config, **cfg_updates)
-    if geo_updates:
-        geometry = replace(geometry, **geo_updates)
-    return config, geometry
+    pso = replace(config.pso, **updates[PsoParams])
+    return (replace(config, pso=pso, **updates[SystemConfig]),
+            replace(geometry, **updates[DeploymentGeometry]))
 
 
 def config_digest(
@@ -389,17 +348,3 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
         raise ConfigError("seed must be non-negative")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *path))))
 
-
-def scenario_fields(config: SystemConfig, geometry: DeploymentGeometry) -> dict:
-    """Plain-dict view of every field, for metadata sidecars."""
-    out: dict = {}
-    for f in fields(config):
-        v = getattr(config, f.name)
-        if isinstance(v, PsoParams):
-            out["pso"] = {pf.name: getattr(v, pf.name) for pf in fields(v)}
-        else:
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-    for f in fields(geometry):
-        v = getattr(geometry, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out

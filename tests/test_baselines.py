@@ -186,7 +186,7 @@ def test_relay_symmetric_geometry_prefers_midline():
     best, best_xy = -1.0, None
     for x in grid:
         for y in grid:
-            r, _ = _min_hop_rate(pack, trial, float(x), float(y))
+            r = _min_hop_rate(pack, trial, x, y)[0][0]
             if r > best:
                 best, best_xy = r, (float(x), float(y))
     step = grid[1] - grid[0]

@@ -109,8 +109,7 @@ def test_batch_objective_equals_per_particle(kind, trial_index, draw_seed, count
     particles = _particles(draw_seed, count, dim, clamp, duplicate)
     with _objective_of(kind, pack, trial_index, zero_channel) as objective:
         batch = objective(particles)
-        rows = [objective(p) for p in particles]
-    assert all(isinstance(r, float) for r in rows)
+        rows = [objective(p[None])[0] for p in particles]
     _same_bytes(batch, rows)
     if zero_channel:
         assert not np.any(batch)
@@ -122,9 +121,9 @@ def test_relay_batch_equals_min_hop_rate_rows():
     xy = _particles(12, 9, 2, clamp=True, duplicate=True)
     x, y = optimizer.decode_xy(xy[:, 0], xy[:, 1], pack.geometry)
     rates, deficient = baselines._min_hop_rate(pack, trial, x, y)
-    rows = [baselines._min_hop_rate(pack, trial, float(a), float(b)) for a, b in zip(x, y)]
-    _same_bytes(rates, [r for r, _ in rows])
-    assert deficient.tolist() == [d for _, d in rows]
+    rows = [baselines._min_hop_rate(pack, trial, x[i:i + 1], y[i:i + 1]) for i in range(len(x))]
+    _same_bytes(rates, [r[0] for r, _ in rows])
+    assert deficient.tolist() == [d[0] for _, d in rows]
 
 
 def test_ill_conditioned_pack_reaches_the_eigenvalue_fallback(monkeypatch):

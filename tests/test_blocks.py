@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movable_ris import baselines, beamforming, channel, optimizer
-from movable_ris.baselines import build_scenario_pack
+from movable_ris.baselines import BaselineKind, build_scenario_pack
 from movable_ris.beamforming import effective_channel, hybrid_link_rate
 from movable_ris.channel import (
     DOWN,
@@ -34,6 +34,7 @@ from movable_ris.channel import (
     wavelength_m,
 )
 from movable_ris.scenario import PsoParams, default_config, rng_stream
+from test_batch import _objective_of
 
 
 def _reference_mean_angles(pos_a, pos_b, boresight_a, boresight_b) -> LinkAngles:
@@ -280,24 +281,15 @@ BATCH_PEAK_BYTES = 1 << 20
 @pytest.mark.parametrize("kind", ["joint", "relay"])
 def test_default_scale_batch_peak_allocation(kind):
     pack = _default_pack(3)
-    particles = rng_stream(7, 0).random((10, pack.config.num_ris + 2))
-    if kind == "joint":
-        context = baselines.make_problem_context(pack, 0)
-
-        def objective():
-            return optimizer.fitness(particles, context)
-    else:
-        trial = baselines.trial_channels(pack, 0)
-        x, y = optimizer.decode_xy(particles[:, 0], particles[:, 1], pack.geometry)
-
-        def objective():
-            return baselines._min_hop_rate(pack, trial, x, y)
-
-    objective()  # first-call allocations (caches, lazy imports) are not the batch's
-    tracemalloc.start()
-    try:
-        objective()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    search = {"joint": BaselineKind.MOVABLE_RIS_JOINT, "relay": BaselineKind.FD_RELAY}[kind]
+    dim = pack.config.num_ris + 2 if kind == "joint" else 2
+    particles = rng_stream(7, 0).random((10, dim))
+    with _objective_of(search, pack, 0) as objective:  # the one the swarm is handed
+        objective(particles)  # first-call allocations (caches, lazy imports) are not the batch's
+        tracemalloc.start()
+        try:
+            objective(particles)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert peak < BATCH_PEAK_BYTES, f"{kind} batch peaked at {peak} bytes"

@@ -333,3 +333,20 @@ def test_negative_pso_seed_is_an_error_before_any_work(tmp_path, kinds, capsys):
     assert rc == 2
     assert err.startswith("error: ") and "--pso-seed" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["sweep-power", "--powers", "abc"], "--powers"),
+    (["sweep-power", "--powers", ",,"], "--powers"),
+    (["sweep-power", "--powers", ""], "--powers"),
+    (["ue-scenarios", "--ue-positions", "60,90,x"], "--ue-positions"),
+    (["sweep-elements", "--elements", "16.5"], "--elements"),
+    (["sweep-elements", "--elements", "-4"], "element count -4 is not a perfect square"),
+])
+def test_bad_swept_values_are_errors_before_any_work(tmp_path, argv, named, capsys):
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from movable_ris.scenario import (
     ConfigError,
+    DeploymentGeometry,
     PsoParams,
+    SystemConfig,
     config_digest,
     default_config,
     noise_power,
@@ -119,14 +121,59 @@ def test_validate_collects_multiple_errors():
     assert len(errors) >= 3
 
 
-def test_serialize_parse_round_trip_bit_identical():
+# One non-default value per field of the three dataclasses. Applied one at a
+# time each must move the digest; applied together they set every key of
+# the config file to a non-default value.
+CONFIG_PERTURBATIONS = dict(
+    tx_antennas=(4, 8),
+    rx_antennas=(8, 4),
+    ris_elements=(5, 5),
+    carrier_frequency_ghz=29.0,
+    bandwidth_hz=20e6,
+    noise_psd_dbm_per_hz=-170.5,
+    tx_power_dbm=31.0,
+    path_loss_exponent=3.1,
+    num_paths=11,
+    angular_spread_deg=(9.0, 10.3),
+    element_spacing_wavelengths=0.45,
+    num_streams=1,
+    max_rf_chains=8,
+    path_loss_mode="db",
+    monte_carlo_trials=51,
+    rng_seed=999,
+)
+PSO_PERTURBATIONS = dict(
+    swarm_size=11,
+    iterations=31,
+    social_weight=1.7,
+    cognitive_weight=2.3,
+    inertia_start=0.85,
+    inertia_end=0.35,
+    velocity_clamp=0.45,
+)
+GEOMETRY_PERTURBATIONS = dict(
+    tx_position=(0.0, 1.1, 2.0),
+    ue_position=(90.0, 100.0, 2.5),
+    platform_x_range=(41.0, 70.0),
+    platform_y_range=(40.0, 69.7),
+    ris_height_m=6.0,
+)
+
+
+def _perturbed_everywhere():
     config, geometry = default_config()
-    text = serialize_config(config, geometry)
-    config2, geometry2 = parse_config(text)
-    assert config2 == config
-    assert geometry2 == geometry
-    # and the digest of the round-tripped pair is unchanged
-    assert config_digest(config2, geometry2) == config_digest(config, geometry)
+    config = replace(config, pso=replace(config.pso, **PSO_PERTURBATIONS), **CONFIG_PERTURBATIONS)
+    return config, replace(geometry, **GEOMETRY_PERTURBATIONS)
+
+
+def test_serialize_parse_round_trip_bit_identical():
+    for config, geometry in (default_config(), _perturbed_everywhere()):
+        text = serialize_config(config, geometry)
+        config2, geometry2 = parse_config(text)
+        assert config2 == config
+        assert geometry2 == geometry
+        # and the digest of the round-tripped pair is unchanged
+        assert config_digest(config2, geometry2) == config_digest(config, geometry)
 
 
 def test_parse_config_partial_override():
@@ -153,38 +200,19 @@ def test_parse_config_rejects_malformed_line():
 def test_digest_changes_iff_any_field_changes():
     config, geometry = default_config()
     base = config_digest(config, geometry)
+    for cls, perturbations in ((SystemConfig, CONFIG_PERTURBATIONS),
+                               (PsoParams, PSO_PERTURBATIONS),
+                               (DeploymentGeometry, GEOMETRY_PERTURBATIONS)):
+        unperturbed = {f.name for f in fields(cls)} - set(perturbations) - {"pso"}
+        assert not unperturbed, f"no perturbation for {cls.__name__} fields {unperturbed}"
 
-    cfg_perturbations = dict(
-        tx_antennas=(4, 8),
-        rx_antennas=(8, 4),
-        ris_elements=(5, 5),
-        carrier_frequency_ghz=29.0,
-        bandwidth_hz=20e6,
-        noise_psd_dbm_per_hz=-170.0,
-        tx_power_dbm=31.0,
-        path_loss_exponent=3.0,
-        num_paths=11,
-        angular_spread_deg=(9.0, 10.0),
-        element_spacing_wavelengths=0.25,
-        num_streams=1,
-        max_rf_chains=8,
-        path_loss_mode="db",
-        monte_carlo_trials=51,
-        rng_seed=999,
-        pso=PsoParams(swarm_size=11),
-    )
-    for name, value in cfg_perturbations.items():
+    for name, value in CONFIG_PERTURBATIONS.items():
         changed = config_digest(replace(config, **{name: value}), geometry)
         assert changed != base, f"digest missed config field {name}"
-
-    geo_perturbations = dict(
-        tx_position=(0.0, 1.0, 2.0),
-        ue_position=(90.0, 100.0, 2.0),
-        platform_x_range=(41.0, 70.0),
-        platform_y_range=(40.0, 69.0),
-        ris_height_m=6.0,
-    )
-    for name, value in geo_perturbations.items():
+    for name, value in PSO_PERTURBATIONS.items():
+        changed = config_digest(replace(config, pso=replace(config.pso, **{name: value})), geometry)
+        assert changed != base, f"digest missed pso field {name}"
+    for name, value in GEOMETRY_PERTURBATIONS.items():
         changed = config_digest(config, replace(geometry, **{name: value}))
         assert changed != base, f"digest missed geometry field {name}"
 

@@ -1,10 +1,12 @@
-"""The traced sweep benchmark wraps names that exist in the package.
+"""The sweep benchmark wraps names that exist in the package.
 
 ``sweepbench/tracer.py`` patches each (namespace, attribute) pair in its
-``TRACE_POINTS``; a refactor that deletes or renames one of them would only
-surface when the traced benchmark runs. These tests import the tracer
-without writing anything next to it, check every pair, and check that every
-searching kind still reaches the spans the benchmark takes percentiles of.
+``TRACE_POINTS``, and ``sweepbench/checks.py`` wraps the points its history
+check reads; a refactor that deletes or renames one of them would only
+surface when the benchmark runs. These tests import the benchmark modules
+without writing anything next to them, check every pair, and check that
+every searching kind still reaches the spans the benchmark takes
+percentiles of.
 """
 
 import importlib
@@ -21,17 +23,22 @@ from movable_ris.scenario import PsoParams, default_config
 SWEEPBENCH = Path(__file__).resolve().parents[1] / "sweepbench"
 
 
-@pytest.fixture()
-def tracer(monkeypatch):
+def _import_sweepbench(monkeypatch, name):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(SWEEPBENCH))
-    assert "tracer" not in sys.modules
+    assert name not in sys.modules and "tracer" not in sys.modules
     try:
-        module = importlib.import_module("tracer")
+        module = importlib.import_module(name)
     finally:
-        sys.modules.pop("tracer", None)
+        sys.modules.pop(name, None)
+        sys.modules.pop("tracer", None)  # checks.py imports it too
     assert Path(module.__file__).resolve().parent == SWEEPBENCH
     return module
+
+
+@pytest.fixture()
+def tracer(monkeypatch):
+    return _import_sweepbench(monkeypatch, "tracer")
 
 
 def test_every_trace_point_resolves(tracer):
@@ -40,6 +47,22 @@ def test_every_trace_point_resolves(tracer):
         for owner, attr, _ in tracer.TRACE_POINTS
         if not hasattr(owner, attr)
     ]
+    assert missing == []
+
+
+def test_every_history_check_wrap_point_resolves(monkeypatch):
+    checks = _import_sweepbench(monkeypatch, "checks")
+    wrapped = []
+
+    class Recorder:
+        def wrap(self, owner, attr, make):
+            wrapped.append((owner, attr))
+
+    checks.HistoryCheck().install(Recorder())
+    names = [f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}" for owner, attr in wrapped]
+    assert sorted(names) == sorted(["harness.monte_carlo_point", "harness.run_baseline",
+                                    "baselines.run_pso", "optimizer.run_pso"])
+    missing = [name for (owner, attr), name in zip(wrapped, names) if not hasattr(owner, attr)]
     assert missing == []
 
 
