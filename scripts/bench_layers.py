@@ -1,0 +1,210 @@
+#!/usr/bin/env python3
+"""Per-layer timings of one fitness evaluation, for one or more source trees, interleaved.
+
+Usage:
+    python scripts/bench_layers.py [--tree LABEL=SRC_DIR ...] [--repeat N] [--out FILE]
+
+Every tree (default: this checkout's ``src/``) is imported into one process
+under its own package name, with one BLAS thread. Each of the N rounds
+calls every layer once per tree, back to back and in an order that
+alternates from round to round, so the host's speed drift, which reaches 2x
+within seconds on a shared machine, falls on the trees alike. The report
+gives, per layer and tree, the minimum over the N calls in microseconds
+and, for two trees, the ratio of those minima (first tree over second) and
+the median over the rounds of the same ratio taken call by call. It is
+printed and, with ``--out``, written as JSON.
+
+Layers, at the default configuration (8x8 Tx/UE arrays, 6x6 RIS, 10 paths)
+on trial 0 of pack seed 3 and a batch of 10 particles:
+
+- ``steering``: ``steering_matrix`` of the batch's 10x10 Tx departure angles;
+- ``hop_factors``: both reduced RIS hops of the batch, F2 H_IR and H_TI F1;
+- ``relay_hops``: both reduced relay hops of the batch, F2 H F1 each;
+- ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack;
+- ``objective.<kind>``: the batch objective each searching kind hands its swarm.
+
+A tree whose ``hop_factors`` takes no beam axes has the hops reduced by
+products of its full hop factors with F1 and F2, which is what its searches did.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import importlib.util
+import inspect
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads BLAS
+
+import numpy as np  # noqa: E402
+
+REPO = Path(__file__).resolve().parents[1]
+BATCH = 10
+PACK_SEED = 3
+SEARCHES = ("movable_ris_joint", "fixed_ris_opt_phase", "movable_ris_random_phase", "fd_relay")
+
+
+def load_tree(name: str, src: Path):
+    """Import ``src/movable_ris`` as the package ``name``; returns a module getter."""
+    root = src / "movable_ris"
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return lambda module: importlib.import_module(f"{name}.{module}")
+
+
+def _captured_objectives(pack, baselines, optimizer) -> dict:
+    """The batch objective each searching kind hands its swarm, without searching."""
+    captured = {}
+
+    def capture(fitness_fn, dim, params, rng):
+        captured[kind] = fitness_fn
+        return np.full(dim, 0.5), 0.0, [0.0]
+
+    real = baselines.run_pso, optimizer.run_pso
+    baselines.run_pso = optimizer.run_pso = capture
+    try:
+        for kind in SEARCHES:
+            baselines.run_baseline(baselines.BaselineKind(kind),
+                                   replace(pack, fd_relay_outcomes={}), 0)
+    finally:
+        baselines.run_pso, optimizer.run_pso = real
+    return captured
+
+
+def layers_of(module) -> dict:
+    """Zero-argument callables, by layer name, for one imported tree."""
+    baselines, beamforming, channel, optimizer, scenario = map(
+        module, ("baselines", "beamforming", "channel", "optimizer", "scenario"))
+    pack = baselines.build_scenario_pack(*scenario.default_config(), PACK_SEED)
+    config, geometry = pack.config, pack.geometry
+    trial = baselines.trial_channels(pack, 0)
+    rng = scenario.rng_stream(7, 0)
+    joint = rng.random((BATCH, config.num_ris + 2))
+    xy = np.column_stack(optimizer.decode_xy(joint[:, 0], joint[:, 1], geometry))
+    paths = channel._link_paths(config, geometry, trial, xy, "tx_ris")
+    per_axis = "beams" in inspect.signature(channel.hop_factors).parameters
+
+    def hop(link, rx=None, tx=None, shape=None):
+        """The hop reduced against the named RF stages at its (receive, transmit) ends."""
+        if per_axis:
+            beams = tuple(pack.beams[name] if name else None for name in (rx, tx))
+            return np.matmul(*channel.hop_factors(config, geometry, trial, xy, link, shape, beams))
+        left, right = channel.hop_factors(config, geometry, trial, xy, link, shape)
+        left = left if rx is None else getattr(pack, rx) @ left
+        return left @ right if tx is None else left @ (right @ getattr(pack, tx))
+
+    def ris_hops():
+        return hop("ris_rx", rx="f2"), hop("tx_ris", tx="f1")
+
+    def relay_hops():
+        return (hop("tx_ris", "relay_f2_hop1", "f1", config.rx_antennas),
+                hop("ris_rx", "f2", "relay_f1_hop2", config.tx_antennas))
+
+    a, c = ris_hops()
+    reduced = (a * np.exp(2j * np.pi * joint[:, None, 2:])) @ c
+    budget = (pack.tx_power_w, config.num_streams, pack.noise_power_w)
+    layers = {
+        "steering": lambda: channel.steering_matrix(paths.dep_elevation, paths.dep_azimuth,
+                                                    *config.tx_antennas,
+                                                    config.element_spacing_wavelengths),
+        "hop_factors": ris_hops,
+        "relay_hops": relay_hops,
+        "rate_pipeline": lambda: beamforming.hybrid_link_rate(pack.f2, reduced, pack.f1,
+                                                              *budget, reduced=True),
+    }
+    dims = {"movable_ris_joint": config.num_ris + 2, "fixed_ris_opt_phase": config.num_ris}
+    for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
+        batch = rng.random((BATCH, dims.get(kind, 2)))
+        layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)
+    for fn in layers.values():
+        fn()  # first-call work (lazy LAPACK set-up, caches) is not timed
+    return layers
+
+
+def src_digest(src: Path) -> str:
+    """sha256 over the tree's package sources, in path order."""
+    h = hashlib.sha256()
+    for path in sorted((src / "movable_ris").rglob("*.py")):
+        h.update(path.relative_to(src).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+def measure(trees: dict, repeat: int) -> dict:
+    """Per layer and tree, the microseconds of every call, rounds interleaved."""
+    labels = list(trees)
+    layers = {label: layers_of(load_tree(f"_bench_tree_{i}", src))
+              for i, (label, src) in enumerate(trees.items())}
+    names = list(layers[labels[0]])
+    times = {name: {label: [] for label in labels} for name in names}
+    for r in range(repeat):
+        for name in names:
+            for label in labels if r % 2 == 0 else labels[::-1]:
+                fn = layers[label][name]
+                start = time.perf_counter_ns()
+                fn()
+                times[name][label].append((time.perf_counter_ns() - start) / 1e3)
+    return times
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", action="append", default=[],
+                        help="LABEL=SRC_DIR; repeat for a pair (default: this=src)")
+    parser.add_argument("--repeat", type=int, default=1000)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    trees = {}
+    for spec in args.tree or [f"this={REPO / 'src'}"]:
+        label, sep, src = spec.partition("=")
+        if not sep or label in trees or not (Path(src) / "movable_ris").is_dir():
+            parser.error(f"--tree {spec!r}: expected a new LABEL=SRC_DIR holding movable_ris/")
+        trees[label] = Path(src).resolve()
+
+    labels = list(trees)
+    times = measure(trees, args.repeat)
+    layers = {}
+    for name, per_tree in times.items():
+        row = {label: min(per_tree[label]) for label in labels}
+        if len(labels) == 2:
+            first, second = (per_tree[label] for label in labels)
+            row["ratio_of_minima"] = row[labels[0]] / row[labels[1]]
+            row["median_ratio"] = statistics.median(a / b for a, b in zip(first, second))
+        layers[name] = row
+    report = {
+        "command": "python scripts/bench_layers.py "
+        + " ".join(f"--tree {label}=<src>" for label in labels) + f" --repeat {args.repeat}",
+        "unit": "microseconds; minimum over the rounds, ratios first tree over second",
+        "host": {"machine": platform.machine(), "nproc": os.cpu_count(),
+                 "python": platform.python_version(), "numpy": np.__version__,
+                 "blas_threads": 1},
+        "trees": {label: {"src_digest": src_digest(src)} for label, src in trees.items()},
+        "layers_us": layers,
+    }
+    if args.out:
+        args.out.write_text(json.dumps(report, indent=2) + "\n")
+    width = max(map(len, layers))
+    columns = list(next(iter(layers.values())))
+    print(f"{'layer':<{width}}  " + "  ".join(f"{column:>16}" for column in columns))
+    for name, row in layers.items():
+        print(f"{name:<{width}}  " + "  ".join(f"{value:16.2f}" for value in row.values()))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -111,6 +111,19 @@ class ScenarioPack:
         default_factory=dict, repr=False, compare=False
     )
 
+    @functools.cached_property
+    def beams(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per-axis factors X (K, m_x), Y (K, m_y) of each RF stage's K beams, by field name.
+
+        An ``rf_steering_column`` beam is kron(px, py) / sqrt(M) with px[0] = py[0] = 1, so
+        X = px / sqrt(M) and Y = py / sqrt(M) are, bit for bit, its entries at m_y = 0 and m_x = 0.
+        """
+        tx, rx = self.config.tx_antennas, self.config.rx_antennas
+        grids = {name: np.reshape(beams, (-1, *shape)) for name, beams, shape in (
+            ("f1", self.f1.T, tx), ("f2", self.f2, rx),
+            ("relay_f2_hop1", self.relay_f2_hop1, rx), ("relay_f1_hop2", self.relay_f1_hop2.T, tx))}
+        return {name: (grid[:, :, 0].copy(), grid[:, 0, :].copy()) for name, grid in grids.items()}
+
 
 def _relay_stages(
     config: SystemConfig, geometry: DeploymentGeometry
@@ -202,6 +215,7 @@ def make_problem_context(pack: ScenarioPack, trial_index: int) -> ProblemContext
         trial=trial_channels(pack, trial_index),
         tx_power_w=pack.tx_power_w,
         noise_power_w=pack.noise_power_w,
+        beams=pack.beams,
     )
 
 
@@ -262,17 +276,19 @@ def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y, factored: bool
     deficient, element-wise over (Z,) coordinate arrays; scalar coordinates
     are a batch of one. Hop 1 is reduced to its rates before hop 2 is built.
     The reference forms each hop matrix H = L R; ``factored``, the search
-    objective, reduces the factors as (F2 L)(R F1) and agrees with it up to
-    rounding.
+    objective, projects both ends of each hop onto their RF beams, so L R is
+    F2 H F1 up to rounding.
     """
     config = pack.config
     xy = np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
     budget = (pack.tx_power_w, config.num_streams, pack.noise_power_w)
     hop_rates = []
-    for link, relay_shape, f2, f1 in (("tx_ris", config.rx_antennas, pack.relay_f2_hop1, pack.f1),
-                                      ("ris_rx", config.tx_antennas, pack.f2, pack.relay_f1_hop2)):
-        left, right = hop_factors(config, pack.geometry, trial, xy, link, relay_shape)
-        h = (f2 @ left) @ (right @ f1) if factored else map(np.matmul, left, right)
+    for link, relay_shape, rx, tx in (("tx_ris", config.rx_antennas, "relay_f2_hop1", "f1"),
+                                      ("ris_rx", config.tx_antennas, "f2", "relay_f1_hop2")):
+        f2, f1 = getattr(pack, rx), getattr(pack, tx)
+        beams = (pack.beams[rx], pack.beams[tx]) if factored else (None, None)
+        left, right = hop_factors(config, pack.geometry, trial, xy, link, relay_shape, beams)
+        h = left @ right if factored else map(np.matmul, left, right)
         hop_rates.append(hybrid_link_rate(f2, h, f1, *budget, reduced=factored))
     (rate1, deficient1), (rate2, deficient2) = hop_rates
     rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept

@@ -113,10 +113,7 @@ def steering_vector(
     Entry (m_x, m_y) carries phase -2*pi*d*(m_x*sin(el)*cos(az) +
     m_y*sin(el)*sin(az)); the per-entry modulus is 1/sqrt(m_x*m_y).
     """
-    v = steering_matrix(
-        np.asarray([elevation]), np.asarray([azimuth]), m_x, m_y, spacing
-    )[:, 0]
-    return v / math.sqrt(m_x * m_y)
+    return steering_matrix([elevation], [azimuth], m_x, m_y, spacing)[:, 0] / math.sqrt(m_x * m_y)
 
 
 def steering_matrix(
@@ -129,12 +126,23 @@ def steering_matrix(
     x-major Kronecker product of its per-axis phase factors: row n =
     m_x_index * m_y + m_y_index.
     """
+    return _steering(elevations, azimuths, m_x, m_y, spacing)
+
+
+def _steering(elevations, azimuths, m_x: int, m_y: int, spacing: float, beams=None):
+    """``steering_matrix``, or its (..., K, L) projection onto K RF beams given per axis.
+
+    Column l is kron(Px[:, l], Py[:, l]) and beam k is sqrt(M) kron(X[k], Y[k]), so
+    their product is sqrt(M) (X Px)[k, l] (Y Py)[k, l], taken one array axis at a time.
+    """
     el = np.asarray(elevations, dtype=float)
     az = np.asarray(azimuths, dtype=float)
     ux = np.sin(el) * np.cos(az)  # directional cosines
     uy = np.sin(el) * np.sin(az)
     px = np.exp(-2j * np.pi * spacing * np.arange(m_x)[:, None] * ux[..., None, :])
     py = np.exp(-2j * np.pi * spacing * np.arange(m_y)[:, None] * uy[..., None, :])
+    if beams is not None:
+        return (beams[0] @ px) * (beams[1] @ py) * math.sqrt(m_x * m_y)
     kron = px[..., :, None, :] * py[..., None, :, :]
     return kron.reshape(*ux.shape[:-1], m_x * m_y, ux.shape[-1])
 
@@ -287,22 +295,23 @@ def _link_factors(
     exponent: float,
     spacing: float,
     mode: str = "alpha",
+    beams: tuple = (None, None),
 ) -> tuple[np.ndarray, np.ndarray]:
     """The sum-of-paths channel of ``link_channel`` as H = left @ right.
 
     ``left`` (..., num_rx, L) holds the receive steering columns scaled by
     each path's amplitude times gain, ``right`` (..., L, num_tx) the
     transposed transmit steering matrix; both keep the path set's leading
-    axes.
+    axes. An end given RF beam axes (``beams``: receive, transmit) is projected onto them.
     """
     distance = np.asarray(paths.distance_m, dtype=float)
     amp = np.reshape(
         [path_amplitude(carrier_ghz, float(d), exponent, mode) for d in distance.flat],
         distance.shape,
     )
-    left = steering_matrix(paths.arr_elevation, paths.arr_azimuth, *rx_shape, spacing)
+    left = _steering(paths.arr_elevation, paths.arr_azimuth, *rx_shape, spacing, beams[0])
     left *= (amp * paths.gains)[..., None, :]
-    right = steering_matrix(paths.dep_elevation, paths.dep_azimuth, *tx_shape, spacing)
+    right = _steering(paths.dep_elevation, paths.dep_azimuth, *tx_shape, spacing, beams[1])
     return left, np.swapaxes(right, -1, -2)
 
 
@@ -385,12 +394,13 @@ def hop_factors(
     ris_xy: np.ndarray,
     link: str,
     platform_shape: tuple[int, int] | None = None,
+    beams: tuple = (None, None),
 ) -> tuple[np.ndarray, np.ndarray]:
     """One hop at a (B, 2) stack of positions as ``_link_factors``, H_b = left[b] @ right[b].
 
-    A search reduces the factors against its RF stages without forming a
-    hop matrix. The platform node's array defaults to the RIS element grid;
-    a relay passes its own.
+    A search passes the RF beam axes of the hop's beamformed (receive, transmit)
+    ends as ``beams`` and gets the factors of the reduced hop. The platform
+    node's array defaults to the RIS element grid; a relay passes its own.
     """
     paths = _link_paths(config, geometry, trial, np.asarray(ris_xy, dtype=float), link)
     platform = config.ris_elements if platform_shape is None else platform_shape
@@ -403,6 +413,7 @@ def hop_factors(
         config.path_loss_exponent,
         config.element_spacing_wavelengths,
         config.path_loss_mode,
+        beams,
     )
 
 

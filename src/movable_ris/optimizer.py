@@ -103,6 +103,7 @@ class ProblemContext:
     trial: TrialChannels
     tx_power_w: float
     noise_power_w: float
+    beams: dict[str, tuple[np.ndarray, np.ndarray]]  # ScenarioPack.beams: the stages' beam axes
     saw_rank_deficiency: bool = False
     _cache_key: tuple[float, float] | None = field(default=None, repr=False)
     _cache: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
@@ -145,17 +146,16 @@ class ProblemContext:
 
         No hop or composite matrix is formed. At one position the cached
         A = F2 H_IR and C = H_TI F1 give (A diag(e^{j phi})) C; per-particle
-        positions reduce the hop factors H = L R as
-        ((F2 L_IR) R_IR diag(e^{j phi})) (L_TI (R_TI F1)).
+        positions take A and C as the products of hop factors whose Tx and UE
+        ends are projected onto F1's and F2's beams one array axis at a time.
         """
         if np.ndim(state.x) == 0 and np.ndim(state.y) == 0:
             _, _, a, c = self.hop_matrices(state.x, state.y)
         else:
             xy = np.stack(np.broadcast_arrays(state.x, state.y), axis=-1)
-            l_ti, r_ti = hop_factors(self.config, self.geometry, self.trial, xy, "tx_ris")
-            l_ir, r_ir = hop_factors(self.config, self.geometry, self.trial, xy, "ris_rx")
-            a = (self.f2 @ l_ir) @ r_ir
-            c = l_ti @ (r_ti @ self.f1)
+            args = (self.config, self.geometry, self.trial, xy)
+            a = np.matmul(*hop_factors(*args, "ris_rx", beams=(self.beams["f2"], None)))
+            c = np.matmul(*hop_factors(*args, "tx_ris", beams=(None, self.beams["f1"])))
         e = np.exp(1j * np.asarray(state.phases, dtype=float))
         return self._rates((a * e[..., None, :]) @ c, reduced=True)
 

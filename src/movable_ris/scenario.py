@@ -285,10 +285,11 @@ def parse_config(
 ) -> tuple[SystemConfig, DeploymentGeometry]:
     """Parse flat key/value text, overriding ``base`` (defaults if omitted).
 
-    Lines are ``name = value`` with ``#`` comments; unknown keys raise.
+    Lines are ``name = value`` with ``#`` comments; unknown or repeated keys raise.
     """
     config, geometry = base if base is not None else default_config()
     updates: dict[type, dict] = {SystemConfig: {}, PsoParams: {}, DeploymentGeometry: {}}
+    first_line: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -300,6 +301,8 @@ def parse_config(
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if (first := first_line.setdefault(key, lineno)) != lineno:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {first}")
         cls, name, cast, length = _CONFIG_KEYS[key]
         tokens = value.split()
         try:

@@ -271,19 +271,79 @@ def test_relay_loop_equals_per_particle_effective_channel(
     np.testing.assert_allclose(searched, rates, rtol=FACTORED_RTOL, atol=0.0)
 
 
+# --- per-axis projection onto the RF beams --------------------------------------
+
+
+def _kron_steering(elevations, azimuths, m_x, m_y, spacing):
+    """``steering_matrix`` column by column, each the np.kron of its per-axis phase vectors."""
+    ux = np.sin(elevations) * np.cos(azimuths)
+    uy = np.sin(elevations) * np.sin(azimuths)
+    columns = [np.kron(np.exp(-2j * np.pi * spacing * np.arange(m_x) * a),
+                       np.exp(-2j * np.pi * spacing * np.arange(m_y) * b))
+               for a, b in zip(ux.ravel(), uy.ravel())]
+    return np.swapaxes(np.reshape(columns, (*ux.shape, m_x * m_y)), -1, -2)
+
+
+def _line_pack(seed):
+    config, geometry = default_config()
+    config = replace(config, tx_antennas=(1, 8), rx_antennas=(1, 5), ris_elements=(1, 4),
+                     pso=PsoParams(swarm_size=6, iterations=4))
+    return build_scenario_pack(config, geometry, seed)
+
+
+@given(
+    scale=st.sampled_from(["default", "toy", "line"]),
+    trial_index=st.integers(min_value=0, max_value=30),
+    draw_seed=st.integers(min_value=0, max_value=10_000),
+    count=st.integers(min_value=1, max_value=6),
+    clamp=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_per_axis_projection_equals_beams_times_steering(scale, trial_index, draw_seed, count,
+                                                         clamp):
+    pack = {"default": _default_pack, "toy": _toy_pack, "line": _line_pack}[scale](4)
+    config = pack.config
+    trial = baselines.trial_channels(pack, trial_index)
+    xy = np.column_stack(_positions(pack, draw_seed, count, clamp))
+    into = channel._link_paths(config, pack.geometry, trial, xy, "tx_ris")
+    out = channel._link_paths(config, pack.geometry, trial, xy, "ris_rx")
+    tx, rx = config.tx_antennas, config.rx_antennas
+    ends = (  # each RF stage as rows of beams, with the angles its end sees
+        ("f1", pack.f1.T, tx, into.dep_elevation, into.dep_azimuth),
+        ("relay_f2_hop1", pack.relay_f2_hop1, rx, into.arr_elevation, into.arr_azimuth),
+        ("f2", pack.f2, rx, out.arr_elevation, out.arr_azimuth),
+        ("relay_f1_hop2", pack.relay_f1_hop2.T, tx, out.dep_elevation, out.dep_azimuth),
+    )
+    spacing = config.element_spacing_wavelengths
+    for name, beams, shape, el, az in ends:
+        full = steering_matrix(el, az, *shape, spacing)
+        assert full.tobytes() == _kron_steering(el, az, *shape, spacing).tobytes()
+        projected = channel._steering(el, az, *shape, spacing, pack.beams[name])
+        # entries are bounded by |beam| |column| = sqrt(M); rounding is held relative to that
+        bound = FACTORED_RTOL * math.sqrt(shape[0] * shape[1])
+        np.testing.assert_allclose(projected, beams @ full, rtol=0.0, atol=bound, err_msg=name)
+
+
 # --- memory ---------------------------------------------------------------------
 
-# A (10, 64, 64) complex stack alone is 655 KB: holding every particle's
-# composite or hop matrix at once would cross this.
-BATCH_PEAK_BYTES = 1 << 20
+# A (10, 64, 64) complex stack alone is 655 KB, and a batch that formed the
+# 64-row steering blocks of the beamformed ends (rather than projecting them
+# onto their beams per axis) peaked at 505-656 KB.
+BATCH_PEAK_BYTES = 384 << 10
+
+SEARCHES = {  # each searching kind, with its swarm dimension at M_I RIS elements
+    "joint": (BaselineKind.MOVABLE_RIS_JOINT, lambda m: m + 2),
+    "relay": (BaselineKind.FD_RELAY, lambda m: 2),
+    "random_phase": (BaselineKind.MOVABLE_RIS_RANDOM_PHASE, lambda m: 2),
+    "phase_only": (BaselineKind.FIXED_RIS_OPT_PHASE, lambda m: m),
+}
 
 
-@pytest.mark.parametrize("kind", ["joint", "relay"])
+@pytest.mark.parametrize("kind", list(SEARCHES))
 def test_default_scale_batch_peak_allocation(kind):
     pack = _default_pack(3)
-    search = {"joint": BaselineKind.MOVABLE_RIS_JOINT, "relay": BaselineKind.FD_RELAY}[kind]
-    dim = pack.config.num_ris + 2 if kind == "joint" else 2
-    particles = rng_stream(7, 0).random((10, dim))
+    search, dimension = SEARCHES[kind]
+    particles = rng_stream(7, 0).random((10, dimension(pack.config.num_ris)))
     with _objective_of(search, pack, 0) as objective:  # the one the swarm is handed
         objective(particles)  # first-call allocations (caches, lazy imports) are not the batch's
         tracemalloc.start()

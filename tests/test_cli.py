@@ -183,6 +183,17 @@ def test_non_finite_config_value_is_an_error(tmp_path, capsys):
     assert "carrier_frequency_ghz must be finite" in capsys.readouterr().err
 
 
+def test_config_key_set_twice_is_an_error(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text(TINY_CONFIG + "tx_power_dbm = 10\n# a comment\ntx_power_dbm = 20\n")
+    rc = main(["sweep-power", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "line 10: 'tx_power_dbm' is already set on line 8" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_and_pso_overrides(tmp_path, tiny_config_file):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

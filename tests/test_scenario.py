@@ -190,6 +190,15 @@ def test_parse_config_rejects_unknown_key():
         parse_config("not_a_field = 3\n")
 
 
+@pytest.mark.parametrize("first, second", [("tx_power_dbm = 10", "tx_power_dbm = 20"),
+                                           ("pso_iterations = 4", "  pso_iterations=4  # same"),
+                                           ("ue_position = 1 2 3", "ue_position = 4 5 3")])
+def test_parse_config_rejects_a_key_set_twice(first, second):
+    key = first.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"line 4: '{key}' is already set on line 2"):
+        parse_config(f"# header\n{first}\nnum_paths = 4\n{second}\n")
+
+
 def test_parse_config_rejects_malformed_line():
     with pytest.raises(ConfigError):
         parse_config("tx_power_dbm 17.5\n")
