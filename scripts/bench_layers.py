@@ -115,7 +115,7 @@ def layers_of(module) -> dict:
 
     a, c = ris_hops()
     reduced = (a * np.exp(2j * np.pi * joint[:, None, 2:])) @ c
-    budget = (pack.tx_power_w, config.num_streams, pack.noise_power_w)
+    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
     layers = {
         "steering": lambda: channel.steering_matrix(paths.dep_elevation, paths.dep_azimuth,
                                                     *config.tx_antennas,

@@ -20,7 +20,6 @@ from .channel import (
     link_channel,
     mean_angles_from_geometry,
     path_loss_linear,
-    steering_vector,
 )
 from .beamforming import (
     AngleSupport,

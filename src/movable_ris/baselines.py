@@ -104,8 +104,6 @@ class ScenarioPack:
     f2: np.ndarray
     relay_f2_hop1: np.ndarray
     relay_f1_hop2: np.ndarray
-    tx_power_w: float
-    noise_power_w: float
     pso_seed: int = 0
     fd_relay_outcomes: dict[int, TrialOutcome] = field(
         default_factory=dict, repr=False, compare=False
@@ -195,8 +193,6 @@ def build_scenario_pack(
         f2=f2,
         relay_f2_hop1=relay_f2,
         relay_f1_hop2=relay_f1,
-        tx_power_w=config.tx_power_watts,
-        noise_power_w=config.noise_power_watts,
         pso_seed=seed if pso_seed is None else pso_seed,
     )
 
@@ -213,8 +209,6 @@ def make_problem_context(pack: ScenarioPack, trial_index: int) -> ProblemContext
         f1=pack.f1,
         f2=pack.f2,
         trial=trial_channels(pack, trial_index),
-        tx_power_w=pack.tx_power_w,
-        noise_power_w=pack.noise_power_w,
         beams=pack.beams,
     )
 
@@ -281,15 +275,14 @@ def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y, factored: bool
     """
     config = pack.config
     xy = np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
-    budget = (pack.tx_power_w, config.num_streams, pack.noise_power_w)
+    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
     hop_rates = []
     for link, relay_shape, rx, tx in (("tx_ris", config.rx_antennas, "relay_f2_hop1", "f1"),
                                       ("ris_rx", config.tx_antennas, "f2", "relay_f1_hop2")):
         f2, f1 = getattr(pack, rx), getattr(pack, tx)
         beams = (pack.beams[rx], pack.beams[tx]) if factored else (None, None)
         left, right = hop_factors(config, pack.geometry, trial, xy, link, relay_shape, beams)
-        h = left @ right if factored else map(np.matmul, left, right)
-        hop_rates.append(hybrid_link_rate(f2, h, f1, *budget, reduced=factored))
+        hop_rates.append(hybrid_link_rate(f2, left @ right, f1, *budget, reduced=factored))
     (rate1, deficient1), (rate2, deficient2) = hop_rates
     rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
     return rate, deficient1 | deficient2

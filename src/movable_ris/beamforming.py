@@ -87,11 +87,6 @@ class EffectiveChannel:
     vh: np.ndarray           # right singular vectors, conjugate-transposed
     rank: int | np.ndarray
 
-    def select(self, rows: np.ndarray) -> EffectiveChannel:
-        """The stack entries picked by a boolean mask over the leading axes."""
-        return EffectiveChannel(self.matrix[rows], self.u[rows], self.singular_values[rows],
-                                self.vh[rows], self.rank[rows])
-
 
 @dataclass
 class BbStages:
@@ -315,18 +310,9 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def effective_channel(f2: np.ndarray, h, f1: np.ndarray) -> EffectiveChannel:
-    """Reduced channel F2 H F1 with a deterministically phased SVD.
-
-    ``h`` is one channel matrix, a (..., M_2, M_1) stack, or an iterable of
-    matrices that is consumed one matrix at a time (the result is then a
-    stack), so large channel matrices need not be held all at once.
-    """
-    if isinstance(h, np.ndarray):
-        mat = f2 @ h @ f1
-    else:
-        mat = np.array([f2 @ h_b @ f1 for h_b in h])
-    return _decompose(mat)
+def effective_channel(f2: np.ndarray, h: np.ndarray, f1: np.ndarray) -> EffectiveChannel:
+    """Reduced channel F2 H F1 of one matrix or a (..., M_2, M_1) stack, with a phased SVD."""
+    return _decompose(f2 @ h @ f1)
 
 
 def _decompose(mat: np.ndarray) -> EffectiveChannel:
@@ -385,7 +371,7 @@ def bb_stages(
     to machine precision at half-wavelength spacing). Rank-deficient
     channels degrade to rank-many streams and are flagged, not resampled.
     Every channel of a stack must have the same stream count;
-    ``hybrid_link_rate`` groups a stack by it.
+    ``hybrid_link_rate`` runs a stack of mixed counts row by row.
     """
     ranks = np.ravel(eff.rank).tolist()
     counts = {_stream_count(rank, num_streams) for rank in ranks}
@@ -464,34 +450,29 @@ def achievable_rate(
 
 def hybrid_link_rate(
     f2: np.ndarray,
-    h,
+    h: np.ndarray,
     f1: np.ndarray,
     tx_power_w: float,
     num_streams: int,
     noise_power_w: float,
     reduced: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full pipeline for a (B, M_2, M_1) stack of channel matrices or an iterable of them.
+    """Full pipeline for a (B, M_2, M_1) stack of channel matrices.
 
-    ``h`` is taken as by ``effective_channel``, or with ``reduced`` is a
+    ``h`` is reduced by ``effective_channel``, or with ``reduced`` is a
     stack already reduced to F2 H F1 (as a search's factored hops are); one
     matrix goes in as a stack of one. Returns (rates, rank_deficient) as (B,)
-    arrays. Channels are grouped by stream count (rank-deficient ones carry
-    fewer streams) and each group runs as one stack.
+    arrays. A stack whose rows share one stream count runs as one unit; rows
+    of mixed counts (rank-deficient ones carry fewer streams) run one at a
+    time, each as a reduced stack of one.
     """
     eff = _decompose(h) if reduced else effective_channel(f2, h, f1)
     # Rank bookkeeping in Python ints: integer-array ufuncs would map numpy code
     # that nothing else in a sweep touches, which shows in peak RSS.
-    streams = [_stream_count(rank, num_streams) for rank in eff.rank.tolist()]
-    counts = set(streams)
-    rates = np.empty(len(streams))
-    deficient = np.empty(len(streams), dtype=bool)
-    whole = len(counts) == 1  # the usual case: the whole stack, without mask copies
-    for count in counts:
-        rows = slice(None) if whole else np.array([s == count for s in streams])
-        group = eff if whole else eff.select(rows)
-        bb = bb_stages(group, tx_power_w, num_streams, f1)
-        bf = BeamformerSet(f1, bb.b1, f2, bb.b2, bb.streams, bb.rank_deficient)
-        rates[rows] = achievable_rate(bf, group, noise_power_w)
-        deficient[rows] = bb.rank_deficient
-    return rates, deficient
+    if len({_stream_count(rank, num_streams) for rank in eff.rank.tolist()}) > 1:
+        budget = (tx_power_w, num_streams, noise_power_w)
+        rows = [hybrid_link_rate(f2, m[None], f1, *budget, reduced=True) for m in eff.matrix]
+        return tuple(np.concatenate(parts) for parts in zip(*rows))
+    bb = bb_stages(eff, tx_power_w, num_streams, f1)
+    bf = BeamformerSet(f1, bb.b1, f2, bb.b2, bb.streams, bb.rank_deficient)
+    return achievable_rate(bf, eff, noise_power_w), bb.rank_deficient

@@ -27,7 +27,6 @@ __all__ = [
     "PathSet",
     "TrialChannels",
     "ChannelRealization",
-    "steering_vector",
     "steering_matrix",
     "path_loss_linear",
     "path_amplitude",
@@ -103,17 +102,6 @@ class ChannelRealization:
 
     h_tx_ris: np.ndarray  # (M_I, M_1)
     h_ris_rx: np.ndarray  # (M_2, M_I)
-
-
-def steering_vector(
-    elevation: float, azimuth: float, m_x: int, m_y: int, spacing: float
-) -> np.ndarray:
-    """Unit-norm URA steering vector, x-major Kronecker ordering.
-
-    Entry (m_x, m_y) carries phase -2*pi*d*(m_x*sin(el)*cos(az) +
-    m_y*sin(el)*sin(az)); the per-entry modulus is 1/sqrt(m_x*m_y).
-    """
-    return steering_matrix([elevation], [azimuth], m_x, m_y, spacing)[:, 0] / math.sqrt(m_x * m_y)
 
 
 def steering_matrix(

@@ -25,6 +25,7 @@ from .scenario import (
 DEFAULT_POWERS = (0.0, 10.0, 20.0, 30.0, 40.0)
 DEFAULT_ELEMENTS = (16, 36, 64, 100)
 DEFAULT_UE_POSITIONS = ((60.0, 90.0, 2.0), (70.0, 85.0, 2.0), (85.0, 75.0, 2.0))
+POWER_HELP = "P_T in dBm (default: the config's tx_power_dbm)"
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -58,18 +59,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-elements", help="achievable rate vs RIS element count")
     p.add_argument("--elements", type=str, default=None,
                    help="comma-separated element counts (perfect squares)")
-    p.add_argument("--power-dbm", type=float, default=30.0)
+    p.add_argument("--power-dbm", type=float, default=None, help=POWER_HELP)
     _add_common(p)
 
     p = sub.add_parser("ue-scenarios", help="compare schemes across UE positions")
     p.add_argument("--ue-positions", type=str, default=None,
                    help="semicolon-separated x,y,z triples")
-    p.add_argument("--power-dbm", type=float, default=30.0)
+    p.add_argument("--power-dbm", type=float, default=None, help=POWER_HELP)
     _add_common(p)
 
     p = sub.add_parser("single-run", help="one baseline at one operating point")
     p.add_argument("--baseline", type=str, default=BaselineKind.MOVABLE_RIS_JOINT.value)
-    p.add_argument("--power-dbm", type=float, default=30.0)
+    p.add_argument("--power-dbm", type=float, default=None, help=POWER_HELP)
     _add_common(p)
 
     p = sub.add_parser("oracle-check", help="swarm search vs exhaustive grid on a tiny instance")
@@ -138,11 +139,14 @@ def _parse_position(text: str) -> tuple[float, float, float]:
     return coords
 
 
-def _run_sweep(args, kind: str, values: tuple, out_name: str) -> int:
+def _run_sweep(args, kind: str, values: tuple | None, out_name: str) -> int:
+    """Run and write one sweep; ``values`` None sweeps the configured power alone."""
     config, geometry = _load_scenario(args)
     power = getattr(args, "power_dbm", None)
     if power is not None:
         config = replace(config, tx_power_dbm=power)
+    if values is None:
+        values = (config.tx_power_dbm,)
     for value in values:
         errors = validate(*apply_swept_value(config, geometry, kind, value))
         if errors:
@@ -179,7 +183,7 @@ def _cmd_single_run(args) -> int:
         valid = ", ".join(k.value for k in BaselineKind)
         raise ConfigError(f"unknown baseline {args.baseline!r}; valid: {valid}") from None
     args.baselines = kind.value
-    return _run_sweep(args, "single", (args.power_dbm,), "single-run")
+    return _run_sweep(args, "single", None, "single-run")
 
 
 def _cmd_oracle_check(args) -> int:

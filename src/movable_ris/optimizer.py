@@ -21,8 +21,7 @@ import numpy as np
 from .beamforming import hybrid_link_rate
 # Not called here; sweepbench/tracer.py wraps these names in this namespace.
 from .beamforming import achievable_rate, bb_stages, effective_channel  # noqa: F401
-from .channel import composite_channel  # noqa: F401
-from .channel import TrialChannels, hop_factors, realize_channels
+from .channel import TrialChannels, composite_channel, hop_factors, realize_channels
 from .scenario import DeploymentGeometry, PsoParams, SystemConfig
 
 __all__ = [
@@ -101,8 +100,6 @@ class ProblemContext:
     f1: np.ndarray
     f2: np.ndarray
     trial: TrialChannels
-    tx_power_w: float
-    noise_power_w: float
     beams: dict[str, tuple[np.ndarray, np.ndarray]]  # ScenarioPack.beams: the stages' beam axes
     saw_rank_deficiency: bool = False
     _cache_key: tuple[float, float] | None = field(default=None, repr=False)
@@ -123,22 +120,23 @@ class ProblemContext:
         return self._cache
 
     def _rates(self, h, reduced: bool) -> np.ndarray:
-        rates, deficient = hybrid_link_rate(self.f2, h, self.f1, self.tx_power_w,
-                                            self.config.num_streams, self.noise_power_w, reduced)
+        config = self.config
+        rates, deficient = hybrid_link_rate(self.f2, h, self.f1, config.tx_power_watts,
+                                            config.num_streams, config.noise_power_watts, reduced)
         self.saw_rank_deficiency |= bool(np.any(deficient))
         return rates
 
     def rate_for(self, state: RisState) -> float | np.ndarray:
         """Reference rate (bps/Hz) at one position: a float for one phase vector, (Z,) for (Z, M_I).
 
-        Each composite H_IR diag(e^{j phi}) H_TI is formed from the cached
-        hop matrices and reduced by the rate pipeline. Reported rates and the
-        grid oracle come from here.
+        The composites H_IR diag(e^{j phi}) H_TI are formed as one stack from
+        the cached hop matrices and reduced by the rate pipeline. Reported
+        rates and the grid oracle come from here.
         """
         h_ti, h_ir, _, _ = self.hop_matrices(state.x, state.y)
         phases = np.asarray(state.phases, dtype=float)
-        factors = np.exp(1j * phases.reshape(-1, self.config.num_ris))
-        rates = self._rates(((h_ir * e_b) @ h_ti for e_b in factors), reduced=False)
+        h = composite_channel(h_ir, phases.reshape(-1, self.config.num_ris), h_ti)
+        rates = self._rates(h, reduced=False)
         return rates if phases.ndim > 1 else float(rates[0])
 
     def search_rates(self, state: RisState) -> np.ndarray:

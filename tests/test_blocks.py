@@ -34,7 +34,7 @@ from movable_ris.channel import (
     wavelength_m,
 )
 from movable_ris.scenario import PsoParams, default_config, rng_stream
-from test_batch import _objective_of
+from test_batch import FACTORED_RTOL, _objective_of
 
 
 def _reference_mean_angles(pos_a, pos_b, boresight_a, boresight_b) -> LinkAngles:
@@ -192,11 +192,6 @@ def _positions(pack, draw_seed, count, clamp):
     return optimizer.decode_xy(p[:, 0], p[:, 1], pack.geometry)
 
 
-# The searches score particles on factored reductions of the hops; those
-# round differently from the reference pipeline, by at most this much.
-FACTORED_RTOL = 1e-13
-
-
 @given(
     scale=st.sampled_from(["default", "toy"]),
     trial_index=st.integers(min_value=0, max_value=30),
@@ -232,10 +227,12 @@ def test_ris_loop_equals_composite_then_effective_channel(
         (eff,) = seen
         assert _eff_bytes(eff, 0) == _eff_bytes(row)
         assert eff.rank[0] == row.rank
-        expected, _ = hybrid_link_rate(pack.f2, h[None], pack.f1, pack.tx_power_w,
-                                       pack.config.num_streams, pack.noise_power_w)
+        expected, _ = hybrid_link_rate(pack.f2, h[None], pack.f1, pack.config.tx_power_watts,
+                                       pack.config.num_streams, pack.config.noise_power_watts)
         assert np.float64(rate).tobytes() == expected[0].tobytes()
         reference.append(rate)
+    if shared == "position":  # a (Z, M_I) phase batch at one position is Z single calls
+        assert context.rate_for(state).tobytes() == np.array(reference).tobytes()
     np.testing.assert_allclose(searched, reference, rtol=FACTORED_RTOL, atol=0.0)
 
 
@@ -263,7 +260,7 @@ def test_relay_loop_equals_per_particle_effective_channel(
         for batch, row in ((hop1, effective_channel(pack.relay_f2_hop1, h1, pack.f1)),
                            (hop2, effective_channel(pack.f2, h2, pack.relay_f1_hop2))):
             assert _eff_bytes(batch, b) == _eff_bytes(row)
-        args = (pack.tx_power_w, config.num_streams, pack.noise_power_w)
+        args = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
         rate1, _ = hybrid_link_rate(pack.relay_f2_hop1, h1[None], pack.f1, *args)
         rate2, _ = hybrid_link_rate(pack.f2, h2[None], pack.relay_f1_hop2, *args)
         assert rates[b].tobytes() == min(rate1[0], rate2[0]).tobytes()

@@ -22,7 +22,7 @@ from movable_ris.channel import (
     path_amplitude,
     path_loss_linear,
     realize_channels,
-    steering_vector,
+    steering_matrix,
     translation_phases,
     wavelength_m,
 )
@@ -40,6 +40,15 @@ def draw_paths(
     gains = draw_gains(num_paths, rng)
     offsets = draw_angle_offsets(spread_el, spread_az, num_paths, rng)
     return make_path_set(means, offsets, gains)
+
+
+def steering_vector(elevation, azimuth, m_x, m_y, spacing):
+    """Unit-norm URA steering vector, x-major Kronecker ordering.
+
+    Entry (m_x, m_y) carries phase -2*pi*d*(m_x*sin(el)*cos(az) +
+    m_y*sin(el)*sin(az)); the per-entry modulus is 1/sqrt(m_x*m_y).
+    """
+    return steering_matrix([elevation], [azimuth], m_x, m_y, spacing)[:, 0] / math.sqrt(m_x * m_y)
 
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)

@@ -246,6 +246,28 @@ def test_pso_seed_folds_into_the_digest(tmp_path, tiny_config_file):
     assert digests["unset"][1] == config_digest(replace(config, monte_carlo_trials=1), geometry)
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep-elements", "--elements", "4"],
+    ["ue-scenarios", "--ue-positions", "60,90,2"],
+    ["single-run", "--baseline", "fixed_ris_random_phase"],
+])
+def test_power_dbm_overrides_the_config_only_when_given(tmp_path, command):
+    path = tmp_path / "power.cfg"
+    path.write_text(TINY_CONFIG + "tx_power_dbm = 10.0\n")
+    args = command + ["--baselines", "fixed_ris_random_phase", "--trials", "1",
+                      "--config", str(path)]
+    powers = {}
+    for name, extra in (("config", []), ("flag", ["--power-dbm", "20"])):
+        out = tmp_path / name
+        assert main(args + extra + ["--out", str(out)]) == 0
+        meta = json.loads((out / "results_meta.json").read_text())
+        powers[name] = (meta["config"]["tx_power_dbm"], meta["results"][0]["swept_value"])
+    if command[0] == "single-run":  # its one point is the power
+        assert powers == {"config": (10.0, "10.0"), "flag": (20.0, "20.0")}
+    else:
+        assert [power for power, _ in powers.values()] == [10.0, 20.0]
+
+
 def test_cli_byte_identical_repeat(tmp_path, tiny_config_file):
     # determinism across separate processes (same interpreter, same seed)
     outs = []

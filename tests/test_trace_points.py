@@ -50,6 +50,21 @@ def test_every_trace_point_resolves(tracer):
     assert missing == []
 
 
+def test_every_unused_import_is_a_trace_point(tracer):
+    # a name imported only for the tracer must go once TRACE_POINTS stops naming it
+    points = {(getattr(owner, "__name__", None), attr) for owner, attr, _ in tracer.TRACE_POINTS}
+    package = Path(harness.__file__).parent
+    stray = []
+    for path in sorted(package.glob("*.py")):
+        module = f"movable_ris.{path.stem}"
+        for line in path.read_text().splitlines():
+            code, marker, _ = line.partition("# noqa: F401")
+            if marker:
+                names = code.rsplit("import ", 1)[-1].replace(",", " ").split()
+                stray += [f"{module}.{name}" for name in names if (module, name) not in points]
+    assert stray == []
+
+
 def test_every_history_check_wrap_point_resolves(monkeypatch):
     checks = _import_sweepbench(monkeypatch, "checks")
     wrapped = []
