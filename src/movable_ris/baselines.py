@@ -18,16 +18,11 @@ import numpy as np
 
 from .beamforming import angle_support, covering_rf_stages, design_rf_stages, hybrid_link_rate
 from .channel import DOWN, UP, TrialChannels, draw_trial, hop_factors, mean_angles_from_geometry
-# Not called here; sweepbench/tracer.py wraps this name in this namespace.
+# Not called here; sweepbench/tracer.py wraps these names in this namespace, and
+# sweepbench/checks.py wraps run_pso here too.
 from .channel import link_channel  # noqa: F401
-from .optimizer import (
-    ProblemContext,
-    RisState,
-    TWO_PI,
-    decode_xy,
-    run,
-    run_pso,
-)
+from .optimizer import run_pso  # noqa: F401
+from .optimizer import ProblemContext, RisState, TWO_PI, decode_xy, run
 from .scenario import (
     STREAM_AUX,
     STREAM_CHANNEL,
@@ -43,7 +38,6 @@ __all__ = [
     "ScenarioPack",
     "build_scenario_pack",
     "make_problem_context",
-    "fixed_ris_rate",
     "relay_rate",
     "run_baseline",
 ]
@@ -218,46 +212,17 @@ def _random_phases(pack: ScenarioPack, trial_index: int, kind: BaselineKind) -> 
     return rng.uniform(0.0, TWO_PI, pack.config.num_ris)
 
 
-def _search(pack: ScenarioPack, trial_index: int, kind: BaselineKind, context, dim: int,
-            decode_state) -> TrialOutcome:
-    """One swarm search of ``kind`` on one trial, reported through the reference pipeline.
-
-    The swarm runs on the kind's own stream over ``dim`` unit-interval
-    coordinates and climbs ``context.search_rates`` of the decoded (Z, D)
-    batches; the outcome is ``context.rate_for`` of the decoded best vector.
-    """
+def _search(pack: ScenarioPack, trial_index: int, kind: BaselineKind, context,
+            space=None) -> TrialOutcome:
+    """One swarm search of ``kind`` over ``space`` (see ``optimizer.run``) on its own stream."""
     rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO, _PSO_FAMILY[kind])
-    best_vec, _, _ = run_pso(lambda v: context.search_rates(decode_state(v)), dim,
-                             pack.config.pso, rng)
-    state = decode_state(best_vec)
-    rate = context.rate_for(state)
+    state, rate, _ = run(context, pack.config.pso, rng, space)
     return TrialOutcome(rate, state.x, state.y, state.phases, context.saw_rank_deficiency)
 
 
 def _on_platform(geometry: DeploymentGeometry, phases):
-    """Decoder of unit-square coordinates, (Z, 2) or (2,), to states sharing ``phases``."""
-    return lambda v: RisState(*decode_xy(v[..., 0], v[..., 1], geometry), phases)
-
-
-def fixed_ris_rate(
-    pack: ScenarioPack, trial_index: int, optimize_phase: bool
-) -> TrialOutcome:
-    """RIS pinned to the platform center; phases optimized or random."""
-    context = make_problem_context(pack, trial_index)
-    cx, cy = pack.geometry.platform_center()
-    if optimize_phase:
-        return _search(pack, trial_index, BaselineKind.FIXED_RIS_OPT_PHASE, context,
-                       pack.config.num_ris, lambda v: RisState(cx, cy, (TWO_PI * v) % TWO_PI))
-    phases = _random_phases(pack, trial_index, BaselineKind.FIXED_RIS_RANDOM_PHASE)
-    rate = context.rate_for(RisState(cx, cy, phases))
-    return TrialOutcome(rate, cx, cy, phases, context.saw_rank_deficiency)
-
-
-def _movable_random_phase(pack: ScenarioPack, trial_index: int) -> TrialOutcome:
-    """Phases drawn once per trial, position searched over the platform."""
-    phases = _random_phases(pack, trial_index, BaselineKind.MOVABLE_RIS_RANDOM_PHASE)
-    return _search(pack, trial_index, BaselineKind.MOVABLE_RIS_RANDOM_PHASE,
-                   make_problem_context(pack, trial_index), 2, _on_platform(pack.geometry, phases))
+    """The position-only space: unit-square points, (Z, 2) or (2,), to states sharing ``phases``."""
+    return 2, lambda v: RisState(*decode_xy(v[..., 0], v[..., 1], geometry), phases)
 
 
 def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y, factored: bool = False):
@@ -319,10 +284,9 @@ def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcom
         raise ValueError(f"duplex must be 'fd' or 'hd', got {duplex!r}")
     fd = pack.fd_relay_outcomes.get(trial_index)
     if fd is None:
+        context = _RelaySearch(pack, trial_channels(pack, trial_index))
         fd = pack.fd_relay_outcomes[trial_index] = _search(
-            pack, trial_index, BaselineKind.FD_RELAY,
-            _RelaySearch(pack, trial_channels(pack, trial_index)), 2,
-            _on_platform(pack.geometry, None))
+            pack, trial_index, BaselineKind.FD_RELAY, context, _on_platform(pack.geometry, None))
     return fd if duplex == "fd" else replace(fd, rate=fd.rate / 2.0)
 
 
@@ -330,19 +294,20 @@ def run_baseline(
     kind: BaselineKind, pack: ScenarioPack, trial_index: int
 ) -> TrialOutcome:
     """Dispatch one baseline kind on one common-random-numbers trial."""
+    if kind in (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY):
+        return relay_rate(pack, trial_index, "fd" if kind == BaselineKind.FD_RELAY else "hd")
+    context = make_problem_context(pack, trial_index)
+    cx, cy = pack.geometry.platform_center()
     if kind == BaselineKind.MOVABLE_RIS_JOINT:
-        context = make_problem_context(pack, trial_index)
-        rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO, _PSO_FAMILY[kind])
-        state, rate, _ = run(context, pack.config.pso, rng)
-        return TrialOutcome(rate, state.x, state.y, state.phases, context.saw_rank_deficiency)
+        return _search(pack, trial_index, kind, context)
     if kind == BaselineKind.FIXED_RIS_OPT_PHASE:
-        return fixed_ris_rate(pack, trial_index, optimize_phase=True)
-    if kind == BaselineKind.FIXED_RIS_RANDOM_PHASE:
-        return fixed_ris_rate(pack, trial_index, optimize_phase=False)
+        phase_space = (pack.config.num_ris, lambda v: RisState(cx, cy, (TWO_PI * v) % TWO_PI))
+        return _search(pack, trial_index, kind, context, phase_space)
     if kind == BaselineKind.MOVABLE_RIS_RANDOM_PHASE:
-        return _movable_random_phase(pack, trial_index)
-    if kind == BaselineKind.FD_RELAY:
-        return relay_rate(pack, trial_index, "fd")
-    if kind == BaselineKind.HD_RELAY:
-        return relay_rate(pack, trial_index, "hd")
+        phases = _random_phases(pack, trial_index, kind)
+        return _search(pack, trial_index, kind, context, _on_platform(pack.geometry, phases))
+    if kind == BaselineKind.FIXED_RIS_RANDOM_PHASE:
+        phases = _random_phases(pack, trial_index, kind)
+        rate = context.rate_for(RisState(cx, cy, phases))
+        return TrialOutcome(rate, cx, cy, phases, context.saw_rank_deficiency)
     raise ValueError(f"unknown baseline kind {kind!r}")

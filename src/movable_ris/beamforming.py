@@ -23,7 +23,6 @@ __all__ = [
     "AngleSupport",
     "BeamformerSet",
     "EffectiveChannel",
-    "BbStages",
     "build_grid",
     "angle_support",
     "support_points",
@@ -89,23 +88,19 @@ class EffectiveChannel:
 
 
 @dataclass
-class BbStages:
+class BeamformerSet:
+    """Analog + digital stages for one link direction.
+
+    For a stack of channels the digital stages and ``rank_deficient`` carry
+    the stack's leading axes.
+    """
+
+    f1: np.ndarray | None    # (num_tx, n_tx_beams)
     b1: np.ndarray           # (..., n_tx_beams, streams)
+    f2: np.ndarray | None    # (n_rx_beams, num_rx)
     b2: np.ndarray           # (..., streams, n_rx_beams)
     streams: int
-    rank_deficient: bool | np.ndarray
-
-
-@dataclass
-class BeamformerSet:
-    """Analog + digital stages for one link direction."""
-
-    f1: np.ndarray           # (num_tx, n_tx_beams)
-    b1: np.ndarray
-    f2: np.ndarray           # (n_rx_beams, num_rx)
-    b2: np.ndarray
-    streams: int
-    rank_deficient: bool = False
+    rank_deficient: bool | np.ndarray = False
 
 
 def build_grid(m_x: int, m_y: int) -> QuantizedGrid:
@@ -362,7 +357,7 @@ def bb_stages(
     tx_power_w: float,
     num_streams: int,
     f1: np.ndarray | None = None,
-) -> BbStages:
+) -> BeamformerSet:
     """Digital precoder/combiner from the dominant singular subspace.
 
     B1 = sqrt(P_T/N_S) * V_1 and B2 = U_1^H. When ``f1`` is supplied, B1 is
@@ -371,7 +366,9 @@ def bb_stages(
     to machine precision at half-wavelength spacing). Rank-deficient
     channels degrade to rank-many streams and are flagged, not resampled.
     Every channel of a stack must have the same stream count;
-    ``hybrid_link_rate`` runs a stack of mixed counts row by row.
+    ``hybrid_link_rate`` runs a stack of mixed counts row by row. The
+    stages come as a BeamformerSet holding ``f1`` and no F2, which
+    ``hybrid_link_rate`` fills in.
     """
     ranks = np.ravel(eff.rank).tolist()
     counts = {_stream_count(rank, num_streams) for rank in ranks}
@@ -390,7 +387,7 @@ def bb_stages(
         if scaled.all():
             scaled = ...  # every matrix, without boolean-mask copies
         b1[scaled] *= np.sqrt(tx_power_w / actual[scaled])[..., None, None]
-    return BbStages(b1, b2, streams, rank_deficient)
+    return BeamformerSet(f1, b1, None, b2, streams, rank_deficient)
 
 
 def _whitened_rate(w: np.ndarray, q: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -473,6 +470,6 @@ def hybrid_link_rate(
         budget = (tx_power_w, num_streams, noise_power_w)
         rows = [hybrid_link_rate(f2, m[None], f1, *budget, reduced=True) for m in eff.matrix]
         return tuple(np.concatenate(parts) for parts in zip(*rows))
-    bb = bb_stages(eff, tx_power_w, num_streams, f1)
-    bf = BeamformerSet(f1, bb.b1, f2, bb.b2, bb.streams, bb.rank_deficient)
-    return achievable_rate(bf, eff, noise_power_w), bb.rank_deficient
+    bf = bb_stages(eff, tx_power_w, num_streams, f1)
+    bf.f2 = f2
+    return achievable_rate(bf, eff, noise_power_w), bf.rank_deficient

@@ -105,7 +105,8 @@ class ChannelRealization:
 
 
 def steering_matrix(
-    elevations: np.ndarray, azimuths: np.ndarray, m_x: int, m_y: int, spacing: float
+    elevations: np.ndarray, azimuths: np.ndarray, m_x: int, m_y: int, spacing: float,
+    beams=None,
 ) -> np.ndarray:
     """Stack of unnormalized steering vectors, one column per direction.
 
@@ -113,14 +114,10 @@ def steering_matrix(
     (..., m_x*m_y, L), one matrix per leading index. Each column is the
     x-major Kronecker product of its per-axis phase factors: row n =
     m_x_index * m_y + m_y_index.
-    """
-    return _steering(elevations, azimuths, m_x, m_y, spacing)
 
-
-def _steering(elevations, azimuths, m_x: int, m_y: int, spacing: float, beams=None):
-    """``steering_matrix``, or its (..., K, L) projection onto K RF beams given per axis.
-
-    Column l is kron(Px[:, l], Py[:, l]) and beam k is sqrt(M) kron(X[k], Y[k]), so
+    Given the per-axis factors X (K, m_x), Y (K, m_y) of K RF beams as
+    ``beams``, the result is instead the (..., K, L) projection onto them:
+    column l is kron(Px[:, l], Py[:, l]) and beam k is sqrt(M) kron(X[k], Y[k]), so
     their product is sqrt(M) (X Px)[k, l] (Y Py)[k, l], taken one array axis at a time.
     """
     el = np.asarray(elevations, dtype=float)
@@ -297,9 +294,9 @@ def _link_factors(
         [path_amplitude(carrier_ghz, float(d), exponent, mode) for d in distance.flat],
         distance.shape,
     )
-    left = _steering(paths.arr_elevation, paths.arr_azimuth, *rx_shape, spacing, beams[0])
+    left = steering_matrix(paths.arr_elevation, paths.arr_azimuth, *rx_shape, spacing, beams[0])
     left *= (amp * paths.gains)[..., None, :]
-    right = _steering(paths.dep_elevation, paths.dep_azimuth, *tx_shape, spacing, beams[1])
+    right = steering_matrix(paths.dep_elevation, paths.dep_azimuth, *tx_shape, spacing, beams[1])
     return left, np.swapaxes(right, -1, -2)
 
 

@@ -101,10 +101,14 @@ def _load_scenario(args) -> tuple[SystemConfig, DeploymentGeometry]:
         config = replace(config, pso=pso)
     if args.pso_seed is not None and args.pso_seed < 0:
         raise ConfigError(f"--pso-seed must be a non-negative integer, got {args.pso_seed}")
+    _check(config, geometry, "configuration")
+    return config, geometry
+
+
+def _check(config: SystemConfig, geometry: DeploymentGeometry, what: str) -> None:
     errors = validate(config, geometry)
     if errors:
-        raise ConfigError("invalid configuration: " + "; ".join(errors))
-    return config, geometry
+        raise ConfigError(f"invalid {what}: " + "; ".join(errors))
 
 
 def _parse_baselines(text: str | None) -> tuple[BaselineKind, ...]:
@@ -148,14 +152,12 @@ def _run_sweep(args, kind: str, values: tuple | None, out_name: str) -> int:
     if values is None:
         values = (config.tx_power_dbm,)
     for value in values:
-        errors = validate(*apply_swept_value(config, geometry, kind, value))
-        if errors:
-            raise ConfigError(f"invalid {kind} value {value!r}: " + "; ".join(errors))
+        _check(*apply_swept_value(config, geometry, kind, value), f"{kind} value {value!r}")
     spec = SweepSpec(
         kind=kind,
         values=values,
         baselines=_parse_baselines(args.baselines),
-        trials=args.trials if args.trials is not None else config.monte_carlo_trials,
+        trials=config.monte_carlo_trials,
         seed=config.rng_seed,
         pso_seed=args.pso_seed,
     )
@@ -202,6 +204,7 @@ def _cmd_oracle_check(args) -> int:
         num_streams=2,
         pso=replace(config.pso, swarm_size=10, iterations=50),
     )
+    _check(config, geometry, "oracle-check configuration")
     pso_seed = args.pso_seed if args.pso_seed is not None else config.rng_seed
     pack = build_scenario_pack(config, geometry, config.rng_seed)
     hits = 0

@@ -2,6 +2,8 @@
 
 Particles live in the unit hypercube [0,1]^(M_I+2): the first two entries map
 affinely onto the platform rectangle, the rest scale to phases in [0, 2pi).
+Baselines search part of this space (phases at a fixed position, or the
+position alone) through the same routine with a decoder of their own.
 The swarm follows the usual velocity recursion with the social term pulling
 toward the global best and the cognitive term toward each particle's personal
 best; both bests are strict argmaxes over history, so the global-best value
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +33,6 @@ __all__ = [
     "SwarmState",
     "decode",
     "decode_xy",
-    "fitness",
     "init_swarm",
     "pso_step",
     "run_pso",
@@ -105,10 +107,6 @@ class ProblemContext:
     _cache_key: tuple[float, float] | None = field(default=None, repr=False)
     _cache: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
-    @property
-    def dimension(self) -> int:
-        return self.config.num_ris + 2
-
     def hop_matrices(self, x: float, y: float) -> tuple[np.ndarray, ...]:
         """H_TI, H_IR and their reductions F2 H_IR, H_TI F1 at one position."""
         key = (float(x), float(y))
@@ -156,11 +154,6 @@ class ProblemContext:
             c = np.matmul(*hop_factors(*args, "tx_ris", beams=(None, self.beams["f1"])))
         e = np.exp(1j * np.asarray(state.phases, dtype=float))
         return self._rates((a * e[..., None, :]) @ c, reduced=True)
-
-
-def fitness(vectors: np.ndarray, context: ProblemContext) -> np.ndarray:
-    """Search objective (bps/Hz): the (Z,) values of a (Z, D) batch of particle positions."""
-    return context.search_rates(decode(vectors, context.geometry))
 
 
 @dataclass
@@ -287,16 +280,22 @@ def run_pso(
 
 
 def run(
-    context: ProblemContext, params: PsoParams, rng: np.random.Generator
+    context: ProblemContext,
+    params: PsoParams,
+    rng: np.random.Generator,
+    space: tuple[int, Callable[[np.ndarray], RisState]] | None = None,
 ) -> tuple[RisState, float, list[float]]:
-    """Joint position/phase search over the full M_I + 2 dimensions.
+    """Swarm search over one kind's ``space``: its dimension and its decoder to a ``RisState``.
 
-    The swarm climbs ``fitness``; the rate returned is ``rate_for`` of the returned state.
+    The default space is the joint position/phase search over M_I + 2
+    dimensions with ``decode``. The swarm climbs ``context.search_rates`` of
+    the decoded (Z, D) batches; the rate returned is ``context.rate_for`` of
+    the decoded best vector. The relay passes a context of its own with
+    that search surface.
     """
-    best_vec, _, history = run_pso(
-        lambda v: fitness(v, context), context.dimension, params, rng
-    )
-    state = decode(best_vec, context.geometry)
+    dim, decoder = space or (context.config.num_ris + 2, lambda v: decode(v, context.geometry))
+    best_vec, _, history = run_pso(lambda v: context.search_rates(decoder(v)), dim, params, rng)
+    state = decoder(best_vec)
     return state, context.rate_for(state), history
 
 

@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from movable_ris import baselines
+from movable_ris import optimizer
 from movable_ris.baselines import (
     BaselineKind,
     build_scenario_pack,
-    fixed_ris_rate,
     make_problem_context,
     relay_rate,
     run_baseline,
@@ -77,8 +76,8 @@ def test_optimized_phase_beats_random_statistically():
     _, _, pack = small_pack()
     opt, rand = [], []
     for t in range(25):
-        opt.append(fixed_ris_rate(pack, t, optimize_phase=True).rate)
-        rand.append(fixed_ris_rate(pack, t, optimize_phase=False).rate)
+        opt.append(run_baseline(BaselineKind.FIXED_RIS_OPT_PHASE, pack, t).rate)
+        rand.append(run_baseline(BaselineKind.FIXED_RIS_RANDOM_PHASE, pack, t).rate)
     assert np.mean(opt) > np.mean(rand)
     # optimization dominates per matched trial as well (same frozen channel)
     assert np.mean(np.array(opt) >= np.array(rand)) >= 0.9
@@ -89,8 +88,8 @@ def test_single_element_phase_invariance():
     # absorbs: optimized and random phases give the same rate on every trial
     _, _, pack = small_pack(ris_elements=(1, 1))
     for t in range(5):
-        opt = fixed_ris_rate(pack, t, optimize_phase=True).rate
-        rand = fixed_ris_rate(pack, t, optimize_phase=False).rate
+        opt = run_baseline(BaselineKind.FIXED_RIS_OPT_PHASE, pack, t).rate
+        rand = run_baseline(BaselineKind.FIXED_RIS_RANDOM_PHASE, pack, t).rate
         assert opt == pytest.approx(rand, abs=1e-9)
 
 
@@ -105,14 +104,14 @@ def test_hd_is_exactly_half_fd():
 
 def test_fd_then_hd_runs_one_search(monkeypatch):
     _, _, pack = small_pack(seed=43)
-    run_pso = baselines.run_pso
+    run_pso = optimizer.run_pso
     searches = []
 
     def counting(*args, **kwargs):
         searches.append(1)
         return run_pso(*args, **kwargs)
 
-    monkeypatch.setattr(baselines, "run_pso", counting)
+    monkeypatch.setattr(optimizer, "run_pso", counting)
     fd = relay_rate(pack, 0, "fd")
     hd = relay_rate(pack, 0, "hd")
     assert len(searches) == 1

@@ -75,7 +75,6 @@ def _objective_of(kind, pack, trial_index, zero_channel=False):
         return trial
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(baselines, "run_pso", capture)
         mp.setattr(optimizer, "run_pso", capture)
         mp.setattr(baselines, "trial_channels", trial_channels)
         # a private outcome store: the placeholder search must not reach the cached pack
@@ -152,7 +151,7 @@ def test_ill_conditioned_pack_reaches_the_eigenvalue_fallback(monkeypatch):
     pack = _ill_conditioned(_pack())
     context = baselines.make_problem_context(pack, 0)
     particles = _particles(3, 6, pack.config.num_ris + 2, clamp=False, duplicate=False)
-    values = optimizer.fitness(particles, context)
+    values = context.search_rates(optimizer.decode(particles, context.geometry))
     assert np.all(np.isfinite(values))
     assert sum(calls) == 6
     # the squeezed stage is read exactly per axis, so the objective is rate_for up to rounding

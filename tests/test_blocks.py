@@ -315,7 +315,7 @@ def test_per_axis_projection_equals_beams_times_steering(scale, trial_index, dra
     for name, beams, shape, el, az in ends:
         full = steering_matrix(el, az, *shape, spacing)
         assert full.tobytes() == _kron_steering(el, az, *shape, spacing).tobytes()
-        projected = channel._steering(el, az, *shape, spacing, pack.beams[name])
+        projected = channel.steering_matrix(el, az, *shape, spacing, pack.beams[name])
         # entries are bounded by |beam| |column| = sqrt(M); rounding is held relative to that
         bound = FACTORED_RTOL * math.sqrt(shape[0] * shape[1])
         np.testing.assert_allclose(projected, beams @ full, rtol=0.0, atol=bound, err_msg=name)

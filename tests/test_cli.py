@@ -356,6 +356,17 @@ def test_oracle_check_rejects_a_meaningless_ratio(ratio, capsys):
     assert err.startswith("error: ") and "--ratio" in err
 
 
+def test_oracle_check_validates_the_config_it_runs(tmp_path, capsys):
+    # the file is valid as given, but oracle-check's own two streams need two RF chains
+    path = tmp_path / "one_chain.cfg"
+    path.write_text("max_rf_chains = 1\nnum_streams = 1\n")
+    rc = main(["oracle-check", "--seeds", "1", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "RF chains" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("kinds", ["fixed_ris_random_phase",
                                    "fixed_ris_random_phase,fixed_ris_opt_phase"])
 def test_negative_pso_seed_is_an_error_before_any_work(tmp_path, kinds, capsys):

@@ -14,7 +14,6 @@ from movable_ris.optimizer import (
     RisState,
     brute_force_joint,
     decode,
-    fitness,
     init_swarm,
     pso_step,
     run,
@@ -91,7 +90,8 @@ def test_fitness_is_pure():
     config, geometry, pack = tiny_scenario()
     ctx = make_problem_context(pack, 0)
     vec = rng_stream(1, 0).random(4)
-    assert fitness(vec[None], ctx)[0] == fitness(vec[None], ctx)[0]
+    state = decode(vec[None], ctx.geometry)
+    assert ctx.search_rates(state)[0] == ctx.search_rates(state)[0]
 
 
 def test_fitness_zero_channel_context():
@@ -100,7 +100,8 @@ def test_fitness_zero_channel_context():
     ctx.trial.gains_tx_ris = np.zeros_like(ctx.trial.gains_tx_ris)
     ctx.trial.gains_ris_rx = np.zeros_like(ctx.trial.gains_ris_rx)
     for seed in range(5):
-        assert fitness(rng_stream(seed, 0).random(4)[None], ctx)[0] == 0.0
+        state = decode(rng_stream(seed, 0).random(4)[None], ctx.geometry)
+        assert ctx.search_rates(state)[0] == 0.0
 
 
 def test_fitness_phase_wrap_invariance():
@@ -512,7 +513,8 @@ def test_fitness_at_brute_force_argmax_beats_random_particles():
     ctx = make_problem_context(pack, 0)
     _, oracle = brute_force_joint(ctx, 6, 8)
     rng = rng_stream(7, 0)
-    random_vals = [fitness(rng.random(4)[None], ctx)[0] for _ in range(100)]
+    random_vals = [ctx.search_rates(decode(rng.random(4)[None], ctx.geometry))[0]
+                   for _ in range(100)]
     # the grid argmax dominates random sampling on the same landscape almost
     # surely; allow the tiny chance a random point lands on a better peak
     assert oracle >= np.quantile(random_vals, 0.95)

@@ -96,6 +96,7 @@ def test_every_search_reaches_the_percentile_spans(tracer, kind):
         spans.patch(patcher)
         harness.monte_carlo_point(config, geometry, kind, 1, 3)
     stats = spans.stats()
+    assert stats["optimizer.run"].calls == 1  # every searching kind goes through the one routine
     assert stats["optimizer.run_pso"].calls == 1
     assert stats["beamforming.effective_channel"].calls >= 1
     assert stats["beamforming.achievable_rate"].calls >= 1
