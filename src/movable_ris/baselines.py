@@ -98,7 +98,7 @@ class ScenarioPack:
     f2: np.ndarray
     relay_f2_hop1: np.ndarray
     relay_f1_hop2: np.ndarray
-    pso_seed: int = 0
+    pso_seed: int | None = None  # None: the searches are keyed by ``seed``
     fd_relay_outcomes: dict[int, TrialOutcome] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -163,22 +163,17 @@ def _platform_halfwidths(geometry: DeploymentGeometry, node) -> tuple[float, flo
     return worst_el, worst_az
 
 
-@functools.lru_cache(maxsize=1)
 def build_scenario_pack(
     config: SystemConfig,
     geometry: DeploymentGeometry,
     seed: int,
     pso_seed: int | None = None,
 ) -> ScenarioPack:
-    """Precompute RF stages; ``pso_seed`` re-keys only the search streams.
-
-    Consecutive calls with identical arguments return the same pack, so the
-    kinds at one swept value share it, and with it the fd_relay searches.
-    """
+    """Precompute RF stages; ``pso_seed`` re-keys only the search streams."""
     f1, f2 = design_rf_stages(config, geometry)
     relay_f2, relay_f1 = _relay_stages(config, geometry)
     for stage in (f1, f2, relay_f2, relay_f1):
-        stage.flags.writeable = False  # every caller of the cached pack shares them
+        stage.flags.writeable = False  # every kind run on the pack shares them
     return ScenarioPack(
         config=config,
         geometry=geometry,
@@ -187,7 +182,7 @@ def build_scenario_pack(
         f2=f2,
         relay_f2_hop1=relay_f2,
         relay_f1_hop2=relay_f1,
-        pso_seed=seed if pso_seed is None else pso_seed,
+        pso_seed=pso_seed,
     )
 
 
@@ -215,7 +210,8 @@ def _random_phases(pack: ScenarioPack, trial_index: int, kind: BaselineKind) -> 
 def _search(pack: ScenarioPack, trial_index: int, kind: BaselineKind, context,
             space=None) -> TrialOutcome:
     """One swarm search of ``kind`` over ``space`` (see ``optimizer.run``) on its own stream."""
-    rng = rng_stream(pack.pso_seed, trial_index, STREAM_PSO, _PSO_FAMILY[kind])
+    pso_seed = pack.seed if pack.pso_seed is None else pack.pso_seed
+    rng = rng_stream(pso_seed, trial_index, STREAM_PSO, _PSO_FAMILY[kind])
     state, rate, _ = run(context, pack.config.pso, rng, space)
     return TrialOutcome(rate, state.x, state.y, state.phases, context.saw_rank_deficiency)
 

@@ -39,8 +39,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Conditioning threshold above which the rate falls back to the whitened
-# eigenvalue evaluation instead of the direct determinant.
+# Conditioning threshold of the combiner Gram F2 F2^H above which the rate
+# takes the whitened eigenvalue evaluation instead of the direct determinant.
+# B2 = U1^H has orthonormal rows, so cond(W) <= cond(F2 F2^H) for every W.
 _COND_LIMIT = 1e12
 
 
@@ -138,7 +139,6 @@ def select_beams(
     support: AngleSupport,
     min_beams: int,
     max_beams: int,
-    per_axis: int = 96,
 ) -> list[tuple[float, float]]:
     """Grid pairs whose cell intersects the support, clamped to [min, max].
 
@@ -151,7 +151,7 @@ def select_beams(
     deficit.
     """
     m_x, m_y = grid.shape
-    pts = support_points(support, per_axis)
+    pts = support_points(support)
     ix = np.clip(np.floor((pts[:, 0] + 1.0) * m_x / 2.0).astype(int), 0, m_x - 1)
     iy = np.clip(np.floor((pts[:, 1] + 1.0) * m_y / 2.0).astype(int), 0, m_y - 1)
     counts = np.zeros((m_x, m_y), dtype=int)
@@ -409,9 +409,12 @@ def achievable_rate(
     """Spectral efficiency in bps/Hz of the combined two-stage link.
 
     R = log2 det(I + W^-1 (B2 Heff B1)(B2 Heff B1)^H) with the noise
-    covariance W = sigma^2 B2 F2 F2^H B2^H. Ill-conditioned W falls back to
-    a whitened eigenvalue evaluation; a singular W is ridge-regularized at
-    1e-12 relative to its trace. A stack gives one rate per channel.
+    covariance W = sigma^2 B2 F2 F2^H B2^H. One branch serves every channel
+    of a call, chosen from the combiner alone: B2 = U1^H has orthonormal
+    rows, so cond(W) <= cond(F2 F2^H), and when that exceeds _COND_LIMIT
+    the rate takes a whitened eigenvalue evaluation instead of the direct
+    determinant. A singular W is ridge-regularized at 1e-12 relative to its
+    trace. A stack gives one rate per channel.
     """
     b2f2 = bf.b2 @ bf.f2
     w = noise_power_w * (b2f2 @ _hermitian(b2f2))
@@ -429,18 +432,12 @@ def achievable_rate(
         w = np.where(degenerate[:, None, None], w + 1e-12 * np.eye(n), w)
         trace = np.trace(w, axis1=-2, axis2=-1).real
 
-    cond = np.linalg.cond(w)
-    fallback = ~np.isfinite(cond) | (cond > _COND_LIMIT)
-    rates = np.empty(trace.shape)
-    direct = slice(None)  # every row, without boolean-mask copies
-    if fallback.any():
-        rates[fallback] = _whitened_rate(w[fallback], q[fallback], trace[fallback])
-        direct = ~fallback
-        w, q = w[direct], q[direct]
-    if len(w):
+    if np.linalg.cond(bf.f2 @ _hermitian(bf.f2)) <= _COND_LIMIT:
         m = np.eye(n) + np.linalg.solve(w, q)
         logdet = np.linalg.slogdet(m)[1] / math.log(2.0)
-        rates[direct] = np.where(logdet < 0.0, 0.0, logdet)  # max(logdet, 0.0), NaN kept
+        rates = np.where(logdet < 0.0, 0.0, logdet)  # max(logdet, 0.0), NaN kept
+    else:  # also a NaN condition number
+        rates = _whitened_rate(w, q, trace)
     rates = rates.reshape(batch)
     return rates if batch else float(rates)
 

@@ -357,19 +357,14 @@ def _link_paths(
     means = (_stacked_mean_angles(geometry.tx_position, platform, UP, DOWN) if into
              else _stacked_mean_angles(platform, geometry.ue_position, DOWN, UP))
     means = LinkAngles(*(field[:, None] for field in means))
-    if into:
-        gains, offsets = trial.gains_tx_ris, trial.offsets_tx_ris
-        side_el = means.arr_elevation + offsets.arr_elevation
-        side_az = means.arr_azimuth + offsets.arr_azimuth
-    else:
-        gains, offsets = trial.gains_ris_rx, trial.offsets_ris_rx
-        side_el = means.dep_elevation + offsets.dep_elevation
-        side_az = means.dep_azimuth + offsets.dep_azimuth
+    paths = (make_path_set(means, trial.offsets_tx_ris, trial.gains_tx_ris) if into
+             else make_path_set(means, trial.offsets_ris_rx, trial.gains_ris_rx))
+    side = ((paths.arr_elevation, paths.arr_azimuth) if into
+            else (paths.dep_elevation, paths.dep_azimuth))
     delta = xy - geometry.platform_center()
-    gains = gains * translation_phases(
-        side_el, side_az, delta, wavelength_m(config.carrier_frequency_ghz)
-    )
-    return make_path_set(means, offsets, gains)
+    paths.gains = paths.gains * translation_phases(
+        *side, delta, wavelength_m(config.carrier_frequency_ghz))
+    return paths
 
 
 def hop_factors(

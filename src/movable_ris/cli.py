@@ -8,17 +8,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .baselines import BaselineKind, build_scenario_pack, make_problem_context
+from .baselines import BaselineKind, build_scenario_pack, make_problem_context, run_baseline
 from .harness import SweepSpec, apply_swept_value, emit_plot_script, sweep, write_results
-from .optimizer import brute_force_joint, run
+from .optimizer import brute_force_joint
 from .scenario import (
-    STREAM_PSO,
     ConfigError,
     DeploymentGeometry,
     SystemConfig,
     default_config,
     parse_config,
-    rng_stream,
     validate,
 )
 
@@ -205,15 +203,13 @@ def _cmd_oracle_check(args) -> int:
         pso=replace(config.pso, swarm_size=10, iterations=50),
     )
     _check(config, geometry, "oracle-check configuration")
-    pso_seed = args.pso_seed if args.pso_seed is not None else config.rng_seed
-    pack = build_scenario_pack(config, geometry, config.rng_seed)
+    pack = build_scenario_pack(config, geometry, config.rng_seed, args.pso_seed)
     hits = 0
     worst = float("inf")
     for s in range(args.seeds):
         context = make_problem_context(pack, s)
         _, oracle_val = brute_force_joint(context, args.position_steps, args.phase_steps)
-        rng = rng_stream(pso_seed, s, STREAM_PSO, 0)
-        _, pso_val, _ = run(context, config.pso, rng)
+        pso_val = run_baseline(BaselineKind.MOVABLE_RIS_JOINT, pack, s).rate
         ratio = pso_val / oracle_val if oracle_val > 0 else 1.0
         worst = min(worst, ratio)
         if ratio >= args.ratio:

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineKind, build_scenario_pack, run_baseline, trial_channels
+from .baselines import (BaselineKind, ScenarioPack, build_scenario_pack, run_baseline,
+                        trial_channels)
 from .beamforming import InvalidBeamError
 from .channel import DegenerateGeometryError, realize_channels
 from .scenario import (
@@ -139,24 +140,21 @@ def _dump_matrix(path: Path, matrix: np.ndarray) -> None:
 
 
 def monte_carlo_point(
-    config: SystemConfig,
-    geometry: DeploymentGeometry,
+    pack: ScenarioPack,
     kind: BaselineKind,
     trials: int,
-    seed: int,
     sweep_kind: str = "single",
     swept_value=None,
     dump_dir: Path | None = None,
-    pso_seed: int | None = None,
 ) -> RateResult:
-    """Average one baseline over ``trials`` frozen channel draws.
+    """Average one baseline over ``trials`` frozen channel draws of ``pack``.
 
-    Trial t consumes substreams keyed by (seed, t). A trial fails when it
+    Trial t consumes substreams keyed by (pack.seed, t). A trial fails when it
     raises one of TRIAL_FAILURES or its rate is not finite; failures are
     recorded, never silently dropped, and the point is flagged when more
     than 10% of trials fail. Any other exception propagates.
     """
-    pack = build_scenario_pack(config, geometry, seed, pso_seed)
+    config, geometry = pack.config, pack.geometry
     rates: list[float] = []
     positions: list[tuple[float, float]] = []
     failed: list[int] = []
@@ -197,11 +195,11 @@ def monte_carlo_point(
         mean_rate=mean,
         stderr=stderr,
         trials=trials,
-        seed=seed,
-        config_digest=config_digest(config, geometry, pso_seed),
+        seed=pack.seed,
+        config_digest=config_digest(config, geometry, pack.pso_seed),
         ris_x=positions[best][0] if best >= 0 else math.nan,
         ris_y=positions[best][1] if best >= 0 else math.nan,
-        pso_seed=pso_seed,
+        pso_seed=pack.pso_seed,
         per_trial_rates=rates,
         per_trial_positions=positions,
         failed_trials=failed,
@@ -217,30 +215,22 @@ def sweep(
 ) -> list[RateResult]:
     """Cartesian product of swept values and baseline kinds, in spec order.
 
-    All kinds at one value share the same seed-derived trials (common random
-    numbers).
+    Each value gets one scenario pack, which all its kinds share: the same
+    seed-derived trials (common random numbers), the same RF stages, and
+    the fd_relay searches that hd_relay halves.
     """
     results: list[RateResult] = []
     for value in spec.values:
-        point_config, point_geometry = apply_swept_value(config, geometry, spec.kind, value)
+        pack = build_scenario_pack(
+            *apply_swept_value(config, geometry, spec.kind, value), spec.seed, spec.pso_seed)
         for kind in spec.baselines:
             point_dump = None
             if dump_dir is not None:
                 label = format_swept_value(spec.kind, value).replace("/", "_")
                 point_dump = Path(dump_dir) / f"{spec.kind}_{label}"
-            results.append(
-                monte_carlo_point(
-                    point_config,
-                    point_geometry,
-                    kind,
-                    spec.trials,
-                    spec.seed,
-                    sweep_kind=spec.kind,
-                    swept_value=value,
-                    dump_dir=point_dump,
-                    pso_seed=spec.pso_seed,
-                )
-            )
+            results.append(monte_carlo_point(
+                pack, kind, spec.trials, sweep_kind=spec.kind, swept_value=value,
+                dump_dir=point_dump))
     return results
 
 
@@ -303,14 +293,14 @@ def write_results(
 
 _LINE_PLOT_TEMPLATE = """\
 #!/usr/bin/env python3
-\"\"\"Plot {sweep_kind} sweep results from {csv_name} (same directory).\"\"\"
+\"\"\"Plot {sweep_kind} sweep results from results.csv (same directory).\"\"\"
 import csv
 from collections import defaultdict
 from pathlib import Path
 
 import matplotlib.pyplot as plt
 
-csv_path = Path(__file__).resolve().parent / {csv_name!r}
+csv_path = Path(__file__).resolve().parent / 'results.csv'
 series = defaultdict(list)
 with csv_path.open() as fh:
     for row in csv.DictReader(fh):
@@ -336,14 +326,14 @@ print("wrote", csv_path.with_suffix(".png"))
 
 _UE_PLOT_TEMPLATE = """\
 #!/usr/bin/env python3
-\"\"\"Grouped bars per UE position plus optimized-position scatter, from {csv_name}.\"\"\"
+\"\"\"Grouped bars per UE position plus optimized-position scatter, from results.csv.\"\"\"
 import csv
 from collections import defaultdict
 from pathlib import Path
 
 import matplotlib.pyplot as plt
 
-csv_path = Path(__file__).resolve().parent / {csv_name!r}
+csv_path = Path(__file__).resolve().parent / 'results.csv'
 rows = []
 with csv_path.open() as fh:
     rows = list(csv.DictReader(fh))
@@ -400,9 +390,8 @@ def emit_plot_script(
     results: list[RateResult],
     path: Path,
     geometry: DeploymentGeometry,
-    csv_name: str = "results.csv",
 ) -> Path:
-    """Write a standalone matplotlib script next to the CSV it reads.
+    """Write a standalone matplotlib script next to the results.csv it reads.
 
     Refuses mixed sweep kinds; the script references the CSV only by
     relative path so the output directory can be moved wholesale.
@@ -415,7 +404,6 @@ def emit_plot_script(
     sweep_kind = kinds.pop()
     if sweep_kind == "ue_scenarios":
         text = _UE_PLOT_TEMPLATE.format(
-            csv_name=csv_name,
             platform_x=list(geometry.platform_x_range),
             platform_y=list(geometry.platform_y_range),
         )
@@ -425,9 +413,7 @@ def emit_plot_script(
             "elements": "RIS elements",
             "single": "Transmit power (dBm)",
         }[sweep_kind]
-        text = _LINE_PLOT_TEMPLATE.format(
-            sweep_kind=sweep_kind, csv_name=csv_name, x_label=x_label
-        )
+        text = _LINE_PLOT_TEMPLATE.format(sweep_kind=sweep_kind, x_label=x_label)
     path = Path(path)
     path.write_text(text)
     return path

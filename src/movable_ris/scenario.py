@@ -197,6 +197,10 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
         errors.append("element spacing must be positive")
     if config.carrier_frequency_ghz <= 0:
         errors.append("carrier frequency must be positive")
+    elif config.path_loss_mode == "alpha" and 32.4 + 20.0 * math.log10(
+            config.carrier_frequency_ghz) <= 0.0:
+        errors.append("alpha path loss needs carrier_frequency_ghz above 10^(-32.4/20) "
+                      f"= 0.0240 GHz, got {config.carrier_frequency_ghz}")
     if config.path_loss_mode not in ("alpha", "db"):
         errors.append(f"unknown path_loss_mode {config.path_loss_mode!r}")
     if config.monte_carlo_trials < 1:

@@ -127,20 +127,16 @@ def test_hd_first_on_new_pack_is_half_fd():
         assert (hd.x, hd.y) == (fd.x, fd.y)
 
 
-def test_scenario_pack_reused_only_for_identical_arguments():
-    config, geometry = default_config()
-    pack = build_scenario_pack(config, geometry, 5, None)
-    assert build_scenario_pack(config, geometry, 5, None) is pack
-    for args in (
-        (config, geometry, 6, None),
-        (config, geometry, 5, 9),
-        (replace(config, tx_power_dbm=20.0), geometry, 5, None),
-        (config, replace(geometry, ue_position=(90.0, 100.0, 2.0)), 5, None),
-    ):
-        other = build_scenario_pack(*args)
-        assert other is not pack
-        assert build_scenario_pack(*args) is other
-        pack = other
+def test_unset_pso_seed_keys_the_searches_by_the_channel_seed():
+    config, geometry, pack = small_pack(seed=45)
+    assert pack.pso_seed is None
+    same = build_scenario_pack(config, geometry, 45, 45)
+    other = build_scenario_pack(config, geometry, 45, 46)
+    kind = BaselineKind.MOVABLE_RIS_JOINT
+    base, resolved = run_baseline(kind, pack, 0), run_baseline(kind, same, 0)
+    assert (resolved.rate, resolved.x, resolved.y) == (base.rate, base.x, base.y)
+    np.testing.assert_array_equal(resolved.phases, base.phases)
+    assert run_baseline(kind, other, 0).rate != base.rate
 
 
 def test_relay_rejects_unknown_duplex():

@@ -38,8 +38,8 @@ def _pack(seed=5):
     return build_scenario_pack(config, geometry, seed)
 
 
-def _ill_conditioned(pack):
-    """The same pack with receive beam 1 moved 1e-11 in cosine from beam 0, so W is near singular.
+def _ill_conditioned(pack, gap=1e-11):
+    """The same pack with receive beam 1 moved ``gap`` in cosine from beam 0, so W is near singular.
 
     Both are ``rf_steering_column`` beams, which ``ScenarioPack.beams`` reads one axis at a time.
     """
@@ -50,7 +50,7 @@ def _ill_conditioned(pack):
         # beam 0's cosines from its phase steps along x and along y
         lam_x, lam_y = np.angle(f2[0, [m_y, 1]] / f2[0, 0]) / (2 * math.pi * spacing)
         f2 = f2.copy()
-        f2[1] = rf_steering_column(lam_x + 1e-11, lam_y, m_x, m_y, spacing)
+        f2[1] = rf_steering_column(lam_x + gap, lam_y, m_x, m_y, spacing)
         return f2
     return replace(pack, f2=squeeze(pack.f2), relay_f2_hop1=squeeze(pack.relay_f2_hop1),
                    fd_relay_outcomes={})
@@ -138,8 +138,9 @@ def test_relay_batch_equals_min_hop_rate_rows():
         assert deficient.tolist() == [d[0] for _, d in rows]
 
 
-def test_ill_conditioned_pack_reaches_the_eigenvalue_fallback(monkeypatch):
-    # keeps the property test above honest about what it covers
+@pytest.fixture()
+def whitened_rows(monkeypatch):
+    """Row counts of each call that takes the whitened eigenvalue branch of the rate."""
     calls = []
     real = beamforming._whitened_rate
 
@@ -148,15 +149,34 @@ def test_ill_conditioned_pack_reaches_the_eigenvalue_fallback(monkeypatch):
         return real(w, q, trace)
 
     monkeypatch.setattr(beamforming, "_whitened_rate", counted)
+    return calls
+
+
+def test_ill_conditioned_pack_reaches_the_eigenvalue_fallback(whitened_rows):
+    # keeps the property test above honest about what it covers
     pack = _ill_conditioned(_pack())
     context = baselines.make_problem_context(pack, 0)
     particles = _particles(3, 6, pack.config.num_ris + 2, clamp=False, duplicate=False)
     values = context.search_rates(optimizer.decode(particles, context.geometry))
     assert np.all(np.isfinite(values))
-    assert sum(calls) == 6
+    assert sum(whitened_rows) == 6
     # the squeezed stage is read exactly per axis, so the objective is rate_for up to rounding
     reference = [context.rate_for(optimizer.decode(p, pack.geometry)) for p in particles]
     np.testing.assert_allclose(values, reference, rtol=FACTORED_RTOL, atol=0.0)
+
+
+def test_objective_and_reference_take_one_rate_branch(whitened_rows):
+    # cond(F2 F2^H) bounds cond(W) of every row, so the objective and rate_for take one
+    # branch; at this gap and trial, cond(W) itself lies on both sides of the limit.
+    pack = _ill_conditioned(_pack(), gap=3e-12)
+    context = baselines.make_problem_context(pack, 9)
+    particles = _particles(3, 6, pack.config.num_ris + 2, clamp=False, duplicate=False)
+    context.search_rates(optimizer.decode(particles, context.geometry))
+    assert sum(whitened_rows) == 6
+    whitened_rows.clear()
+    for p in particles:
+        context.rate_for(optimizer.decode(p, pack.geometry))
+    assert sum(whitened_rows) == 6
 
 
 def _random_stack(rng, count, rows, cols, zero_rows, rank_one_rows):

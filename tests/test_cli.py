@@ -183,6 +183,18 @@ def test_non_finite_config_value_is_an_error(tmp_path, capsys):
     assert "carrier_frequency_ghz must be finite" in capsys.readouterr().err
 
 
+def test_alpha_path_loss_below_its_reference_frequency_is_an_error(tmp_path, capsys):
+    # 32.4 + 20 log10(0.01) < 0: the alpha coefficient has no square root
+    path = tmp_path / "low.cfg"
+    path.write_text(TINY_CONFIG + "carrier_frequency_ghz = 0.01\n")
+    rc = main(["sweep-power", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "alpha path loss needs carrier_frequency_ghz above" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_key_set_twice_is_an_error(tmp_path, capsys):
     path = tmp_path / "twice.cfg"
     path.write_text(TINY_CONFIG + "tx_power_dbm = 10\n# a comment\ntx_power_dbm = 20\n")
