@@ -163,17 +163,22 @@ def _platform_halfwidths(geometry: DeploymentGeometry, node) -> tuple[float, flo
     return worst_el, worst_az
 
 
+@functools.lru_cache(maxsize=1)
 def build_scenario_pack(
     config: SystemConfig,
     geometry: DeploymentGeometry,
     seed: int,
     pso_seed: int | None = None,
 ) -> ScenarioPack:
-    """Precompute RF stages; ``pso_seed`` re-keys only the search streams."""
+    """Precompute RF stages; ``pso_seed`` re-keys only the search streams.
+
+    Consecutive calls with identical arguments return the same pack, so the
+    kinds at one swept value share it, and with it the fd_relay searches.
+    """
     f1, f2 = design_rf_stages(config, geometry)
     relay_f2, relay_f1 = _relay_stages(config, geometry)
     for stage in (f1, f2, relay_f2, relay_f1):
-        stage.flags.writeable = False  # every kind run on the pack shares them
+        stage.flags.writeable = False  # every caller of the cached pack shares them
     return ScenarioPack(
         config=config,
         geometry=geometry,

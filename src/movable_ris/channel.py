@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import DeploymentGeometry, SystemConfig
+from .scenario import DeploymentGeometry, SystemConfig, alpha_coefficient
 
 __all__ = [
     "UP",
@@ -138,7 +138,7 @@ def path_loss_linear(carrier_ghz: float, distance_m: float, exponent: float) -> 
     10^((32.4 + 20*log10(f_GHz) + 10*eta*log10(tau))/10); callers dividing
     amplitudes use its square root.
     """
-    db = 32.4 + 20.0 * math.log10(carrier_ghz) + 10.0 * exponent * math.log10(distance_m)
+    db = alpha_coefficient(carrier_ghz) + 10.0 * exponent * math.log10(distance_m)
     return 10.0 ** (db / 10.0)
 
 
@@ -154,8 +154,7 @@ def path_amplitude(
     expression interpreted in decibels.
     """
     if mode == "alpha":
-        alpha = 32.4 + 20.0 * math.log10(carrier_ghz)
-        return 1.0 / math.sqrt(alpha * distance_m**exponent)
+        return 1.0 / math.sqrt(alpha_coefficient(carrier_ghz) * distance_m**exponent)
     if mode == "db":
         return 1.0 / math.sqrt(path_loss_linear(carrier_ghz, distance_m, exponent))
     raise ValueError(f"unknown path loss mode {mode!r}")

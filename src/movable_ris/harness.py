@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import (BaselineKind, ScenarioPack, build_scenario_pack, run_baseline,
-                        trial_channels)
+from .baselines import BaselineKind, build_scenario_pack, run_baseline, trial_channels
 from .beamforming import InvalidBeamError
 from .channel import DegenerateGeometryError, realize_channels
 from .scenario import (
@@ -140,21 +139,24 @@ def _dump_matrix(path: Path, matrix: np.ndarray) -> None:
 
 
 def monte_carlo_point(
-    pack: ScenarioPack,
+    config: SystemConfig,
+    geometry: DeploymentGeometry,
     kind: BaselineKind,
     trials: int,
+    seed: int,
     sweep_kind: str = "single",
     swept_value=None,
     dump_dir: Path | None = None,
+    pso_seed: int | None = None,
 ) -> RateResult:
-    """Average one baseline over ``trials`` frozen channel draws of ``pack``.
+    """Average one baseline over ``trials`` frozen channel draws.
 
-    Trial t consumes substreams keyed by (pack.seed, t). A trial fails when it
+    Trial t consumes substreams keyed by (seed, t). A trial fails when it
     raises one of TRIAL_FAILURES or its rate is not finite; failures are
     recorded, never silently dropped, and the point is flagged when more
     than 10% of trials fail. Any other exception propagates.
     """
-    config, geometry = pack.config, pack.geometry
+    pack = build_scenario_pack(config, geometry, seed, pso_seed)
     rates: list[float] = []
     positions: list[tuple[float, float]] = []
     failed: list[int] = []
@@ -195,11 +197,11 @@ def monte_carlo_point(
         mean_rate=mean,
         stderr=stderr,
         trials=trials,
-        seed=pack.seed,
-        config_digest=config_digest(config, geometry, pack.pso_seed),
+        seed=seed,
+        config_digest=config_digest(config, geometry, pso_seed),
         ris_x=positions[best][0] if best >= 0 else math.nan,
         ris_y=positions[best][1] if best >= 0 else math.nan,
-        pso_seed=pack.pso_seed,
+        pso_seed=pso_seed,
         per_trial_rates=rates,
         per_trial_positions=positions,
         failed_trials=failed,
@@ -215,22 +217,30 @@ def sweep(
 ) -> list[RateResult]:
     """Cartesian product of swept values and baseline kinds, in spec order.
 
-    Each value gets one scenario pack, which all its kinds share: the same
-    seed-derived trials (common random numbers), the same RF stages, and
-    the fd_relay searches that hd_relay halves.
+    All kinds at one value share the same seed-derived trials (common random
+    numbers).
     """
     results: list[RateResult] = []
     for value in spec.values:
-        pack = build_scenario_pack(
-            *apply_swept_value(config, geometry, spec.kind, value), spec.seed, spec.pso_seed)
+        point_config, point_geometry = apply_swept_value(config, geometry, spec.kind, value)
         for kind in spec.baselines:
             point_dump = None
             if dump_dir is not None:
                 label = format_swept_value(spec.kind, value).replace("/", "_")
                 point_dump = Path(dump_dir) / f"{spec.kind}_{label}"
-            results.append(monte_carlo_point(
-                pack, kind, spec.trials, sweep_kind=spec.kind, swept_value=value,
-                dump_dir=point_dump))
+            results.append(
+                monte_carlo_point(
+                    point_config,
+                    point_geometry,
+                    kind,
+                    spec.trials,
+                    spec.seed,
+                    sweep_kind=spec.kind,
+                    swept_value=value,
+                    dump_dir=point_dump,
+                    pso_seed=spec.pso_seed,
+                )
+            )
     return results
 
 

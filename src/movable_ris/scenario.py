@@ -155,6 +155,11 @@ def noise_power(noise_psd_dbm_per_hz: float, bandwidth_hz: float) -> float:
     return 10.0 ** ((noise_psd_dbm_per_hz + 10.0 * math.log10(bandwidth_hz) - 30.0) / 10.0)
 
 
+def alpha_coefficient(carrier_ghz: float) -> float:
+    """The close-in reference term 32.4 + 20*log10(f_GHz) of both path-loss modes."""
+    return 32.4 + 20.0 * math.log10(carrier_ghz)
+
+
 def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
     """Return one named error per violated invariant; empty list means ok.
 
@@ -197,10 +202,10 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
         errors.append("element spacing must be positive")
     if config.carrier_frequency_ghz <= 0:
         errors.append("carrier frequency must be positive")
-    elif config.path_loss_mode == "alpha" and 32.4 + 20.0 * math.log10(
-            config.carrier_frequency_ghz) <= 0.0:
-        errors.append("alpha path loss needs carrier_frequency_ghz above 10^(-32.4/20) "
-                      f"= 0.0240 GHz, got {config.carrier_frequency_ghz}")
+    elif config.path_loss_mode == "alpha" and (
+            coefficient := alpha_coefficient(config.carrier_frequency_ghz)) <= 0.0:
+        errors.append(f"alpha path loss coefficient must be positive, got {coefficient:.4g} "
+                      f"at carrier_frequency_ghz = {config.carrier_frequency_ghz}")
     if config.path_loss_mode not in ("alpha", "db"):
         errors.append(f"unknown path_loss_mode {config.path_loss_mode!r}")
     if config.monte_carlo_trials < 1:

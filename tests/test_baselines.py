@@ -127,6 +127,22 @@ def test_hd_first_on_new_pack_is_half_fd():
         assert (hd.x, hd.y) == (fd.x, fd.y)
 
 
+def test_scenario_pack_reused_only_for_identical_arguments():
+    config, geometry = default_config()
+    pack = build_scenario_pack(config, geometry, 5, None)
+    assert build_scenario_pack(config, geometry, 5, None) is pack
+    for args in (
+        (config, geometry, 6, None),
+        (config, geometry, 5, 9),
+        (replace(config, tx_power_dbm=20.0), geometry, 5, None),
+        (config, replace(geometry, ue_position=(90.0, 100.0, 2.0)), 5, None),
+    ):
+        other = build_scenario_pack(*args)
+        assert other is not pack
+        assert build_scenario_pack(*args) is other
+        pack = other
+
+
 def test_unset_pso_seed_keys_the_searches_by_the_channel_seed():
     config, geometry, pack = small_pack(seed=45)
     assert pack.pso_seed is None

@@ -191,7 +191,7 @@ def test_alpha_path_loss_below_its_reference_frequency_is_an_error(tmp_path, cap
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "alpha path loss needs carrier_frequency_ghz above" in err
+    assert "alpha path loss coefficient must be positive, got -7.6 at" in err
     assert not (tmp_path / "out").exists()
 
 

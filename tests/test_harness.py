@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from movable_ris.baselines import BaselineKind, build_scenario_pack
+from movable_ris.baselines import BaselineKind
 from movable_ris.harness import (
     CSV_HEADER,
     SweepSpec,
@@ -40,8 +40,7 @@ def small_scenario():
 
 def test_single_trial_mean_and_zero_stderr():
     config, geometry = small_scenario()
-    pack = build_scenario_pack(config, geometry, 9)
-    r = monte_carlo_point(pack, BaselineKind.FIXED_RIS_RANDOM_PHASE, 1)
+    r = monte_carlo_point(config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 1, 9)
     assert r.trials == 1
     assert r.mean_rate == r.per_trial_rates[0]
     assert r.stderr == 0.0
@@ -49,8 +48,8 @@ def test_single_trial_mean_and_zero_stderr():
 
 def test_monte_carlo_deterministic():
     config, geometry = small_scenario()
-    a, b = (monte_carlo_point(build_scenario_pack(config, geometry, 9),
-                              BaselineKind.MOVABLE_RIS_JOINT, 4) for _ in range(2))
+    a = monte_carlo_point(config, geometry, BaselineKind.MOVABLE_RIS_JOINT, 4, 9)
+    b = monte_carlo_point(config, geometry, BaselineKind.MOVABLE_RIS_JOINT, 4, 9)
     assert a.per_trial_rates == b.per_trial_rates
     assert a.mean_rate == b.mean_rate
     assert (a.ris_x, a.ris_y) == (b.ris_x, b.ris_y)
@@ -58,8 +57,7 @@ def test_monte_carlo_deterministic():
 
 def test_mean_is_average_and_position_in_platform():
     config, geometry = small_scenario()
-    pack = build_scenario_pack(config, geometry, 9)
-    r = monte_carlo_point(pack, BaselineKind.MOVABLE_RIS_RANDOM_PHASE, 6)
+    r = monte_carlo_point(config, geometry, BaselineKind.MOVABLE_RIS_RANDOM_PHASE, 6, 9)
     assert r.mean_rate == pytest.approx(np.mean(r.per_trial_rates), rel=1e-12)
     assert geometry.contains(r.ris_x, r.ris_y)
     for x, y in r.per_trial_positions:
@@ -70,8 +68,8 @@ def test_trial_count_consistency():
     # 50- and 200-trial Monte Carlo estimates agree within 3 pooled SEs
     config, geometry = small_scenario()
     kind = BaselineKind.FIXED_RIS_RANDOM_PHASE
-    small = monte_carlo_point(build_scenario_pack(config, geometry, 9), kind, 50)
-    large = monte_carlo_point(build_scenario_pack(config, geometry, 9), kind, 200)
+    small = monte_carlo_point(config, geometry, kind, 50, 9)
+    large = monte_carlo_point(config, geometry, kind, 200, 9)
     pooled = math.hypot(small.stderr, large.stderr)
     assert abs(small.mean_rate - large.mean_rate) <= 3 * pooled
 
@@ -99,36 +97,6 @@ def test_sweep_cardinality_and_order():
     got = [(r.swept_value, r.baseline) for r in results]
     expected = [(repr(v), k) for v in (0.0, 10.0, 20.0) for k in kinds]
     assert got == expected
-
-
-@pytest.mark.parametrize("kinds", [(BaselineKind.FD_RELAY, BaselineKind.HD_RELAY),
-                                   (BaselineKind.HD_RELAY, BaselineKind.FD_RELAY)])
-def test_sweep_builds_one_pack_per_value_for_all_its_kinds(monkeypatch, kinds):
-    import movable_ris.harness as harness_mod
-    import movable_ris.optimizer as optimizer_mod
-
-    config, geometry = small_scenario()
-    calls = {"packs": [], "searches": 0}
-    real_build, real_pso = harness_mod.build_scenario_pack, optimizer_mod.run_pso
-
-    def build(*args):
-        calls["packs"].append(real_build(*args))
-        return calls["packs"][-1]
-
-    def search(*args, **kwargs):
-        calls["searches"] += 1
-        return real_pso(*args, **kwargs)
-
-    monkeypatch.setattr(harness_mod, "build_scenario_pack", build)
-    monkeypatch.setattr(optimizer_mod, "run_pso", search)
-    spec = SweepSpec(kind="power", values=(0.0, 10.0), baselines=kinds, trials=2, seed=5)
-    results = sweep(spec, config, geometry)
-    assert [p.config.tx_power_dbm for p in calls["packs"]] == [0.0, 10.0]
-    assert calls["searches"] == 4  # one relay search per (value, trial), halved for hd
-    by_kind = {(r.swept_value, r.baseline): r.per_trial_rates for r in results}
-    for value in ("0.0", "10.0"):
-        fd = by_kind[value, BaselineKind.FD_RELAY]
-        assert by_kind[value, BaselineKind.HD_RELAY] == [rate / 2.0 for rate in fd]
 
 
 def test_sweep_rejects_bad_spec():
@@ -237,8 +205,7 @@ def test_plot_script_refuses_mixed_kinds(tmp_path):
 def test_dump_channels_written(tmp_path):
     config, geometry = small_scenario()
     monte_carlo_point(
-        build_scenario_pack(config, geometry, 9), BaselineKind.FIXED_RIS_RANDOM_PHASE, 2,
-        dump_dir=tmp_path,
+        config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 2, 9, dump_dir=tmp_path
     )
     files = sorted(p.name for p in tmp_path.iterdir())
     assert files == [
@@ -256,13 +223,13 @@ def test_dump_channels_written(tmp_path):
 def test_pso_seed_rekeys_search_only():
     config, geometry = small_scenario()
     kind = BaselineKind.MOVABLE_RIS_JOINT
-    base = monte_carlo_point(build_scenario_pack(config, geometry, 9), kind, 3)
-    rekeyed = monte_carlo_point(build_scenario_pack(config, geometry, 9, 777), kind, 3)
+    base = monte_carlo_point(config, geometry, kind, 3, 9)
+    rekeyed = monte_carlo_point(config, geometry, kind, 3, 9, pso_seed=777)
     assert base.per_trial_rates != rekeyed.per_trial_rates
     # schemes without a search are untouched by the pso seed
     kind = BaselineKind.FIXED_RIS_RANDOM_PHASE
-    a = monte_carlo_point(build_scenario_pack(config, geometry, 9), kind, 3)
-    b = monte_carlo_point(build_scenario_pack(config, geometry, 9, 777), kind, 3)
+    a = monte_carlo_point(config, geometry, kind, 3, 9)
+    b = monte_carlo_point(config, geometry, kind, 3, 9, pso_seed=777)
     assert a.per_trial_rates == b.per_trial_rates
 
 
@@ -279,7 +246,7 @@ def test_trial_failures_recorded_and_point_flagged(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "run_baseline", flaky)
     r = harness_mod.monte_carlo_point(
-        build_scenario_pack(config, geometry, 9), BaselineKind.FIXED_RIS_RANDOM_PHASE, 9
+        config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 9, 9
     )
     assert r.failed_trials == [0, 3, 6]
     assert r.point_flagged  # 3/9 > 10%
@@ -298,7 +265,7 @@ def test_trial_bug_propagates(monkeypatch):
     monkeypatch.setattr(harness_mod, "run_baseline", broken)
     with pytest.raises(IndexError, match="injected shape bug"):
         harness_mod.monte_carlo_point(
-            build_scenario_pack(config, geometry, 9), BaselineKind.FIXED_RIS_RANDOM_PHASE, 3
+            config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 3, 9
         )
 
 
@@ -316,7 +283,7 @@ def test_non_finite_rate_is_a_failed_trial(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "run_baseline", nan_on_one)
     r = harness_mod.monte_carlo_point(
-        build_scenario_pack(config, geometry, 9), BaselineKind.FIXED_RIS_RANDOM_PHASE, 4
+        config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 4, 9
     )
     assert r.failed_trials == [1]
     assert len(r.per_trial_rates) == len(r.per_trial_positions) == 3

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from movable_ris import harness
-from movable_ris.baselines import BaselineKind, build_scenario_pack
+from movable_ris.baselines import BaselineKind
 from movable_ris.scenario import PsoParams, default_config
 
 SWEEPBENCH = Path(__file__).resolve().parents[1] / "sweepbench"
@@ -94,7 +94,7 @@ def test_every_search_reaches_the_percentile_spans(tracer, kind):
     spans = tracer.Tracer()
     with tracer.Patcher() as patcher:
         spans.patch(patcher)
-        harness.monte_carlo_point(build_scenario_pack(config, geometry, 3), kind, 1)
+        harness.monte_carlo_point(config, geometry, kind, 1, 3)
     stats = spans.stats()
     assert stats["optimizer.run"].calls == 1  # every searching kind goes through the one routine
     assert stats["optimizer.run_pso"].calls == 1
