@@ -10,14 +10,13 @@ mean comparisons are low-variance.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .beamforming import angle_support, covering_rf_stages, design_rf_stages, hybrid_link_rate
-from .channel import DOWN, UP, TrialChannels, draw_trial, hop_factors, mean_angles_from_geometry
+from .beamforming import design_relay_stages, design_rf_stages, hybrid_link_rate
+from .channel import TrialChannels, draw_trial, hop_factors
 # Not called here; sweepbench/tracer.py wraps these names in this namespace, and
 # sweepbench/checks.py wraps run_pso here too.
 from .channel import link_channel  # noqa: F401
@@ -117,52 +116,6 @@ class ScenarioPack:
         return {name: (grid[:, :, 0].copy(), grid[:, 0, :].copy()) for name, grid in grids.items()}
 
 
-def _relay_stages(
-    config: SystemConfig, geometry: DeploymentGeometry
-) -> tuple[np.ndarray, np.ndarray]:
-    """Receive combiner for hop 1 and transmit precoder for hop 2 at the relay.
-
-    The relay node hangs from the same platform (arrays facing down), so its
-    supports at the relay end span every platform position, mirroring the
-    main link's RF design.
-    """
-    spread_el = math.radians(config.angular_spread_deg[0])
-    spread_az = math.radians(config.angular_spread_deg[1])
-    # Hop-1 arrival support at the relay: the relay array looks back at the Tx
-    # from anywhere on the platform, which in relay-local terms mirrors the
-    # Tx's departure footprint.
-    relay_ref = geometry.reference_ris_position()
-    means_hop1 = mean_angles_from_geometry(geometry.tx_position, relay_ref, UP, DOWN)
-    means_hop2 = mean_angles_from_geometry(relay_ref, geometry.ue_position, DOWN, UP)
-    widen_el, widen_az = _platform_halfwidths(geometry, geometry.tx_position)
-    support_rx = angle_support(
-        means_hop1.arr_elevation, means_hop1.arr_azimuth,
-        spread_el + widen_el, spread_az + widen_az,
-    )
-    widen_el, widen_az = _platform_halfwidths(geometry, geometry.ue_position)
-    support_tx = angle_support(
-        means_hop2.dep_elevation, means_hop2.dep_azimuth,
-        spread_el + widen_el, spread_az + widen_az,
-    )
-    f1_hop2, f2_hop1 = covering_rf_stages(config, support_tx, support_rx)
-    return f2_hop1, f1_hop2
-
-
-def _platform_halfwidths(geometry: DeploymentGeometry, node) -> tuple[float, float]:
-    """Corner-to-center spreads of elevation and azimuth, seen from the platform."""
-    cx, cy = geometry.platform_center()
-    z = geometry.ris_height_m
-    center = mean_angles_from_geometry((cx, cy, z), node, DOWN, UP)
-    worst_el = worst_az = 0.0
-    for x in geometry.platform_x_range:
-        for y in geometry.platform_y_range:
-            corner = mean_angles_from_geometry((x, y, z), node, DOWN, UP)
-            worst_el = max(worst_el, abs(corner.dep_elevation - center.dep_elevation))
-            worst_az = max(worst_az, abs(math.remainder(
-                corner.dep_azimuth - center.dep_azimuth, 2.0 * math.pi)))
-    return worst_el, worst_az
-
-
 @functools.lru_cache(maxsize=1)
 def build_scenario_pack(
     config: SystemConfig,
@@ -176,7 +129,7 @@ def build_scenario_pack(
     kinds at one swept value share it, and with it the fd_relay searches.
     """
     f1, f2 = design_rf_stages(config, geometry)
-    relay_f2, relay_f1 = _relay_stages(config, geometry)
+    relay_f2, relay_f1 = design_relay_stages(config, geometry)
     for stage in (f1, f2, relay_f2, relay_f1):
         stage.flags.writeable = False  # every caller of the cached pack shares them
     return ScenarioPack(

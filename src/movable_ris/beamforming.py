@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import mean_angles_from_geometry, DOWN, UP
+from .channel import DOWN, UP, LinkAngles, mean_angles_from_geometry
 from .scenario import DeploymentGeometry, SystemConfig
 
 __all__ = [
@@ -24,13 +24,13 @@ __all__ = [
     "BeamformerSet",
     "EffectiveChannel",
     "build_grid",
-    "angle_support",
     "support_points",
     "select_beams",
     "rf_steering_column",
     "rf_stages",
-    "covering_rf_stages",
+    "platform_footprint",
     "design_rf_stages",
+    "design_relay_stages",
     "effective_channel",
     "bb_stages",
     "achievable_rate",
@@ -111,18 +111,6 @@ def build_grid(m_x: int, m_y: int) -> QuantizedGrid:
     lx = tuple(-1.0 + (2 * u - 1) / m_x for u in range(1, m_x + 1))
     ly = tuple(-1.0 + (2 * k - 1) / m_y for k in range(1, m_y + 1))
     return QuantizedGrid(lx, ly)
-
-
-def angle_support(
-    mean_elevation: float,
-    mean_azimuth: float,
-    spread_elevation: float,
-    spread_azimuth: float,
-) -> AngleSupport:
-    return AngleSupport(
-        (mean_elevation - spread_elevation, mean_elevation + spread_elevation),
-        (mean_azimuth - spread_azimuth, mean_azimuth + spread_azimuth),
-    )
 
 
 def support_points(support: AngleSupport, per_axis: int = 96) -> np.ndarray:
@@ -223,47 +211,22 @@ def rf_stages(
     return f1, f2
 
 
-def platform_support(
-    node_position,
-    node_boresight,
-    geometry: DeploymentGeometry,
-    spread_el: float,
-    spread_az: float,
-    departure: bool,
-) -> AngleSupport:
-    """Angular support covering the whole movable platform plus path spread.
+def platform_footprint(geometry: DeploymentGeometry, node) -> list[LinkAngles]:
+    """Mean angles between the platform's center, then its four corners, and ``node``.
 
-    The analog stage stays fixed while the RIS moves, so its support must
-    span every platform position the search may visit, not just the
-    reference center. Azimuths are unwrapped around the center direction to
-    keep the interval contiguous.
+    ``dep_*`` are the angles at the platform end (arrays facing down) and
+    ``arr_*`` those at the node below it (arrays facing up). Reversing a link
+    negates its difference vector exactly, so the node's departure angles
+    toward an anchor are, bit for bit, these arrival angles, and vice versa.
     """
     cx, cy = geometry.platform_center()
-    x0, x1 = geometry.platform_x_range
-    y0, y1 = geometry.platform_y_range
     z = geometry.ris_height_m
-    anchors = [(cx, cy, z), (x0, y0, z), (x0, y1, z), (x1, y0, z), (x1, y1, z)]
-
-    def link_pair(anchor):
-        if departure:
-            m = mean_angles_from_geometry(node_position, anchor, node_boresight, DOWN)
-            return m.dep_elevation, m.dep_azimuth
-        m = mean_angles_from_geometry(anchor, node_position, DOWN, node_boresight)
-        return m.arr_elevation, m.arr_azimuth
-
-    center_el, center_az = link_pair(anchors[0])
-    els, azs = [], []
-    for anchor in anchors:
-        el, az = link_pair(anchor)
-        els.append(el)
-        azs.append(center_az + math.remainder(az - center_az, 2.0 * math.pi))
-    return AngleSupport(
-        (min(els) - spread_el, max(els) + spread_el),
-        (min(azs) - spread_az, max(azs) + spread_az),
-    )
+    anchors = [(cx, cy)] + [(x, y) for x in geometry.platform_x_range
+                            for y in geometry.platform_y_range]
+    return [mean_angles_from_geometry((x, y, z), node, DOWN, UP) for x, y in anchors]
 
 
-def covering_rf_stages(
+def _covering_rf_stages(
     config: SystemConfig, support_tx: AngleSupport, support_rx: AngleSupport
 ) -> tuple[np.ndarray, np.ndarray]:
     """F1 and F2 on the configured Tx and Rx arrays, with beams covering the supports.
@@ -286,18 +249,44 @@ def design_rf_stages(
     """RF stages for both link ends, covering the platform's angular footprint.
 
     The analog beams are built once from slowly varying angular statistics
-    (platform extent widened by the configured spreads) and stay fixed while
-    the RIS moves.
+    and stay fixed while the RIS moves, so each node's support spans the
+    min/max of its angles over the platform's center and corners, widened by
+    the configured spreads. Azimuths are unwrapped around the center
+    direction to keep the interval contiguous.
     """
-    spread_el = math.radians(config.angular_spread_deg[0])
-    spread_az = math.radians(config.angular_spread_deg[1])
-    support_tx = platform_support(
-        geometry.tx_position, UP, geometry, spread_el, spread_az, departure=True
-    )
-    support_rx = platform_support(
-        geometry.ue_position, UP, geometry, spread_el, spread_az, departure=False
-    )
-    return covering_rf_stages(config, support_tx, support_rx)
+    spread_el, spread_az = map(math.radians, config.angular_spread_deg)
+    supports = []
+    for node in (geometry.tx_position, geometry.ue_position):
+        angles = platform_footprint(geometry, node)
+        center_az = angles[0].arr_azimuth
+        els = [a.arr_elevation for a in angles]
+        azs = [center_az + math.remainder(a.arr_azimuth - center_az, 2.0 * math.pi) for a in angles]
+        supports.append(AngleSupport((min(els) - spread_el, max(els) + spread_el),
+                                     (min(azs) - spread_az, max(azs) + spread_az)))
+    return _covering_rf_stages(config, *supports)
+
+
+def design_relay_stages(
+    config: SystemConfig, geometry: DeploymentGeometry
+) -> tuple[np.ndarray, np.ndarray]:
+    """The relay's hop-1 combiner and hop-2 precoder, in that order.
+
+    The relay hangs from the platform (arrays facing down) and its stages stay
+    fixed while it moves, so each support is the platform center's angle
+    toward the node, widened by the spread plus the largest corner deviation
+    from it.
+    """
+    spread_el, spread_az = map(math.radians, config.angular_spread_deg)
+    supports = []
+    for node in (geometry.ue_position, geometry.tx_position):
+        center, *corners = platform_footprint(geometry, node)
+        el, az = center.dep_elevation, center.dep_azimuth
+        half_el = spread_el + max(abs(c.dep_elevation - el) for c in corners)
+        half_az = spread_az + max(abs(math.remainder(c.dep_azimuth - az, 2.0 * math.pi))
+                                  for c in corners)
+        supports.append(AngleSupport((el - half_el, el + half_el), (az - half_az, az + half_az)))
+    f1_hop2, f2_hop1 = _covering_rf_stages(config, *supports)
+    return f2_hop1, f1_hop2
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import DeploymentGeometry, SystemConfig, alpha_coefficient
+from .scenario import DeploymentGeometry, SystemConfig, path_amplitude
 
 __all__ = [
     "UP",
@@ -28,8 +28,6 @@ __all__ = [
     "TrialChannels",
     "ChannelRealization",
     "steering_matrix",
-    "path_loss_linear",
-    "path_amplitude",
     "mean_angles_from_geometry",
     "draw_angle_offsets",
     "draw_gains",
@@ -132,34 +130,6 @@ def steering_matrix(
     return kron.reshape(*ux.shape[:-1], m_x * m_y, ux.shape[-1])
 
 
-def path_loss_linear(carrier_ghz: float, distance_m: float, exponent: float) -> float:
-    """Close-in distance loss as a linear power ratio.
-
-    10^((32.4 + 20*log10(f_GHz) + 10*eta*log10(tau))/10); callers dividing
-    amplitudes use its square root.
-    """
-    db = alpha_coefficient(carrier_ghz) + 10.0 * exponent * math.log10(distance_m)
-    return 10.0 ** (db / 10.0)
-
-
-def path_amplitude(
-    carrier_ghz: float, distance_m: float, exponent: float, mode: str = "alpha"
-) -> float:
-    """Per-path amplitude attenuation factor under the chosen convention.
-
-    "alpha": power attenuation = (32.4 + 20*log10(f_GHz)) * tau^eta with the
-    reference term applied as a raw coefficient (default; calibrated to the
-    indoor operating points the bundled experiments target).
-    "db": power attenuation = path_loss_linear(...), i.e. the full close-in
-    expression interpreted in decibels.
-    """
-    if mode == "alpha":
-        return 1.0 / math.sqrt(alpha_coefficient(carrier_ghz) * distance_m**exponent)
-    if mode == "db":
-        return 1.0 / math.sqrt(path_loss_linear(carrier_ghz, distance_m, exponent))
-    raise ValueError(f"unknown path loss mode {mode!r}")
-
-
 def mean_angles_from_geometry(
     pos_a, pos_b, boresight_a=UP, boresight_b=UP
 ) -> LinkAngles:
@@ -236,8 +206,7 @@ def draw_trial(config: SystemConfig, rng: np.random.Generator) -> TrialChannels:
     The draw depends only on num_paths and the spreads, never on array or
     RIS sizes, so element-count sweeps reuse identical trials.
     """
-    spread_el = math.radians(config.angular_spread_deg[0])
-    spread_az = math.radians(config.angular_spread_deg[1])
+    spread_el, spread_az = map(math.radians, config.angular_spread_deg)
     gains_ti = draw_gains(config.num_paths, rng)
     offsets_ti = draw_angle_offsets(spread_el, spread_az, config.num_paths, rng)
     gains_ir = draw_gains(config.num_paths, rng)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .baselines import BaselineKind, build_scenario_pack, make_problem_context, run_baseline
 from .harness import SweepSpec, apply_swept_value, emit_plot_script, sweep, write_results
-from .optimizer import brute_force_joint
+from .optimizer import brute_force_joint, check_oracle_grid
 from .scenario import (
     ConfigError,
     DeploymentGeometry,
@@ -85,7 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_scenario(args) -> tuple[SystemConfig, DeploymentGeometry]:
     config, geometry = default_config()
     if args.config is not None:
-        config, geometry = parse_config(Path(args.config).read_text(), (config, geometry))
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read --config {args.config}: {exc}") from None
+        config, geometry = parse_config(text, (config, geometry))
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
     if args.trials is not None:
@@ -203,6 +207,7 @@ def _cmd_oracle_check(args) -> int:
         pso=replace(config.pso, swarm_size=10, iterations=50),
     )
     _check(config, geometry, "oracle-check configuration")
+    check_oracle_grid(args.position_steps, args.phase_steps, config.num_ris)
     pack = build_scenario_pack(config, geometry, config.rng_seed, args.pso_seed)
     hits = 0
     worst = float("inf")

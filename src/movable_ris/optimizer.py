@@ -25,7 +25,7 @@ from .beamforming import hybrid_link_rate
 # Not called here; sweepbench/tracer.py wraps these names in this namespace.
 from .beamforming import achievable_rate, bb_stages, effective_channel  # noqa: F401
 from .channel import TrialChannels, composite_channel, hop_factors, realize_channels
-from .scenario import DeploymentGeometry, PsoParams, SystemConfig
+from .scenario import ConfigError, DeploymentGeometry, PsoParams, SystemConfig
 
 __all__ = [
     "RisState",
@@ -37,6 +37,7 @@ __all__ = [
     "pso_step",
     "run_pso",
     "run",
+    "check_oracle_grid",
     "brute_force_joint",
 ]
 
@@ -299,6 +300,15 @@ def run(
     return state, context.rate_for(state), history
 
 
+def check_oracle_grid(position_steps: int, phase_steps: int, num_phases: int) -> None:
+    """Raise ConfigError unless ``brute_force_joint``'s grid has steps >= 1 and fits its budget."""
+    if position_steps < 1 or phase_steps < 1:
+        raise ConfigError(f"grid steps must be >= 1, got {position_steps} and {phase_steps}")
+    total = position_steps**2 * phase_steps**num_phases
+    if total > MAX_ORACLE_POINTS:
+        raise ConfigError(f"grid too large: {total} points exceeds {MAX_ORACLE_POINTS}")
+
+
 def brute_force_joint(
     context: ProblemContext, position_steps: int, phase_steps: int
 ) -> tuple[RisState, float]:
@@ -307,17 +317,13 @@ def brute_force_joint(
     Positions use ``position_steps`` points per axis spanning [0,1]
     inclusive (the platform midpoint when position_steps == 1); phases use
     ``phase_steps`` points k/phase_steps covering [0, 2pi) without the
-    duplicate endpoint. Refuses steps below 1 and grids above
-    MAX_ORACLE_POINTS. Points are visited in ``itertools.product`` order
+    duplicate endpoint. ``check_oracle_grid`` refuses steps below 1 and
+    grids above MAX_ORACLE_POINTS. Points are visited in ``itertools.product`` order
     and the first maximum wins; a NaN value is never picked. Each position
     scores its phase grid in chunks through one set of cached hop matrices.
     """
-    if position_steps < 1 or phase_steps < 1:
-        raise ValueError(f"grid steps must be >= 1, got {position_steps} and {phase_steps}")
     num_phases = context.config.num_ris
-    total = position_steps**2 * phase_steps**num_phases
-    if total > MAX_ORACLE_POINTS:
-        raise ValueError(f"grid too large: {total} points exceeds {MAX_ORACLE_POINTS}")
+    check_oracle_grid(position_steps, phase_steps, num_phases)
     pos_grid = np.linspace(0.0, 1.0, position_steps) if position_steps > 1 else np.array([0.5])
     phase_grid = np.arange(phase_steps) / phase_steps
 

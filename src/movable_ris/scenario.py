@@ -23,6 +23,8 @@ __all__ = [
     "default_config",
     "noise_power",
     "dbm_to_watts",
+    "path_loss_linear",
+    "path_amplitude",
     "validate",
     "serialize_config",
     "parse_config",
@@ -125,10 +127,6 @@ class DeploymentGeometry:
             0.5 * (self.platform_y_range[0] + self.platform_y_range[1]),
         )
 
-    def reference_ris_position(self) -> tuple[float, float, float]:
-        cx, cy = self.platform_center()
-        return (cx, cy, self.ris_height_m)
-
     def contains(self, x: float, y: float) -> bool:
         return (
             self.platform_x_range[0] <= x <= self.platform_x_range[1]
@@ -160,6 +158,34 @@ def alpha_coefficient(carrier_ghz: float) -> float:
     return 32.4 + 20.0 * math.log10(carrier_ghz)
 
 
+def path_loss_linear(carrier_ghz: float, distance_m: float, exponent: float) -> float:
+    """Close-in distance loss as a linear power ratio.
+
+    10^((32.4 + 20*log10(f_GHz) + 10*eta*log10(tau))/10); callers dividing
+    amplitudes use its square root.
+    """
+    db = alpha_coefficient(carrier_ghz) + 10.0 * exponent * math.log10(distance_m)
+    return 10.0 ** (db / 10.0)
+
+
+def path_amplitude(
+    carrier_ghz: float, distance_m: float, exponent: float, mode: str = "alpha"
+) -> float:
+    """Per-path amplitude attenuation factor under the chosen convention.
+
+    "alpha": power attenuation = (32.4 + 20*log10(f_GHz)) * tau^eta with the
+    reference term applied as a raw coefficient (default; calibrated to the
+    indoor operating points the bundled experiments target).
+    "db": power attenuation = path_loss_linear(...), i.e. the full close-in
+    expression interpreted in decibels.
+    """
+    if mode == "alpha":
+        return 1.0 / math.sqrt(alpha_coefficient(carrier_ghz) * distance_m**exponent)
+    if mode == "db":
+        return 1.0 / math.sqrt(path_loss_linear(carrier_ghz, distance_m, exponent))
+    raise ValueError(f"unknown path loss mode {mode!r}")
+
+
 def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
     """Return one named error per violated invariant; empty list means ok.
 
@@ -172,12 +198,8 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
                for v in (value if length else (value,))):
             errors.append(f"{key} must be finite, got {value!r}")
 
-    for name, shape in (
-        ("tx_antennas", config.tx_antennas),
-        ("rx_antennas", config.rx_antennas),
-        ("ris_elements", config.ris_elements),
-    ):
-        if shape[0] < 1 or shape[1] < 1:
+    for name in ("tx_antennas", "rx_antennas", "ris_elements"):
+        if min(shape := getattr(config, name)) < 1:
             errors.append(f"{name}: counts must be >= 1, got {shape}")
 
     if config.num_streams < 1:
@@ -195,7 +217,7 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
     if config.num_paths < 1:
         errors.append("num_paths must be >= 1")
     for spread in config.angular_spread_deg:
-        if not (0.0 <= spread < 90.0):
+        if not (0.0 <= spread < 90.0) or math.copysign(1.0, spread) < 0.0:  # -0.0 too
             errors.append(f"angular spread must lie in [0, 90) degrees, got {spread}")
             break
     if config.element_spacing_wavelengths <= 0:
@@ -223,10 +245,10 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
     if not (0.0 < pso.velocity_clamp <= 1.0):
         errors.append("pso velocity_clamp must lie in (0, 1]")
 
-    if geometry.platform_x_range[0] >= geometry.platform_x_range[1]:
-        errors.append(f"empty range: platform_x_range {geometry.platform_x_range}")
-    if geometry.platform_y_range[0] >= geometry.platform_y_range[1]:
-        errors.append(f"empty range: platform_y_range {geometry.platform_y_range}")
+    ranges = (geometry.platform_x_range, geometry.platform_y_range)
+    for name, (lo, hi) in zip(("platform_x_range", "platform_y_range"), ranges):
+        if lo >= hi:
+            errors.append(f"empty range: {name} {(lo, hi)}")
     if geometry.ris_height_m <= 0:
         errors.append("ris_height_m must be positive")
     if tuple(geometry.tx_position) == tuple(geometry.ue_position):
@@ -237,6 +259,20 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
         if position[2] >= geometry.ris_height_m:
             errors.append(f"{name} z = {position[2]!r} must lie below the RIS plane "
                           f"(ris_height_m = {geometry.ris_height_m!r})")
+
+    if not errors:  # then the link budget must stay within the float range too
+        try:
+            config.tx_power_watts, config.noise_power_watts  # each raises if it overflows
+            for node in (geometry.tx_position, geometry.ue_position):
+                rise = geometry.ris_height_m - node[2]  # no hop from this node is shorter
+                far = math.hypot(*(max(abs(lo - c), abs(hi - c))
+                                   for c, (lo, hi) in zip(node, ranges)), rise)
+                for length in (rise, far):
+                    path_amplitude(config.carrier_frequency_ghz, length,
+                                   config.path_loss_exponent, config.path_loss_mode)
+        except (OverflowError, ZeroDivisionError) as exc:
+            errors.append(f"link budget leaves the float range ({exc}); check the powers, "
+                          "path_loss_exponent and node distances")
 
     return errors
 

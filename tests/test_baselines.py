@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -13,7 +14,9 @@ from movable_ris.baselines import (
     run_baseline,
     trial_channels,
 )
-from movable_ris.scenario import PsoParams, default_config
+from movable_ris.harness import apply_swept_value
+from movable_ris.scenario import PsoParams, default_config, rng_stream
+from test_acceptance import SEED, UE_POSITIONS, _random_scenario
 
 
 def small_pack(seed=42, **config_overrides):
@@ -222,3 +225,31 @@ def test_dominance_chain_small_scale():
     assert means[BaselineKind.MOVABLE_RIS_JOINT] >= means[BaselineKind.MOVABLE_RIS_RANDOM_PHASE]
     assert means[BaselineKind.MOVABLE_RIS_JOINT] >= means[BaselineKind.FIXED_RIS_OPT_PHASE]
     assert means[BaselineKind.FIXED_RIS_OPT_PHASE] >= means[BaselineKind.FIXED_RIS_RANDOM_PHASE]
+
+
+# sha256 of the shapes and bytes of every pack's four RF stages, in _stage_packs
+# order. Every rate in every output is computed through these stages.
+RF_STAGE_DIGEST = "74dd946aa8fec51663d2eaf739315b993e3faa2bcec0f71fc75b400e4ad07a22"
+
+
+def _stage_packs():
+    """The default scenario, the benchmark's swept UE positions and element counts,
+    and 200 random scenarios of the constraint-suite kind."""
+    config, geometry = default_config()
+    yield config, geometry
+    for kind, values in (("ue_scenarios", UE_POSITIONS), ("elements", (16, 36, 64, 100))):
+        for value in values:
+            yield apply_swept_value(config, geometry, kind, value)
+    rng = rng_stream(SEED, 103)
+    for _ in range(200):
+        yield _random_scenario(rng)
+
+
+def test_rf_stage_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for config, geometry in _stage_packs():
+        pack = build_scenario_pack(config, geometry, 0)
+        for stage in (pack.f1, pack.f2, pack.relay_f2_hop1, pack.relay_f1_hop2):
+            digest.update(repr(stage.shape).encode())
+            digest.update(stage.tobytes())
+    assert digest.hexdigest() == RF_STAGE_DIGEST

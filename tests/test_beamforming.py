@@ -8,7 +8,6 @@ from movable_ris.beamforming import (
     BeamformerSet,
     InvalidBeamError,
     achievable_rate,
-    angle_support,
     bb_stages,
     build_grid,
     design_rf_stages,
@@ -99,7 +98,8 @@ def test_select_beams_cells_intersect_support_dense_oracle():
     # nearest-fill beams allowed only while fewer than min_beams cells hit
     spread = math.radians(10.0)
     for mean_el, mean_az in [(1.2, 0.8), (0.6, -2.0), (1.532, math.pi / 4)]:
-        support = angle_support(mean_el, mean_az, spread, spread)
+        support = AngleSupport((mean_el - spread, mean_el + spread),
+                               (mean_az - spread, mean_az + spread))
         beams = select_beams(build_grid(8, 8), support, 2, 16)
         pts = support_points(support, per_axis=512)
         hits = _fine_hits(beams, pts, 8, 8)
@@ -114,7 +114,9 @@ def test_select_beams_cells_intersect_support_dense_oracle():
 def test_select_beams_golden_table_geometry():
     # frozen from a verified run: one in-disk cell intersects this rim-hugging
     # support at 512x512 sampling; the second beam is the nearest in-disk fill
-    support = angle_support(1.532, math.pi / 4, math.radians(10), math.radians(10))
+    spread = math.radians(10)
+    support = AngleSupport((1.532 - spread, 1.532 + spread),
+                           (math.pi / 4 - spread, math.pi / 4 + spread))
     beams = select_beams(build_grid(8, 8), support, 2, 16)
     assert beams == [(0.625, 0.625), (0.875, 0.375)]
 

@@ -28,12 +28,11 @@ from movable_ris.channel import (
     composite_channel,
     make_path_set,
     mean_angles_from_geometry,
-    path_amplitude,
     steering_matrix,
     translation_phases,
     wavelength_m,
 )
-from movable_ris.scenario import PsoParams, default_config, rng_stream
+from movable_ris.scenario import PsoParams, default_config, path_amplitude, rng_stream
 from test_batch import FACTORED_RTOL, _objective_of
 
 

@@ -19,14 +19,12 @@ from movable_ris.channel import (
     link_channel,
     make_path_set,
     mean_angles_from_geometry,
-    path_amplitude,
-    path_loss_linear,
     realize_channels,
     steering_matrix,
     translation_phases,
     wavelength_m,
 )
-from movable_ris.scenario import default_config, rng_stream
+from movable_ris.scenario import default_config, path_amplitude, path_loss_linear, rng_stream
 
 
 def draw_paths(
@@ -295,7 +293,7 @@ def test_translation_phase_reference_is_identity_at_center():
     center = geometry.platform_center()
     real = realize_channels(config, geometry, trial, center)
     means = mean_angles_from_geometry(
-        geometry.tx_position, geometry.reference_ris_position(), UP, DOWN
+        geometry.tx_position, (*center, geometry.ris_height_m), UP, DOWN
     )
     paths = make_path_set(means, trial.offsets_tx_ris, trial.gains_tx_ris)
     h = link_channel(

@@ -195,6 +195,18 @@ def test_alpha_path_loss_below_its_reference_frequency_is_an_error(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()],
+                         ids=["missing", "directory"])
+def test_unreadable_config_is_an_error(tmp_path, make, capsys):
+    path = tmp_path / "scenario.cfg"
+    make(path)
+    rc = main(["sweep-power", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read --config {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_key_set_twice_is_an_error(tmp_path, capsys):
     path = tmp_path / "twice.cfg"
     path.write_text(TINY_CONFIG + "tx_power_dbm = 10\n# a comment\ntx_power_dbm = 20\n")
@@ -358,6 +370,15 @@ def test_oracle_check_rejects_counts_below_one(flag, value, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and flag in err
+
+
+def test_oracle_check_rejects_an_oversized_grid(capsys):
+    # 40**2 positions x 100**2 phase pairs is 1.6e7 points, over MAX_ORACLE_POINTS
+    rc = main(["oracle-check", "--position-steps", "40", "--phase-steps", "100"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: grid too large: 16000000 points exceeds 10000000\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("ratio", ["nan", "inf", "0", "-0.5"])

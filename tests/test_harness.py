@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movable_ris.baselines import BaselineKind
 from movable_ris.harness import (
@@ -16,7 +18,7 @@ from movable_ris.harness import (
     sweep,
     write_results,
 )
-from movable_ris.scenario import ConfigError, PsoParams, default_config
+from movable_ris.scenario import ConfigError, PsoParams, default_config, parse_config, validate
 
 
 def read_results_csv(path: Path) -> list[dict]:
@@ -323,3 +325,53 @@ def test_element_sweep_shares_trials_across_sizes():
     results = sweep(spec, config, geometry)
     # the relay does not involve the RIS: identical trials give identical rates
     assert results[0].per_trial_rates == results[1].per_trial_rates
+
+
+# Config-file values a fuzzed line draws from: small counts (arrays of at most
+# 3x3, at most 3 paths) and floats from plausible to extreme and non-finite.
+_COUNT = st.integers(-1, 3).map(str)
+_FLOAT = st.one_of(
+    st.floats(-1.0, 100.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300]),
+).map(repr)
+_FUZZ_KEYS = {
+    **{key: (_COUNT, 2) for key in ("tx_antennas", "rx_antennas", "ris_elements")},
+    **{key: (_COUNT, 1) for key in ("num_paths", "num_streams", "max_rf_chains", "rng_seed")},
+    **{key: (_FLOAT, 2) for key in ("angular_spread_deg", "platform_x_range", "platform_y_range")},
+    **{key: (_FLOAT, 3) for key in ("tx_position", "ue_position")},
+    **{key: (_FLOAT, 1) for key in (
+        "carrier_frequency_ghz", "bandwidth_hz", "noise_psd_dbm_per_hz", "tx_power_dbm",
+        "path_loss_exponent", "element_spacing_wavelengths", "ris_height_m",
+        "pso_social_weight", "pso_cognitive_weight", "pso_inertia_start", "pso_inertia_end",
+        "pso_velocity_clamp")},
+    "path_loss_mode": (st.sampled_from(["alpha", "db", "dB"]), 1),
+}
+
+
+@st.composite
+def _config_texts(draw) -> str:
+    """A few ``key = value`` lines, now and then with a wrong token count."""
+    lines = []
+    for key in draw(st.lists(st.sampled_from(sorted(_FUZZ_KEYS)), unique=True, max_size=5)):
+        token, count = _FUZZ_KEYS[key]
+        count = draw(st.sampled_from([count] * 9 + [count + 1]))
+        lines.append(f"{key} = {' '.join(draw(st.lists(token, min_size=count, max_size=count)))}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_texts())
+def test_fuzzed_config_ends_in_an_error_a_recorded_failure_or_a_finite_rate(text):
+    config, geometry = default_config()
+    base = (replace(config, tx_antennas=(2, 2), rx_antennas=(2, 2), ris_elements=(2, 2),
+                    num_paths=2, pso=PsoParams(swarm_size=3, iterations=2)), geometry)
+    try:
+        config, geometry = parse_config(text, base)
+    except ConfigError:
+        return
+    if validate(config, geometry):
+        return  # the command line raises these as one ConfigError
+    for kind in BaselineKind:
+        result = monte_carlo_point(config, geometry, kind, 1, config.rng_seed)
+        assert result.failed_trials or math.isfinite(result.mean_rate), (kind, text)

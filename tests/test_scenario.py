@@ -113,6 +113,28 @@ def test_validate_rejects_nodes_at_or_above_the_ris_plane():
     assert validate(config, just_below) == []
 
 
+@pytest.mark.parametrize("config_changes, geometry_changes", [
+    (dict(path_loss_exponent=200.0), {}),  # 100 m ** 200 overflows a float
+    (dict(path_loss_exponent=110.0), dict(tx_position=(55.0, 55.0, 4.999))),  # 0.001**110 is 0
+    (dict(path_loss_mode="db", carrier_frequency_ghz=1e300), {}),
+    (dict(tx_power_dbm=1e300), {}),
+    (dict(noise_psd_dbm_per_hz=1e300), {}),
+    ({}, dict(ue_position=(1e100, 0.0, 2.0))),
+])
+def test_validate_rejects_a_link_budget_beyond_the_float_range(config_changes,
+                                                               geometry_changes):
+    config, geometry = default_config()
+    errors = validate(replace(config, **config_changes), replace(geometry, **geometry_changes))
+    assert len(errors) == 1 and errors[0].startswith("link budget leaves the float range")
+
+
+def test_validate_rejects_a_negative_zero_angular_spread():
+    # numpy's uniform(0.0, -0.0) refuses high < low
+    config, geometry = default_config()
+    errors = validate(replace(config, angular_spread_deg=(10.0, -0.0)), geometry)
+    assert errors == ["angular spread must lie in [0, 90) degrees, got -0.0"]
+
+
 def test_validate_collects_multiple_errors():
     config, geometry = default_config()
     bad_cfg = replace(config, num_paths=0, bandwidth_hz=-1.0)
