@@ -25,6 +25,8 @@ on trial 0 of pack seed 3 and a batch of 10 particles:
 
 A tree whose ``hop_factors`` takes no beam axes has the hops reduced by
 products of its full hop factors with F1 and F2, which is what its searches did.
+A tree whose ``hybrid_link_rate`` takes the combiner's rate branch is given the
+pack's, which its searches decide once per pack.
 """
 
 from __future__ import annotations
@@ -116,6 +118,8 @@ def layers_of(module) -> dict:
     a, c = ris_hops()
     reduced = (a * np.exp(2j * np.pi * joint[:, None, 2:])) @ c
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
+    if "whitened" in inspect.signature(beamforming.hybrid_link_rate).parameters:
+        budget += (pack.whitened["f2"],)
     layers = {
         "steering": lambda: channel.steering_matrix(paths.dep_elevation, paths.dep_azimuth,
                                                     *config.tx_antennas,

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .beamforming import design_relay_stages, design_rf_stages, hybrid_link_rate
+from .beamforming import design_relay_stages, design_rf_stages, hybrid_link_rate, needs_whitening
 from .channel import TrialChannels, draw_trial, hop_factors
 # Not called here; sweepbench/tracer.py wraps these names in this namespace, and
 # sweepbench/checks.py wraps run_pso here too.
@@ -115,6 +115,11 @@ class ScenarioPack:
             ("relay_f2_hop1", self.relay_f2_hop1, rx), ("relay_f1_hop2", self.relay_f1_hop2.T, tx))}
         return {name: (grid[:, :, 0].copy(), grid[:, 0, :].copy()) for name, grid in grids.items()}
 
+    @functools.cached_property
+    def whitened(self) -> dict[str, bool]:
+        """Each combiner's rate branch, ``needs_whitening``, by field name."""
+        return {name: needs_whitening(getattr(self, name)) for name in ("f2", "relay_f2_hop1")}
+
 
 @functools.lru_cache(maxsize=1)
 def build_scenario_pack(
@@ -157,6 +162,7 @@ def make_problem_context(pack: ScenarioPack, trial_index: int) -> ProblemContext
         f2=pack.f2,
         trial=trial_channels(pack, trial_index),
         beams=pack.beams,
+        whitened=pack.whitened["f2"],
     )
 
 
@@ -198,10 +204,10 @@ def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y, factored: bool
     hop_rates = []
     for link, relay_shape, rx, tx in (("tx_ris", config.rx_antennas, "relay_f2_hop1", "f1"),
                                       ("ris_rx", config.tx_antennas, "f2", "relay_f1_hop2")):
-        f2, f1 = getattr(pack, rx), getattr(pack, tx)
+        f2, f1, whitened = getattr(pack, rx), getattr(pack, tx), pack.whitened[rx]
         beams = (pack.beams[rx], pack.beams[tx]) if factored else (None, None)
         left, right = hop_factors(config, pack.geometry, trial, xy, link, relay_shape, beams)
-        hop_rates.append(hybrid_link_rate(f2, left @ right, f1, *budget, reduced=factored))
+        hop_rates.append(hybrid_link_rate(f2, left @ right, f1, *budget, whitened, factored))
     (rate1, deficient1), (rate2, deficient2) = hop_rates
     rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
     return rate, deficient1 | deficient2

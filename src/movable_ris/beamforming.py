@@ -33,6 +33,7 @@ __all__ = [
     "design_relay_stages",
     "effective_channel",
     "bb_stages",
+    "needs_whitening",
     "achievable_rate",
     "hybrid_link_rate",
 ]
@@ -102,6 +103,7 @@ class BeamformerSet:
     b2: np.ndarray           # (..., streams, n_rx_beams)
     streams: int
     rank_deficient: bool | np.ndarray = False
+    whitened: bool = False   # the rate's branch, ``needs_whitening(f2)``
 
 
 def build_grid(m_x: int, m_y: int) -> QuantizedGrid:
@@ -308,12 +310,16 @@ def _decompose(mat: np.ndarray) -> EffectiveChannel:
     """
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     mag = np.abs(vh)
-    significant = mag > 1e-12 * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
-    rotate = significant.any(axis=-1)  # (..., k): vectors with an entry to rotate
-    lead = np.take_along_axis(vh, np.argmax(significant, axis=-1)[..., None], axis=-1)[..., 0]
-    if rotate.all():
-        rotate = ...  # the usual case: every vector, without boolean-mask copies
-    lead = lead[rotate]
+    floor = 1e-12 * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
+    if (mag[..., :1] > floor).all():
+        lead, rotate = vh[..., 0], ...  # the usual case: every vector leads with entry 0
+    else:
+        significant = mag > floor
+        rotate = significant.any(axis=-1)  # (..., k): vectors with an entry to rotate
+        lead = np.take_along_axis(vh, np.argmax(significant, axis=-1)[..., None], axis=-1)[..., 0]
+        if rotate.all():
+            rotate = ...  # every vector, without boolean-mask copies
+        lead = lead[rotate]
     # np.hypot matches abs() of one complex scalar bit for bit; np.abs may not
     c = lead / np.hypot(lead.real, lead.imag)
     vh[rotate] *= np.conj(c)[..., None]
@@ -326,19 +332,25 @@ def _decompose(mat: np.ndarray) -> EffectiveChannel:
 def _norm_squared(matrices: np.ndarray) -> np.ndarray:
     """||M||_F^2 of each matrix in a stack, rounded as float(np.linalg.norm(M) ** 2).
 
-    Each matrix takes the two strided dot products np.linalg.norm makes;
-    every batched form tried sums in another order.
+    Each matrix takes the two strided dot products np.linalg.norm makes over its
+    entries in memory order, which matmul of a row vector with itself makes too;
+    every other batched form tried sums in another order.
     """
-    out = []
-    for m in matrices.reshape(-1, *matrices.shape[-2:]):
-        x = m.ravel(order="K")
-        out.append(math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) ** 2)
-    return np.reshape(out, matrices.shape[:-2])
+    if matrices.flags.c_contiguous:  # each matrix's memory order is its row-major ravel
+        x = matrices.reshape(-1, 1, math.prod(matrices.shape[-2:]))
+        xt = x.swapaxes(-1, -2)
+        sums = (x.real @ xt.real + x.imag @ xt.imag).ravel().tolist()
+    else:
+        sums = [x.real.dot(x.real) + x.imag.dot(x.imag)
+                for x in (m.ravel(order="K") for m in matrices.reshape(-1, *matrices.shape[-2:]))]
+    return np.reshape([math.sqrt(v) ** 2 for v in sums], matrices.shape[:-2])
 
 
-def _stream_count(rank: int, num_streams: int) -> int:
-    """Streams a channel of the given rank carries: rank-deficient ones degrade."""
-    return min(num_streams, max(rank, 1))
+def _stream_counts(ranks: list[int], num_streams: int) -> set[int]:
+    """Streams channels of the given ranks carry: rank-deficient ones degrade."""
+    if min(ranks, default=0) >= num_streams:
+        return {num_streams}  # the usual case, without a pass over the channels
+    return {min(num_streams, max(rank, 1)) for rank in ranks}
 
 
 def bb_stages(
@@ -360,7 +372,7 @@ def bb_stages(
     ``hybrid_link_rate`` fills in.
     """
     ranks = np.ravel(eff.rank).tolist()
-    counts = {_stream_count(rank, num_streams) for rank in ranks}
+    counts = _stream_counts(ranks, num_streams)
     if len(counts) != 1:
         raise ValueError("channels of one stack must share a stream count")
     streams = counts.pop()
@@ -377,6 +389,11 @@ def bb_stages(
             scaled = ...  # every matrix, without boolean-mask copies
         b1[scaled] *= np.sqrt(tx_power_w / actual[scaled])[..., None, None]
     return BeamformerSet(f1, b1, None, b2, streams, rank_deficient)
+
+
+def needs_whitening(f2: np.ndarray) -> bool:
+    """Whether rates through ``f2`` take the whitened branch: cond(F2 F2^H) over _COND_LIMIT."""
+    return not np.linalg.cond(f2 @ _hermitian(f2)) <= _COND_LIMIT  # a NaN one too
 
 
 def _whitened_rate(w: np.ndarray, q: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -399,11 +416,10 @@ def achievable_rate(
 
     R = log2 det(I + W^-1 (B2 Heff B1)(B2 Heff B1)^H) with the noise
     covariance W = sigma^2 B2 F2 F2^H B2^H. One branch serves every channel
-    of a call, chosen from the combiner alone: B2 = U1^H has orthonormal
-    rows, so cond(W) <= cond(F2 F2^H), and when that exceeds _COND_LIMIT
-    the rate takes a whitened eigenvalue evaluation instead of the direct
-    determinant. A singular W is ridge-regularized at 1e-12 relative to its
-    trace. A stack gives one rate per channel.
+    of a call: with ``bf.whitened``, which ``needs_whitening(F2)`` decides
+    once per combiner, the rate takes a whitened eigenvalue evaluation
+    instead of the direct determinant. A singular W is ridge-regularized at
+    1e-12 relative to its trace. A stack gives one rate per channel.
     """
     b2f2 = bf.b2 @ bf.f2
     w = noise_power_w * (b2f2 @ _hermitian(b2f2))
@@ -421,12 +437,12 @@ def achievable_rate(
         w = np.where(degenerate[:, None, None], w + 1e-12 * np.eye(n), w)
         trace = np.trace(w, axis1=-2, axis2=-1).real
 
-    if np.linalg.cond(bf.f2 @ _hermitian(bf.f2)) <= _COND_LIMIT:
+    if bf.whitened:
+        rates = _whitened_rate(w, q, trace)
+    else:
         m = np.eye(n) + np.linalg.solve(w, q)
         logdet = np.linalg.slogdet(m)[1] / math.log(2.0)
         rates = np.where(logdet < 0.0, 0.0, logdet)  # max(logdet, 0.0), NaN kept
-    else:  # also a NaN condition number
-        rates = _whitened_rate(w, q, trace)
     rates = rates.reshape(batch)
     return rates if batch else float(rates)
 
@@ -438,6 +454,7 @@ def hybrid_link_rate(
     tx_power_w: float,
     num_streams: int,
     noise_power_w: float,
+    whitened: bool,
     reduced: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full pipeline for a (B, M_2, M_1) stack of channel matrices.
@@ -445,17 +462,18 @@ def hybrid_link_rate(
     ``h`` is reduced by ``effective_channel``, or with ``reduced`` is a
     stack already reduced to F2 H F1 (as a search's factored hops are); one
     matrix goes in as a stack of one. Returns (rates, rank_deficient) as (B,)
-    arrays. A stack whose rows share one stream count runs as one unit; rows
-    of mixed counts (rank-deficient ones carry fewer streams) run one at a
-    time, each as a reduced stack of one.
+    arrays. ``whitened`` is ``needs_whitening(f2)``, which the caller takes
+    once per combiner. A stack whose rows share one stream count runs as one
+    unit; rows of mixed counts (rank-deficient ones carry fewer streams) run
+    one at a time, each as a reduced stack of one.
     """
     eff = _decompose(h) if reduced else effective_channel(f2, h, f1)
     # Rank bookkeeping in Python ints: integer-array ufuncs would map numpy code
     # that nothing else in a sweep touches, which shows in peak RSS.
-    if len({_stream_count(rank, num_streams) for rank in eff.rank.tolist()}) > 1:
-        budget = (tx_power_w, num_streams, noise_power_w)
+    if len(_stream_counts(eff.rank.tolist(), num_streams)) > 1:
+        budget = (tx_power_w, num_streams, noise_power_w, whitened)
         rows = [hybrid_link_rate(f2, m[None], f1, *budget, reduced=True) for m in eff.matrix]
         return tuple(np.concatenate(parts) for parts in zip(*rows))
     bf = bb_stages(eff, tx_power_w, num_streams, f1)
-    bf.f2 = f2
+    bf.f2, bf.whitened = f2, whitened
     return achievable_rate(bf, eff, noise_power_w), bf.rank_deficient

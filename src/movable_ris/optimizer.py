@@ -104,6 +104,7 @@ class ProblemContext:
     f2: np.ndarray
     trial: TrialChannels
     beams: dict[str, tuple[np.ndarray, np.ndarray]]  # ScenarioPack.beams: the stages' beam axes
+    whitened: bool  # f2's rate branch, ScenarioPack.whitened
     saw_rank_deficiency: bool = False
     _cache_key: tuple[float, float] | None = field(default=None, repr=False)
     _cache: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
@@ -121,7 +122,8 @@ class ProblemContext:
     def _rates(self, h, reduced: bool) -> np.ndarray:
         config = self.config
         rates, deficient = hybrid_link_rate(self.f2, h, self.f1, config.tx_power_watts,
-                                            config.num_streams, config.noise_power_watts, reduced)
+                                            config.num_streams, config.noise_power_watts,
+                                            self.whitened, reduced)
         self.saw_rank_deficiency |= bool(np.any(deficient))
         return rates
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import typing
 from dataclasses import dataclass, field, fields, replace
 
@@ -262,7 +263,10 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
 
     if not errors:  # then the link budget must stay within the float range too
         try:
-            config.tx_power_watts, config.noise_power_watts  # each raises if it overflows
+            config.tx_power_watts  # raises if it overflows, as the noise power does
+            if (noise := config.noise_power_watts) < sys.float_info.min:  # subnormal or 0
+                errors.append(f"noise power {noise!r} W underflows the float range; check "
+                              "noise_psd_dbm_per_hz and bandwidth_hz")
             for node in (geometry.tx_position, geometry.ue_position):
                 rise = geometry.ris_height_m - node[2]  # no hop from this node is shorter
                 far = math.hypot(*(max(abs(lo - c), abs(hi - c))

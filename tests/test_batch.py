@@ -5,6 +5,7 @@ compares that call with the same objective evaluated one particle at a time,
 by bytes, not within a tolerance.
 """
 
+import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import replace
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 
 from movable_ris import baselines, beamforming, optimizer
 from movable_ris.baselines import BaselineKind, build_scenario_pack
-from movable_ris.beamforming import hybrid_link_rate, rf_steering_column
+from movable_ris.beamforming import hybrid_link_rate, needs_whitening, rf_steering_column
+from movable_ris.harness import apply_swept_value
 from movable_ris.scenario import PsoParams, default_config, rng_stream
+from test_acceptance import UE_POSITIONS
 
 # The searches score particles on factored reductions of the hops; those
 # round differently from the reference pipeline, by at most this much.
@@ -209,8 +212,94 @@ def test_stacked_rate_pipeline_equals_per_matrix(seed, count, streams, near_para
     f2 = (rng.standard_normal((n_rf, m)) + 1j * rng.standard_normal((n_rf, m))) / math.sqrt(m)
     if near_parallel:
         f2[1] = f2[0] + 1e-9 * f2[1]
-    rates, deficient = hybrid_link_rate(f2, h, f1, 2.0, streams, noise)
-    rows = [hybrid_link_rate(f2, h_b[None], f1, 2.0, streams, noise) for h_b in h]
+    budget = (2.0, streams, noise, needs_whitening(f2))
+    rates, deficient = hybrid_link_rate(f2, h, f1, *budget)
+    rows = [hybrid_link_rate(f2, h_b[None], f1, *budget) for h_b in h]
     _same_bytes(rates, [r[0] for r, _ in rows])
     assert deficient.tolist() == [d[0] for _, d in rows]
     assert all(deficient[i] for i in zero_rows | rank_one_rows if streams > 1)
+
+
+def _search_of(kind, pack, trial_index):
+    """The batch objective a search of ``kind`` hands to its swarm and the context it scores on."""
+    contexts = []
+    real_run = baselines.run
+
+    def run(context, *args):
+        contexts.append(context)
+        return real_run(context, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "run", run)
+        with _objective_of(kind, pack, trial_index) as objective:
+            return objective, contexts[0]
+
+
+def _pinned_packs():
+    """The default pack, the benchmark's element counts and UE positions, spacing 0.4 and the
+    near-singular toy pack, whose combiner takes the whitened rate branch."""
+    config, geometry = default_config()
+    yield build_scenario_pack(config, geometry, 0)
+    for kind, values in (("elements", (16, 36, 64, 100)), ("ue_scenarios", UE_POSITIONS)):
+        for value in values:
+            yield build_scenario_pack(*apply_swept_value(config, geometry, kind, value), 0)
+    yield build_scenario_pack(replace(config, element_spacing_wavelengths=0.4), geometry, 0)
+    yield _ill_conditioned(_pack())
+
+
+def _mixed_rank_stack(rng, shape):
+    """Full-rank, rank-one and zero reduced channels in one stack: rows carry 2, 1 and 1 streams."""
+    h = _random_stack(rng, 6, *shape, zero_rows={2}, rank_one_rows={1, 4})
+    return h, h[[1, 2, 4]]  # the mixed stack and an all-deficient one
+
+
+# sha256 of the search objective's rates and rank flags on seeded particle batches, for every
+# searching kind on every _pinned_packs pack, then of the mixed-rank stacks through the joint
+# context's rate pipeline. A change in rounding, or in the branch a rate takes, moves it.
+OBJECTIVE_DIGEST = "afb3e7b4e443fcd89bcdd24197f233ccf4afc05cf82c50673838590d3bc8425f"
+
+
+def test_search_objective_bytes_are_pinned():
+    digest = hashlib.sha256()
+
+    def update(context, rates):
+        digest.update(np.asarray(rates, dtype=float).tobytes())
+        digest.update(bytes([context.saw_rank_deficiency]))
+        context.saw_rank_deficiency = False
+
+    for p, pack in enumerate(_pinned_packs()):
+        for kind in SEARCHES:
+            dim = {BaselineKind.FIXED_RIS_OPT_PHASE: pack.config.num_ris,
+                   BaselineKind.MOVABLE_RIS_JOINT: pack.config.num_ris + 2}.get(kind, 2)
+            for trial_index in (0, 1):
+                objective, context = _search_of(kind, pack, trial_index)
+                for clamp in (False, True):
+                    particles = _particles(100 * p + trial_index, 10, dim, clamp, duplicate=clamp)
+                    update(context, objective(particles))
+        _, context = _search_of(BaselineKind.MOVABLE_RIS_JOINT, pack, 0)
+        shape = (pack.f2.shape[0], pack.f1.shape[1])
+        for stack in _mixed_rank_stack(rng_stream(p, 2), shape):
+            update(context, context._rates(stack, reduced=True))
+    assert digest.hexdigest() == OBJECTIVE_DIGEST
+
+
+def test_condition_numbers_are_taken_once_per_pack(monkeypatch):
+    # the rate branch is fixed by each combiner, so no rate call takes a condition number
+    calls = []
+    real = np.linalg.cond
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    base = _pack()
+    counts = []
+    for iterations in (1, 4):
+        config = replace(base.config, pso=PsoParams(swarm_size=3, iterations=iterations))
+        pack = build_scenario_pack(config, base.geometry, 5)
+        calls.clear()
+        for kind in (BaselineKind.FIXED_RIS_OPT_PHASE, BaselineKind.FD_RELAY):
+            baselines.run_baseline(kind, pack, 0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2  # one per combiner, F2 and the relay's

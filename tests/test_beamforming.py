@@ -7,6 +7,7 @@ from movable_ris.beamforming import (
     AngleSupport,
     BeamformerSet,
     InvalidBeamError,
+    _decompose,
     achievable_rate,
     bb_stages,
     build_grid,
@@ -215,6 +216,20 @@ def test_effective_channel_svd_is_deterministic():
         nz = np.flatnonzero(np.abs(v) > 1e-9)
         assert v[nz[0]].imag == pytest.approx(0.0, abs=1e-12)
         assert v[nz[0]].real > 0
+
+
+def test_decompose_mixed_lead_entries_match_each_row_alone():
+    # usual rows rotate by their first right-vector entry; in a zero matrix and in
+    # diag(0, 2, 1) some first entries are negligible, so the stack takes the general path
+    rng = rng_stream(23, 0)
+    usual = _random_complex(rng, (3, 3, 3))
+    stack = np.stack([usual[0], np.zeros((3, 3)), usual[1], np.diag([0.0, 2.0, 1.0]), usual[2]])
+    whole = _decompose(stack.astype(complex))
+    assert not np.abs(whole.vh[..., 0]).all() and np.isfinite(whole.vh).all()
+    for i, row in enumerate(stack.astype(complex)):
+        alone = _decompose(row[None])
+        for field in ("u", "singular_values", "vh", "rank"):
+            assert getattr(whole, field)[i].tobytes() == getattr(alone, field)[0].tobytes(), field
 
 
 def test_bb_stages_identity_channel():

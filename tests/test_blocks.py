@@ -227,7 +227,8 @@ def test_ris_loop_equals_composite_then_effective_channel(
         assert _eff_bytes(eff, 0) == _eff_bytes(row)
         assert eff.rank[0] == row.rank
         expected, _ = hybrid_link_rate(pack.f2, h[None], pack.f1, pack.config.tx_power_watts,
-                                       pack.config.num_streams, pack.config.noise_power_watts)
+                                       pack.config.num_streams, pack.config.noise_power_watts,
+                                       pack.whitened["f2"])
         assert np.float64(rate).tobytes() == expected[0].tobytes()
         reference.append(rate)
     if shared == "position":  # a (Z, M_I) phase batch at one position is Z single calls
@@ -260,8 +261,10 @@ def test_relay_loop_equals_per_particle_effective_channel(
                            (hop2, effective_channel(pack.f2, h2, pack.relay_f1_hop2))):
             assert _eff_bytes(batch, b) == _eff_bytes(row)
         args = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-        rate1, _ = hybrid_link_rate(pack.relay_f2_hop1, h1[None], pack.f1, *args)
-        rate2, _ = hybrid_link_rate(pack.f2, h2[None], pack.relay_f1_hop2, *args)
+        rate1, _ = hybrid_link_rate(pack.relay_f2_hop1, h1[None], pack.f1, *args,
+                                    pack.whitened["relay_f2_hop1"])
+        rate2, _ = hybrid_link_rate(pack.f2, h2[None], pack.relay_f1_hop2, *args,
+                                    pack.whitened["f2"])
         assert rates[b].tobytes() == min(rate1[0], rate2[0]).tobytes()
     searched, _ = baselines._min_hop_rate(pack, trial, x, y, factored=True)
     np.testing.assert_allclose(searched, rates, rtol=FACTORED_RTOL, atol=0.0)

@@ -195,6 +195,17 @@ def test_alpha_path_loss_below_its_reference_frequency_is_an_error(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_subnormal_noise_power_is_an_error(tmp_path, capsys):
+    path = tmp_path / "narrow.cfg"
+    path.write_text(TINY_CONFIG + "bandwidth_hz = 1e-300\n")
+    rc = main(["sweep-power", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "noise power 3.98" in err and "underflows the float range" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("make", [lambda path: None, lambda path: path.mkdir()],
                          ids=["missing", "directory"])
 def test_unreadable_config_is_an_error(tmp_path, make, capsys):

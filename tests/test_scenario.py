@@ -128,6 +128,17 @@ def test_validate_rejects_a_link_budget_beyond_the_float_range(config_changes,
     assert len(errors) == 1 and errors[0].startswith("link budget leaves the float range")
 
 
+@pytest.mark.parametrize("config_changes", [
+    dict(bandwidth_hz=1e-300),  # 3.98e-321 W: every rate would be non-finite
+    dict(noise_psd_dbm_per_hz=-1e300),  # 0 W
+])
+def test_validate_rejects_a_noise_power_below_the_normal_floats(config_changes):
+    config, geometry = default_config()
+    errors = validate(replace(config, **config_changes), geometry)
+    assert len(errors) == 1 and errors[0].startswith("noise power ")
+    assert "underflows the float range" in errors[0]
+
+
 def test_validate_rejects_a_negative_zero_angular_spread():
     # numpy's uniform(0.0, -0.0) refuses high < low
     config, geometry = default_config()
