@@ -23,8 +23,10 @@ on trial 0 of pack seed 3 and a batch of 10 particles:
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack;
 - ``objective.<kind>``: the batch objective each searching kind hands its swarm.
 
-A tree whose ``hop_factors`` takes no beam axes has the hops reduced by
-products of its full hop factors with F1 and F2, which is what its searches did.
+A tree whose ``hop_factors`` builds both hops in one call (it takes no ``link``)
+is timed through that one call. A tree whose one-hop ``hop_factors`` takes no
+beam axes has the hops reduced by products of its full hop factors with F1 and
+F2, which is what its searches did.
 A tree whose ``hybrid_link_rate`` takes the combiner's rate branch is given the
 pack's, which its searches decide once per pack.
 """
@@ -96,11 +98,17 @@ def layers_of(module) -> dict:
     rng = scenario.rng_stream(7, 0)
     joint = rng.random((BATCH, config.num_ris + 2))
     xy = np.column_stack(optimizer.decode_xy(joint[:, 0], joint[:, 1], geometry))
-    paths = channel._link_paths(config, geometry, trial, xy, "tx_ris")
-    per_axis = "beams" in inspect.signature(channel.hop_factors).parameters
+    two_hop = "link" not in inspect.signature(channel.hop_factors).parameters
+    if two_hop:
+        el, az, _ = channel._hop_angles(geometry, trial, xy)
+        tx_angles = el[1, 0], az[1, 0]  # the Tx end of the Tx hop
+    else:
+        paths = channel._link_paths(config, geometry, trial, xy, "tx_ris")
+        tx_angles = paths.dep_elevation, paths.dep_azimuth
+    per_axis = two_hop or "beams" in inspect.signature(channel.hop_factors).parameters
 
     def hop(link, rx=None, tx=None, shape=None):
-        """The hop reduced against the named RF stages at its (receive, transmit) ends."""
+        """One hop of a one-hop tree, reduced against the named (receive, transmit) RF stages."""
         if per_axis:
             beams = tuple(pack.beams[name] if name else None for name in (rx, tx))
             return np.matmul(*channel.hop_factors(config, geometry, trial, xy, link, shape, beams))
@@ -108,21 +116,31 @@ def layers_of(module) -> dict:
         left = left if rx is None else getattr(pack, rx) @ left
         return left @ right if tx is None else left @ (right @ getattr(pack, tx))
 
+    def hops(stages, shapes=None):
+        """The Tx hop, then the UE hop, each reduced against its (receive, transmit) stages."""
+        if two_hop:
+            beams = tuple(tuple(pack.beams[name] if name else None for name in stage)
+                          for stage in stages)
+            factors = channel.hop_factors(config, geometry, trial, xy, shapes, beams)
+            return tuple(np.matmul(*pair) for pair in factors)
+        return tuple(hop(link, *stage, shape)
+                     for link, stage, shape in zip(("tx_ris", "ris_rx"), stages,
+                                                   shapes or (None, None)))
+
     def ris_hops():
-        return hop("ris_rx", rx="f2"), hop("tx_ris", tx="f1")
+        return hops(((None, "f1"), ("f2", None)))
 
     def relay_hops():
-        return (hop("tx_ris", "relay_f2_hop1", "f1", config.rx_antennas),
-                hop("ris_rx", "f2", "relay_f1_hop2", config.tx_antennas))
+        return hops((("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2")),
+                    (config.rx_antennas, config.tx_antennas))
 
-    a, c = ris_hops()
+    c, a = ris_hops()
     reduced = (a * np.exp(2j * np.pi * joint[:, None, 2:])) @ c
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
     if "whitened" in inspect.signature(beamforming.hybrid_link_rate).parameters:
         budget += (pack.whitened["f2"],)
     layers = {
-        "steering": lambda: channel.steering_matrix(paths.dep_elevation, paths.dep_azimuth,
-                                                    *config.tx_antennas,
+        "steering": lambda: channel.steering_matrix(*tx_angles, *config.tx_antennas,
                                                     config.element_spacing_wavelengths),
         "hop_factors": ris_hops,
         "relay_hops": relay_hops,

@@ -193,7 +193,7 @@ def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y, factored: bool
     self-interference is modeled: the rate is the ideal full-duplex bound
     min(hop rates). Returns (Z,) rates and whether either hop was rank
     deficient, element-wise over (Z,) coordinate arrays; scalar coordinates
-    are a batch of one. Hop 1 is reduced to its rates before hop 2 is built.
+    are a batch of one. Both hops come from one ``hop_factors`` call.
     The reference forms each hop matrix H = L R; ``factored``, the search
     objective, projects both ends of each hop onto their RF beams, so L R is
     F2 H F1 up to rounding.
@@ -201,14 +201,15 @@ def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y, factored: bool
     config = pack.config
     xy = np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-    hop_rates = []
-    for link, relay_shape, rx, tx in (("tx_ris", config.rx_antennas, "relay_f2_hop1", "f1"),
-                                      ("ris_rx", config.tx_antennas, "f2", "relay_f1_hop2")):
-        f2, f1, whitened = getattr(pack, rx), getattr(pack, tx), pack.whitened[rx]
-        beams = (pack.beams[rx], pack.beams[tx]) if factored else (None, None)
-        left, right = hop_factors(config, pack.geometry, trial, xy, link, relay_shape, beams)
-        hop_rates.append(hybrid_link_rate(f2, left @ right, f1, *budget, whitened, factored))
-    (rate1, deficient1), (rate2, deficient2) = hop_rates
+    stages = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))  # (receive, transmit) per hop
+    beams = tuple((pack.beams[rx], pack.beams[tx]) if factored else (None, None)
+                  for rx, tx in stages)
+    hops = hop_factors(config, pack.geometry, trial, xy,
+                       (config.rx_antennas, config.tx_antennas), beams)
+    (rate1, deficient1), (rate2, deficient2) = (
+        hybrid_link_rate(getattr(pack, rx), left @ right, getattr(pack, tx), *budget,
+                         pack.whitened[rx], factored)
+        for (rx, tx), (left, right) in zip(stages, hops))
     rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
     return rate, deficient1 | deficient2
 

@@ -10,13 +10,14 @@ offsets) can be frozen while the RIS moves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import DeploymentGeometry, SystemConfig, path_amplitude
+from .scenario import DeploymentGeometry, SystemConfig, path_amplitudes
 
 __all__ = [
     "UP",
@@ -93,6 +94,27 @@ class TrialChannels:
     gains_ris_rx: np.ndarray
     offsets_ris_rx: AngleOffsets
 
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        self.__dict__.pop("platform_to_node", None)  # a new draw invalidates the stacks
+
+    @functools.cached_property
+    def platform_to_node(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both hops' draws as platform-to-node links, Tx hop first.
+
+        Gains (2, 1, L), and offsets (2, 2, 2, 1, L) indexed by
+        (elevation/azimuth, end, hop), the platform end first. The Tx hop
+        runs into the platform, so its platform end takes its arrival offsets.
+        """
+        ti, ir = self.offsets_tx_ris, self.offsets_ris_rx
+        offsets = np.array([
+            [[ti.arr_elevation, ir.dep_elevation], [ti.dep_elevation, ir.arr_elevation]],
+            [[ti.arr_azimuth, ir.dep_azimuth], [ti.dep_azimuth, ir.arr_azimuth]],
+        ])
+        gains = np.array([self.gains_tx_ris, self.gains_ris_rx])
+        gains.flags.writeable = offsets.flags.writeable = False  # every later call shares them
+        return gains[:, None, :], offsets[..., None, :]
+
 
 @dataclass
 class ChannelRealization:
@@ -118,16 +140,31 @@ def steering_matrix(
     column l is kron(Px[:, l], Py[:, l]) and beam k is sqrt(M) kron(X[k], Y[k]), so
     their product is sqrt(M) (X Px)[k, l] (Y Py)[k, l], taken one array axis at a time.
     """
-    el = np.asarray(elevations, dtype=float)
-    az = np.asarray(azimuths, dtype=float)
-    ux = np.sin(el) * np.cos(az)  # directional cosines
-    uy = np.sin(el) * np.sin(az)
+    cosines = _direction_cosines(np.asarray(elevations, dtype=float),
+                                 np.asarray(azimuths, dtype=float))
+    return _steering_of(*_axis_phases(*cosines, m_x, m_y, spacing), beams)
+
+
+def _direction_cosines(elevations: np.ndarray, azimuths: np.ndarray):
+    """In-plane direction cosines (ux, uy) of each direction."""
+    sin_el = np.sin(elevations)
+    return sin_el * np.cos(azimuths), sin_el * np.sin(azimuths)
+
+
+def _axis_phases(ux, uy, m_x: int, m_y: int, spacing: float):
+    """Per-axis phase factors Px (..., m_x, L) and Py (..., m_y, L) of ``steering_matrix``."""
     px = np.exp(-2j * np.pi * spacing * np.arange(m_x)[:, None] * ux[..., None, :])
     py = np.exp(-2j * np.pi * spacing * np.arange(m_y)[:, None] * uy[..., None, :])
+    return px, py
+
+
+def _steering_of(px: np.ndarray, py: np.ndarray, beams=None) -> np.ndarray:
+    """``steering_matrix`` from its per-axis phase factors."""
+    m_x, m_y = px.shape[-2], py.shape[-2]
     if beams is not None:
         return (beams[0] @ px) * (beams[1] @ py) * math.sqrt(m_x * m_y)
     kron = px[..., :, None, :] * py[..., None, :, :]
-    return kron.reshape(*ux.shape[:-1], m_x * m_y, ux.shape[-1])
+    return kron.reshape(*px.shape[:-2], m_x * m_y, px.shape[-1])
 
 
 def mean_angles_from_geometry(
@@ -139,36 +176,34 @@ def mean_angles_from_geometry(
     from each node; elevations are measured from each array's boresight
     normal, so a broadside link has elevation 0.
     """
-    means = _stacked_mean_angles(np.reshape(pos_a, (1, 3)), np.reshape(pos_b, (1, 3)),
-                                 boresight_a, boresight_b)
-    return LinkAngles(*(float(field[0]) for field in means))
+    angles, tau = _stacked_mean_angles(np.reshape(pos_a, (1, 3)), np.reshape(pos_b, (1, 3)),
+                                       boresight_a, boresight_b)
+    return LinkAngles(*angles[..., 0].T.ravel().tolist(), float(tau[0]))
 
 
-def _stacked_mean_angles(pos_a, pos_b, boresight_a, boresight_b) -> LinkAngles:
-    """``mean_angles_from_geometry`` for (B, 3) stacks of node pairs; fields are (B,) arrays.
+def _stacked_mean_angles(pos_a, pos_b, boresight_a, boresight_b):
+    """``mean_angles_from_geometry`` of N node pairs: angles (2, 2, N) and lengths (N,).
 
-    Lengths and boresight projections are stacked vector-vector matmuls,
-    which take the same dot product as ``np.linalg.norm`` of one 3-vector;
-    ``math.acos``/``math.atan2`` run once per pair, since numpy's
-    vectorized forms round differently.
+    ``pos_a`` and ``pos_b`` broadcast to (..., 3), read as N pairs. The
+    angles are indexed by (elevation/azimuth, end a/end b, pair). Lengths and
+    boresight projections are stacked vector-vector matmuls, which take the
+    same dot product as ``np.linalg.norm`` of one 3-vector. ``math.acos`` and
+    ``math.atan2`` map over the pairs, since numpy's vectorized forms round
+    differently.
     """
-    v = np.asarray(pos_b, dtype=float) - np.asarray(pos_a, dtype=float)
+    diff = np.asarray(pos_b, dtype=float) - np.asarray(pos_a, dtype=float)
+    v = diff.reshape(-1, 3)
     tau = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
     if not tau.all():
-        where = np.broadcast_to(pos_a, v.shape)[np.argmin(tau)]
+        where = np.broadcast_to(pos_a, diff.shape).reshape(-1, 3)[np.argmin(tau)]
         raise DegenerateGeometryError(f"coincident positions {tuple(where.tolist())}")
     u = v / tau[:, None]
-    w = -u
-    cos_a = (u[:, None, :] @ np.reshape(boresight_a, (3, 1)))[:, 0, 0]
-    cos_b = (w[:, None, :] @ np.reshape(boresight_b, (3, 1)))[:, 0, 0]
-    # clipped with min/max: np.clip on a scalar costs more than acos itself
-    angles = [
-        (math.acos(min(max(ca, -1.0), 1.0)), math.atan2(uy, ux),
-         math.acos(min(max(cb, -1.0), 1.0)), math.atan2(wy, wx))
-        for ca, cb, (ux, uy, _), (wx, wy, _) in zip(cos_a.tolist(), cos_b.tolist(),
-                                                    u.tolist(), w.tolist())
-    ]
-    return LinkAngles(*np.array(angles).reshape(-1, 4).T, tau)
+    uw = np.concatenate((u, -u))  # unit vectors away from end a, then away from end b
+    boresights = np.array((boresight_a, boresight_b), dtype=float).reshape(2, 1, 3, 1)
+    cosines = np.clip((uw.reshape(2, -1, 1, 3) @ boresights).ravel(), -1.0, 1.0).tolist()
+    x, y, _ = uw.T.tolist()
+    angles = np.array(list(map(math.acos, cosines)) + list(map(math.atan2, y, x)))
+    return angles.reshape(2, 2, -1), tau
 
 
 def draw_angle_offsets(
@@ -230,9 +265,12 @@ def translation_phases(
     would be phase-transparent. ``delta_xy`` may be a (..., 2) stack of
     translations against angles of shape (..., L).
     """
+    return _translation_phases(*_direction_cosines(elevations, azimuths), delta_xy, wavelength_m)
+
+
+def _translation_phases(ux, uy, delta_xy, wavelength_m: float) -> np.ndarray:
+    """``translation_phases`` from the paths' direction cosines."""
     delta = np.asarray(delta_xy, dtype=float)
-    ux = np.sin(elevations) * np.cos(azimuths)
-    uy = np.sin(elevations) * np.sin(azimuths)
     return np.exp(-2j * np.pi * (delta[..., 0:1] * ux + delta[..., 1:2] * uy) / wavelength_m)
 
 
@@ -240,32 +278,10 @@ def wavelength_m(carrier_ghz: float) -> float:
     return 0.299792458 / carrier_ghz
 
 
-def _link_factors(
-    paths: PathSet,
-    tx_shape: tuple[int, int],
-    rx_shape: tuple[int, int],
-    carrier_ghz: float,
-    exponent: float,
-    spacing: float,
-    mode: str = "alpha",
-    beams: tuple = (None, None),
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sum-of-paths channel of ``link_channel`` as H = left @ right.
-
-    ``left`` (..., num_rx, L) holds the receive steering columns scaled by
-    each path's amplitude times gain, ``right`` (..., L, num_tx) the
-    transposed transmit steering matrix; both keep the path set's leading
-    axes. An end given RF beam axes (``beams``: receive, transmit) is projected onto them.
-    """
-    distance = np.asarray(paths.distance_m, dtype=float)
-    amp = np.reshape(
-        [path_amplitude(carrier_ghz, float(d), exponent, mode) for d in distance.flat],
-        distance.shape,
-    )
-    left = steering_matrix(paths.arr_elevation, paths.arr_azimuth, *rx_shape, spacing, beams[0])
-    left *= (amp * paths.gains)[..., None, :]
-    right = steering_matrix(paths.dep_elevation, paths.dep_azimuth, *tx_shape, spacing, beams[1])
-    return left, np.swapaxes(right, -1, -2)
+def _amplitudes(distance_m: np.ndarray, carrier_ghz: float, exponent: float, mode: str):
+    """``path_amplitudes`` of an array of distances, in its shape."""
+    amp = path_amplitudes(carrier_ghz, np.ravel(distance_m).tolist(), exponent, mode)
+    return np.reshape(amp, np.shape(distance_m))
 
 
 def link_channel(
@@ -284,8 +300,11 @@ def link_channel(
     norm sqrt(num_rx * num_tx). A path set with leading axes gives one
     matrix per leading index.
     """
-    left, right = _link_factors(paths, tx_shape, rx_shape, carrier_ghz, exponent, spacing, mode)
-    return left @ right
+    amp = _amplitudes(paths.distance_m, carrier_ghz, exponent, mode)
+    left = steering_matrix(paths.arr_elevation, paths.arr_azimuth, *rx_shape, spacing)
+    left *= (amp * paths.gains)[..., None, :]
+    right = steering_matrix(paths.dep_elevation, paths.dep_azimuth, *tx_shape, spacing)
+    return left @ np.swapaxes(right, -1, -2)
 
 
 def composite_channel(
@@ -303,36 +322,39 @@ def composite_channel(
     return (h_ris_rx * np.exp(1j * phases)[..., None, :]) @ h_tx_ris
 
 
-def _link_paths(
-    config: SystemConfig,
-    geometry: DeploymentGeometry,
-    trial: TrialChannels,
-    xy: np.ndarray,
-    link: str,
-) -> PathSet:
-    """Paths of one hop at a (B, 2) stack of platform positions.
+def _hop_angles(geometry: DeploymentGeometry, trial: TrialChannels, xy: np.ndarray):
+    """Path angles of both hops at a (B, 2) stack of platform positions.
 
-    ``link`` is "tx_ris" (Tx into the platform) or "ris_rx" (platform out to
-    the UE). Mean angles and distances follow the position; the trial's
-    gains and angular offsets stay frozen. Each path additionally picks up
-    the deterministic translation phase of the moved phase reference
-    (relative to the platform center, where the factor is exactly 1),
-    evaluated at the platform-side direction of that path. Every field of
-    the result has a leading axis of length B.
+    Every link runs from the platform to its node, so one stack of 2B pairs
+    gives both hops: reversing a link negates its difference vector exactly,
+    and the Tx hop's angles are the reversed link's with departure and
+    arrival swapped. Returns elevations and azimuths (2, 2, B, L), indexed
+    by (end, hop) with the platform end and the Tx hop first, and the
+    distances (2, B, 1). Mean angles and distances follow the position; the
+    trial's angular offsets stay frozen.
     """
-    platform = np.column_stack((xy, np.full(len(xy), geometry.ris_height_m)))
-    into = link == "tx_ris"
-    means = (_stacked_mean_angles(geometry.tx_position, platform, UP, DOWN) if into
-             else _stacked_mean_angles(platform, geometry.ue_position, DOWN, UP))
-    means = LinkAngles(*(field[:, None] for field in means))
-    paths = (make_path_set(means, trial.offsets_tx_ris, trial.gains_tx_ris) if into
-             else make_path_set(means, trial.offsets_ris_rx, trial.gains_ris_rx))
-    side = ((paths.arr_elevation, paths.arr_azimuth) if into
-            else (paths.dep_elevation, paths.dep_azimuth))
-    delta = xy - geometry.platform_center()
-    paths.gains = paths.gains * translation_phases(
-        *side, delta, wavelength_m(config.carrier_frequency_ghz))
-    return paths
+    b = len(xy)
+    platform = np.column_stack((xy, np.full(b, geometry.ris_height_m)))
+    nodes = np.reshape((geometry.tx_position, geometry.ue_position), (2, 1, 3))
+    means, tau = _stacked_mean_angles(platform, nodes, DOWN, UP)
+    el, az = means.reshape(2, 2, 2, b, 1) + trial.platform_to_node[1]
+    return el, az, tau.reshape(2, b, 1)
+
+
+def _steering_by_shape(ux, uy, ends, spacing: float) -> list[np.ndarray]:
+    """``steering_matrix`` of each end i, given as (array shape, beams) over ux[i], uy[i].
+
+    The exponentials of all ends sharing an array shape are taken in one pass.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (shape, _) in enumerate(ends):
+        groups.setdefault(tuple(shape), []).append(i)
+    blocks = [None] * len(ends)
+    for shape, group in groups.items():
+        px, py = _axis_phases(ux[group], uy[group], *shape, spacing)
+        for j, i in enumerate(group):
+            blocks[i] = _steering_of(px[j], py[j], ends[i][1])
+    return blocks
 
 
 def hop_factors(
@@ -340,29 +362,42 @@ def hop_factors(
     geometry: DeploymentGeometry,
     trial: TrialChannels,
     ris_xy: np.ndarray,
-    link: str,
-    platform_shape: tuple[int, int] | None = None,
-    beams: tuple = (None, None),
-) -> tuple[np.ndarray, np.ndarray]:
-    """One hop at a (B, 2) stack of positions as ``_link_factors``, H_b = left[b] @ right[b].
+    platform_shapes: tuple | None = None,
+    beams: tuple = ((None, None), (None, None)),
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Both hops at a (B, 2) stack of platform positions: ((left, right) of H_TI, of H_IR).
 
-    A search passes the RF beam axes of the hop's beamformed (receive, transmit)
-    ends as ``beams`` and gets the factors of the reduced hop. The platform
-    node's array defaults to the RIS element grid; a relay passes its own.
+    H_b = left[b] @ right[b]. ``left`` (B, num_rx, L) holds the receive
+    steering columns scaled by each path's amplitude times gain, ``right``
+    (B, L, num_tx) the transposed transmit steering matrix. Each path picks
+    up the deterministic translation phase of the moved phase reference
+    (relative to the platform center, where the factor is exactly 1), taken
+    at the platform-side direction of that path. A search passes, per hop,
+    the RF beam axes of its beamformed (receive, transmit) ends as ``beams``
+    and gets the factors of the reduced hops. The platform node's arrays,
+    one per hop, default to the RIS element grid; a relay passes its own.
+    The steering exponentials of ends sharing an array shape are taken in
+    one pass.
     """
-    paths = _link_paths(config, geometry, trial, np.asarray(ris_xy, dtype=float), link)
-    platform = config.ris_elements if platform_shape is None else platform_shape
-    into = link == "tx_ris"
-    return _link_factors(
-        paths,
-        config.tx_antennas if into else platform,
-        platform if into else config.rx_antennas,
-        config.carrier_frequency_ghz,
-        config.path_loss_exponent,
-        config.element_spacing_wavelengths,
-        config.path_loss_mode,
-        beams,
-    )
+    xy = np.asarray(ris_xy, dtype=float)
+    el, az, distance = _hop_angles(geometry, trial, xy)
+    ux, uy = _direction_cosines(el, az)
+    gains = trial.platform_to_node[0]
+    gains = gains * _translation_phases(ux[0], uy[0], xy - geometry.platform_center(),
+                                        wavelength_m(config.carrier_frequency_ghz))
+    scale = _amplitudes(distance, config.carrier_frequency_ghz, config.path_loss_exponent,
+                        config.path_loss_mode) * gains
+    (rx_ti, tx_ti), (rx_ir, tx_ir) = beams
+    platform = platform_shapes or (config.ris_elements, config.ris_elements)
+    platform_ti, platform_ir, tx_end, ue_end = _steering_by_shape(
+        ux.reshape(4, *ux.shape[2:]), uy.reshape(4, *uy.shape[2:]),
+        ((platform[0], rx_ti), (platform[1], tx_ir),  # in (end, hop) order
+         (config.tx_antennas, tx_ti), (config.rx_antennas, rx_ir)),
+        config.element_spacing_wavelengths)
+    platform_ti *= scale[0][..., None, :]
+    ue_end *= scale[1][..., None, :]
+    return ((platform_ti, np.swapaxes(tx_end, -1, -2)),
+            (ue_end, np.swapaxes(platform_ir, -1, -2)))
 
 
 def realize_channels(
@@ -377,6 +412,5 @@ def realize_channels(
     position and a stack of them share one code path.
     """
     xy = np.asarray(ris_xy, dtype=float).reshape(1, 2)
-    (l_ti,), (r_ti,) = hop_factors(config, geometry, trial, xy, "tx_ris")
-    (l_ir,), (r_ir,) = hop_factors(config, geometry, trial, xy, "ris_rx")
+    ((l_ti,), (r_ti,)), ((l_ir,), (r_ir,)) = hop_factors(config, geometry, trial, xy)
     return ChannelRealization(l_ti @ r_ti, l_ir @ r_ir)

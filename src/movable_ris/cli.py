@@ -164,6 +164,13 @@ def _run_sweep(args, kind: str, values: tuple | None, out_name: str) -> int:
         pso_seed=args.pso_seed,
     )
     out_dir = args.out if args.out is not None else Path("results") / out_name
+    for flag, directory in (("--out", out_dir), ("--dump-channels", args.dump_channels)):
+        if directory is None:
+            continue
+        try:  # before any trial runs, so a bad path costs no sweep
+            Path(directory).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create {flag} directory {directory}: {exc}") from None
     results = sweep(spec, config, geometry, dump_dir=args.dump_channels)
     csv_path, meta_path = write_results(results, out_dir, config, geometry)
     script_path = emit_plot_script(results, Path(out_dir) / "plot_results.py", geometry)

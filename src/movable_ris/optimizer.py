@@ -152,9 +152,9 @@ class ProblemContext:
             _, _, a, c = self.hop_matrices(state.x, state.y)
         else:
             xy = np.stack(np.broadcast_arrays(state.x, state.y), axis=-1)
-            args = (self.config, self.geometry, self.trial, xy)
-            a = np.matmul(*hop_factors(*args, "ris_rx", beams=(self.beams["f2"], None)))
-            c = np.matmul(*hop_factors(*args, "tx_ris", beams=(None, self.beams["f1"])))
+            c, a = (left @ right for left, right in hop_factors(
+                self.config, self.geometry, self.trial, xy,
+                beams=((None, self.beams["f1"]), (self.beams["f2"], None))))
         e = np.exp(1j * np.asarray(state.phases, dtype=float))
         return self._rates((a * e[..., None, :]) @ c, reduced=True)
 

@@ -26,6 +26,7 @@ __all__ = [
     "dbm_to_watts",
     "path_loss_linear",
     "path_amplitude",
+    "path_amplitudes",
     "validate",
     "serialize_config",
     "parse_config",
@@ -165,8 +166,11 @@ def path_loss_linear(carrier_ghz: float, distance_m: float, exponent: float) -> 
     10^((32.4 + 20*log10(f_GHz) + 10*eta*log10(tau))/10); callers dividing
     amplitudes use its square root.
     """
-    db = alpha_coefficient(carrier_ghz) + 10.0 * exponent * math.log10(distance_m)
-    return 10.0 ** (db / 10.0)
+    return _linear_loss(alpha_coefficient(carrier_ghz), distance_m, exponent)
+
+
+def _linear_loss(alpha: float, distance_m: float, exponent: float) -> float:
+    return 10.0 ** ((alpha + 10.0 * exponent * math.log10(distance_m)) / 10.0)
 
 
 def path_amplitude(
@@ -180,11 +184,19 @@ def path_amplitude(
     "db": power attenuation = path_loss_linear(...), i.e. the full close-in
     expression interpreted in decibels.
     """
+    return path_amplitudes(carrier_ghz, (distance_m,), exponent, mode)[0]
+
+
+def path_amplitudes(
+    carrier_ghz: float, distances_m, exponent: float, mode: str = "alpha"
+) -> list[float]:
+    """``path_amplitude`` of each distance, with the reference term taken once."""
+    if mode not in ("alpha", "db"):
+        raise ValueError(f"unknown path loss mode {mode!r}")
+    alpha = alpha_coefficient(carrier_ghz)
     if mode == "alpha":
-        return 1.0 / math.sqrt(alpha_coefficient(carrier_ghz) * distance_m**exponent)
-    if mode == "db":
-        return 1.0 / math.sqrt(path_loss_linear(carrier_ghz, distance_m, exponent))
-    raise ValueError(f"unknown path loss mode {mode!r}")
+        return [1.0 / math.sqrt(alpha * d**exponent) for d in distances_m]
+    return [1.0 / math.sqrt(_linear_loss(alpha, d, exponent)) for d in distances_m]
 
 
 def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:

@@ -8,6 +8,7 @@ relative bound of the reference rates.
 """
 
 import math
+import re
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
@@ -57,6 +58,12 @@ def _angle_bytes(angles: LinkAngles) -> bytes:
     return np.array([np.asarray(field, dtype=float) for field in angles]).tobytes()
 
 
+def _batch_angles(pos_a, pos_b, boresight_a, boresight_b) -> LinkAngles:
+    """``channel._stacked_mean_angles`` of the pairs as one LinkAngles of (N,) fields."""
+    angles, tau = channel._stacked_mean_angles(pos_a, pos_b, boresight_a, boresight_b)
+    return LinkAngles(angles[0, 0], angles[1, 0], angles[0, 1], angles[1, 1], tau)
+
+
 GEOMETRY = default_config()[1]
 NODES = (GEOMETRY.tx_position, GEOMETRY.ue_position)
 CORNERS = tuple((x, y) for x in GEOMETRY.platform_x_range for y in GEOMETRY.platform_y_range)
@@ -78,13 +85,50 @@ platform_xy = st.one_of(
 def test_stacked_mean_angles_equal_scalar_reference(node, xy, height):
     platform = [(x, y, height) for x, y in xy]
     for pos_a, pos_b, bore in ((node, platform, (UP, DOWN)), (platform, node, (DOWN, UP))):
-        batch = channel._stacked_mean_angles(np.broadcast_to(pos_a, (len(xy), 3)),
-                                             np.broadcast_to(pos_b, (len(xy), 3)), *bore)
+        batch = _batch_angles(np.broadcast_to(pos_a, (len(xy), 3)),
+                              np.broadcast_to(pos_b, (len(xy), 3)), *bore)
         pairs = [(node, p) if pos_a is node else (p, node) for p in platform]
         rows = [_reference_mean_angles(a, b, *bore) for a, b in pairs]
         assert _angle_bytes(batch) == _angle_bytes(LinkAngles(*zip(*rows)))
         assert all(_angle_bytes(mean_angles_from_geometry(a, b, *bore)) == _angle_bytes(r)
                    for (a, b), r in zip(pairs, rows))
+
+
+# A boresight along which one rounding step carries the projection of a unit
+# link vector past 1, with the pair that does it.
+TILTED = (0.5921556065399702, 0.7802066670603555, 0.20156709631745873)
+PAST_ONE = ((0.0, 0.0, 0.0), (21.758954054916767, 28.668952610448876, 7.406649771302169))
+
+
+def _raw_cosines(pos_a, pos_b, boresight_a, boresight_b) -> tuple[float, float]:
+    """Each end's boresight projection before ``acos`` clamps it, as the reference takes it."""
+    v = np.asarray(pos_b, dtype=float) - np.asarray(pos_a, dtype=float)
+    u = v / np.linalg.norm(v)
+    return float(np.dot(u, boresight_a)), float(np.dot(-u, boresight_b))
+
+
+STRAIGHT_DOWN = ((55.0, 45.0, 5.0), (55.0, 45.0, 2.0))  # platform point right above a node
+SLANTED = ((50.0, 40.0, 5.0), (60.0, 90.0, 2.0))
+NAN_ROW = ((math.nan, 45.0, 5.0), (0.0, 0.0, 2.0))
+
+
+@pytest.mark.parametrize("pairs, bore, cosines", [
+    ([STRAIGHT_DOWN, SLANTED], (DOWN, UP), (1.0, 1.0)),  # exactly 1 at both ends
+    ([STRAIGHT_DOWN, SLANTED], (UP, DOWN), (-1.0, -1.0)),  # exactly -1 at both ends
+    ([PAST_ONE, SLANTED], (TILTED, TILTED), (1.0 + 2**-52, -1.0 - 2**-52)),  # a step past
+    ([STRAIGHT_DOWN, NAN_ROW, SLANTED], (DOWN, UP), (1.0, 1.0)),  # a NaN row among finite ones
+], ids=["one", "minus_one", "past_one", "nan_row"])
+def test_clamped_and_nan_cosines_equal_scalar_reference(pairs, bore, cosines):
+    """The first pair's projections are ``cosines``; every row matches the per-pair reference."""
+    assert _raw_cosines(*pairs[0], *bore) == cosines
+    pos_a, pos_b = np.array(pairs).transpose(1, 0, 2)
+    rows = [_reference_mean_angles(a, b, *bore) for a, b in pairs]
+    if NAN_ROW in pairs:  # a NaN row stays NaN rather than raising
+        assert all(math.isnan(field) for field in rows[pairs.index(NAN_ROW)])
+    batch = _batch_angles(pos_a, pos_b, *bore)
+    assert _angle_bytes(batch) == _angle_bytes(LinkAngles(*zip(*rows)))
+    assert all(_angle_bytes(mean_angles_from_geometry(a, b, *bore)) == _angle_bytes(r)
+               for (a, b), r in zip(pairs, rows))
 
 
 def test_coincident_nodes_still_raise():
@@ -95,9 +139,12 @@ def test_coincident_nodes_still_raise():
     with pytest.raises(DegenerateGeometryError, match="coincident"):
         channel._stacked_mean_angles(stack, node, DOWN, UP)
     geometry = replace(GEOMETRY, tx_position=node)
-    trial = channel.draw_trial(default_config()[0], rng_stream(1, 0))
+    config = default_config()[0]
+    trial = channel.draw_trial(config, rng_stream(1, 0))
     with pytest.raises(DegenerateGeometryError):
-        channel.realize_channels(default_config()[0], geometry, trial, node[:2])
+        channel.realize_channels(config, geometry, trial, node[:2])
+    with pytest.raises(DegenerateGeometryError, match=re.escape(f"coincident positions {node}")):
+        channel.hop_factors(config, geometry, trial, stack[:, :2])  # one row of a batch
 
 
 @given(
@@ -304,23 +351,84 @@ def test_per_axis_projection_equals_beams_times_steering(scale, trial_index, dra
     config = pack.config
     trial = baselines.trial_channels(pack, trial_index)
     xy = np.column_stack(_positions(pack, draw_seed, count, clamp))
-    into = channel._link_paths(config, pack.geometry, trial, xy, "tx_ris")
-    out = channel._link_paths(config, pack.geometry, trial, xy, "ris_rx")
+    el, az, _ = channel._hop_angles(pack.geometry, trial, xy)  # (end, hop): platform end first
     tx, rx = config.tx_antennas, config.rx_antennas
-    ends = (  # each RF stage as rows of beams, with the angles its end sees
-        ("f1", pack.f1.T, tx, into.dep_elevation, into.dep_azimuth),
-        ("relay_f2_hop1", pack.relay_f2_hop1, rx, into.arr_elevation, into.arr_azimuth),
-        ("f2", pack.f2, rx, out.arr_elevation, out.arr_azimuth),
-        ("relay_f1_hop2", pack.relay_f1_hop2.T, tx, out.dep_elevation, out.dep_azimuth),
+    ends = (  # each RF stage as rows of beams, with the (end, hop) whose angles it sees
+        ("f1", pack.f1.T, tx, (1, 0)),
+        ("relay_f2_hop1", pack.relay_f2_hop1, rx, (0, 0)),
+        ("f2", pack.f2, rx, (1, 1)),
+        ("relay_f1_hop2", pack.relay_f1_hop2.T, tx, (0, 1)),
     )
     spacing = config.element_spacing_wavelengths
-    for name, beams, shape, el, az in ends:
-        full = steering_matrix(el, az, *shape, spacing)
-        assert full.tobytes() == _kron_steering(el, az, *shape, spacing).tobytes()
-        projected = channel.steering_matrix(el, az, *shape, spacing, pack.beams[name])
+    for name, beams, shape, end in ends:
+        full = steering_matrix(el[end], az[end], *shape, spacing)
+        assert full.tobytes() == _kron_steering(el[end], az[end], *shape, spacing).tobytes()
+        projected = channel.steering_matrix(el[end], az[end], *shape, spacing, pack.beams[name])
         # entries are bounded by |beam| |column| = sqrt(M); rounding is held relative to that
         bound = FACTORED_RTOL * math.sqrt(shape[0] * shape[1])
         np.testing.assert_allclose(projected, beams @ full, rtol=0.0, atol=bound, err_msg=name)
+
+
+# --- both hops from one platform-to-node pass ------------------------------------
+
+array_shape = st.tuples(st.integers(2, 5), st.integers(1, 4))  # at least num_streams = 2
+
+
+@given(
+    shapes=st.tuples(array_shape, array_shape, array_shape),
+    mode=st.sampled_from(["alpha", "db"]),
+    relay=st.booleans(),
+    trial_index=st.integers(min_value=0, max_value=30),
+    draw_seed=st.integers(min_value=0, max_value=10_000),
+    count=st.integers(min_value=1, max_value=6),
+    clamp=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_both_hops_equal_reference_hops(shapes, mode, relay, trial_index, draw_seed, count,
+                                        clamp):
+    """Unprojected hops are the reference's bytes; projected ones its F2 H F1 within rounding."""
+    config, geometry = default_config()
+    config = replace(config, tx_antennas=shapes[0], rx_antennas=shapes[1],
+                     ris_elements=shapes[2], path_loss_mode=mode)
+    pack = build_scenario_pack(config, geometry, 4)
+    trial = baselines.trial_channels(pack, trial_index)
+    x, y = _positions(pack, draw_seed, count, clamp)
+    # the relay's hop-1 receive and hop-2 transmit arrays mirror the Rx and Tx arrays
+    platform = (config.rx_antennas, config.tx_antennas) if relay else None
+    stages = ((("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2")) if relay
+              else ((None, "f1"), ("f2", None)))  # (receive, transmit) of each hop
+    beams = tuple(tuple(pack.beams[name] if name else None for name in hop) for hop in stages)
+    xy = np.column_stack((x, y))
+    unprojected = channel.hop_factors(config, geometry, trial, xy, platform)
+    projected = channel.hop_factors(config, geometry, trial, xy, platform, beams)
+    for hop, link in enumerate(("tx_ris", "ris_rx")):
+        (left, right), (p_left, p_right) = unprojected[hop], projected[hop]
+        rx, tx = (getattr(pack, name) if name else None for name in stages[hop])
+        for b in range(count):
+            h = _reference_hop(config, geometry, trial, x[b], y[b], link,
+                               platform and platform[hop])
+            assert (left[b] @ right[b]).tobytes() == h.tobytes()
+            reduced = h if rx is None else rx @ h
+            reduced = reduced if tx is None else reduced @ tx
+            # |entry| <= sum of the paths' |amplitude x gain| (a row of left) x sqrt(M_rx M_tx)
+            bound = FACTORED_RTOL * np.abs(left[b, 0]).sum() * math.sqrt(h.size)
+            np.testing.assert_allclose(p_left[b] @ p_right[b], reduced, rtol=0.0, atol=bound)
+
+
+def test_assigning_a_draw_reaches_the_next_hops():
+    """The trial's stacked draws are rebuilt after any of its fields is assigned."""
+    pack = _toy_pack(4)
+    config, geometry = pack.config, pack.geometry
+    trial = baselines.trial_channels(pack, 0)
+    xy = np.array([[50.0, 40.0], [60.0, 55.0]])
+    channel.hop_factors(config, geometry, trial, xy)  # stacks the draws as they were
+    trial.gains_ris_rx = np.zeros_like(trial.gains_ris_rx)
+    trial.offsets_tx_ris = channel.AngleOffsets(*(o[::-1] for o in trial.offsets_tx_ris))
+    (l_ti, r_ti), (l_ir, r_ir) = channel.hop_factors(config, geometry, trial, xy)
+    assert not np.any(l_ir @ r_ir)
+    for b, (x, y) in enumerate(xy):
+        h = _reference_hop(config, geometry, trial, x, y, "tx_ris")
+        assert (l_ti[b] @ r_ti[b]).tobytes() == h.tobytes()
 
 
 # --- memory ---------------------------------------------------------------------

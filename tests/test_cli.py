@@ -147,6 +147,30 @@ def test_dump_channels_flag(tmp_path, tiny_config_file):
     assert len(dumped) == 2  # one file per link per trial
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dump-channels"])
+def test_unusable_output_directory_is_an_error_before_any_trial(
+    tmp_path, tiny_config_file, capsys, monkeypatch, flag
+):
+    from movable_ris import harness
+
+    trials, run_baseline = [], harness.run_baseline
+    monkeypatch.setattr(harness, "run_baseline",
+                        lambda *args: trials.append(args) or run_baseline(*args))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    paths = {"--out": str(blocker / "sub"), "--dump-channels": str(blocker)}
+    rc = main([
+        "single-run", "--baseline", "fixed_ris_random_phase", "--trials", "1",
+        "--config", str(tiny_config_file), "--out", str(tmp_path / "out"),
+        flag, paths[flag],
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: cannot create {flag} directory {paths[flag]}: ")
+    assert err.count("\n") == 1
+    assert trials == []
+
+
 def test_unknown_baseline_is_an_error(tmp_path, capsys):
     rc = main(["sweep-power", "--baselines", "bogus", "--out", str(tmp_path)])
     assert rc == 2
