@@ -2,7 +2,8 @@
 """Per-layer timings of one fitness evaluation, for one or more source trees, interleaved.
 
 Usage:
-    python scripts/bench_layers.py [--tree LABEL=SRC_DIR ...] [--repeat N] [--out FILE]
+    python scripts/bench_layers.py [--tree LABEL=SRC_DIR ...] [--repeat N] [--rows N[,N...]]
+                                   [--out FILE]
 
 Every tree (default: this checkout's ``src/``) is imported into one process
 under its own package name, with one BLAS thread. Each of the N rounds
@@ -15,13 +16,23 @@ the median over the rounds of the same ratio taken call by call. It is
 printed and, with ``--out``, written as JSON.
 
 Layers, at the default configuration (8x8 Tx/UE arrays, 6x6 RIS, 10 paths)
-on trial 0 of pack seed 3 and a batch of 10 particles:
+on trial 0 of pack seed 3 and a batch of ``--rows`` particles (default 10, one
+swarm iteration):
 
-- ``steering``: ``steering_matrix`` of the batch's 10x10 Tx departure angles;
+- ``steering``: ``steering_matrix`` of the batch's Tx departure angles;
 - ``hop_factors``: both reduced RIS hops of the batch, F2 H_IR and H_TI F1;
 - ``relay_hops``: both reduced relay hops of the batch, F2 H F1 each;
-- ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack;
-- ``objective.<kind>``: the batch objective each searching kind hands its swarm.
+- ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack,
+  and its steps on that stack: ``rate.svd`` (``np.linalg.svd`` alone, the
+  same code in every tree), ``rate.decompose`` (the SVD with its phase
+  rotation and ranks), ``rate.bb_stages`` and ``rate.achievable_rate``;
+- ``objective.<kind>``: the batch objective each searching kind hands its swarm;
+- ``pso_step``: one swarm iteration of the joint search's dimension, scored by
+  an objective that returns fixed values, so only the swarm update is timed.
+
+Given several row counts (``--rows 10,40,160``), every layer runs at each,
+named ``<layer>@<rows>``, in the same interleaved rounds; the fixed per-call
+cost of a layer is what its time keeps as the rows fall toward zero.
 
 A tree whose ``hop_factors`` builds both hops in one call (it takes no ``link``)
 is timed through that one call. A tree whose one-hop ``hop_factors`` takes no
@@ -53,7 +64,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[1]
-BATCH = 10
 PACK_SEED = 3
 SEARCHES = ("movable_ris_joint", "fixed_ris_opt_phase", "movable_ris_random_phase", "fd_relay")
 
@@ -88,15 +98,15 @@ def _captured_objectives(pack, baselines, optimizer) -> dict:
     return captured
 
 
-def layers_of(module) -> dict:
-    """Zero-argument callables, by layer name, for one imported tree."""
+def layers_of(module, rows: int) -> dict:
+    """Zero-argument callables, by layer name, for one imported tree, on batches of ``rows``."""
     baselines, beamforming, channel, optimizer, scenario = map(
         module, ("baselines", "beamforming", "channel", "optimizer", "scenario"))
     pack = baselines.build_scenario_pack(*scenario.default_config(), PACK_SEED)
     config, geometry = pack.config, pack.geometry
     trial = baselines.trial_channels(pack, 0)
     rng = scenario.rng_stream(7, 0)
-    joint = rng.random((BATCH, config.num_ris + 2))
+    joint = rng.random((rows, config.num_ris + 2))
     xy = np.column_stack(optimizer.decode_xy(joint[:, 0], joint[:, 1], geometry))
     two_hop = "link" not in inspect.signature(channel.hop_factors).parameters
     if two_hop:
@@ -137,8 +147,14 @@ def layers_of(module) -> dict:
     c, a = ris_hops()
     reduced = (a * np.exp(2j * np.pi * joint[:, None, 2:])) @ c
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-    if "whitened" in inspect.signature(beamforming.hybrid_link_rate).parameters:
+    whitened = "whitened" in inspect.signature(beamforming.hybrid_link_rate).parameters
+    if whitened:
         budget += (pack.whitened["f2"],)
+    eff = beamforming._decompose(reduced)
+    stages = beamforming.bb_stages(eff, config.tx_power_watts, config.num_streams, pack.f1)
+    stages.f2 = pack.f2
+    if whitened:
+        stages.whitened = pack.whitened["f2"]
     layers = {
         "steering": lambda: channel.steering_matrix(*tx_angles, *config.tx_antennas,
                                                     config.element_spacing_wavelengths),
@@ -146,11 +162,21 @@ def layers_of(module) -> dict:
         "relay_hops": relay_hops,
         "rate_pipeline": lambda: beamforming.hybrid_link_rate(pack.f2, reduced, pack.f1,
                                                               *budget, reduced=True),
+        "rate.svd": lambda: np.linalg.svd(reduced, full_matrices=False),
+        "rate.decompose": lambda: beamforming._decompose(reduced),
+        "rate.bb_stages": lambda: beamforming.bb_stages(eff, config.tx_power_watts,
+                                                        config.num_streams, pack.f1),
+        "rate.achievable_rate": lambda: beamforming.achievable_rate(stages, eff,
+                                                                    config.noise_power_watts),
     }
     dims = {"movable_ris_joint": config.num_ris + 2, "fixed_ris_opt_phase": config.num_ris}
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
-        batch = rng.random((BATCH, dims.get(kind, 2)))
+        batch = rng.random((rows, dims.get(kind, 2)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)
+    params = replace(config.pso, swarm_size=rows)
+    values = rng.random(rows)
+    swarm = optimizer.init_swarm(lambda p: values, config.num_ris + 2, params, rng)
+    layers["pso_step"] = lambda: optimizer.pso_step(swarm, params, 5, rng, lambda p: values)
     for fn in layers.values():
         fn()  # first-call work (lazy LAPACK set-up, caches) is not timed
     return layers
@@ -165,11 +191,14 @@ def src_digest(src: Path) -> str:
     return h.hexdigest()[:16]
 
 
-def measure(trees: dict, repeat: int) -> dict:
+def measure(trees: dict, repeat: int, rows: list[int]) -> dict:
     """Per layer and tree, the microseconds of every call, rounds interleaved."""
     labels = list(trees)
-    layers = {label: layers_of(load_tree(f"_bench_tree_{i}", src))
-              for i, (label, src) in enumerate(trees.items())}
+    layers = {}
+    for i, (label, src) in enumerate(trees.items()):
+        module = load_tree(f"_bench_tree_{i}", src)
+        layers[label] = {name if len(rows) == 1 else f"{name}@{n}": fn
+                         for n in rows for name, fn in layers_of(module, n).items()}
     names = list(layers[labels[0]])
     times = {name: {label: [] for label in labels} for name in names}
     for r in range(repeat):
@@ -187,10 +216,18 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", action="append", default=[],
                         help="LABEL=SRC_DIR; repeat for a pair (default: this=src)")
     parser.add_argument("--repeat", type=int, default=1000)
+    parser.add_argument("--rows", default="10",
+                        help="particles per batch, or a comma-separated list (default 10)")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    try:
+        rows = [int(n) for n in args.rows.split(",")]
+    except ValueError:
+        rows = []
+    if not rows or min(rows) < 1:
+        parser.error(f"--rows {args.rows!r}: expected positive integers separated by commas")
     trees = {}
     for spec in args.tree or [f"this={REPO / 'src'}"]:
         label, sep, src = spec.partition("=")
@@ -199,7 +236,7 @@ def main(argv=None) -> int:
         trees[label] = Path(src).resolve()
 
     labels = list(trees)
-    times = measure(trees, args.repeat)
+    times = measure(trees, args.repeat, rows)
     layers = {}
     for name, per_tree in times.items():
         row = {label: min(per_tree[label]) for label in labels}
@@ -210,7 +247,8 @@ def main(argv=None) -> int:
         layers[name] = row
     report = {
         "command": "python scripts/bench_layers.py "
-        + " ".join(f"--tree {label}=<src>" for label in labels) + f" --repeat {args.repeat}",
+        + " ".join(f"--tree {label}=<src>" for label in labels)
+        + f" --repeat {args.repeat} --rows {args.rows}",
         "unit": "microseconds; minimum over the rounds, ratios first tree over second",
         "host": {"machine": platform.machine(), "nproc": os.cpu_count(),
                  "python": platform.python_version(), "numpy": np.__version__,

@@ -185,46 +185,49 @@ def _on_platform(geometry: DeploymentGeometry, phases):
     return 2, lambda v: RisState(*decode_xy(v[..., 0], v[..., 1], geometry), phases)
 
 
-def _min_hop_rate(pack: ScenarioPack, trial: TrialChannels, x, y, factored: bool = False):
-    """Two-hop decode-and-forward rate with the relay at (x, y).
+@dataclass
+class _RelaySearch:
+    """The two-hop relay rate behind ProblemContext's search surface; states carry no phases.
 
     Hop 1 reuses the trial's transmitter-side draw into the relay's receive
     array, hop 2 the receiver-side draw out of its transmit array. No
     self-interference is modeled: the rate is the ideal full-duplex bound
-    min(hop rates). Returns (Z,) rates and whether either hop was rank
-    deficient, element-wise over (Z,) coordinate arrays; scalar coordinates
-    are a batch of one. Both hops come from one ``hop_factors`` call.
-    The reference forms each hop matrix H = L R; ``factored``, the search
-    objective, projects both ends of each hop onto their RF beams, so L R is
-    F2 H F1 up to rounding.
+    min(hop rates). The stages of each hop, (receive, transmit) with the
+    receive side's rate branch, and their beam axes are read from the pack once.
     """
-    config = pack.config
-    xy = np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
-    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-    stages = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))  # (receive, transmit) per hop
-    beams = tuple((pack.beams[rx], pack.beams[tx]) if factored else (None, None)
-                  for rx, tx in stages)
-    hops = hop_factors(config, pack.geometry, trial, xy,
-                       (config.rx_antennas, config.tx_antennas), beams)
-    (rate1, deficient1), (rate2, deficient2) = (
-        hybrid_link_rate(getattr(pack, rx), left @ right, getattr(pack, tx), *budget,
-                         pack.whitened[rx], factored)
-        for (rx, tx), (left, right) in zip(stages, hops))
-    rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
-    return rate, deficient1 | deficient2
-
-
-@dataclass
-class _RelaySearch:
-    """The two-hop relay rate behind ProblemContext's search surface; states carry no phases."""
 
     pack: ScenarioPack
     trial: TrialChannels
     saw_rank_deficiency: bool = field(default=False, init=False)
 
+    def __post_init__(self):
+        pack, config = self.pack, self.pack.config
+        hops = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))
+        self._stages = tuple((getattr(pack, rx), getattr(pack, tx), pack.whitened[rx])
+                             for rx, tx in hops)
+        self._beams = tuple((pack.beams[rx], pack.beams[tx]) for rx, tx in hops)
+        self._budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
+
+    def hop_rates(self, xy: np.ndarray, factored: bool):
+        """(Z,) rates at the (Z, 2) points ``xy`` and whether either hop was rank deficient.
+
+        Both hops come from one ``hop_factors`` call. The reference forms each
+        hop matrix H = L R; ``factored``, the search objective, projects both
+        ends of each hop onto their RF beams, so L R is F2 H F1 up to rounding.
+        """
+        config = self.pack.config
+        hops = hop_factors(config, self.pack.geometry, self.trial, xy,
+                           (config.rx_antennas, config.tx_antennas),
+                           self._beams if factored else ((None, None), (None, None)))
+        (rate1, deficient1), (rate2, deficient2) = (
+            hybrid_link_rate(f2, left @ right, f1, *self._budget, whitened, factored)
+            for (f2, f1, whitened), (left, right) in zip(self._stages, hops))
+        rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
+        return rate, deficient1 | deficient2
+
     def _rates(self, state: RisState, factored: bool) -> np.ndarray:
-        rates, deficient = _min_hop_rate(self.pack, self.trial, state.x, state.y, factored)
-        self.saw_rank_deficiency |= bool(np.any(deficient))
+        rates, deficient = self.hop_rates(state.xy, factored)
+        self.saw_rank_deficiency |= bool(deficient.any())
         return rates
 
     def search_rates(self, state: RisState) -> np.ndarray:

@@ -8,6 +8,7 @@ SVD. Rates are log-det mutual information with the combiner-colored noise.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -45,6 +46,8 @@ logger = logging.getLogger(__name__)
 # B2 = U1^H has orthonormal rows, so cond(W) <= cond(F2 F2^H) for every W.
 _COND_LIMIT = 1e12
 
+_EPS = float(np.finfo(float).eps)
+
 
 class InvalidBeamError(ValueError):
     """Raised for cosine pairs outside the unit disk (no physical direction)."""
@@ -79,7 +82,8 @@ class EffectiveChannel:
     """Reduced channel seen by the digital stages, with its SVD.
 
     For a stack of channels every field carries the stack's leading axes
-    and ``rank`` is an integer array.
+    and ``rank`` is an integer array. ``ranks`` holds the ranks as Python
+    ints, one per channel, which every stream decision reads.
     """
 
     matrix: np.ndarray       # (..., n_rx_beams, n_tx_beams)
@@ -87,6 +91,7 @@ class EffectiveChannel:
     singular_values: np.ndarray
     vh: np.ndarray           # right singular vectors, conjugate-transposed
     rank: int | np.ndarray
+    ranks: list[int]
 
 
 @dataclass
@@ -310,23 +315,24 @@ def _decompose(mat: np.ndarray) -> EffectiveChannel:
     """
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     mag = np.abs(vh)
-    floor = 1e-12 * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
-    if (mag[..., :1] > floor).all():
-        lead, rotate = vh[..., 0], ...  # the usual case: every vector leads with entry 0
+    floor = 1e-12 * mag.max(axis=-1, keepdims=True, initial=1.0)
+    # np.hypot matches abs() of one complex scalar bit for bit; np.abs may not
+    if (mag[..., :1] > floor).all():  # the usual case: every vector leads with entry 0
+        lead = vh[..., 0]
+        c = lead / np.hypot(lead.real, lead.imag)
+        vh *= np.conj(c)[..., None]
+        u *= c[..., None, :]
     else:
         significant = mag > floor
         rotate = significant.any(axis=-1)  # (..., k): vectors with an entry to rotate
         lead = np.take_along_axis(vh, np.argmax(significant, axis=-1)[..., None], axis=-1)[..., 0]
-        if rotate.all():
-            rotate = ...  # every vector, without boolean-mask copies
         lead = lead[rotate]
-    # np.hypot matches abs() of one complex scalar bit for bit; np.abs may not
-    c = lead / np.hypot(lead.real, lead.imag)
-    vh[rotate] *= np.conj(c)[..., None]
-    u.swapaxes(-1, -2)[rotate] *= c[..., None]
-    tol = max(mat.shape[-2:]) * np.finfo(float).eps * s[..., :1]
-    rank = np.sum(s > tol, axis=-1)
-    return EffectiveChannel(mat, u, s, vh, rank if rank.ndim else int(rank))
+        c = lead / np.hypot(lead.real, lead.imag)
+        vh[rotate] *= np.conj(c)[..., None]
+        u.swapaxes(-1, -2)[rotate] *= c[..., None]
+    rank = (s > max(mat.shape[-2:]) * _EPS * s[..., :1]).sum(axis=-1)
+    ranks = rank.reshape(-1).tolist()
+    return EffectiveChannel(mat, u, s, vh, rank if rank.ndim else ranks[0], ranks)
 
 
 def _norm_squared(matrices: np.ndarray) -> np.ndarray:
@@ -343,7 +349,7 @@ def _norm_squared(matrices: np.ndarray) -> np.ndarray:
     else:
         sums = [x.real.dot(x.real) + x.imag.dot(x.imag)
                 for x in (m.ravel(order="K") for m in matrices.reshape(-1, *matrices.shape[-2:]))]
-    return np.reshape([math.sqrt(v) ** 2 for v in sums], matrices.shape[:-2])
+    return np.array([math.sqrt(v) ** 2 for v in sums]).reshape(matrices.shape[:-2])
 
 
 def _stream_counts(ranks: list[int], num_streams: int) -> set[int]:
@@ -371,13 +377,17 @@ def bb_stages(
     stages come as a BeamformerSet holding ``f1`` and no F2, which
     ``hybrid_link_rate`` fills in.
     """
-    ranks = np.ravel(eff.rank).tolist()
-    counts = _stream_counts(ranks, num_streams)
+    counts = _stream_counts(eff.ranks, num_streams)
     if len(counts) != 1:
         raise ValueError("channels of one stack must share a stream count")
     streams = counts.pop()
-    deficient = [rank < num_streams for rank in ranks]
-    rank_deficient = np.array(deficient) if np.ndim(eff.rank) else deficient[0]
+    # One stream count: every channel is deficient or none is, save a zero
+    # channel (rank 0), which carries one stream when num_streams is 1.
+    if 0 in eff.ranks:
+        deficient = np.array([rank < num_streams for rank in eff.ranks])
+    else:
+        deficient = np.full(len(eff.ranks), streams < num_streams)
+    rank_deficient = deficient if isinstance(eff.rank, np.ndarray) else bool(deficient[0])
     v1 = _hermitian(eff.vh[..., :streams, :])
     u1 = eff.u[..., :streams]
     b1 = math.sqrt(tx_power_w / streams) * v1
@@ -385,15 +395,19 @@ def bb_stages(
     if f1 is not None:
         actual = _norm_squared(f1 @ b1)
         scaled = actual > 0.0
-        if scaled.all():
-            scaled = ...  # every matrix, without boolean-mask copies
-        b1[scaled] *= np.sqrt(tx_power_w / actual[scaled])[..., None, None]
+        if scaled.all():  # every matrix, without boolean-mask copies
+            b1 *= np.sqrt(tx_power_w / actual)[..., None, None]
+        else:
+            b1[scaled] *= np.sqrt(tx_power_w / actual[scaled])[..., None, None]
     return BeamformerSet(f1, b1, None, b2, streams, rank_deficient)
 
 
 def needs_whitening(f2: np.ndarray) -> bool:
     """Whether rates through ``f2`` take the whitened branch: cond(F2 F2^H) over _COND_LIMIT."""
     return not np.linalg.cond(f2 @ _hermitian(f2)) <= _COND_LIMIT  # a NaN one too
+
+
+_identity = functools.cache(np.eye)  # shared by every rate call, which only reads it
 
 
 def _whitened_rate(w: np.ndarray, q: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -430,9 +444,9 @@ def achievable_rate(
     w = w.reshape(-1, n, n)
     q = q.reshape(-1, n, n)
 
-    trace = np.trace(w, axis1=-2, axis2=-1).real
-    degenerate = (trace <= 0.0) | ~np.isfinite(trace)
-    if degenerate.any():
+    trace = w.trace(axis1=-2, axis2=-1).real
+    if not all(0.0 < t < math.inf for t in trace.tolist()):  # NaN fails too
+        degenerate = (trace <= 0.0) | ~np.isfinite(trace)
         logger.warning("noise covariance degenerate; applying ridge")
         w = np.where(degenerate[:, None, None], w + 1e-12 * np.eye(n), w)
         trace = np.trace(w, axis1=-2, axis2=-1).real
@@ -440,8 +454,10 @@ def achievable_rate(
     if bf.whitened:
         rates = _whitened_rate(w, q, trace)
     else:
-        m = np.eye(n) + np.linalg.solve(w, q)
-        logdet = np.linalg.slogdet(m)[1] / math.log(2.0)
+        m = np.linalg.solve(w, q)
+        m += _identity(n)  # I + W^-1 Q
+        logdet = np.linalg.slogdet(m)[1]
+        logdet /= math.log(2.0)
         rates = np.where(logdet < 0.0, 0.0, logdet)  # max(logdet, 0.0), NaN kept
     rates = rates.reshape(batch)
     return rates if batch else float(rates)
@@ -470,7 +486,7 @@ def hybrid_link_rate(
     eff = _decompose(h) if reduced else effective_channel(f2, h, f1)
     # Rank bookkeeping in Python ints: integer-array ufuncs would map numpy code
     # that nothing else in a sweep touches, which shows in peak RSS.
-    if len(_stream_counts(eff.rank.tolist(), num_streams)) > 1:
+    if len(_stream_counts(eff.ranks, num_streams)) > 1:
         budget = (tx_power_w, num_streams, noise_power_w, whitened)
         rows = [hybrid_link_rate(f2, m[None], f1, *budget, reduced=True) for m in eff.matrix]
         return tuple(np.concatenate(parts) for parts in zip(*rows))

@@ -62,6 +62,11 @@ class RisState:
     y: float | np.ndarray
     phases: np.ndarray  # values in [0, 2*pi)
 
+    @property
+    def xy(self) -> np.ndarray:
+        """(Z, 2) platform points, one position as a batch of one."""
+        return np.stack(np.broadcast_arrays(self.x, self.y), axis=-1).reshape(-1, 2)
+
 
 def decode_xy(px, py, geometry: DeploymentGeometry):
     """Platform coordinates of unit-square coordinates, element-wise for arrays."""
@@ -124,7 +129,7 @@ class ProblemContext:
         rates, deficient = hybrid_link_rate(self.f2, h, self.f1, config.tx_power_watts,
                                             config.num_streams, config.noise_power_watts,
                                             self.whitened, reduced)
-        self.saw_rank_deficiency |= bool(np.any(deficient))
+        self.saw_rank_deficiency |= bool(deficient.any())
         return rates
 
     def rate_for(self, state: RisState) -> float | np.ndarray:
@@ -148,13 +153,12 @@ class ProblemContext:
         positions take A and C as the products of hop factors whose Tx and UE
         ends are projected onto F1's and F2's beams one array axis at a time.
         """
-        if np.ndim(state.x) == 0 and np.ndim(state.y) == 0:
-            _, _, a, c = self.hop_matrices(state.x, state.y)
-        else:
-            xy = np.stack(np.broadcast_arrays(state.x, state.y), axis=-1)
+        if isinstance(state.x, np.ndarray) or isinstance(state.y, np.ndarray):
             c, a = (left @ right for left, right in hop_factors(
-                self.config, self.geometry, self.trial, xy,
+                self.config, self.geometry, self.trial, state.xy,
                 beams=((None, self.beams["f1"]), (self.beams["f2"], None))))
+        else:
+            _, _, a, c = self.hop_matrices(state.x, state.y)
         e = np.exp(1j * np.asarray(state.phases, dtype=float))
         return self._rates((a * e[..., None, :]) @ c, reduced=True)
 
@@ -215,12 +219,12 @@ def _first_max(values: np.ndarray) -> int:
 
     Plain ``np.argmax`` would return the first NaN.
     """
-    return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+    return int(np.where(np.isnan(values), -np.inf, values).argmax())
 
 
 def _beats(new, best):
-    """Strict improvement, element-wise; any non-NaN value beats a NaN best."""
-    return (new > best) | (np.isnan(best) & ~np.isnan(new))
+    """Strict improvement, element-wise or of two floats; any non-NaN value beats a NaN best."""
+    return (new > best) | ((best != best) & (new == new))  # x != x: x is NaN
 
 
 def pso_step(
@@ -243,26 +247,30 @@ def pso_step(
     z, dim = state.positions.shape
     y1 = rng.random((z, dim))
     y2 = rng.random((z, dim))
-    vel = (
-        params.social_weight * y1 * (state.global_best_position[None, :] - state.positions)
-        + params.cognitive_weight * y2 * (state.best_positions - state.positions)
-        + _inertia(params, t) * state.velocities
-    )
-    np.clip(vel, -params.velocity_clamp, params.velocity_clamp, out=vel)
+    # (mu1 Y1)(gbest - p) + (mu2 Y2)(pbest - p) + inertia v, rounded term by term in that order
+    y1 *= params.social_weight
+    y2 *= params.cognitive_weight
+    vel = np.subtract(state.global_best_position, state.positions)
+    vel *= y1
+    term = np.subtract(state.best_positions, state.positions)
+    term *= y2
+    vel += term
+    vel += np.multiply(state.velocities, _inertia(params, t), out=term)
+    np.minimum(np.maximum(vel, -params.velocity_clamp, out=vel), params.velocity_clamp, out=vel)
     pos = state.positions + vel
     out_of_box = (pos < 0.0) | (pos > 1.0)
     vel[out_of_box] = 0.0
-    np.clip(pos, 0.0, 1.0, out=pos)
+    np.minimum(np.maximum(pos, 0.0, out=pos), 1.0, out=pos)
     state.positions = pos
     state.velocities = vel
 
     values = _evaluate(fitness_fn, pos)
     improved = _beats(values, state.best_values)
-    state.best_values[improved] = values[improved]
-    state.best_positions[improved] = pos[improved]
+    np.copyto(state.best_values, values, where=improved)
+    np.copyto(state.best_positions, pos, where=improved[:, None])
     i = _first_max(state.best_values)
-    if _beats(state.best_values[i], state.global_best_value):
-        state.global_best_value = float(state.best_values[i])
+    if _beats(best := float(state.best_values[i]), state.global_best_value):
+        state.global_best_value = best
         state.global_best_position = state.best_positions[i].copy()
     state.history.append(state.global_best_value)
     return state

@@ -42,6 +42,10 @@ class ConfigError(ValueError):
     """Raised for invalid configuration values or malformed config files."""
 
 
+# Elements of the largest dense stack a run may build: 2**26 complex values are 1 GiB.
+MAX_STACK_ELEMENTS = 2**26
+
+
 @dataclass(frozen=True)
 class PsoParams:
     """Swarm-search coefficients.
@@ -272,6 +276,19 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
         if position[2] >= geometry.ris_height_m:
             errors.append(f"{name} z = {position[2]!r} must lie below the RIS plane "
                           f"(ris_height_m = {geometry.ris_height_m!r})")
+
+    if not errors:  # every count is positive: the dense stacks a run builds must fit the budget
+        arrays = {"tx_antennas": config.num_tx, "rx_antennas": config.num_rx,
+                  "ris_elements": config.num_ris}
+        largest = max(arrays, key=arrays.get)
+        stacks = [(key, arrays[key]) for key in ("tx_antennas", "rx_antennas")]  # beam grids
+        stacks += [(f"{a} x {b}", arrays[a] * arrays[b])  # the composite, H_TI and H_IR
+                   for a, b in (("rx_antennas", "tx_antennas"), ("ris_elements", "tx_antennas"),
+                                ("rx_antennas", "ris_elements"))]
+        stacks.append((f"pso_swarm_size x num_paths x {largest}",  # a swarm's hop factors
+                       pso.swarm_size * config.num_paths * arrays[largest]))
+        errors += [f"{keys}: a dense stack of {size} elements exceeds the budget of "
+                   f"{MAX_STACK_ELEMENTS}" for keys, size in stacks if size > MAX_STACK_ELEMENTS]
 
     if not errors:  # then the link budget must stay within the float range too
         try:

@@ -191,7 +191,7 @@ def test_relay_symmetric_geometry_prefers_midline():
     )
     geometry = replace(geometry, tx_position=(0.0, 0.0, 2.0), ue_position=(110.0, 110.0, 2.0))
     pack = build_scenario_pack(config, geometry, 7)
-    from movable_ris.baselines import _min_hop_rate
+    from movable_ris.baselines import _RelaySearch
 
     trial = trial_channels(pack, 0)
     trial.gains_tx_ris = np.ones_like(trial.gains_tx_ris)
@@ -200,7 +200,7 @@ def test_relay_symmetric_geometry_prefers_midline():
     best, best_xy = -1.0, None
     for x in grid:
         for y in grid:
-            r = _min_hop_rate(pack, trial, x, y)[0][0]
+            r = _RelaySearch(pack, trial).hop_rates(np.array([[x, y]]), False)[0][0]
             if r > best:
                 best, best_xy = r, (float(x), float(y))
     step = grid[1] - grid[0]

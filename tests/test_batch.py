@@ -133,10 +133,10 @@ def test_relay_batch_equals_min_hop_rate_rows():
     for pack in (_pack(), build_scenario_pack(*default_config(), 5)):
         trial = baselines.trial_channels(pack, 2)
         xy = _particles(12, 9, 2, clamp=True, duplicate=True)
-        x, y = optimizer.decode_xy(xy[:, 0], xy[:, 1], pack.geometry)
-        rates, deficient = baselines._min_hop_rate(pack, trial, x, y)
-        rows = [baselines._min_hop_rate(pack, trial, x[i:i + 1], y[i:i + 1])
-                for i in range(len(x))]
+        points = np.column_stack(optimizer.decode_xy(xy[:, 0], xy[:, 1], pack.geometry))
+        relay = baselines._RelaySearch(pack, trial)
+        rates, deficient = relay.hop_rates(points, False)
+        rows = [relay.hop_rates(points[i:i + 1], False) for i in range(len(points))]
         _same_bytes(rates, [r[0] for r, _ in rows])
         assert deficient.tolist() == [d[0] for _, d in rows]
 
@@ -303,3 +303,31 @@ def test_condition_numbers_are_taken_once_per_pack(monkeypatch):
             baselines.run_baseline(kind, pack, 0)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2  # one per combiner, F2 and the relay's
+
+
+def test_search_value_equals_the_reported_rate(monkeypatch):
+    # run_pso returns the objective's value at the vector the search decodes and reports; the
+    # outcome's rate is the reference pipeline's at that state, so the two differ by rounding only
+    values = []
+    real_run_pso = optimizer.run_pso
+
+    def run_pso(*args):
+        best_vec, best_value, history = real_run_pso(*args)
+        values.append(best_value)
+        return best_vec, best_value, history
+
+    monkeypatch.setattr(optimizer, "run_pso", run_pso)
+    monkeypatch.setattr(baselines, "run_pso", run_pso)
+    config, geometry = default_config()
+    packs = [build_scenario_pack(config, geometry, 0)] + [
+        build_scenario_pack(*apply_swept_value(config, geometry, "elements", count), 1)
+        for count in (16, 36, 64, 100)]
+    for pack in packs:
+        pack = replace(pack, fd_relay_outcomes={})  # every fd_relay trial searches here
+        for kind in SEARCHES:
+            for trial_index in range(5):
+                values.clear()
+                outcome = baselines.run_baseline(kind, pack, trial_index)
+                (value,) = values
+                assert outcome.rate == pytest.approx(value, rel=FACTORED_RTOL, abs=0.0), (
+                    pack.config.ris_elements, kind, trial_index)

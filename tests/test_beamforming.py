@@ -252,6 +252,15 @@ def test_bb_stages_diagonalizes():
     assert np.linalg.norm(off) < 1e-8 * np.linalg.norm(np.diag(g))
 
 
+def test_bb_stages_flags_a_zero_channel_in_a_single_stream_stack():
+    # a zero channel (rank 0) carries one stream like a rank-1 one, but only it is deficient
+    u = np.array([[1.0], [0.0]])
+    eff = effective_channel(np.eye(2), np.stack((np.zeros((2, 2)), u @ u.T)), np.eye(2))
+    bb = bb_stages(eff, tx_power_w=1.0, num_streams=1)
+    assert bb.streams == 1
+    assert bb.rank_deficient.tolist() == [True, False]
+
+
 def test_bb_stages_rank_deficient_degrades_and_flags():
     # rank-1 effective channel with two requested streams
     u = np.array([[1.0], [0.0]])

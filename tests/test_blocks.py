@@ -299,7 +299,7 @@ def test_relay_loop_equals_per_particle_effective_channel(
     trial = baselines.trial_channels(pack, trial_index)
     x, y = _positions(pack, draw_seed, count, clamp)
     with _effective_channels() as seen:
-        rates, _ = baselines._min_hop_rate(pack, trial, x, y)
+        rates, _ = baselines._RelaySearch(pack, trial).hop_rates(np.column_stack((x, y)), False)
     hop1, hop2 = seen
     for b in range(count):
         h1 = _reference_hop(config, pack.geometry, trial, x[b], y[b], "tx_ris", config.rx_antennas)
@@ -313,7 +313,7 @@ def test_relay_loop_equals_per_particle_effective_channel(
         rate2, _ = hybrid_link_rate(pack.f2, h2[None], pack.relay_f1_hop2, *args,
                                     pack.whitened["f2"])
         assert rates[b].tobytes() == min(rate1[0], rate2[0]).tobytes()
-    searched, _ = baselines._min_hop_rate(pack, trial, x, y, factored=True)
+    searched, _ = baselines._RelaySearch(pack, trial).hop_rates(np.column_stack((x, y)), True)
     np.testing.assert_allclose(searched, rates, rtol=FACTORED_RTOL, atol=0.0)
 
 

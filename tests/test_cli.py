@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from movable_ris import cli
 from movable_ris.cli import main
 from movable_ris.scenario import config_digest, default_config, parse_config
 
@@ -227,6 +228,30 @@ def test_subnormal_noise_power_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "noise power 3.98" in err and "underflows the float range" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config_line, flags, keys", [
+    ("tx_antennas = 1048576 1048576\n", [], "tx_antennas"),
+    ("pso_swarm_size = 1000000000\n", [], "pso_swarm_size x num_paths x tx_antennas"),
+    ("", ["--elements", "4,100000000000000"], "pso_swarm_size x num_paths x ris_elements"),
+], ids=["tx_antennas", "swarm", "elements"])
+def test_dense_stack_past_the_element_budget_is_an_error(tmp_path, monkeypatch, capsys,
+                                                          config_line, flags, keys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(cli, "sweep", fail)
+    path = tmp_path / "huge.cfg"
+    key = config_line.partition(" =")[0]
+    path.write_text("".join(line + "\n" for line in TINY_CONFIG.splitlines()
+                            if not key or not line.startswith(key)) + config_line)
+    command = "sweep-elements" if flags else "sweep-power"
+    rc = main([command, *flags, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{keys}: a dense stack of " in err and "exceeds the budget" in err
     assert not (tmp_path / "out").exists()
 
 

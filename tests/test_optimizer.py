@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -407,6 +408,41 @@ def test_swarm_improves_over_init_on_desk_scenario():
         if best > history[0]:
             improved += 1
     assert improved >= 0.95 * seeds
+
+
+def _tied_objective(v):
+    """A bowl read in steps of 1/16, so particles tie exactly; row 3 is NaN on every call."""
+    values = np.floor(-16.0 * np.sum((v - 0.3) ** 2, axis=-1)) / 16.0
+    values[3] = math.nan
+    return values
+
+
+# sha256 of run_pso's history, best vector and value, and the final positions, velocities and
+# personal bests on _tied_objective at dims 2, 38 and 100, under the default coefficients and
+# under a tight velocity clamp. A change in the swarm's arithmetic, its clamps or its tie and
+# NaN handling moves it.
+SWARM_DIGEST = "406d974ad6a65a75d06e9e7bda0e609a39c2dd65606a8d1b6bc8632e7fc4fee5"
+
+
+def test_swarm_dynamics_bytes_are_pinned(monkeypatch):
+    states = []
+    real_init = optimizer.init_swarm
+
+    def init(*args):
+        states.append(real_init(*args))
+        return states[-1]
+
+    monkeypatch.setattr(optimizer, "init_swarm", init)
+    digest = hashlib.sha256()
+    tight = PsoParams(swarm_size=7, iterations=12, velocity_clamp=0.1)
+    for params in (PsoParams(), tight):
+        for dim in (2, 38, 100):
+            best_vec, best_val, history = run_pso(_tied_objective, dim, params, rng_stream(dim, 3))
+            state = states[-1]
+            for array in (history, best_vec, [best_val], state.positions, state.velocities,
+                          state.best_positions, state.best_values):
+                digest.update(np.asarray(array, dtype=float).tobytes())
+    assert digest.hexdigest() == SWARM_DIGEST
 
 
 # --- joint context and oracle --------------------------------------------------

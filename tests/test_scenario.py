@@ -146,6 +146,31 @@ def test_validate_rejects_a_negative_zero_angular_spread():
     assert errors == ["angular spread must lie in [0, 90) degrees, got -0.0"]
 
 
+@pytest.mark.parametrize("changes, keys", [
+    (dict(tx_antennas=(1 << 20, 1 << 20)), "tx_antennas"),  # np.zeros would ask for 8 TiB
+    (dict(rx_antennas=(1 << 20, 1 << 10)), "rx_antennas"),
+    (dict(rx_antennas=(128, 128), tx_antennas=(128, 128)), "rx_antennas x tx_antennas"),
+    (dict(pso=PsoParams(swarm_size=10**9)), "pso_swarm_size x num_paths x tx_antennas"),
+    (dict(num_paths=10**9), "pso_swarm_size x num_paths x tx_antennas"),
+    (dict(ris_elements=(1 << 20, 1 << 20)), "pso_swarm_size x num_paths x ris_elements"),
+    # every swarm stack fits; the single-position RIS hops would hold 4.1e11 values
+    (dict(ris_elements=(800, 800), tx_antennas=(800, 800)), "ris_elements x tx_antennas"),
+    (dict(ris_elements=(800, 800), rx_antennas=(800, 800)), "rx_antennas x ris_elements"),
+])
+def test_validate_rejects_a_dense_stack_past_the_element_budget(changes, keys):
+    # only counts are multiplied: nothing of that size is built
+    config, geometry = default_config()
+    errors = validate(replace(config, **changes), geometry)
+    assert errors and all(" elements exceeds the budget of 67108864" in e for e in errors)
+    assert any(e.startswith(f"{keys}: a dense stack of ") for e in errors), errors
+
+
+def test_a_large_scenario_within_the_element_budget_is_valid():
+    config, geometry = default_config()
+    config = replace(config, ris_elements=(10, 10), tx_antennas=(64, 64), rx_antennas=(64, 64))
+    assert validate(config, geometry) == []
+
+
 def test_validate_collects_multiple_errors():
     config, geometry = default_config()
     bad_cfg = replace(config, num_paths=0, bandwidth_hz=-1.0)
