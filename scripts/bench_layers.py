@@ -21,6 +21,9 @@ swarm iteration):
 
 - ``steering``: ``steering_matrix`` of the batch's Tx departure angles;
 - ``hop_factors``: both reduced RIS hops of the batch, F2 H_IR and H_TI F1;
+- ``search_steering``: the steering step of that ``hop_factors`` call, which
+  carries beams: the four ends' per-axis factors, projected where beamformed,
+  from the batch's direction cosines (trees with ``_steering_by_shape``);
 - ``relay_hops``: both reduced relay hops of the batch, F2 H F1 each;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack,
   and its steps on that stack: ``rate.svd`` (``np.linalg.svd`` alone, the
@@ -155,10 +158,20 @@ def layers_of(module, rows: int) -> dict:
     stages.f2 = pack.f2
     if whitened:
         stages.whitened = pack.whitened["f2"]
+    if hasattr(channel, "_steering_by_shape"):
+        ux, uy = (u.reshape(4, *u.shape[2:]) for u in channel._direction_cosines(el, az))
+        ris, beams = config.ris_elements, pack.beams  # the RIS search's ends, in (end, hop) order
+        ends = ((ris, None), (ris, None), (config.tx_antennas, beams["f1"]),
+                (config.rx_antennas, beams["f2"]))
+        search_steering = {"search_steering": lambda: channel._steering_by_shape(
+            ux, uy, ends, config.element_spacing_wavelengths)}
+    else:
+        search_steering = {}
     layers = {
         "steering": lambda: channel.steering_matrix(*tx_angles, *config.tx_antennas,
                                                     config.element_spacing_wavelengths),
         "hop_factors": ris_hops,
+        **search_steering,
         "relay_hops": relay_hops,
         "rate_pipeline": lambda: beamforming.hybrid_link_rate(pack.f2, reduced, pack.f1,
                                                               *budget, reduced=True),

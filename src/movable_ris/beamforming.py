@@ -336,19 +336,15 @@ def _decompose(mat: np.ndarray) -> EffectiveChannel:
 
 
 def _norm_squared(matrices: np.ndarray) -> np.ndarray:
-    """||M||_F^2 of each matrix in a stack, rounded as float(np.linalg.norm(M) ** 2).
+    """||M||_F^2 of each matrix in a C-contiguous stack, rounded as float(np.linalg.norm(M) ** 2).
 
     Each matrix takes the two strided dot products np.linalg.norm makes over its
-    entries in memory order, which matmul of a row vector with itself makes too;
-    every other batched form tried sums in another order.
+    entries in memory order, here its row-major ravel, which matmul of a row
+    vector with itself makes too; every other batched form tried sums in another order.
     """
-    if matrices.flags.c_contiguous:  # each matrix's memory order is its row-major ravel
-        x = matrices.reshape(-1, 1, math.prod(matrices.shape[-2:]))
-        xt = x.swapaxes(-1, -2)
-        sums = (x.real @ xt.real + x.imag @ xt.imag).ravel().tolist()
-    else:
-        sums = [x.real.dot(x.real) + x.imag.dot(x.imag)
-                for x in (m.ravel(order="K") for m in matrices.reshape(-1, *matrices.shape[-2:]))]
+    x = matrices.reshape(-1, 1, math.prod(matrices.shape[-2:]))
+    xt = x.swapaxes(-1, -2)
+    sums = (x.real @ xt.real + x.imag @ xt.imag).ravel().tolist()
     return np.array([math.sqrt(v) ** 2 for v in sums]).reshape(matrices.shape[:-2])
 
 

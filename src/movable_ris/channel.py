@@ -158,6 +158,27 @@ def _axis_phases(ux, uy, m_x: int, m_y: int, spacing: float):
     return px, py
 
 
+def _axis_powers(ux, uy, m_x: int, m_y: int, spacing: float):
+    """``_axis_phases`` up to rounding: row k is b^k, b one exponential per path and axis.
+
+    Both axes double at once, [1, b] -> [1 .. b^3] -> [1 .. b^7], power-major so
+    that no product's operand overlaps its output, which numpy would buffer.
+    """
+    base = np.exp(-2j * np.pi * spacing * np.stack((ux, uy)))
+    m = max(m_x, m_y)
+    out = np.empty((m, *base.shape), dtype=complex)
+    out[0] = 1.0
+    k = 1
+    while k < m:  # rows 0..k-1 are done and base holds b^k
+        n = min(k, m - k)
+        np.multiply(out[:n], base, out=out[k:k + n])
+        k += n
+        if k < m:
+            base = base * base
+    powers = np.moveaxis(out, 0, -2)
+    return powers[0, ..., :m_x, :], powers[1, ..., :m_y, :]
+
+
 def _steering_of(px: np.ndarray, py: np.ndarray, beams=None) -> np.ndarray:
     """``steering_matrix`` from its per-axis phase factors."""
     m_x, m_y = px.shape[-2], py.shape[-2]
@@ -345,13 +366,16 @@ def _steering_by_shape(ux, uy, ends, spacing: float) -> list[np.ndarray]:
     """``steering_matrix`` of each end i, given as (array shape, beams) over ux[i], uy[i].
 
     The exponentials of all ends sharing an array shape are taken in one pass.
+    If any end carries beams (a search), every end takes ``_axis_powers``;
+    otherwise each entry is its own exponential, as in ``steering_matrix``.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (shape, _) in enumerate(ends):
         groups.setdefault(tuple(shape), []).append(i)
+    phases = _axis_powers if any(b is not None for _, b in ends) else _axis_phases
     blocks = [None] * len(ends)
     for shape, group in groups.items():
-        px, py = _axis_phases(ux[group], uy[group], *shape, spacing)
+        px, py = phases(ux[group], uy[group], *shape, spacing)
         for j, i in enumerate(group):
             blocks[i] = _steering_of(px[j], py[j], ends[i][1])
     return blocks
@@ -374,10 +398,11 @@ def hop_factors(
     (relative to the platform center, where the factor is exactly 1), taken
     at the platform-side direction of that path. A search passes, per hop,
     the RF beam axes of its beamformed (receive, transmit) ends as ``beams``
-    and gets the factors of the reduced hops. The platform node's arrays,
-    one per hop, default to the RIS element grid; a relay passes its own.
-    The steering exponentials of ends sharing an array shape are taken in
-    one pass.
+    and gets the factors of the reduced hops, whose steering factors are
+    powers of one exponential per path and axis; a call without beams keeps
+    ``steering_matrix``'s bytes. The platform node's arrays, one per hop,
+    default to the RIS element grid; a relay passes its own. The steering
+    exponentials of ends sharing an array shape are taken in one pass.
     """
     xy = np.asarray(ris_xy, dtype=float)
     el, az, distance = _hop_angles(geometry, trial, xy)

@@ -256,7 +256,7 @@ def _mixed_rank_stack(rng, shape):
 # sha256 of the search objective's rates and rank flags on seeded particle batches, for every
 # searching kind on every _pinned_packs pack, then of the mixed-rank stacks through the joint
 # context's rate pipeline. A change in rounding, or in the branch a rate takes, moves it.
-OBJECTIVE_DIGEST = "afb3e7b4e443fcd89bcdd24197f233ccf4afc05cf82c50673838590d3bc8425f"
+OBJECTIVE_DIGEST = "6877eb51e30567ef1e01ff368575bf73d79e2bf8d86afc70f170166feb83a8ed"
 
 
 def test_search_objective_bytes_are_pinned():

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from movable_ris import baselines, beamforming, channel, optimizer
 from movable_ris.baselines import BaselineKind, build_scenario_pack
@@ -151,17 +152,14 @@ def test_coincident_nodes_still_raise():
     seed=st.integers(min_value=0, max_value=10_000),
     shape=st.tuples(st.integers(1, 6), st.integers(1, 70), st.integers(1, 4)),
     exponent=st.integers(min_value=-150, max_value=150),
-    transposed=st.booleans(),
     zero_rows=st.sets(st.integers(0, 5)),
 )
 @settings(max_examples=200, deadline=None)
-def test_norm_squared_equals_linalg_norm(seed, shape, exponent, transposed, zero_rows):
+def test_norm_squared_equals_linalg_norm(seed, shape, exponent, zero_rows):
     rng = rng_stream(seed, 3)
     m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0**exponent
     for i in zero_rows & set(range(shape[0])):
         m[i] = 0.0
-    if transposed:  # a strided view: np.linalg.norm ravels it in memory order
-        m = np.swapaxes(m, -1, -2)
     got = beamforming._norm_squared(m)
     assert got.shape == shape[:1]
     assert got.tobytes() == np.array([float(np.linalg.norm(x) ** 2) for x in m]).tobytes()
@@ -367,6 +365,50 @@ def test_per_axis_projection_equals_beams_times_steering(scale, trial_index, dra
         # entries are bounded by |beam| |column| = sqrt(M); rounding is held relative to that
         bound = FACTORED_RTOL * math.sqrt(shape[0] * shape[1])
         np.testing.assert_allclose(projected, beams @ full, rtol=0.0, atol=bound, err_msg=name)
+
+
+@given(
+    m=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    spacing=st.floats(min_value=0.1, max_value=2.0),
+    cosines=hnp.arrays(float, st.builds(lambda s: (2, *s), hnp.array_shapes(max_dims=3)),
+                       elements=st.floats(min_value=-1.0, max_value=1.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_search_axis_powers_equal_axis_phases(m, spacing, cosines):
+    """The search's per-axis factors, powers of one exponential, against one exponential per entry.
+
+    Either takes row k's phase 2 pi s k u to within 3 eps of it relatively (the
+    exponent's products) plus exp's own rounding; a power b^k carries b's error
+    k times and at most one complex product's sqrt(5) eps per doubling. So an
+    entry of an axis of m elements is off by at most (12 pi s + 8) m eps.
+    """
+    ux, uy = cosines
+    reference = channel._axis_phases(ux, uy, *m, spacing)
+    powers = channel._axis_powers(ux, uy, *m, spacing)
+    for got, want, size in zip(powers, reference, m):
+        assert got.shape == want.shape == (*ux.shape[:-1], size, ux.shape[-1])
+        assert (got[..., 0, :] == 1.0).all()
+        bound = (12 * math.pi * spacing + 8) * size * np.finfo(float).eps
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)
+
+
+@pytest.mark.parametrize("relay", [False, True])
+def test_hop_factors_without_beams_keep_steering_matrix_bytes(relay):
+    # the unscaled ends of each hop are steering_matrix's own exponentials, byte for byte
+    pack = _default_pack(4)
+    config, geometry = pack.config, pack.geometry
+    trial = baselines.trial_channels(pack, 1)
+    xy = np.column_stack(_positions(pack, 9, 5, True))
+    platform = (config.rx_antennas, config.tx_antennas) if relay else None
+    el, az, _ = channel._hop_angles(geometry, trial, xy)  # (end, hop): platform end first
+    spacing = config.element_spacing_wavelengths
+    (_, r_ti), (_, r_ir) = channel.hop_factors(config, geometry, trial, xy, platform,
+                                               ((None, None), (None, None)))
+    tx_end = steering_matrix(el[1, 0], az[1, 0], *config.tx_antennas, spacing)
+    platform_ir = steering_matrix(el[0, 1], az[0, 1],
+                                  *(platform[1] if relay else config.ris_elements), spacing)
+    assert np.swapaxes(r_ti, -1, -2).tobytes() == tx_end.tobytes()
+    assert np.swapaxes(r_ir, -1, -2).tobytes() == platform_ir.tobytes()
 
 
 # --- both hops from one platform-to-node pass ------------------------------------
