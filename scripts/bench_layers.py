@@ -23,7 +23,7 @@ swarm iteration):
 - ``hop_factors``: both reduced RIS hops of the batch, F2 H_IR and H_TI F1;
 - ``search_steering``: the steering step of that ``hop_factors`` call, which
   carries beams: the four ends' per-axis factors, projected where beamformed,
-  from the batch's direction cosines (trees with ``_steering_by_shape``);
+  from the batch's direction cosines;
 - ``relay_hops``: both reduced relay hops of the batch, F2 H F1 each;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack,
   and its steps on that stack: ``rate.svd`` (``np.linalg.svd`` alone, the
@@ -36,13 +36,6 @@ swarm iteration):
 Given several row counts (``--rows 10,40,160``), every layer runs at each,
 named ``<layer>@<rows>``, in the same interleaved rounds; the fixed per-call
 cost of a layer is what its time keeps as the rows fall toward zero.
-
-A tree whose ``hop_factors`` builds both hops in one call (it takes no ``link``)
-is timed through that one call. A tree whose one-hop ``hop_factors`` takes no
-beam axes has the hops reduced by products of its full hop factors with F1 and
-F2, which is what its searches did.
-A tree whose ``hybrid_link_rate`` takes the combiner's rate branch is given the
-pack's, which its searches decide once per pack.
 """
 
 from __future__ import annotations
@@ -51,7 +44,6 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import platform
@@ -111,34 +103,15 @@ def layers_of(module, rows: int) -> dict:
     rng = scenario.rng_stream(7, 0)
     joint = rng.random((rows, config.num_ris + 2))
     xy = np.column_stack(optimizer.decode_xy(joint[:, 0], joint[:, 1], geometry))
-    two_hop = "link" not in inspect.signature(channel.hop_factors).parameters
-    if two_hop:
-        el, az, _ = channel._hop_angles(geometry, trial, xy)
-        tx_angles = el[1, 0], az[1, 0]  # the Tx end of the Tx hop
-    else:
-        paths = channel._link_paths(config, geometry, trial, xy, "tx_ris")
-        tx_angles = paths.dep_elevation, paths.dep_azimuth
-    per_axis = two_hop or "beams" in inspect.signature(channel.hop_factors).parameters
-
-    def hop(link, rx=None, tx=None, shape=None):
-        """One hop of a one-hop tree, reduced against the named (receive, transmit) RF stages."""
-        if per_axis:
-            beams = tuple(pack.beams[name] if name else None for name in (rx, tx))
-            return np.matmul(*channel.hop_factors(config, geometry, trial, xy, link, shape, beams))
-        left, right = channel.hop_factors(config, geometry, trial, xy, link, shape)
-        left = left if rx is None else getattr(pack, rx) @ left
-        return left @ right if tx is None else left @ (right @ getattr(pack, tx))
+    el, az, _ = channel._hop_angles(geometry, trial, xy)
+    tx_angles = el[1, 0], az[1, 0]  # the Tx end of the Tx hop
 
     def hops(stages, shapes=None):
         """The Tx hop, then the UE hop, each reduced against its (receive, transmit) stages."""
-        if two_hop:
-            beams = tuple(tuple(pack.beams[name] if name else None for name in stage)
-                          for stage in stages)
-            factors = channel.hop_factors(config, geometry, trial, xy, shapes, beams)
-            return tuple(np.matmul(*pair) for pair in factors)
-        return tuple(hop(link, *stage, shape)
-                     for link, stage, shape in zip(("tx_ris", "ris_rx"), stages,
-                                                   shapes or (None, None)))
+        beams = tuple(tuple(pack.beams[name] if name else None for name in stage)
+                      for stage in stages)
+        factors = channel.hop_factors(config, geometry, trial, xy, shapes, beams)
+        return tuple(np.matmul(*pair) for pair in factors)
 
     def ris_hops():
         return hops(((None, "f1"), ("f2", None)))
@@ -149,29 +122,21 @@ def layers_of(module, rows: int) -> dict:
 
     c, a = ris_hops()
     reduced = (a * np.exp(2j * np.pi * joint[:, None, 2:])) @ c
-    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-    whitened = "whitened" in inspect.signature(beamforming.hybrid_link_rate).parameters
-    if whitened:
-        budget += (pack.whitened["f2"],)
+    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts,
+              pack.whitened["f2"])
     eff = beamforming._decompose(reduced)
     stages = beamforming.bb_stages(eff, config.tx_power_watts, config.num_streams, pack.f1)
-    stages.f2 = pack.f2
-    if whitened:
-        stages.whitened = pack.whitened["f2"]
-    if hasattr(channel, "_steering_by_shape"):
-        ux, uy = (u.reshape(4, *u.shape[2:]) for u in channel._direction_cosines(el, az))
-        ris, beams = config.ris_elements, pack.beams  # the RIS search's ends, in (end, hop) order
-        ends = ((ris, None), (ris, None), (config.tx_antennas, beams["f1"]),
-                (config.rx_antennas, beams["f2"]))
-        search_steering = {"search_steering": lambda: channel._steering_by_shape(
-            ux, uy, ends, config.element_spacing_wavelengths)}
-    else:
-        search_steering = {}
+    stages.f2, stages.whitened = pack.f2, pack.whitened["f2"]
+    ux, uy = (u.reshape(4, *u.shape[2:]) for u in channel._direction_cosines(el, az))
+    ris, beams = config.ris_elements, pack.beams  # the RIS search's ends, in (end, hop) order
+    ends = ((ris, None), (ris, None), (config.tx_antennas, beams["f1"]),
+            (config.rx_antennas, beams["f2"]))
     layers = {
         "steering": lambda: channel.steering_matrix(*tx_angles, *config.tx_antennas,
                                                     config.element_spacing_wavelengths),
         "hop_factors": ris_hops,
-        **search_steering,
+        "search_steering": lambda: channel._steering_by_shape(
+            ux, uy, ends, config.element_spacing_wavelengths),
         "relay_hops": relay_hops,
         "rate_pipeline": lambda: beamforming.hybrid_link_rate(pack.f2, reduced, pack.f1,
                                                               *budget, reduced=True),

@@ -10,7 +10,6 @@ offsets) can be frozen while the RIS moves.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,19 +23,15 @@ __all__ = [
     "DOWN",
     "DegenerateGeometryError",
     "LinkAngles",
-    "AngleOffsets",
     "PathSet",
     "TrialChannels",
     "ChannelRealization",
     "steering_matrix",
     "mean_angles_from_geometry",
-    "draw_angle_offsets",
     "draw_gains",
     "draw_trial",
-    "make_path_set",
     "link_channel",
     "composite_channel",
-    "translation_phases",
     "wavelength_m",
     "hop_factors",
     "realize_channels",
@@ -60,21 +55,12 @@ class LinkAngles(NamedTuple):
     distance_m: float
 
 
-class AngleOffsets(NamedTuple):
-    """Per-path deviations from the mean angles, one array per angle kind."""
-
-    dep_elevation: np.ndarray
-    dep_azimuth: np.ndarray
-    arr_elevation: np.ndarray
-    arr_azimuth: np.ndarray
-
-
 @dataclass
 class PathSet:
-    """L resolved paths of one link: gains plus absolute angles.
+    """L resolved paths of one link, ``link_channel``'s input: gains plus absolute angles.
 
-    Built at a stack of platform positions, every field carries the stack's
-    leading axes (``distance_m`` with a trailing axis of length 1).
+    Every field may carry leading stack axes, one path set per leading index
+    (``distance_m`` then with a trailing axis of length 1).
     """
 
     gains: np.ndarray
@@ -82,38 +68,21 @@ class PathSet:
     dep_azimuth: np.ndarray
     arr_elevation: np.ndarray
     arr_azimuth: np.ndarray
-    distance_m: float
+    distance_m: float | np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialChannels:
-    """Frozen per-trial randomness, reusable at any RIS position."""
+    """Frozen per-trial randomness, reusable at any RIS position.
 
-    gains_tx_ris: np.ndarray
-    offsets_tx_ris: AngleOffsets
-    gains_ris_rx: np.ndarray
-    offsets_ris_rx: AngleOffsets
+    Both hops' draws as platform-to-node links, Tx hop first, in read-only
+    arrays: ``gains`` (2, 1, L), and ``offsets`` (2, 2, 2, 1, L) indexed by
+    (elevation/azimuth, end, hop), the platform end first. The Tx hop runs
+    into the platform, so its platform end holds its arrival offsets.
+    """
 
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        self.__dict__.pop("platform_to_node", None)  # a new draw invalidates the stacks
-
-    @functools.cached_property
-    def platform_to_node(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both hops' draws as platform-to-node links, Tx hop first.
-
-        Gains (2, 1, L), and offsets (2, 2, 2, 1, L) indexed by
-        (elevation/azimuth, end, hop), the platform end first. The Tx hop
-        runs into the platform, so its platform end takes its arrival offsets.
-        """
-        ti, ir = self.offsets_tx_ris, self.offsets_ris_rx
-        offsets = np.array([
-            [[ti.arr_elevation, ir.dep_elevation], [ti.dep_elevation, ir.arr_elevation]],
-            [[ti.arr_azimuth, ir.dep_azimuth], [ti.dep_azimuth, ir.arr_azimuth]],
-        ])
-        gains = np.array([self.gains_tx_ris, self.gains_ris_rx])
-        gains.flags.writeable = offsets.flags.writeable = False  # every later call shares them
-        return gains[:, None, :], offsets[..., None, :]
+    gains: np.ndarray
+    offsets: np.ndarray
 
 
 @dataclass
@@ -227,70 +196,44 @@ def _stacked_mean_angles(pos_a, pos_b, boresight_a, boresight_b):
     return angles.reshape(2, 2, -1), tau
 
 
-def draw_angle_offsets(
-    spread_el: float, spread_az: float, num_paths: int, rng: np.random.Generator
-) -> AngleOffsets:
-    """Uniform per-path deviations within +-spread (radians)."""
-    return AngleOffsets(
-        rng.uniform(-spread_el, spread_el, num_paths),
-        rng.uniform(-spread_az, spread_az, num_paths),
-        rng.uniform(-spread_el, spread_el, num_paths),
-        rng.uniform(-spread_az, spread_az, num_paths),
-    )
-
-
 def draw_gains(num_paths: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. circularly symmetric complex normal gains, unit variance."""
     return (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths)) / math.sqrt(2.0)
 
 
-def make_path_set(means: LinkAngles, offsets: AngleOffsets, gains: np.ndarray) -> PathSet:
-    """Combine frozen offsets/gains with (possibly new) mean angles."""
-    return PathSet(
-        gains=gains,
-        dep_elevation=means.dep_elevation + offsets.dep_elevation,
-        dep_azimuth=means.dep_azimuth + offsets.dep_azimuth,
-        arr_elevation=means.arr_elevation + offsets.arr_elevation,
-        arr_azimuth=means.arr_azimuth + offsets.arr_azimuth,
-        distance_m=means.distance_m,
-    )
-
-
 def draw_trial(config: SystemConfig, rng: np.random.Generator) -> TrialChannels:
     """One Monte Carlo trial's worth of frozen randomness for both links.
 
-    The draw depends only on num_paths and the spreads, never on array or
-    RIS sizes, so element-count sweeps reuse identical trials.
+    Per hop, Tx hop first: the gains, then the departure elevation and
+    azimuth, then the arrival elevation and azimuth offsets, each uniform
+    within +-spread. The draw depends only on num_paths and the spreads,
+    never on array or RIS sizes, so element-count sweeps reuse identical
+    trials.
     """
     spread_el, spread_az = map(math.radians, config.angular_spread_deg)
-    gains_ti = draw_gains(config.num_paths, rng)
-    offsets_ti = draw_angle_offsets(spread_el, spread_az, config.num_paths, rng)
-    gains_ir = draw_gains(config.num_paths, rng)
-    offsets_ir = draw_angle_offsets(spread_el, spread_az, config.num_paths, rng)
-    return TrialChannels(gains_ti, offsets_ti, gains_ir, offsets_ir)
+    num_paths = config.num_paths
+    gains = np.empty((2, 1, num_paths), dtype=complex)
+    offsets = np.empty((2, 2, 2, 1, num_paths))
+    for hop in range(2):
+        gains[hop, 0] = draw_gains(num_paths, rng)
+        for end in (1 - hop, hop):  # departure, then arrival: the Tx hop arrives at end 0
+            offsets[0, end, hop, 0] = rng.uniform(-spread_el, spread_el, num_paths)
+            offsets[1, end, hop, 0] = rng.uniform(-spread_az, spread_az, num_paths)
+    gains.flags.writeable = offsets.flags.writeable = False  # every later call shares them
+    return TrialChannels(gains, offsets)
 
 
-def translation_phases(
-    elevations: np.ndarray,
-    azimuths: np.ndarray,
-    delta_xy: tuple[float, float],
-    wavelength_m: float,
-) -> np.ndarray:
+def _translation_phases(ux, uy, delta_xy, wavelength_m: float) -> np.ndarray:
     """Per-path phase rotation from translating an array's phase reference.
 
     Moving an array by delta (meters, in its plane) shifts each incident or
     departing plane wave's phase at the reference element by
-    -2*pi/lambda * (delta . u) with u the path's in-plane direction cosines.
-    This deterministic geometric term is what makes rates vary on a
-    wavelength scale across the platform; without it a platform translation
-    would be phase-transparent. ``delta_xy`` may be a (..., 2) stack of
-    translations against angles of shape (..., L).
+    -2*pi/lambda * (delta . u) with u = (ux, uy) the path's in-plane
+    direction cosines. This deterministic geometric term is what makes rates
+    vary on a wavelength scale across the platform; without it a platform
+    translation would be phase-transparent. ``delta_xy`` may be a (..., 2)
+    stack of translations against cosines of shape (..., L).
     """
-    return _translation_phases(*_direction_cosines(elevations, azimuths), delta_xy, wavelength_m)
-
-
-def _translation_phases(ux, uy, delta_xy, wavelength_m: float) -> np.ndarray:
-    """``translation_phases`` from the paths' direction cosines."""
     delta = np.asarray(delta_xy, dtype=float)
     return np.exp(-2j * np.pi * (delta[..., 0:1] * ux + delta[..., 1:2] * uy) / wavelength_m)
 
@@ -358,7 +301,7 @@ def _hop_angles(geometry: DeploymentGeometry, trial: TrialChannels, xy: np.ndarr
     platform = np.column_stack((xy, np.full(b, geometry.ris_height_m)))
     nodes = np.reshape((geometry.tx_position, geometry.ue_position), (2, 1, 3))
     means, tau = _stacked_mean_angles(platform, nodes, DOWN, UP)
-    el, az = means.reshape(2, 2, 2, b, 1) + trial.platform_to_node[1]
+    el, az = means.reshape(2, 2, 2, b, 1) + trial.offsets
     return el, az, tau.reshape(2, b, 1)
 
 
@@ -407,9 +350,8 @@ def hop_factors(
     xy = np.asarray(ris_xy, dtype=float)
     el, az, distance = _hop_angles(geometry, trial, xy)
     ux, uy = _direction_cosines(el, az)
-    gains = trial.platform_to_node[0]
-    gains = gains * _translation_phases(ux[0], uy[0], xy - geometry.platform_center(),
-                                        wavelength_m(config.carrier_frequency_ghz))
+    gains = trial.gains * _translation_phases(ux[0], uy[0], xy - geometry.platform_center(),
+                                              wavelength_m(config.carrier_frequency_ghz))
     scale = _amplitudes(distance, config.carrier_frequency_ghz, config.path_loss_exponent,
                         config.path_loss_mode) * gains
     (rx_ti, tx_ti), (rx_ir, tx_ir) = beams

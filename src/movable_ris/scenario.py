@@ -24,7 +24,6 @@ __all__ = [
     "default_config",
     "noise_power",
     "dbm_to_watts",
-    "path_loss_linear",
     "path_amplitude",
     "path_amplitudes",
     "validate",
@@ -164,19 +163,6 @@ def alpha_coefficient(carrier_ghz: float) -> float:
     return 32.4 + 20.0 * math.log10(carrier_ghz)
 
 
-def path_loss_linear(carrier_ghz: float, distance_m: float, exponent: float) -> float:
-    """Close-in distance loss as a linear power ratio.
-
-    10^((32.4 + 20*log10(f_GHz) + 10*eta*log10(tau))/10); callers dividing
-    amplitudes use its square root.
-    """
-    return _linear_loss(alpha_coefficient(carrier_ghz), distance_m, exponent)
-
-
-def _linear_loss(alpha: float, distance_m: float, exponent: float) -> float:
-    return 10.0 ** ((alpha + 10.0 * exponent * math.log10(distance_m)) / 10.0)
-
-
 def path_amplitude(
     carrier_ghz: float, distance_m: float, exponent: float, mode: str = "alpha"
 ) -> float:
@@ -185,8 +171,8 @@ def path_amplitude(
     "alpha": power attenuation = (32.4 + 20*log10(f_GHz)) * tau^eta with the
     reference term applied as a raw coefficient (default; calibrated to the
     indoor operating points the bundled experiments target).
-    "db": power attenuation = path_loss_linear(...), i.e. the full close-in
-    expression interpreted in decibels.
+    "db": power attenuation = 10^((32.4 + 20*log10(f_GHz) + 10*eta*log10(tau))/10),
+    i.e. the full close-in expression interpreted in decibels.
     """
     return path_amplitudes(carrier_ghz, (distance_m,), exponent, mode)[0]
 
@@ -200,7 +186,8 @@ def path_amplitudes(
     alpha = alpha_coefficient(carrier_ghz)
     if mode == "alpha":
         return [1.0 / math.sqrt(alpha * d**exponent) for d in distances_m]
-    return [1.0 / math.sqrt(_linear_loss(alpha, d, exponent)) for d in distances_m]
+    return [1.0 / math.sqrt(10.0 ** ((alpha + 10.0 * exponent * math.log10(d)) / 10.0))
+            for d in distances_m]
 
 
 def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:

@@ -49,11 +49,11 @@ def test_common_random_numbers_share_path_sets():
     _, _, pack = small_pack()
     t_a = trial_channels(pack, 3)
     t_b = trial_channels(pack, 3)
-    np.testing.assert_array_equal(t_a.gains_tx_ris, t_b.gains_tx_ris)
-    np.testing.assert_array_equal(t_a.offsets_ris_rx.arr_azimuth, t_b.offsets_ris_rx.arr_azimuth)
+    np.testing.assert_array_equal(t_a.gains, t_b.gains)
+    np.testing.assert_array_equal(t_a.offsets, t_b.offsets)
     # different trials get different draws
     t_c = trial_channels(pack, 4)
-    assert not np.allclose(t_a.gains_tx_ris, t_c.gains_tx_ris)
+    assert not np.allclose(t_a.gains, t_c.gains)
 
 
 def test_trial_draw_independent_of_ris_size():
@@ -62,8 +62,8 @@ def test_trial_draw_independent_of_ris_size():
     _, _, pack_large = small_pack(ris_elements=(10, 10))
     a = trial_channels(pack_small, 5)
     b = trial_channels(pack_large, 5)
-    np.testing.assert_array_equal(a.gains_tx_ris, b.gains_tx_ris)
-    np.testing.assert_array_equal(a.gains_ris_rx, b.gains_ris_rx)
+    np.testing.assert_array_equal(a.gains, b.gains)
+    np.testing.assert_array_equal(a.offsets, b.offsets)
 
 
 def test_run_baseline_deterministic():
@@ -194,8 +194,7 @@ def test_relay_symmetric_geometry_prefers_midline():
     from movable_ris.baselines import _RelaySearch
 
     trial = trial_channels(pack, 0)
-    trial.gains_tx_ris = np.ones_like(trial.gains_tx_ris)
-    trial.gains_ris_rx = np.ones_like(trial.gains_ris_rx)
+    trial = replace(trial, gains=np.ones_like(trial.gains))
     grid = np.linspace(40.0, 70.0, 13)
     best, best_xy = -1.0, None
     for x in grid:

@@ -72,10 +72,7 @@ def _objective_of(kind, pack, trial_index, zero_channel=False):
 
     def trial_channels(pack, index):
         trial = real_trial(pack, index)
-        if zero_channel:
-            trial.gains_tx_ris = np.zeros_like(trial.gains_tx_ris)
-            trial.gains_ris_rx = np.zeros_like(trial.gains_ris_rx)
-        return trial
+        return replace(trial, gains=np.zeros_like(trial.gains)) if zero_channel else trial
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "run_pso", capture)

@@ -28,14 +28,13 @@ from movable_ris.channel import (
     DegenerateGeometryError,
     LinkAngles,
     composite_channel,
-    make_path_set,
     mean_angles_from_geometry,
     steering_matrix,
-    translation_phases,
     wavelength_m,
 )
 from movable_ris.scenario import PsoParams, default_config, path_amplitude, rng_stream
 from test_batch import FACTORED_RTOL, _objective_of
+from test_channel import hop_paths
 
 
 def _reference_mean_angles(pos_a, pos_b, boresight_a, boresight_b) -> LinkAngles:
@@ -175,16 +174,16 @@ def _reference_hop(config, geometry, trial, x, y, link, platform_shape=None):
     into = link == "tx_ris"
     if into:
         means = _reference_mean_angles(geometry.tx_position, (x, y, z), UP, DOWN)
-        gains, offsets = trial.gains_tx_ris, trial.offsets_tx_ris
     else:
         means = _reference_mean_angles((x, y, z), geometry.ue_position, DOWN, UP)
-        gains, offsets = trial.gains_ris_rx, trial.offsets_ris_rx
-    paths = make_path_set(means, offsets, gains)
-    side = (paths.arr_elevation, paths.arr_azimuth) if into else (
+    paths = hop_paths(means, trial, 0 if into else 1)
+    el, az = (paths.arr_elevation, paths.arr_azimuth) if into else (
         paths.dep_elevation, paths.dep_azimuth)
-    delta = np.array([x, y]) - geometry.platform_center()
-    paths.gains = gains * translation_phases(*side, delta,
-                                             wavelength_m(config.carrier_frequency_ghz))
+    # the translation phase of each path, taken at its platform-side direction
+    dx, dy = np.array([x, y]) - geometry.platform_center()
+    ux, uy = np.sin(el) * np.cos(az), np.sin(el) * np.sin(az)
+    paths.gains = paths.gains * np.exp(
+        -2j * np.pi * (dx * ux + dy * uy) / wavelength_m(config.carrier_frequency_ghz))
     platform = config.ris_elements if platform_shape is None else platform_shape
     tx_shape, rx_shape = (config.tx_antennas, platform) if into else (platform, config.rx_antennas)
     spacing = config.element_spacing_wavelengths
@@ -455,22 +454,6 @@ def test_both_hops_equal_reference_hops(shapes, mode, relay, trial_index, draw_s
             # |entry| <= sum of the paths' |amplitude x gain| (a row of left) x sqrt(M_rx M_tx)
             bound = FACTORED_RTOL * np.abs(left[b, 0]).sum() * math.sqrt(h.size)
             np.testing.assert_allclose(p_left[b] @ p_right[b], reduced, rtol=0.0, atol=bound)
-
-
-def test_assigning_a_draw_reaches_the_next_hops():
-    """The trial's stacked draws are rebuilt after any of its fields is assigned."""
-    pack = _toy_pack(4)
-    config, geometry = pack.config, pack.geometry
-    trial = baselines.trial_channels(pack, 0)
-    xy = np.array([[50.0, 40.0], [60.0, 55.0]])
-    channel.hop_factors(config, geometry, trial, xy)  # stacks the draws as they were
-    trial.gains_ris_rx = np.zeros_like(trial.gains_ris_rx)
-    trial.offsets_tx_ris = channel.AngleOffsets(*(o[::-1] for o in trial.offsets_tx_ris))
-    (l_ti, r_ti), (l_ir, r_ir) = channel.hop_factors(config, geometry, trial, xy)
-    assert not np.any(l_ir @ r_ir)
-    for b, (x, y) in enumerate(xy):
-        h = _reference_hop(config, geometry, trial, x, y, "tx_ris")
-        assert (l_ti[b] @ r_ti[b]).tobytes() == h.tobytes()
 
 
 # --- memory ---------------------------------------------------------------------

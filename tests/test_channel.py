@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,32 +12,44 @@ from movable_ris.channel import (
     DegenerateGeometryError,
     LinkAngles,
     PathSet,
+    TrialChannels,
+    _direction_cosines,
+    _translation_phases,
     composite_channel,
-    draw_angle_offsets,
     draw_gains,
     draw_trial,
     link_channel,
-    make_path_set,
     mean_angles_from_geometry,
     realize_channels,
     steering_matrix,
-    translation_phases,
     wavelength_m,
 )
-from movable_ris.scenario import default_config, path_amplitude, path_loss_linear, rng_stream
+from movable_ris.scenario import default_config, path_amplitude, rng_stream
+
+
+def hop_paths(means: LinkAngles, trial: TrialChannels, hop: int) -> PathSet:
+    """Hop ``hop`` (0: Tx to platform, 1: platform to UE) of a trial's draw about ``means``."""
+    el, az = trial.offsets[:, :, hop, 0]  # (end, L) each, the platform end first
+    dep, arr = 1 - hop, hop  # the Tx hop arrives at the platform, the UE hop leaves it
+    return PathSet(
+        gains=trial.gains[hop, 0],
+        dep_elevation=means.dep_elevation + el[dep],
+        dep_azimuth=means.dep_azimuth + az[dep],
+        arr_elevation=means.arr_elevation + el[arr],
+        arr_azimuth=means.arr_azimuth + az[arr],
+        distance_m=means.distance_m,
+    )
 
 
 def draw_paths(
     means: LinkAngles,
-    spread_el: float,
-    spread_az: float,
+    spread_deg: tuple[float, float],
     num_paths: int,
     rng: np.random.Generator,
 ) -> PathSet:
-    """Draw a full path set: gains first, then the four offset blocks."""
-    gains = draw_gains(num_paths, rng)
-    offsets = draw_angle_offsets(spread_el, spread_az, num_paths, rng)
-    return make_path_set(means, offsets, gains)
+    """The Tx hop of a trial drawn with (elevation, azimuth) spreads in degrees."""
+    config = replace(default_config()[0], num_paths=num_paths, angular_spread_deg=spread_deg)
+    return hop_paths(means, draw_trial(config, rng), 0)
 
 
 def steering_vector(elevation, azimuth, m_x, m_y, spacing):
@@ -92,13 +104,18 @@ def test_steering_unit_norm_and_constant_modulus(el, az, mx, my):
 # --- path loss ---------------------------------------------------------------
 
 
+def path_loss_db_mode(carrier_ghz, distance_m, exponent):
+    """The "db" mode's linear power loss, from its per-path amplitude."""
+    return path_amplitude(carrier_ghz, distance_m, exponent, "db") ** -2
+
+
 def test_path_loss_hand_values():
     # 32.4 + 20*log10(28) = 61.34 dB at 1 m
-    assert path_loss_linear(28.0, 1.0, 3.6) == pytest.approx(10 ** 6.134, rel=1e-3)
+    assert path_loss_db_mode(28.0, 1.0, 3.6) == pytest.approx(10 ** 6.134, rel=1e-3)
     # f_c = 1 GHz, 1 m: both logs vanish
-    assert path_loss_linear(1.0, 1.0, 2.0) == pytest.approx(10 ** 3.24, rel=1e-12)
+    assert path_loss_db_mode(1.0, 1.0, 2.0) == pytest.approx(10 ** 3.24, rel=1e-12)
     # 10 m adds 10*3.6 dB
-    ratio = path_loss_linear(28.0, 10.0, 3.6) / path_loss_linear(28.0, 1.0, 3.6)
+    ratio = path_loss_db_mode(28.0, 10.0, 3.6) / path_loss_db_mode(28.0, 1.0, 3.6)
     assert 10 * math.log10(ratio) == pytest.approx(36.0, abs=1e-9)
 
 
@@ -111,16 +128,17 @@ def test_path_loss_hand_values():
 @settings(max_examples=100, deadline=None)
 def test_path_loss_monotone(f, tau, eta, bump):
     # eta-monotonicity needs tau > 1 m, where the distance term is positive
-    base = path_loss_linear(f, tau, eta)
-    assert path_loss_linear(f * bump, tau, eta) > base
-    assert path_loss_linear(f, tau * bump, eta) > base
-    assert path_loss_linear(f, tau, eta * bump) > base
+    base = path_loss_db_mode(f, tau, eta)
+    assert path_loss_db_mode(f * bump, tau, eta) > base
+    assert path_loss_db_mode(f, tau * bump, eta) > base
+    assert path_loss_db_mode(f, tau, eta * bump) > base
 
 
 def test_path_amplitude_modes():
     amp_db = path_amplitude(28.0, 50.0, 3.6, "db")
-    assert amp_db == pytest.approx(1 / math.sqrt(path_loss_linear(28.0, 50.0, 3.6)), rel=1e-12)
     alpha = 32.4 + 20 * math.log10(28.0)
+    loss_db = alpha + 10 * 3.6 * math.log10(50.0)
+    assert amp_db == pytest.approx(1 / math.sqrt(10 ** (loss_db / 10)), rel=1e-12)
     amp_alpha = path_amplitude(28.0, 50.0, 3.6, "alpha")
     assert amp_alpha == pytest.approx(1 / math.sqrt(alpha * 50.0 ** 3.6), rel=1e-12)
     with pytest.raises(ValueError):
@@ -159,7 +177,7 @@ def test_mean_angles_rejects_coincident():
 
 def test_draw_paths_zero_spread_collapses_to_mean():
     means = LinkAngles(1.0, 0.5, 1.2, -0.7, 30.0)
-    paths = draw_paths(means, 0.0, 0.0, 10, rng_stream(1, 0))
+    paths = draw_paths(means, (0.0, 0.0), 10, rng_stream(1, 0))
     np.testing.assert_allclose(paths.dep_elevation, 1.0)
     np.testing.assert_allclose(paths.arr_azimuth, -0.7)
 
@@ -168,7 +186,7 @@ def test_draw_paths_respects_spread_bounds():
     means = LinkAngles(1.0, 0.5, 1.2, -0.7, 30.0)
     spread = math.radians(10.0)
     for seed in range(20):
-        paths = draw_paths(means, spread, spread, 10, rng_stream(seed, 0))
+        paths = draw_paths(means, (10.0, 10.0), 10, rng_stream(seed, 0))
         assert np.max(np.abs(paths.dep_elevation - 1.0)) <= spread
         assert np.max(np.abs(paths.dep_azimuth - 0.5)) <= spread
         assert np.max(np.abs(paths.arr_elevation - 1.2)) <= spread
@@ -181,12 +199,38 @@ def test_gain_distribution_unit_variance():
     assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.02)
 
 
+def test_draw_trial_stacks_the_documented_order_in_read_only_arrays():
+    config, _ = default_config()
+    config = replace(config, num_paths=7, angular_spread_deg=(10.0, 25.0))
+    trial = draw_trial(config, rng_stream(5, 0, 0))
+    rng = rng_stream(5, 0, 0)
+    el, az = math.radians(10.0), math.radians(25.0)
+
+    def hop():  # gains, departure (elevation, azimuth), arrival (elevation, azimuth)
+        gains = (rng.standard_normal(7) + 1j * rng.standard_normal(7)) / math.sqrt(2.0)
+        dep = rng.uniform(-el, el, 7), rng.uniform(-az, az, 7)
+        return gains, dep, (rng.uniform(-el, el, 7), rng.uniform(-az, az, 7))
+
+    (g_ti, dep_ti, arr_ti), (g_ir, dep_ir, arr_ir) = hop(), hop()
+    # (elevation/azimuth, end, hop), platform end first: the Tx hop arrives there
+    offsets = np.array([[[arr_ti[k], dep_ir[k]], [dep_ti[k], arr_ir[k]]] for k in range(2)])
+    assert trial.gains.shape == (2, 1, 7) and trial.offsets.shape == (2, 2, 2, 1, 7)
+    assert trial.gains.tobytes() == np.array([g_ti, g_ir]).tobytes()
+    assert trial.offsets.tobytes() == offsets.tobytes()
+    for array in (trial.gains, trial.offsets):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        trial.gains = np.zeros_like(trial.gains)
+
+
 # --- channel matrices --------------------------------------------------------
 
 
 def _single_path_set(distance=1.0):
     means = LinkAngles(0.9, 0.3, 1.1, -0.4, distance)
-    paths = draw_paths(means, 0.0, 0.0, 1, rng_stream(3, 0))
+    paths = draw_paths(means, (0.0, 0.0), 1, rng_stream(3, 0))
     paths.gains = np.array([1.0 + 0.0j])
     return paths
 
@@ -295,7 +339,7 @@ def test_translation_phase_reference_is_identity_at_center():
     means = mean_angles_from_geometry(
         geometry.tx_position, (*center, geometry.ris_height_m), UP, DOWN
     )
-    paths = make_path_set(means, trial.offsets_tx_ris, trial.gains_tx_ris)
+    paths = hop_paths(means, trial, 0)
     h = link_channel(
         paths, config.tx_antennas, config.ris_elements, config.carrier_frequency_ghz,
         config.path_loss_exponent, config.element_spacing_wavelengths, config.path_loss_mode,
@@ -307,6 +351,6 @@ def test_translation_phases_unit_modulus_and_varying():
     el = np.array([1.2, 1.3, 1.4])
     az = np.array([0.3, 0.4, 0.5])
     lam = wavelength_m(28.0)
-    ph = translation_phases(el, az, (1.0, -2.0), lam)
+    ph = _translation_phases(*_direction_cosines(el, az), (1.0, -2.0), lam)
     np.testing.assert_allclose(np.abs(ph), 1.0, atol=1e-12)
     assert not np.allclose(ph, ph[0])

@@ -98,8 +98,7 @@ def test_fitness_is_pure():
 def test_fitness_zero_channel_context():
     config, geometry, pack = tiny_scenario()
     ctx = make_problem_context(pack, 0)
-    ctx.trial.gains_tx_ris = np.zeros_like(ctx.trial.gains_tx_ris)
-    ctx.trial.gains_ris_rx = np.zeros_like(ctx.trial.gains_ris_rx)
+    ctx = replace(ctx, trial=replace(ctx.trial, gains=np.zeros_like(ctx.trial.gains)))
     for seed in range(5):
         state = decode(rng_stream(seed, 0).random(4)[None], ctx.geometry)
         assert ctx.search_rates(state)[0] == 0.0
