@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DOWN, UP, LinkAngles, mean_angles_from_geometry
+from .channel import platform_angles
 from .scenario import DeploymentGeometry, SystemConfig
 
 __all__ = [
@@ -218,19 +218,15 @@ def rf_stages(
     return f1, f2
 
 
-def platform_footprint(geometry: DeploymentGeometry, node) -> list[LinkAngles]:
-    """Mean angles between the platform's center, then its four corners, and ``node``.
+def platform_footprint(geometry: DeploymentGeometry) -> np.ndarray:
+    """``platform_angles`` at the platform's center, then its four corners.
 
-    ``dep_*`` are the angles at the platform end (arrays facing down) and
-    ``arr_*`` those at the node below it (arrays facing up). Reversing a link
-    negates its difference vector exactly, so the node's departure angles
-    toward an anchor are, bit for bit, these arrival angles, and vice versa.
+    The (2, 2, 2, 5) angles are indexed by (elevation/azimuth, platform/node
+    end, Tx/UE node, anchor).
     """
-    cx, cy = geometry.platform_center()
-    z = geometry.ris_height_m
-    anchors = [(cx, cy)] + [(x, y) for x in geometry.platform_x_range
-                            for y in geometry.platform_y_range]
-    return [mean_angles_from_geometry((x, y, z), node, DOWN, UP) for x, y in anchors]
+    anchors = [geometry.platform_center()] + [(x, y) for x in geometry.platform_x_range
+                                              for y in geometry.platform_y_range]
+    return platform_angles(geometry, np.array(anchors))[0]
 
 
 def _covering_rf_stages(
@@ -262,12 +258,11 @@ def design_rf_stages(
     direction to keep the interval contiguous.
     """
     spread_el, spread_az = map(math.radians, config.angular_spread_deg)
+    (_, node_el), (_, node_az) = platform_footprint(geometry).tolist()
     supports = []
-    for node in (geometry.tx_position, geometry.ue_position):
-        angles = platform_footprint(geometry, node)
-        center_az = angles[0].arr_azimuth
-        els = [a.arr_elevation for a in angles]
-        azs = [center_az + math.remainder(a.arr_azimuth - center_az, 2.0 * math.pi) for a in angles]
+    for els, azs in zip(node_el, node_az):  # the Tx node, then the UE node
+        center_az = azs[0]
+        azs = [center_az + math.remainder(az - center_az, 2.0 * math.pi) for az in azs]
         supports.append(AngleSupport((min(els) - spread_el, max(els) + spread_el),
                                      (min(azs) - spread_az, max(azs) + spread_az)))
     return _covering_rf_stages(config, *supports)
@@ -284,13 +279,11 @@ def design_relay_stages(
     from it.
     """
     spread_el, spread_az = map(math.radians, config.angular_spread_deg)
-    supports = []
-    for node in (geometry.ue_position, geometry.tx_position):
-        center, *corners = platform_footprint(geometry, node)
-        el, az = center.dep_elevation, center.dep_azimuth
-        half_el = spread_el + max(abs(c.dep_elevation - el) for c in corners)
-        half_az = spread_az + max(abs(math.remainder(c.dep_azimuth - az, 2.0 * math.pi))
-                                  for c in corners)
+    (platform_el, _), (platform_az, _) = platform_footprint(geometry).tolist()
+    supports = []  # the UE node's, then the Tx node's
+    for (el, *corner_els), (az, *corner_azs) in zip(platform_el[::-1], platform_az[::-1]):
+        half_el = spread_el + max(abs(c - el) for c in corner_els)
+        half_az = spread_az + max(abs(math.remainder(c - az, 2.0 * math.pi)) for c in corner_azs)
         supports.append(AngleSupport((el - half_el, el + half_el), (az - half_az, az + half_az)))
     f1_hop2, f2_hop1 = _covering_rf_stages(config, *supports)
     return f2_hop1, f1_hop2

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,12 +21,11 @@ __all__ = [
     "UP",
     "DOWN",
     "DegenerateGeometryError",
-    "LinkAngles",
     "PathSet",
     "TrialChannels",
     "ChannelRealization",
     "steering_matrix",
-    "mean_angles_from_geometry",
+    "platform_angles",
     "draw_gains",
     "draw_trial",
     "link_channel",
@@ -43,16 +41,6 @@ DOWN = (0.0, 0.0, -1.0)
 
 class DegenerateGeometryError(ValueError):
     """Raised when two nodes coincide and link angles are undefined."""
-
-
-class LinkAngles(NamedTuple):
-    """Mean departure/arrival angles (radians) and length of one link."""
-
-    dep_elevation: float
-    dep_azimuth: float
-    arr_elevation: float
-    arr_azimuth: float
-    distance_m: float
 
 
 @dataclass
@@ -94,8 +82,7 @@ class ChannelRealization:
 
 
 def steering_matrix(
-    elevations: np.ndarray, azimuths: np.ndarray, m_x: int, m_y: int, spacing: float,
-    beams=None,
+    elevations: np.ndarray, azimuths: np.ndarray, m_x: int, m_y: int, spacing: float
 ) -> np.ndarray:
     """Stack of unnormalized steering vectors, one column per direction.
 
@@ -103,15 +90,10 @@ def steering_matrix(
     (..., m_x*m_y, L), one matrix per leading index. Each column is the
     x-major Kronecker product of its per-axis phase factors: row n =
     m_x_index * m_y + m_y_index.
-
-    Given the per-axis factors X (K, m_x), Y (K, m_y) of K RF beams as
-    ``beams``, the result is instead the (..., K, L) projection onto them:
-    column l is kron(Px[:, l], Py[:, l]) and beam k is sqrt(M) kron(X[k], Y[k]), so
-    their product is sqrt(M) (X Px)[k, l] (Y Py)[k, l], taken one array axis at a time.
     """
     cosines = _direction_cosines(np.asarray(elevations, dtype=float),
                                  np.asarray(azimuths, dtype=float))
-    return _steering_of(*_axis_phases(*cosines, m_x, m_y, spacing), beams)
+    return _steering_of(*_axis_phases(*cosines, m_x, m_y, spacing))
 
 
 def _direction_cosines(elevations: np.ndarray, azimuths: np.ndarray):
@@ -149,7 +131,13 @@ def _axis_powers(ux, uy, m_x: int, m_y: int, spacing: float):
 
 
 def _steering_of(px: np.ndarray, py: np.ndarray, beams=None) -> np.ndarray:
-    """``steering_matrix`` from its per-axis phase factors."""
+    """``steering_matrix`` from its per-axis phase factors.
+
+    Given the per-axis factors X (K, m_x), Y (K, m_y) of K RF beams as
+    ``beams``, the result is instead the (..., K, L) projection onto them:
+    column l is kron(Px[:, l], Py[:, l]) and beam k is sqrt(M) kron(X[k], Y[k]), so
+    their product is sqrt(M) (X Px)[k, l] (Y Py)[k, l], taken one array axis at a time.
+    """
     m_x, m_y = px.shape[-2], py.shape[-2]
     if beams is not None:
         return (beams[0] @ px) * (beams[1] @ py) * math.sqrt(m_x * m_y)
@@ -157,29 +145,17 @@ def _steering_of(px: np.ndarray, py: np.ndarray, beams=None) -> np.ndarray:
     return kron.reshape(*px.shape[:-2], m_x * m_y, px.shape[-1])
 
 
-def mean_angles_from_geometry(
-    pos_a, pos_b, boresight_a=UP, boresight_b=UP
-) -> LinkAngles:
-    """Mean link angles between two nodes with given array boresights.
-
-    Azimuths are measured in the global xy-plane along the direction away
-    from each node; elevations are measured from each array's boresight
-    normal, so a broadside link has elevation 0.
-    """
-    angles, tau = _stacked_mean_angles(np.reshape(pos_a, (1, 3)), np.reshape(pos_b, (1, 3)),
-                                       boresight_a, boresight_b)
-    return LinkAngles(*angles[..., 0].T.ravel().tolist(), float(tau[0]))
-
-
 def _stacked_mean_angles(pos_a, pos_b, boresight_a, boresight_b):
-    """``mean_angles_from_geometry`` of N node pairs: angles (2, 2, N) and lengths (N,).
+    """Mean link angles of N node pairs with given array boresights: (2, 2, N), lengths (N,).
 
     ``pos_a`` and ``pos_b`` broadcast to (..., 3), read as N pairs. The
-    angles are indexed by (elevation/azimuth, end a/end b, pair). Lengths and
-    boresight projections are stacked vector-vector matmuls, which take the
-    same dot product as ``np.linalg.norm`` of one 3-vector. ``math.acos`` and
-    ``math.atan2`` map over the pairs, since numpy's vectorized forms round
-    differently.
+    angles are indexed by (elevation/azimuth, end a/end b, pair). Azimuths
+    are measured in the global xy-plane along the direction away from each
+    end; elevations are measured from each array's boresight normal, so a
+    broadside link has elevation 0. Lengths and boresight projections are
+    stacked vector-vector matmuls, which take the same dot product as
+    ``np.linalg.norm`` of one 3-vector. ``math.acos`` and ``math.atan2`` map
+    over the pairs, since numpy's vectorized forms round differently.
     """
     diff = np.asarray(pos_b, dtype=float) - np.asarray(pos_a, dtype=float)
     v = diff.reshape(-1, 3)
@@ -286,23 +262,33 @@ def composite_channel(
     return (h_ris_rx * np.exp(1j * phases)[..., None, :]) @ h_tx_ris
 
 
-def _hop_angles(geometry: DeploymentGeometry, trial: TrialChannels, xy: np.ndarray):
-    """Path angles of both hops at a (B, 2) stack of platform positions.
+def platform_angles(geometry: DeploymentGeometry, xy: np.ndarray):
+    """Mean angles and lengths of the links from a (B, 2) stack of platform points to both nodes.
 
-    Every link runs from the platform to its node, so one stack of 2B pairs
-    gives both hops: reversing a link negates its difference vector exactly,
-    and the Tx hop's angles are the reversed link's with departure and
-    arrival swapped. Returns elevations and azimuths (2, 2, B, L), indexed
-    by (end, hop) with the platform end and the Tx hop first, and the
-    distances (2, B, 1). Mean angles and distances follow the position; the
-    trial's angular offsets stay frozen.
+    The platform's arrays face down and the nodes' face up. Returns the
+    angles (2, 2, 2, B), indexed by (elevation/azimuth, platform/node end,
+    Tx/UE node, point), and the lengths (2, B), from one stack of 2B pairs.
+    Every link runs from the platform to its node: reversing a link negates
+    its difference vector exactly, so the Tx hop's angles are these with
+    departure and arrival swapped.
     """
     b = len(xy)
     platform = np.column_stack((xy, np.full(b, geometry.ris_height_m)))
     nodes = np.reshape((geometry.tx_position, geometry.ue_position), (2, 1, 3))
     means, tau = _stacked_mean_angles(platform, nodes, DOWN, UP)
-    el, az = means.reshape(2, 2, 2, b, 1) + trial.offsets
-    return el, az, tau.reshape(2, b, 1)
+    return means.reshape(2, 2, 2, b), tau.reshape(2, b)
+
+
+def _hop_angles(geometry: DeploymentGeometry, trial: TrialChannels, xy: np.ndarray):
+    """Path angles of both hops at a (B, 2) stack of platform positions.
+
+    ``platform_angles`` plus the trial's frozen offsets: elevations and
+    azimuths (2, 2, B, L), indexed by (end, hop) with the platform end first,
+    and the distances (2, B, 1).
+    """
+    means, tau = platform_angles(geometry, xy)
+    el, az = means[..., None] + trial.offsets
+    return el, az, tau[..., None]
 
 
 def _steering_by_shape(ux, uy, ends, spacing: float) -> list[np.ndarray]:

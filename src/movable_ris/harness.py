@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import BaselineKind, build_scenario_pack, run_baseline, trial_channels
 from .beamforming import InvalidBeamError
-from .channel import DegenerateGeometryError, realize_channels
+from .channel import DegenerateGeometryError, hop_factors
 from .scenario import (
     ConfigError,
     DeploymentGeometry,
@@ -75,6 +75,8 @@ class SweepSpec:
             raise ValueError("swept value list must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0 or (self.pso_seed or 0) < 0:
+            raise ValueError(f"seeds must be non-negative, got {self.seed} and {self.pso_seed}")
 
 
 @dataclass
@@ -134,8 +136,8 @@ def _dump_matrix(path: Path, matrix: np.ndarray) -> None:
     rows, cols = matrix.shape
     with path.open("w") as fh:
         fh.write(f"# complex matrix {rows} {cols}\n")
-        for r in range(rows):
-            fh.write(" ".join(f"{v.real!r} {v.imag!r}" for v in matrix[r]) + "\n")
+        for row in matrix.tolist():  # Python complex: each part's repr is a plain float
+            fh.write(" ".join(f"{v.real!r} {v.imag!r}" for v in row) + "\n")
 
 
 def monte_carlo_point(
@@ -178,12 +180,12 @@ def monte_carlo_point(
             flagged.append(t)
         if dump_dir is not None:
             dump_dir.mkdir(parents=True, exist_ok=True)
-            real = realize_channels(
-                config, geometry, trial_channels(pack, t), (outcome.x, outcome.y)
-            )
-            stem = f"{kind.value}_trial{t:03d}"
-            _dump_matrix(dump_dir / f"{stem}_tx_ris.txt", real.h_tx_ris)
-            _dump_matrix(dump_dir / f"{stem}_ris_rx.txt", real.h_ris_rx)
+            relay = kind in (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY)  # its own arrays
+            hops = hop_factors(config, geometry, trial_channels(pack, t),
+                               np.array([[outcome.x, outcome.y]]),
+                               (config.rx_antennas, config.tx_antennas) if relay else None)
+            for link, (left, right) in zip(("tx_ris", "ris_rx"), hops):
+                _dump_matrix(dump_dir / f"{kind.value}_trial{t:03d}_{link}.txt", left[0] @ right[0])
 
     arr = np.asarray(rates)
     mean = float(arr.mean()) if arr.size else math.nan

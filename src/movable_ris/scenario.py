@@ -24,7 +24,6 @@ __all__ = [
     "default_config",
     "noise_power",
     "dbm_to_watts",
-    "path_amplitude",
     "path_amplitudes",
     "validate",
     "serialize_config",
@@ -163,24 +162,18 @@ def alpha_coefficient(carrier_ghz: float) -> float:
     return 32.4 + 20.0 * math.log10(carrier_ghz)
 
 
-def path_amplitude(
-    carrier_ghz: float, distance_m: float, exponent: float, mode: str = "alpha"
-) -> float:
-    """Per-path amplitude attenuation factor under the chosen convention.
+def path_amplitudes(
+    carrier_ghz: float, distances_m, exponent: float, mode: str = "alpha"
+) -> list[float]:
+    """Per-path amplitude attenuation factor of each distance under the chosen convention.
 
     "alpha": power attenuation = (32.4 + 20*log10(f_GHz)) * tau^eta with the
     reference term applied as a raw coefficient (default; calibrated to the
     indoor operating points the bundled experiments target).
     "db": power attenuation = 10^((32.4 + 20*log10(f_GHz) + 10*eta*log10(tau))/10),
-    i.e. the full close-in expression interpreted in decibels.
+    i.e. the full close-in expression interpreted in decibels. The
+    reference term is taken once for all distances.
     """
-    return path_amplitudes(carrier_ghz, (distance_m,), exponent, mode)[0]
-
-
-def path_amplitudes(
-    carrier_ghz: float, distances_m, exponent: float, mode: str = "alpha"
-) -> list[float]:
-    """``path_amplitude`` of each distance, with the reference term taken once."""
     if mode not in ("alpha", "db"):
         raise ValueError(f"unknown path loss mode {mode!r}")
     alpha = alpha_coefficient(carrier_ghz)
@@ -287,9 +280,8 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
                 rise = geometry.ris_height_m - node[2]  # no hop from this node is shorter
                 far = math.hypot(*(max(abs(lo - c), abs(hi - c))
                                    for c, (lo, hi) in zip(node, ranges)), rise)
-                for length in (rise, far):
-                    path_amplitude(config.carrier_frequency_ghz, length,
-                                   config.path_loss_exponent, config.path_loss_mode)
+                path_amplitudes(config.carrier_frequency_ghz, (rise, far),
+                                config.path_loss_exponent, config.path_loss_mode)
         except (OverflowError, ZeroDivisionError) as exc:
             errors.append(f"link budget leaves the float range ({exc}); check the powers, "
                           "path_loss_exponent and node distances")

@@ -12,6 +12,7 @@ import re
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,15 +27,23 @@ from movable_ris.channel import (
     DOWN,
     UP,
     DegenerateGeometryError,
-    LinkAngles,
     composite_channel,
-    mean_angles_from_geometry,
     steering_matrix,
     wavelength_m,
 )
-from movable_ris.scenario import PsoParams, default_config, path_amplitude, rng_stream
+from movable_ris.scenario import PsoParams, default_config, path_amplitudes, rng_stream
 from test_batch import FACTORED_RTOL, _objective_of
 from test_channel import hop_paths
+
+
+class LinkAngles(NamedTuple):
+    """Mean angles (radians) at end a (departure) and end b (arrival), and the length."""
+
+    dep_elevation: float
+    dep_azimuth: float
+    arr_elevation: float
+    arr_azimuth: float
+    distance_m: float
 
 
 def _reference_mean_angles(pos_a, pos_b, boresight_a, boresight_b) -> LinkAngles:
@@ -90,8 +99,6 @@ def test_stacked_mean_angles_equal_scalar_reference(node, xy, height):
         pairs = [(node, p) if pos_a is node else (p, node) for p in platform]
         rows = [_reference_mean_angles(a, b, *bore) for a, b in pairs]
         assert _angle_bytes(batch) == _angle_bytes(LinkAngles(*zip(*rows)))
-        assert all(_angle_bytes(mean_angles_from_geometry(a, b, *bore)) == _angle_bytes(r)
-                   for (a, b), r in zip(pairs, rows))
 
 
 # A boresight along which one rounding step carries the projection of a unit
@@ -127,14 +134,30 @@ def test_clamped_and_nan_cosines_equal_scalar_reference(pairs, bore, cosines):
         assert all(math.isnan(field) for field in rows[pairs.index(NAN_ROW)])
     batch = _batch_angles(pos_a, pos_b, *bore)
     assert _angle_bytes(batch) == _angle_bytes(LinkAngles(*zip(*rows)))
-    assert all(_angle_bytes(mean_angles_from_geometry(a, b, *bore)) == _angle_bytes(r)
-               for (a, b), r in zip(pairs, rows))
+
+
+@given(
+    nodes=st.one_of(
+        st.just(NODES),
+        st.tuples(*[st.tuples(coordinate, coordinate, st.floats(min_value=0.0, max_value=4.9))] * 2),
+    ),
+    height=st.sampled_from([GEOMETRY.ris_height_m, 37.5]),
+)
+@settings(max_examples=50, deadline=None)
+def test_platform_footprint_entries_equal_reference(nodes, height):
+    """Entry (axis, end, node, anchor) of the footprint is that anchor-node pair's reference."""
+    geometry = replace(GEOMETRY, tx_position=nodes[0], ue_position=nodes[1], ris_height_m=height)
+    footprint = beamforming.platform_footprint(geometry)
+    assert footprint.shape == (2, 2, 2, 5)
+    for node_index, node in enumerate(nodes):
+        for anchor_index, (x, y) in enumerate((GEOMETRY.platform_center(),) + CORNERS):
+            ref = _reference_mean_angles((x, y, height), node, DOWN, UP)
+            want = [[ref.dep_elevation, ref.arr_elevation], [ref.dep_azimuth, ref.arr_azimuth]]
+            assert footprint[:, :, node_index, anchor_index].tobytes() == np.array(want).tobytes()
 
 
 def test_coincident_nodes_still_raise():
     node = (55.0, 45.0, GEOMETRY.ris_height_m)
-    with pytest.raises(DegenerateGeometryError, match="coincident"):
-        mean_angles_from_geometry(node, node)
     stack = np.array([(50.0, 50.0, 5.0), node, (60.0, 60.0, 5.0)])
     with pytest.raises(DegenerateGeometryError, match="coincident"):
         channel._stacked_mean_angles(stack, node, DOWN, UP)
@@ -172,11 +195,13 @@ def _reference_hop(config, geometry, trial, x, y, link, platform_shape=None):
     """One position's hop matrix, built path by path as a single-position loop would."""
     z = geometry.ris_height_m
     into = link == "tx_ris"
-    if into:
-        means = _reference_mean_angles(geometry.tx_position, (x, y, z), UP, DOWN)
+    if into:  # (elevation/azimuth, platform/node end): the Tx hop arrives at the platform
+        ref = _reference_mean_angles(geometry.tx_position, (x, y, z), UP, DOWN)
+        means = [[ref.arr_elevation, ref.dep_elevation], [ref.arr_azimuth, ref.dep_azimuth]]
     else:
-        means = _reference_mean_angles((x, y, z), geometry.ue_position, DOWN, UP)
-    paths = hop_paths(means, trial, 0 if into else 1)
+        ref = _reference_mean_angles((x, y, z), geometry.ue_position, DOWN, UP)
+        means = [[ref.dep_elevation, ref.arr_elevation], [ref.dep_azimuth, ref.arr_azimuth]]
+    paths = hop_paths(np.array(means), ref.distance_m, trial, 0 if into else 1)
     el, az = (paths.arr_elevation, paths.arr_azimuth) if into else (
         paths.dep_elevation, paths.dep_azimuth)
     # the translation phase of each path, taken at its platform-side direction
@@ -187,8 +212,8 @@ def _reference_hop(config, geometry, trial, x, y, link, platform_shape=None):
     platform = config.ris_elements if platform_shape is None else platform_shape
     tx_shape, rx_shape = (config.tx_antennas, platform) if into else (platform, config.rx_antennas)
     spacing = config.element_spacing_wavelengths
-    amp = path_amplitude(config.carrier_frequency_ghz, paths.distance_m,
-                         config.path_loss_exponent, config.path_loss_mode)
+    amp = path_amplitudes(config.carrier_frequency_ghz, (paths.distance_m,),
+                          config.path_loss_exponent, config.path_loss_mode)[0]
     left = steering_matrix(paths.arr_elevation, paths.arr_azimuth, *rx_shape, spacing)
     left *= (amp * paths.gains)[None, :]
     right = steering_matrix(paths.dep_elevation, paths.dep_azimuth, *tx_shape, spacing)
@@ -360,7 +385,9 @@ def test_per_axis_projection_equals_beams_times_steering(scale, trial_index, dra
     for name, beams, shape, end in ends:
         full = steering_matrix(el[end], az[end], *shape, spacing)
         assert full.tobytes() == _kron_steering(el[end], az[end], *shape, spacing).tobytes()
-        projected = channel.steering_matrix(el[end], az[end], *shape, spacing, pack.beams[name])
+        phases = channel._axis_phases(*channel._direction_cosines(el[end], az[end]), *shape,
+                                      spacing)
+        projected = channel._steering_of(*phases, pack.beams[name])
         # entries are bounded by |beam| |column| = sqrt(M); rounding is held relative to that
         bound = FACTORED_RTOL * math.sqrt(shape[0] * shape[1])
         np.testing.assert_allclose(projected, beams @ full, rtol=0.0, atol=bound, err_msg=name)

@@ -10,46 +10,56 @@ from movable_ris.channel import (
     DOWN,
     UP,
     DegenerateGeometryError,
-    LinkAngles,
     PathSet,
     TrialChannels,
     _direction_cosines,
+    _stacked_mean_angles,
     _translation_phases,
     composite_channel,
     draw_gains,
     draw_trial,
     link_channel,
-    mean_angles_from_geometry,
+    platform_angles,
     realize_channels,
     steering_matrix,
     wavelength_m,
 )
-from movable_ris.scenario import default_config, path_amplitude, rng_stream
+from movable_ris.scenario import default_config, path_amplitudes, rng_stream
 
 
-def hop_paths(means: LinkAngles, trial: TrialChannels, hop: int) -> PathSet:
-    """Hop ``hop`` (0: Tx to platform, 1: platform to UE) of a trial's draw about ``means``."""
-    el, az = trial.offsets[:, :, hop, 0]  # (end, L) each, the platform end first
+def hop_paths(means: np.ndarray, distance: float, trial: TrialChannels, hop: int) -> PathSet:
+    """Hop ``hop`` (0: Tx to platform, 1: platform to UE) of a trial's draw about ``means``.
+
+    ``means`` (2, 2) holds the hop's mean angles indexed by (elevation/azimuth,
+    platform/node end), as ``platform_angles`` gives them for one node and point.
+    """
+    el, az = means[:, :, None] + trial.offsets[:, :, hop, 0]  # (end, L) each
     dep, arr = 1 - hop, hop  # the Tx hop arrives at the platform, the UE hop leaves it
     return PathSet(
         gains=trial.gains[hop, 0],
-        dep_elevation=means.dep_elevation + el[dep],
-        dep_azimuth=means.dep_azimuth + az[dep],
-        arr_elevation=means.arr_elevation + el[arr],
-        arr_azimuth=means.arr_azimuth + az[arr],
-        distance_m=means.distance_m,
+        dep_elevation=el[dep],
+        dep_azimuth=az[dep],
+        arr_elevation=el[arr],
+        arr_azimuth=az[arr],
+        distance_m=distance,
     )
 
 
 def draw_paths(
-    means: LinkAngles,
+    means: np.ndarray,
+    distance: float,
     spread_deg: tuple[float, float],
     num_paths: int,
     rng: np.random.Generator,
 ) -> PathSet:
     """The Tx hop of a trial drawn with (elevation, azimuth) spreads in degrees."""
     config = replace(default_config()[0], num_paths=num_paths, angular_spread_deg=spread_deg)
-    return hop_paths(means, draw_trial(config, rng), 0)
+    return hop_paths(means, distance, draw_trial(config, rng), 0)
+
+
+# Tx-hop mean angles, (elevation/azimuth, platform/node end): the hop departs
+# the node at (1.0, 0.5) and arrives at the platform at (1.2, -0.7).
+TX_HOP_MEANS = np.array([[1.2, 1.0], [-0.7, 0.5]])
 
 
 def steering_vector(elevation, azimuth, m_x, m_y, spacing):
@@ -106,7 +116,7 @@ def test_steering_unit_norm_and_constant_modulus(el, az, mx, my):
 
 def path_loss_db_mode(carrier_ghz, distance_m, exponent):
     """The "db" mode's linear power loss, from its per-path amplitude."""
-    return path_amplitude(carrier_ghz, distance_m, exponent, "db") ** -2
+    return path_amplitudes(carrier_ghz, (distance_m,), exponent, "db")[0] ** -2
 
 
 def test_path_loss_hand_values():
@@ -135,58 +145,59 @@ def test_path_loss_monotone(f, tau, eta, bump):
 
 
 def test_path_amplitude_modes():
-    amp_db = path_amplitude(28.0, 50.0, 3.6, "db")
+    amp_db = path_amplitudes(28.0, (50.0,), 3.6, "db")[0]
     alpha = 32.4 + 20 * math.log10(28.0)
     loss_db = alpha + 10 * 3.6 * math.log10(50.0)
     assert amp_db == pytest.approx(1 / math.sqrt(10 ** (loss_db / 10)), rel=1e-12)
-    amp_alpha = path_amplitude(28.0, 50.0, 3.6, "alpha")
+    amp_alpha = path_amplitudes(28.0, (50.0,), 3.6, "alpha")[0]
     assert amp_alpha == pytest.approx(1 / math.sqrt(alpha * 50.0 ** 3.6), rel=1e-12)
     with pytest.raises(ValueError):
-        path_amplitude(28.0, 50.0, 3.6, "bogus")
+        path_amplitudes(28.0, (50.0,), 3.6, "bogus")
 
 
 # --- link geometry -----------------------------------------------------------
 
 
+# _stacked_mean_angles indexes its angles by (elevation/azimuth, end a/end b, pair)
+
+
 def test_mean_angles_axis_aligned():
-    m = mean_angles_from_geometry((0, 0, 0), (1, 0, 0), UP, UP)
-    assert m.dep_azimuth == pytest.approx(0.0)
-    assert m.dep_elevation == pytest.approx(math.pi / 2)
+    (el, az), _ = _stacked_mean_angles((0, 0, 0), (1, 0, 0), UP, UP)
+    assert az[0, 0] == pytest.approx(0.0)
+    assert el[0, 0] == pytest.approx(math.pi / 2)
 
 
 def test_mean_angles_diagonal():
-    m = mean_angles_from_geometry((0, 0, 0), (1, 1, 0), UP, UP)
-    assert m.dep_azimuth == pytest.approx(math.pi / 4)
+    (_, az), _ = _stacked_mean_angles((0, 0, 0), (1, 1, 0), UP, UP)
+    assert az[0, 0] == pytest.approx(math.pi / 4)
 
 
 def test_mean_angles_table_geometry():
-    m = mean_angles_from_geometry((0, 0, 2), (55, 55, 5), UP, DOWN)
-    assert m.dep_azimuth == pytest.approx(math.pi / 4)
-    assert m.distance_m == pytest.approx(math.sqrt(55**2 + 55**2 + 9), rel=1e-12)
+    (el, az), tau = _stacked_mean_angles((0, 0, 2), (55, 55, 5), UP, DOWN)
+    assert az[0, 0] == pytest.approx(math.pi / 4)
+    assert tau[0] == pytest.approx(math.sqrt(55**2 + 55**2 + 9), rel=1e-12)
     # arrival at the down-facing array: direction away from it points down
-    assert m.arr_elevation < math.pi / 2
+    assert el[1, 0] < math.pi / 2
 
 
 def test_mean_angles_rejects_coincident():
     with pytest.raises(DegenerateGeometryError):
-        mean_angles_from_geometry((1, 2, 3), (1, 2, 3))
+        _stacked_mean_angles((1, 2, 3), (1, 2, 3), UP, UP)
 
 
 # --- path draws --------------------------------------------------------------
 
 
 def test_draw_paths_zero_spread_collapses_to_mean():
-    means = LinkAngles(1.0, 0.5, 1.2, -0.7, 30.0)
-    paths = draw_paths(means, (0.0, 0.0), 10, rng_stream(1, 0))
+    paths = draw_paths(TX_HOP_MEANS, 30.0, (0.0, 0.0), 10, rng_stream(1, 0))
     np.testing.assert_allclose(paths.dep_elevation, 1.0)
     np.testing.assert_allclose(paths.arr_azimuth, -0.7)
 
 
 def test_draw_paths_respects_spread_bounds():
-    means = LinkAngles(1.0, 0.5, 1.2, -0.7, 30.0)
     spread = math.radians(10.0)
     for seed in range(20):
-        paths = draw_paths(means, (10.0, 10.0), 10, rng_stream(seed, 0))
+        paths = draw_paths(TX_HOP_MEANS, 30.0, (10.0, 10.0), 10, rng_stream(seed, 0))
         assert np.max(np.abs(paths.dep_elevation - 1.0)) <= spread
         assert np.max(np.abs(paths.dep_azimuth - 0.5)) <= spread
         assert np.max(np.abs(paths.arr_elevation - 1.2)) <= spread
@@ -229,8 +240,8 @@ def test_draw_trial_stacks_the_documented_order_in_read_only_arrays():
 
 
 def _single_path_set(distance=1.0):
-    means = LinkAngles(0.9, 0.3, 1.1, -0.4, distance)
-    paths = draw_paths(means, (0.0, 0.0), 1, rng_stream(3, 0))
+    means = np.array([[1.1, 0.9], [-0.4, 0.3]])  # departs at (0.9, 0.3), arrives at (1.1, -0.4)
+    paths = draw_paths(means, distance, (0.0, 0.0), 1, rng_stream(3, 0))
     paths.gains = np.array([1.0 + 0.0j])
     return paths
 
@@ -247,7 +258,7 @@ def test_link_channel_frobenius_golden():
     # gives attenuation 10^(-3.24/2); undo it.
     paths = _single_path_set(distance=1.0)
     h = link_channel(paths, (2, 2), (3, 3), 1.0, 3.6, 0.5, "db")
-    scale = path_amplitude(1.0, 1.0, 3.6, "db")
+    scale = path_amplitudes(1.0, (1.0,), 3.6, "db")[0]
     assert np.linalg.norm(h / scale) == pytest.approx(6.0, rel=1e-12)
 
 
@@ -336,10 +347,8 @@ def test_translation_phase_reference_is_identity_at_center():
     trial = draw_trial(config, rng_stream(2, 0))
     center = geometry.platform_center()
     real = realize_channels(config, geometry, trial, center)
-    means = mean_angles_from_geometry(
-        geometry.tx_position, (*center, geometry.ris_height_m), UP, DOWN
-    )
-    paths = hop_paths(means, trial, 0)
+    means, distances = platform_angles(geometry, np.array([center]))
+    paths = hop_paths(means[:, :, 0, 0], distances[0, 0], trial, 0)
     h = link_channel(
         paths, config.tx_antennas, config.ris_elements, config.carrier_frequency_ghz,
         config.path_loss_exponent, config.element_spacing_wavelengths, config.path_loss_mode,

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movable_ris.baselines import BaselineKind
+from movable_ris.baselines import BaselineKind, build_scenario_pack, trial_channels
+from movable_ris.channel import hop_factors
 from movable_ris.harness import (
     CSV_HEADER,
     SweepSpec,
@@ -220,6 +221,35 @@ def test_dump_channels_written(tmp_path):
     assert header == "# complex matrix 16 4"
     assert len(rows) == 16
     assert len(rows[0].split()) == 8  # 4 columns as re/im pairs
+
+
+@pytest.mark.parametrize("kind", list(BaselineKind))
+def test_dumped_hops_have_the_platform_node_s_arrays(tmp_path, kind):
+    config, geometry = small_scenario()
+    config = replace(config, rx_antennas=(2, 4))  # 8 receive antennas against 16 transmit
+    result = monte_carlo_point(config, geometry, kind, 1, 9, dump_dir=tmp_path)
+    relay = kind in (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY)
+    # a relay receives hop 1 on its receive array and sends hop 2 from its transmit array
+    platform = (config.num_rx, config.num_tx) if relay else (config.num_ris, config.num_ris)
+    shapes = {"tx_ris": (platform[0], config.num_tx), "ris_rx": (config.num_rx, platform[1])}
+    dumped = {}
+    for link, shape in shapes.items():
+        header, *rows = (tmp_path / f"{kind.value}_trial000_{link}.txt").read_text().splitlines()
+        assert header == "# complex matrix {} {}".format(*shape)
+        dumped[link] = np.array([row.split() for row in rows], dtype=float).view(complex)
+    if relay:  # the hops the relay's reported rate is taken on
+        trial = trial_channels(build_scenario_pack(config, geometry, 9), 0)
+        hops = hop_factors(config, geometry, trial, np.array(result.per_trial_positions),
+                           (config.rx_antennas, config.tx_antennas))
+        for link, (left, right) in zip(shapes, hops):
+            assert dumped[link].tobytes() == (left @ right)[0].tobytes()
+
+
+def test_sweep_spec_rejects_negative_seeds():
+    with pytest.raises(ValueError, match="seeds must be non-negative"):
+        SweepSpec(kind="power", values=(1,), seed=-1)
+    with pytest.raises(ValueError, match="seeds must be non-negative"):
+        SweepSpec(kind="power", values=(1,), pso_seed=-3)
 
 
 def test_pso_seed_rekeys_search_only():
