@@ -50,6 +50,11 @@ class BaselineKind(str, Enum):
     FD_RELAY = "fd_relay"
     HD_RELAY = "hd_relay"
 
+    def platform_shapes(self, config: SystemConfig) -> tuple | None:
+        """``hop_factors``'s platform arrays per hop: a relay's own, else None (the RIS grid)."""
+        relay = self in (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY)
+        return (config.rx_antennas, config.tx_antennas) if relay else None
+
 
 # Stable sub-stream tags of the searching kinds; hd_relay has no search of
 # its own, it halves the fd_relay outcome of the same trial.
@@ -217,7 +222,7 @@ class _RelaySearch:
         """
         config = self.pack.config
         hops = hop_factors(config, self.pack.geometry, self.trial, xy,
-                           (config.rx_antennas, config.tx_antennas),
+                           BaselineKind.FD_RELAY.platform_shapes(config),
                            self._beams if factored else ((None, None), (None, None)))
         (rate1, deficient1), (rate2, deficient2) = (
             hybrid_link_rate(f2, left @ right, f1, *self._budget, whitened, factored)

@@ -113,18 +113,19 @@ def _check(config: SystemConfig, geometry: DeploymentGeometry, what: str) -> Non
         raise ConfigError(f"invalid {what}: " + "; ".join(errors))
 
 
+def _baseline_kind(token: str) -> BaselineKind:
+    token = token.strip()
+    try:
+        return BaselineKind(token)
+    except ValueError:
+        valid = ", ".join(k.value for k in BaselineKind)
+        raise ConfigError(f"unknown baseline {token!r}; valid: {valid}") from None
+
+
 def _parse_baselines(text: str | None) -> tuple[BaselineKind, ...]:
     if text is None:
         return tuple(BaselineKind)
-    kinds = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            kinds.append(BaselineKind(token))
-        except ValueError:
-            valid = ", ".join(k.value for k in BaselineKind)
-            raise ConfigError(f"unknown baseline {token!r}; valid: {valid}") from None
-    return tuple(kinds)
+    return tuple(_baseline_kind(token) for token in text.split(","))
 
 
 def _swept_values(text: str, flag: str, parse, sep: str) -> tuple:
@@ -188,12 +189,7 @@ def _run_sweep(args, kind: str, values: tuple | None, out_name: str) -> int:
 
 
 def _cmd_single_run(args) -> int:
-    try:
-        kind = BaselineKind(args.baseline)
-    except ValueError:
-        valid = ", ".join(k.value for k in BaselineKind)
-        raise ConfigError(f"unknown baseline {args.baseline!r}; valid: {valid}") from None
-    args.baselines = kind.value
+    args.baselines = _baseline_kind(args.baseline).value
     return _run_sweep(args, "single", None, "single-run")
 
 

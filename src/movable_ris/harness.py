@@ -180,10 +180,8 @@ def monte_carlo_point(
             flagged.append(t)
         if dump_dir is not None:
             dump_dir.mkdir(parents=True, exist_ok=True)
-            relay = kind in (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY)  # its own arrays
             hops = hop_factors(config, geometry, trial_channels(pack, t),
-                               np.array([[outcome.x, outcome.y]]),
-                               (config.rx_antennas, config.tx_antennas) if relay else None)
+                               np.array([[outcome.x, outcome.y]]), kind.platform_shapes(config))
             for link, (left, right) in zip(("tx_ris", "ris_rx"), hops):
                 _dump_matrix(dump_dir / f"{kind.value}_trial{t:03d}_{link}.txt", left[0] @ right[0])
 

@@ -178,6 +178,13 @@ def test_unknown_baseline_is_an_error(tmp_path, capsys):
     assert "unknown baseline" in capsys.readouterr().err
 
 
+def test_single_run_unknown_baseline_is_an_error_before_any_trial(tmp_path, capsys):
+    rc = main(["single-run", "--baseline", "bogus", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: unknown baseline 'bogus'; valid: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_non_finite_swept_power_is_an_error(tmp_path, tiny_config_file, capsys):
     out = tmp_path / "nan"
     rc = main([
