@@ -20,10 +20,13 @@ on trial 0 of pack seed 3 and a batch of ``--rows`` particles (default 10, one
 swarm iteration):
 
 - ``steering``: ``steering_matrix`` of the batch's Tx departure angles;
+- ``platform_angles``: the mean angles and lengths of the links from the
+  batch's platform points to both nodes, which every hop rebuild starts from;
 - ``hop_factors``: both reduced RIS hops of the batch, F2 H_IR and H_TI F1;
 - ``search_steering``: the steering step of that ``hop_factors`` call, which
   carries beams: the four ends' per-axis factors, projected where beamformed,
-  from the batch's direction cosines;
+  from the batch's direction cosines (handed over as two (4, B, L) arrays or
+  as one (2, 4, B, L) stack, whichever the tree's ``_steering_by_shape`` takes);
 - ``relay_hops``: both reduced relay hops of the batch, F2 H F1 each;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack,
   and its steps on that stack: ``rate.svd`` (``np.linalg.svd`` alone, the
@@ -36,6 +39,14 @@ swarm iteration):
 Given several row counts (``--rows 10,40,160``), every layer runs at each,
 named ``<layer>@<rows>``, in the same interleaved rounds; the fixed per-call
 cost of a layer is what its time keeps as the rows fall toward zero.
+
+The report also gives, per tree, the ``tracemalloc`` peak in bytes of one
+objective call of each searching kind on the batch of the memory guard test
+in ``tests/test_blocks.py`` (10 particles, pack seed 3, trial 0). Each peak
+is taken in a fresh interpreter after the same ``PEAK_WARMUP`` untraced
+calls, so what ran before in the measuring process does not move it.
+
+Trees need ``channel.platform_angles``.
 """
 
 from __future__ import annotations
@@ -44,12 +55,16 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
+import multiprocessing
 import os
 import platform
 import statistics
 import sys
 import time
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,6 +76,9 @@ import numpy as np  # noqa: E402
 REPO = Path(__file__).resolve().parents[1]
 PACK_SEED = 3
 SEARCHES = ("movable_ris_joint", "fixed_ris_opt_phase", "movable_ris_random_phase", "fd_relay")
+PEAK_KINDS = {"joint": "movable_ris_joint", "random_phase": "movable_ris_random_phase",
+              "relay": "fd_relay", "phase_only": "fixed_ris_opt_phase"}
+PEAK_WARMUP = 3  # untraced objective calls before the traced one
 
 
 def load_tree(name: str, src: Path):
@@ -93,6 +111,38 @@ def _captured_objectives(pack, baselines, optimizer) -> dict:
     return captured
 
 
+def _dimension(kind: str, config) -> int:
+    """The swarm dimension of a searching kind."""
+    return {"movable_ris_joint": config.num_ris + 2,
+            "fixed_ris_opt_phase": config.num_ris}.get(kind, 2)
+
+
+def batch_peak(src: str, kind: str) -> int:
+    """Traced peak bytes of one call of ``kind``'s objective on the memory guard's batch."""
+    baselines, optimizer, scenario = map(load_tree("_peak_tree", Path(src)),
+                                         ("baselines", "optimizer", "scenario"))
+    pack = baselines.build_scenario_pack(*scenario.default_config(), PACK_SEED)
+    objective = _captured_objectives(pack, baselines, optimizer)[kind]
+    particles = scenario.rng_stream(7, 0).random((10, _dimension(kind, pack.config)))
+    for _ in range(PEAK_WARMUP):
+        objective(particles)
+    tracemalloc.start()
+    try:
+        objective(particles)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def batch_peaks(trees: dict) -> dict:
+    """``batch_peak`` of every kind in ``PEAK_KINDS`` and tree, each in a new interpreter."""
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=context, max_tasks_per_child=1) as pool:
+        return {name: {label: pool.submit(batch_peak, str(src), kind).result()
+                       for label, src in trees.items()}
+                for name, kind in PEAK_KINDS.items()}
+
+
 def layers_of(module, rows: int) -> dict:
     """Zero-argument callables, by layer name, for one imported tree, on batches of ``rows``."""
     baselines, beamforming, channel, optimizer, scenario = map(
@@ -103,7 +153,8 @@ def layers_of(module, rows: int) -> dict:
     rng = scenario.rng_stream(7, 0)
     joint = rng.random((rows, config.num_ris + 2))
     xy = np.column_stack(optimizer.decode_xy(joint[:, 0], joint[:, 1], geometry))
-    el, az, _ = channel._hop_angles(geometry, trial, xy)
+    means, _ = channel.platform_angles(geometry, xy)
+    el, az = means[..., None] + trial.offsets  # (end, hop, B, L), as hop_factors takes them
     tx_angles = el[1, 0], az[1, 0]  # the Tx end of the Tx hop
 
     def hops(stages, shapes=None):
@@ -127,16 +178,18 @@ def layers_of(module, rows: int) -> dict:
     eff = beamforming._decompose(reduced)
     stages = beamforming.bb_stages(eff, config.tx_power_watts, config.num_streams, pack.f1)
     stages.f2, stages.whitened = pack.f2, pack.whitened["f2"]
-    ux, uy = (u.reshape(4, *u.shape[2:]) for u in channel._direction_cosines(el, az))
+    cosines = np.reshape(channel._direction_cosines(el, az), (2, 4, *el.shape[2:]))
     ris, beams = config.ris_elements, pack.beams  # the RIS search's ends, in (end, hop) order
     ends = ((ris, None), (ris, None), (config.tx_antennas, beams["f1"]),
             (config.rx_antennas, beams["f2"]))
+    steer = channel._steering_by_shape
+    steer_args = tuple(cosines) if "ux" in inspect.signature(steer).parameters else (cosines,)
     layers = {
         "steering": lambda: channel.steering_matrix(*tx_angles, *config.tx_antennas,
                                                     config.element_spacing_wavelengths),
+        "platform_angles": lambda: channel.platform_angles(geometry, xy),
         "hop_factors": ris_hops,
-        "search_steering": lambda: channel._steering_by_shape(
-            ux, uy, ends, config.element_spacing_wavelengths),
+        "search_steering": lambda: steer(*steer_args, ends, config.element_spacing_wavelengths),
         "relay_hops": relay_hops,
         "rate_pipeline": lambda: beamforming.hybrid_link_rate(pack.f2, reduced, pack.f1,
                                                               *budget, reduced=True),
@@ -147,9 +200,8 @@ def layers_of(module, rows: int) -> dict:
         "rate.achievable_rate": lambda: beamforming.achievable_rate(stages, eff,
                                                                     config.noise_power_watts),
     }
-    dims = {"movable_ris_joint": config.num_ris + 2, "fixed_ris_opt_phase": config.num_ris}
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
-        batch = rng.random((rows, dims.get(kind, 2)))
+        batch = rng.random((rows, _dimension(kind, config)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)
     params = replace(config.pso, swarm_size=rows)
     values = rng.random(rows)
@@ -215,6 +267,7 @@ def main(argv=None) -> int:
 
     labels = list(trees)
     times = measure(trees, args.repeat, rows)
+    peaks = batch_peaks(trees)
     layers = {}
     for name, per_tree in times.items():
         row = {label: min(per_tree[label]) for label in labels}
@@ -233,6 +286,7 @@ def main(argv=None) -> int:
                  "blas_threads": 1},
         "trees": {label: {"src_digest": src_digest(src)} for label, src in trees.items()},
         "layers_us": layers,
+        "batch_peak_bytes": peaks,
     }
     if args.out:
         args.out.write_text(json.dumps(report, indent=2) + "\n")
@@ -241,6 +295,9 @@ def main(argv=None) -> int:
     print(f"{'layer':<{width}}  " + "  ".join(f"{column:>16}" for column in columns))
     for name, row in layers.items():
         print(f"{name:<{width}}  " + "  ".join(f"{value:16.2f}" for value in row.values()))
+    print(f"\n{'batch peak (bytes)':<{width}}  " + "  ".join(f"{label:>16}" for label in labels))
+    for name, row in peaks.items():
+        print(f"{name:<{width}}  " + "  ".join(f"{value:16d}" for value in row.values()))
     return 0
 
 

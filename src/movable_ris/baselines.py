@@ -21,7 +21,7 @@ from .channel import TrialChannels, draw_trial, hop_factors
 # sweepbench/checks.py wraps run_pso here too.
 from .channel import link_channel  # noqa: F401
 from .optimizer import run_pso  # noqa: F401
-from .optimizer import ProblemContext, RisState, TWO_PI, decode_xy, run
+from .optimizer import ProblemContext, RisState, TWO_PI, decode_on_platform, run
 from .scenario import (
     STREAM_AUX,
     STREAM_CHANNEL,
@@ -187,7 +187,7 @@ def _search(pack: ScenarioPack, trial_index: int, kind: BaselineKind, context,
 
 def _on_platform(geometry: DeploymentGeometry, phases):
     """The position-only space: unit-square points, (Z, 2) or (2,), to states sharing ``phases``."""
-    return 2, lambda v: RisState(*decode_xy(v[..., 0], v[..., 1], geometry), phases)
+    return 2, lambda v: decode_on_platform(v, geometry, phases)
 
 
 @dataclass

@@ -18,8 +18,6 @@ import numpy as np
 from .scenario import DeploymentGeometry, SystemConfig, path_amplitudes
 
 __all__ = [
-    "UP",
-    "DOWN",
     "DegenerateGeometryError",
     "PathSet",
     "TrialChannels",
@@ -34,10 +32,6 @@ __all__ = [
     "hop_factors",
     "realize_channels",
 ]
-
-UP = (0.0, 0.0, 1.0)
-DOWN = (0.0, 0.0, -1.0)
-
 
 class DegenerateGeometryError(ValueError):
     """Raised when two nodes coincide and link angles are undefined."""
@@ -109,13 +103,13 @@ def _axis_phases(ux, uy, m_x: int, m_y: int, spacing: float):
     return px, py
 
 
-def _axis_powers(ux, uy, m_x: int, m_y: int, spacing: float):
-    """``_axis_phases`` up to rounding: row k is b^k, b one exponential per path and axis.
+def _axis_powers(u, m_x: int, m_y: int, spacing: float):
+    """``_axis_phases(*u, ...)`` up to rounding: row k is b^k, b one exponential per path and axis.
 
     Both axes double at once, [1, b] -> [1 .. b^3] -> [1 .. b^7], power-major so
     that no product's operand overlaps its output, which numpy would buffer.
     """
-    base = np.exp(-2j * np.pi * spacing * np.stack((ux, uy)))
+    base = np.exp(-2j * np.pi * spacing * u)
     m = max(m_x, m_y)
     out = np.empty((m, *base.shape), dtype=complex)
     out[0] = 1.0
@@ -126,7 +120,7 @@ def _axis_powers(ux, uy, m_x: int, m_y: int, spacing: float):
         k += n
         if k < m:
             base = base * base
-    powers = np.moveaxis(out, 0, -2)
+    powers = out.transpose(*range(1, out.ndim - 1), 0, -1)  # the power axis next to last
     return powers[0, ..., :m_x, :], powers[1, ..., :m_y, :]
 
 
@@ -143,33 +137,6 @@ def _steering_of(px: np.ndarray, py: np.ndarray, beams=None) -> np.ndarray:
         return (beams[0] @ px) * (beams[1] @ py) * math.sqrt(m_x * m_y)
     kron = px[..., :, None, :] * py[..., None, :, :]
     return kron.reshape(*px.shape[:-2], m_x * m_y, px.shape[-1])
-
-
-def _stacked_mean_angles(pos_a, pos_b, boresight_a, boresight_b):
-    """Mean link angles of N node pairs with given array boresights: (2, 2, N), lengths (N,).
-
-    ``pos_a`` and ``pos_b`` broadcast to (..., 3), read as N pairs. The
-    angles are indexed by (elevation/azimuth, end a/end b, pair). Azimuths
-    are measured in the global xy-plane along the direction away from each
-    end; elevations are measured from each array's boresight normal, so a
-    broadside link has elevation 0. Lengths and boresight projections are
-    stacked vector-vector matmuls, which take the same dot product as
-    ``np.linalg.norm`` of one 3-vector. ``math.acos`` and ``math.atan2`` map
-    over the pairs, since numpy's vectorized forms round differently.
-    """
-    diff = np.asarray(pos_b, dtype=float) - np.asarray(pos_a, dtype=float)
-    v = diff.reshape(-1, 3)
-    tau = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-    if not tau.all():
-        where = np.broadcast_to(pos_a, diff.shape).reshape(-1, 3)[np.argmin(tau)]
-        raise DegenerateGeometryError(f"coincident positions {tuple(where.tolist())}")
-    u = v / tau[:, None]
-    uw = np.concatenate((u, -u))  # unit vectors away from end a, then away from end b
-    boresights = np.array((boresight_a, boresight_b), dtype=float).reshape(2, 1, 3, 1)
-    cosines = np.clip((uw.reshape(2, -1, 1, 3) @ boresights).ravel(), -1.0, 1.0).tolist()
-    x, y, _ = uw.T.tolist()
-    angles = np.array(list(map(math.acos, cosines)) + list(map(math.atan2, y, x)))
-    return angles.reshape(2, 2, -1), tau
 
 
 def draw_gains(num_paths: int, rng: np.random.Generator) -> np.ndarray:
@@ -265,46 +232,55 @@ def composite_channel(
 def platform_angles(geometry: DeploymentGeometry, xy: np.ndarray):
     """Mean angles and lengths of the links from a (B, 2) stack of platform points to both nodes.
 
-    The platform's arrays face down and the nodes' face up. Returns the
-    angles (2, 2, 2, B), indexed by (elevation/azimuth, platform/node end,
-    Tx/UE node, point), and the lengths (2, B), from one stack of 2B pairs.
-    Every link runs from the platform to its node: reversing a link negates
-    its difference vector exactly, so the Tx hop's angles are these with
-    departure and arrival swapped.
+    Returns the angles (2, 2, 2, B), indexed by (elevation/azimuth,
+    platform/node end, Tx/UE node, point), and the lengths (2, B). A link
+    run backwards negates its difference vector, so the Tx hop's angles are
+    these with departure and arrival swapped. Azimuths are taken in the
+    xy-plane along the direction away from each end, and elevations from each
+    array's boresight. The platform's arrays face down and the nodes' up, so
+    both ends share one elevation, ``acos`` of -u_z for the unit link vector
+    u. Lengths are vector-vector matmuls, the dot product of
+    ``np.linalg.norm``; ``math.acos`` and ``math.atan2`` map over the links,
+    since numpy's vectorized forms round differently.
     """
     b = len(xy)
-    platform = np.column_stack((xy, np.full(b, geometry.ris_height_m)))
-    nodes = np.reshape((geometry.tx_position, geometry.ue_position), (2, 1, 3))
-    means, tau = _stacked_mean_angles(platform, nodes, DOWN, UP)
-    return means.reshape(2, 2, 2, b), tau.reshape(2, b)
+    v = np.empty((2, b, 3))
+    v[0], v[1] = geometry.tx_position, geometry.ue_position
+    v[..., :2] -= xy
+    v[..., 2] -= geometry.ris_height_m
+    v = v.reshape(-1, 3)
+    tau = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    if not tau.all():
+        where = (*np.asarray(xy, dtype=float)[np.argmin(tau) % b].tolist(),
+                 float(geometry.ris_height_m))
+        raise DegenerateGeometryError(f"coincident positions {where}")
+    u = v / tau[:, None]
+    elevations = list(map(math.acos, (-u[:, 2]).clip(-1.0, 1.0).tolist()))
+    (x, y), (back_x, back_y) = u[:, :2].T.tolist(), (-u[:, :2]).T.tolist()
+    angles = np.array((elevations, elevations, list(map(math.atan2, y, x)),
+                       list(map(math.atan2, back_y, back_x))))
+    return angles.reshape(2, 2, 2, b), tau.reshape(2, b)
 
 
-def _hop_angles(geometry: DeploymentGeometry, trial: TrialChannels, xy: np.ndarray):
-    """Path angles of both hops at a (B, 2) stack of platform positions.
+def _steering_by_shape(u, ends, spacing: float) -> list[np.ndarray]:
+    """``steering_matrix`` of each end i, given as (array shape, beams) over the cosines u[:, i].
 
-    ``platform_angles`` plus the trial's frozen offsets: elevations and
-    azimuths (2, 2, B, L), indexed by (end, hop) with the platform end first,
-    and the distances (2, B, 1).
-    """
-    means, tau = platform_angles(geometry, xy)
-    el, az = means[..., None] + trial.offsets
-    return el, az, tau[..., None]
-
-
-def _steering_by_shape(ux, uy, ends, spacing: float) -> list[np.ndarray]:
-    """``steering_matrix`` of each end i, given as (array shape, beams) over ux[i], uy[i].
-
-    The exponentials of all ends sharing an array shape are taken in one pass.
-    If any end carries beams (a search), every end takes ``_axis_powers``;
-    otherwise each entry is its own exponential, as in ``steering_matrix``.
+    ``u`` stacks the ends' direction cosines (ux, uy) on its first axis. The
+    exponentials of all ends sharing an array shape are taken in one pass, on
+    a view of ``u`` when those ends are adjacent. If any end carries beams (a
+    search), every end takes ``_axis_powers``; otherwise each entry is its own
+    exponential, as in ``steering_matrix``.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (shape, _) in enumerate(ends):
         groups.setdefault(tuple(shape), []).append(i)
-    phases = _axis_powers if any(b is not None for _, b in ends) else _axis_phases
+    search = any(b is not None for _, b in ends)
     blocks = [None] * len(ends)
     for shape, group in groups.items():
-        px, py = phases(ux[group], uy[group], *shape, spacing)
+        first, last = group[0], group[-1]
+        cosines = u[:, first:last + 1] if last - first + 1 == len(group) else u[:, group]
+        px, py = (_axis_powers(cosines, *shape, spacing) if search
+                  else _axis_phases(*cosines, *shape, spacing))
         for j, i in enumerate(group):
             blocks[i] = _steering_of(px[j], py[j], ends[i][1])
     return blocks
@@ -322,7 +298,8 @@ def hop_factors(
 
     H_b = left[b] @ right[b]. ``left`` (B, num_rx, L) holds the receive
     steering columns scaled by each path's amplitude times gain, ``right``
-    (B, L, num_tx) the transposed transmit steering matrix. Each path picks
+    (B, L, num_tx) the transposed transmit steering matrix. The path angles
+    are ``platform_angles`` plus the trial's frozen offsets. Each path picks
     up the deterministic translation phase of the moved phase reference
     (relative to the platform center, where the factor is exactly 1), taken
     at the platform-side direction of that path. A search passes, per hop,
@@ -334,16 +311,20 @@ def hop_factors(
     exponentials of ends sharing an array shape are taken in one pass.
     """
     xy = np.asarray(ris_xy, dtype=float)
-    el, az, distance = _hop_angles(geometry, trial, xy)
-    ux, uy = _direction_cosines(el, az)
-    gains = trial.gains * _translation_phases(ux[0], uy[0], xy - geometry.platform_center(),
+    means, distance = platform_angles(geometry, xy)
+    el, az = means[..., None] + trial.offsets  # (end, hop, B, L) each
+    u = np.empty((2, *el.shape))  # _direction_cosines of every end: (ux, uy), end, hop, B, L
+    np.cos(az, out=u[0])
+    np.sin(az, out=u[1])
+    u *= np.sin(el)
+    gains = trial.gains * _translation_phases(u[0, 0], u[1, 0], xy - geometry.platform_center(),
                                               wavelength_m(config.carrier_frequency_ghz))
-    scale = _amplitudes(distance, config.carrier_frequency_ghz, config.path_loss_exponent,
-                        config.path_loss_mode) * gains
+    scale = _amplitudes(distance[..., None], config.carrier_frequency_ghz,
+                        config.path_loss_exponent, config.path_loss_mode) * gains
     (rx_ti, tx_ti), (rx_ir, tx_ir) = beams
     platform = platform_shapes or (config.ris_elements, config.ris_elements)
     platform_ti, platform_ir, tx_end, ue_end = _steering_by_shape(
-        ux.reshape(4, *ux.shape[2:]), uy.reshape(4, *uy.shape[2:]),
+        u.reshape(2, 4, *el.shape[2:]),
         ((platform[0], rx_ti), (platform[1], tx_ir),  # in (end, hop) order
          (config.tx_antennas, tx_ti), (config.rx_antennas, rx_ir)),
         config.element_spacing_wavelengths)

@@ -26,10 +26,16 @@ DEFAULT_UE_POSITIONS = ((60.0, 90.0, 2.0), (70.0, 85.0, 2.0), (85.0, 75.0, 2.0))
 POWER_HELP = "P_T in dBm (default: the config's tx_power_dbm)"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_scenario(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="flat key/value config file overriding defaults")
     parser.add_argument("--seed", type=int, default=None, help="override rng_seed")
+    parser.add_argument("--pso-seed", type=int, default=None,
+                        help="re-key only the swarm search streams (channel trials keep --seed)")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_scenario(parser)
     parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trials per point")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--baselines", type=str, default=None,
@@ -38,8 +44,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="dump per-trial channel matrices under DIR")
     parser.add_argument("--pso-particles", type=int, default=None, help="swarm size override")
     parser.add_argument("--pso-iters", type=int, default=None, help="swarm iterations override")
-    parser.add_argument("--pso-seed", type=int, default=None,
-                        help="re-key only the swarm search streams (channel trials keep --seed)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="required fraction of the oracle value")
     p.add_argument("--position-steps", type=int, default=4)
     p.add_argument("--phase-steps", type=int, default=8)
-    _add_common(p)
+    _add_scenario(p)  # its tiny instance sets its own trials, swarm and outputs
 
     return parser
 
@@ -92,12 +96,12 @@ def _load_scenario(args) -> tuple[SystemConfig, DeploymentGeometry]:
         config, geometry = parse_config(text, (config, geometry))
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:  # sweep flags: oracle-check sets its own
         config = replace(config, monte_carlo_trials=args.trials)
     pso = config.pso
-    if args.pso_particles is not None:
+    if getattr(args, "pso_particles", None) is not None:
         pso = replace(pso, swarm_size=args.pso_particles)
-    if args.pso_iters is not None:
+    if getattr(args, "pso_iters", None) is not None:
         pso = replace(pso, iterations=args.pso_iters)
     if pso is not config.pso:
         config = replace(config, pso=pso)

@@ -33,6 +33,7 @@ __all__ = [
     "SwarmState",
     "decode",
     "decode_xy",
+    "decode_on_platform",
     "init_swarm",
     "pso_step",
     "run_pso",
@@ -55,16 +56,20 @@ class RisState:
     """Decoded platform position and per-element phase shifts.
 
     A batch of states has (Z,) positions and/or (Z, M_I) phases; a scalar
-    position or a 1-D phase vector is shared by the whole batch.
+    position or a 1-D phase vector is shared by the whole batch. A decoder
+    that builds a batch's (Z, 2) platform points passes them as ``points``.
     """
 
     x: float | np.ndarray
     y: float | np.ndarray
     phases: np.ndarray  # values in [0, 2*pi)
+    points: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def xy(self) -> np.ndarray:
         """(Z, 2) platform points, one position as a batch of one."""
+        if self.points is not None:
+            return self.points
         return np.stack(np.broadcast_arrays(self.x, self.y), axis=-1).reshape(-1, 2)
 
 
@@ -79,6 +84,18 @@ def decode_xy(px, py, geometry: DeploymentGeometry):
     return x, y
 
 
+def decode_on_platform(v: np.ndarray, geometry: DeploymentGeometry, phases) -> RisState:
+    """The state at the unit-square points v[..., :2], one (D,) or a (Z, D) batch, with ``phases``.
+
+    One point gets ``decode_xy``'s floats, a batch its values as one (Z, 2) ``RisState.points``.
+    """
+    if v.ndim == 1:
+        return RisState(*decode_xy(v[0], v[1], geometry), phases)
+    lo, hi = np.array((geometry.platform_x_range, geometry.platform_y_range)).T
+    points = lo + v[:, :2] * (hi - lo)
+    return RisState(points[:, 0], points[:, 1], phases, points)
+
+
 def decode(vector: np.ndarray, geometry: DeploymentGeometry) -> RisState:
     """Map a unit-hypercube point, or a (Z, D) batch of them, onto the feasible set.
 
@@ -86,9 +103,7 @@ def decode(vector: np.ndarray, geometry: DeploymentGeometry) -> RisState:
     construction; the single wrap 2pi -> 0 is the only non-injective point.
     """
     v = np.asarray(vector, dtype=float)
-    x, y = decode_xy(v[..., 0], v[..., 1], geometry)
-    phases = (TWO_PI * v[..., 2:]) % TWO_PI
-    return RisState(x, y, phases)
+    return decode_on_platform(v, geometry, (TWO_PI * v[..., 2:]) % TWO_PI)
 
 
 @dataclass

@@ -24,8 +24,6 @@ from movable_ris import baselines, beamforming, channel, optimizer
 from movable_ris.baselines import BaselineKind, build_scenario_pack
 from movable_ris.beamforming import effective_channel, hybrid_link_rate
 from movable_ris.channel import (
-    DOWN,
-    UP,
     DegenerateGeometryError,
     composite_channel,
     steering_matrix,
@@ -34,6 +32,9 @@ from movable_ris.channel import (
 from movable_ris.scenario import PsoParams, default_config, path_amplitudes, rng_stream
 from test_batch import FACTORED_RTOL, _objective_of
 from test_channel import hop_paths
+
+
+UP, DOWN = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)  # the nodes' and the platform's array boresights
 
 
 class LinkAngles(NamedTuple):
@@ -64,13 +65,33 @@ def _reference_mean_angles(pos_a, pos_b, boresight_a, boresight_b) -> LinkAngles
 
 
 def _angle_bytes(angles: LinkAngles) -> bytes:
-    return np.array([np.asarray(field, dtype=float) for field in angles]).tobytes()
+    """The fields' bytes, with every NaN as ``np.nan``: a NaN's sign bit is not compared.
+
+    ``platform_angles`` gives both ends of a link one ``acos``, so a NaN
+    row's node-end elevation has the platform end's sign, where the
+    reference's negated unit vector flips it. Nothing downstream reads the
+    sign of a NaN.
+    """
+    fields = np.array([np.asarray(field, dtype=float) for field in angles])
+    return np.where(np.isnan(fields), np.nan, fields).tobytes()
 
 
-def _batch_angles(pos_a, pos_b, boresight_a, boresight_b) -> LinkAngles:
-    """``channel._stacked_mean_angles`` of the pairs as one LinkAngles of (N,) fields."""
-    angles, tau = channel._stacked_mean_angles(pos_a, pos_b, boresight_a, boresight_b)
-    return LinkAngles(angles[0, 0], angles[1, 0], angles[0, 1], angles[1, 1], tau)
+def _platform_links(geometry, xy) -> LinkAngles:
+    """``channel.platform_angles`` of the points as one LinkAngles of (2B,) fields, node-major.
+
+    End a is the platform point and end b the node, Tx node first.
+    """
+    angles, tau = channel.platform_angles(geometry, np.array(xy, dtype=float))
+    el, az = angles.reshape(2, 2, -1)
+    return LinkAngles(el[0], az[0], el[1], az[1], tau.ravel())
+
+
+def _reference_links(geometry, xy) -> LinkAngles:
+    """Per-link references of ``_platform_links``."""
+    points = [(x, y, geometry.ris_height_m) for x, y in xy]
+    rows = [_reference_mean_angles(point, node, DOWN, UP)
+            for node in (geometry.tx_position, geometry.ue_position) for point in points]
+    return LinkAngles(*zip(*rows))
 
 
 GEOMETRY = default_config()[1]
@@ -82,29 +103,25 @@ platform_xy = st.one_of(
     st.sampled_from(CORNERS + BELOW_NODES + (GEOMETRY.platform_center(),)),
     st.tuples(coordinate, coordinate),  # mostly off the platform
 )
+node_position = st.tuples(coordinate, coordinate, st.floats(min_value=0.0, max_value=50.0))
 
 
 @given(
-    node=st.one_of(st.sampled_from(NODES),
-                   st.tuples(coordinate, coordinate, st.floats(min_value=0.0, max_value=4.9))),
+    nodes=st.one_of(st.just(NODES), st.tuples(node_position, node_position)),
     xy=st.lists(platform_xy, min_size=1, max_size=8),
     height=st.sampled_from([GEOMETRY.ris_height_m, 0.1, 37.5]),
 )
 @settings(max_examples=200, deadline=None)
-def test_stacked_mean_angles_equal_scalar_reference(node, xy, height):
-    platform = [(x, y, height) for x, y in xy]
-    for pos_a, pos_b, bore in ((node, platform, (UP, DOWN)), (platform, node, (DOWN, UP))):
-        batch = _batch_angles(np.broadcast_to(pos_a, (len(xy), 3)),
-                              np.broadcast_to(pos_b, (len(xy), 3)), *bore)
-        pairs = [(node, p) if pos_a is node else (p, node) for p in platform]
-        rows = [_reference_mean_angles(a, b, *bore) for a, b in pairs]
-        assert _angle_bytes(batch) == _angle_bytes(LinkAngles(*zip(*rows)))
-
-
-# A boresight along which one rounding step carries the projection of a unit
-# link vector past 1, with the pair that does it.
-TILTED = (0.5921556065399702, 0.7802066670603555, 0.20156709631745873)
-PAST_ONE = ((0.0, 0.0, 0.0), (21.758954054916767, 28.668952610448876, 7.406649771302169))
+def test_platform_angles_equal_scalar_reference(nodes, xy, height):
+    """Nodes below and above the platform plane, at three platform heights."""
+    geometry = replace(GEOMETRY, tx_position=nodes[0], ue_position=nodes[1], ris_height_m=height)
+    try:
+        reference = _reference_links(geometry, xy)
+    except DegenerateGeometryError as exc:  # a node on a platform point: the first one raises
+        with pytest.raises(DegenerateGeometryError, match=re.escape(str(exc))):
+            channel.platform_angles(geometry, np.array(xy))
+        return
+    assert _angle_bytes(_platform_links(geometry, xy)) == _angle_bytes(reference)
 
 
 def _raw_cosines(pos_a, pos_b, boresight_a, boresight_b) -> tuple[float, float]:
@@ -114,26 +131,20 @@ def _raw_cosines(pos_a, pos_b, boresight_a, boresight_b) -> tuple[float, float]:
     return float(np.dot(u, boresight_a)), float(np.dot(-u, boresight_b))
 
 
-STRAIGHT_DOWN = ((55.0, 45.0, 5.0), (55.0, 45.0, 2.0))  # platform point right above a node
-SLANTED = ((50.0, 40.0, 5.0), (60.0, 90.0, 2.0))
-NAN_ROW = ((math.nan, 45.0, 5.0), (0.0, 0.0, 2.0))
-
-
-@pytest.mark.parametrize("pairs, bore, cosines", [
-    ([STRAIGHT_DOWN, SLANTED], (DOWN, UP), (1.0, 1.0)),  # exactly 1 at both ends
-    ([STRAIGHT_DOWN, SLANTED], (UP, DOWN), (-1.0, -1.0)),  # exactly -1 at both ends
-    ([PAST_ONE, SLANTED], (TILTED, TILTED), (1.0 + 2**-52, -1.0 - 2**-52)),  # a step past
-    ([STRAIGHT_DOWN, NAN_ROW, SLANTED], (DOWN, UP), (1.0, 1.0)),  # a NaN row among finite ones
-], ids=["one", "minus_one", "past_one", "nan_row"])
-def test_clamped_and_nan_cosines_equal_scalar_reference(pairs, bore, cosines):
-    """The first pair's projections are ``cosines``; every row matches the per-pair reference."""
-    assert _raw_cosines(*pairs[0], *bore) == cosines
-    pos_a, pos_b = np.array(pairs).transpose(1, 0, 2)
-    rows = [_reference_mean_angles(a, b, *bore) for a, b in pairs]
-    if NAN_ROW in pairs:  # a NaN row stays NaN rather than raising
-        assert all(math.isnan(field) for field in rows[pairs.index(NAN_ROW)])
-    batch = _batch_angles(pos_a, pos_b, *bore)
-    assert _angle_bytes(batch) == _angle_bytes(LinkAngles(*zip(*rows)))
+@pytest.mark.parametrize("xy, tx_z, cosine", [
+    ([(55.0, 45.0), (50.0, 40.0)], 2.0, 1.0),  # the Tx node right below the first point
+    ([(55.0, 45.0), (50.0, 40.0)], 8.0, -1.0),  # the Tx node right above it
+    ([(55.0, 45.0), (math.nan, 45.0), (50.0, 40.0)], 2.0, 1.0),  # a NaN row among finite ones
+], ids=["one", "minus_one", "nan_row"])
+def test_clamped_and_nan_cosines_equal_scalar_reference(xy, tx_z, cosine):
+    """The first link's projections are ``cosine`` at both ends; each link equals its reference."""
+    geometry = replace(GEOMETRY, tx_position=(55.0, 45.0, tx_z), ris_height_m=5.0)
+    assert _raw_cosines((*xy[0], 5.0), geometry.tx_position, DOWN, UP) == (cosine, cosine)
+    reference = _reference_links(geometry, xy)
+    nan_links = [i for i, p in enumerate(xy * 2) if math.isnan(p[0])]
+    for field in reference:  # a NaN row stays NaN rather than raising
+        assert all(math.isnan(field[i]) for i in nan_links)
+    assert _angle_bytes(_platform_links(geometry, xy)) == _angle_bytes(reference)
 
 
 @given(
@@ -159,8 +170,9 @@ def test_platform_footprint_entries_equal_reference(nodes, height):
 def test_coincident_nodes_still_raise():
     node = (55.0, 45.0, GEOMETRY.ris_height_m)
     stack = np.array([(50.0, 50.0, 5.0), node, (60.0, 60.0, 5.0)])
-    with pytest.raises(DegenerateGeometryError, match="coincident"):
-        channel._stacked_mean_angles(stack, node, DOWN, UP)
+    geometry = replace(GEOMETRY, ue_position=node)
+    with pytest.raises(DegenerateGeometryError, match=re.escape(f"coincident positions {node}")):
+        channel.platform_angles(geometry, stack[:, :2])
     geometry = replace(GEOMETRY, tx_position=node)
     config = default_config()[0]
     trial = channel.draw_trial(config, rng_stream(1, 0))
@@ -342,6 +354,12 @@ def test_relay_loop_equals_per_particle_effective_channel(
 # --- per-axis projection onto the RF beams --------------------------------------
 
 
+def _hop_angles(geometry, trial, xy):
+    """Path elevations and azimuths (end, hop, B, L), platform end first, as ``hop_factors``'s."""
+    means, _ = channel.platform_angles(geometry, xy)
+    return means[..., None] + trial.offsets
+
+
 def _kron_steering(elevations, azimuths, m_x, m_y, spacing):
     """``steering_matrix`` column by column, each the np.kron of its per-axis phase vectors."""
     ux = np.sin(elevations) * np.cos(azimuths)
@@ -373,7 +391,7 @@ def test_per_axis_projection_equals_beams_times_steering(scale, trial_index, dra
     config = pack.config
     trial = baselines.trial_channels(pack, trial_index)
     xy = np.column_stack(_positions(pack, draw_seed, count, clamp))
-    el, az, _ = channel._hop_angles(pack.geometry, trial, xy)  # (end, hop): platform end first
+    el, az = _hop_angles(pack.geometry, trial, xy)
     tx, rx = config.tx_antennas, config.rx_antennas
     ends = (  # each RF stage as rows of beams, with the (end, hop) whose angles it sees
         ("f1", pack.f1.T, tx, (1, 0)),
@@ -410,7 +428,7 @@ def test_search_axis_powers_equal_axis_phases(m, spacing, cosines):
     """
     ux, uy = cosines
     reference = channel._axis_phases(ux, uy, *m, spacing)
-    powers = channel._axis_powers(ux, uy, *m, spacing)
+    powers = channel._axis_powers(cosines, *m, spacing)
     for got, want, size in zip(powers, reference, m):
         assert got.shape == want.shape == (*ux.shape[:-1], size, ux.shape[-1])
         assert (got[..., 0, :] == 1.0).all()
@@ -426,7 +444,7 @@ def test_hop_factors_without_beams_keep_steering_matrix_bytes(relay):
     trial = baselines.trial_channels(pack, 1)
     xy = np.column_stack(_positions(pack, 9, 5, True))
     platform = (config.rx_antennas, config.tx_antennas) if relay else None
-    el, az, _ = channel._hop_angles(geometry, trial, xy)  # (end, hop): platform end first
+    el, az = _hop_angles(geometry, trial, xy)
     spacing = config.element_spacing_wavelengths
     (_, r_ti), (_, r_ir) = channel.hop_factors(config, geometry, trial, xy, platform,
                                                ((None, None), (None, None)))

@@ -7,13 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movable_ris.channel import (
-    DOWN,
-    UP,
     DegenerateGeometryError,
     PathSet,
     TrialChannels,
     _direction_cosines,
-    _stacked_mean_angles,
     _translation_phases,
     composite_channel,
     draw_gains,
@@ -158,31 +155,39 @@ def test_path_amplitude_modes():
 # --- link geometry -----------------------------------------------------------
 
 
-# _stacked_mean_angles indexes its angles by (elevation/azimuth, end a/end b, pair)
+# platform_angles indexes its angles by (elevation/azimuth, platform/node end, Tx/UE node,
+# point); these links run from one platform point to the Tx node.
+
+
+def _tx_link(tx_position, height, xy):
+    geometry = replace(default_config()[1], tx_position=tx_position, ris_height_m=height)
+    (el, az), tau = platform_angles(geometry, np.array([xy], dtype=float))
+    return el[:, 0, 0], az[:, 0, 0], tau[0, 0]
 
 
 def test_mean_angles_axis_aligned():
-    (el, az), _ = _stacked_mean_angles((0, 0, 0), (1, 0, 0), UP, UP)
-    assert az[0, 0] == pytest.approx(0.0)
-    assert el[0, 0] == pytest.approx(math.pi / 2)
+    el, az, _ = _tx_link((1.0, 0.0, 5.0), 5.0, (0.0, 0.0))  # level with the platform
+    assert az[0] == pytest.approx(0.0)
+    assert abs(az[1]) == pytest.approx(math.pi)  # back along -x, on either side of the cut
+    assert el[0] == el[1] == pytest.approx(math.pi / 2)
 
 
 def test_mean_angles_diagonal():
-    (_, az), _ = _stacked_mean_angles((0, 0, 0), (1, 1, 0), UP, UP)
-    assert az[0, 0] == pytest.approx(math.pi / 4)
+    _, az, _ = _tx_link((1.0, 1.0, 5.0), 5.0, (0.0, 0.0))
+    assert az[0] == pytest.approx(math.pi / 4)
 
 
 def test_mean_angles_table_geometry():
-    (el, az), tau = _stacked_mean_angles((0, 0, 2), (55, 55, 5), UP, DOWN)
-    assert az[0, 0] == pytest.approx(math.pi / 4)
-    assert tau[0] == pytest.approx(math.sqrt(55**2 + 55**2 + 9), rel=1e-12)
-    # arrival at the down-facing array: direction away from it points down
-    assert el[1, 0] < math.pi / 2
+    el, az, tau = _tx_link((0.0, 0.0, 2.0), 5.0, (55.0, 55.0))
+    assert az[1] == pytest.approx(math.pi / 4)  # from the node toward the platform
+    assert tau == pytest.approx(math.sqrt(55**2 + 55**2 + 9), rel=1e-12)
+    # both arrays face the link from their side of it: the node's up, the platform's down
+    assert el[0] == el[1] < math.pi / 2
 
 
 def test_mean_angles_rejects_coincident():
-    with pytest.raises(DegenerateGeometryError):
-        _stacked_mean_angles((1, 2, 3), (1, 2, 3), UP, UP)
+    with pytest.raises(DegenerateGeometryError, match=r"coincident positions \(1\.0, 2\.0, 3\.0\)"):
+        _tx_link((1.0, 2.0, 3.0), 3.0, (1.0, 2.0))
 
 
 # --- path draws --------------------------------------------------------------

@@ -467,6 +467,22 @@ def test_oracle_check_validates_the_config_it_runs(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--trials", "7"), ("--out", "X"), ("--baselines", "bogus"), ("--dump-channels", "X"),
+    ("--pso-particles", "3"), ("--pso-iters", "2"),
+])
+def test_oracle_check_rejects_the_sweep_flags(flag, value, tmp_path, monkeypatch, capsys):
+    # its tiny instance fixes its own trials and swarm, and it writes no files
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--seeds", "1", flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("kinds", ["fixed_ris_random_phase",
                                    "fixed_ris_random_phase,fixed_ris_opt_phase"])
 def test_negative_pso_seed_is_an_error_before_any_work(tmp_path, kinds, capsys):

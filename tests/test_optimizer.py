@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from movable_ris import optimizer
-from movable_ris.baselines import build_scenario_pack, make_problem_context
+from movable_ris.baselines import (
+    BaselineKind,
+    build_scenario_pack,
+    make_problem_context,
+    run_baseline,
+)
 from movable_ris.optimizer import (
     TWO_PI,
     RisState,
@@ -82,6 +88,53 @@ def test_decode_encode_bijection(vec):
     # decoded states always satisfy the feasibility constraints
     assert geometry.contains(state.x, state.y)
     assert np.all((state.phases >= 0) & (state.phases < 2 * math.pi))
+
+
+# the default platform, and one whose bounds have no exact binary form
+DECODE_GEOMETRIES = (default_config()[1], replace(
+    default_config()[1], platform_x_range=(-3.3, 17.1), platform_y_range=(0.1, 0.7)))
+unit_coordinate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@given(
+    z=st.integers(min_value=1, max_value=12),
+    dim=st.sampled_from([2, 4, 38]),
+    geometry=st.sampled_from(DECODE_GEOMETRIES),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_batch_platform_points_equal_stacked_decode_xy(z, dim, geometry, data):
+    """The (Z, 2) points a batch hands the search are ``decode_xy``'s values, byte for byte."""
+    v = data.draw(hnp.arrays(float, (z, dim), elements=unit_coordinate))
+    want = np.column_stack(optimizer.decode_xy(v[:, 0], v[:, 1], geometry))
+    for state in (decode(v, geometry), optimizer.decode_on_platform(v, geometry, None)):
+        assert state.xy.shape == (z, 2)
+        assert state.xy.tobytes() == want.tobytes()
+        assert np.column_stack((state.x, state.y)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(BaselineKind))
+def test_outcome_positions_are_plain_floats(kind, monkeypatch):
+    """Each kind reports x and y as Python floats: the ris_x and ris_y CSV fields are their repr."""
+    config, geometry = default_config()
+    config = replace(config, tx_antennas=(2, 2), rx_antennas=(2, 2), ris_elements=(2, 2),
+                     pso=PsoParams(swarm_size=4, iterations=3))
+    pack = replace(build_scenario_pack(config, geometry, 5), fd_relay_outcomes={})  # hd searches
+    best = []
+
+    def spy(*args):
+        result = real(*args)
+        best.append(result[0])
+        return result
+
+    real = optimizer.run_pso
+    monkeypatch.setattr(optimizer, "run_pso", spy)
+    outcome = run_baseline(kind, pack, 0)
+    assert type(outcome.x) is float and type(outcome.y) is float
+    if best and len(best[0]) != config.num_ris:  # the search moved the platform
+        assert (outcome.x, outcome.y) == optimizer.decode_xy(*best[0][:2], geometry)
+    else:
+        assert (outcome.x, outcome.y) == geometry.platform_center()
 
 
 # --- fitness -----------------------------------------------------------------
