@@ -28,11 +28,24 @@ swarm iteration):
   from the batch's direction cosines (handed over as two (4, B, L) arrays or
   as one (2, 4, B, L) stack, whichever the tree's ``_steering_by_shape`` takes);
 - ``relay_hops``: both reduced relay hops of the batch, F2 H F1 each;
+- ``relay_search_hops`` and ``relay_rate``: the relay search's two steps as
+  the tree takes them. Where the tree's pack has ``relay_axes`` set, the
+  hops come from one ``reduced_hop_stack`` pass and the rate from one
+  ``hybrid_link_rate`` call on that (2, B, 3, 3) stack with (2, 1, ...)
+  stages; otherwise the hops are ``relay_hops`` and the rate takes one call
+  per hop;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack,
   and its steps on that stack: ``rate.svd`` (``np.linalg.svd`` alone, the
   same code in every tree), ``rate.decompose`` (the SVD with its phase
   rotation and ranks), ``rate.bb_stages`` and ``rate.achievable_rate``;
+- ``lean.align``, ``lean.precoder`` and ``lean.link_rates``: in trees whose
+  full-rank search stacks go from the SVD straight to the rate, that
+  route's steps after the SVD on the same stack: the phase alignment of the
+  used singular vectors, the precoder and the rate itself;
 - ``objective.<kind>``: the batch objective each searching kind hands its swarm;
+- ``objective.fd_relay.ue_85_75``: the relay's objective with the UE at
+  (85, 75, 2), where the relay's RF stages carry unequal beam counts, so
+  its hops do not stack;
 - ``pso_step``: one swarm iteration of the joint search's dimension, scored by
   an objective that returns fixed values, so only the swarm update is timed.
 
@@ -46,6 +59,7 @@ in ``tests/test_blocks.py`` (10 particles, pack seed 3, trial 0). Each peak
 is taken in a fresh interpreter after the same ``PEAK_WARMUP`` untraced
 calls, so what ran before in the measuring process does not move it.
 
+A layer that only some trees have is timed in those and gets no ratio.
 Trees need ``channel.platform_angles``.
 """
 
@@ -92,8 +106,8 @@ def load_tree(name: str, src: Path):
     return lambda module: importlib.import_module(f"{name}.{module}")
 
 
-def _captured_objectives(pack, baselines, optimizer) -> dict:
-    """The batch objective each searching kind hands its swarm, without searching."""
+def _captured_objectives(pack, baselines, optimizer, kinds=SEARCHES) -> dict:
+    """The batch objective each of ``kinds`` hands its swarm, without searching."""
     captured = {}
 
     def capture(fitness_fn, dim, params, rng):
@@ -103,7 +117,7 @@ def _captured_objectives(pack, baselines, optimizer) -> dict:
     real = baselines.run_pso, optimizer.run_pso
     baselines.run_pso = optimizer.run_pso = capture
     try:
-        for kind in SEARCHES:
+        for kind in kinds:
             baselines.run_baseline(baselines.BaselineKind(kind),
                                    replace(pack, fd_relay_outcomes={}), 0)
     finally:
@@ -145,8 +159,8 @@ def batch_peaks(trees: dict) -> dict:
 
 def layers_of(module, rows: int) -> dict:
     """Zero-argument callables, by layer name, for one imported tree, on batches of ``rows``."""
-    baselines, beamforming, channel, optimizer, scenario = map(
-        module, ("baselines", "beamforming", "channel", "optimizer", "scenario"))
+    baselines, beamforming, channel, harness, optimizer, scenario = map(
+        module, ("baselines", "beamforming", "channel", "harness", "optimizer", "scenario"))
     pack = baselines.build_scenario_pack(*scenario.default_config(), PACK_SEED)
     config, geometry = pack.config, pack.geometry
     trial = baselines.trial_channels(pack, 0)
@@ -172,6 +186,24 @@ def layers_of(module, rows: int) -> dict:
                     (config.rx_antennas, config.tx_antennas))
 
     c, a = ris_hops()
+    rate_budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
+    relay_stages = ((pack.relay_f2_hop1, pack.f1, pack.whitened["relay_f2_hop1"]),
+                    (pack.f2, pack.relay_f1_hop2, pack.whitened["f2"]))
+    relay_reduced = relay_hops()
+    relay_search_hops = relay_hops
+    if getattr(pack, "relay_axes", None) is not None:
+        f2s, f1s = (np.stack(stage)[:, None] for stage in zip(*(hop[:2] for hop in relay_stages)))
+        stacked = np.stack(relay_reduced)
+
+        def relay_search_hops():
+            return channel.reduced_hop_stack(config, geometry, trial, xy, pack.relay_axes)
+
+        def relay_rate():
+            return beamforming.hybrid_link_rate(f2s, stacked, f1s, *rate_budget, False, True)
+    else:
+        def relay_rate():
+            return [beamforming.hybrid_link_rate(f2, hop, f1, *rate_budget, whitened, True)
+                    for (f2, f1, whitened), hop in zip(relay_stages, relay_reduced)]
     reduced = (a * np.exp(2j * np.pi * joint[:, None, 2:])) @ c
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts,
               pack.whitened["f2"])
@@ -191,6 +223,8 @@ def layers_of(module, rows: int) -> dict:
         "hop_factors": ris_hops,
         "search_steering": lambda: steer(*steer_args, ends, config.element_spacing_wavelengths),
         "relay_hops": relay_hops,
+        "relay_search_hops": relay_search_hops,
+        "relay_rate": relay_rate,
         "rate_pipeline": lambda: beamforming.hybrid_link_rate(pack.f2, reduced, pack.f1,
                                                               *budget, reduced=True),
         "rate.svd": lambda: np.linalg.svd(reduced, full_matrices=False),
@@ -200,9 +234,26 @@ def layers_of(module, rows: int) -> dict:
         "rate.achievable_rate": lambda: beamforming.achievable_rate(stages, eff,
                                                                     config.noise_power_watts),
     }
+    if hasattr(beamforming, "_link_rates"):
+        streams = config.num_streams
+        u, _, vh = np.linalg.svd(reduced, full_matrices=False)
+        u, vh = u[..., :streams], vh[..., :streams, :]
+        beamforming._align_phases(u, vh)  # aligned vectors realign by the same operations
+        b1 = beamforming._precoder(vh, streams, config.tx_power_watts, pack.f1)
+        b2 = beamforming._hermitian(u)
+        layers["lean.align"] = lambda: beamforming._align_phases(u, vh)
+        layers["lean.precoder"] = lambda: beamforming._precoder(vh, streams,
+                                                                config.tx_power_watts, pack.f1)
+        layers["lean.link_rates"] = lambda: beamforming._link_rates(
+            b1, b2, pack.f2, reduced, config.noise_power_watts, False)
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
         batch = rng.random((rows, _dimension(kind, config)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)
+    ue_pack = baselines.build_scenario_pack(
+        *harness.apply_swept_value(config, geometry, "ue_scenarios", (85.0, 75.0, 2.0)), PACK_SEED)
+    ue_relay = _captured_objectives(ue_pack, baselines, optimizer, ("fd_relay",))["fd_relay"]
+    ue_batch = scenario.rng_stream(7, 1).random((rows, 2))
+    layers["objective.fd_relay.ue_85_75"] = lambda: ue_relay(ue_batch)
     params = replace(config.pso, swarm_size=rows)
     values = rng.random(rows)
     swarm = optimizer.init_swarm(lambda p: values, config.num_ris + 2, params, rng)
@@ -229,12 +280,14 @@ def measure(trees: dict, repeat: int, rows: list[int]) -> dict:
         module = load_tree(f"_bench_tree_{i}", src)
         layers[label] = {name if len(rows) == 1 else f"{name}@{n}": fn
                          for n in rows for name, fn in layers_of(module, n).items()}
-    names = list(layers[labels[0]])
-    times = {name: {label: [] for label in labels} for name in names}
+    names = list(dict.fromkeys(name for label in labels for name in layers[label]))
+    times = {name: {label: [] for label in labels if name in layers[label]} for name in names}
     for r in range(repeat):
         for name in names:
             for label in labels if r % 2 == 0 else labels[::-1]:
-                fn = layers[label][name]
+                fn = layers[label].get(name)
+                if fn is None:
+                    continue
                 start = time.perf_counter_ns()
                 fn()
                 times[name][label].append((time.perf_counter_ns() - start) / 1e3)
@@ -270,8 +323,8 @@ def main(argv=None) -> int:
     peaks = batch_peaks(trees)
     layers = {}
     for name, per_tree in times.items():
-        row = {label: min(per_tree[label]) for label in labels}
-        if len(labels) == 2:
+        row = {label: min(calls) for label, calls in per_tree.items()}
+        if len(row) == 2:
             first, second = (per_tree[label] for label in labels)
             row["ratio_of_minima"] = row[labels[0]] / row[labels[1]]
             row["median_ratio"] = statistics.median(a / b for a, b in zip(first, second))
@@ -291,10 +344,11 @@ def main(argv=None) -> int:
     if args.out:
         args.out.write_text(json.dumps(report, indent=2) + "\n")
     width = max(map(len, layers))
-    columns = list(next(iter(layers.values())))
+    columns = labels + ["ratio_of_minima", "median_ratio"] * (len(labels) == 2)
     print(f"{'layer':<{width}}  " + "  ".join(f"{column:>16}" for column in columns))
     for name, row in layers.items():
-        print(f"{name:<{width}}  " + "  ".join(f"{value:16.2f}" for value in row.values()))
+        print(f"{name:<{width}}  " + "  ".join(f"{row[column]:16.2f}" if column in row
+                                               else f"{'-':>16}" for column in columns))
     print(f"\n{'batch peak (bytes)':<{width}}  " + "  ".join(f"{label:>16}" for label in labels))
     for name, row in peaks.items():
         print(f"{name:<{width}}  " + "  ".join(f"{value:16d}" for value in row.values()))

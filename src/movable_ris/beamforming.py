@@ -300,13 +300,22 @@ def effective_channel(f2: np.ndarray, h: np.ndarray, f1: np.ndarray) -> Effectiv
 
 
 def _decompose(mat: np.ndarray) -> EffectiveChannel:
-    """The EffectiveChannel of an already reduced matrix or stack.
-
-    Each right singular vector's first non-negligible entry is rotated to be
-    real-positive (the matching left vector absorbs the conjugate), so
-    repeated factorizations of the same matrix are identical.
-    """
+    """The EffectiveChannel of an already reduced matrix or stack, its SVD ``_align_phases``-ed."""
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    _align_phases(u, vh)
+    rank = (s > max(mat.shape[-2:]) * _EPS * s[..., :1]).sum(axis=-1)
+    ranks = rank.reshape(-1).tolist()
+    return EffectiveChannel(mat, u, s, vh, rank if rank.ndim else ranks[0], ranks)
+
+
+def _align_phases(u: np.ndarray, vh: np.ndarray) -> None:
+    """Rotate, in place, each right singular vector's first non-negligible entry to be real-positive.
+
+    The matching left vector absorbs the conjugate, so repeated
+    factorizations of the same matrix are identical. Each vector's rotation
+    depends on it alone, so a leading slice of the vectors may be aligned
+    without the rest.
+    """
     mag = np.abs(vh)
     floor = 1e-12 * mag.max(axis=-1, keepdims=True, initial=1.0)
     # np.hypot matches abs() of one complex scalar bit for bit; np.abs may not
@@ -323,9 +332,6 @@ def _decompose(mat: np.ndarray) -> EffectiveChannel:
         c = lead / np.hypot(lead.real, lead.imag)
         vh[rotate] *= np.conj(c)[..., None]
         u.swapaxes(-1, -2)[rotate] *= c[..., None]
-    rank = (s > max(mat.shape[-2:]) * _EPS * s[..., :1]).sum(axis=-1)
-    ranks = rank.reshape(-1).tolist()
-    return EffectiveChannel(mat, u, s, vh, rank if rank.ndim else ranks[0], ranks)
 
 
 def _norm_squared(matrices: np.ndarray) -> np.ndarray:
@@ -377,10 +383,13 @@ def bb_stages(
     else:
         deficient = np.full(len(eff.ranks), streams < num_streams)
     rank_deficient = deficient if isinstance(eff.rank, np.ndarray) else bool(deficient[0])
-    v1 = _hermitian(eff.vh[..., :streams, :])
-    u1 = eff.u[..., :streams]
-    b1 = math.sqrt(tx_power_w / streams) * v1
-    b2 = _hermitian(u1)
+    b1 = _precoder(eff.vh, streams, tx_power_w, f1)
+    return BeamformerSet(f1, b1, None, _hermitian(eff.u[..., :streams]), streams, rank_deficient)
+
+
+def _precoder(vh: np.ndarray, streams: int, tx_power_w: float, f1: np.ndarray | None):
+    """B1 = sqrt(P_T/N_S) V_1 from the right singular vectors, power-normalized through ``f1``."""
+    b1 = math.sqrt(tx_power_w / streams) * _hermitian(vh[..., :streams, :])
     if f1 is not None:
         actual = _norm_squared(f1 @ b1)
         scaled = actual > 0.0
@@ -388,7 +397,7 @@ def bb_stages(
             b1 *= np.sqrt(tx_power_w / actual)[..., None, None]
         else:
             b1[scaled] *= np.sqrt(tx_power_w / actual[scaled])[..., None, None]
-    return BeamformerSet(f1, b1, None, b2, streams, rank_deficient)
+    return b1
 
 
 def needs_whitening(f2: np.ndarray) -> bool:
@@ -424,9 +433,14 @@ def achievable_rate(
     instead of the direct determinant. A singular W is ridge-regularized at
     1e-12 relative to its trace. A stack gives one rate per channel.
     """
-    b2f2 = bf.b2 @ bf.f2
+    return _link_rates(bf.b1, bf.b2, bf.f2, eff.matrix, noise_power_w, bf.whitened)
+
+
+def _link_rates(b1, b2, f2, mat, noise_power_w: float, whitened: bool):
+    """``achievable_rate`` of the stages B1, B2 and F2 on the reduced channels ``mat``."""
+    b2f2 = b2 @ f2
     w = noise_power_w * (b2f2 @ _hermitian(b2f2))
-    g = bf.b2 @ eff.matrix @ bf.b1
+    g = b2 @ mat @ b1
     q = g @ _hermitian(g)
     batch = w.shape[:-2]
     n = w.shape[-1]
@@ -440,7 +454,7 @@ def achievable_rate(
         w = np.where(degenerate[:, None, None], w + 1e-12 * np.eye(n), w)
         trace = np.trace(w, axis1=-2, axis2=-1).real
 
-    if bf.whitened:
+    if whitened:
         rates = _whitened_rate(w, q, trace)
     else:
         m = np.linalg.solve(w, q)
@@ -468,15 +482,33 @@ def hybrid_link_rate(
     stack already reduced to F2 H F1 (as a search's factored hops are); one
     matrix goes in as a stack of one. Returns (rates, rank_deficient) as (B,)
     arrays. ``whitened`` is ``needs_whitening(f2)``, which the caller takes
-    once per combiner. A stack whose rows share one stream count runs as one
-    unit; rows of mixed counts (rank-deficient ones carry fewer streams) run
-    one at a time, each as a reduced stack of one.
+    once per combiner. N links on one branch may be stacked, ``h`` (N, B,
+    ...) with stages (N, 1, ...), for (N, B) results. A reduced stack on the
+    direct branch whose rows all carry ``num_streams`` streams goes from its
+    SVD straight to the rate, with the bytes of the path below. Otherwise a
+    stack whose rows share one stream count runs as one unit; rows of mixed
+    counts (rank-deficient ones carry fewer streams) run one at a time, each
+    as a reduced stack of one, and stacked links one link at a time.
     """
+    if reduced and not whitened:
+        u, s, vh = np.linalg.svd(h, full_matrices=False)
+        # Singular values fall along each row, so a row's rank reaches num_streams
+        # exactly when its num_streams-th value clears the rank floor.
+        if num_streams <= s.shape[-1] and (
+                s[..., num_streams - 1] > max(h.shape[-2:]) * _EPS * s[..., 0]).all():
+            u, vh = u[..., :num_streams], vh[..., :num_streams, :]
+            _align_phases(u, vh)
+            b1 = _precoder(vh, num_streams, tx_power_w, f1)
+            rates = _link_rates(b1, _hermitian(u), f2, h, noise_power_w, False)
+            return rates, np.zeros(h.shape[:-2], dtype=bool)
+    budget = (tx_power_w, num_streams, noise_power_w, whitened)
+    if h.ndim > 3:  # stacked links, each on its own
+        links = [hybrid_link_rate(*link, *budget, reduced) for link in zip(f2, h, f1)]
+        return tuple(np.stack(parts) for parts in zip(*links))
     eff = _decompose(h) if reduced else effective_channel(f2, h, f1)
     # Rank bookkeeping in Python ints: integer-array ufuncs would map numpy code
     # that nothing else in a sweep touches, which shows in peak RSS.
     if len(_stream_counts(eff.ranks, num_streams)) > 1:
-        budget = (tx_power_w, num_streams, noise_power_w, whitened)
         rows = [hybrid_link_rate(f2, m[None], f1, *budget, reduced=True) for m in eff.matrix]
         return tuple(np.concatenate(parts) for parts in zip(*rows))
     bf = bb_stages(eff, tx_power_w, num_streams, f1)

@@ -30,6 +30,7 @@ __all__ = [
     "composite_channel",
     "wavelength_m",
     "hop_factors",
+    "reduced_hop_stack",
     "realize_channels",
 ]
 
@@ -188,7 +189,7 @@ def wavelength_m(carrier_ghz: float) -> float:
 def _amplitudes(distance_m: np.ndarray, carrier_ghz: float, exponent: float, mode: str):
     """``path_amplitudes`` of an array of distances, in its shape."""
     amp = path_amplitudes(carrier_ghz, np.ravel(distance_m).tolist(), exponent, mode)
-    return np.reshape(amp, np.shape(distance_m))
+    return np.array(amp).reshape(np.shape(distance_m))
 
 
 def link_channel(
@@ -286,6 +287,30 @@ def _steering_by_shape(u, ends, spacing: float) -> list[np.ndarray]:
     return blocks
 
 
+def _path_geometry(config: SystemConfig, geometry: DeploymentGeometry, trial: TrialChannels,
+                   xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direction cosines (2, 4, B, L) of every end's paths and each hop's path scale (2, B, L).
+
+    The cosines stack (ux, uy) of the ends in (end, hop) order, the platform
+    end first; the path angles are ``platform_angles`` plus the trial's
+    frozen offsets. A path's scale is its amplitude times its gain, turned
+    by the deterministic translation phase of the moved phase reference
+    (relative to the platform center, where the factor is exactly 1), taken
+    at the platform-side direction of that path.
+    """
+    means, distance = platform_angles(geometry, xy)
+    el, az = means[..., None] + trial.offsets  # (end, hop, B, L) each
+    u = np.empty((2, *el.shape))  # _direction_cosines of every end: (ux, uy), end, hop, B, L
+    np.cos(az, out=u[0])
+    np.sin(az, out=u[1])
+    u *= np.sin(el)
+    gains = trial.gains * _translation_phases(u[0, 0], u[1, 0], xy - geometry.platform_center(),
+                                              wavelength_m(config.carrier_frequency_ghz))
+    scale = _amplitudes(distance[..., None], config.carrier_frequency_ghz,
+                        config.path_loss_exponent, config.path_loss_mode) * gains
+    return u.reshape(2, 4, *el.shape[2:]), scale
+
+
 def hop_factors(
     config: SystemConfig,
     geometry: DeploymentGeometry,
@@ -297,41 +322,45 @@ def hop_factors(
     """Both hops at a (B, 2) stack of platform positions: ((left, right) of H_TI, of H_IR).
 
     H_b = left[b] @ right[b]. ``left`` (B, num_rx, L) holds the receive
-    steering columns scaled by each path's amplitude times gain, ``right``
-    (B, L, num_tx) the transposed transmit steering matrix. The path angles
-    are ``platform_angles`` plus the trial's frozen offsets. Each path picks
-    up the deterministic translation phase of the moved phase reference
-    (relative to the platform center, where the factor is exactly 1), taken
-    at the platform-side direction of that path. A search passes, per hop,
-    the RF beam axes of its beamformed (receive, transmit) ends as ``beams``
-    and gets the factors of the reduced hops, whose steering factors are
-    powers of one exponential per path and axis; a call without beams keeps
-    ``steering_matrix``'s bytes. The platform node's arrays, one per hop,
-    default to the RIS element grid; a relay passes its own. The steering
-    exponentials of ends sharing an array shape are taken in one pass.
+    steering columns scaled by each path's ``_path_geometry`` scale, ``right``
+    (B, L, num_tx) the transposed transmit steering matrix. A search passes,
+    per hop, the RF beam axes of its beamformed (receive, transmit) ends as
+    ``beams`` and gets the factors of the reduced hops, whose steering
+    factors are powers of one exponential per path and axis; a call without
+    beams keeps ``steering_matrix``'s bytes. The platform node's arrays, one
+    per hop, default to the RIS element grid; a relay passes its own. The
+    steering exponentials of ends sharing an array shape are taken in one pass.
     """
-    xy = np.asarray(ris_xy, dtype=float)
-    means, distance = platform_angles(geometry, xy)
-    el, az = means[..., None] + trial.offsets  # (end, hop, B, L) each
-    u = np.empty((2, *el.shape))  # _direction_cosines of every end: (ux, uy), end, hop, B, L
-    np.cos(az, out=u[0])
-    np.sin(az, out=u[1])
-    u *= np.sin(el)
-    gains = trial.gains * _translation_phases(u[0, 0], u[1, 0], xy - geometry.platform_center(),
-                                              wavelength_m(config.carrier_frequency_ghz))
-    scale = _amplitudes(distance[..., None], config.carrier_frequency_ghz,
-                        config.path_loss_exponent, config.path_loss_mode) * gains
+    u, scale = _path_geometry(config, geometry, trial, np.asarray(ris_xy, dtype=float))
     (rx_ti, tx_ti), (rx_ir, tx_ir) = beams
     platform = platform_shapes or (config.ris_elements, config.ris_elements)
     platform_ti, platform_ir, tx_end, ue_end = _steering_by_shape(
-        u.reshape(2, 4, *el.shape[2:]),
-        ((platform[0], rx_ti), (platform[1], tx_ir),  # in (end, hop) order
-         (config.tx_antennas, tx_ti), (config.rx_antennas, rx_ir)),
+        u, ((platform[0], rx_ti), (platform[1], tx_ir),  # in (end, hop) order
+            (config.tx_antennas, tx_ti), (config.rx_antennas, rx_ir)),
         config.element_spacing_wavelengths)
     platform_ti *= scale[0][..., None, :]
     ue_end *= scale[1][..., None, :]
     return ((platform_ti, np.swapaxes(tx_end, -1, -2)),
             (ue_end, np.swapaxes(platform_ir, -1, -2)))
+
+
+def reduced_hop_stack(config: SystemConfig, geometry: DeploymentGeometry, trial: TrialChannels,
+                      xy: np.ndarray, axes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Both hops at (B, 2) platform points reduced onto all four ends' RF beams: (2, B, K, K).
+
+    The four ends share one array shape and one beam count K; ``axes`` stacks
+    their per-axis beam factors, X (4, 1, K, m_x) and Y (4, 1, K, m_y), in
+    (end, hop) order. The Tx hop comes first, and each hop has the bytes of
+    the product of its ``hop_factors`` with those beams, from one
+    ``_axis_powers`` pass, one projection per array axis and one matmul.
+    """
+    u, scale = _path_geometry(config, geometry, trial, xy)
+    px, py = _axis_powers(u, axes[0].shape[-1], axes[1].shape[-1],
+                          config.element_spacing_wavelengths)
+    ends = _steering_of(px, py, axes)  # (4, B, K, L)
+    receive = ends[::3]  # the platform end of the Tx hop, the UE end of the UE hop
+    receive *= scale[..., None, :]
+    return receive @ ends[2:0:-1].swapaxes(-1, -2)  # the Tx end, then the platform end
 
 
 def realize_channels(

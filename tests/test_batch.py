@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movable_ris import baselines, beamforming, optimizer
+from movable_ris import baselines, beamforming, channel, optimizer
 from movable_ris.baselines import BaselineKind, build_scenario_pack
 from movable_ris.beamforming import hybrid_link_rate, needs_whitening, rf_steering_column
 from movable_ris.harness import apply_swept_value
@@ -126,16 +126,113 @@ def test_batch_objective_equals_per_particle(kind, trial_index, draw_seed, count
         assert not np.any(batch)
 
 
+def _relay_pack(ue_position=None):
+    """The default pack, or the pack with the UE at ``ue_position``."""
+    config, geometry = default_config()
+    if ue_position is not None:
+        config, geometry = apply_swept_value(config, geometry, "ue_scenarios", ue_position)
+    return build_scenario_pack(config, geometry, 5)
+
+
+def _relay_points(pack, draw_seed, count):
+    xy = _particles(draw_seed, count, 2, clamp=True, duplicate=True)
+    return np.column_stack(optimizer.decode_xy(xy[:, 0], xy[:, 1], pack.geometry))
+
+
 def test_relay_batch_equals_min_hop_rate_rows():
-    for pack in (_pack(), build_scenario_pack(*default_config(), 5)):
+    for pack in (_pack(), _relay_pack(), _relay_pack((85.0, 75.0, 2.0))):
         trial = baselines.trial_channels(pack, 2)
-        xy = _particles(12, 9, 2, clamp=True, duplicate=True)
-        points = np.column_stack(optimizer.decode_xy(xy[:, 0], xy[:, 1], pack.geometry))
+        points = _relay_points(pack, 12, 9)
         relay = baselines._RelaySearch(pack, trial)
-        rates, deficient = relay.hop_rates(points, False)
-        rows = [relay.hop_rates(points[i:i + 1], False) for i in range(len(points))]
-        _same_bytes(rates, [r[0] for r, _ in rows])
-        assert deficient.tolist() == [d[0] for _, d in rows]
+        for factored in (False, True):
+            rates, deficient = relay.hop_rates(points, factored)
+            rows = [relay.hop_rates(points[i:i + 1], factored) for i in range(len(points))]
+            _same_bytes(rates, [r[0] for r, _ in rows])
+            assert deficient.tolist() == [d[0] for _, d in rows]
+
+
+_RELAY_HOPS = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))  # (receive, transmit) stages
+
+
+def _per_hop_search(pack, trial, points):
+    """The relay search's reduced hops, rates and flags from ``hop_factors`` and one rate call
+    per hop."""
+    config = pack.config
+    beams = tuple((pack.beams[rx], pack.beams[tx]) for rx, tx in _RELAY_HOPS)
+    hops = [left @ right for left, right in channel.hop_factors(
+        config, pack.geometry, trial, points, BaselineKind.FD_RELAY.platform_shapes(config), beams)]
+    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
+    (rate1, flags1), (rate2, flags2) = (
+        hybrid_link_rate(getattr(pack, rx), hop, getattr(pack, tx), *budget, pack.whitened[rx],
+                         reduced=True)
+        for (rx, tx), hop in zip(_RELAY_HOPS, hops))
+    return hops, np.where(rate2 < rate1, rate2, rate1), flags1 | flags2
+
+
+@pytest.mark.parametrize("ue_position", [None, (85.0, 75.0, 2.0)])
+def test_relay_one_pass_equals_per_hop_rates(ue_position):
+    # the default relay's four ends are 8x8 with 3 beams each; at (85, 75, 2) f2 and
+    # relay_f1_hop2 carry 6 beams, so that pack keeps the per-hop calls
+    pack = _relay_pack(ue_position)
+    for trial_index, count in ((0, 1), (1, 10), (2, 40)):
+        trial = baselines.trial_channels(pack, trial_index)
+        points = _relay_points(pack, trial_index, count)
+        _, expected, flags = _per_hop_search(pack, trial, points)
+        rates, deficient = baselines._RelaySearch(pack, trial).hop_rates(points, True)
+        _same_bytes(rates, expected)
+        assert deficient.tolist() == flags.tolist()
+    # without UE-hop gains that hop is rank 0 at every point: the stacked call falls back
+    trial = replace(trial, gains=trial.gains * np.array([1.0, 0.0])[:, None, None])
+    _, expected, flags = _per_hop_search(pack, trial, points)
+    rates, deficient = baselines._RelaySearch(pack, trial).hop_rates(points, True)
+    _same_bytes(rates, expected)
+    assert deficient.all() and flags.all()
+
+
+def test_relay_search_takes_one_stacked_rate_call_and_builds_no_stages(monkeypatch):
+    calls = []
+    real = baselines.hybrid_link_rate
+
+    def counted(f2, h, *args):
+        calls.append(h.shape)
+        return real(f2, h, *args)
+
+    monkeypatch.setattr(baselines, "hybrid_link_rate", counted)
+    for name in ("bb_stages", "achievable_rate", "_decompose"):
+        monkeypatch.setattr(beamforming, name, None)  # full-rank search stacks go straight to rates
+    for ue_position, ends_stack in ((None, True), ((85.0, 75.0, 2.0), False)):
+        pack = _relay_pack(ue_position)
+        assert (pack.relay_axes is not None) == ends_stack
+        trial = baselines.trial_channels(pack, 0)
+        points = _relay_points(pack, 0, 6)
+        calls.clear()
+        baselines._RelaySearch(pack, trial).hop_rates(points, True)
+        if ends_stack:
+            hops, _, _ = _per_hop_search(pack, trial, points)
+            stack = channel.reduced_hop_stack(pack.config, pack.geometry, trial, points,
+                                              pack.relay_axes)
+            assert stack.tobytes() == np.stack(hops).tobytes()
+            assert calls == [(2, 6, 3, 3)]
+        else:
+            assert calls == [(6, 3, 3), (6, 6, 6)]
+
+
+def test_stacked_links_with_a_rank_deficient_row_run_link_by_link():
+    pack = _relay_pack()
+    config = pack.config
+    trial = baselines.trial_channels(pack, 3)
+    stack = channel.reduced_hop_stack(config, pack.geometry, trial, _relay_points(pack, 3, 6),
+                                      pack.relay_axes)
+    stack[1, 2] = np.outer(stack[1, 2][:, 0], stack[1, 2][0])  # rank one: one stream
+    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts, False)
+    stages = [[getattr(pack, name) for name in hop] for hop in _RELAY_HOPS]
+    f2, f1 = (np.stack(stage)[:, None] for stage in zip(*stages))
+    rates, deficient = hybrid_link_rate(f2, stack, f1, *budget, reduced=True)
+    links = [hybrid_link_rate(rx, hop, tx, *budget, reduced=True)
+             for (rx, tx), hop in zip(stages, stack)]
+    assert rates.tobytes() == np.stack([r for r, _ in links]).tobytes()
+    assert deficient.tolist() == [d.tolist() for _, d in links] == [[False] * 6,
+                                                                    [False] * 2 + [True] + [False] * 3]
 
 
 @pytest.fixture()
@@ -215,6 +312,31 @@ def test_stacked_rate_pipeline_equals_per_matrix(seed, count, streams, near_para
     _same_bytes(rates, [r[0] for r, _ in rows])
     assert deficient.tolist() == [d[0] for _, d in rows]
     assert all(deficient[i] for i in zero_rows | rank_one_rows if streams > 1)
+
+
+@pytest.mark.parametrize("rows", [1, 10, 40])
+@pytest.mark.parametrize("shape", [(3, 3), (5, 6)])
+def test_full_rank_reduced_stack_rates_equal_the_stage_pipeline(rows, shape):
+    """Stacks whose rows all carry ``num_streams`` streams on the direct branch.
+
+    Row 0's first column is zero, so every right singular vector leads with a
+    negligible entry and the phase alignment takes its general branch.
+    """
+    rng = rng_stream(rows, 4)
+    h = _random_stack(rng, rows, *shape, (), ())
+    h[0, :, 0] = 0.0
+    m = 8
+    f1 = (rng.standard_normal((m, shape[1])) + 1j * rng.standard_normal((m, shape[1]))) / m
+    f2 = (rng.standard_normal((shape[0], m)) + 1j * rng.standard_normal((shape[0], m))) / m
+    power, streams, noise = 2.0, 2, 1e-3
+    eff = beamforming._decompose(h.copy())
+    assert np.abs(eff.vh[0, :streams, 0]).max() < 1e-12 and min(eff.ranks) >= streams
+    stages = beamforming.bb_stages(eff, power, streams, f1)
+    stages.f2 = f2
+    expected = beamforming.achievable_rate(stages, eff, noise)
+    rates, deficient = hybrid_link_rate(f2, h, f1, power, streams, noise, False, reduced=True)
+    _same_bytes(rates, expected)
+    assert deficient.tolist() == stages.rank_deficient.tolist() == [False] * rows
 
 
 def _search_of(kind, pack, trial_index):
