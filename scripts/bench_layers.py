@@ -22,18 +22,22 @@ swarm iteration):
 - ``steering``: ``steering_matrix`` of the batch's Tx departure angles;
 - ``platform_angles``: the mean angles and lengths of the links from the
   batch's platform points to both nodes, which every hop rebuild starts from;
-- ``hop_factors``: both reduced RIS hops of the batch, F2 H_IR and H_TI F1;
-- ``search_steering``: the steering step of that ``hop_factors`` call, which
-  carries beams: the four ends' per-axis factors, projected where beamformed,
-  from the batch's direction cosines (handed over as two (4, B, L) arrays or
-  as one (2, 4, B, L) stack, whichever the tree's ``_steering_by_shape`` takes);
-- ``relay_hops``: both reduced relay hops of the batch, F2 H F1 each;
+- ``ris_search_hops``: both reduced RIS hops of the batch, H_TI F1 and F2 H_IR
+  (named ``hop_factors`` in reports before the one hop builder);
+- ``search_steering``: the steering step of that call: the four ends'
+  per-axis factors, projected where beamformed, from the batch's direction
+  cosines (``_end_blocks`` of the RIS search's ends, or the older trees'
+  ``_steering_by_shape``, handed two (4, B, L) arrays or one (2, 4, B, L)
+  stack, whichever it takes);
+- ``relay_hops``: both reduced relay hops of the batch, F2 H F1 each, one
+  matmul per hop;
 - ``relay_search_hops`` and ``relay_rate``: the relay search's two steps as
-  the tree takes them. Where the tree's pack has ``relay_axes`` set, the
-  hops come from one ``reduced_hop_stack`` pass and the rate from one
-  ``hybrid_link_rate`` call on that (2, B, 3, 3) stack with (2, 1, ...)
-  stages; otherwise the hops are ``relay_hops`` and the rate takes one call
-  per hop;
+  the tree takes them. Where both reduced relay hops stack (a tree with
+  ``hops`` whose relay ends are ``stacked``, or an older tree whose pack has
+  ``relay_axes`` set, which builds them with ``reduced_hop_stack``), the hops
+  come from one pass and the rate from one ``hybrid_link_rate`` call on that
+  (2, B, 3, 3) stack with (2, 1, ...) stages; otherwise the hops are
+  ``relay_hops`` and the rate takes one call per hop;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack,
   and its steps on that stack: ``rate.svd`` (``np.linalg.svd`` alone, the
   same code in every tree), ``rate.decompose`` (the SVD with its phase
@@ -60,7 +64,8 @@ is taken in a fresh interpreter after the same ``PEAK_WARMUP`` untraced
 calls, so what ran before in the measuring process does not move it.
 
 A layer that only some trees have is timed in those and gets no ratio.
-Trees need ``channel.platform_angles``.
+Trees need ``channel.platform_angles``, and either ``channel.hops`` or the
+factor-pair ``channel.hop_factors`` that it replaced.
 """
 
 from __future__ import annotations
@@ -168,35 +173,63 @@ def layers_of(module, rows: int) -> dict:
     joint = rng.random((rows, config.num_ris + 2))
     xy = np.column_stack(optimizer.decode_xy(joint[:, 0], joint[:, 1], geometry))
     means, _ = channel.platform_angles(geometry, xy)
-    el, az = means[..., None] + trial.offsets  # (end, hop, B, L), as hop_factors takes them
+    el, az = means[..., None] + trial.offsets  # (end, hop, B, L), the ends' path angles
     tx_angles = el[1, 0], az[1, 0]  # the Tx end of the Tx hop
 
-    def hops(stages, shapes=None):
-        """The Tx hop, then the UE hop, each reduced against its (receive, transmit) stages."""
-        beams = tuple(tuple(pack.beams[name] if name else None for name in stage)
-                      for stage in stages)
-        factors = channel.hop_factors(config, geometry, trial, xy, shapes, beams)
-        return tuple(np.matmul(*pair) for pair in factors)
+    cosines = np.reshape(channel._direction_cosines(el, az), (2, 4, *el.shape[2:]))
+    spacing = config.element_spacing_wavelengths
+    if hasattr(channel, "hops"):  # one builder: ``hops`` on each search's ends
+        ends = pack.search_ends
+        relay_pair = replace(ends["relay"], stacked=False)  # one matmul per hop
 
-    def ris_hops():
-        return hops(((None, "f1"), ("f2", None)))
+        def ris_hops():
+            return channel.hops(config, geometry, trial, xy, ends["ris"])
 
-    def relay_hops():
-        return hops((("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2")),
-                    (config.rx_antennas, config.tx_antennas))
+        def relay_hops():
+            return channel.hops(config, geometry, trial, xy, relay_pair)
+
+        def relay_search_hops():
+            return channel.hops(config, geometry, trial, xy, ends["relay"])
+
+        def search_steering():
+            return channel._end_blocks(cosines, ends["ris"], spacing)
+        relay_stacked = ends["relay"].stacked
+    else:  # factor pairs: ``hop_factors``, and ``reduced_hop_stack`` where ``relay_axes`` is set
+        def factor_hops(stages, shapes=None):
+            """The Tx hop, then the UE hop, each reduced against its (receive, transmit) stages."""
+            beams = tuple(tuple(pack.beams[name] if name else None for name in stage)
+                          for stage in stages)
+            factors = channel.hop_factors(config, geometry, trial, xy, shapes, beams)
+            return tuple(np.matmul(*pair) for pair in factors)
+
+        def ris_hops():
+            return factor_hops(((None, "f1"), ("f2", None)))
+
+        def relay_hops():
+            return factor_hops((("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2")),
+                               (config.rx_antennas, config.tx_antennas))
+        relay_stacked = getattr(pack, "relay_axes", None) is not None
+        relay_search_hops = relay_hops
+        if relay_stacked:
+            def relay_search_hops():
+                return channel.reduced_hop_stack(config, geometry, trial, xy, pack.relay_axes)
+        ris, beams = config.ris_elements, pack.beams  # the RIS search's ends, in (end, hop) order
+        steer_ends = ((ris, None), (ris, None), (config.tx_antennas, beams["f1"]),
+                      (config.rx_antennas, beams["f2"]))
+        steer = channel._steering_by_shape
+        steer_args = tuple(cosines) if "ux" in inspect.signature(steer).parameters else (cosines,)
+
+        def search_steering():
+            return steer(*steer_args, steer_ends, spacing)
 
     c, a = ris_hops()
     rate_budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
     relay_stages = ((pack.relay_f2_hop1, pack.f1, pack.whitened["relay_f2_hop1"]),
                     (pack.f2, pack.relay_f1_hop2, pack.whitened["f2"]))
     relay_reduced = relay_hops()
-    relay_search_hops = relay_hops
-    if getattr(pack, "relay_axes", None) is not None:
+    if relay_stacked:
         f2s, f1s = (np.stack(stage)[:, None] for stage in zip(*(hop[:2] for hop in relay_stages)))
         stacked = np.stack(relay_reduced)
-
-        def relay_search_hops():
-            return channel.reduced_hop_stack(config, geometry, trial, xy, pack.relay_axes)
 
         def relay_rate():
             return beamforming.hybrid_link_rate(f2s, stacked, f1s, *rate_budget, False, True)
@@ -210,18 +243,12 @@ def layers_of(module, rows: int) -> dict:
     eff = beamforming._decompose(reduced)
     stages = beamforming.bb_stages(eff, config.tx_power_watts, config.num_streams, pack.f1)
     stages.f2, stages.whitened = pack.f2, pack.whitened["f2"]
-    cosines = np.reshape(channel._direction_cosines(el, az), (2, 4, *el.shape[2:]))
-    ris, beams = config.ris_elements, pack.beams  # the RIS search's ends, in (end, hop) order
-    ends = ((ris, None), (ris, None), (config.tx_antennas, beams["f1"]),
-            (config.rx_antennas, beams["f2"]))
-    steer = channel._steering_by_shape
-    steer_args = tuple(cosines) if "ux" in inspect.signature(steer).parameters else (cosines,)
     layers = {
         "steering": lambda: channel.steering_matrix(*tx_angles, *config.tx_antennas,
                                                     config.element_spacing_wavelengths),
         "platform_angles": lambda: channel.platform_angles(geometry, xy),
-        "hop_factors": ris_hops,
-        "search_steering": lambda: steer(*steer_args, ends, config.element_spacing_wavelengths),
+        "ris_search_hops": ris_hops,
+        "search_steering": search_steering,
         "relay_hops": relay_hops,
         "relay_search_hops": relay_search_hops,
         "relay_rate": relay_rate,

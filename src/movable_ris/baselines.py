@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .beamforming import design_relay_stages, design_rf_stages, hybrid_link_rate, needs_whitening
-from .channel import TrialChannels, draw_trial, hop_factors, reduced_hop_stack
+from .channel import HopEnds, TrialChannels, draw_trial, hop_ends, hops
 # Not called here; sweepbench/tracer.py wraps these names in this namespace, and
 # sweepbench/checks.py wraps run_pso here too.
 from .channel import link_channel  # noqa: F401
@@ -51,7 +51,7 @@ class BaselineKind(str, Enum):
     HD_RELAY = "hd_relay"
 
     def platform_shapes(self, config: SystemConfig) -> tuple | None:
-        """``hop_factors``'s platform arrays per hop: a relay's own, else None (the RIS grid)."""
+        """``hop_ends``'s platform arrays per hop: a relay's own, else None (the RIS grid)."""
         relay = self in (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY)
         return (config.rx_antennas, config.tx_antennas) if relay else None
 
@@ -121,17 +121,16 @@ class ScenarioPack:
         return {name: (grid[:, :, 0].copy(), grid[:, 0, :].copy()) for name, grid in grids.items()}
 
     @functools.cached_property
-    def relay_axes(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The relay search's ``beams`` stacked per axis, X (4, 1, K, m_x) and Y (4, 1, K, m_y).
+    def search_ends(self) -> dict[str, HopEnds]:
+        """``hop_ends`` of the RIS search and of the relay search, each end on its stage's beams.
 
-        Its four beamformed ends come in ``hop_factors``'s (end, hop) order, as
-        ``reduced_hop_stack`` takes them; None unless all four share one array
-        shape and one beam count K.
+        The RIS search projects the Tx and UE ends onto F1's and F2's beams, the
+        relay search also its own arrays' ends onto the relay's stages.
         """
-        axes = [self.beams[name] for name in ("relay_f2_hop1", "relay_f1_hop2", "f1", "f2")]
-        if len({(x.shape, y.shape) for x, y in axes}) > 1:
-            return None
-        return tuple(np.stack(factors)[:, None] for factors in zip(*axes))
+        config, relay = self.config, BaselineKind.FD_RELAY
+        beams = [self.beams[name] for name in ("relay_f2_hop1", "relay_f1_hop2", "f1", "f2")]
+        return {"ris": hop_ends(config, None, (None, None, *beams[2:])),
+                "relay": hop_ends(config, relay.platform_shapes(config), beams)}
 
     @functools.cached_property
     def whitened(self) -> dict[str, bool]:
@@ -179,7 +178,7 @@ def make_problem_context(pack: ScenarioPack, trial_index: int) -> ProblemContext
         f1=pack.f1,
         f2=pack.f2,
         trial=trial_channels(pack, trial_index),
-        beams=pack.beams,
+        ends=pack.search_ends["ris"],
         whitened=pack.whitened["f2"],
     )
 
@@ -220,42 +219,37 @@ class _RelaySearch:
 
     def __post_init__(self):
         pack, config = self.pack, self.pack.config
-        hops = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))
+        stages = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))
         self._stages = tuple((getattr(pack, rx), getattr(pack, tx), pack.whitened[rx])
-                             for rx, tx in hops)
-        self._beams = tuple((pack.beams[rx], pack.beams[tx]) for rx, tx in hops)
+                             for rx, tx in stages)
+        self._ends = (hop_ends(config, BaselineKind.FD_RELAY.platform_shapes(config)),
+                      pack.search_ends["relay"])
         self._budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
         # The search's (F2, F1) of both hops as (2, 1, ...) stacks, when its reduced hops
-        # stack (``ScenarioPack.relay_axes``) and both take the direct rate branch.
+        # come out as one stack and both take the direct rate branch.
         self._stacked_stages = None
-        if pack.relay_axes is not None and not any(whitened for *_, whitened in self._stages):
+        if self._ends[True].stacked and not any(whitened for *_, whitened in self._stages):
             self._stacked_stages = tuple(np.stack(stage)[:, None]
                                          for stage in zip(*(hop[:2] for hop in self._stages)))
 
     def hop_rates(self, xy: np.ndarray, factored: bool):
         """(Z,) rates at the (Z, 2) points ``xy`` and whether either hop was rank deficient.
 
-        The reference forms each hop matrix H = L R of one ``hop_factors``
-        call; ``factored``, the search objective, projects both ends of each
-        hop onto their RF beams, so L R is F2 H F1 up to rounding. Where the
-        reduced hops stack, the search builds them in one
-        ``reduced_hop_stack`` pass and takes one rate call, with the bytes of
-        the two per-hop calls.
+        The reference takes each hop matrix H of one ``hops`` call;
+        ``factored``, the search objective, projects both ends of each hop onto
+        their RF beams, which is F2 H F1 up to rounding. Where those reduced
+        hops come out as one stack, one rate call takes both, with the bytes
+        of the two per-hop calls.
         """
-        config = self.pack.config
+        both = hops(self.pack.config, self.pack.geometry, self.trial, xy, self._ends[factored])
         if factored and self._stacked_stages is not None:
             f2, f1 = self._stacked_stages
-            hops = reduced_hop_stack(config, self.pack.geometry, self.trial, xy,
-                                     self.pack.relay_axes)
             (rate1, rate2), (deficient1, deficient2) = hybrid_link_rate(
-                f2, hops, f1, *self._budget, False, True)
+                f2, both, f1, *self._budget, False, True)
         else:
-            hops = hop_factors(config, self.pack.geometry, self.trial, xy,
-                               BaselineKind.FD_RELAY.platform_shapes(config),
-                               self._beams if factored else ((None, None), (None, None)))
             (rate1, deficient1), (rate2, deficient2) = (
-                hybrid_link_rate(f2, left @ right, f1, *self._budget, whitened, factored)
-                for (f2, f1, whitened), (left, right) in zip(self._stages, hops))
+                hybrid_link_rate(f2, hop, f1, *self._budget, whitened, factored)
+                for (f2, f1, whitened), hop in zip(self._stages, both))
         rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
         return rate, deficient1 | deficient2
 

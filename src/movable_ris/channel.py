@@ -29,8 +29,9 @@ __all__ = [
     "link_channel",
     "composite_channel",
     "wavelength_m",
-    "hop_factors",
-    "reduced_hop_stack",
+    "HopEnds",
+    "hop_ends",
+    "hops",
     "realize_channels",
 ]
 
@@ -263,27 +264,64 @@ def platform_angles(geometry: DeploymentGeometry, xy: np.ndarray):
     return angles.reshape(2, 2, 2, b), tau.reshape(2, b)
 
 
-def _steering_by_shape(u, ends, spacing: float) -> list[np.ndarray]:
-    """``steering_matrix`` of each end i, given as (array shape, beams) over the cosines u[:, i].
+@dataclass(frozen=True)
+class HopEnds:
+    """The four ends of both hops as ``hop_ends`` groups them: per array shape, the shape, the
+    ends' index on the cosines' end axis and, per steering block, its slice of those ends and
+    their stacked beam axes or None; ``where`` is each end's (block, row)."""
 
-    ``u`` stacks the ends' direction cosines (ux, uy) on its first axis. The
-    exponentials of all ends sharing an array shape are taken in one pass, on
-    a view of ``u`` when those ends are adjacent. If any end carries beams (a
-    search), every end takes ``_axis_powers``; otherwise each entry is its own
-    exponential, as in ``steering_matrix``.
+    groups: tuple
+    where: tuple
+    search: bool  # some end carries beams: every end then takes ``_axis_powers``
+    stacked: bool  # each hop's receive ends share a block, and so do its transmit ends
+
+
+def hop_ends(config: SystemConfig, platform_shapes: tuple | None = None,
+             beams: tuple = (None,) * 4) -> HopEnds:
+    """The ends of both hops, in (end, hop) order, grouped by (array shape, beam count).
+
+    The ends are the platform's arrays of the Tx hop and of the UE hop (the
+    RIS element grid unless a relay passes its own as ``platform_shapes``),
+    then the Tx and the UE arrays. ``beams`` gives each end's RF beam axes,
+    the X (K, m_x), Y (K, m_y) of ``ScenarioPack.beams``, or None. A group's
+    axes are stacked here, X (G, 1, K, m_x) and Y (G, 1, K, m_y), so a search
+    builds its ends once and each ``hops`` call projects a group in one step.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, (shape, _) in enumerate(ends):
-        groups.setdefault(tuple(shape), []).append(i)
-    search = any(b is not None for _, b in ends)
-    blocks = [None] * len(ends)
-    for shape, group in groups.items():
-        first, last = group[0], group[-1]
-        cosines = u[:, first:last + 1] if last - first + 1 == len(group) else u[:, group]
-        px, py = (_axis_powers(cosines, *shape, spacing) if search
+    shapes = (*(platform_shapes or (config.ris_elements,) * 2),
+              config.tx_antennas, config.rx_antennas)
+    search = any(axes is not None for axes in beams)
+    by_shape: dict[tuple[int, int], dict[tuple, list[int]]] = {}
+    for i, (shape, axes) in enumerate(zip(shapes, beams)):
+        # A search's ends without beams are blocks of their own: numpy buffers both operands of
+        # a broadcast product at its size, so one product over two ends doubles the batch peak.
+        key = (None, i if search else None) if axes is None else (len(axes[0]), None)
+        by_shape.setdefault(tuple(shape), {}).setdefault(key, []).append(i)
+    groups, where, block = [], [None] * 4, 0
+    for shape, by_key in by_shape.items():
+        members, rows = [], []
+        for (count, _), ends in by_key.items():
+            for j, i in enumerate(ends):
+                where[i] = (block, j)
+            axes = None if count is None else tuple(
+                np.stack([beams[i][axis] for i in ends])[:, None] for axis in (0, 1))
+            rows.append((slice(len(members), len(members) + len(ends)), axes))
+            members += ends
+            block += 1
+        adjacent = members == list(range(members[0], members[-1] + 1))
+        groups.append((shape, slice(members[0], members[-1] + 1) if adjacent else members, rows))
+    return HopEnds(tuple(groups), tuple(where), search,
+                   where[0][0] == where[3][0] and where[2][0] == where[1][0])
+
+
+def _end_blocks(u, ends: HopEnds, spacing: float) -> list[np.ndarray]:
+    """The steering blocks of ``ends`` over the ends' cosines u (2, 4, B, L): one exponential
+    pass per array shape, then one ``_steering_of`` per block, (G, B, K or M, L)."""
+    blocks = []
+    for shape, index, rows in ends.groups:
+        cosines = u[:, index]  # a view where the shape's ends are adjacent
+        px, py = (_axis_powers(cosines, *shape, spacing) if ends.search
                   else _axis_phases(*cosines, *shape, spacing))
-        for j, i in enumerate(group):
-            blocks[i] = _steering_of(px[j], py[j], ends[i][1])
+        blocks += (_steering_of(px[part], py[part], axes) for part, axes in rows)
     return blocks
 
 
@@ -311,69 +349,35 @@ def _path_geometry(config: SystemConfig, geometry: DeploymentGeometry, trial: Tr
     return u.reshape(2, 4, *el.shape[2:]), scale
 
 
-def hop_factors(
-    config: SystemConfig,
-    geometry: DeploymentGeometry,
-    trial: TrialChannels,
-    ris_xy: np.ndarray,
-    platform_shapes: tuple | None = None,
-    beams: tuple = ((None, None), (None, None)),
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Both hops at a (B, 2) stack of platform positions: ((left, right) of H_TI, of H_IR).
+def hops(config: SystemConfig, geometry: DeploymentGeometry, trial: TrialChannels,
+         xy: np.ndarray, ends: HopEnds | None = None):
+    """Both hops at a (B, 2) stack of platform points, H_TI then H_IR, each (B, rows, columns).
 
-    H_b = left[b] @ right[b]. ``left`` (B, num_rx, L) holds the receive
-    steering columns scaled by each path's ``_path_geometry`` scale, ``right``
-    (B, L, num_tx) the transposed transmit steering matrix. A search passes,
-    per hop, the RF beam axes of its beamformed (receive, transmit) ends as
-    ``beams`` and gets the factors of the reduced hops, whose steering
-    factors are powers of one exponential per path and axis; a call without
-    beams keeps ``steering_matrix``'s bytes. The platform node's arrays, one
-    per hop, default to the RIS element grid; a relay passes its own. The
-    steering exponentials of ends sharing an array shape are taken in one pass.
+    A hop is its receive steering columns, scaled by each path's
+    ``_path_geometry`` scale, times its transposed transmit steering matrix.
+    Each end that carries beams in ``ends`` (default: the RIS grid, none) is
+    reduced onto them, its factors powers of one exponential per path and
+    axis; ends without beams keep ``steering_matrix``'s bytes. Where ``ends``
+    are ``stacked``, one matmul forms both hops as a (2, B, rows, columns)
+    stack, which unpacks like the pair.
     """
-    u, scale = _path_geometry(config, geometry, trial, np.asarray(ris_xy, dtype=float))
-    (rx_ti, tx_ti), (rx_ir, tx_ir) = beams
-    platform = platform_shapes or (config.ris_elements, config.ris_elements)
-    platform_ti, platform_ir, tx_end, ue_end = _steering_by_shape(
-        u, ((platform[0], rx_ti), (platform[1], tx_ir),  # in (end, hop) order
-            (config.tx_antennas, tx_ti), (config.rx_antennas, rx_ir)),
-        config.element_spacing_wavelengths)
+    ends = ends or hop_ends(config)
+    u, scale = _path_geometry(config, geometry, trial, np.asarray(xy, dtype=float))
+    blocks = _end_blocks(u, ends, config.element_spacing_wavelengths)
+    if ends.stacked:  # views of the receive ends (0, 3) and of the transmit ends (2, 1)
+        (g, a), (_, b), (h, c), (_, d) = (ends.where[i] for i in (0, 3, 2, 1))
+        receive, transmit = blocks[g][a::b - a][:2], blocks[h][c::d - c][:2]
+        receive *= scale[..., None, :]
+        return receive @ transmit.swapaxes(-1, -2)
+    platform_ti, platform_ir, tx_end, ue_end = (blocks[g][j] for g, j in ends.where)
     platform_ti *= scale[0][..., None, :]
     ue_end *= scale[1][..., None, :]
-    return ((platform_ti, np.swapaxes(tx_end, -1, -2)),
-            (ue_end, np.swapaxes(platform_ir, -1, -2)))
+    return platform_ti @ tx_end.swapaxes(-1, -2), ue_end @ platform_ir.swapaxes(-1, -2)
 
 
-def reduced_hop_stack(config: SystemConfig, geometry: DeploymentGeometry, trial: TrialChannels,
-                      xy: np.ndarray, axes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Both hops at (B, 2) platform points reduced onto all four ends' RF beams: (2, B, K, K).
-
-    The four ends share one array shape and one beam count K; ``axes`` stacks
-    their per-axis beam factors, X (4, 1, K, m_x) and Y (4, 1, K, m_y), in
-    (end, hop) order. The Tx hop comes first, and each hop has the bytes of
-    the product of its ``hop_factors`` with those beams, from one
-    ``_axis_powers`` pass, one projection per array axis and one matmul.
-    """
-    u, scale = _path_geometry(config, geometry, trial, xy)
-    px, py = _axis_powers(u, axes[0].shape[-1], axes[1].shape[-1],
-                          config.element_spacing_wavelengths)
-    ends = _steering_of(px, py, axes)  # (4, B, K, L)
-    receive = ends[::3]  # the platform end of the Tx hop, the UE end of the UE hop
-    receive *= scale[..., None, :]
-    return receive @ ends[2:0:-1].swapaxes(-1, -2)  # the Tx end, then the platform end
-
-
-def realize_channels(
-    config: SystemConfig,
-    geometry: DeploymentGeometry,
-    trial: TrialChannels,
-    ris_xy,
-) -> ChannelRealization:
-    """Both hop matrices of a trial with the RIS at one (x, y) platform position.
-
-    Each is the product of the ``hop_factors`` of a stack of one, so a lone
-    position and a stack of them share one code path.
-    """
-    xy = np.asarray(ris_xy, dtype=float).reshape(1, 2)
-    ((l_ti,), (r_ti,)), ((l_ir,), (r_ir,)) = hop_factors(config, geometry, trial, xy)
-    return ChannelRealization(l_ti @ r_ti, l_ir @ r_ir)
+def realize_channels(config: SystemConfig, geometry: DeploymentGeometry, trial: TrialChannels,
+                     ris_xy) -> ChannelRealization:
+    """Both hop matrices of a trial with the RIS at one (x, y) platform position: the ``hops``
+    of a stack of one, so a lone position and a stack of them share one code path."""
+    (h_ti,), (h_ir,) = hops(config, geometry, trial, np.asarray(ris_xy, dtype=float).reshape(1, 2))
+    return ChannelRealization(h_ti, h_ir)

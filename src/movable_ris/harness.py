@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import BaselineKind, build_scenario_pack, run_baseline, trial_channels
 from .beamforming import InvalidBeamError
-from .channel import DegenerateGeometryError, hop_factors
+from .channel import DegenerateGeometryError, hop_ends, hops
 from .scenario import (
     ConfigError,
     DeploymentGeometry,
@@ -180,10 +180,11 @@ def monte_carlo_point(
             flagged.append(t)
         if dump_dir is not None:
             dump_dir.mkdir(parents=True, exist_ok=True)
-            hops = hop_factors(config, geometry, trial_channels(pack, t),
-                               np.array([[outcome.x, outcome.y]]), kind.platform_shapes(config))
-            for link, (left, right) in zip(("tx_ris", "ris_rx"), hops):
-                _dump_matrix(dump_dir / f"{kind.value}_trial{t:03d}_{link}.txt", left[0] @ right[0])
+            xy = np.array([[outcome.x, outcome.y]])
+            both = hops(config, geometry, trial_channels(pack, t), xy,
+                        hop_ends(config, kind.platform_shapes(config)))
+            for link, (hop,) in zip(("tx_ris", "ris_rx"), both):
+                _dump_matrix(dump_dir / f"{kind.value}_trial{t:03d}_{link}.txt", hop)
 
     arr = np.asarray(rates)
     mean = float(arr.mean()) if arr.size else math.nan

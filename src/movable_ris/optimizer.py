@@ -24,7 +24,7 @@ import numpy as np
 from .beamforming import hybrid_link_rate
 # Not called here; sweepbench/tracer.py wraps these names in this namespace.
 from .beamforming import achievable_rate, bb_stages, effective_channel  # noqa: F401
-from .channel import TrialChannels, composite_channel, hop_factors, realize_channels
+from .channel import HopEnds, TrialChannels, composite_channel, hops, realize_channels
 from .scenario import ConfigError, DeploymentGeometry, PsoParams, SystemConfig
 
 __all__ = [
@@ -123,7 +123,7 @@ class ProblemContext:
     f1: np.ndarray
     f2: np.ndarray
     trial: TrialChannels
-    beams: dict[str, tuple[np.ndarray, np.ndarray]]  # ScenarioPack.beams: the stages' beam axes
+    ends: HopEnds  # ScenarioPack.search_ends["ris"]: the Tx and UE ends on F1's and F2's beams
     whitened: bool  # f2's rate branch, ScenarioPack.whitened
     saw_rank_deficiency: bool = False
     _cache_key: tuple[float, float] | None = field(default=None, repr=False)
@@ -165,13 +165,11 @@ class ProblemContext:
 
         No hop or composite matrix is formed. At one position the cached
         A = F2 H_IR and C = H_TI F1 give (A diag(e^{j phi})) C; per-particle
-        positions take A and C as the products of hop factors whose Tx and UE
-        ends are projected onto F1's and F2's beams one array axis at a time.
+        positions take C and A as the ``hops`` whose Tx and UE ends are
+        projected onto F1's and F2's beams one array axis at a time.
         """
         if isinstance(state.x, np.ndarray) or isinstance(state.y, np.ndarray):
-            c, a = (left @ right for left, right in hop_factors(
-                self.config, self.geometry, self.trial, state.xy,
-                beams=((None, self.beams["f1"]), (self.beams["f2"], None))))
+            c, a = hops(self.config, self.geometry, self.trial, state.xy, self.ends)
         else:
             _, _, a, c = self.hop_matrices(state.x, state.y)
         e = np.exp(1j * np.asarray(state.phases, dtype=float))

@@ -155,12 +155,11 @@ _RELAY_HOPS = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))  # (receive, tr
 
 
 def _per_hop_search(pack, trial, points):
-    """The relay search's reduced hops, rates and flags from ``hop_factors`` and one rate call
-    per hop."""
+    """The relay search's reduced hops, one matmul each, and its rates and flags from one rate
+    call per hop."""
     config = pack.config
-    beams = tuple((pack.beams[rx], pack.beams[tx]) for rx, tx in _RELAY_HOPS)
-    hops = [left @ right for left, right in channel.hop_factors(
-        config, pack.geometry, trial, points, BaselineKind.FD_RELAY.platform_shapes(config), beams)]
+    ends = replace(pack.search_ends["relay"], stacked=False)
+    hops = channel.hops(config, pack.geometry, trial, points, ends)
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
     (rate1, flags1), (rate2, flags2) = (
         hybrid_link_rate(getattr(pack, rx), hop, getattr(pack, tx), *budget, pack.whitened[rx],
@@ -202,15 +201,15 @@ def test_relay_search_takes_one_stacked_rate_call_and_builds_no_stages(monkeypat
         monkeypatch.setattr(beamforming, name, None)  # full-rank search stacks go straight to rates
     for ue_position, ends_stack in ((None, True), ((85.0, 75.0, 2.0), False)):
         pack = _relay_pack(ue_position)
-        assert (pack.relay_axes is not None) == ends_stack
+        assert pack.search_ends["relay"].stacked == ends_stack
         trial = baselines.trial_channels(pack, 0)
         points = _relay_points(pack, 0, 6)
         calls.clear()
         baselines._RelaySearch(pack, trial).hop_rates(points, True)
         if ends_stack:
             hops, _, _ = _per_hop_search(pack, trial, points)
-            stack = channel.reduced_hop_stack(pack.config, pack.geometry, trial, points,
-                                              pack.relay_axes)
+            stack = channel.hops(pack.config, pack.geometry, trial, points,
+                                 pack.search_ends["relay"])
             assert stack.tobytes() == np.stack(hops).tobytes()
             assert calls == [(2, 6, 3, 3)]
         else:
@@ -221,8 +220,8 @@ def test_stacked_links_with_a_rank_deficient_row_run_link_by_link():
     pack = _relay_pack()
     config = pack.config
     trial = baselines.trial_channels(pack, 3)
-    stack = channel.reduced_hop_stack(config, pack.geometry, trial, _relay_points(pack, 3, 6),
-                                      pack.relay_axes)
+    stack = channel.hops(config, pack.geometry, trial, _relay_points(pack, 3, 6),
+                         pack.search_ends["relay"])
     stack[1, 2] = np.outer(stack[1, 2][:, 0], stack[1, 2][0])  # rank one: one stream
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts, False)
     stages = [[getattr(pack, name) for name in hop] for hop in _RELAY_HOPS]

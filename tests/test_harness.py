@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movable_ris.baselines import BaselineKind, build_scenario_pack, trial_channels
-from movable_ris.channel import hop_factors
+from movable_ris.channel import hop_ends, hops
 from movable_ris.harness import (
     CSV_HEADER,
     SweepSpec,
@@ -239,10 +239,10 @@ def test_dumped_hops_have_the_platform_node_s_arrays(tmp_path, kind):
         dumped[link] = np.array([row.split() for row in rows], dtype=float).view(complex)
     if relay:  # the hops the relay's reported rate is taken on
         trial = trial_channels(build_scenario_pack(config, geometry, 9), 0)
-        hops = hop_factors(config, geometry, trial, np.array(result.per_trial_positions),
-                           (config.rx_antennas, config.tx_antennas))
-        for link, (left, right) in zip(shapes, hops):
-            assert dumped[link].tobytes() == (left @ right)[0].tobytes()
+        relay_hops = hops(config, geometry, trial, np.array(result.per_trial_positions),
+                          hop_ends(config, (config.rx_antennas, config.tx_antennas)))
+        for link, (hop,) in zip(shapes, relay_hops):
+            assert dumped[link].tobytes() == hop.tobytes()
 
 
 def test_sweep_spec_rejects_negative_seeds():
