@@ -22,30 +22,25 @@ swarm iteration):
 - ``steering``: ``steering_matrix`` of the batch's Tx departure angles;
 - ``platform_angles``: the mean angles and lengths of the links from the
   batch's platform points to both nodes, which every hop rebuild starts from;
-- ``ris_search_hops``: both reduced RIS hops of the batch, H_TI F1 and F2 H_IR
-  (named ``hop_factors`` in reports before the one hop builder);
+- ``ris_search_hops``: both reduced RIS hops of the batch, H_TI F1 and F2 H_IR;
 - ``search_steering``: the steering step of that call: the four ends'
   per-axis factors, projected where beamformed, from the batch's direction
-  cosines (``_end_blocks`` of the RIS search's ends, or the older trees'
-  ``_steering_by_shape``, handed two (4, B, L) arrays or one (2, 4, B, L)
-  stack, whichever it takes);
+  cosines (``_end_blocks`` of the RIS search's ends);
 - ``relay_hops``: both reduced relay hops of the batch, F2 H F1 each, one
   matmul per hop;
-- ``relay_search_hops`` and ``relay_rate``: the relay search's two steps as
-  the tree takes them. Where both reduced relay hops stack (a tree with
-  ``hops`` whose relay ends are ``stacked``, or an older tree whose pack has
-  ``relay_axes`` set, which builds them with ``reduced_hop_stack``), the hops
-  come from one pass and the rate from one ``hybrid_link_rate`` call on that
-  (2, B, 3, 3) stack with (2, 1, ...) stages; otherwise the hops are
-  ``relay_hops`` and the rate takes one call per hop;
+- ``relay_search_hops`` and ``relay_rate``: the relay search's two steps.
+  Where the relay's search ends are ``stacked``, the hops come from one pass
+  and the rate from one ``hybrid_link_rate`` call on that (2, B, 3, 3) stack
+  with (2, 1, ...) stages; otherwise the hops are ``relay_hops`` and the
+  rate takes one call per hop;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack,
   and its steps on that stack: ``rate.svd`` (``np.linalg.svd`` alone, the
   same code in every tree), ``rate.decompose`` (the SVD with its phase
-  rotation and ranks), ``rate.bb_stages`` and ``rate.achievable_rate``;
-- ``lean.align``, ``lean.precoder`` and ``lean.link_rates``: in trees whose
-  full-rank search stacks go from the SVD straight to the rate, that
-  route's steps after the SVD on the same stack: the phase alignment of the
-  used singular vectors, the precoder and the rate itself;
+  rotation), ``rate.bb_stages`` and ``rate.achievable_rate``;
+- ``lean.align``, ``lean.precoder`` and ``lean.link_rates``: the rate
+  step's work after the SVD on the same stack, without its bookkeeping: the
+  phase alignment of the used singular vectors, the precoder and the rate
+  itself;
 - ``objective.<kind>``: the batch objective each searching kind hands its swarm;
 - ``objective.fd_relay.ue_85_75``: the relay's objective with the UE at
   (85, 75, 2), where the relay's RF stages carry unequal beam counts, so
@@ -64,8 +59,7 @@ is taken in a fresh interpreter after the same ``PEAK_WARMUP`` untraced
 calls, so what ran before in the measuring process does not move it.
 
 A layer that only some trees have is timed in those and gets no ratio.
-Trees need ``channel.platform_angles``, and either ``channel.hops`` or the
-factor-pair ``channel.hop_factors`` that it replaced.
+Trees need ``channel.platform_angles`` and ``channel.hops``.
 """
 
 from __future__ import annotations
@@ -74,7 +68,6 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
-import inspect
 import json
 import multiprocessing
 import os
@@ -178,56 +171,27 @@ def layers_of(module, rows: int) -> dict:
 
     cosines = np.reshape(channel._direction_cosines(el, az), (2, 4, *el.shape[2:]))
     spacing = config.element_spacing_wavelengths
-    if hasattr(channel, "hops"):  # one builder: ``hops`` on each search's ends
-        ends = pack.search_ends
-        relay_pair = replace(ends["relay"], stacked=False)  # one matmul per hop
+    ends = pack.search_ends
+    relay_pair = replace(ends["relay"], stacked=False)  # one matmul per hop
 
-        def ris_hops():
-            return channel.hops(config, geometry, trial, xy, ends["ris"])
+    def ris_hops():
+        return channel.hops(config, geometry, trial, xy, ends["ris"])
 
-        def relay_hops():
-            return channel.hops(config, geometry, trial, xy, relay_pair)
+    def relay_hops():
+        return channel.hops(config, geometry, trial, xy, relay_pair)
 
-        def relay_search_hops():
-            return channel.hops(config, geometry, trial, xy, ends["relay"])
+    def relay_search_hops():
+        return channel.hops(config, geometry, trial, xy, ends["relay"])
 
-        def search_steering():
-            return channel._end_blocks(cosines, ends["ris"], spacing)
-        relay_stacked = ends["relay"].stacked
-    else:  # factor pairs: ``hop_factors``, and ``reduced_hop_stack`` where ``relay_axes`` is set
-        def factor_hops(stages, shapes=None):
-            """The Tx hop, then the UE hop, each reduced against its (receive, transmit) stages."""
-            beams = tuple(tuple(pack.beams[name] if name else None for name in stage)
-                          for stage in stages)
-            factors = channel.hop_factors(config, geometry, trial, xy, shapes, beams)
-            return tuple(np.matmul(*pair) for pair in factors)
-
-        def ris_hops():
-            return factor_hops(((None, "f1"), ("f2", None)))
-
-        def relay_hops():
-            return factor_hops((("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2")),
-                               (config.rx_antennas, config.tx_antennas))
-        relay_stacked = getattr(pack, "relay_axes", None) is not None
-        relay_search_hops = relay_hops
-        if relay_stacked:
-            def relay_search_hops():
-                return channel.reduced_hop_stack(config, geometry, trial, xy, pack.relay_axes)
-        ris, beams = config.ris_elements, pack.beams  # the RIS search's ends, in (end, hop) order
-        steer_ends = ((ris, None), (ris, None), (config.tx_antennas, beams["f1"]),
-                      (config.rx_antennas, beams["f2"]))
-        steer = channel._steering_by_shape
-        steer_args = tuple(cosines) if "ux" in inspect.signature(steer).parameters else (cosines,)
-
-        def search_steering():
-            return steer(*steer_args, steer_ends, spacing)
+    def search_steering():
+        return channel._end_blocks(cosines, ends["ris"], spacing)
 
     c, a = ris_hops()
     rate_budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
     relay_stages = ((pack.relay_f2_hop1, pack.f1, pack.whitened["relay_f2_hop1"]),
                     (pack.f2, pack.relay_f1_hop2, pack.whitened["f2"]))
     relay_reduced = relay_hops()
-    if relay_stacked:
+    if ends["relay"].stacked:
         f2s, f1s = (np.stack(stage)[:, None] for stage in zip(*(hop[:2] for hop in relay_stages)))
         stacked = np.stack(relay_reduced)
 
@@ -261,18 +225,17 @@ def layers_of(module, rows: int) -> dict:
         "rate.achievable_rate": lambda: beamforming.achievable_rate(stages, eff,
                                                                     config.noise_power_watts),
     }
-    if hasattr(beamforming, "_link_rates"):
-        streams = config.num_streams
-        u, _, vh = np.linalg.svd(reduced, full_matrices=False)
-        u, vh = u[..., :streams], vh[..., :streams, :]
-        beamforming._align_phases(u, vh)  # aligned vectors realign by the same operations
-        b1 = beamforming._precoder(vh, streams, config.tx_power_watts, pack.f1)
-        b2 = beamforming._hermitian(u)
-        layers["lean.align"] = lambda: beamforming._align_phases(u, vh)
-        layers["lean.precoder"] = lambda: beamforming._precoder(vh, streams,
-                                                                config.tx_power_watts, pack.f1)
-        layers["lean.link_rates"] = lambda: beamforming._link_rates(
-            b1, b2, pack.f2, reduced, config.noise_power_watts, False)
+    streams = config.num_streams
+    u, _, vh = np.linalg.svd(reduced, full_matrices=False)
+    u, vh = u[..., :streams], vh[..., :streams, :]
+    beamforming._align_phases(u, vh)  # aligned vectors realign by the same operations
+    b1 = beamforming._precoder(vh, streams, config.tx_power_watts, pack.f1)
+    b2 = beamforming._hermitian(u)
+    layers["lean.align"] = lambda: beamforming._align_phases(u, vh)
+    layers["lean.precoder"] = lambda: beamforming._precoder(vh, streams,
+                                                            config.tx_power_watts, pack.f1)
+    layers["lean.link_rates"] = lambda: beamforming._link_rates(
+        b1, b2, pack.f2, reduced, config.noise_power_watts, False)
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
         batch = rng.random((rows, _dimension(kind, config)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)

@@ -225,12 +225,12 @@ class _RelaySearch:
         self._ends = (hop_ends(config, BaselineKind.FD_RELAY.platform_shapes(config)),
                       pack.search_ends["relay"])
         self._budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-        # The search's (F2, F1) of both hops as (2, 1, ...) stacks, when its reduced hops
-        # come out as one stack and both take the direct rate branch.
+        # The search's (F2, F1) of both hops as (2, 1, ...) stacks, and their rate branch,
+        # when its reduced hops come out as one stack and both take one branch.
         self._stacked_stages = None
-        if self._ends[True].stacked and not any(whitened for *_, whitened in self._stages):
-            self._stacked_stages = tuple(np.stack(stage)[:, None]
-                                         for stage in zip(*(hop[:2] for hop in self._stages)))
+        f2s, f1s, branches = zip(*self._stages)
+        if self._ends[True].stacked and branches[0] == branches[1]:
+            self._stacked_stages = (np.stack(f2s)[:, None], np.stack(f1s)[:, None], branches[0])
 
     def hop_rates(self, xy: np.ndarray, factored: bool):
         """(Z,) rates at the (Z, 2) points ``xy`` and whether either hop was rank deficient.
@@ -243,9 +243,9 @@ class _RelaySearch:
         """
         both = hops(self.pack.config, self.pack.geometry, self.trial, xy, self._ends[factored])
         if factored and self._stacked_stages is not None:
-            f2, f1 = self._stacked_stages
+            f2, f1, whitened = self._stacked_stages
             (rate1, rate2), (deficient1, deficient2) = hybrid_link_rate(
-                f2, both, f1, *self._budget, False, True)
+                f2, both, f1, *self._budget, whitened, True)
         else:
             (rate1, deficient1), (rate2, deficient2) = (
                 hybrid_link_rate(f2, hop, f1, *self._budget, whitened, factored)

@@ -83,15 +83,26 @@ class EffectiveChannel:
 
     For a stack of channels every field carries the stack's leading axes
     and ``rank`` is an integer array. ``ranks`` holds the ranks as Python
-    ints, one per channel, which every stream decision reads.
+    ints, one per channel. Both are read from the singular values.
     """
 
     matrix: np.ndarray       # (..., n_rx_beams, n_tx_beams)
     u: np.ndarray            # left singular vectors
     singular_values: np.ndarray
     vh: np.ndarray           # right singular vectors, conjugate-transposed
-    rank: int | np.ndarray
-    ranks: list[int]
+
+    def _floor(self) -> np.ndarray:
+        """Each channel's rank floor: max(M_2, M_1) eps times its largest singular value."""
+        return max(self.matrix.shape[-2:]) * _EPS * self.singular_values[..., 0]
+
+    @property
+    def rank(self) -> int | np.ndarray:
+        rank = (self.singular_values > self._floor()[..., None]).sum(axis=-1)
+        return rank if rank.ndim else int(rank)
+
+    @property
+    def ranks(self) -> list[int]:
+        return np.reshape(self.rank, -1).tolist()
 
 
 @dataclass
@@ -303,9 +314,7 @@ def _decompose(mat: np.ndarray) -> EffectiveChannel:
     """The EffectiveChannel of an already reduced matrix or stack, its SVD ``_align_phases``-ed."""
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     _align_phases(u, vh)
-    rank = (s > max(mat.shape[-2:]) * _EPS * s[..., :1]).sum(axis=-1)
-    ranks = rank.reshape(-1).tolist()
-    return EffectiveChannel(mat, u, s, vh, rank if rank.ndim else ranks[0], ranks)
+    return EffectiveChannel(mat, u, s, vh)
 
 
 def _align_phases(u: np.ndarray, vh: np.ndarray) -> None:
@@ -347,11 +356,8 @@ def _norm_squared(matrices: np.ndarray) -> np.ndarray:
     return np.array([math.sqrt(v) ** 2 for v in sums]).reshape(matrices.shape[:-2])
 
 
-def _stream_counts(ranks: list[int], num_streams: int) -> set[int]:
-    """Streams channels of the given ranks carry: rank-deficient ones degrade."""
-    if min(ranks, default=0) >= num_streams:
-        return {num_streams}  # the usual case, without a pass over the channels
-    return {min(num_streams, max(rank, 1)) for rank in ranks}
+class _MixedStreamCounts(ValueError):
+    """Raised by ``bb_stages`` for a stack whose channels carry different stream counts."""
 
 
 def bb_stages(
@@ -366,25 +372,28 @@ def bb_stages(
     rescaled by a single scalar so that the transmit power ||F1 B1||_F^2
     equals P_T exactly even for non-orthogonal analog beams (the factor is 1
     to machine precision at half-wavelength spacing). Rank-deficient
-    channels degrade to rank-many streams and are flagged, not resampled.
-    Every channel of a stack must have the same stream count;
-    ``hybrid_link_rate`` runs a stack of mixed counts row by row. The
-    stages come as a BeamformerSet holding ``f1`` and no F2, which
+    channels degrade to rank-many streams (a zero channel to one) and are
+    flagged, not resampled. Every channel of a stack must have the same
+    stream count; ``hybrid_link_rate`` runs a stack of mixed counts row by
+    row. The stages come as a BeamformerSet holding ``f1`` and no F2, which
     ``hybrid_link_rate`` fills in.
     """
-    counts = _stream_counts(eff.ranks, num_streams)
-    if len(counts) != 1:
-        raise ValueError("channels of one stack must share a stream count")
-    streams = counts.pop()
-    # One stream count: every channel is deficient or none is, save a zero
-    # channel (rank 0), which carries one stream when num_streams is 1.
-    if 0 in eff.ranks:
-        deficient = np.array([rank < num_streams for rank in eff.ranks])
-    else:
-        deficient = np.full(len(eff.ranks), streams < num_streams)
-    rank_deficient = deficient if isinstance(eff.rank, np.ndarray) else bool(deficient[0])
+    s = eff.singular_values
+    streams, deficient = num_streams, np.zeros(s.shape[:-1], dtype=bool)
+    # Singular values fall along each channel, so its rank reaches num_streams
+    # exactly when its num_streams-th value clears the rank floor.
+    if num_streams > s.shape[-1] or not (s[..., num_streams - 1] > eff._floor()).all():
+        # Rank bookkeeping in Python ints: integer-array ufuncs would map numpy
+        # code that nothing else in a sweep touches, which shows in peak RSS.
+        ranks = eff.ranks
+        counts = {min(num_streams, max(rank, 1)) for rank in ranks}
+        if len(counts) != 1:
+            raise _MixedStreamCounts("channels of one stack must share a stream count")
+        streams = counts.pop()
+        deficient = np.reshape([rank < num_streams for rank in ranks], deficient.shape)
     b1 = _precoder(eff.vh, streams, tx_power_w, f1)
-    return BeamformerSet(f1, b1, None, _hermitian(eff.u[..., :streams]), streams, rank_deficient)
+    return BeamformerSet(f1, b1, None, _hermitian(eff.u[..., :streams]), streams,
+                         deficient if deficient.ndim else bool(deficient))
 
 
 def _precoder(vh: np.ndarray, streams: int, tx_power_w: float, f1: np.ndarray | None):
@@ -483,34 +492,20 @@ def hybrid_link_rate(
     matrix goes in as a stack of one. Returns (rates, rank_deficient) as (B,)
     arrays. ``whitened`` is ``needs_whitening(f2)``, which the caller takes
     once per combiner. N links on one branch may be stacked, ``h`` (N, B,
-    ...) with stages (N, 1, ...), for (N, B) results. A reduced stack on the
-    direct branch whose rows all carry ``num_streams`` streams goes from its
-    SVD straight to the rate, with the bytes of the path below. Otherwise a
-    stack whose rows share one stream count runs as one unit; rows of mixed
-    counts (rank-deficient ones carry fewer streams) run one at a time, each
-    as a reduced stack of one, and stacked links one link at a time.
+    ...) with stages (N, 1, ...), for (N, B) results. Every stack takes
+    ``bb_stages`` and ``achievable_rate`` as one unit, save one whose rows
+    carry mixed stream counts (rank-deficient ones carry fewer): its rows,
+    across any link axis, run one at a time, each as a reduced stack of one.
     """
-    if reduced and not whitened:
-        u, s, vh = np.linalg.svd(h, full_matrices=False)
-        # Singular values fall along each row, so a row's rank reaches num_streams
-        # exactly when its num_streams-th value clears the rank floor.
-        if num_streams <= s.shape[-1] and (
-                s[..., num_streams - 1] > max(h.shape[-2:]) * _EPS * s[..., 0]).all():
-            u, vh = u[..., :num_streams], vh[..., :num_streams, :]
-            _align_phases(u, vh)
-            b1 = _precoder(vh, num_streams, tx_power_w, f1)
-            rates = _link_rates(b1, _hermitian(u), f2, h, noise_power_w, False)
-            return rates, np.zeros(h.shape[:-2], dtype=bool)
-    budget = (tx_power_w, num_streams, noise_power_w, whitened)
-    if h.ndim > 3:  # stacked links, each on its own
-        links = [hybrid_link_rate(*link, *budget, reduced) for link in zip(f2, h, f1)]
-        return tuple(np.stack(parts) for parts in zip(*links))
     eff = _decompose(h) if reduced else effective_channel(f2, h, f1)
-    # Rank bookkeeping in Python ints: integer-array ufuncs would map numpy code
-    # that nothing else in a sweep touches, which shows in peak RSS.
-    if len(_stream_counts(eff.ranks, num_streams)) > 1:
-        rows = [hybrid_link_rate(f2, m[None], f1, *budget, reduced=True) for m in eff.matrix]
-        return tuple(np.concatenate(parts) for parts in zip(*rows))
-    bf = bb_stages(eff, tx_power_w, num_streams, f1)
+    try:
+        bf = bb_stages(eff, tx_power_w, num_streams, f1)
+    except _MixedStreamCounts:
+        batch = eff.matrix.shape[:-2]
+        stacks = (np.broadcast_to(m, batch + m.shape[-2:]).reshape(-1, *m.shape[-2:])
+                  for m in (f2, eff.matrix, f1))
+        rows = [hybrid_link_rate(rx, m[None], tx, tx_power_w, num_streams, noise_power_w,
+                                 whitened, reduced=True) for rx, m, tx in zip(*stacks)]
+        return tuple(np.concatenate(parts).reshape(batch) for parts in zip(*rows))
     bf.f2, bf.whitened = f2, whitened
     return achievable_rate(bf, eff, noise_power_w), bf.rank_deficient

@@ -188,7 +188,7 @@ def test_relay_one_pass_equals_per_hop_rates(ue_position):
     assert deficient.all() and flags.all()
 
 
-def test_relay_search_takes_one_stacked_rate_call_and_builds_no_stages(monkeypatch):
+def test_relay_search_takes_one_stacked_rate_call(monkeypatch):
     calls = []
     real = baselines.hybrid_link_rate
 
@@ -197,41 +197,46 @@ def test_relay_search_takes_one_stacked_rate_call_and_builds_no_stages(monkeypat
         return real(f2, h, *args)
 
     monkeypatch.setattr(baselines, "hybrid_link_rate", counted)
-    for name in ("bb_stages", "achievable_rate", "_decompose"):
-        monkeypatch.setattr(beamforming, name, None)  # full-rank search stacks go straight to rates
-    for ue_position, ends_stack in ((None, True), ((85.0, 75.0, 2.0), False)):
-        pack = _relay_pack(ue_position)
+    # both combiners of the ill-conditioned pack take the whitened branch, so they share one
+    whitened = _ill_conditioned(_relay_pack())
+    assert all(whitened.whitened.values())
+    for pack, ends_stack in ((_relay_pack(), True), (whitened, True),
+                             (_relay_pack((85.0, 75.0, 2.0)), False)):
         assert pack.search_ends["relay"].stacked == ends_stack
         trial = baselines.trial_channels(pack, 0)
         points = _relay_points(pack, 0, 6)
         calls.clear()
-        baselines._RelaySearch(pack, trial).hop_rates(points, True)
+        rates, _ = baselines._RelaySearch(pack, trial).hop_rates(points, True)
         if ends_stack:
-            hops, _, _ = _per_hop_search(pack, trial, points)
+            hops, expected, _ = _per_hop_search(pack, trial, points)
             stack = channel.hops(pack.config, pack.geometry, trial, points,
                                  pack.search_ends["relay"])
             assert stack.tobytes() == np.stack(hops).tobytes()
             assert calls == [(2, 6, 3, 3)]
+            assert rates.tobytes() == expected.tobytes()
         else:
             assert calls == [(6, 3, 3), (6, 6, 6)]
 
 
 def test_stacked_links_with_a_rank_deficient_row_run_link_by_link():
+    # a rank-one row carries fewer streams, so the rows of both links run one at a time,
+    # on either rate branch
     pack = _relay_pack()
     config = pack.config
     trial = baselines.trial_channels(pack, 3)
     stack = channel.hops(config, pack.geometry, trial, _relay_points(pack, 3, 6),
                          pack.search_ends["relay"])
     stack[1, 2] = np.outer(stack[1, 2][:, 0], stack[1, 2][0])  # rank one: one stream
-    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts, False)
     stages = [[getattr(pack, name) for name in hop] for hop in _RELAY_HOPS]
     f2, f1 = (np.stack(stage)[:, None] for stage in zip(*stages))
-    rates, deficient = hybrid_link_rate(f2, stack, f1, *budget, reduced=True)
-    links = [hybrid_link_rate(rx, hop, tx, *budget, reduced=True)
-             for (rx, tx), hop in zip(stages, stack)]
-    assert rates.tobytes() == np.stack([r for r, _ in links]).tobytes()
-    assert deficient.tolist() == [d.tolist() for _, d in links] == [[False] * 6,
-                                                                    [False] * 2 + [True] + [False] * 3]
+    for whitened in (False, True):
+        budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts, whitened)
+        rates, deficient = hybrid_link_rate(f2, stack, f1, *budget, reduced=True)
+        links = [hybrid_link_rate(rx, hop, tx, *budget, reduced=True)
+                 for (rx, tx), hop in zip(stages, stack)]
+        assert rates.tobytes() == np.stack([r for r, _ in links]).tobytes()
+        assert deficient.tolist() == [d.tolist() for _, d in links] == [
+            [False] * 6, [False] * 2 + [True] + [False] * 3]
 
 
 @pytest.fixture()

@@ -268,6 +268,14 @@ def test_bb_stages_rank_deficient_degrades_and_flags():
     bb = bb_stages(eff, tx_power_w=1.0, num_streams=2)
     assert bb.rank_deficient
     assert bb.streams == 1
+    # a stack with two leading axes, rank one or full rank, keeps both axes in its flags
+    rng = rng_stream(23, 1)
+    vectors = _random_complex(rng, (2, 3, 4, 2))
+    for stack, streams in ((vectors[..., :1] @ vectors[..., 1:].swapaxes(-1, -2), 1),
+                           (_random_complex(rng, (2, 3, 4, 4)), 2)):
+        bb = bb_stages(_decompose(stack), tx_power_w=1.0, num_streams=2)
+        assert bb.streams == streams and bb.b1.shape == (2, 3, 4, streams)
+        assert bb.rank_deficient.tolist() == [[streams < 2] * 3] * 2
 
 
 def test_power_constraint_100_random_trials():
