@@ -29,10 +29,12 @@ swarm iteration):
 - ``relay_hops``: both reduced relay hops of the batch, F2 H F1 each, one
   matmul per hop;
 - ``relay_search_hops`` and ``relay_rate``: the relay search's two steps.
-  Where the relay's search ends are ``stacked``, the hops come from one pass
-  and the rate from one ``hybrid_link_rate`` call on that (2, B, 3, 3) stack
-  with (2, 1, ...) stages; otherwise the hops are ``relay_hops`` and the
-  rate takes one call per hop;
+  Where both hops' combiners, and both their precoders, have equal shapes
+  and the combiners share a rate branch, the rate is one
+  ``hybrid_link_rate`` call on the two reduced hops stacked as (2, B, 3, 3)
+  with (2, 1, ...) stages; otherwise it takes one call per hop. Trees whose
+  ``HopEnds`` has ``stacked`` build ``relay_hops`` with it off, and there
+  ``relay_search_hops`` returns one (2, B, 3, 3) stack where it is on;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack,
   and its steps on that stack: ``rate.svd`` (``np.linalg.svd`` alone, the
   same code in every tree), ``rate.decompose`` (the SVD with its phase
@@ -172,7 +174,9 @@ def layers_of(module, rows: int) -> dict:
     cosines = np.reshape(channel._direction_cosines(el, az), (2, 4, *el.shape[2:]))
     spacing = config.element_spacing_wavelengths
     ends = pack.search_ends
-    relay_pair = replace(ends["relay"], stacked=False)  # one matmul per hop
+    relay_pair = ends["relay"]  # one matmul per hop
+    if hasattr(relay_pair, "stacked"):
+        relay_pair = replace(relay_pair, stacked=False)
 
     def ris_hops():
         return channel.hops(config, geometry, trial, xy, ends["ris"])
@@ -191,12 +195,13 @@ def layers_of(module, rows: int) -> dict:
     relay_stages = ((pack.relay_f2_hop1, pack.f1, pack.whitened["relay_f2_hop1"]),
                     (pack.f2, pack.relay_f1_hop2, pack.whitened["f2"]))
     relay_reduced = relay_hops()
-    if ends["relay"].stacked:
-        f2s, f1s = (np.stack(stage)[:, None] for stage in zip(*(hop[:2] for hop in relay_stages)))
+    f2s, f1s, branches = zip(*relay_stages)
+    if f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape and len(set(branches)) == 1:
+        f2s, f1s = (np.stack(stage)[:, None] for stage in (f2s, f1s))
         stacked = np.stack(relay_reduced)
 
         def relay_rate():
-            return beamforming.hybrid_link_rate(f2s, stacked, f1s, *rate_budget, False, True)
+            return beamforming.hybrid_link_rate(f2s, stacked, f1s, *rate_budget, branches[0], True)
     else:
         def relay_rate():
             return [beamforming.hybrid_link_rate(f2, hop, f1, *rate_budget, whitened, True)

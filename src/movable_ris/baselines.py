@@ -225,11 +225,12 @@ class _RelaySearch:
         self._ends = (hop_ends(config, BaselineKind.FD_RELAY.platform_shapes(config)),
                       pack.search_ends["relay"])
         self._budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-        # The search's (F2, F1) of both hops as (2, 1, ...) stacks, and their rate branch,
-        # when its reduced hops come out as one stack and both take one branch.
+        # The search's (F2, F1) of both hops as (2, 1, ...) stacks, and their rate branch, when
+        # equal stage shapes let the reduced hops stack and both combiners take one branch.
         self._stacked_stages = None
         f2s, f1s, branches = zip(*self._stages)
-        if self._ends[True].stacked and branches[0] == branches[1]:
+        if (f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape
+                and branches[0] == branches[1]):
             self._stacked_stages = (np.stack(f2s)[:, None], np.stack(f1s)[:, None], branches[0])
 
     def hop_rates(self, xy: np.ndarray, factored: bool):
@@ -238,14 +239,14 @@ class _RelaySearch:
         The reference takes each hop matrix H of one ``hops`` call;
         ``factored``, the search objective, projects both ends of each hop onto
         their RF beams, which is F2 H F1 up to rounding. Where those reduced
-        hops come out as one stack, one rate call takes both, with the bytes
-        of the two per-hop calls.
+        hops stack, one rate call takes both, with the bytes of the two
+        per-hop calls.
         """
         both = hops(self.pack.config, self.pack.geometry, self.trial, xy, self._ends[factored])
         if factored and self._stacked_stages is not None:
             f2, f1, whitened = self._stacked_stages
             (rate1, rate2), (deficient1, deficient2) = hybrid_link_rate(
-                f2, both, f1, *self._budget, whitened, True)
+                f2, np.stack(both), f1, *self._budget, whitened, True)
         else:
             (rate1, deficient1), (rate2, deficient2) = (
                 hybrid_link_rate(f2, hop, f1, *self._budget, whitened, factored)

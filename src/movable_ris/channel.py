@@ -267,61 +267,45 @@ def platform_angles(geometry: DeploymentGeometry, xy: np.ndarray):
 @dataclass(frozen=True)
 class HopEnds:
     """The four ends of both hops as ``hop_ends`` groups them: per array shape, the shape, the
-    ends' index on the cosines' end axis and, per steering block, its slice of those ends and
-    their stacked beam axes or None; ``where`` is each end's (block, row)."""
+    ends' index on the cosines' end axis and the ends; and each end's beam axes or None."""
 
     groups: tuple
-    where: tuple
+    beams: tuple
     search: bool  # some end carries beams: every end then takes ``_axis_powers``
-    stacked: bool  # each hop's receive ends share a block, and so do its transmit ends
 
 
 def hop_ends(config: SystemConfig, platform_shapes: tuple | None = None,
              beams: tuple = (None,) * 4) -> HopEnds:
-    """The ends of both hops, in (end, hop) order, grouped by (array shape, beam count).
+    """The ends of both hops, in (end, hop) order, grouped by array shape.
 
     The ends are the platform's arrays of the Tx hop and of the UE hop (the
     RIS element grid unless a relay passes its own as ``platform_shapes``),
     then the Tx and the UE arrays. ``beams`` gives each end's RF beam axes,
-    the X (K, m_x), Y (K, m_y) of ``ScenarioPack.beams``, or None. A group's
-    axes are stacked here, X (G, 1, K, m_x) and Y (G, 1, K, m_y), so a search
-    builds its ends once and each ``hops`` call projects a group in one step.
+    the X (K, m_x), Y (K, m_y) of ``ScenarioPack.beams``, or None. A shape's
+    ends take one exponential pass, then each end its own steering block:
+    numpy buffers both operands of a broadcast product at its size, so one
+    product over two ends would double the batch peak.
     """
     shapes = (*(platform_shapes or (config.ris_elements,) * 2),
               config.tx_antennas, config.rx_antennas)
-    search = any(axes is not None for axes in beams)
-    by_shape: dict[tuple[int, int], dict[tuple, list[int]]] = {}
-    for i, (shape, axes) in enumerate(zip(shapes, beams)):
-        # A search's ends without beams are blocks of their own: numpy buffers both operands of
-        # a broadcast product at its size, so one product over two ends doubles the batch peak.
-        key = (None, i if search else None) if axes is None else (len(axes[0]), None)
-        by_shape.setdefault(tuple(shape), {}).setdefault(key, []).append(i)
-    groups, where, block = [], [None] * 4, 0
-    for shape, by_key in by_shape.items():
-        members, rows = [], []
-        for (count, _), ends in by_key.items():
-            for j, i in enumerate(ends):
-                where[i] = (block, j)
-            axes = None if count is None else tuple(
-                np.stack([beams[i][axis] for i in ends])[:, None] for axis in (0, 1))
-            rows.append((slice(len(members), len(members) + len(ends)), axes))
-            members += ends
-            block += 1
-        adjacent = members == list(range(members[0], members[-1] + 1))
-        groups.append((shape, slice(members[0], members[-1] + 1) if adjacent else members, rows))
-    return HopEnds(tuple(groups), tuple(where), search,
-                   where[0][0] == where[3][0] and where[2][0] == where[1][0])
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, shape in enumerate(shapes):
+        by_shape.setdefault(tuple(shape), []).append(i)
+    groups = tuple((shape, slice(ends[0], ends[-1] + 1) if ends[-1] - ends[0] < len(ends)
+                    else ends, ends) for shape, ends in by_shape.items())
+    return HopEnds(groups, tuple(beams), any(axes is not None for axes in beams))
 
 
 def _end_blocks(u, ends: HopEnds, spacing: float) -> list[np.ndarray]:
-    """The steering blocks of ``ends`` over the ends' cosines u (2, 4, B, L): one exponential
-    pass per array shape, then one ``_steering_of`` per block, (G, B, K or M, L)."""
-    blocks = []
-    for shape, index, rows in ends.groups:
+    """The steering blocks of the four ``ends``, in end order, over their cosines u (2, 4, B, L):
+    one exponential pass per array shape, then one ``_steering_of`` per end, (B, K or M, L)."""
+    blocks = [None] * 4
+    for shape, index, members in ends.groups:
         cosines = u[:, index]  # a view where the shape's ends are adjacent
         px, py = (_axis_powers(cosines, *shape, spacing) if ends.search
                   else _axis_phases(*cosines, *shape, spacing))
-        blocks += (_steering_of(px[part], py[part], axes) for part, axes in rows)
+        for j, i in enumerate(members):
+            blocks[i] = _steering_of(px[j], py[j], ends.beams[i])
     return blocks
 
 
@@ -357,19 +341,12 @@ def hops(config: SystemConfig, geometry: DeploymentGeometry, trial: TrialChannel
     ``_path_geometry`` scale, times its transposed transmit steering matrix.
     Each end that carries beams in ``ends`` (default: the RIS grid, none) is
     reduced onto them, its factors powers of one exponential per path and
-    axis; ends without beams keep ``steering_matrix``'s bytes. Where ``ends``
-    are ``stacked``, one matmul forms both hops as a (2, B, rows, columns)
-    stack, which unpacks like the pair.
+    axis; ends without beams keep ``steering_matrix``'s bytes.
     """
     ends = ends or hop_ends(config)
     u, scale = _path_geometry(config, geometry, trial, np.asarray(xy, dtype=float))
-    blocks = _end_blocks(u, ends, config.element_spacing_wavelengths)
-    if ends.stacked:  # views of the receive ends (0, 3) and of the transmit ends (2, 1)
-        (g, a), (_, b), (h, c), (_, d) = (ends.where[i] for i in (0, 3, 2, 1))
-        receive, transmit = blocks[g][a::b - a][:2], blocks[h][c::d - c][:2]
-        receive *= scale[..., None, :]
-        return receive @ transmit.swapaxes(-1, -2)
-    platform_ti, platform_ir, tx_end, ue_end = (blocks[g][j] for g, j in ends.where)
+    platform_ti, platform_ir, tx_end, ue_end = _end_blocks(u, ends,
+                                                           config.element_spacing_wavelengths)
     platform_ti *= scale[0][..., None, :]
     ue_end *= scale[1][..., None, :]
     return platform_ti @ tx_end.swapaxes(-1, -2), ue_end @ platform_ir.swapaxes(-1, -2)

@@ -158,8 +158,7 @@ def _per_hop_search(pack, trial, points):
     """The relay search's reduced hops, one matmul each, and its rates and flags from one rate
     call per hop."""
     config = pack.config
-    ends = replace(pack.search_ends["relay"], stacked=False)
-    hops = channel.hops(config, pack.geometry, trial, points, ends)
+    hops = channel.hops(config, pack.geometry, trial, points, pack.search_ends["relay"])
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
     (rate1, flags1), (rate2, flags2) = (
         hybrid_link_rate(getattr(pack, rx), hop, getattr(pack, tx), *budget, pack.whitened[rx],
@@ -200,18 +199,17 @@ def test_relay_search_takes_one_stacked_rate_call(monkeypatch):
     # both combiners of the ill-conditioned pack take the whitened branch, so they share one
     whitened = _ill_conditioned(_relay_pack())
     assert all(whitened.whitened.values())
-    for pack, ends_stack in ((_relay_pack(), True), (whitened, True),
-                             (_relay_pack((85.0, 75.0, 2.0)), False)):
-        assert pack.search_ends["relay"].stacked == ends_stack
+    for pack, stages_stack in ((_relay_pack(), True), (whitened, True),
+                               (_relay_pack((85.0, 75.0, 2.0)), False)):
+        # both hops' combiners, and both precoders, have equal shapes: the reduced hops stack
+        shapes = [[getattr(pack, name).shape for name in stage] for stage in zip(*_RELAY_HOPS)]
+        assert (shapes[0][0] == shapes[0][1] and shapes[1][0] == shapes[1][1]) == stages_stack
         trial = baselines.trial_channels(pack, 0)
         points = _relay_points(pack, 0, 6)
         calls.clear()
         rates, _ = baselines._RelaySearch(pack, trial).hop_rates(points, True)
-        if ends_stack:
-            hops, expected, _ = _per_hop_search(pack, trial, points)
-            stack = channel.hops(pack.config, pack.geometry, trial, points,
-                                 pack.search_ends["relay"])
-            assert stack.tobytes() == np.stack(hops).tobytes()
+        if stages_stack:
+            _, expected, _ = _per_hop_search(pack, trial, points)
             assert calls == [(2, 6, 3, 3)]
             assert rates.tobytes() == expected.tobytes()
         else:
@@ -224,8 +222,8 @@ def test_stacked_links_with_a_rank_deficient_row_run_link_by_link():
     pack = _relay_pack()
     config = pack.config
     trial = baselines.trial_channels(pack, 3)
-    stack = channel.hops(config, pack.geometry, trial, _relay_points(pack, 3, 6),
-                         pack.search_ends["relay"])
+    stack = np.stack(channel.hops(config, pack.geometry, trial, _relay_points(pack, 3, 6),
+                                  pack.search_ends["relay"]))
     stack[1, 2] = np.outer(stack[1, 2][:, 0], stack[1, 2][0])  # rank one: one stream
     stages = [[getattr(pack, name) for name in hop] for hop in _RELAY_HOPS]
     f2, f1 = (np.stack(stage)[:, None] for stage in zip(*stages))

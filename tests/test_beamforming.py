@@ -38,6 +38,8 @@ def test_grid_eight():
 
 def test_grid_one_is_centered():
     assert build_grid(1, 1).lambda_x == (0.0,)
+    with pytest.raises(ValueError, match="grid dimensions must be >= 1"):
+        build_grid(0, 1)
 
 
 def test_grid_two():
@@ -259,6 +261,19 @@ def test_bb_stages_flags_a_zero_channel_in_a_single_stream_stack():
     bb = bb_stages(eff, tx_power_w=1.0, num_streams=1)
     assert bb.streams == 1
     assert bb.rank_deficient.tolist() == [True, False]
+    # through an F1 that drops the second axis, a row whose B1 lies on that axis has
+    # ||F1 B1|| = 0: it comes back unscaled, the other rows as each comes alone
+    f1 = np.diag([2.0, 0.0]).astype(complex)
+    e2 = np.array([[0.0], [1.0]])
+    stack = np.stack((u @ u.T, e2 @ e2.T, np.diag([1.0, 0.5]))).astype(complex)
+    eff = _decompose(stack)
+    bb = bb_stages(eff, tx_power_w=3.0, num_streams=1, f1=f1)
+    assert not np.abs(f1 @ bb.b1[1]).any()
+    assert bb.b1[1].tobytes() == (math.sqrt(3.0) * eff.vh[1, :1].conj().T).tobytes()
+    for i in (0, 2):
+        alone = bb_stages(_decompose(stack[i:i + 1]), tx_power_w=3.0, num_streams=1, f1=f1)
+        assert bb.b1[i].tobytes() == alone.b1[0].tobytes()
+        assert np.linalg.norm(f1 @ bb.b1[i]) ** 2 == pytest.approx(3.0, rel=1e-15)
 
 
 def test_bb_stages_rank_deficient_degrades_and_flags():

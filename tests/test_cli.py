@@ -47,6 +47,16 @@ def test_sweep_power_writes_outputs(tmp_path, tiny_config_file, capsys):
     assert len(lines) == 1 + 2 * 2  # header + 2 powers x 2 kinds
 
 
+def test_sweep_without_baselines_runs_every_kind(tmp_path, tiny_config_file):
+    out = tmp_path / "out"
+    rc = main(["sweep-power", "--powers", "10", "--trials", "1",
+               "--config", str(tiny_config_file), "--out", str(out)])
+    assert rc == 0
+    with open(out / "results.csv", newline="") as f:
+        kinds = [row["baseline"] for row in csv.DictReader(f)]
+    assert kinds == [kind.value for kind in cli.BaselineKind]
+
+
 def test_single_run(tmp_path, tiny_config_file, capsys):
     out = tmp_path / "single"
     rc = main([
@@ -502,6 +512,7 @@ def test_negative_pso_seed_is_an_error_before_any_work(tmp_path, kinds, capsys):
     (["ue-scenarios", "--ue-positions", "60,90,x"], "--ue-positions"),
     (["sweep-elements", "--elements", "16.5"], "--elements"),
     (["sweep-elements", "--elements", "-4"], "element count -4 is not a perfect square"),
+    (["ue-scenarios", "--ue-positions", "1,2"], "UE position needs 3 coordinates: '1,2'"),
 ])
 def test_bad_swept_values_are_errors_before_any_work(tmp_path, argv, named, capsys):
     out = tmp_path / "out"

@@ -203,6 +203,8 @@ def test_plot_script_refuses_mixed_kinds(tmp_path):
     )
     with pytest.raises(ValueError, match="mixed"):
         emit_plot_script(a + b, tmp_path / "p.py", geometry)
+    with pytest.raises(ValueError, match="no results to plot"):
+        emit_plot_script([], tmp_path / "p.py", geometry)
 
 
 def test_dump_channels_written(tmp_path):

@@ -139,6 +139,18 @@ def test_validate_rejects_a_noise_power_below_the_normal_floats(config_changes):
     assert "underflows the float range" in errors[0]
 
 
+@pytest.mark.parametrize("config_changes, geometry_changes, error", [
+    (dict(monte_carlo_trials=0), {}, "monte_carlo_trials must be >= 1"),
+    (dict(pso=PsoParams(swarm_size=0)), {}, "pso swarm_size must be >= 1"),
+    (dict(pso=PsoParams(iterations=-1)), {}, "pso iterations must be >= 0"),
+    ({}, dict(ue_position=default_config()[1].tx_position), "tx and ue positions coincide"),
+])
+def test_validate_names_a_count_or_position_it_rejects(config_changes, geometry_changes, error):
+    config, geometry = default_config()
+    assert validate(replace(config, **config_changes),
+                    replace(geometry, **geometry_changes)) == [error]
+
+
 def test_validate_rejects_a_negative_zero_angular_spread():
     # numpy's uniform(0.0, -0.0) refuses high < low
     config, geometry = default_config()
