@@ -36,9 +36,10 @@ swarm iteration):
   ``HopEnds`` has ``stacked`` build ``relay_hops`` with it off, and there
   ``relay_search_hops`` returns one (2, B, 3, 3) stack where it is on;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack,
-  and its steps on that stack: ``rate.svd`` (``np.linalg.svd`` alone, the
-  same code in every tree), ``rate.decompose`` (the SVD with its phase
-  rotation), ``rate.bb_stages`` and ``rate.achievable_rate``;
+  and its steps on that stack: ``rate.svd`` (the SVD call the tree's route
+  makes: numpy's LAPACK gufunc through ``beamforming._lapack`` where the
+  tree has it, else ``np.linalg.svd``), ``rate.decompose`` (the SVD with its
+  phase rotation), ``rate.bb_stages`` and ``rate.achievable_rate``;
 - ``lean.align``, ``lean.precoder`` and ``lean.link_rates``: the rate
   step's work after the SVD on the same stack, without its bookkeeping: the
   phase alignment of the used singular vectors, the precoder and the rate
@@ -212,6 +213,13 @@ def layers_of(module, rows: int) -> dict:
     eff = beamforming._decompose(reduced)
     stages = beamforming.bb_stages(eff, config.tx_power_watts, config.num_streams, pack.f1)
     stages.f2, stages.whitened = pack.f2, pack.whitened["f2"]
+    if hasattr(beamforming, "_lapack"):
+        def svd():
+            return beamforming._lapack(np.linalg._umath_linalg.svd_s, "D->DdD", reduced,
+                                       failed="SVD did not converge")
+    else:
+        def svd():
+            return np.linalg.svd(reduced, full_matrices=False)
     layers = {
         "steering": lambda: channel.steering_matrix(*tx_angles, *config.tx_antennas,
                                                     config.element_spacing_wavelengths),
@@ -223,7 +231,7 @@ def layers_of(module, rows: int) -> dict:
         "relay_rate": relay_rate,
         "rate_pipeline": lambda: beamforming.hybrid_link_rate(pack.f2, reduced, pack.f1,
                                                               *budget, reduced=True),
-        "rate.svd": lambda: np.linalg.svd(reduced, full_matrices=False),
+        "rate.svd": svd,
         "rate.decompose": lambda: beamforming._decompose(reduced),
         "rate.bb_stages": lambda: beamforming.bb_stages(eff, config.tx_power_watts,
                                                         config.num_streams, pack.f1),

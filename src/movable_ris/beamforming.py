@@ -4,6 +4,7 @@ The analog stage is a bank of constant-modulus beams picked from a quantized
 directional-cosine grid so that the selected cells cover the link's angular
 support. The digital stage diagonalizes the reduced effective channel via its
 SVD. Rates are log-det mutual information with the combiner-colored noise.
+The rate step's results are float64 or complex128 whatever the input precision.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg  # the LAPACK gufuncs np.linalg wraps
 
 from .channel import platform_angles
 from .scenario import DeploymentGeometry, SystemConfig
@@ -240,6 +242,11 @@ def platform_footprint(geometry: DeploymentGeometry) -> np.ndarray:
     return platform_angles(geometry, np.array(anchors))[0]
 
 
+# All that design_rf_stages and design_relay_stages read of the configuration.
+_STAGE_FIELDS = ("tx_antennas", "rx_antennas", "num_streams", "max_rf_chains",
+                 "element_spacing_wavelengths", "angular_spread_deg")
+
+
 def _covering_rf_stages(
     config: SystemConfig, support_tx: AngleSupport, support_rx: AngleSupport
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -312,9 +319,24 @@ def effective_channel(f2: np.ndarray, h: np.ndarray, f1: np.ndarray) -> Effectiv
 
 def _decompose(mat: np.ndarray) -> EffectiveChannel:
     """The EffectiveChannel of an already reduced matrix or stack, its SVD ``_align_phases``-ed."""
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    u, s, vh = _lapack(_umath_linalg.svd_s, "D->DdD", mat, failed="SVD did not converge")
     _align_phases(u, vh)
     return EffectiveChannel(mat, u, s, vh)
+
+
+def _lapack(gufunc, signature: str, *arrays: np.ndarray, failed: str | None = None):
+    """np.linalg's call of its LAPACK ``gufunc``, minus its checks and its cast back to single
+    precision: the complex ``signature`` if an operand is complex, else its real form (no cast);
+    with ``failed``, np.linalg's errstate, where a LAPACK failure raises LinAlgError(failed)."""
+    if "c" not in {a.dtype.kind for a in arrays}:
+        signature = signature.replace("D", "d")
+    if failed is None:  # as np.linalg.slogdet: a NaN warns and gives NaN
+        return gufunc(*arrays, signature=signature)
+
+    def raise_(err, flag):
+        raise LinAlgError(failed)
+    with np.errstate(call=raise_, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(*arrays, signature=signature)
 
 
 def _align_phases(u: np.ndarray, vh: np.ndarray) -> None:
@@ -466,9 +488,9 @@ def _link_rates(b1, b2, f2, mat, noise_power_w: float, whitened: bool):
     if whitened:
         rates = _whitened_rate(w, q, trace)
     else:
-        m = np.linalg.solve(w, q)
+        m = _lapack(_umath_linalg.solve, "DD->D", w, q, failed="Singular matrix")
         m += _identity(n)  # I + W^-1 Q
-        logdet = np.linalg.slogdet(m)[1]
+        logdet = _lapack(_umath_linalg.slogdet, "D->Dd", m)[1]
         logdet /= math.log(2.0)
         rates = np.where(logdet < 0.0, 0.0, logdet)  # max(logdet, 0.0), NaN kept
     rates = rates.reshape(batch)

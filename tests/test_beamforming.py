@@ -7,12 +7,15 @@ from movable_ris.beamforming import (
     AngleSupport,
     BeamformerSet,
     InvalidBeamError,
+    _align_phases,
     _decompose,
+    _link_rates,
     achievable_rate,
     bb_stages,
     build_grid,
     design_rf_stages,
     effective_channel,
+    hybrid_link_rate,
     rf_stages,
     rf_steering_column,
     select_beams,
@@ -404,6 +407,87 @@ def test_rate_matches_whitened_eigenvalue_formula():
         lam = np.maximum(np.linalg.eigvalsh(0.5 * (s + s.conj().T)), 0.0)
         oracle = float(np.sum(np.log2(1 + lam)))
         assert direct == pytest.approx(oracle, abs=1e-8)
+
+
+# --- the rate route's LAPACK calls -----------------------------------------------
+
+# The route's SVD, solve and log-det must give the bytes of np.linalg's, real or complex,
+# on a stack of one, a stack and a stack of stacks. Single-precision input is computed in
+# double, as np.linalg does, but not cast back: its results are np.linalg's on the widened input.
+LAPACK_CASES = [
+    pytest.param(stack + shape, dtype, id=f"{dtype.__name__}-{'x'.join(map(str, stack + shape))}")
+    for dtype in (complex, float)
+    for stack in ((1,), (10,), (2, 10))
+    for shape in ((2, 2), (3, 3), (5, 3), (3, 5), (5, 6), (6, 6))
+] + [pytest.param((10, 5, 3), dtype, id=f"{dtype.__name__}-10x5x3")
+     for dtype in (np.complex64, np.float32)]
+
+
+def _random_stack(rng, shape, dtype):
+    real = np.dtype(dtype).kind == "f"
+    return (rng.standard_normal(shape) if real else _random_complex(rng, shape)).astype(dtype)
+
+
+def _double(a):
+    return a.astype(np.promote_types(a.dtype, float))
+
+
+@pytest.mark.parametrize("shape, dtype", LAPACK_CASES)
+def test_decompose_takes_the_bytes_of_np_linalg_svd(shape, dtype):
+    mat = _random_stack(rng_stream(30, 0), shape, dtype)
+    u, s, vh = np.linalg.svd(_double(mat), full_matrices=False)
+    _align_phases(u, vh)
+    eff = _decompose(mat)
+    for ours, numpys in ((eff.u, u), (eff.singular_values, s), (eff.vh, vh)):
+        assert ours.dtype == numpys.dtype and ours.shape == numpys.shape
+        assert ours.tobytes() == numpys.tobytes()
+
+
+@pytest.mark.parametrize("shape, dtype", LAPACK_CASES)
+def test_link_rates_take_the_bytes_of_np_linalg_solve_and_slogdet(shape, dtype):
+    # the direct branch: log2 det(I + W^-1 Q), floored at 0, with W and Q formed as the route does
+    rng = rng_stream(31, 0)
+    *stack, m2, m1 = shape
+    n = min(m2, m1)
+    mat = _random_stack(rng, shape, dtype)
+    b1, b2 = (_random_stack(rng, (*stack, *dims), dtype) for dims in ((m1, n), (n, m2)))
+    f2 = _random_stack(rng, (m2, m2 + 1), dtype)
+    b2f2, g = b2 @ f2, b2 @ mat @ b1
+    w = 1e-2 * (b2f2 @ b2f2.conj().swapaxes(-1, -2))
+    x = np.linalg.solve(_double(w), _double(g @ g.conj().swapaxes(-1, -2)))
+    expected = np.maximum(np.linalg.slogdet(x + np.eye(n))[1] / math.log(2.0), 0.0)
+    rates = _link_rates(b1, b2, f2, mat, 1e-2, False)
+    assert rates.dtype == expected.dtype and rates.tobytes() == expected.tobytes()
+
+
+def test_rate_route_raises_numpys_svd_error_on_a_nan_entry():
+    h = _random_complex(rng_stream(32, 0), (4, 3, 3))
+    h[2, 1, 0] = np.nan
+    eye = np.eye(3, dtype=complex)
+    for reduced in (False, True):
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            hybrid_link_rate(eye, h, eye, 1.0, 2, 1e-2, False, reduced)
+
+
+def test_rate_route_raises_numpys_singular_matrix_error():
+    # B2 F2 has equal rows, so W = [[1, 1], [1, 1]] is exactly singular with a positive trace
+    b = np.eye(2, dtype=complex)[None]
+    f2 = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        _link_rates(b, b, f2, np.ones((1, 2, 2), dtype=complex), 1.0, False)
+
+
+def test_rate_route_log_det_of_a_nan_row_warns_and_gives_nan():
+    # as np.linalg.slogdet: a warning and a NaN, never an error, and the other rows unmoved
+    b = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
+    mat = _random_complex(rng_stream(33, 0), (3, 2, 2))
+    alone = np.concatenate([_link_rates(b[:1], b[:1], np.eye(2), mat[[i]], 1.0, False)
+                            for i in (0, 2)])
+    mat[1, 0, 0] = np.nan
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in slogdet"):
+        rates = _link_rates(b, b, np.eye(2), mat, 1.0, False)
+    assert np.isnan(rates[1])
+    assert rates[[0, 2]].tobytes() == alone.tobytes()
 
 
 def test_design_rf_stages_shapes_and_modulus():
