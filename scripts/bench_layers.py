@@ -26,20 +26,17 @@ swarm iteration):
 - ``search_steering``: the steering step of that call: the four ends'
   per-axis factors, projected where beamformed, from the batch's direction
   cosines (``_end_blocks`` of the RIS search's ends);
-- ``relay_hops``: both reduced relay hops of the batch, F2 H F1 each, one
-  matmul per hop;
-- ``relay_search_hops`` and ``relay_rate``: the relay search's two steps.
-  Where both hops' combiners, and both their precoders, have equal shapes
-  and the combiners share a rate branch, the rate is one
+- ``relay_search_hops`` and ``relay_rate``: the relay search's two steps,
+  both reduced relay hops of the batch (F2 H F1 each, one matmul per hop)
+  and their rate. Where both hops' combiners, and both their precoders,
+  have equal shapes and the combiners share a rate branch, the rate is one
   ``hybrid_link_rate`` call on the two reduced hops stacked as (2, B, 3, 3)
-  with (2, 1, ...) stages; otherwise it takes one call per hop. Trees whose
-  ``HopEnds`` has ``stacked`` build ``relay_hops`` with it off, and there
-  ``relay_search_hops`` returns one (2, B, 3, 3) stack where it is on;
+  with (2, 1, ...) stages; otherwise it takes one call per hop;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack,
-  and its steps on that stack: ``rate.svd`` (the SVD call the tree's route
-  makes: numpy's LAPACK gufunc through ``beamforming._lapack`` where the
-  tree has it, else ``np.linalg.svd``), ``rate.decompose`` (the SVD with its
-  phase rotation), ``rate.bb_stages`` and ``rate.achievable_rate``;
+  and its steps on that stack: ``rate.svd`` (the SVD call the route makes,
+  numpy's LAPACK gufunc through ``beamforming._lapack``), ``rate.decompose``
+  (the SVD with its phase rotation), ``rate.bb_stages`` and
+  ``rate.achievable_rate``;
 - ``lean.align``, ``lean.precoder`` and ``lean.link_rates``: the rate
   step's work after the SVD on the same stack, without its bookkeeping: the
   phase alignment of the used singular vectors, the precoder and the rate
@@ -49,7 +46,10 @@ swarm iteration):
   (85, 75, 2), where the relay's RF stages carry unequal beam counts, so
   its hops do not stack;
 - ``pso_step``: one swarm iteration of the joint search's dimension, scored by
-  an objective that returns fixed values, so only the swarm update is timed.
+  an objective that returns fixed values, so only the swarm update is timed;
+- ``rf_stage_design``: ``design_rf_stages`` and ``design_relay_stages`` at
+  the default scenario and with the UE at (85, 75, 2), what a scenario pack
+  designs per geometry. It does not depend on ``--rows``.
 
 Given several row counts (``--rows 10,40,160``), every layer runs at each,
 named ``<layer>@<rows>``, in the same interleaved rounds; the fixed per-call
@@ -62,7 +62,8 @@ is taken in a fresh interpreter after the same ``PEAK_WARMUP`` untraced
 calls, so what ran before in the measuring process does not move it.
 
 A layer that only some trees have is timed in those and gets no ratio.
-Trees need ``channel.platform_angles`` and ``channel.hops``.
+Trees need ``channel.platform_angles``, ``channel.hops`` and
+``beamforming._lapack``.
 """
 
 from __future__ import annotations
@@ -175,15 +176,9 @@ def layers_of(module, rows: int) -> dict:
     cosines = np.reshape(channel._direction_cosines(el, az), (2, 4, *el.shape[2:]))
     spacing = config.element_spacing_wavelengths
     ends = pack.search_ends
-    relay_pair = ends["relay"]  # one matmul per hop
-    if hasattr(relay_pair, "stacked"):
-        relay_pair = replace(relay_pair, stacked=False)
 
     def ris_hops():
         return channel.hops(config, geometry, trial, xy, ends["ris"])
-
-    def relay_hops():
-        return channel.hops(config, geometry, trial, xy, relay_pair)
 
     def relay_search_hops():
         return channel.hops(config, geometry, trial, xy, ends["relay"])
@@ -195,7 +190,7 @@ def layers_of(module, rows: int) -> dict:
     rate_budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
     relay_stages = ((pack.relay_f2_hop1, pack.f1, pack.whitened["relay_f2_hop1"]),
                     (pack.f2, pack.relay_f1_hop2, pack.whitened["f2"]))
-    relay_reduced = relay_hops()
+    relay_reduced = relay_search_hops()
     f2s, f1s, branches = zip(*relay_stages)
     if f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape and len(set(branches)) == 1:
         f2s, f1s = (np.stack(stage)[:, None] for stage in (f2s, f1s))
@@ -213,25 +208,25 @@ def layers_of(module, rows: int) -> dict:
     eff = beamforming._decompose(reduced)
     stages = beamforming.bb_stages(eff, config.tx_power_watts, config.num_streams, pack.f1)
     stages.f2, stages.whitened = pack.f2, pack.whitened["f2"]
-    if hasattr(beamforming, "_lapack"):
-        def svd():
-            return beamforming._lapack(np.linalg._umath_linalg.svd_s, "D->DdD", reduced,
-                                       failed="SVD did not converge")
-    else:
-        def svd():
-            return np.linalg.svd(reduced, full_matrices=False)
+    ue_geometry = harness.apply_swept_value(config, geometry, "ue_scenarios",
+                                            (85.0, 75.0, 2.0))[1]
+
+    def rf_stage_design():
+        return [(beamforming.design_rf_stages(config, g), beamforming.design_relay_stages(config, g))
+                for g in (geometry, ue_geometry)]
+
     layers = {
         "steering": lambda: channel.steering_matrix(*tx_angles, *config.tx_antennas,
                                                     config.element_spacing_wavelengths),
         "platform_angles": lambda: channel.platform_angles(geometry, xy),
         "ris_search_hops": ris_hops,
         "search_steering": search_steering,
-        "relay_hops": relay_hops,
         "relay_search_hops": relay_search_hops,
         "relay_rate": relay_rate,
         "rate_pipeline": lambda: beamforming.hybrid_link_rate(pack.f2, reduced, pack.f1,
                                                               *budget, reduced=True),
-        "rate.svd": svd,
+        "rate.svd": lambda: beamforming._lapack(np.linalg._umath_linalg.svd_s, "D->DdD",
+                                                reduced, failed="SVD did not converge"),
         "rate.decompose": lambda: beamforming._decompose(reduced),
         "rate.bb_stages": lambda: beamforming.bb_stages(eff, config.tx_power_watts,
                                                         config.num_streams, pack.f1),
@@ -252,8 +247,7 @@ def layers_of(module, rows: int) -> dict:
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
         batch = rng.random((rows, _dimension(kind, config)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)
-    ue_pack = baselines.build_scenario_pack(
-        *harness.apply_swept_value(config, geometry, "ue_scenarios", (85.0, 75.0, 2.0)), PACK_SEED)
+    ue_pack = baselines.build_scenario_pack(config, ue_geometry, PACK_SEED)
     ue_relay = _captured_objectives(ue_pack, baselines, optimizer, ("fd_relay",))["fd_relay"]
     ue_batch = scenario.rng_stream(7, 1).random((rows, 2))
     layers["objective.fd_relay.ue_85_75"] = lambda: ue_relay(ue_batch)
@@ -261,6 +255,7 @@ def layers_of(module, rows: int) -> dict:
     values = rng.random(rows)
     swarm = optimizer.init_swarm(lambda p: values, config.num_ris + 2, params, rng)
     layers["pso_step"] = lambda: optimizer.pso_step(swarm, params, 5, rng, lambda p: values)
+    layers["rf_stage_design"] = rf_stage_design
     for fn in layers.values():
         fn()  # first-call work (lazy LAPACK set-up, caches) is not timed
     return layers

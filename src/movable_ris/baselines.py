@@ -15,8 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .beamforming import (_STAGE_FIELDS, design_relay_stages, design_rf_stages,
-                          hybrid_link_rate, needs_whitening)
+from .beamforming import design_relay_stages, design_rf_stages, hybrid_link_rate, needs_whitening
 from .channel import HopEnds, TrialChannels, draw_trial, hop_ends, hops
 # Not called here; sweepbench/tracer.py wraps these names in this namespace, and
 # sweepbench/checks.py wraps run_pso here too.
@@ -139,16 +138,6 @@ class ScenarioPack:
         return {name: needs_whitening(getattr(self, name)) for name in ("f2", "relay_f2_hop1")}
 
 
-@functools.lru_cache(maxsize=1)  # a sweep runs its values in turn: consecutive ones share it
-def _rf_stages(geometry: DeploymentGeometry, *read) -> tuple[np.ndarray, ...]:
-    """F1, F2 and the relay's two stages, read-only, designed from the ``_STAGE_FIELDS`` read."""
-    config = SystemConfig(**dict(zip(_STAGE_FIELDS, read)))
-    stages = (*design_rf_stages(config, geometry), *design_relay_stages(config, geometry))
-    for stage in stages:
-        stage.flags.writeable = False  # every pack on this design shares them
-    return stages
-
-
 @functools.lru_cache(maxsize=1)
 def build_scenario_pack(
     config: SystemConfig,
@@ -161,17 +150,9 @@ def build_scenario_pack(
     Consecutive calls with identical arguments return the same pack, so the
     kinds at one swept value share it, and with it the fd_relay searches.
     """
-    f1, f2, relay_f2, relay_f1 = _rf_stages(geometry, *(getattr(config, f) for f in _STAGE_FIELDS))
-    return ScenarioPack(
-        config=config,
-        geometry=geometry,
-        seed=seed,
-        f1=f1,
-        f2=f2,
-        relay_f2_hop1=relay_f2,
-        relay_f1_hop2=relay_f1,
-        pso_seed=pso_seed,
-    )
+    # (f1, f2) and (relay_f2_hop1, relay_f1_hop2), in the pack's field order
+    return ScenarioPack(config, geometry, seed, *design_rf_stages(config, geometry),
+                        *design_relay_stages(config, geometry), pso_seed=pso_seed)
 
 
 def trial_channels(pack: ScenarioPack, trial_index: int) -> TrialChannels:

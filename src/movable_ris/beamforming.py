@@ -135,11 +135,9 @@ def build_grid(m_x: int, m_y: int) -> QuantizedGrid:
 
 def support_points(support: AngleSupport, per_axis: int = 96) -> np.ndarray:
     """Dense sample of the support region in cosine space, shape (n, 2)."""
-    el = np.linspace(support.elevation[0], support.elevation[1], per_axis)
+    r = np.sin(np.linspace(support.elevation[0], support.elevation[1], per_axis))[:, None]
     az = np.linspace(support.azimuth[0], support.azimuth[1], per_axis)
-    ee, aa = np.meshgrid(el, az, indexing="ij")
-    r = np.sin(ee.ravel())
-    return np.column_stack((r * np.cos(aa.ravel()), r * np.sin(aa.ravel())))
+    return np.column_stack(((r * np.cos(az)).ravel(), (r * np.sin(az)).ravel()))
 
 
 def select_beams(
@@ -169,26 +167,14 @@ def select_beams(
     ly = np.asarray(grid.lambda_y)
     in_disk = (lx[:, None] ** 2 + ly[None, :] ** 2) <= 1.0 + 1e-12
 
-    hits = [
-        (-counts[u, k], u, k)
-        for u in range(m_x)
-        for k in range(m_y)
-        if counts[u, k] > 0 and in_disk[u, k]
-    ]
-    hits.sort()
-    selected = [(u, k) for _, u, k in hits[:max_beams]]
+    cells = [(u, k) for u in range(m_x) for k in range(m_y) if in_disk[u, k]]  # grid order
+    hits = sorted((c for c in cells if counts[c] > 0), key=lambda c: -counts[c])  # stable
+    selected = hits[:max_beams]
 
     if len(selected) < min_beams:
-        chosen = set(selected)
-        rest = []
-        for u in range(m_x):
-            for k in range(m_y):
-                if (u, k) in chosen or not in_disk[u, k]:
-                    continue
-                d = np.min(np.hypot(pts[:, 0] - lx[u], pts[:, 1] - ly[k]))
-                rest.append((d, u, k))
-        rest.sort()
-        selected.extend((u, k) for _, u, k in rest[: min_beams - len(selected)])
+        rest = sorted((c for c in cells if c not in selected),
+                      key=lambda c: np.min(np.hypot(pts[:, 0] - lx[c[0]], pts[:, 1] - ly[c[1]])))
+        selected += rest[: min_beams - len(selected)]
 
     return [(float(lx[u]), float(ly[k])) for u, k in selected]
 
@@ -205,7 +191,7 @@ def rf_steering_column(
         raise InvalidBeamError(f"cosine pair ({lam_x}, {lam_y}) outside the unit disk")
     px = np.exp(2j * np.pi * spacing * np.arange(m_x) * lam_x)
     py = np.exp(2j * np.pi * spacing * np.arange(m_y) * lam_y)
-    return np.kron(px, py) / math.sqrt(m_x * m_y)
+    return (px[:, None] * py).ravel() / math.sqrt(m_x * m_y)
 
 
 def rf_stages(
@@ -240,11 +226,6 @@ def platform_footprint(geometry: DeploymentGeometry) -> np.ndarray:
     anchors = [geometry.platform_center()] + [(x, y) for x in geometry.platform_x_range
                                               for y in geometry.platform_y_range]
     return platform_angles(geometry, np.array(anchors))[0]
-
-
-# All that design_rf_stages and design_relay_stages read of the configuration.
-_STAGE_FIELDS = ("tx_antennas", "rx_antennas", "num_streams", "max_rf_chains",
-                 "element_spacing_wavelengths", "angular_spread_deg")
 
 
 def _covering_rf_stages(

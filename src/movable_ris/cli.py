@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .baselines import BaselineKind, build_scenario_pack, make_problem_context, run_baseline
-from .harness import SweepSpec, apply_swept_value, emit_plot_script, sweep, write_results
+from .harness import SweepSpec, emit_plot_script, sweep, sweep_points, write_results
 from .optimizer import brute_force_joint, check_oracle_grid
 from .scenario import (
     ConfigError,
@@ -158,8 +158,6 @@ def _run_sweep(args, kind: str, values: tuple | None, out_name: str) -> int:
         config = replace(config, tx_power_dbm=power)
     if values is None:
         values = (config.tx_power_dbm,)
-    for value in values:
-        _check(*apply_swept_value(config, geometry, kind, value), f"{kind} value {value!r}")
     spec = SweepSpec(
         kind=kind,
         values=values,
@@ -168,6 +166,7 @@ def _run_sweep(args, kind: str, values: tuple | None, out_name: str) -> int:
         seed=config.rng_seed,
         pso_seed=args.pso_seed,
     )
+    sweep_points(spec, config, geometry)  # every value is checked before any directory exists
     out_dir = args.out if args.out is not None else Path("results") / out_name
     for flag, directory in (("--out", out_dir), ("--dump-channels", args.dump_channels)):
         if directory is None:

@@ -24,12 +24,14 @@ from .scenario import (
     DeploymentGeometry,
     SystemConfig,
     config_digest,
+    validate,
 )
 
 __all__ = [
     "SweepSpec",
     "RateResult",
     "monte_carlo_point",
+    "sweep_points",
     "sweep",
     "write_results",
     "emit_plot_script",
@@ -131,6 +133,23 @@ def apply_swept_value(
     raise ValueError(f"unknown sweep kind {kind!r}")
 
 
+def sweep_points(
+    spec: SweepSpec, config: SystemConfig, geometry: DeploymentGeometry
+) -> list[tuple[object, SystemConfig, DeploymentGeometry]]:
+    """Every swept value with its configuration and geometry, all validated first.
+
+    Raises ConfigError on the first value that ``apply_swept_value`` or
+    ``scenario.validate`` rejects, so a bad point costs no trial.
+    """
+    points = []
+    for value in spec.values:
+        point = apply_swept_value(config, geometry, spec.kind, value)
+        if errors := validate(*point):
+            raise ConfigError(f"invalid {spec.kind} value {value!r}: " + "; ".join(errors))
+        points.append((value, *point))
+    return points
+
+
 def _dump_matrix(path: Path, matrix: np.ndarray) -> None:
     """Self-describing text matrix: header line, then row-major re/im pairs."""
     rows, cols = matrix.shape
@@ -219,11 +238,10 @@ def sweep(
     """Cartesian product of swept values and baseline kinds, in spec order.
 
     All kinds at one value share the same seed-derived trials (common random
-    numbers).
+    numbers). A value ``sweep_points`` rejects raises ConfigError before any trial.
     """
     results: list[RateResult] = []
-    for value in spec.values:
-        point_config, point_geometry = apply_swept_value(config, geometry, spec.kind, value)
+    for value, point_config, point_geometry in sweep_points(spec, config, geometry):
         for kind in spec.baselines:
             point_dump = None
             if dump_dir is not None:

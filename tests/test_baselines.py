@@ -14,7 +14,6 @@ from movable_ris.baselines import (
     run_baseline,
     trial_channels,
 )
-from movable_ris.beamforming import design_relay_stages, design_rf_stages
 from movable_ris.harness import apply_swept_value
 from movable_ris.scenario import PsoParams, default_config, rng_stream
 from test_acceptance import SEED, UE_POSITIONS, _random_scenario
@@ -253,27 +252,3 @@ def test_rf_stage_bytes_are_pinned():
             digest.update(repr(stage.shape).encode())
             digest.update(stage.tobytes())
     assert digest.hexdigest() == RF_STAGE_DIGEST
-
-
-STAGES = ("f1", "f2", "relay_f2_hop1", "relay_f1_hop2")
-
-
-def test_packs_share_one_stage_design_until_what_it_reads_changes():
-    config, geometry = default_config()
-    for kind, values in (("power", (10.0, 40.0)), ("elements", (16, 100))):
-        first, second = (build_scenario_pack(*apply_swept_value(config, geometry, kind, value), 0)
-                         for value in values)
-        assert first.config != second.config
-        for name in STAGES:
-            assert getattr(first, name) is getattr(second, name)
-            assert not getattr(first, name).flags.writeable
-    base = build_scenario_pack(config, geometry, 0)
-    for changed in ((config, replace(geometry, ue_position=(90.0, 95.0, 2.0))),
-                    (replace(config, angular_spread_deg=(4.0, 15.0)), geometry)):
-        pack = build_scenario_pack(*changed, 0)
-        fresh = (*design_rf_stages(*changed), *design_relay_stages(*changed))
-        assert any(getattr(pack, name).tobytes() != getattr(base, name).tobytes()
-                   for name in STAGES)
-        for name, stage in zip(STAGES, fresh):
-            assert getattr(pack, name).shape == stage.shape
-            assert getattr(pack, name).tobytes() == stage.tobytes()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from movable_ris.beamforming import (
     AngleSupport,
@@ -178,6 +180,96 @@ def test_column_correlation_below_one():
     c1 = rf_steering_column(0.1, 0.2, 8, 8, 0.5)
     c2 = rf_steering_column(0.15, 0.2, 8, 8, 0.5)
     assert abs(np.vdot(c1, c2)) < 1.0
+
+
+# --- the analog design against its earlier forms ------------------------------
+# The design's bytes are pinned by RF_STAGE_DIGEST in tests/test_baselines.py.
+# These copies are the forms it had before: trig over a meshgrid, a
+# (-count, u, k) tuple sort with a nested fill-in loop, and np.kron.
+
+
+def _meshgrid_support_points(support, per_axis=96):
+    el = np.linspace(support.elevation[0], support.elevation[1], per_axis)
+    az = np.linspace(support.azimuth[0], support.azimuth[1], per_axis)
+    ee, aa = np.meshgrid(el, az, indexing="ij")
+    r = np.sin(ee.ravel())
+    return np.column_stack((r * np.cos(aa.ravel()), r * np.sin(aa.ravel())))
+
+
+def _tuple_sort_select_beams(grid, support, min_beams, max_beams):
+    m_x, m_y = grid.shape
+    pts = _meshgrid_support_points(support)
+    ix = np.clip(np.floor((pts[:, 0] + 1.0) * m_x / 2.0).astype(int), 0, m_x - 1)
+    iy = np.clip(np.floor((pts[:, 1] + 1.0) * m_y / 2.0).astype(int), 0, m_y - 1)
+    counts = np.zeros((m_x, m_y), dtype=int)
+    np.add.at(counts, (ix, iy), 1)
+    lx, ly = np.asarray(grid.lambda_x), np.asarray(grid.lambda_y)
+    in_disk = (lx[:, None] ** 2 + ly[None, :] ** 2) <= 1.0 + 1e-12
+    hits = [(-counts[u, k], u, k) for u in range(m_x) for k in range(m_y)
+            if counts[u, k] > 0 and in_disk[u, k]]
+    hits.sort()
+    selected = [(u, k) for _, u, k in hits[:max_beams]]
+    if len(selected) < min_beams:
+        chosen = set(selected)
+        rest = []
+        for u in range(m_x):
+            for k in range(m_y):
+                if (u, k) in chosen or not in_disk[u, k]:
+                    continue
+                d = np.min(np.hypot(pts[:, 0] - lx[u], pts[:, 1] - ly[k]))
+                rest.append((d, u, k))
+        rest.sort()
+        selected.extend((u, k) for _, u, k in rest[: min_beams - len(selected)])
+    return [(float(lx[u]), float(ly[k])) for u, k in selected]
+
+
+def _kron_steering_column(lam_x, lam_y, m_x, m_y, spacing):
+    px = np.exp(2j * np.pi * spacing * np.arange(m_x) * lam_x)
+    py = np.exp(2j * np.pi * spacing * np.arange(m_y) * lam_y)
+    return np.kron(px, py) / math.sqrt(m_x * m_y)
+
+
+_WIDTHS = st.one_of(st.just(0.0), st.floats(0.0, math.pi))  # a zero width collapses an axis
+
+
+@st.composite
+def _supports(draw):
+    el, az = draw(st.floats(-0.5, 2.0)), draw(st.floats(-2 * math.pi, 2 * math.pi))
+    return AngleSupport((el, el + draw(_WIDTHS)), (az, az + draw(_WIDTHS)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(support=_supports(), per_axis=st.integers(1, 128))
+def test_support_points_take_the_bytes_of_the_meshgrid_form(support, per_axis):
+    points, old = support_points(support, per_axis), _meshgrid_support_points(support, per_axis)
+    assert points.shape == old.shape
+    assert points.tobytes() == old.tobytes()
+
+
+RING = AngleSupport((0.5, 0.5), (0.0, 2 * math.pi))  # four cells of a 4 x 4 grid tie
+
+
+@settings(max_examples=150, deadline=None)
+@given(support=_supports(), m_x=st.integers(1, 10), m_y=st.integers(1, 10),
+       min_beams=st.integers(1, 6), max_beams=st.integers(1, 10))
+@example(support=AngleSupport((0.5, 0.5), (0.3, 0.3)), m_x=4, m_y=4, min_beams=3, max_beams=4)
+@example(support=RING, m_x=4, m_y=4, min_beams=2, max_beams=3)  # ties cut by max_beams
+@example(support=RING, m_x=4, m_y=4, min_beams=6, max_beams=8)  # ties, then the fill-in
+def test_select_beams_takes_the_order_of_the_tuple_sort(support, m_x, m_y, min_beams, max_beams):
+    grid = build_grid(m_x, m_y)
+    assert (select_beams(grid, support, min_beams, max_beams)
+            == _tuple_sort_select_beams(grid, support, min_beams, max_beams))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
+           lambda lam: lam[0] ** 2 + lam[1] ** 2 <= 1.0),
+       m_x=st.integers(1, 16), m_y=st.integers(1, 16), spacing=st.floats(0.05, 2.0))
+def test_rf_steering_column_takes_the_bytes_of_kron(lam, m_x, m_y, spacing):
+    column, old = rf_steering_column(*lam, m_x, m_y, spacing), _kron_steering_column(
+        *lam, m_x, m_y, spacing)
+    assert column.shape == old.shape
+    assert column.tobytes() == old.tobytes()
 
 
 # --- effective channel and digital stages ------------------------------------

@@ -111,6 +111,25 @@ def test_sweep_rejects_bad_spec():
         SweepSpec(kind="power", values=(1,), trials=0)
 
 
+@pytest.mark.parametrize("kind, value", [
+    ("elements", 0),  # unchecked, an IndexError from inside the RF-stage design
+    ("power", math.nan),  # unchecked, two failed NaN trials
+    ("ue_scenarios", (50.0, 50.0, 5.0)),  # on the RIS plane: unchecked, 38.33 bps/Hz
+    ("ue_scenarios", (50.0, 50.0, 9.0)),  # above it: unchecked, 31.74 bps/Hz
+])
+def test_sweep_rejects_an_invalid_point_before_any_trial(monkeypatch, kind, value):
+    import movable_ris.harness as harness_mod
+
+    ran = []
+    monkeypatch.setattr(harness_mod, "run_baseline", lambda *args: ran.append(args))
+    valid = {"elements": 16, "power": 30.0, "ue_scenarios": (60.0, 90.0, 2.0)}[kind]
+    spec = SweepSpec(kind=kind, values=(valid, value),
+                     baselines=(BaselineKind.MOVABLE_RIS_JOINT,), trials=2)
+    with pytest.raises(ConfigError, match=f"invalid {kind} value"):
+        harness_mod.sweep(spec, *default_config())
+    assert ran == []
+
+
 def test_write_results_round_trip(tmp_path):
     config, geometry = small_scenario()
     spec = SweepSpec(

@@ -100,3 +100,19 @@ def test_every_search_reaches_the_percentile_spans(tracer, kind):
     assert stats["optimizer.run_pso"].calls == 1
     assert stats["beamforming.effective_channel"].calls >= 1
     assert stats["beamforming.achievable_rate"].calls >= 1
+
+
+def test_every_swept_value_traces_its_rf_stage_design(tracer):
+    # sweepbench/run.py reads beamforming.design_rf_stages per layer: each
+    # value's scenario pack designs its stages, so each value shows the design.
+    config, geometry = default_config()
+    config = replace(config, tx_antennas=(4, 4), rx_antennas=(4, 4), ris_elements=(2, 2))
+    spec = harness.SweepSpec(kind="power", values=(10.0, 20.0),
+                             baselines=(BaselineKind.FIXED_RIS_RANDOM_PHASE,), trials=1, seed=3)
+    spans = tracer.Tracer()
+    with tracer.Patcher() as patcher:
+        spans.patch(patcher)
+        harness.sweep(spec, config, geometry)
+    second_value = spans.span_index("harness.monte_carlo_point", 1)
+    assert spans.stats(second_value)["beamforming.design_rf_stages"].calls == 1
+    assert spans.stats()["beamforming.design_rf_stages"].calls == 2
