@@ -29,9 +29,9 @@ swarm iteration):
 - ``relay_search_hops`` and ``relay_rate``: the relay search's two steps,
   both reduced relay hops of the batch (F2 H F1 each, one matmul per hop)
   and their rate. Where both hops' combiners, and both their precoders,
-  have equal shapes and the combiners share a rate branch, the rate is one
-  ``hybrid_link_rate`` call on the two reduced hops stacked as (2, B, 3, 3)
-  with (2, 1, ...) stages; otherwise it takes one call per hop;
+  have equal shapes, the rate is one ``hybrid_link_rate`` call on the two
+  reduced hops stacked as (2, B, 3, 3) with (2, 1, ...) stages; otherwise it
+  takes one call per hop;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack,
   and its steps on that stack: ``rate.svd`` (the SVD call the route makes,
   numpy's LAPACK gufunc through ``beamforming._lapack``), ``rate.decompose``
@@ -63,7 +63,10 @@ calls, so what ran before in the measuring process does not move it.
 
 A layer that only some trees have is timed in those and gets no ratio.
 Trees need ``channel.platform_angles``, ``channel.hops`` and
-``beamforming._lapack``.
+``beamforming._lapack``. A tree from before the rate took one formula takes
+the rate's branch as an argument of ``hybrid_link_rate`` and
+``beamforming._link_rates``; it is passed the direct log-det, which every
+pack here takes.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 import multiprocessing
 import os
@@ -125,6 +129,13 @@ def _captured_objectives(pack, baselines, optimizer, kinds=SEARCHES) -> dict:
     finally:
         baselines.run_pso, optimizer.run_pso = real
     return captured
+
+
+def _direct_branch(fn, known: int) -> tuple:
+    """The arguments after the first ``known`` that ``fn`` requires: none, or the direct
+    log-det's branch flag, False, in a tree from before the rate took one formula."""
+    return tuple(False for p in list(inspect.signature(fn).parameters.values())[known:]
+                 if p.default is inspect.Parameter.empty)
 
 
 def _dimension(kind: str, config) -> int:
@@ -187,27 +198,25 @@ def layers_of(module, rows: int) -> dict:
         return channel._end_blocks(cosines, ends["ris"], spacing)
 
     c, a = ris_hops()
-    rate_budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-    relay_stages = ((pack.relay_f2_hop1, pack.f1, pack.whitened["relay_f2_hop1"]),
-                    (pack.f2, pack.relay_f1_hop2, pack.whitened["f2"]))
+    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts,
+              *_direct_branch(beamforming.hybrid_link_rate, 6))
+    relay_stages = ((pack.relay_f2_hop1, pack.f1), (pack.f2, pack.relay_f1_hop2))
     relay_reduced = relay_search_hops()
-    f2s, f1s, branches = zip(*relay_stages)
-    if f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape and len(set(branches)) == 1:
+    f2s, f1s = zip(*relay_stages)
+    if f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape:
         f2s, f1s = (np.stack(stage)[:, None] for stage in (f2s, f1s))
         stacked = np.stack(relay_reduced)
 
         def relay_rate():
-            return beamforming.hybrid_link_rate(f2s, stacked, f1s, *rate_budget, branches[0], True)
+            return beamforming.hybrid_link_rate(f2s, stacked, f1s, *budget, reduced=True)
     else:
         def relay_rate():
-            return [beamforming.hybrid_link_rate(f2, hop, f1, *rate_budget, whitened, True)
-                    for (f2, f1, whitened), hop in zip(relay_stages, relay_reduced)]
+            return [beamforming.hybrid_link_rate(f2, hop, f1, *budget, reduced=True)
+                    for (f2, f1), hop in zip(relay_stages, relay_reduced)]
     reduced = (a * np.exp(2j * np.pi * joint[:, None, 2:])) @ c
-    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts,
-              pack.whitened["f2"])
     eff = beamforming._decompose(reduced)
     stages = beamforming.bb_stages(eff, config.tx_power_watts, config.num_streams, pack.f1)
-    stages.f2, stages.whitened = pack.f2, pack.whitened["f2"]
+    stages.f2 = pack.f2
     ue_geometry = harness.apply_swept_value(config, geometry, "ue_scenarios",
                                             (85.0, 75.0, 2.0))[1]
 
@@ -242,8 +251,9 @@ def layers_of(module, rows: int) -> dict:
     layers["lean.align"] = lambda: beamforming._align_phases(u, vh)
     layers["lean.precoder"] = lambda: beamforming._precoder(vh, streams,
                                                             config.tx_power_watts, pack.f1)
+    link_branch = _direct_branch(beamforming._link_rates, 5)
     layers["lean.link_rates"] = lambda: beamforming._link_rates(
-        b1, b2, pack.f2, reduced, config.noise_power_watts, False)
+        b1, b2, pack.f2, reduced, config.noise_power_watts, *link_branch)
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
         batch = rng.random((rows, _dimension(kind, config)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)

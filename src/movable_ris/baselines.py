@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .beamforming import design_relay_stages, design_rf_stages, hybrid_link_rate, needs_whitening
+from .beamforming import design_relay_stages, design_rf_stages, hybrid_link_rate
 from .channel import HopEnds, TrialChannels, draw_trial, hop_ends, hops
 # Not called here; sweepbench/tracer.py wraps these names in this namespace, and
 # sweepbench/checks.py wraps run_pso here too.
@@ -26,9 +26,11 @@ from .scenario import (
     STREAM_AUX,
     STREAM_CHANNEL,
     STREAM_PSO,
+    ConfigError,
     DeploymentGeometry,
     SystemConfig,
     rng_stream,
+    validate,
 )
 
 __all__ = [
@@ -132,11 +134,6 @@ class ScenarioPack:
         return {"ris": hop_ends(config, None, (None, None, *beams[2:])),
                 "relay": hop_ends(config, relay.platform_shapes(config), beams)}
 
-    @functools.cached_property
-    def whitened(self) -> dict[str, bool]:
-        """Each combiner's rate branch, ``needs_whitening``, by field name."""
-        return {name: needs_whitening(getattr(self, name)) for name in ("f2", "relay_f2_hop1")}
-
 
 @functools.lru_cache(maxsize=1)
 def build_scenario_pack(
@@ -149,10 +146,18 @@ def build_scenario_pack(
 
     Consecutive calls with identical arguments return the same pack, so the
     kinds at one swept value share it, and with it the fd_relay searches.
+    A configuration ``validate`` rejects, or one whose RF design is left with
+    fewer usable beams than streams, raises ConfigError.
     """
-    # (f1, f2) and (relay_f2_hop1, relay_f1_hop2), in the pack's field order
-    return ScenarioPack(config, geometry, seed, *design_rf_stages(config, geometry),
-                        *design_relay_stages(config, geometry), pso_seed=pso_seed)
+    if errors := validate(config, geometry):
+        raise ConfigError("invalid configuration: " + "; ".join(errors))
+    stages = dict(zip(("f1", "f2", "relay_f2_hop1", "relay_f1_hop2"), (
+        *design_rf_stages(config, geometry), *design_relay_stages(config, geometry))))
+    for name, stage in stages.items():
+        if (beams := min(stage.shape)) < config.num_streams:  # never more beams than antennas
+            raise ConfigError(f"RF stage {name} has {beams} usable beams for {config.num_streams} "
+                              f"streams at spacing {config.element_spacing_wavelengths!r} wavelengths")
+    return ScenarioPack(config, geometry, seed, **stages, pso_seed=pso_seed)
 
 
 def trial_channels(pack: ScenarioPack, trial_index: int) -> TrialChannels:
@@ -168,7 +173,6 @@ def make_problem_context(pack: ScenarioPack, trial_index: int) -> ProblemContext
         f2=pack.f2,
         trial=trial_channels(pack, trial_index),
         ends=pack.search_ends["ris"],
-        whitened=pack.whitened["f2"],
     )
 
 
@@ -198,8 +202,8 @@ class _RelaySearch:
     Hop 1 reuses the trial's transmitter-side draw into the relay's receive
     array, hop 2 the receiver-side draw out of its transmit array. No
     self-interference is modeled: the rate is the ideal full-duplex bound
-    min(hop rates). The stages of each hop, (receive, transmit) with the
-    receive side's rate branch, and their beam axes are read from the pack once.
+    min(hop rates). The stages of each hop, (receive, transmit), and their
+    beam axes are read from the pack once.
     """
 
     pack: ScenarioPack
@@ -209,18 +213,16 @@ class _RelaySearch:
     def __post_init__(self):
         pack, config = self.pack, self.pack.config
         stages = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))
-        self._stages = tuple((getattr(pack, rx), getattr(pack, tx), pack.whitened[rx])
-                             for rx, tx in stages)
+        self._stages = tuple((getattr(pack, rx), getattr(pack, tx)) for rx, tx in stages)
         self._ends = (hop_ends(config, BaselineKind.FD_RELAY.platform_shapes(config)),
                       pack.search_ends["relay"])
         self._budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-        # The search's (F2, F1) of both hops as (2, 1, ...) stacks, and their rate branch, when
-        # equal stage shapes let the reduced hops stack and both combiners take one branch.
+        # The search's (F2, F1) of both hops as (2, 1, ...) stacks, when equal stage shapes let
+        # the reduced hops stack.
         self._stacked_stages = None
-        f2s, f1s, branches = zip(*self._stages)
-        if (f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape
-                and branches[0] == branches[1]):
-            self._stacked_stages = (np.stack(f2s)[:, None], np.stack(f1s)[:, None], branches[0])
+        f2s, f1s = zip(*self._stages)
+        if f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape:
+            self._stacked_stages = (np.stack(f2s)[:, None], np.stack(f1s)[:, None])
 
     def hop_rates(self, xy: np.ndarray, factored: bool):
         """(Z,) rates at the (Z, 2) points ``xy`` and whether either hop was rank deficient.
@@ -233,13 +235,13 @@ class _RelaySearch:
         """
         both = hops(self.pack.config, self.pack.geometry, self.trial, xy, self._ends[factored])
         if factored and self._stacked_stages is not None:
-            f2, f1, whitened = self._stacked_stages
+            f2, f1 = self._stacked_stages
             (rate1, rate2), (deficient1, deficient2) = hybrid_link_rate(
-                f2, np.stack(both), f1, *self._budget, whitened, True)
+                f2, np.stack(both), f1, *self._budget, reduced=True)
         else:
             (rate1, deficient1), (rate2, deficient2) = (
-                hybrid_link_rate(f2, hop, f1, *self._budget, whitened, factored)
-                for (f2, f1, whitened), hop in zip(self._stages, both))
+                hybrid_link_rate(f2, hop, f1, *self._budget, reduced=factored)
+                for (f2, f1), hop in zip(self._stages, both))
         rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
         return rate, deficient1 | deficient2
 

@@ -36,16 +36,14 @@ __all__ = [
     "design_relay_stages",
     "effective_channel",
     "bb_stages",
-    "needs_whitening",
     "achievable_rate",
     "hybrid_link_rate",
 ]
 
 logger = logging.getLogger(__name__)
 
-# Conditioning threshold of the combiner Gram F2 F2^H above which the rate
-# takes the whitened eigenvalue evaluation instead of the direct determinant.
-# B2 = U1^H has orthonormal rows, so cond(W) <= cond(F2 F2^H) for every W.
+# Largest condition number of the Gram matrix of one RF stage's beams. B2 = U1^H has
+# orthonormal rows, so every W through a designed F2 has cond(W) <= cond(F2 F2^H) <= this.
 _COND_LIMIT = 1e12
 
 _EPS = float(np.finfo(float).eps)
@@ -121,7 +119,6 @@ class BeamformerSet:
     b2: np.ndarray           # (..., streams, n_rx_beams)
     streams: int
     rank_deficient: bool | np.ndarray = False
-    whitened: bool = False   # the rate's branch, ``needs_whitening(f2)``
 
 
 def build_grid(m_x: int, m_y: int) -> QuantizedGrid:
@@ -145,6 +142,7 @@ def select_beams(
     support: AngleSupport,
     min_beams: int,
     max_beams: int,
+    spacing: float,
 ) -> list[tuple[float, float]]:
     """Grid pairs whose cell intersects the support, clamped to [min, max].
 
@@ -154,14 +152,16 @@ def select_beams(
     the unit disk are never returned since they map to no physical direction.
     If fewer than ``min_beams`` cells intersect, the nearest disk-interior
     pairs (euclidean distance in cosine space to the support) fill the
-    deficit.
+    deficit. A cell is skipped, and later cells fill in, if its beam at
+    ``spacing`` wavelengths would take the Gram matrix of the beams before it
+    past a condition number of _COND_LIMIT, as two cells that alias give one
+    beam at a spacing of a wavelength or more.
     """
     m_x, m_y = grid.shape
     pts = support_points(support)
     ix = np.clip(np.floor((pts[:, 0] + 1.0) * m_x / 2.0).astype(int), 0, m_x - 1)
     iy = np.clip(np.floor((pts[:, 1] + 1.0) * m_y / 2.0).astype(int), 0, m_y - 1)
-    counts = np.zeros((m_x, m_y), dtype=int)
-    np.add.at(counts, (ix, iy), 1)
+    counts = np.bincount(ix * m_y + iy, minlength=m_x * m_y).reshape(m_x, m_y)
 
     lx = np.asarray(grid.lambda_x)
     ly = np.asarray(grid.lambda_y)
@@ -169,13 +169,33 @@ def select_beams(
 
     cells = [(u, k) for u in range(m_x) for k in range(m_y) if in_disk[u, k]]  # grid order
     hits = sorted((c for c in cells if counts[c] > 0), key=lambda c: -counts[c])  # stable
-    selected = hits[:max_beams]
 
-    if len(selected) < min_beams:
-        rest = sorted((c for c in cells if c not in selected),
-                      key=lambda c: np.min(np.hypot(pts[:, 0] - lx[c[0]], pts[:, 1] - ly[c[1]])))
-        selected += rest[: min_beams - len(selected)]
+    def conditioned(picked) -> bool:
+        """Whether the Gram matrix of the beams kron(px, py) / sqrt(M) of the ``picked`` cells,
+        the product of the per-axis Grams over M, is within _COND_LIMIT."""
+        px, py = (np.exp(2j * np.pi * spacing * np.arange(m)[:, None] * values[index])
+                  for m, values, index in zip((m_x, m_y), (lx, ly), np.transpose(picked)))
+        gram = (_hermitian(px) @ px) * (_hermitian(py) @ py) / (m_x * m_y)
+        s = _lapack(_umath_linalg.svd, "D->d", gram)  # descending
+        return s[-1] * _COND_LIMIT >= s[0]
 
+    def pick(usable) -> list[tuple[int, int]]:
+        """Up to ``max_beams`` hits, then up to ``min_beams`` in all from the rest by distance."""
+        selected = []
+        for cell in hits:
+            if len(selected) < max_beams and usable(selected + [cell]):
+                selected.append(cell)
+        if len(selected) < min_beams:
+            for cell in sorted((c for c in cells if c not in selected), key=lambda c: np.min(
+                    np.hypot(pts[:, 0] - lx[c[0]], pts[:, 1] - ly[c[1]]))):
+                if len(selected) < min_beams and usable(selected + [cell]):
+                    selected.append(cell)
+        return selected
+
+    selected = pick(lambda _: True)
+    # the Gram of a subset of beams is no worse conditioned, so one check clears the usual stage
+    if selected and not conditioned(selected):
+        selected = pick(conditioned)
     return [(float(lx[u]), float(ly[k])) for u, k in selected]
 
 
@@ -233,16 +253,17 @@ def _covering_rf_stages(
 ) -> tuple[np.ndarray, np.ndarray]:
     """F1 and F2 on the configured Tx and Rx arrays, with beams covering the supports.
 
-    Each side gets at least ``num_streams`` and at most ``max_rf_chains``
-    beams (never more than its antenna count).
+    Each side gets at least ``num_streams`` usable beams, where that many are
+    left, and at most ``max_rf_chains`` (never more than its antenna count).
     """
     shapes = (config.tx_antennas, config.rx_antennas)
+    spacing = config.element_spacing_wavelengths
     beams_tx, beams_rx = (
         select_beams(build_grid(*shape), support, config.num_streams,
-                     min(config.max_rf_chains, shape[0] * shape[1]))
+                     min(config.max_rf_chains, shape[0] * shape[1]), spacing)
         for shape, support in zip(shapes, (support_tx, support_rx))
     )
-    return rf_stages(beams_tx, beams_rx, *shapes, config.element_spacing_wavelengths)
+    return rf_stages(beams_tx, beams_rx, *shapes, spacing)
 
 
 def design_rf_stages(
@@ -412,25 +433,7 @@ def _precoder(vh: np.ndarray, streams: int, tx_power_w: float, f1: np.ndarray | 
     return b1
 
 
-def needs_whitening(f2: np.ndarray) -> bool:
-    """Whether rates through ``f2`` take the whitened branch: cond(F2 F2^H) over _COND_LIMIT."""
-    return not np.linalg.cond(f2 @ _hermitian(f2)) <= _COND_LIMIT  # a NaN one too
-
-
 _identity = functools.cache(np.eye)  # shared by every rate call, which only reads it
-
-
-def _whitened_rate(w: np.ndarray, q: np.ndarray, trace: np.ndarray) -> np.ndarray:
-    """Rates from whitened eigenvalues after a ridge proportional to the noise scale."""
-    n = w.shape[-1]
-    ridge = (1e-12 * trace / n)[:, None]
-    w = w + ridge[..., None] * np.eye(n)
-    evals, evecs = np.linalg.eigh(w)
-    evals = np.maximum(evals, ridge)
-    w_isqrt = (evecs / np.sqrt(evals)[:, None, :]) @ _hermitian(evecs)
-    s = w_isqrt @ q @ _hermitian(w_isqrt)
-    lam = np.maximum(np.linalg.eigvalsh(0.5 * (s + _hermitian(s))), 0.0)
-    return np.sum(np.log2(1.0 + lam), axis=-1)
 
 
 def achievable_rate(
@@ -439,43 +442,34 @@ def achievable_rate(
     """Spectral efficiency in bps/Hz of the combined two-stage link.
 
     R = log2 det(I + W^-1 (B2 Heff B1)(B2 Heff B1)^H) with the noise
-    covariance W = sigma^2 B2 F2 F2^H B2^H. One branch serves every channel
-    of a call: with ``bf.whitened``, which ``needs_whitening(F2)`` decides
-    once per combiner, the rate takes a whitened eigenvalue evaluation
-    instead of the direct determinant. A singular W is ridge-regularized at
-    1e-12 relative to its trace. A stack gives one rate per channel.
+    covariance W = sigma^2 B2 F2 F2^H B2^H, taken directly for every channel:
+    the RF design keeps cond(F2 F2^H), which bounds cond(W), within
+    _COND_LIMIT. A W with a zero or non-finite trace, as a zero noise power
+    gives, is ridge-regularized at 1e-12. A stack gives one rate per channel.
     """
-    return _link_rates(bf.b1, bf.b2, bf.f2, eff.matrix, noise_power_w, bf.whitened)
+    return _link_rates(bf.b1, bf.b2, bf.f2, eff.matrix, noise_power_w)
 
 
-def _link_rates(b1, b2, f2, mat, noise_power_w: float, whitened: bool):
+def _link_rates(b1, b2, f2, mat, noise_power_w: float):
     """``achievable_rate`` of the stages B1, B2 and F2 on the reduced channels ``mat``."""
     b2f2 = b2 @ f2
     w = noise_power_w * (b2f2 @ _hermitian(b2f2))
     g = b2 @ mat @ b1
     q = g @ _hermitian(g)
-    batch = w.shape[:-2]
     n = w.shape[-1]
-    w = w.reshape(-1, n, n)
-    q = q.reshape(-1, n, n)
 
     trace = w.trace(axis1=-2, axis2=-1).real
-    if not all(0.0 < t < math.inf for t in trace.tolist()):  # NaN fails too
+    if not all(0.0 < t < math.inf for t in np.ravel(trace).tolist()):  # NaN fails too
         degenerate = (trace <= 0.0) | ~np.isfinite(trace)
         logger.warning("noise covariance degenerate; applying ridge")
-        w = np.where(degenerate[:, None, None], w + 1e-12 * np.eye(n), w)
-        trace = np.trace(w, axis1=-2, axis2=-1).real
+        w = np.where(degenerate[..., None, None], w + 1e-12 * np.eye(n), w)
 
-    if whitened:
-        rates = _whitened_rate(w, q, trace)
-    else:
-        m = _lapack(_umath_linalg.solve, "DD->D", w, q, failed="Singular matrix")
-        m += _identity(n)  # I + W^-1 Q
-        logdet = _lapack(_umath_linalg.slogdet, "D->Dd", m)[1]
-        logdet /= math.log(2.0)
-        rates = np.where(logdet < 0.0, 0.0, logdet)  # max(logdet, 0.0), NaN kept
-    rates = rates.reshape(batch)
-    return rates if batch else float(rates)
+    m = _lapack(_umath_linalg.solve, "DD->D", w, q, failed="Singular matrix")
+    m += _identity(n)  # I + W^-1 Q
+    logdet = _lapack(_umath_linalg.slogdet, "D->Dd", m)[1]
+    logdet /= math.log(2.0)
+    rates = np.where(logdet < 0.0, 0.0, logdet)  # max(logdet, 0.0), NaN kept
+    return rates if rates.ndim else float(rates)
 
 
 def hybrid_link_rate(
@@ -485,7 +479,6 @@ def hybrid_link_rate(
     tx_power_w: float,
     num_streams: int,
     noise_power_w: float,
-    whitened: bool,
     reduced: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full pipeline for a (B, M_2, M_1) stack of channel matrices.
@@ -493,9 +486,8 @@ def hybrid_link_rate(
     ``h`` is reduced by ``effective_channel``, or with ``reduced`` is a
     stack already reduced to F2 H F1 (as a search's factored hops are); one
     matrix goes in as a stack of one. Returns (rates, rank_deficient) as (B,)
-    arrays. ``whitened`` is ``needs_whitening(f2)``, which the caller takes
-    once per combiner. N links on one branch may be stacked, ``h`` (N, B,
-    ...) with stages (N, 1, ...), for (N, B) results. Every stack takes
+    arrays. N links whose stages share their shapes may be stacked, ``h``
+    (N, B, ...) with stages (N, 1, ...), for (N, B) results. Every stack takes
     ``bb_stages`` and ``achievable_rate`` as one unit, save one whose rows
     carry mixed stream counts (rank-deficient ones carry fewer): its rows,
     across any link axis, run one at a time, each as a reduced stack of one.
@@ -508,7 +500,7 @@ def hybrid_link_rate(
         stacks = (np.broadcast_to(m, batch + m.shape[-2:]).reshape(-1, *m.shape[-2:])
                   for m in (f2, eff.matrix, f1))
         rows = [hybrid_link_rate(rx, m[None], tx, tx_power_w, num_streams, noise_power_w,
-                                 whitened, reduced=True) for rx, m, tx in zip(*stacks)]
+                                 reduced=True) for rx, m, tx in zip(*stacks)]
         return tuple(np.concatenate(parts).reshape(batch) for parts in zip(*rows))
-    bf.f2, bf.whitened = f2, whitened
+    bf.f2 = f2
     return achievable_rate(bf, eff, noise_power_w), bf.rank_deficient

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineKind, build_scenario_pack, run_baseline, trial_channels
-from .beamforming import InvalidBeamError
-from .channel import DegenerateGeometryError, hop_ends, hops
+from .channel import hop_ends, hops
 from .scenario import (
     ConfigError,
     DeploymentGeometry,
@@ -49,14 +48,9 @@ SWEEP_KINDS = ("power", "elements", "ue_scenarios", "single")
 
 DEFAULT_BASELINES = tuple(BaselineKind)
 
-# The geometric and numerical failures a single trial may end in; any other
-# exception is a bug and propagates.
-TRIAL_FAILURES = (
-    DegenerateGeometryError,
-    InvalidBeamError,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-)
+# The numerical failures a single trial may end in; any other exception is a
+# bug and propagates. Bad input raises ConfigError in build_scenario_pack first.
+TRIAL_FAILURES = (np.linalg.LinAlgError,)
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,6 @@ class ProblemContext:
     f2: np.ndarray
     trial: TrialChannels
     ends: HopEnds  # ScenarioPack.search_ends["ris"]: the Tx and UE ends on F1's and F2's beams
-    whitened: bool  # f2's rate branch, ScenarioPack.whitened
     saw_rank_deficiency: bool = False
     _cache_key: tuple[float, float] | None = field(default=None, repr=False)
     _cache: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
@@ -142,8 +141,7 @@ class ProblemContext:
     def _rates(self, h, reduced: bool) -> np.ndarray:
         config = self.config
         rates, deficient = hybrid_link_rate(self.f2, h, self.f1, config.tx_power_watts,
-                                            config.num_streams, config.noise_power_watts,
-                                            self.whitened, reduced)
+                                            config.num_streams, config.noise_power_watts, reduced)
         self.saw_rank_deficiency |= bool(deficient.any())
         return rates
 

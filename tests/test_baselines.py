@@ -1,11 +1,15 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from movable_ris import optimizer
+from movable_ris.beamforming import _COND_LIMIT
 from movable_ris.baselines import (
     BaselineKind,
     build_scenario_pack,
@@ -15,7 +19,7 @@ from movable_ris.baselines import (
     trial_channels,
 )
 from movable_ris.harness import apply_swept_value
-from movable_ris.scenario import PsoParams, default_config, rng_stream
+from movable_ris.scenario import ConfigError, PsoParams, default_config, rng_stream
 from test_acceptance import SEED, UE_POSITIONS, _random_scenario
 
 
@@ -252,3 +256,102 @@ def test_rf_stage_bytes_are_pinned():
             digest.update(repr(stage.shape).encode())
             digest.update(stage.tobytes())
     assert digest.hexdigest() == RF_STAGE_DIGEST
+
+
+# --- what enters a pack ----------------------------------------------------------
+
+STAGES = ("f1", "f2", "relay_f2_hop1", "relay_f1_hop2")
+
+
+def _beam_rows(pack, name):
+    """A stage's beams as rows: a combiner's rows, a precoder's columns."""
+    stage = getattr(pack, name)
+    return stage if "f2" in name else stage.T
+
+
+# Configurations scenario.validate rejects, each with the message the pack raises it with.
+_INVALID = [
+    ({"num_streams": 0}, {}, "num_streams must be >= 1"),
+    ({"ris_elements": (0, 0)}, {}, "ris_elements: counts must be >= 1, got (0, 0)"),
+    ({"tx_power_dbm": math.nan}, {}, "tx_power_dbm must be finite, got nan"),
+    ({}, {"ue_position": (100.0, 100.0, 5.0)},
+     "ue_position z = 5.0 must lie below the RIS plane (ris_height_m = 5.0)"),
+    ({"num_paths": 0}, {}, "num_paths must be >= 1"),
+    ({"element_spacing_wavelengths": 0.0}, {}, "element spacing must be positive"),
+    ({"num_streams": 2, "max_rf_chains": 1}, {}, "streams exceed RF chains (2 > 1)"),
+]
+
+
+@pytest.mark.parametrize("config_changes, geometry_changes, message", _INVALID)
+def test_pack_rejects_what_validate_rejects_with_its_message(config_changes, geometry_changes,
+                                                             message):
+    config, geometry = default_config()
+    config, geometry = replace(config, **config_changes), replace(geometry, **geometry_changes)
+    with pytest.raises(ConfigError, match=f"^invalid configuration: {re.escape(message)}$"):
+        build_scenario_pack(config, geometry, 0)
+
+
+def test_stage_short_of_beams_is_named():
+    # at 4 wavelengths the two cells of a 2-element axis give one beam, so a 2 x 2 array has
+    # one usable beam for two streams
+    config, geometry = default_config()
+    config = replace(config, tx_antennas=(2, 2), element_spacing_wavelengths=4.0)
+    with pytest.raises(ConfigError, match=re.escape(
+            "RF stage f1 has 1 usable beams for 2 streams at spacing 4.0 wavelengths")):
+        build_scenario_pack(config, geometry, 0)
+
+
+_COUNTS = st.integers(1, 8)
+_SPACINGS = st.one_of(st.floats(0.05, 4.0), st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]))
+
+
+@st.composite
+def _configs(draw):
+    """Arrays of 1-8 elements per axis at spacings of 0.05-4 wavelengths, aliasing ones often."""
+    config, geometry = default_config()
+    tx, rx = draw(st.tuples(_COUNTS, _COUNTS)), draw(st.tuples(_COUNTS, _COUNTS))
+    streams = draw(st.integers(1, min(4, math.prod(tx), math.prod(rx))))
+    config = replace(config, tx_antennas=tx, rx_antennas=rx, num_streams=streams,
+                     max_rf_chains=draw(st.integers(streams, 8)),
+                     angular_spread_deg=(draw(st.floats(0.0, 30.0)), draw(st.floats(0.0, 30.0))),
+                     element_spacing_wavelengths=draw(_SPACINGS))
+    ue = (draw(st.floats(60.0, 120.0)), draw(st.floats(60.0, 120.0)), 2.0)
+    return config, replace(geometry, ue_position=ue)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_configs())
+@example((replace(default_config()[0], element_spacing_wavelengths=2.0), default_config()[1]))
+@example((replace(default_config()[0], tx_antennas=(2, 2), element_spacing_wavelengths=4.0),
+          default_config()[1]))
+def test_designed_stages_stay_within_the_condition_limit(drawn):
+    config, geometry = drawn
+    try:
+        pack = build_scenario_pack(config, geometry, 0)
+    except ConfigError as exc:
+        beams = re.fullmatch(r"RF stage \w+ has (\d+) usable beams for \d+ streams at spacing "
+                             r"\S+ wavelengths", str(exc))
+        assert beams and int(beams[1]) < config.num_streams, str(exc)
+        return
+    for name in STAGES:
+        beams = _beam_rows(pack, name)
+        assert config.num_streams <= len(beams) <= config.max_rf_chains
+        assert np.linalg.cond(beams @ beams.conj().T) <= _COND_LIMIT
+
+
+def test_default_scenario_at_two_wavelengths_carries_no_beam_twice():
+    # at spacing 2.0 two grid cells alias: the design used to put both on RF chains
+    config, geometry = default_config()
+    config = replace(config, element_spacing_wavelengths=2.0)
+    pack = build_scenario_pack(config, geometry, 0)
+    for name in STAGES:
+        beams = _beam_rows(pack, name)
+        assert len({b.tobytes() for b in beams}) == len(beams), name
+        gram = np.abs(beams @ beams.conj().T)
+        assert np.all(gram[~np.eye(len(beams), dtype=bool)] < 1.0 - 1e-9), name
+    context = make_problem_context(pack, 0)
+    cx, cy = geometry.platform_center()
+    phases = rng_stream(SEED, 5).uniform(0.0, 2 * math.pi, (4, config.num_ris))
+    assert np.all(np.isfinite(context.rate_for(optimizer.RisState(cx, cy, phases))))
+    for kind in BaselineKind:
+        assert math.isfinite(run_baseline(kind, replace(pack, fd_relay_outcomes={}), 0).rate)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from movable_ris import baselines, beamforming, channel, optimizer
 from movable_ris.baselines import BaselineKind, build_scenario_pack
-from movable_ris.beamforming import hybrid_link_rate, needs_whitening, rf_steering_column
+from movable_ris.beamforming import hybrid_link_rate, rf_steering_column
 from movable_ris.harness import apply_swept_value
 from movable_ris.scenario import PsoParams, default_config, rng_stream
 from test_acceptance import UE_POSITIONS
@@ -161,8 +161,7 @@ def _per_hop_search(pack, trial, points):
     hops = channel.hops(config, pack.geometry, trial, points, pack.search_ends["relay"])
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
     (rate1, flags1), (rate2, flags2) = (
-        hybrid_link_rate(getattr(pack, rx), hop, getattr(pack, tx), *budget, pack.whitened[rx],
-                         reduced=True)
+        hybrid_link_rate(getattr(pack, rx), hop, getattr(pack, tx), *budget, reduced=True)
         for (rx, tx), hop in zip(_RELAY_HOPS, hops))
     return hops, np.where(rate2 < rate1, rate2, rate1), flags1 | flags2
 
@@ -191,16 +190,12 @@ def test_relay_search_takes_one_stacked_rate_call(monkeypatch):
     calls = []
     real = baselines.hybrid_link_rate
 
-    def counted(f2, h, *args):
+    def counted(f2, h, *args, **kwargs):
         calls.append(h.shape)
-        return real(f2, h, *args)
+        return real(f2, h, *args, **kwargs)
 
     monkeypatch.setattr(baselines, "hybrid_link_rate", counted)
-    # both combiners of the ill-conditioned pack take the whitened branch, so they share one
-    whitened = _ill_conditioned(_relay_pack())
-    assert all(whitened.whitened.values())
-    for pack, stages_stack in ((_relay_pack(), True), (whitened, True),
-                               (_relay_pack((85.0, 75.0, 2.0)), False)):
+    for pack, stages_stack in ((_relay_pack(), True), (_relay_pack((85.0, 75.0, 2.0)), False)):
         # both hops' combiners, and both precoders, have equal shapes: the reduced hops stack
         shapes = [[getattr(pack, name).shape for name in stage] for stage in zip(*_RELAY_HOPS)]
         assert (shapes[0][0] == shapes[0][1] and shapes[1][0] == shapes[1][1]) == stages_stack
@@ -217,8 +212,7 @@ def test_relay_search_takes_one_stacked_rate_call(monkeypatch):
 
 
 def test_stacked_links_with_a_rank_deficient_row_run_link_by_link():
-    # a rank-one row carries fewer streams, so the rows of both links run one at a time,
-    # on either rate branch
+    # a rank-one row carries fewer streams, so the rows of both links run one at a time
     pack = _relay_pack()
     config = pack.config
     trial = baselines.trial_channels(pack, 3)
@@ -227,55 +221,13 @@ def test_stacked_links_with_a_rank_deficient_row_run_link_by_link():
     stack[1, 2] = np.outer(stack[1, 2][:, 0], stack[1, 2][0])  # rank one: one stream
     stages = [[getattr(pack, name) for name in hop] for hop in _RELAY_HOPS]
     f2, f1 = (np.stack(stage)[:, None] for stage in zip(*stages))
-    for whitened in (False, True):
-        budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts, whitened)
-        rates, deficient = hybrid_link_rate(f2, stack, f1, *budget, reduced=True)
-        links = [hybrid_link_rate(rx, hop, tx, *budget, reduced=True)
-                 for (rx, tx), hop in zip(stages, stack)]
-        assert rates.tobytes() == np.stack([r for r, _ in links]).tobytes()
-        assert deficient.tolist() == [d.tolist() for _, d in links] == [
-            [False] * 6, [False] * 2 + [True] + [False] * 3]
-
-
-@pytest.fixture()
-def whitened_rows(monkeypatch):
-    """Row counts of each call that takes the whitened eigenvalue branch of the rate."""
-    calls = []
-    real = beamforming._whitened_rate
-
-    def counted(w, q, trace):
-        calls.append(len(w))
-        return real(w, q, trace)
-
-    monkeypatch.setattr(beamforming, "_whitened_rate", counted)
-    return calls
-
-
-def test_ill_conditioned_pack_reaches_the_eigenvalue_fallback(whitened_rows):
-    # keeps the property test above honest about what it covers
-    pack = _ill_conditioned(_pack())
-    context = baselines.make_problem_context(pack, 0)
-    particles = _particles(3, 6, pack.config.num_ris + 2, clamp=False, duplicate=False)
-    values = context.search_rates(optimizer.decode(particles, context.geometry))
-    assert np.all(np.isfinite(values))
-    assert sum(whitened_rows) == 6
-    # the squeezed stage is read exactly per axis, so the objective is rate_for up to rounding
-    reference = [context.rate_for(optimizer.decode(p, pack.geometry)) for p in particles]
-    np.testing.assert_allclose(values, reference, rtol=FACTORED_RTOL, atol=0.0)
-
-
-def test_objective_and_reference_take_one_rate_branch(whitened_rows):
-    # cond(F2 F2^H) bounds cond(W) of every row, so the objective and rate_for take one
-    # branch; at this gap and trial, cond(W) itself lies on both sides of the limit.
-    pack = _ill_conditioned(_pack(), gap=3e-12)
-    context = baselines.make_problem_context(pack, 9)
-    particles = _particles(3, 6, pack.config.num_ris + 2, clamp=False, duplicate=False)
-    context.search_rates(optimizer.decode(particles, context.geometry))
-    assert sum(whitened_rows) == 6
-    whitened_rows.clear()
-    for p in particles:
-        context.rate_for(optimizer.decode(p, pack.geometry))
-    assert sum(whitened_rows) == 6
+    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
+    rates, deficient = hybrid_link_rate(f2, stack, f1, *budget, reduced=True)
+    links = [hybrid_link_rate(rx, hop, tx, *budget, reduced=True)
+             for (rx, tx), hop in zip(stages, stack)]
+    assert rates.tobytes() == np.stack([r for r, _ in links]).tobytes()
+    assert deficient.tolist() == [d.tolist() for _, d in links] == [
+        [False] * 6, [False] * 2 + [True] + [False] * 3]
 
 
 def _random_stack(rng, count, rows, cols, zero_rows, rank_one_rows):
@@ -298,7 +250,8 @@ def _random_stack(rng, count, rows, cols, zero_rows, rank_one_rows):
 @settings(max_examples=60, deadline=None)
 def test_stacked_rate_pipeline_equals_per_matrix(seed, count, streams, near_parallel, noise,
                                                  data):
-    """Rank-deficient, eigenvalue-fallback and ridge (zero noise) rows inside one stack."""
+    """Rank-deficient and ridge (zero noise) rows inside one stack, also through a hand-built
+    combiner with two nearly parallel rows."""
     rng = rng_stream(seed, 1)
     m, n_rf = 6, 3
     zero_rows = data.draw(st.sets(st.integers(0, count - 1)))
@@ -308,7 +261,7 @@ def test_stacked_rate_pipeline_equals_per_matrix(seed, count, streams, near_para
     f2 = (rng.standard_normal((n_rf, m)) + 1j * rng.standard_normal((n_rf, m))) / math.sqrt(m)
     if near_parallel:
         f2[1] = f2[0] + 1e-9 * f2[1]
-    budget = (2.0, streams, noise, needs_whitening(f2))
+    budget = (2.0, streams, noise)
     rates, deficient = hybrid_link_rate(f2, h, f1, *budget)
     rows = [hybrid_link_rate(f2, h_b[None], f1, *budget) for h_b in h]
     _same_bytes(rates, [r[0] for r, _ in rows])
@@ -336,7 +289,7 @@ def test_full_rank_reduced_stack_rates_equal_the_stage_pipeline(rows, shape):
     stages = beamforming.bb_stages(eff, power, streams, f1)
     stages.f2 = f2
     expected = beamforming.achievable_rate(stages, eff, noise)
-    rates, deficient = hybrid_link_rate(f2, h, f1, power, streams, noise, False, reduced=True)
+    rates, deficient = hybrid_link_rate(f2, h, f1, power, streams, noise, reduced=True)
     _same_bytes(rates, expected)
     assert deficient.tolist() == stages.rank_deficient.tolist() == [False] * rows
 
@@ -357,15 +310,13 @@ def _search_of(kind, pack, trial_index):
 
 
 def _pinned_packs():
-    """The default pack, the benchmark's element counts and UE positions, spacing 0.4 and the
-    near-singular toy pack, whose combiner takes the whitened rate branch."""
+    """The default pack, the benchmark's element counts and UE positions, and spacing 0.4."""
     config, geometry = default_config()
     yield build_scenario_pack(config, geometry, 0)
     for kind, values in (("elements", (16, 36, 64, 100)), ("ue_scenarios", UE_POSITIONS)):
         for value in values:
             yield build_scenario_pack(*apply_swept_value(config, geometry, kind, value), 0)
     yield build_scenario_pack(replace(config, element_spacing_wavelengths=0.4), geometry, 0)
-    yield _ill_conditioned(_pack())
 
 
 def _mixed_rank_stack(rng, shape):
@@ -376,8 +327,8 @@ def _mixed_rank_stack(rng, shape):
 
 # sha256 of the search objective's rates and rank flags on seeded particle batches, for every
 # searching kind on every _pinned_packs pack, then of the mixed-rank stacks through the joint
-# context's rate pipeline. A change in rounding, or in the branch a rate takes, moves it.
-OBJECTIVE_DIGEST = "6877eb51e30567ef1e01ff368575bf73d79e2bf8d86afc70f170166feb83a8ed"
+# context's rate pipeline. A change in rounding moves it.
+OBJECTIVE_DIGEST = "ac32b3a5275b13a4828f5dfeba62bf2e607b9e18f6808ca8bc263858a31499af"
 
 
 def test_search_objective_bytes_are_pinned():
@@ -405,7 +356,7 @@ def test_search_objective_bytes_are_pinned():
 
 
 def test_condition_numbers_are_taken_once_per_pack(monkeypatch):
-    # the rate branch is fixed by each combiner, so no rate call takes a condition number
+    # the RF design bounds every stage's condition number, so no rate call takes one
     calls = []
     real = np.linalg.cond
 
@@ -415,15 +366,13 @@ def test_condition_numbers_are_taken_once_per_pack(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cond", counted)
     base = _pack()
-    counts = []
     for iterations in (1, 4):
         config = replace(base.config, pso=PsoParams(swarm_size=3, iterations=iterations))
         pack = build_scenario_pack(config, base.geometry, 5)
         calls.clear()
         for kind in (BaselineKind.FIXED_RIS_OPT_PHASE, BaselineKind.FD_RELAY):
             baselines.run_baseline(kind, pack, 0)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= 2  # one per combiner, F2 and the relay's
+        assert calls == []
 
 
 def test_search_value_equals_the_reported_rate(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from movable_ris.beamforming import (
+    _COND_LIMIT,
     AngleSupport,
     BeamformerSet,
     InvalidBeamError,
@@ -64,12 +65,12 @@ def test_grid_values_strictly_increasing_in_open_interval():
 def test_select_beams_full_disk_selects_everything_clamped():
     # on a 3x3 grid every grid point lies inside the unit disk, so the whole
     # disk selects all Mx*My pairs; clamping to max_beams truncates
-    beams = select_beams(build_grid(3, 3), FULL_DISK, 2, 16)
+    beams = select_beams(build_grid(3, 3), FULL_DISK, 2, 16, 0.5)
     assert len(beams) == 9
-    beams8 = select_beams(build_grid(4, 4), FULL_DISK, 2, 8)
+    beams8 = select_beams(build_grid(4, 4), FULL_DISK, 2, 8, 0.5)
     assert len(beams8) == 8
     # 4x4 corners (±0.75, ±0.75) fall outside the disk and are never selected
-    beams16 = select_beams(build_grid(4, 4), FULL_DISK, 2, 16)
+    beams16 = select_beams(build_grid(4, 4), FULL_DISK, 2, 16, 0.5)
     assert len(beams16) == 12
 
 
@@ -79,14 +80,14 @@ def test_select_beams_point_support_fills_to_min():
     el = math.asin(math.hypot(0.125, 0.125))
     az = math.atan2(0.125, 0.125)
     support = AngleSupport((el, el), (az, az))
-    beams = select_beams(grid, support, 2, 16)
+    beams = select_beams(grid, support, 2, 16, 0.5)
     assert len(beams) == 2  # the hit cell plus the nearest fill
     assert beams[0] == (0.125, 0.125)
 
 
 def test_select_beams_never_returns_points_outside_disk():
     grid = build_grid(8, 8)
-    beams = select_beams(grid, FULL_DISK, 2, 64)
+    beams = select_beams(grid, FULL_DISK, 2, 64, 0.5)
     assert all(lx**2 + ly**2 <= 1 + 1e-12 for lx, ly in beams)
 
 
@@ -108,7 +109,7 @@ def test_select_beams_cells_intersect_support_dense_oracle():
     for mean_el, mean_az in [(1.2, 0.8), (0.6, -2.0), (1.532, math.pi / 4)]:
         support = AngleSupport((mean_el - spread, mean_el + spread),
                                (mean_az - spread, mean_az + spread))
-        beams = select_beams(build_grid(8, 8), support, 2, 16)
+        beams = select_beams(build_grid(8, 8), support, 2, 16, 0.5)
         pts = support_points(support, per_axis=512)
         hits = _fine_hits(beams, pts, 8, 8)
         n_fills = sum(not h for h in hits)
@@ -125,7 +126,7 @@ def test_select_beams_golden_table_geometry():
     spread = math.radians(10)
     support = AngleSupport((1.532 - spread, 1.532 + spread),
                            (math.pi / 4 - spread, math.pi / 4 + spread))
-    beams = select_beams(build_grid(8, 8), support, 2, 16)
+    beams = select_beams(build_grid(8, 8), support, 2, 16, 0.5)
     assert beams == [(0.625, 0.625), (0.875, 0.375)]
 
 
@@ -257,8 +258,49 @@ RING = AngleSupport((0.5, 0.5), (0.0, 2 * math.pi))  # four cells of a 4 x 4 gri
 @example(support=RING, m_x=4, m_y=4, min_beams=6, max_beams=8)  # ties, then the fill-in
 def test_select_beams_takes_the_order_of_the_tuple_sort(support, m_x, m_y, min_beams, max_beams):
     grid = build_grid(m_x, m_y)
-    assert (select_beams(grid, support, min_beams, max_beams)
+    assert (select_beams(grid, support, min_beams, max_beams, 0.5)
             == _tuple_sort_select_beams(grid, support, min_beams, max_beams))
+
+
+def _checked_select_beams(grid, support, min_beams, max_beams, spacing):
+    """The tuple sort's order with every cell checked on its own: the hits by count up to
+    ``max_beams``, then the other cells by distance up to ``min_beams``, each taken if the
+    Gram matrix of the beams taken stays within the condition limit."""
+    m_x, m_y = grid.shape
+    lx, ly = grid.lambda_x, grid.lambda_y
+
+    def usable(pairs):
+        beams = np.array([rf_steering_column(*pair, m_x, m_y, spacing) for pair in pairs])
+        return np.linalg.cond(beams @ beams.conj().T) <= _COND_LIMIT
+
+    selected = []
+    for pair in _tuple_sort_select_beams(grid, support, 0, m_x * m_y):  # every hit
+        if len(selected) < max_beams and usable(selected + [pair]):
+            selected.append(pair)
+    if len(selected) < min_beams:
+        pts = _meshgrid_support_points(support)
+        rest = sorted((np.min(np.hypot(pts[:, 0] - x, pts[:, 1] - y)), u, k)
+                      for u, x in enumerate(lx) for k, y in enumerate(ly)
+                      if x * x + y * y <= 1.0 + 1e-12 and (x, y) not in selected)
+        for _, u, k in rest:
+            if len(selected) < min_beams and usable(selected + [(lx[u], ly[k])]):
+                selected.append((lx[u], ly[k]))
+    return selected
+
+
+@settings(max_examples=150, deadline=None)
+@given(support=_supports(), m_x=st.integers(1, 8), m_y=st.integers(1, 8),
+       min_beams=st.integers(1, 6), max_beams=st.integers(1, 10),
+       spacing=st.one_of(st.floats(0.05, 4.0), st.sampled_from([1.0, 1.5, 2.0, 4.0])))
+@example(support=AngleSupport((0.2, 1.2), (0.0, 2.0)), m_x=8, m_y=8, min_beams=3, max_beams=6,
+         spacing=2.0)  # aliasing hits, skipped
+@example(support=AngleSupport((0.5, 0.5), (0.3, 0.3)), m_x=4, m_y=4, min_beams=5, max_beams=5,
+         spacing=1.0)  # aliasing fill-in cells, skipped: four distinct beams are all there are
+def test_select_beams_checks_one_stage_as_every_cell(support, m_x, m_y, min_beams, max_beams,
+                                                     spacing):
+    grid = build_grid(m_x, m_y)
+    assert (select_beams(grid, support, min_beams, max_beams, spacing)
+            == _checked_select_beams(grid, support, min_beams, max_beams, spacing))
 
 
 @settings(max_examples=200, deadline=None)
@@ -537,7 +579,7 @@ def test_decompose_takes_the_bytes_of_np_linalg_svd(shape, dtype):
 
 @pytest.mark.parametrize("shape, dtype", LAPACK_CASES)
 def test_link_rates_take_the_bytes_of_np_linalg_solve_and_slogdet(shape, dtype):
-    # the direct branch: log2 det(I + W^-1 Q), floored at 0, with W and Q formed as the route does
+    # the rate: log2 det(I + W^-1 Q), floored at 0, with W and Q formed as the route does
     rng = rng_stream(31, 0)
     *stack, m2, m1 = shape
     n = min(m2, m1)
@@ -548,7 +590,7 @@ def test_link_rates_take_the_bytes_of_np_linalg_solve_and_slogdet(shape, dtype):
     w = 1e-2 * (b2f2 @ b2f2.conj().swapaxes(-1, -2))
     x = np.linalg.solve(_double(w), _double(g @ g.conj().swapaxes(-1, -2)))
     expected = np.maximum(np.linalg.slogdet(x + np.eye(n))[1] / math.log(2.0), 0.0)
-    rates = _link_rates(b1, b2, f2, mat, 1e-2, False)
+    rates = _link_rates(b1, b2, f2, mat, 1e-2)
     assert rates.dtype == expected.dtype and rates.tobytes() == expected.tobytes()
 
 
@@ -558,7 +600,7 @@ def test_rate_route_raises_numpys_svd_error_on_a_nan_entry():
     eye = np.eye(3, dtype=complex)
     for reduced in (False, True):
         with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
-            hybrid_link_rate(eye, h, eye, 1.0, 2, 1e-2, False, reduced)
+            hybrid_link_rate(eye, h, eye, 1.0, 2, 1e-2, reduced)
 
 
 def test_rate_route_raises_numpys_singular_matrix_error():
@@ -566,18 +608,18 @@ def test_rate_route_raises_numpys_singular_matrix_error():
     b = np.eye(2, dtype=complex)[None]
     f2 = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-        _link_rates(b, b, f2, np.ones((1, 2, 2), dtype=complex), 1.0, False)
+        _link_rates(b, b, f2, np.ones((1, 2, 2), dtype=complex), 1.0)
 
 
 def test_rate_route_log_det_of_a_nan_row_warns_and_gives_nan():
     # as np.linalg.slogdet: a warning and a NaN, never an error, and the other rows unmoved
     b = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
     mat = _random_complex(rng_stream(33, 0), (3, 2, 2))
-    alone = np.concatenate([_link_rates(b[:1], b[:1], np.eye(2), mat[[i]], 1.0, False)
+    alone = np.concatenate([_link_rates(b[:1], b[:1], np.eye(2), mat[[i]], 1.0)
                             for i in (0, 2)])
     mat[1, 0, 0] = np.nan
     with pytest.warns(RuntimeWarning, match="invalid value encountered in slogdet"):
-        rates = _link_rates(b, b, np.eye(2), mat, 1.0, False)
+        rates = _link_rates(b, b, np.eye(2), mat, 1.0)
     assert np.isnan(rates[1])
     assert rates[[0, 2]].tobytes() == alone.tobytes()
 

@@ -421,8 +421,13 @@ def test_fuzzed_config_ends_in_an_error_a_recorded_failure_or_a_finite_rate(text
         config, geometry = parse_config(text, base)
     except ConfigError:
         return
-    if validate(config, geometry):
-        return  # the command line raises these as one ConfigError
+    errors = validate(config, geometry)
+    try:  # the pack rejects every configuration validate does, and an RF design short of beams
+        build_scenario_pack(config, geometry, config.rng_seed)
+    except ConfigError as exc:
+        assert not errors or str(exc) == "invalid configuration: " + "; ".join(errors), text
+        return
+    assert not errors, (errors, text)
     for kind in BaselineKind:
         result = monte_carlo_point(config, geometry, kind, 1, config.rng_seed)
         assert result.failed_trials or math.isfinite(result.mean_rate), (kind, text)
