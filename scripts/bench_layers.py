@@ -63,10 +63,7 @@ calls, so what ran before in the measuring process does not move it.
 
 A layer that only some trees have is timed in those and gets no ratio.
 Trees need ``channel.platform_angles``, ``channel.hops`` and
-``beamforming._lapack``. A tree from before the rate took one formula takes
-the rate's branch as an argument of ``hybrid_link_rate`` and
-``beamforming._link_rates``; it is passed the direct log-det, which every
-pack here takes.
+``beamforming._lapack``.
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
-import inspect
 import json
 import multiprocessing
 import os
@@ -129,13 +125,6 @@ def _captured_objectives(pack, baselines, optimizer, kinds=SEARCHES) -> dict:
     finally:
         baselines.run_pso, optimizer.run_pso = real
     return captured
-
-
-def _direct_branch(fn, known: int) -> tuple:
-    """The arguments after the first ``known`` that ``fn`` requires: none, or the direct
-    log-det's branch flag, False, in a tree from before the rate took one formula."""
-    return tuple(False for p in list(inspect.signature(fn).parameters.values())[known:]
-                 if p.default is inspect.Parameter.empty)
 
 
 def _dimension(kind: str, config) -> int:
@@ -198,8 +187,7 @@ def layers_of(module, rows: int) -> dict:
         return channel._end_blocks(cosines, ends["ris"], spacing)
 
     c, a = ris_hops()
-    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts,
-              *_direct_branch(beamforming.hybrid_link_rate, 6))
+    budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
     relay_stages = ((pack.relay_f2_hop1, pack.f1), (pack.f2, pack.relay_f1_hop2))
     relay_reduced = relay_search_hops()
     f2s, f1s = zip(*relay_stages)
@@ -251,9 +239,8 @@ def layers_of(module, rows: int) -> dict:
     layers["lean.align"] = lambda: beamforming._align_phases(u, vh)
     layers["lean.precoder"] = lambda: beamforming._precoder(vh, streams,
                                                             config.tx_power_watts, pack.f1)
-    link_branch = _direct_branch(beamforming._link_rates, 5)
     layers["lean.link_rates"] = lambda: beamforming._link_rates(
-        b1, b2, pack.f2, reduced, config.noise_power_watts, *link_branch)
+        b1, b2, pack.f2, reduced, config.noise_power_watts)
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
         batch = rng.random((rows, _dimension(kind, config)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)

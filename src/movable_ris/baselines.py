@@ -113,8 +113,8 @@ class ScenarioPack:
     def beams(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per-axis factors X (K, m_x), Y (K, m_y) of each RF stage's K beams, by field name.
 
-        An ``rf_steering_column`` beam is kron(px, py) / sqrt(M) with px[0] = py[0] = 1, so
-        X = px / sqrt(M) and Y = py / sqrt(M) are, bit for bit, its entries at m_y = 0 and m_x = 0.
+        An ``rf_stage`` beam is kron(px, py) / sqrt(M) with px[0] = py[0] = 1, so X = px / sqrt(M)
+        and Y = py / sqrt(M) are, bit for bit, its entries at m_y = 0 and m_x = 0.
         """
         tx, rx = self.config.tx_antennas, self.config.rx_antennas
         grids = {name: np.reshape(beams, (-1, *shape)) for name, beams, shape in (

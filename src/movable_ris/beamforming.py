@@ -22,15 +22,12 @@ from .scenario import DeploymentGeometry, SystemConfig
 
 __all__ = [
     "InvalidBeamError",
-    "QuantizedGrid",
     "AngleSupport",
     "BeamformerSet",
     "EffectiveChannel",
-    "build_grid",
     "support_points",
     "select_beams",
-    "rf_steering_column",
-    "rf_stages",
+    "rf_stage",
     "platform_footprint",
     "design_rf_stages",
     "design_relay_stages",
@@ -54,18 +51,6 @@ class InvalidBeamError(ValueError):
 
 
 @dataclass(frozen=True)
-class QuantizedGrid:
-    """Directional-cosine beam grid: values -1 + (2u-1)/M for u = 1..M."""
-
-    lambda_x: tuple[float, ...]
-    lambda_y: tuple[float, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.lambda_x), len(self.lambda_y)
-
-
-@dataclass(frozen=True)
 class AngleSupport:
     """Elevation/azimuth intervals (radians) defining a cosine-space region.
 
@@ -81,9 +66,9 @@ class AngleSupport:
 class EffectiveChannel:
     """Reduced channel seen by the digital stages, with its SVD.
 
-    For a stack of channels every field carries the stack's leading axes
-    and ``rank`` is an integer array. ``ranks`` holds the ranks as Python
-    ints, one per channel. Both are read from the singular values.
+    For a stack of channels every field carries the stack's leading axes.
+    ``ranks`` holds the ranks as Python ints, one per channel, read from the
+    singular values.
     """
 
     matrix: np.ndarray       # (..., n_rx_beams, n_tx_beams)
@@ -96,13 +81,9 @@ class EffectiveChannel:
         return max(self.matrix.shape[-2:]) * _EPS * self.singular_values[..., 0]
 
     @property
-    def rank(self) -> int | np.ndarray:
-        rank = (self.singular_values > self._floor()[..., None]).sum(axis=-1)
-        return rank if rank.ndim else int(rank)
-
-    @property
     def ranks(self) -> list[int]:
-        return np.reshape(self.rank, -1).tolist()
+        rank = (self.singular_values > self._floor()[..., None]).sum(axis=-1)
+        return np.reshape(rank, -1).tolist()
 
 
 @dataclass
@@ -121,35 +102,28 @@ class BeamformerSet:
     rank_deficient: bool | np.ndarray = False
 
 
-def build_grid(m_x: int, m_y: int) -> QuantizedGrid:
-    """Quantized cosine grid matched to the array dimensions."""
-    if m_x < 1 or m_y < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    lx = tuple(-1.0 + (2 * u - 1) / m_x for u in range(1, m_x + 1))
-    ly = tuple(-1.0 + (2 * k - 1) / m_y for k in range(1, m_y + 1))
-    return QuantizedGrid(lx, ly)
-
-
-def support_points(support: AngleSupport, per_axis: int = 96) -> np.ndarray:
-    """Dense sample of the support region in cosine space, shape (n, 2)."""
-    r = np.sin(np.linspace(support.elevation[0], support.elevation[1], per_axis))[:, None]
-    az = np.linspace(support.azimuth[0], support.azimuth[1], per_axis)
+def support_points(support: AngleSupport) -> np.ndarray:
+    """Dense sample of the support region in cosine space, shape (96 * 96, 2)."""
+    r = np.sin(np.linspace(support.elevation[0], support.elevation[1], 96))[:, None]
+    az = np.linspace(support.azimuth[0], support.azimuth[1], 96)
     return np.column_stack(((r * np.cos(az)).ravel(), (r * np.sin(az)).ravel()))
 
 
 def select_beams(
-    grid: QuantizedGrid,
+    shape: tuple[int, int],
     support: AngleSupport,
     min_beams: int,
     max_beams: int,
     spacing: float,
 ) -> list[tuple[float, float]]:
-    """Grid pairs whose cell intersects the support, clamped to [min, max].
+    """Cell centres whose cell intersects the support, clamped to [min, max].
 
-    Each pair covers a cell of size 2/M_x x 2/M_y; intersection is detected by
-    dense sampling of the support and pairs are ordered by descending overlap
-    (sample hits), ties by grid index. Pairs whose grid point falls outside
-    the unit disk are never returned since they map to no physical direction.
+    An (M_x, M_y) array's quantized cosine grid has the centres -1 + (2u-1)/M,
+    u = 1..M, on each axis, each the centre of a cell of size 2/M_x x 2/M_y.
+    Intersection is detected by dense sampling of the support and pairs are
+    ordered by descending overlap (sample hits), ties by grid index. Pairs
+    whose grid point falls outside the unit disk are never returned since
+    they map to no physical direction.
     If fewer than ``min_beams`` cells intersect, the nearest disk-interior
     pairs (euclidean distance in cosine space to the support) fill the
     deficit. A cell is skipped, and later cells fill in, if its beam at
@@ -157,14 +131,13 @@ def select_beams(
     past a condition number of _COND_LIMIT, as two cells that alias give one
     beam at a spacing of a wavelength or more.
     """
-    m_x, m_y = grid.shape
+    m_x, m_y = shape
     pts = support_points(support)
     ix = np.clip(np.floor((pts[:, 0] + 1.0) * m_x / 2.0).astype(int), 0, m_x - 1)
     iy = np.clip(np.floor((pts[:, 1] + 1.0) * m_y / 2.0).astype(int), 0, m_y - 1)
     counts = np.bincount(ix * m_y + iy, minlength=m_x * m_y).reshape(m_x, m_y)
 
-    lx = np.asarray(grid.lambda_x)
-    ly = np.asarray(grid.lambda_y)
+    lx, ly = (-1.0 + (2 * np.arange(1, m + 1) - 1) / m for m in shape)
     in_disk = (lx[:, None] ** 2 + ly[None, :] ** 2) <= 1.0 + 1e-12
 
     cells = [(u, k) for u in range(m_x) for k in range(m_y) if in_disk[u, k]]  # grid order
@@ -173,9 +146,9 @@ def select_beams(
     def conditioned(picked) -> bool:
         """Whether the Gram matrix of the beams kron(px, py) / sqrt(M) of the ``picked`` cells,
         the product of the per-axis Grams over M, is within _COND_LIMIT."""
-        px, py = (np.exp(2j * np.pi * spacing * np.arange(m)[:, None] * values[index])
-                  for m, values, index in zip((m_x, m_y), (lx, ly), np.transpose(picked)))
-        gram = (_hermitian(px) @ px) * (_hermitian(py) @ py) / (m_x * m_y)
+        px, py = (_beam_phases(values[index], m, spacing)
+                  for m, values, index in zip(shape, (lx, ly), np.transpose(picked)))
+        gram = (px.conj() @ px.T) * (py.conj() @ py.T) / (m_x * m_y)
         s = _lapack(_umath_linalg.svd, "D->d", gram)  # descending
         return s[-1] * _COND_LIMIT >= s[0]
 
@@ -199,42 +172,29 @@ def select_beams(
     return [(float(lx[u]), float(ly[k])) for u, k in selected]
 
 
-def rf_steering_column(
-    lam_x: float, lam_y: float, m_x: int, m_y: int, spacing: float
+def _beam_phases(values, m: int, spacing: float) -> np.ndarray:
+    """The phase vectors exp(+j 2 pi d n lam), n = 0..m-1, of an m-element axis at the K
+    cosines ``values``, shape (K, m)."""
+    return np.exp(2j * np.pi * spacing * np.arange(m) * np.asarray(values, dtype=float)[:, None])
+
+
+def rf_stage(
+    pairs: list[tuple[float, float]], shape: tuple[int, int], spacing: float
 ) -> np.ndarray:
-    """Constant-modulus beam for one cosine pair, per-entry modulus 1/sqrt(M).
+    """The (K, M) constant-modulus beams of K cosine pairs on one array, entry modulus 1/sqrt(M).
 
-    Phases are +2*pi*d*(m_x*lam_x + m_y*lam_y) so the beam coherently matches
-    a propagation steering vector at the same direction cosines.
+    Beam k is kron(px, py) / sqrt(M), its phases +2*pi*d*(m_x*lam_x + m_y*lam_y), so it
+    coherently matches a propagation steering vector at the same direction cosines. The rows
+    are a combiner F2 as they stand (plain transposes, no conjugation, pair them coherently
+    with arriving steering vectors) and, transposed, a precoder F1's columns.
     """
-    if lam_x**2 + lam_y**2 > 1.0 + 1e-12:
-        raise InvalidBeamError(f"cosine pair ({lam_x}, {lam_y}) outside the unit disk")
-    px = np.exp(2j * np.pi * spacing * np.arange(m_x) * lam_x)
-    py = np.exp(2j * np.pi * spacing * np.arange(m_y) * lam_y)
-    return (px[:, None] * py).ravel() / math.sqrt(m_x * m_y)
-
-
-def rf_stages(
-    beams_tx: list[tuple[float, float]],
-    beams_rx: list[tuple[float, float]],
-    tx_shape: tuple[int, int],
-    rx_shape: tuple[int, int],
-    spacing: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analog precoder F1 (num_tx x n_tx) and combiner F2 (n_rx x num_rx).
-
-    F2 rows are plain transposes (no conjugation) of the receive beams, which
-    pairs them coherently with arriving steering vectors.
-    """
-    if not beams_tx or not beams_rx:
-        raise ValueError("beam lists must be nonempty")
-    f1 = np.column_stack(
-        [rf_steering_column(lx, ly, tx_shape[0], tx_shape[1], spacing) for lx, ly in beams_tx]
-    )
-    f2 = np.vstack(
-        [rf_steering_column(lx, ly, rx_shape[0], rx_shape[1], spacing) for lx, ly in beams_rx]
-    )
-    return f1, f2
+    if not pairs:
+        raise ValueError("beam list must be nonempty")
+    for lam_x, lam_y in pairs:
+        if lam_x**2 + lam_y**2 > 1.0 + 1e-12:
+            raise InvalidBeamError(f"cosine pair ({lam_x}, {lam_y}) outside the unit disk")
+    px, py = (_beam_phases(values, m, spacing) for values, m in zip(zip(*pairs), shape))
+    return (px[:, :, None] * py[:, None, :]).reshape(len(pairs), -1) / math.sqrt(math.prod(shape))
 
 
 def platform_footprint(geometry: DeploymentGeometry) -> np.ndarray:
@@ -256,14 +216,13 @@ def _covering_rf_stages(
     Each side gets at least ``num_streams`` usable beams, where that many are
     left, and at most ``max_rf_chains`` (never more than its antenna count).
     """
-    shapes = (config.tx_antennas, config.rx_antennas)
     spacing = config.element_spacing_wavelengths
-    beams_tx, beams_rx = (
-        select_beams(build_grid(*shape), support, config.num_streams,
-                     min(config.max_rf_chains, shape[0] * shape[1]), spacing)
-        for shape, support in zip(shapes, (support_tx, support_rx))
+    f1_rows, f2 = (
+        rf_stage(select_beams(shape, support, config.num_streams,
+                              min(config.max_rf_chains, math.prod(shape)), spacing), shape, spacing)
+        for shape, support in ((config.tx_antennas, support_tx), (config.rx_antennas, support_rx))
     )
-    return rf_stages(beams_tx, beams_rx, *shapes, spacing)
+    return f1_rows.T, f2
 
 
 def design_rf_stages(

@@ -107,14 +107,9 @@ def _load_scenario(args) -> tuple[SystemConfig, DeploymentGeometry]:
         config = replace(config, pso=pso)
     if args.pso_seed is not None and args.pso_seed < 0:
         raise ConfigError(f"--pso-seed must be a non-negative integer, got {args.pso_seed}")
-    _check(config, geometry, "configuration")
+    if errors := validate(config, geometry):
+        raise ConfigError("invalid configuration: " + "; ".join(errors))
     return config, geometry
-
-
-def _check(config: SystemConfig, geometry: DeploymentGeometry, what: str) -> None:
-    errors = validate(config, geometry)
-    if errors:
-        raise ConfigError(f"invalid {what}: " + "; ".join(errors))
 
 
 def _baseline_kind(token: str) -> BaselineKind:
@@ -166,7 +161,9 @@ def _run_sweep(args, kind: str, values: tuple | None, out_name: str) -> int:
         seed=config.rng_seed,
         pso_seed=args.pso_seed,
     )
-    sweep_points(spec, config, geometry)  # every value is checked before any directory exists
+    # every value is checked, and its RF stages designed, before any directory exists
+    for _, point_config, point_geometry in sweep_points(spec, config, geometry):
+        build_scenario_pack(point_config, point_geometry, spec.seed, spec.pso_seed)
     out_dir = args.out if args.out is not None else Path("results") / out_name
     for flag, directory in (("--out", out_dir), ("--dump-channels", args.dump_channels)):
         if directory is None:
@@ -212,7 +209,6 @@ def _cmd_oracle_check(args) -> int:
         num_streams=2,
         pso=replace(config.pso, swarm_size=10, iterations=50),
     )
-    _check(config, geometry, "oracle-check configuration")
     check_oracle_grid(args.position_steps, args.phase_steps, config.num_ris)
     pack = build_scenario_pack(config, geometry, config.rng_seed, args.pso_seed)
     hits = 0

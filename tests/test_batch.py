@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from movable_ris import baselines, beamforming, channel, optimizer
 from movable_ris.baselines import BaselineKind, build_scenario_pack
-from movable_ris.beamforming import hybrid_link_rate, rf_steering_column
+from movable_ris.beamforming import hybrid_link_rate, rf_stage
 from movable_ris.harness import apply_swept_value
 from movable_ris.scenario import PsoParams, default_config, rng_stream
 from test_acceptance import UE_POSITIONS
@@ -44,7 +44,7 @@ def _pack(seed=5):
 def _ill_conditioned(pack, gap=1e-11):
     """The same pack with receive beam 1 moved ``gap`` in cosine from beam 0, so W is near singular.
 
-    Both are ``rf_steering_column`` beams, which ``ScenarioPack.beams`` reads one axis at a time.
+    Both are ``rf_stage`` beams, which ``ScenarioPack.beams`` reads one axis at a time.
     """
     spacing = pack.config.element_spacing_wavelengths
     m_x, m_y = pack.config.rx_antennas
@@ -53,7 +53,7 @@ def _ill_conditioned(pack, gap=1e-11):
         # beam 0's cosines from its phase steps along x and along y
         lam_x, lam_y = np.angle(f2[0, [m_y, 1]] / f2[0, 0]) / (2 * math.pi * spacing)
         f2 = f2.copy()
-        f2[1] = rf_steering_column(lam_x + gap, lam_y, m_x, m_y, spacing)
+        f2[1] = rf_stage([(lam_x + gap, lam_y)], (m_x, m_y), spacing)[0]
         return f2
     return replace(pack, f2=squeeze(pack.f2), relay_f2_hop1=squeeze(pack.relay_f2_hop1),
                    fd_relay_outcomes={})

@@ -15,12 +15,10 @@ from movable_ris.beamforming import (
     _link_rates,
     achievable_rate,
     bb_stages,
-    build_grid,
     design_rf_stages,
     effective_channel,
     hybrid_link_rate,
-    rf_stages,
-    rf_steering_column,
+    rf_stage,
     select_beams,
     support_points,
 )
@@ -33,61 +31,46 @@ def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-# --- quantized grid ----------------------------------------------------------
-
-
-def test_grid_eight():
-    grid = build_grid(8, 8)
-    expected = [-0.875, -0.625, -0.375, -0.125, 0.125, 0.375, 0.625, 0.875]
-    np.testing.assert_allclose(grid.lambda_x, expected, atol=1e-15)
-
-
-def test_grid_one_is_centered():
-    assert build_grid(1, 1).lambda_x == (0.0,)
-    with pytest.raises(ValueError, match="grid dimensions must be >= 1"):
-        build_grid(0, 1)
-
-
-def test_grid_two():
-    np.testing.assert_allclose(build_grid(2, 2).lambda_y, [-0.5, 0.5], atol=1e-15)
-
-
-def test_grid_values_strictly_increasing_in_open_interval():
-    grid = build_grid(7, 3)
-    for vals in (grid.lambda_x, grid.lambda_y):
-        assert all(-1 < v < 1 for v in vals)
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
 # --- beam selection ----------------------------------------------------------
 
 
 def test_select_beams_full_disk_selects_everything_clamped():
     # on a 3x3 grid every grid point lies inside the unit disk, so the whole
     # disk selects all Mx*My pairs; clamping to max_beams truncates
-    beams = select_beams(build_grid(3, 3), FULL_DISK, 2, 16, 0.5)
+    beams = select_beams((3, 3), FULL_DISK, 2, 16, 0.5)
     assert len(beams) == 9
-    beams8 = select_beams(build_grid(4, 4), FULL_DISK, 2, 8, 0.5)
+    beams8 = select_beams((4, 4), FULL_DISK, 2, 8, 0.5)
     assert len(beams8) == 8
     # 4x4 corners (±0.75, ±0.75) fall outside the disk and are never selected
-    beams16 = select_beams(build_grid(4, 4), FULL_DISK, 2, 16, 0.5)
+    beams16 = select_beams((4, 4), FULL_DISK, 2, 16, 0.5)
     assert len(beams16) == 12
 
 
+@pytest.mark.parametrize("shape, centres", [
+    ((8, 8), ([-0.875, -0.625, -0.375, -0.125, 0.125, 0.375, 0.625, 0.875],) * 2),
+    ((1, 1), ([0.0], [0.0])),
+    ((2, 4), ([-0.5, 0.5], [-0.75, -0.25, 0.25, 0.75])),
+], ids=["8x8", "1x1", "2x4"])
+def test_select_beams_returns_the_cell_centres_on_the_full_disk(shape, centres):
+    # the centres -1 + (2u-1)/M of each axis, every pair inside the unit disk, each once
+    beams = select_beams(shape, FULL_DISK, 1, shape[0] * shape[1], 0.5)
+    expected = {(x, y) for x in centres[0] for y in centres[1] if x * x + y * y <= 1.0}
+    assert len(beams) == len(expected)
+    assert set(beams) == expected
+
+
 def test_select_beams_point_support_fills_to_min():
-    grid = build_grid(8, 8)
     # zero-spread support exactly on the grid point (0.125, 0.125):
     el = math.asin(math.hypot(0.125, 0.125))
     az = math.atan2(0.125, 0.125)
     support = AngleSupport((el, el), (az, az))
-    beams = select_beams(grid, support, 2, 16, 0.5)
+    beams = select_beams((8, 8), support, 2, 16, 0.5)
     assert len(beams) == 2  # the hit cell plus the nearest fill
     assert beams[0] == (0.125, 0.125)
 
 
 def test_select_beams_never_returns_points_outside_disk():
-    grid = build_grid(8, 8)
-    beams = select_beams(grid, FULL_DISK, 2, 64, 0.5)
+    beams = select_beams((8, 8), FULL_DISK, 2, 64, 0.5)
     assert all(lx**2 + ly**2 <= 1 + 1e-12 for lx, ly in beams)
 
 
@@ -109,8 +92,8 @@ def test_select_beams_cells_intersect_support_dense_oracle():
     for mean_el, mean_az in [(1.2, 0.8), (0.6, -2.0), (1.532, math.pi / 4)]:
         support = AngleSupport((mean_el - spread, mean_el + spread),
                                (mean_az - spread, mean_az + spread))
-        beams = select_beams(build_grid(8, 8), support, 2, 16, 0.5)
-        pts = support_points(support, per_axis=512)
+        beams = select_beams((8, 8), support, 2, 16, 0.5)
+        pts = _meshgrid_support_points(support, per_axis=512)
         hits = _fine_hits(beams, pts, 8, 8)
         n_fills = sum(not h for h in hits)
         if n_fills:
@@ -126,7 +109,7 @@ def test_select_beams_golden_table_geometry():
     spread = math.radians(10)
     support = AngleSupport((1.532 - spread, 1.532 + spread),
                            (math.pi / 4 - spread, math.pi / 4 + spread))
-    beams = select_beams(build_grid(8, 8), support, 2, 16, 0.5)
+    beams = select_beams((8, 8), support, 2, 16, 0.5)
     assert beams == [(0.625, 0.625), (0.875, 0.375)]
 
 
@@ -134,23 +117,18 @@ def test_select_beams_golden_table_geometry():
 
 
 def test_rf_column_broadside_uniform():
-    col = rf_steering_column(0.0, 0.0, 4, 4, 0.5)
+    (col,) = rf_stage([(0.0, 0.0)], (4, 4), 0.5)
     np.testing.assert_allclose(col, np.full(16, 0.25, dtype=complex), atol=1e-15)
 
 
 def test_rf_column_rejects_outside_disk():
-    with pytest.raises(InvalidBeamError):
-        rf_steering_column(0.875, 0.875, 8, 8, 0.5)
+    with pytest.raises(InvalidBeamError, match=r"cosine pair \(0.875, 0.875\) outside"):
+        rf_stage([(0.0, 0.0), (0.875, 0.875)], (8, 8), 0.5)
 
 
 def test_rf_stages_constant_modulus_exact():
-    f1, f2 = rf_stages(
-        [(0.125, 0.375), (-0.625, 0.125)],
-        [(0.375, -0.125), (0.625, 0.625)],
-        (8, 8),
-        (8, 8),
-        0.5,
-    )
+    f1 = rf_stage([(0.125, 0.375), (-0.625, 0.125)], (8, 8), 0.5).T
+    f2 = rf_stage([(0.375, -0.125), (0.625, 0.625)], (8, 8), 0.5)
     # machine-precision constant modulus: |exp(j phi)| is within 2 ulp of 1
     np.testing.assert_allclose(np.abs(f1), 1 / 8, rtol=0, atol=5e-16)
     np.testing.assert_allclose(np.abs(f2), 1 / 8, rtol=0, atol=5e-16)
@@ -159,34 +137,30 @@ def test_rf_stages_constant_modulus_exact():
 
 
 def test_rf_stages_rejects_empty():
-    with pytest.raises(ValueError):
-        rf_stages([], [(0.0, 0.0)], (2, 2), (2, 2), 0.5)
+    with pytest.raises(ValueError, match="beam list must be nonempty"):
+        rf_stage([], (2, 2), 0.5)
 
 
 def test_grid_beams_orthogonal_at_half_wavelength():
-    # distinct grid pairs on the quantized grid are exactly orthogonal at d=0.5
-    grid = build_grid(8, 8)
-    pairs = [(grid.lambda_x[i], grid.lambda_y[j]) for i, j in [(3, 4), (4, 4), (2, 5)]]
-    cols = [rf_steering_column(lx, ly, 8, 8, 0.5) for lx, ly in pairs]
-    for i in range(3):
-        for j in range(3):
-            ip = np.vdot(cols[i], cols[j])
-            if i == j:
-                assert abs(ip) == pytest.approx(1.0, abs=1e-12)
-            else:
-                assert abs(ip) < 1e-12
+    # distinct cell centres of an 8-cell axis, -1 + (2u-1)/8, are exactly orthogonal at d=0.5
+    beams = rf_stage([(-0.125, 0.125), (0.125, 0.125), (-0.375, 0.375)], (8, 8), 0.5)
+    np.testing.assert_allclose(beams.conj() @ beams.T, np.eye(3), atol=1e-12)
 
 
 def test_column_correlation_below_one():
-    c1 = rf_steering_column(0.1, 0.2, 8, 8, 0.5)
-    c2 = rf_steering_column(0.15, 0.2, 8, 8, 0.5)
+    c1, c2 = rf_stage([(0.1, 0.2), (0.15, 0.2)], (8, 8), 0.5)
     assert abs(np.vdot(c1, c2)) < 1.0
 
 
 # --- the analog design against its earlier forms ------------------------------
 # The design's bytes are pinned by RF_STAGE_DIGEST in tests/test_baselines.py.
-# These copies are the forms it had before: trig over a meshgrid, a
-# (-count, u, k) tuple sort with a nested fill-in loop, and np.kron.
+# These copies are the forms it had before: a tuple of cell centres per axis,
+# trig over a meshgrid, a (-count, u, k) tuple sort with a nested fill-in loop,
+# and np.kron one beam at a time.
+
+
+def _cell_centres(m):
+    return tuple(-1.0 + (2 * u - 1) / m for u in range(1, m + 1))
 
 
 def _meshgrid_support_points(support, per_axis=96):
@@ -197,14 +171,14 @@ def _meshgrid_support_points(support, per_axis=96):
     return np.column_stack((r * np.cos(aa.ravel()), r * np.sin(aa.ravel())))
 
 
-def _tuple_sort_select_beams(grid, support, min_beams, max_beams):
-    m_x, m_y = grid.shape
+def _tuple_sort_select_beams(shape, support, min_beams, max_beams):
+    m_x, m_y = shape
     pts = _meshgrid_support_points(support)
     ix = np.clip(np.floor((pts[:, 0] + 1.0) * m_x / 2.0).astype(int), 0, m_x - 1)
     iy = np.clip(np.floor((pts[:, 1] + 1.0) * m_y / 2.0).astype(int), 0, m_y - 1)
     counts = np.zeros((m_x, m_y), dtype=int)
     np.add.at(counts, (ix, iy), 1)
-    lx, ly = np.asarray(grid.lambda_x), np.asarray(grid.lambda_y)
+    lx, ly = np.asarray(_cell_centres(m_x)), np.asarray(_cell_centres(m_y))
     in_disk = (lx[:, None] ** 2 + ly[None, :] ** 2) <= 1.0 + 1e-12
     hits = [(-counts[u, k], u, k) for u in range(m_x) for k in range(m_y)
             if counts[u, k] > 0 and in_disk[u, k]]
@@ -240,9 +214,9 @@ def _supports(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(support=_supports(), per_axis=st.integers(1, 128))
-def test_support_points_take_the_bytes_of_the_meshgrid_form(support, per_axis):
-    points, old = support_points(support, per_axis), _meshgrid_support_points(support, per_axis)
+@given(support=_supports())
+def test_support_points_take_the_bytes_of_the_meshgrid_form(support):
+    points, old = support_points(support), _meshgrid_support_points(support)
     assert points.shape == old.shape
     assert points.tobytes() == old.tobytes()
 
@@ -257,24 +231,23 @@ RING = AngleSupport((0.5, 0.5), (0.0, 2 * math.pi))  # four cells of a 4 x 4 gri
 @example(support=RING, m_x=4, m_y=4, min_beams=2, max_beams=3)  # ties cut by max_beams
 @example(support=RING, m_x=4, m_y=4, min_beams=6, max_beams=8)  # ties, then the fill-in
 def test_select_beams_takes_the_order_of_the_tuple_sort(support, m_x, m_y, min_beams, max_beams):
-    grid = build_grid(m_x, m_y)
-    assert (select_beams(grid, support, min_beams, max_beams, 0.5)
-            == _tuple_sort_select_beams(grid, support, min_beams, max_beams))
+    assert (select_beams((m_x, m_y), support, min_beams, max_beams, 0.5)
+            == _tuple_sort_select_beams((m_x, m_y), support, min_beams, max_beams))
 
 
-def _checked_select_beams(grid, support, min_beams, max_beams, spacing):
+def _checked_select_beams(shape, support, min_beams, max_beams, spacing):
     """The tuple sort's order with every cell checked on its own: the hits by count up to
     ``max_beams``, then the other cells by distance up to ``min_beams``, each taken if the
     Gram matrix of the beams taken stays within the condition limit."""
-    m_x, m_y = grid.shape
-    lx, ly = grid.lambda_x, grid.lambda_y
+    m_x, m_y = shape
+    lx, ly = _cell_centres(m_x), _cell_centres(m_y)
 
     def usable(pairs):
-        beams = np.array([rf_steering_column(*pair, m_x, m_y, spacing) for pair in pairs])
+        beams = np.array([_kron_steering_column(*pair, m_x, m_y, spacing) for pair in pairs])
         return np.linalg.cond(beams @ beams.conj().T) <= _COND_LIMIT
 
     selected = []
-    for pair in _tuple_sort_select_beams(grid, support, 0, m_x * m_y):  # every hit
+    for pair in _tuple_sort_select_beams(shape, support, 0, m_x * m_y):  # every hit
         if len(selected) < max_beams and usable(selected + [pair]):
             selected.append(pair)
     if len(selected) < min_beams:
@@ -298,20 +271,23 @@ def _checked_select_beams(grid, support, min_beams, max_beams, spacing):
          spacing=1.0)  # aliasing fill-in cells, skipped: four distinct beams are all there are
 def test_select_beams_checks_one_stage_as_every_cell(support, m_x, m_y, min_beams, max_beams,
                                                      spacing):
-    grid = build_grid(m_x, m_y)
-    assert (select_beams(grid, support, min_beams, max_beams, spacing)
-            == _checked_select_beams(grid, support, min_beams, max_beams, spacing))
+    assert (select_beams((m_x, m_y), support, min_beams, max_beams, spacing)
+            == _checked_select_beams((m_x, m_y), support, min_beams, max_beams, spacing))
+
+
+_PAIRS = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
+    lambda lam: lam[0] ** 2 + lam[1] ** 2 <= 1.0), min_size=1, max_size=8)
 
 
 @settings(max_examples=200, deadline=None)
-@given(lam=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
-           lambda lam: lam[0] ** 2 + lam[1] ** 2 <= 1.0),
-       m_x=st.integers(1, 16), m_y=st.integers(1, 16), spacing=st.floats(0.05, 2.0))
-def test_rf_steering_column_takes_the_bytes_of_kron(lam, m_x, m_y, spacing):
-    column, old = rf_steering_column(*lam, m_x, m_y, spacing), _kron_steering_column(
-        *lam, m_x, m_y, spacing)
-    assert column.shape == old.shape
-    assert column.tobytes() == old.tobytes()
+@given(pairs=_PAIRS, m_x=st.integers(1, 16), m_y=st.integers(1, 16),
+       spacing=st.floats(0.05, 4.05))
+def test_rf_steering_column_takes_the_bytes_of_kron(pairs, m_x, m_y, spacing):
+    # every row of a stage, its beams built at once, is the per-beam np.kron column
+    stage = rf_stage(pairs, (m_x, m_y), spacing)
+    old = np.array([_kron_steering_column(*lam, m_x, m_y, spacing) for lam in pairs])
+    assert stage.shape == old.shape
+    assert stage.tobytes() == old.tobytes()
 
 
 # --- effective channel and digital stages ------------------------------------
@@ -322,7 +298,7 @@ def test_effective_channel_zero():
     f2 = np.eye(4)
     eff = effective_channel(f2, np.zeros((4, 4)), f1)
     np.testing.assert_allclose(eff.singular_values, 0.0, atol=1e-15)
-    assert eff.rank == 0
+    assert eff.ranks == [0]
 
 
 def test_effective_channel_scalar():
@@ -367,8 +343,9 @@ def test_decompose_mixed_lead_entries_match_each_row_alone():
     assert not np.abs(whole.vh[..., 0]).all() and np.isfinite(whole.vh).all()
     for i, row in enumerate(stack.astype(complex)):
         alone = _decompose(row[None])
-        for field in ("u", "singular_values", "vh", "rank"):
+        for field in ("u", "singular_values", "vh"):
             assert getattr(whole, field)[i].tobytes() == getattr(alone, field)[0].tobytes(), field
+        assert whole.ranks[i] == alone.ranks[0]
 
 
 def test_bb_stages_identity_channel():

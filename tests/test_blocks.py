@@ -315,7 +315,7 @@ def test_ris_loop_equals_composite_then_effective_channel(
             rate = context.rate_for(optimizer.RisState(float(x[b]), float(y[b]), phases_b))
         (eff,) = seen
         assert _eff_bytes(eff, 0) == _eff_bytes(row)
-        assert eff.rank[0] == row.rank
+        assert eff.ranks == row.ranks
         expected, _ = hybrid_link_rate(pack.f2, h[None], pack.f1, pack.config.tx_power_watts,
                                        pack.config.num_streams, pack.config.noise_power_watts)
         assert np.float64(rate).tobytes() == expected[0].tobytes()

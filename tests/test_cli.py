@@ -248,6 +248,20 @@ def test_subnormal_noise_power_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_stage_short_of_beams_is_an_error_before_any_directory(tmp_path, capsys):
+    # valid to scenario.validate, but every cell of a 2-cell axis aliases at 4 wavelengths
+    path = tmp_path / "wide.cfg"
+    path.write_text(TINY_CONFIG + "element_spacing_wavelengths = 4.0\n")
+    out, dump = tmp_path / "out", tmp_path / "dump"
+    rc = main(["single-run", "--config", str(path), "--trials", "1",
+               "--out", str(out), "--dump-channels", str(dump)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RF stage f1 has 1 usable beams for 2 streams")
+    assert err.count("\n") == 1
+    assert not out.exists() and not dump.exists()
+
+
 @pytest.mark.parametrize("config_line, flags, keys", [
     ("tx_antennas = 1048576 1048576\n", [], "tx_antennas"),
     ("pso_swarm_size = 1000000000\n", [], "pso_swarm_size x num_paths x tx_antennas"),
