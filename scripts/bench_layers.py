@@ -28,15 +28,19 @@ swarm iteration):
   cosines (``_end_blocks`` of the RIS search's ends);
 - ``relay_search_hops`` and ``relay_rate``: the relay search's two steps,
   both reduced relay hops of the batch (F2 H F1 each, one matmul per hop)
-  and their rate. Where both hops' combiners, and both their precoders,
-  have equal shapes, the rate is one ``hybrid_link_rate`` call on the two
-  reduced hops stacked as (2, B, 3, 3) with (2, 1, ...) stages; otherwise it
+  and their rate: ``_RelaySearch.hop_rates`` as the search calls it, with
+  its ``hops`` call answered by those reduced hops. Where both hops'
+  combiners, and both their precoders, have equal shapes, its rate step is
+  one call on the two reduced hops stacked as (2, B, 3, 3); otherwise it
   takes one call per hop;
-- ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack,
-  and its steps on that stack: ``rate.svd`` (the SVD call the route makes,
-  numpy's LAPACK gufunc through ``beamforming._lapack``), ``rate.decompose``
-  (the SVD with its phase rotation), ``rate.bb_stages`` and
-  ``rate.achievable_rate``;
+- ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack;
+- ``search_rate``: the RIS searches' rate step on that stack,
+  ``ProblemContext._rates(..., reduced=True)``: the closed form of the SVD
+  and the stages' Grams where a tree has it, else the rate pipeline;
+- the pipeline's steps on that stack: ``rate.svd`` (the SVD call the route
+  makes, numpy's LAPACK gufunc through ``beamforming._lapack``),
+  ``rate.decompose`` (the SVD with its phase rotation), ``rate.bb_stages``
+  and ``rate.achievable_rate``;
 - ``lean.align``, ``lean.precoder`` and ``lean.link_rates``: the rate
   step's work after the SVD on the same stack, without its bookkeeping: the
   phase alignment of the used singular vectors, the precoder and the rate
@@ -62,8 +66,9 @@ is taken in a fresh interpreter after the same ``PEAK_WARMUP`` untraced
 calls, so what ran before in the measuring process does not move it.
 
 A layer that only some trees have is timed in those and gets no ratio.
-Trees need ``channel.platform_angles``, ``channel.hops`` and
-``beamforming._lapack``.
+Trees need ``channel.platform_angles``, ``channel.hops``,
+``beamforming._lapack``, ``ProblemContext._rates`` and
+``_RelaySearch.hop_rates``.
 """
 
 from __future__ import annotations
@@ -188,20 +193,17 @@ def layers_of(module, rows: int) -> dict:
 
     c, a = ris_hops()
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-    relay_stages = ((pack.relay_f2_hop1, pack.f1), (pack.f2, pack.relay_f1_hop2))
+    relay = baselines._RelaySearch(pack, trial)
     relay_reduced = relay_search_hops()
-    f2s, f1s = zip(*relay_stages)
-    if f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape:
-        f2s, f1s = (np.stack(stage)[:, None] for stage in (f2s, f1s))
-        stacked = np.stack(relay_reduced)
 
-        def relay_rate():
-            return beamforming.hybrid_link_rate(f2s, stacked, f1s, *budget, reduced=True)
-    else:
-        def relay_rate():
-            return [beamforming.hybrid_link_rate(f2, hop, f1, *budget, reduced=True)
-                    for (f2, f1), hop in zip(relay_stages, relay_reduced)]
+    def relay_rate():
+        baselines.hops = lambda *args: relay_reduced  # the search's hops, already built
+        try:
+            return relay.hop_rates(xy, True)
+        finally:
+            baselines.hops = channel.hops
     reduced = (a * np.exp(2j * np.pi * joint[:, None, 2:])) @ c
+    context = baselines.make_problem_context(pack, 0)
     eff = beamforming._decompose(reduced)
     stages = beamforming.bb_stages(eff, config.tx_power_watts, config.num_streams, pack.f1)
     stages.f2 = pack.f2
@@ -222,6 +224,7 @@ def layers_of(module, rows: int) -> dict:
         "relay_rate": relay_rate,
         "rate_pipeline": lambda: beamforming.hybrid_link_rate(pack.f2, reduced, pack.f1,
                                                               *budget, reduced=True),
+        "search_rate": lambda: context._rates(reduced, reduced=True),
         "rate.svd": lambda: beamforming._lapack(np.linalg._umath_linalg.svd_s, "D->DdD",
                                                 reduced, failed="SVD did not converge"),
         "rate.decompose": lambda: beamforming._decompose(reduced),

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .beamforming import design_relay_stages, design_rf_stages, hybrid_link_rate
+from .beamforming import _gram_rates, design_relay_stages, design_rf_stages, hybrid_link_rate
 from .channel import HopEnds, TrialChannels, draw_trial, hop_ends, hops
 # Not called here; sweepbench/tracer.py wraps these names in this namespace, and
 # sweepbench/checks.py wraps run_pso here too.
@@ -202,8 +202,8 @@ class _RelaySearch:
     Hop 1 reuses the trial's transmitter-side draw into the relay's receive
     array, hop 2 the receiver-side draw out of its transmit array. No
     self-interference is modeled: the rate is the ideal full-duplex bound
-    min(hop rates). The stages of each hop, (receive, transmit), and their
-    beam axes are read from the pack once.
+    min(hop rates). The stages of each hop, (receive, transmit), their Grams
+    and their beam axes are read from the pack once.
     """
 
     pack: ScenarioPack
@@ -214,34 +214,36 @@ class _RelaySearch:
         pack, config = self.pack, self.pack.config
         stages = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))
         self._stages = tuple((getattr(pack, rx), getattr(pack, tx)) for rx, tx in stages)
+        self._grams = tuple((f1.conj().T @ f1, f2 @ f2.conj().T) for f2, f1 in self._stages)
         self._ends = (hop_ends(config, BaselineKind.FD_RELAY.platform_shapes(config)),
                       pack.search_ends["relay"])
         self._budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-        # The search's (F2, F1) of both hops as (2, 1, ...) stacks, when equal stage shapes let
-        # the reduced hops stack.
-        self._stacked_stages = None
+        # The search's (F2, F1) and Grams of both hops as (2, 1, ...) stacks, when equal stage
+        # shapes let the reduced hops stack.
+        self._stacked = None
         f2s, f1s = zip(*self._stages)
         if f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape:
-            self._stacked_stages = (np.stack(f2s)[:, None], np.stack(f1s)[:, None])
+            self._stacked = tuple(np.stack(m)[:, None] for m in (f2s, f1s, *zip(*self._grams)))
 
     def hop_rates(self, xy: np.ndarray, factored: bool):
         """(Z,) rates at the (Z, 2) points ``xy`` and whether either hop was rank deficient.
 
-        The reference takes each hop matrix H of one ``hops`` call;
-        ``factored``, the search objective, projects both ends of each hop onto
-        their RF beams, which is F2 H F1 up to rounding. Where those reduced
-        hops stack, one rate call takes both, with the bytes of the two
-        per-hop calls.
+        The reference takes each hop matrix H of one ``hops`` call through the rate
+        pipeline; ``factored``, the search objective, projects both ends of each hop onto
+        their RF beams, which is F2 H F1 up to rounding, and takes the closed form of the
+        stages' Grams. Where those reduced hops stack, one rate call takes both, with the
+        bytes of the two per-hop calls.
         """
         both = hops(self.pack.config, self.pack.geometry, self.trial, xy, self._ends[factored])
-        if factored and self._stacked_stages is not None:
-            f2, f1 = self._stacked_stages
-            (rate1, rate2), (deficient1, deficient2) = hybrid_link_rate(
-                f2, np.stack(both), f1, *self._budget, reduced=True)
+        if factored and self._stacked is not None:
+            f2, f1, *grams = self._stacked
+            (rate1, rate2), (deficient1, deficient2) = _gram_rates(
+                f2, np.stack(both), f1, *self._budget, grams)
         else:
             (rate1, deficient1), (rate2, deficient2) = (
-                hybrid_link_rate(f2, hop, f1, *self._budget, reduced=factored)
-                for (f2, f1), hop in zip(self._stages, both))
+                _gram_rates(f2, hop, f1, *self._budget, grams) if factored
+                else hybrid_link_rate(f2, hop, f1, *self._budget)
+                for (f2, f1), grams, hop in zip(self._stages, self._grams, both))
         rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
         return rate, deficient1 | deficient2
 

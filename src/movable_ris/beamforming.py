@@ -463,3 +463,38 @@ def hybrid_link_rate(
         return tuple(np.concatenate(parts).reshape(batch) for parts in zip(*rows))
     bf.f2 = f2
     return achievable_rate(bf, eff, noise_power_w), bf.rank_deficient
+
+
+def _gram_rates(f2, h, f1, tx_power_w: float, num_streams: int, noise_power_w: float, grams):
+    """``hybrid_link_rate(reduced=True)`` of the stack ``h`` up to rounding, in closed form from
+    its SVD U S V^H and the stages' Grams ``grams``, (F1^H F1, F2 F2^H); no stage is applied.
+
+    B1 = sqrt(P/n) V1 with n = tr(V1^H F1^H F1 V1) and B2 = U1^H give Q = (P/n) S1^2 and
+    W = sigma^2 Wt, Wt = U1^H F2 F2^H U1, so with d_i = P s_i^2 / (sigma^2 n) the rate is
+    log1p((d1 wt22 + d2 wt11 + d1 d2) / det Wt) / ln 2 for two streams and log1p(d1 / wt11) / ln 2
+    for one; the phase alignment cancels. More streams or a noise power that is not positive and
+    finite send the stack to ``hybrid_link_rate``, and a row at or under the rank floor, or with
+    n <= 0 or det Wt <= 0, goes there alone, so every row's bytes are its own.
+    """
+    if num_streams > min(2, *h.shape[-2:]) or not 0.0 < noise_power_w < math.inf:
+        return hybrid_link_rate(f2, h, f1, tx_power_w, num_streams, noise_power_w, reduced=True)
+    u, s, vh = _lapack(_umath_linalg.svd_s, "D->DdD", h, failed="SVD did not converge")
+    u, vh = u[..., :num_streams], vh[..., :num_streams, :]
+    n = ((vh @ grams[0]) * vh.conj()).real.sum(axis=(-2, -1))
+    w = _hermitian(u) @ grams[1] @ u
+    w11, w22, w12 = w[..., 0, 0].real, w[..., -1, -1].real, w[..., 0, -1]
+    det = w11 if num_streams == 1 else w11 * w22 - (w12.real ** 2 + w12.imag ** 2)
+    floor = max(h.shape[-2:]) * _EPS * s[..., 0]  # as ``EffectiveChannel._floor``
+    rows = ~((s[..., num_streams - 1] > floor) & (n > 0.0) & (det > 0.0))  # for the pipeline
+    if fallback := rows.any():
+        n, det = np.where(rows, 1.0, n), np.where(rows, 1.0, det)
+    d = (tx_power_w / noise_power_w) * s[..., :num_streams] ** 2 / n[..., None]
+    d1, d2 = d[..., 0], d[..., -1]
+    rates = np.log1p((d1 if num_streams == 1 else d1 * w22 + d2 * w11 + d1 * d2) / det)
+    rates /= math.log(2.0)
+    rates, deficient = np.where(rates < 0.0, 0.0, rates), np.zeros(rates.shape, dtype=bool)
+    if fallback:
+        f2, f1 = (np.broadcast_to(m, h.shape[:-2] + m.shape[-2:])[rows] for m in (f2, f1))
+        rates[rows], deficient[rows] = hybrid_link_rate(
+            f2, h[rows], f1, tx_power_w, num_streams, noise_power_w, reduced=True)
+    return rates, deficient

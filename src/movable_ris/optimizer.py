@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import hybrid_link_rate
+from .beamforming import _gram_rates, hybrid_link_rate
 # Not called here; sweepbench/tracer.py wraps these names in this namespace.
 from .beamforming import achievable_rate, bb_stages, effective_channel  # noqa: F401
 from .channel import HopEnds, TrialChannels, composite_channel, hops, realize_channels
@@ -115,7 +115,7 @@ class ProblemContext:
     the objective is deterministic and the swarm's argmax semantics are well
     defined. The hop matrices of the last position asked for, and their
     reductions against the RF stages, are cached, which makes phase-only
-    searches cheap.
+    searches cheap; the stages' Grams are formed once.
     """
 
     config: SystemConfig
@@ -128,6 +128,9 @@ class ProblemContext:
     _cache_key: tuple[float, float] | None = field(default=None, repr=False)
     _cache: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        self._grams = (self.f1.conj().T @ self.f1, self.f2 @ self.f2.conj().T)  # for search_rates
+
     def hop_matrices(self, x: float, y: float) -> tuple[np.ndarray, ...]:
         """H_TI, H_IR and their reductions F2 H_IR, H_TI F1 at one position."""
         key = (float(x), float(y))
@@ -139,9 +142,11 @@ class ProblemContext:
         return self._cache
 
     def _rates(self, h, reduced: bool) -> np.ndarray:
+        """The pipeline's rates of the composites ``h``; with ``reduced``, the closed form's."""
         config = self.config
-        rates, deficient = hybrid_link_rate(self.f2, h, self.f1, config.tx_power_watts,
-                                            config.num_streams, config.noise_power_watts, reduced)
+        args = (self.f2, h, self.f1, config.tx_power_watts, config.num_streams,
+                config.noise_power_watts)
+        rates, deficient = _gram_rates(*args, self._grams) if reduced else hybrid_link_rate(*args)
         self.saw_rank_deficiency |= bool(deficient.any())
         return rates
 
@@ -164,7 +169,8 @@ class ProblemContext:
         No hop or composite matrix is formed. At one position the cached
         A = F2 H_IR and C = H_TI F1 give (A diag(e^{j phi})) C; per-particle
         positions take C and A as the ``hops`` whose Tx and UE ends are
-        projected onto F1's and F2's beams one array axis at a time.
+        projected onto F1's and F2's beams one array axis at a time. The rate
+        is the closed form of the reduced stack's SVD and the stages' Grams.
         """
         if isinstance(state.x, np.ndarray) or isinstance(state.y, np.ndarray):
             c, a = hops(self.config, self.geometry, self.trial, state.xy, self.ends)

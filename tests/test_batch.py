@@ -22,8 +22,8 @@ from movable_ris.harness import apply_swept_value
 from movable_ris.scenario import PsoParams, default_config, rng_stream
 from test_acceptance import UE_POSITIONS
 
-# The searches score particles on factored reductions of the hops; those
-# round differently from the reference pipeline, by at most this much.
+# The searches score particles on factored reductions of the hops, by the closed-form rate;
+# those round differently from the reference pipeline, by at most this much.
 FACTORED_RTOL = 1e-13
 
 SEARCHES = (
@@ -154,15 +154,21 @@ def test_relay_batch_equals_min_hop_rate_rows():
 _RELAY_HOPS = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))  # (receive, transmit) stages
 
 
+def _grams(f2, f1):
+    """The stages' Grams (F1^H F1, F2 F2^H) that the searches' rate step takes."""
+    return f1.conj().T @ f1, f2 @ f2.conj().T
+
+
 def _per_hop_search(pack, trial, points):
-    """The relay search's reduced hops, one matmul each, and its rates and flags from one rate
-    call per hop."""
+    """The relay search's reduced hops, one matmul each, and its rates and flags from one call
+    of the search's rate step per hop."""
     config = pack.config
     hops = channel.hops(config, pack.geometry, trial, points, pack.search_ends["relay"])
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
+    stages = [(getattr(pack, rx), getattr(pack, tx)) for rx, tx in _RELAY_HOPS]
     (rate1, flags1), (rate2, flags2) = (
-        hybrid_link_rate(getattr(pack, rx), hop, getattr(pack, tx), *budget, reduced=True)
-        for (rx, tx), hop in zip(_RELAY_HOPS, hops))
+        beamforming._gram_rates(f2, hop, f1, *budget, _grams(f2, f1))
+        for (f2, f1), hop in zip(stages, hops))
     return hops, np.where(rate2 < rate1, rate2, rate1), flags1 | flags2
 
 
@@ -178,7 +184,7 @@ def test_relay_one_pass_equals_per_hop_rates(ue_position):
         rates, deficient = baselines._RelaySearch(pack, trial).hop_rates(points, True)
         _same_bytes(rates, expected)
         assert deficient.tolist() == flags.tolist()
-    # without UE-hop gains that hop is rank 0 at every point: the stacked call falls back
+    # without UE-hop gains that hop is rank 0 at every point: its rows take the pipeline
     trial = replace(trial, gains=trial.gains * np.array([1.0, 0.0])[:, None, None])
     _, expected, flags = _per_hop_search(pack, trial, points)
     rates, deficient = baselines._RelaySearch(pack, trial).hop_rates(points, True)
@@ -188,13 +194,13 @@ def test_relay_one_pass_equals_per_hop_rates(ue_position):
 
 def test_relay_search_takes_one_stacked_rate_call(monkeypatch):
     calls = []
-    real = baselines.hybrid_link_rate
+    real = baselines._gram_rates
 
     def counted(f2, h, *args, **kwargs):
         calls.append(h.shape)
         return real(f2, h, *args, **kwargs)
 
-    monkeypatch.setattr(baselines, "hybrid_link_rate", counted)
+    monkeypatch.setattr(baselines, "_gram_rates", counted)
     for pack, stages_stack in ((_relay_pack(), True), (_relay_pack((85.0, 75.0, 2.0)), False)):
         # both hops' combiners, and both precoders, have equal shapes: the reduced hops stack
         shapes = [[getattr(pack, name).shape for name in stage] for stage in zip(*_RELAY_HOPS)]
@@ -327,8 +333,8 @@ def _mixed_rank_stack(rng, shape):
 
 # sha256 of the search objective's rates and rank flags on seeded particle batches, for every
 # searching kind on every _pinned_packs pack, then of the mixed-rank stacks through the joint
-# context's rate pipeline. A change in rounding moves it.
-OBJECTIVE_DIGEST = "ac32b3a5275b13a4828f5dfeba62bf2e607b9e18f6808ca8bc263858a31499af"
+# context's search rate step. A change in rounding moves it.
+OBJECTIVE_DIGEST = "73bf01cb553ff705f97a70e935c2f20c6f66dd07aa12ddc8b638c22868a255b9"
 
 
 def test_search_objective_bytes_are_pinned():
@@ -389,9 +395,12 @@ def test_search_value_equals_the_reported_rate(monkeypatch):
     monkeypatch.setattr(optimizer, "run_pso", run_pso)
     monkeypatch.setattr(baselines, "run_pso", run_pso)
     config, geometry = default_config()
+    # the default pack, the phase_search element counts and the position_search UE packs,
+    # whose RF stages carry 5-6 beams
     packs = [build_scenario_pack(config, geometry, 0)] + [
-        build_scenario_pack(*apply_swept_value(config, geometry, "elements", count), 1)
-        for count in (16, 36, 64, 100)]
+        build_scenario_pack(*apply_swept_value(config, geometry, kind, value), 1)
+        for kind, values in (("elements", (16, 36, 64, 100)), ("ue_scenarios", UE_POSITIONS))
+        for value in values]
     for pack in packs:
         pack = replace(pack, fd_relay_outcomes={})  # every fd_relay trial searches here
         for kind in SEARCHES:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from movable_ris import baselines, channel, optimizer
 from movable_ris.beamforming import (
     _COND_LIMIT,
     AngleSupport,
@@ -12,6 +14,7 @@ from movable_ris.beamforming import (
     InvalidBeamError,
     _align_phases,
     _decompose,
+    _gram_rates,
     _link_rates,
     achievable_rate,
     bb_stages,
@@ -23,6 +26,7 @@ from movable_ris.beamforming import (
     support_points,
 )
 from movable_ris.scenario import default_config, rng_stream
+from test_batch import FACTORED_RTOL
 
 FULL_DISK = AngleSupport((0.0, math.pi / 2), (-math.pi, math.pi))
 
@@ -610,3 +614,150 @@ def test_design_rf_stages_shapes_and_modulus():
     assert config.num_streams <= f2.shape[0] <= config.max_rf_chains
     np.testing.assert_allclose(np.abs(f1), 1 / math.sqrt(config.num_tx), rtol=0, atol=5e-16)
     np.testing.assert_allclose(np.abs(f2), 1 / math.sqrt(config.num_rx), rtol=0, atol=5e-16)
+
+
+# --- the searches' closed-form rate ------------------------------------------------
+
+
+def _grams(f2, f1):
+    """(F1^H F1, F2 F2^H), as the searches form them once per context."""
+    return f1.conj().T @ f1, f2 @ f2.conj().T
+
+
+def _stages(rng, shape, m=8):
+    """Random, not orthogonal, stages F2 (K2, m) and F1 (m, K1) for a (K2, K1) reduced channel."""
+    return _random_complex(rng, (shape[0], m)) / m, _random_complex(rng, (m, shape[1])) / m
+
+
+_SHAPES = st.sampled_from([(3, 3), (5, 3), (6, 3), (5, 6), (6, 6)])
+
+
+@given(seed=st.integers(0, 10_000), shape=_SHAPES, rows=st.sampled_from([1, 10, 40]),
+       links=st.sampled_from([0, 2]), streams=st.sampled_from([1, 2]))
+@settings(max_examples=60, deadline=None)
+def test_gram_rates_match_the_pipeline(seed, shape, rows, links, streams):
+    # full-rank stacks, and (2, B) stacks of two links with (2, 1, ...) stages and Grams
+    rng = rng_stream(seed, 40)
+    h = _random_complex(rng, (links, rows, *shape) if links else (rows, *shape))
+    stages = [_stages(rng, shape) for _ in range(links or 1)]
+    f2, f1 = stages[0]
+    grams = _grams(f2, f1)
+    if links:
+        f2, f1, *grams = (np.stack(m)[:, None] for m in (*zip(*stages),
+                                                            *zip(*(_grams(*s) for s in stages))))
+    budget = (2.0, streams, 1e-3)
+    rates, deficient = _gram_rates(f2, h, f1, *budget, grams)
+    expected, flags = hybrid_link_rate(f2, h, f1, *budget, reduced=True)
+    assert rates.shape == expected.shape == h.shape[:-2]
+    np.testing.assert_allclose(rates, expected, rtol=FACTORED_RTOL, atol=0.0)
+    assert deficient.tolist() == flags.tolist() and not flags.any()
+
+
+@pytest.mark.parametrize("case", ["zero_row", "rank_one_row", "zero_precoder",
+                                  "three_streams", "zero_noise"])
+def test_gram_rates_fall_back_to_the_pipeline_bytes_and_flags(case):
+    rng = rng_stream(41, 0)
+    shape = (5, 6)
+    h = _random_complex(rng, (6, *shape))
+    f2, f1 = _stages(rng, shape)
+    streams, noise = (3 if case == "three_streams" else 2), (0.0 if case == "zero_noise" else 1e-3)
+    if case == "zero_row":
+        h[2] = 0.0
+    elif case == "rank_one_row":
+        h[2] = np.outer(h[2][:, 0], h[2][0])
+    elif case == "zero_precoder":  # n = 0 on every row
+        f1 = np.zeros_like(f1)
+    budget = (2.0, streams, noise)
+    rates, deficient = _gram_rates(f2, h, f1, *budget, _grams(f2, f1))
+    if case in ("zero_row", "rank_one_row"):
+        # that row takes the pipeline alone; every row keeps the bytes it has alone
+        expected, flags = hybrid_link_rate(f2, h[2:3], f1, *budget, reduced=True)
+        assert rates[2:3].tobytes() == expected.tobytes() and flags.tolist() == [True]
+        rows = [_gram_rates(f2, h[i:i + 1], f1, *budget, _grams(f2, f1)) for i in range(len(h))]
+        assert rates.tobytes() == np.concatenate([r for r, _ in rows]).tobytes()
+        assert deficient.tolist() == [i == 2 for i in range(len(h))]
+    else:
+        expected, flags = hybrid_link_rate(f2, h, f1, *budget, reduced=True)
+        assert rates.tobytes() == expected.tobytes()
+        assert deficient.tolist() == flags.tolist()
+
+
+def test_gram_rates_of_a_singular_noise_gram_raise_the_pipelines_error():
+    # F2's rows are equal, so Wt = U1^H F2 F2^H U1 has det 0 and the pipeline's solve raises
+    f2 = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+    h = np.array([[[2.0, 0.0], [0.0, 1.0]]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        hybrid_link_rate(f2, h, eye, 1.0, 2, 1.0, reduced=True)
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        _gram_rates(f2, h, eye, 1.0, 2, 1.0, _grams(f2, eye))
+
+
+@given(seed=st.integers(0, 10_000), shape=st.sampled_from([(3, 3), (5, 6)]),
+       rows=st.integers(1, 12), streams=st.sampled_from([1, 2]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_gram_rates_of_stacked_links_equal_link_by_link_and_row_by_row(seed, shape, rows,
+                                                                      streams, data):
+    rng = rng_stream(seed, 42)
+    h = _random_complex(rng, (2, rows, *shape))
+    for i in data.draw(st.sets(st.integers(0, rows - 1))):  # rank-one rows in link 1
+        h[1, i] = np.outer(h[1, i][:, 0], h[1, i][0])
+    if data.draw(st.booleans()):
+        h[0, 0] = 0.0
+    stages = [_stages(rng, shape) for _ in range(2)]
+    grams = [_grams(*s) for s in stages]
+    f2, f1, *stacked = (np.stack(m)[:, None] for m in (*zip(*stages), *zip(*grams)))
+    budget = (2.0, streams, 1e-3)
+    rates, deficient = _gram_rates(f2, h, f1, *budget, stacked)
+    links = [_gram_rates(f2_i, hop, f1_i, *budget, g)
+             for (f2_i, f1_i), g, hop in zip(stages, grams, h)]
+    assert rates.tobytes() == np.stack([r for r, _ in links]).tobytes()
+    assert deficient.tolist() == [d.tolist() for _, d in links]
+    for (f2_i, f1_i), g, hop, link in zip(stages, grams, h, rates):
+        alone = [_gram_rates(f2_i, hop[b:b + 1], f1_i, *budget, g)[0] for b in range(rows)]
+        assert link.tobytes() == np.concatenate(alone).tobytes()
+
+
+# How far the closed form may sit from an exact evaluation of the pipeline's log-det at any
+# rate. The rounding of the float SVD and of the Grams sets the floor, not the rate: over 1,200
+# rows drawn as below the closed form read up to 13.9 ulp at each of the three rates, and the
+# pipeline reads 6-17 ulp at rates near 0.2 and thousands at 2.5e-4.
+LOW_RATE_ULPS = 32
+
+
+def _exact_rate(mpmath, h, f1, f2, power, streams, noise):
+    """log2 det(I + W^-1 Q) of the pipeline's stages for one reduced channel, in mpmath."""
+    u, _, vh = mpmath.svd_c(mpmath.matrix(h.tolist()))
+    f1, f2 = (mpmath.matrix(f.tolist()) for f in (f1, f2))
+    b1 = vh[0:streams, :].H * mpmath.sqrt(mpmath.mpf(power) / streams)
+    b1 *= mpmath.sqrt(mpmath.mpf(power) / sum(abs(x) ** 2 for x in f1 * b1))
+    b2 = u[:, 0:streams].H
+    g, b2f2 = b2 * mpmath.matrix(h.tolist()) * b1, b2 * f2
+    w = mpmath.mpf(noise) * (b2f2 * b2f2.H)
+    return mpmath.log(mpmath.re(mpmath.det(mpmath.eye(streams) + w**-1 * (g * g.H))), 2)
+
+
+@given(spacing=st.sampled_from([0.5, 0.4]), trial_index=st.integers(0, 20),
+       draw_seed=st.integers(0, 10_000), streams=st.sampled_from([1, 2]),
+       target=st.sampled_from([0.2, 2.5e-4, 1e-6]))
+@settings(max_examples=20, deadline=None)
+def test_gram_rates_hold_low_rates_to_an_exact_evaluation(spacing, trial_index, draw_seed,
+                                                          streams, target):
+    # joint-search stacks at the default pack (Grams I) or spacing 0.4 (Grams not I), with the
+    # power scaled so that each row's rate falls near ``target``
+    mpmath = pytest.importorskip("mpmath")
+    config, geometry = default_config()
+    pack = baselines.build_scenario_pack(
+        dataclasses.replace(config, element_spacing_wavelengths=spacing), geometry, 0)
+    context = baselines.make_problem_context(pack, trial_index)
+    state = optimizer.decode(rng_stream(draw_seed, 43).random((3, config.num_ris + 2)), geometry)
+    c, a = channel.hops(pack.config, geometry, context.trial, state.xy, context.ends)
+    h = (a * np.exp(1j * state.phases)[..., None, :]) @ c
+    grams = _grams(pack.f2, pack.f1)
+    slope = _gram_rates(pack.f2, h, pack.f1, 1e-30, streams, 1.0, grams)[0] / 1e-30
+    with mpmath.workdps(40):
+        for row, power in zip(h, target / slope):
+            (rate,), _ = _gram_rates(pack.f2, row[None], pack.f1, power, streams, 1.0, grams)
+            exact = _exact_rate(mpmath, row, pack.f1, pack.f2, power, streams, 1.0)
+            assert 0.5 * target < rate < 2.0 * target
+            assert abs(rate - exact) <= LOW_RATE_ULPS * np.finfo(float).eps * exact, (rate, exact)

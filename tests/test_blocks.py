@@ -273,9 +273,10 @@ def _positions(pack, draw_seed, count, clamp):
     return optimizer.decode_xy(p[:, 0], p[:, 1], pack.geometry)
 
 
-# Both sides of a factored comparison take slogdet(I + W^-1 Q) / ln 2, and adding I rounds
-# each 1 + m_ii to a multiple of ulp(1) = eps: one rounding flip moves a rate by eps / ln 2
-# whatever its size, so a low rate is held to a few of those absolutely.
+# The reference side of a factored comparison takes slogdet(I + W^-1 Q) / ln 2, and adding I
+# rounds each 1 + m_ii to a multiple of ulp(1) = eps: one rounding flip moves its rate by
+# eps / ln 2 whatever its size, so a low rate is held to a few of those absolutely. The search
+# side's closed form keeps its relative accuracy at low rates.
 LOW_RATE_ATOL = 4 * np.finfo(float).eps / math.log(2)
 
 
@@ -287,7 +288,8 @@ LOW_RATE_ATOL = 4 * np.finfo(float).eps / math.log(2)
     clamp=st.booleans(),
     shared=st.sampled_from(["none", "phases", "position"]),
 )
-# a rate of 1.04e-3 bps/Hz whose two sides differ by 3.2e-16, 3.1e-13 relative
+# a rate of 1.04e-3 bps/Hz whose two sides differ by 3.0e-16, 2.9e-13 relative: the search's
+# closed form is 6 ulp from an exact evaluation and the reference 1,330 ulp
 @example(scale="toy", trial_index=7, draw_seed=1408, count=5, clamp=True, shared="none")
 @settings(max_examples=30, deadline=None)
 def test_ris_loop_equals_composite_then_effective_channel(
