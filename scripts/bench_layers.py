@@ -9,7 +9,10 @@ Every tree (default: this checkout's ``src/``) is imported into one process
 under its own package name, with one BLAS thread. Each of the N rounds
 calls every layer once per tree, back to back and in an order that
 alternates from round to round, so the host's speed drift, which reaches 2x
-within seconds on a shared machine, falls on the trees alike. The report
+within seconds on a shared machine, falls on the trees alike. The layers
+run in an order that a ``random.Random(ORDER_SEED)`` shuffles anew each
+round, so no layer always follows the same one, whose leftovers (warm
+caches, freed buffers) would tilt its time in one tree only. The report
 gives, per layer and tree, the minimum over the N calls in microseconds
 and, for two trees, the ratio of those minima (first tree over second) and
 the median over the rounds of the same ratio taken call by call. It is
@@ -41,10 +44,6 @@ swarm iteration):
   makes, numpy's LAPACK gufunc through ``beamforming._lapack``),
   ``rate.decompose`` (the SVD with its phase rotation), ``rate.bb_stages``
   and ``rate.achievable_rate``;
-- ``lean.align``, ``lean.precoder`` and ``lean.link_rates``: the rate
-  step's work after the SVD on the same stack, without its bookkeeping: the
-  phase alignment of the used singular vectors, the precoder and the rate
-  itself;
 - ``objective.<kind>``: the batch objective each searching kind hands its swarm;
 - ``objective.fd_relay.ue_85_75``: the relay's objective with the UE at
   (85, 75, 2), where the relay's RF stages carry unequal beam counts, so
@@ -81,6 +80,7 @@ import json
 import multiprocessing
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -100,6 +100,7 @@ SEARCHES = ("movable_ris_joint", "fixed_ris_opt_phase", "movable_ris_random_phas
 PEAK_KINDS = {"joint": "movable_ris_joint", "random_phase": "movable_ris_random_phase",
               "relay": "fd_relay", "phase_only": "fixed_ris_opt_phase"}
 PEAK_WARMUP = 3  # untraced objective calls before the traced one
+ORDER_SEED = 0  # seeds each round's shuffle of the layer order
 
 
 def load_tree(name: str, src: Path):
@@ -233,17 +234,6 @@ def layers_of(module, rows: int) -> dict:
         "rate.achievable_rate": lambda: beamforming.achievable_rate(stages, eff,
                                                                     config.noise_power_watts),
     }
-    streams = config.num_streams
-    u, _, vh = np.linalg.svd(reduced, full_matrices=False)
-    u, vh = u[..., :streams], vh[..., :streams, :]
-    beamforming._align_phases(u, vh)  # aligned vectors realign by the same operations
-    b1 = beamforming._precoder(vh, streams, config.tx_power_watts, pack.f1)
-    b2 = beamforming._hermitian(u)
-    layers["lean.align"] = lambda: beamforming._align_phases(u, vh)
-    layers["lean.precoder"] = lambda: beamforming._precoder(vh, streams,
-                                                            config.tx_power_watts, pack.f1)
-    layers["lean.link_rates"] = lambda: beamforming._link_rates(
-        b1, b2, pack.f2, reduced, config.noise_power_watts)
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
         batch = rng.random((rows, _dimension(kind, config)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)
@@ -280,7 +270,9 @@ def measure(trees: dict, repeat: int, rows: list[int]) -> dict:
                          for n in rows for name, fn in layers_of(module, n).items()}
     names = list(dict.fromkeys(name for label in labels for name in layers[label]))
     times = {name: {label: [] for label in labels if name in layers[label]} for name in names}
+    order = random.Random(ORDER_SEED)
     for r in range(repeat):
+        order.shuffle(names)
         for name in names:
             for label in labels if r % 2 == 0 else labels[::-1]:
                 fn = layers[label].get(name)

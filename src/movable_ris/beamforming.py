@@ -9,7 +9,6 @@ The rate step's results are float64 or complex128 whatever the input precision.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -152,23 +151,15 @@ def select_beams(
         s = _lapack(_umath_linalg.svd, "D->d", gram)  # descending
         return s[-1] * _COND_LIMIT >= s[0]
 
-    def pick(usable) -> list[tuple[int, int]]:
-        """Up to ``max_beams`` hits, then up to ``min_beams`` in all from the rest by distance."""
-        selected = []
-        for cell in hits:
-            if len(selected) < max_beams and usable(selected + [cell]):
+    selected = []  # up to ``max_beams`` hits, then up to ``min_beams`` in all by distance
+    for cell in hits:
+        if len(selected) < max_beams and conditioned(selected + [cell]):
+            selected.append(cell)
+    if len(selected) < min_beams:
+        for cell in sorted((c for c in cells if c not in selected), key=lambda c: np.min(
+                np.hypot(pts[:, 0] - lx[c[0]], pts[:, 1] - ly[c[1]]))):
+            if len(selected) < min_beams and conditioned(selected + [cell]):
                 selected.append(cell)
-        if len(selected) < min_beams:
-            for cell in sorted((c for c in cells if c not in selected), key=lambda c: np.min(
-                    np.hypot(pts[:, 0] - lx[c[0]], pts[:, 1] - ly[c[1]]))):
-                if len(selected) < min_beams and usable(selected + [cell]):
-                    selected.append(cell)
-        return selected
-
-    selected = pick(lambda _: True)
-    # the Gram of a subset of beams is no worse conditioned, so one check clears the usual stage
-    if selected and not conditioned(selected):
-        selected = pick(conditioned)
     return [(float(lx[u]), float(ly[k])) for u, k in selected]
 
 
@@ -304,39 +295,16 @@ def _align_phases(u: np.ndarray, vh: np.ndarray) -> None:
     """Rotate, in place, each right singular vector's first non-negligible entry to be real-positive.
 
     The matching left vector absorbs the conjugate, so repeated
-    factorizations of the same matrix are identical. Each vector's rotation
-    depends on it alone, so a leading slice of the vectors may be aligned
-    without the rest.
+    factorizations of the same matrix are identical. Every vector has such an
+    entry, as a unit-norm singular vector does.
     """
     mag = np.abs(vh)
-    floor = 1e-12 * mag.max(axis=-1, keepdims=True, initial=1.0)
+    significant = mag > 1e-12 * mag.max(axis=-1, keepdims=True, initial=1.0)
+    lead = np.take_along_axis(vh, np.argmax(significant, axis=-1)[..., None], axis=-1)
     # np.hypot matches abs() of one complex scalar bit for bit; np.abs may not
-    if (mag[..., :1] > floor).all():  # the usual case: every vector leads with entry 0
-        lead = vh[..., 0]
-        c = lead / np.hypot(lead.real, lead.imag)
-        vh *= np.conj(c)[..., None]
-        u *= c[..., None, :]
-    else:
-        significant = mag > floor
-        rotate = significant.any(axis=-1)  # (..., k): vectors with an entry to rotate
-        lead = np.take_along_axis(vh, np.argmax(significant, axis=-1)[..., None], axis=-1)[..., 0]
-        lead = lead[rotate]
-        c = lead / np.hypot(lead.real, lead.imag)
-        vh[rotate] *= np.conj(c)[..., None]
-        u.swapaxes(-1, -2)[rotate] *= c[..., None]
-
-
-def _norm_squared(matrices: np.ndarray) -> np.ndarray:
-    """||M||_F^2 of each matrix in a C-contiguous stack, rounded as float(np.linalg.norm(M) ** 2).
-
-    Each matrix takes the two strided dot products np.linalg.norm makes over its
-    entries in memory order, here its row-major ravel, which matmul of a row
-    vector with itself makes too; every other batched form tried sums in another order.
-    """
-    x = matrices.reshape(-1, 1, math.prod(matrices.shape[-2:]))
-    xt = x.swapaxes(-1, -2)
-    sums = (x.real @ xt.real + x.imag @ xt.imag).ravel().tolist()
-    return np.array([math.sqrt(v) ** 2 for v in sums]).reshape(matrices.shape[:-2])
+    c = lead / np.hypot(lead.real, lead.imag)  # (..., k, 1)
+    vh *= np.conj(c)
+    u *= c.swapaxes(-1, -2)
 
 
 class _MixedStreamCounts(ValueError):
@@ -374,25 +342,15 @@ def bb_stages(
             raise _MixedStreamCounts("channels of one stack must share a stream count")
         streams = counts.pop()
         deficient = np.reshape([rank < num_streams for rank in ranks], deficient.shape)
-    b1 = _precoder(eff.vh, streams, tx_power_w, f1)
+    b1 = math.sqrt(tx_power_w / streams) * _hermitian(eff.vh[..., :streams, :])
+    if f1 is not None:  # a matrix with F1 B1 = 0 stays unscaled
+        fb1 = f1 @ b1
+        actual = np.reshape([np.linalg.norm(m) ** 2 for m in fb1.reshape(-1, *fb1.shape[-2:])],
+                            fb1.shape[:-2])
+        scaled = actual > 0.0
+        b1[scaled] *= np.sqrt(tx_power_w / actual[scaled])[..., None, None]
     return BeamformerSet(f1, b1, None, _hermitian(eff.u[..., :streams]), streams,
                          deficient if deficient.ndim else bool(deficient))
-
-
-def _precoder(vh: np.ndarray, streams: int, tx_power_w: float, f1: np.ndarray | None):
-    """B1 = sqrt(P_T/N_S) V_1 from the right singular vectors, power-normalized through ``f1``."""
-    b1 = math.sqrt(tx_power_w / streams) * _hermitian(vh[..., :streams, :])
-    if f1 is not None:
-        actual = _norm_squared(f1 @ b1)
-        scaled = actual > 0.0
-        if scaled.all():  # every matrix, without boolean-mask copies
-            b1 *= np.sqrt(tx_power_w / actual)[..., None, None]
-        else:
-            b1[scaled] *= np.sqrt(tx_power_w / actual[scaled])[..., None, None]
-    return b1
-
-
-_identity = functools.cache(np.eye)  # shared by every rate call, which only reads it
 
 
 def achievable_rate(
@@ -406,14 +364,9 @@ def achievable_rate(
     _COND_LIMIT. A W with a zero or non-finite trace, as a zero noise power
     gives, is ridge-regularized at 1e-12. A stack gives one rate per channel.
     """
-    return _link_rates(bf.b1, bf.b2, bf.f2, eff.matrix, noise_power_w)
-
-
-def _link_rates(b1, b2, f2, mat, noise_power_w: float):
-    """``achievable_rate`` of the stages B1, B2 and F2 on the reduced channels ``mat``."""
-    b2f2 = b2 @ f2
+    b2f2 = bf.b2 @ bf.f2
     w = noise_power_w * (b2f2 @ _hermitian(b2f2))
-    g = b2 @ mat @ b1
+    g = bf.b2 @ eff.matrix @ bf.b1
     q = g @ _hermitian(g)
     n = w.shape[-1]
 
@@ -424,7 +377,7 @@ def _link_rates(b1, b2, f2, mat, noise_power_w: float):
         w = np.where(degenerate[..., None, None], w + 1e-12 * np.eye(n), w)
 
     m = _lapack(_umath_linalg.solve, "DD->D", w, q, failed="Singular matrix")
-    m += _identity(n)  # I + W^-1 Q
+    m += np.eye(n)  # I + W^-1 Q
     logdet = _lapack(_umath_linalg.slogdet, "D->Dd", m)[1]
     logdet /= math.log(2.0)
     rates = np.where(logdet < 0.0, 0.0, logdet)  # max(logdet, 0.0), NaN kept

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,13 +12,14 @@ from movable_ris.beamforming import (
     _COND_LIMIT,
     AngleSupport,
     BeamformerSet,
+    EffectiveChannel,
     InvalidBeamError,
     _align_phases,
     _decompose,
     _gram_rates,
-    _link_rates,
     achievable_rate,
     bb_stages,
+    design_relay_stages,
     design_rf_stages,
     effective_channel,
     hybrid_link_rate,
@@ -339,7 +341,7 @@ def test_effective_channel_svd_is_deterministic():
 
 def test_decompose_mixed_lead_entries_match_each_row_alone():
     # usual rows rotate by their first right-vector entry; in a zero matrix and in
-    # diag(0, 2, 1) some first entries are negligible, so the stack takes the general path
+    # diag(0, 2, 1) some first entries are negligible, and a later entry leads
     rng = rng_stream(23, 0)
     usual = _random_complex(rng, (3, 3, 3))
     stack = np.stack([usual[0], np.zeros((3, 3)), usual[1], np.diag([0.0, 2.0, 1.0]), usual[2]])
@@ -558,6 +560,12 @@ def test_decompose_takes_the_bytes_of_np_linalg_svd(shape, dtype):
         assert ours.tobytes() == numpys.tobytes()
 
 
+def _rate_of(b1, b2, f2, mat, noise_power_w):
+    """``achievable_rate`` of the stages B1, B2 and F2 on the reduced channels ``mat``."""
+    stages = BeamformerSet(None, b1, f2, b2, b2.shape[-2])
+    return achievable_rate(stages, EffectiveChannel(mat, None, None, None), noise_power_w)
+
+
 @pytest.mark.parametrize("shape, dtype", LAPACK_CASES)
 def test_link_rates_take_the_bytes_of_np_linalg_solve_and_slogdet(shape, dtype):
     # the rate: log2 det(I + W^-1 Q), floored at 0, with W and Q formed as the route does
@@ -571,7 +579,7 @@ def test_link_rates_take_the_bytes_of_np_linalg_solve_and_slogdet(shape, dtype):
     w = 1e-2 * (b2f2 @ b2f2.conj().swapaxes(-1, -2))
     x = np.linalg.solve(_double(w), _double(g @ g.conj().swapaxes(-1, -2)))
     expected = np.maximum(np.linalg.slogdet(x + np.eye(n))[1] / math.log(2.0), 0.0)
-    rates = _link_rates(b1, b2, f2, mat, 1e-2)
+    rates = _rate_of(b1, b2, f2, mat, 1e-2)
     assert rates.dtype == expected.dtype and rates.tobytes() == expected.tobytes()
 
 
@@ -589,20 +597,63 @@ def test_rate_route_raises_numpys_singular_matrix_error():
     b = np.eye(2, dtype=complex)[None]
     f2 = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-        _link_rates(b, b, f2, np.ones((1, 2, 2), dtype=complex), 1.0)
+        _rate_of(b, b, f2, np.ones((1, 2, 2), dtype=complex), 1.0)
 
 
 def test_rate_route_log_det_of_a_nan_row_warns_and_gives_nan():
     # as np.linalg.slogdet: a warning and a NaN, never an error, and the other rows unmoved
     b = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2))
     mat = _random_complex(rng_stream(33, 0), (3, 2, 2))
-    alone = np.concatenate([_link_rates(b[:1], b[:1], np.eye(2), mat[[i]], 1.0)
-                            for i in (0, 2)])
+    alone = np.concatenate([_rate_of(b[:1], b[:1], np.eye(2), mat[[i]], 1.0) for i in (0, 2)])
     mat[1, 0, 0] = np.nan
     with pytest.warns(RuntimeWarning, match="invalid value encountered in slogdet"):
-        rates = _link_rates(b, b, np.eye(2), mat, 1.0)
+        rates = _rate_of(b, b, np.eye(2), mat, 1.0)
     assert np.isnan(rates[1])
     assert rates[[0, 2]].tobytes() == alone.tobytes()
+
+
+# sha256 of hybrid_link_rate's rates and flags, unreduced and reduced, and of _decompose's u and
+# vh, over _pinned_stacks; then of the four RF stages at a 2-wavelength spacing, where a stage of
+# the best-covering cells would carry aliased beams, so cells are skipped as the stage is picked.
+PINNED_PATHS_DIGEST = "80ab7520bb8e6429e09de64441d457b2f1e9a699a952c55dd20fb90846a616e9"
+
+
+def _pinned_stacks():
+    """(f2, h, reduced h, f1, streams) per case: full rank; a zero first column of F1 and of
+    the reduced h, so every right singular vector of a nonzero singular value leads with a
+    negligible entry; with that F1, a zero row, whose B1 = e1 gives F1 B1 = 0; mixed stream
+    counts, rank-one rows among full-rank ones."""
+    rng = rng_stream(35, 0)
+    f2, f1 = _random_complex(rng, (3, 8)), _random_complex(rng, (8, 3))
+    f1_lead = f1.copy()
+    f1_lead[:, 0] = 0.0
+    full = _random_complex(rng, (10, 8, 8)), _random_complex(rng, (10, 3, 3))
+    lead = _random_complex(rng, (6, 8, 8)), _random_complex(rng, (6, 3, 3))
+    lead[1][..., 0] = 0.0
+    zero = _random_complex(rng, (4, 8, 8)), _random_complex(rng, (4, 3, 3))
+    zero[0][1], zero[1][1] = 0.0, 0.0
+    zero[1][..., 0] = 0.0
+    mixed = _random_complex(rng, (5, 8, 8)), _random_complex(rng, (5, 3, 3))
+    for stack in mixed:
+        stack[1::2] = stack[1::2, :, :1] @ stack[1::2, :1, :]
+    return [(f2, *full, f1, 2), (f2, *lead, f1_lead, 2), (f2, *zero, f1_lead, 1),
+            (f2, *mixed, f1, 2)]
+
+
+def test_rate_steps_and_beam_picks_keep_their_bytes():
+    digest = hashlib.sha256()
+    for f2, h, reduced, f1, streams in _pinned_stacks():
+        for stack, is_reduced in ((h, False), (reduced, True)):
+            rates, flags = hybrid_link_rate(f2, stack, f1, 1.0, streams, 1e-2, is_reduced)
+            eff = _decompose(stack if is_reduced else f2 @ stack @ f1)
+            for a in (rates, flags, eff.u, eff.vh):
+                digest.update(a.tobytes())
+    config, geometry = default_config()
+    config = dataclasses.replace(config, element_spacing_wavelengths=2.0)
+    for stage in (*design_rf_stages(config, geometry), *design_relay_stages(config, geometry)):
+        digest.update(repr(stage.shape).encode())
+        digest.update(stage.tobytes())
+    assert digest.hexdigest() == PINNED_PATHS_DIGEST
 
 
 def test_design_rf_stages_shapes_and_modulus():

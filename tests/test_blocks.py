@@ -183,24 +183,6 @@ def test_coincident_nodes_still_raise():
         channel.hops(config, geometry, trial, stack[:, :2])  # one row of a batch
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    shape=st.tuples(st.integers(1, 6), st.integers(1, 70), st.integers(1, 4)),
-    exponent=st.integers(min_value=-150, max_value=150),
-    zero_rows=st.sets(st.integers(0, 5)),
-)
-@settings(max_examples=200, deadline=None)
-def test_norm_squared_equals_linalg_norm(seed, shape, exponent, zero_rows):
-    rng = rng_stream(seed, 3)
-    m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0**exponent
-    for i in zero_rows & set(range(shape[0])):
-        m[i] = 0.0
-    got = beamforming._norm_squared(m)
-    assert got.shape == shape[:1]
-    assert got.tobytes() == np.array([float(np.linalg.norm(x) ** 2) for x in m]).tobytes()
-    assert beamforming._norm_squared(m[0]).tobytes() == np.float64(got[0]).tobytes()
-
-
 # --- hop matrices to the reduced channel ----------------------------------------
 
 
