@@ -48,6 +48,9 @@ swarm iteration):
 - ``objective.fd_relay.ue_85_75``: the relay's objective with the UE at
   (85, 75, 2), where the relay's RF stages carry unequal beam counts, so
   its hops do not stack;
+- ``objective.fixed_ris_opt_phase.m100``: the phase-only objective at a
+  10x10 RIS, the largest point of the ``phase_search`` benchmark workload,
+  where the phase decode and the composite grow with the element count;
 - ``pso_step``: one swarm iteration of the joint search's dimension, scored by
   an objective that returns fixed values, so only the swarm update is timed;
 - ``rf_stage_design``: ``design_rf_stages`` and ``design_relay_stages`` at
@@ -241,6 +244,12 @@ def layers_of(module, rows: int) -> dict:
     ue_relay = _captured_objectives(ue_pack, baselines, optimizer, ("fd_relay",))["fd_relay"]
     ue_batch = scenario.rng_stream(7, 1).random((rows, 2))
     layers["objective.fd_relay.ue_85_75"] = lambda: ue_relay(ue_batch)
+    m100 = harness.apply_swept_value(config, geometry, "elements", 100)[0]
+    m100_pack = baselines.build_scenario_pack(m100, geometry, PACK_SEED)
+    m100_phase = _captured_objectives(m100_pack, baselines, optimizer,
+                                      ("fixed_ris_opt_phase",))["fixed_ris_opt_phase"]
+    m100_batch = scenario.rng_stream(7, 2).random((rows, m100.num_ris))
+    layers["objective.fixed_ris_opt_phase.m100"] = lambda: m100_phase(m100_batch)
     params = replace(config.pso, swarm_size=rows)
     values = rng.random(rows)
     swarm = optimizer.init_swarm(lambda p: values, config.num_ris + 2, params, rng)

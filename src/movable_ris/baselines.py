@@ -21,7 +21,7 @@ from .channel import HopEnds, TrialChannels, draw_trial, hop_ends, hops
 # sweepbench/checks.py wraps run_pso here too.
 from .channel import link_channel  # noqa: F401
 from .optimizer import run_pso  # noqa: F401
-from .optimizer import ProblemContext, RisState, TWO_PI, decode_on_platform, run
+from .optimizer import ProblemContext, RisState, TWO_PI, _wrap_phases, decode_on_platform, run
 from .scenario import (
     STREAM_AUX,
     STREAM_CHANNEL,
@@ -287,7 +287,7 @@ def run_baseline(
     if kind == BaselineKind.MOVABLE_RIS_JOINT:
         return _search(pack, trial_index, kind, context)
     if kind == BaselineKind.FIXED_RIS_OPT_PHASE:
-        phase_space = (pack.config.num_ris, lambda v: RisState(cx, cy, (TWO_PI * v) % TWO_PI))
+        phase_space = (pack.config.num_ris, lambda v: RisState(cx, cy, _wrap_phases(v)))
         return _search(pack, trial_index, kind, context, phase_space)
     if kind == BaselineKind.MOVABLE_RIS_RANDOM_PHASE:
         phases = _random_phases(pack, trial_index, kind)

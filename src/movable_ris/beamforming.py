@@ -345,8 +345,10 @@ def bb_stages(
     b1 = math.sqrt(tx_power_w / streams) * _hermitian(eff.vh[..., :streams, :])
     if f1 is not None:  # a matrix with F1 B1 = 0 stays unscaled
         fb1 = f1 @ b1
-        actual = np.reshape([np.linalg.norm(m) ** 2 for m in fb1.reshape(-1, *fb1.shape[-2:])],
-                            fb1.shape[:-2])
+        flat = fb1.reshape(-1, fb1.shape[-2] * fb1.shape[-1])
+        # np.linalg.norm(m) ** 2 per matrix m, from the two dots that norm takes itself
+        actual = np.reshape([np.sqrt(re.dot(re) + im.dot(im)) ** 2
+                             for re, im in zip(flat.real, flat.imag)], fb1.shape[:-2])
         scaled = actual > 0.0
         b1[scaled] *= np.sqrt(tx_power_w / actual[scaled])[..., None, None]
     return BeamformerSet(f1, b1, None, _hermitian(eff.u[..., :streams]), streams,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import DeploymentGeometry, SystemConfig, path_amplitudes
+from .scenario import DeploymentGeometry, SystemConfig, path_amplitudes, wavelength_m
 
 __all__ = [
     "DegenerateGeometryError",
@@ -183,10 +183,6 @@ def _translation_phases(ux, uy, delta_xy, wavelength_m: float) -> np.ndarray:
     return np.exp(-2j * np.pi * (delta[..., 0:1] * ux + delta[..., 1:2] * uy) / wavelength_m)
 
 
-def wavelength_m(carrier_ghz: float) -> float:
-    return 0.299792458 / carrier_ghz
-
-
 def _amplitudes(distance_m: np.ndarray, carrier_ghz: float, exponent: float, mode: str):
     """``path_amplitudes`` of an array of distances, in its shape."""
     amp = path_amplitudes(carrier_ghz, np.ravel(distance_m).tolist(), exponent, mode)
@@ -266,47 +262,39 @@ def platform_angles(geometry: DeploymentGeometry, xy: np.ndarray):
 
 @dataclass(frozen=True)
 class HopEnds:
-    """The four ends of both hops as ``hop_ends`` groups them: per array shape, the shape, the
-    ends' index on the cosines' end axis and the ends; and each end's beam axes or None."""
+    """The four ends of both hops, as ``hop_ends`` lists them: array shapes, beam axes or None."""
 
-    groups: tuple
+    shapes: tuple
     beams: tuple
     search: bool  # some end carries beams: every end then takes ``_axis_powers``
 
 
 def hop_ends(config: SystemConfig, platform_shapes: tuple | None = None,
              beams: tuple = (None,) * 4) -> HopEnds:
-    """The ends of both hops, in (end, hop) order, grouped by array shape.
+    """The ends of both hops, in (end, hop) order.
 
     The ends are the platform's arrays of the Tx hop and of the UE hop (the
     RIS element grid unless a relay passes its own as ``platform_shapes``),
     then the Tx and the UE arrays. ``beams`` gives each end's RF beam axes,
-    the X (K, m_x), Y (K, m_y) of ``ScenarioPack.beams``, or None. A shape's
+    the X (K, m_x), Y (K, m_y) of ``ScenarioPack.beams``, or None. The four
     ends take one exponential pass, then each end its own steering block:
     numpy buffers both operands of a broadcast product at its size, so one
     product over two ends would double the batch peak.
     """
     shapes = (*(platform_shapes or (config.ris_elements,) * 2),
               config.tx_antennas, config.rx_antennas)
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, shape in enumerate(shapes):
-        by_shape.setdefault(tuple(shape), []).append(i)
-    groups = tuple((shape, slice(ends[0], ends[-1] + 1) if ends[-1] - ends[0] < len(ends)
-                    else ends, ends) for shape, ends in by_shape.items())
-    return HopEnds(groups, tuple(beams), any(axes is not None for axes in beams))
+    return HopEnds(tuple(map(tuple, shapes)), tuple(beams), any(b is not None for b in beams))
 
 
 def _end_blocks(u, ends: HopEnds, spacing: float) -> list[np.ndarray]:
     """The steering blocks of the four ``ends``, in end order, over their cosines u (2, 4, B, L):
-    one exponential pass per array shape, then one ``_steering_of`` per end, (B, K or M, L)."""
-    blocks = [None] * 4
-    for shape, index, members in ends.groups:
-        cosines = u[:, index]  # a view where the shape's ends are adjacent
-        px, py = (_axis_powers(cosines, *shape, spacing) if ends.search
-                  else _axis_phases(*cosines, *shape, spacing))
-        for j, i in enumerate(members):
-            blocks[i] = _steering_of(px[j], py[j], ends.beams[i])
-    return blocks
+    one exponential pass over all four at the longest axis, whose row k does not depend on the
+    axis length, then one ``_steering_of`` per end of its leading rows, (B, K or M, L)."""
+    m_x, m_y = map(max, zip(*ends.shapes))
+    px, py = (_axis_powers(u, m_x, m_y, spacing) if ends.search
+              else _axis_phases(*u, m_x, m_y, spacing))
+    return [_steering_of(px[i, ..., :sx, :], py[i, ..., :sy, :], beams)
+            for i, ((sx, sy), beams) in enumerate(zip(ends.shapes, ends.beams))]
 
 
 def _path_geometry(config: SystemConfig, geometry: DeploymentGeometry, trial: TrialChannels,

@@ -96,6 +96,11 @@ def decode_on_platform(v: np.ndarray, geometry: DeploymentGeometry, phases) -> R
     return RisState(points[:, 0], points[:, 1], phases, points)
 
 
+def _wrap_phases(v: np.ndarray) -> np.ndarray:
+    """``(TWO_PI * v) % TWO_PI`` bit for bit on [0, 1], where only 2pi wraps: no fmod per entry."""
+    return np.where((phases := TWO_PI * v) >= TWO_PI, 0.0, phases)
+
+
 def decode(vector: np.ndarray, geometry: DeploymentGeometry) -> RisState:
     """Map a unit-hypercube point, or a (Z, D) batch of them, onto the feasible set.
 
@@ -103,7 +108,7 @@ def decode(vector: np.ndarray, geometry: DeploymentGeometry) -> RisState:
     construction; the single wrap 2pi -> 0 is the only non-injective point.
     """
     v = np.asarray(vector, dtype=float)
-    return decode_on_platform(v, geometry, (TWO_PI * v[..., 2:]) % TWO_PI)
+    return decode_on_platform(v, geometry, _wrap_phases(v[..., 2:]))
 
 
 @dataclass
@@ -130,6 +135,8 @@ class ProblemContext:
 
     def __post_init__(self):
         self._grams = (self.f1.conj().T @ self.f1, self.f2 @ self.f2.conj().T)  # for search_rates
+        self._budget = (self.config.tx_power_watts, self.config.num_streams,
+                        self.config.noise_power_watts)  # the rate budget, P, N_s and sigma^2
 
     def hop_matrices(self, x: float, y: float) -> tuple[np.ndarray, ...]:
         """H_TI, H_IR and their reductions F2 H_IR, H_TI F1 at one position."""
@@ -143,9 +150,7 @@ class ProblemContext:
 
     def _rates(self, h, reduced: bool) -> np.ndarray:
         """The pipeline's rates of the composites ``h``; with ``reduced``, the closed form's."""
-        config = self.config
-        args = (self.f2, h, self.f1, config.tx_power_watts, config.num_streams,
-                config.noise_power_watts)
+        args = (self.f2, h, self.f1, *self._budget)
         rates, deficient = _gram_rates(*args, self._grams) if reduced else hybrid_link_rate(*args)
         self.saw_rank_deficiency |= bool(deficient.any())
         return rates
@@ -167,17 +172,19 @@ class ProblemContext:
         """Search objective: ``rate_for`` up to rounding, for (Z,) positions and/or (Z, M_I) phases.
 
         No hop or composite matrix is formed. At one position the cached
-        A = F2 H_IR and C = H_TI F1 give (A diag(e^{j phi})) C; per-particle
-        positions take C and A as the ``hops`` whose Tx and UE ends are
-        projected onto F1's and F2's beams one array axis at a time. The rate
-        is the closed form of the reduced stack's SVD and the stages' Grams.
+        A = F2 H_IR and C = H_TI F1 give (A diag(e^{j phi})) C, as one (Z K2, M) @ (M, K1)
+        product when K2 > 1; per-particle positions take C and A as the ``hops`` whose Tx and
+        UE ends are projected onto F1's and F2's beams one array axis at a time. The rate is
+        the closed form of the reduced stack's SVD and the stages' Grams.
         """
         if isinstance(state.x, np.ndarray) or isinstance(state.y, np.ndarray):
             c, a = hops(self.config, self.geometry, self.trial, state.xy, self.ends)
         else:
             _, _, a, c = self.hop_matrices(state.x, state.y)
-        e = np.exp(1j * np.asarray(state.phases, dtype=float))
-        return self._rates((a * e[..., None, :]) @ c, reduced=True)
+        a = a * np.exp(1j * np.asarray(state.phases, dtype=float))[..., None, :]
+        one = c.ndim == 2 and a.shape[-2] > 1  # numpy takes a one-row product as a vector's
+        h = (a.reshape(-1, c.shape[0]) @ c).reshape(*a.shape[:-1], -1) if one else a @ c
+        return self._rates(h, reduced=True)
 
 
 @dataclass
@@ -261,9 +268,7 @@ def pso_step(
     becomes a best, and a best that is NaN (from a NaN initial value) gives
     way to the first non-NaN value.
     """
-    z, dim = state.positions.shape
-    y1 = rng.random((z, dim))
-    y2 = rng.random((z, dim))
+    y1, y2 = rng.random((2, *state.positions.shape))  # the stream order of Y1's draw, then Y2's
     # (mu1 Y1)(gbest - p) + (mu2 Y2)(pbest - p) + inertia v, rounded term by term in that order
     y1 *= params.social_weight
     y2 *= params.cognitive_weight
@@ -274,10 +279,9 @@ def pso_step(
     vel += term
     vel += np.multiply(state.velocities, _inertia(params, t), out=term)
     np.minimum(np.maximum(vel, -params.velocity_clamp, out=vel), params.velocity_clamp, out=vel)
-    pos = state.positions + vel
-    out_of_box = (pos < 0.0) | (pos > 1.0)
-    vel[out_of_box] = 0.0
-    np.minimum(np.maximum(pos, 0.0, out=pos), 1.0, out=pos)
+    moved = state.positions + vel
+    pos = np.minimum(np.maximum(moved, 0.0), 1.0)
+    np.copyto(vel, 0.0, where=pos != moved)  # the coordinates that left the box
     state.positions = pos
     state.velocities = vel
 
@@ -361,7 +365,7 @@ def brute_force_joint(
         rows = itertools.product(phase_grid, repeat=num_phases)
         while chunk := list(itertools.islice(rows, _ORACLE_CHUNK)):
             grid = np.array(chunk)
-            values = context.rate_for(RisState(x, y, (TWO_PI * grid) % TWO_PI))
+            values = context.rate_for(RisState(x, y, _wrap_phases(grid)))
             i = _first_max(values)
             if values[i] > best_val:
                 best_val = float(values[i])

@@ -162,6 +162,10 @@ def alpha_coefficient(carrier_ghz: float) -> float:
     return 32.4 + 20.0 * math.log10(carrier_ghz)
 
 
+def wavelength_m(carrier_ghz: float) -> float:
+    return 0.299792458 / carrier_ghz
+
+
 def path_amplitudes(
     carrier_ghz: float, distances_m, exponent: float, mode: str = "alpha"
 ) -> list[float]:
@@ -285,6 +289,13 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
         except (OverflowError, ZeroDivisionError) as exc:
             errors.append(f"link budget leaves the float range ({exc}); check the powers, "
                           "path_loss_exponent and node distances")
+
+    # a move by delta turns a path by 2 pi (delta . u) / lambda, |delta . u| <= the corners' reach
+    turn = math.tau * math.hypot(*((hi - lo) / 2.0 for lo, hi in ranges))  # 2 pi x the reach
+    if not errors and (phase := turn / wavelength_m(config.carrier_frequency_ghz)) > 2**52:
+        errors.append(f"carrier_frequency_ghz = {config.carrier_frequency_ghz!r} turns a path's "
+                      f"phase by up to {phase:.4g} rad across the platform; past 2**52 rad, "
+                      "float64 cannot resolve a radian")
 
     return errors
 

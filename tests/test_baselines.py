@@ -279,6 +279,11 @@ _INVALID = [
     ({"num_paths": 0}, {}, "num_paths must be >= 1"),
     ({"element_spacing_wavelengths": 0.0}, {}, "element spacing must be positive"),
     ({"num_streams": 2, "max_rf_chains": 1}, {}, "streams exceed RF chains (2 > 1)"),
+    # a platform move would turn a path's phase past float64's radian resolution
+    ({"carrier_frequency_ghz": 1e300}, {}, "carrier_frequency_ghz = 1e+300 turns a path's phase by "
+     "up to 4.446e+302 rad across the platform; past 2**52 rad, float64 cannot resolve a radian"),
+    ({"carrier_frequency_ghz": 1e307}, {}, "carrier_frequency_ghz = 1e+307 turns a path's phase by "
+     "up to inf rad across the platform; past 2**52 rad, float64 cannot resolve a radian"),
 ]
 
 

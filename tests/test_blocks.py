@@ -428,7 +428,7 @@ def test_search_axis_powers_equal_axis_phases(m, spacing, cosines):
 
 @pytest.mark.parametrize("ue_position", [(85.0, 75.0, 2.0), (60.0, 90.0, 2.0)])
 def test_grouped_ends_equal_end_by_end_steering(ue_position):
-    """Ends grouped by array shape get the bytes each end gets on its own.
+    """Ends that share one exponential pass get the bytes each end gets on its own.
 
     The relay's 8x8 ends carry 3 and 6 beams at (85, 75, 2), and 3, 5 and 6 at
     (60, 90, 2); there the RIS search's Tx and UE ends share a shape but not a
@@ -467,9 +467,8 @@ def test_ends_without_beams_keep_steering_matrix_bytes(relay):
     xy = np.column_stack(_positions(pack, 9, 5, True))
     platform = (config.rx_antennas, config.tx_antennas) if relay else (config.ris_elements,) * 2
     ends = channel.hop_ends(config, platform)
-    # the relay's four ends are all 8x8, one exponential pass; the RIS grid's are 6x6
-    assert [members for _, _, members in ends.groups] == ([[0, 1, 2, 3]] if relay
-                                                          else [[0, 1], [2, 3]])
+    # the relay's four ends are all 8x8; the RIS grid's are 6x6, the leading rows of an 8-row pass
+    assert ends.shapes == (((8, 8),) * 4 if relay else ((6, 6),) * 2 + ((8, 8),) * 2)
     el, az = _hop_angles(geometry, trial, xy)
     spacing = config.element_spacing_wavelengths
     u, _ = channel._path_geometry(config, geometry, trial, xy)
@@ -477,6 +476,76 @@ def test_ends_without_beams_keep_steering_matrix_bytes(relay):
     for i, shape in enumerate((*platform, config.tx_antennas, config.rx_antennas)):
         want = steering_matrix(el[i // 2, i % 2], az[i // 2, i % 2], *shape, spacing)
         assert blocks[i].tobytes() == want.tobytes()
+
+
+axis_shape = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+@given(
+    shapes=st.tuples(axis_shape, axis_shape, axis_shape, axis_shape),
+    beamed=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    spacing=st.floats(min_value=0.1, max_value=2.0),
+    batch=st.integers(1, 4),
+    paths=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shapes=((2, 3), (2, 3), (8, 8), (8, 8)), beamed=(False, False, True, True),
+         spacing=0.5, batch=3, paths=10, seed=1)  # a RIS grid smaller than the Tx and Rx arrays
+@example(shapes=((12, 10), (12, 10), (4, 4), (5, 3)), beamed=(False, False, True, True),
+         spacing=0.5, batch=3, paths=10, seed=2)  # and one larger than both
+@example(shapes=((3, 9), (3, 9), (8, 2), (8, 2)), beamed=(False,) * 4,
+         spacing=0.5, batch=2, paths=4, seed=3)  # no beams: ``_axis_phases``
+@settings(max_examples=100, deadline=None)
+def test_one_pass_end_blocks_equal_end_by_end_blocks(shapes, beamed, spacing, batch, paths, seed):
+    """All four ends' one exponential pass, at the longest axis, gives each end the bytes of a
+    pass at its own shape: ``_axis_powers`` when some end carries beams, else ``_axis_phases``."""
+    rng = np.random.default_rng(seed)
+    config = replace(default_config()[0], tx_antennas=shapes[2], rx_antennas=shapes[3])
+    beams = tuple(tuple(rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+                        for m in shape) if on else None
+                  for shape, on, k in zip(shapes, beamed, rng.integers(1, 5, 4).tolist()))
+    ends = channel.hop_ends(config, shapes[:2], beams)
+    assert ends.shapes == shapes and ends.search == any(beamed)
+    u = rng.uniform(-1.0, 1.0, (2, 4, batch, paths))
+    blocks = channel._end_blocks(u, ends, spacing)
+    for i, (shape, axes) in enumerate(zip(shapes, beams)):
+        alone = (channel._axis_powers(u[:, i], *shape, spacing) if any(beamed)
+                 else channel._axis_phases(*u[:, i], *shape, spacing))
+        want = channel._steering_of(*alone, axes)
+        assert blocks[i].shape == want.shape
+        assert blocks[i].tobytes() == want.tobytes(), i
+
+
+@given(
+    z=st.integers(1, 16),
+    m=st.integers(4, 144),
+    k2=st.integers(1, 6),
+    k1=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(z=2, m=4, k2=1, k1=1, seed=0)  # a one-row A, whose rows numpy takes as vectors
+@example(z=16, m=144, k2=6, k1=1, seed=1)
+@settings(max_examples=100, deadline=None)
+def test_phase_only_stack_is_one_product_with_the_bytes_of_row_products(z, m, k2, k1, seed):
+    """At one position the search forms (A diag(e^{j phi})) C of all Z rows as one product; each
+    row has the bytes of its own product, and so of the (Z, K2, M) @ (M, K1) stack. A one-row A
+    keeps the stack: numpy takes each (1, M) @ (M, K1) row as a vector's product, whose bytes
+    differ from a matrix product's."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k2, m)) + 1j * rng.standard_normal((k2, m))
+    c = rng.standard_normal((m, k1)) + 1j * rng.standard_normal((m, k1))
+    phases = rng.uniform(0.0, 2 * math.pi, (z, m))
+    context = baselines.make_problem_context(_default_pack(3), 0)
+    context._cache_key, context._cache = (50.0, 60.0), (None, None, a, c)  # A and C at (50, 60)
+    stacks = []
+    context._rates = lambda h, reduced: stacks.append(h)  # the reduced stack the rate would take
+    context.search_rates(optimizer.RisState(50.0, 60.0, phases))
+    (h,) = stacks
+    e = np.exp(1j * phases)
+    assert h.shape == (z, k2, k1)
+    assert h.tobytes() == ((a * e[:, None, :]) @ c).tobytes()
+    for row in range(z):
+        assert h[row].tobytes() == ((a * e[row]) @ c).tobytes(), row
 
 
 # --- both hops from one platform-to-node pass ------------------------------------

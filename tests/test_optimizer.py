@@ -90,6 +90,18 @@ def test_decode_encode_bijection(vec):
     assert np.all((state.phases >= 0) & (state.phases < 2 * math.pi))
 
 
+@given(v=hnp.arrays(float, hnp.array_shapes(max_dims=2), elements=st.one_of(
+    st.sampled_from([0.0, 1.0, math.nextafter(1.0, 0.0)]), st.floats(0.0, 1.0))))
+@settings(max_examples=200, deadline=None)
+def test_wrap_phases_equal_the_remainder_on_the_unit_interval(v):
+    # every phase decoder wraps 2 pi v by one compare and select instead of an fmod
+    want = (TWO_PI * v) % TWO_PI
+    got = optimizer._wrap_phases(v)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert optimizer._wrap_phases(np.array([1.0]))[0] == 0.0  # the one point that wraps
+
+
 # the default platform, and one whose bounds have no exact binary form
 DECODE_GEOMETRIES = (default_config()[1], replace(
     default_config()[1], platform_x_range=(-3.3, 17.1), platform_y_range=(0.1, 0.7)))
