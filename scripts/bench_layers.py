@@ -45,6 +45,12 @@ swarm iteration):
   ``rate.decompose`` (the SVD with its phase rotation), ``rate.bb_stages``
   and ``rate.achievable_rate``;
 - ``objective.<kind>``: the batch objective each searching kind hands its swarm;
+- ``objective.fd_relay.slot_hit`` and ``objective.fd_relay.slot_miss``: the
+  relay's objective as a power sweep runs it, with the calls of the previous
+  power in ``RelaySlots``: on a hit the call's platform points equal its
+  slot's, so it takes only the rate tail of the stored core; on a miss it
+  builds both hops, takes their SVD and stores the core. Only trees with
+  ``baselines.RelaySlots`` have them;
 - ``objective.fd_relay.ue_85_75``: the relay's objective with the UE at
   (85, 75, 2), where the relay's RF stages carry unequal beam counts, so
   its hops do not stack;
@@ -237,9 +243,21 @@ def layers_of(module, rows: int) -> dict:
         "rate.achievable_rate": lambda: beamforming.achievable_rate(stages, eff,
                                                                     config.noise_power_watts),
     }
+    batches = {}
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
-        batch = rng.random((rows, _dimension(kind, config)))
+        batches[kind] = batch = rng.random((rows, _dimension(kind, config)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)
+    if hasattr(baselines, "RelaySlots"):
+        hit, miss = (baselines._RelaySearch(pack, trial, {}) for _ in range(2))
+        batch = batches["fd_relay"]
+
+        def slot_hit():
+            hit._calls = 0  # every call is the search's first, whose slot holds these points
+            return hit.search_rates(optimizer.decode_on_platform(batch, geometry, None))
+
+        layers["objective.fd_relay.slot_hit"] = slot_hit
+        layers["objective.fd_relay.slot_miss"] = (  # each call a new slot, as a first power's
+            lambda: miss.search_rates(optimizer.decode_on_platform(batch, geometry, None)))
     ue_pack = baselines.build_scenario_pack(config, ue_geometry, PACK_SEED)
     ue_relay = _captured_objectives(ue_pack, baselines, optimizer, ("fd_relay",))["fd_relay"]
     ue_batch = scenario.rng_stream(7, 1).random((rows, 2))

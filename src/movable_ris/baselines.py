@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .beamforming import _gram_rates, design_relay_stages, design_rf_stages, hybrid_link_rate
+from .beamforming import (_closed_form_fits, _core_array, _core_of, _gram_core, _gram_rates,
+                          _gram_tail, design_relay_stages, design_rf_stages, hybrid_link_rate)
 from .channel import HopEnds, TrialChannels, draw_trial, hop_ends, hops
 # Not called here; sweepbench/tracer.py wraps these names in this namespace, and
 # sweepbench/checks.py wraps run_pso here too.
@@ -36,6 +37,7 @@ from .scenario import (
 __all__ = [
     "BaselineKind",
     "TrialOutcome",
+    "RelaySlots",
     "ScenarioPack",
     "build_scenario_pack",
     "make_problem_context",
@@ -84,6 +86,19 @@ class TrialOutcome:
     flagged: bool = False
 
 
+class RelaySlots(dict):
+    """The relay search calls of one sweep kept for its next power step, by trial and call.
+
+    ``{trial: {call: (points, core)}}``: the bytes of a search call's (Z, 2) platform points
+    and the ``_gram_core`` of its two stacked hops as one (2, Z, 6) ``_core_array``, six floats
+    per hop and particle. ``harness.sweep`` makes one for a sweep whose consecutive points
+    differ in ``tx_power_dbm`` alone, hands it to every pack it builds and empties it when it
+    returns. Hashed and compared by identity, so the packs built with one are cached apart.
+    """
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+
 @dataclass(frozen=True)
 class ScenarioPack:
     """Per-scenario precomputation shared by every trial and baseline kind.
@@ -94,7 +109,9 @@ class ScenarioPack:
     its own receive/transmit stages; its arrays mirror the Rx and Tx antenna
     counts and do not scale with the RIS element count. ``fd_relay_outcomes``
     keeps each trial's full-duplex relay search, which the half-duplex relay
-    halves instead of searching again.
+    halves instead of searching again. ``relay_slots``, handed over by a sweep
+    of powers, keeps the relay search calls that the next power's searches
+    reuse (see ``_RelaySearch``).
     """
 
     config: SystemConfig
@@ -108,6 +125,7 @@ class ScenarioPack:
     fd_relay_outcomes: dict[int, TrialOutcome] = field(
         default_factory=dict, repr=False, compare=False
     )
+    relay_slots: RelaySlots | None = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
     def beams(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -141,11 +159,13 @@ def build_scenario_pack(
     geometry: DeploymentGeometry,
     seed: int,
     pso_seed: int | None = None,
+    relay_slots: RelaySlots | None = None,
 ) -> ScenarioPack:
     """Precompute RF stages; ``pso_seed`` re-keys only the search streams.
 
     Consecutive calls with identical arguments return the same pack, so the
-    kinds at one swept value share it, and with it the fd_relay searches.
+    kinds at one swept value share it, and with it the fd_relay searches and
+    ``relay_slots``.
     A configuration ``validate`` rejects, or one whose RF design is left with
     fewer usable beams than streams, raises ConfigError.
     """
@@ -157,7 +177,8 @@ def build_scenario_pack(
         if (beams := min(stage.shape)) < config.num_streams:  # never more beams than antennas
             raise ConfigError(f"RF stage {name} has {beams} usable beams for {config.num_streams} "
                               f"streams at spacing {config.element_spacing_wavelengths!r} wavelengths")
-    return ScenarioPack(config, geometry, seed, **stages, pso_seed=pso_seed)
+    return ScenarioPack(config, geometry, seed, **stages, pso_seed=pso_seed,
+                        relay_slots=relay_slots)
 
 
 def trial_channels(pack: ScenarioPack, trial_index: int) -> TrialChannels:
@@ -204,10 +225,19 @@ class _RelaySearch:
     self-interference is modeled: the rate is the ideal full-duplex bound
     min(hop rates). The stages of each hop, (receive, transmit), their Grams
     and their beam axes are read from the pack once.
+
+    ``slots`` holds this trial's search calls at a sweep's previous power, by
+    call index (see ``RelaySlots``). The hops, their SVD and the rest of
+    ``_gram_core`` do not depend on the power, so a call whose platform points
+    equal that call's there, byte for byte, takes only ``_gram_tail`` of the
+    stored core. Every other call stores its core in the slot, unless one of
+    its rows took the pipeline; a hit with such a row computes its call again.
+    Slots are kept only where the reduced hops stack and take the closed form.
     """
 
     pack: ScenarioPack
     trial: TrialChannels
+    slots: dict | None = None
     saw_rank_deficiency: bool = field(default=False, init=False)
 
     def __post_init__(self):
@@ -224,6 +254,10 @@ class _RelaySearch:
         f2s, f1s = zip(*self._stages)
         if f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape:
             self._stacked = tuple(np.stack(m)[:, None] for m in (f2s, f1s, *zip(*self._grams)))
+        if self._stacked is None or not _closed_form_fits(
+                (f2s[0].shape[0], f1s[0].shape[1]), config.num_streams, config.noise_power_watts):
+            self.slots = None
+        self._calls = 0  # search calls so far, the slot index of the next
 
     def hop_rates(self, xy: np.ndarray, factored: bool):
         """(Z,) rates at the (Z, 2) points ``xy`` and whether either hop was rank deficient.
@@ -253,7 +287,25 @@ class _RelaySearch:
         return rates
 
     def search_rates(self, state: RisState) -> np.ndarray:
-        return self._rates(state, factored=True)
+        if self.slots is None:
+            return self._rates(state, factored=True)
+        call, points = self._calls, state.xy.tobytes()
+        self._calls += 1
+        power, streams, noise = self._budget
+        stored = self.slots.get(call)
+        if stored is not None and stored[0] == points:
+            (rate1, rate2), rows = _gram_tail(_core_of(stored[1], streams), None, power, noise)
+        else:
+            both = hops(self.pack.config, self.pack.geometry, self.trial, state.xy,
+                        self._ends[True])
+            core, rows = _gram_core(np.stack(both), streams, self._stacked[2:])
+            if rows is None:
+                (rate1, rate2), rows = _gram_tail(core, None, power, noise)
+                if rows is None:
+                    self.slots[call] = (points, _core_array(core))
+        if rows is not None:  # a row takes the pipeline: the call as it goes without slots
+            return self._rates(state, factored=True)
+        return np.where(rate2 < rate1, rate2, rate1)
 
     def rate_for(self, state: RisState) -> float:
         return float(self._rates(state, factored=False)[0])
@@ -270,7 +322,8 @@ def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcom
         raise ValueError(f"duplex must be 'fd' or 'hd', got {duplex!r}")
     fd = pack.fd_relay_outcomes.get(trial_index)
     if fd is None:
-        context = _RelaySearch(pack, trial_channels(pack, trial_index))
+        slots = None if pack.relay_slots is None else pack.relay_slots.setdefault(trial_index, {})
+        context = _RelaySearch(pack, trial_channels(pack, trial_index), slots)
         fd = pack.fd_relay_outcomes[trial_index] = _search(
             pack, trial_index, BaselineKind.FD_RELAY, context, _on_platform(pack.geometry, None))
     return fd if duplex == "fd" else replace(fd, rate=fd.rate / 2.0)

@@ -428,11 +428,36 @@ def _gram_rates(f2, h, f1, tx_power_w: float, num_streams: int, noise_power_w: f
     W = sigma^2 Wt, Wt = U1^H F2 F2^H U1, so with d_i = P s_i^2 / (sigma^2 n) the rate is
     log1p((d1 wt22 + d2 wt11 + d1 d2) / det Wt) / ln 2 for two streams and log1p(d1 / wt11) / ln 2
     for one; the phase alignment cancels. More streams or a noise power that is not positive and
-    finite send the stack to ``hybrid_link_rate``, and a row at or under the rank floor, or with
-    n <= 0 or det Wt <= 0, goes there alone, so every row's bytes are its own.
+    finite send the stack to ``hybrid_link_rate``. A row at or under the rank floor, with
+    n <= 0 or det Wt <= 0, or whose closed-form rate is not finite goes there alone, so every
+    row's bytes are its own. ``_gram_core`` takes the part that does not depend on the budget
+    and ``_gram_tail`` the rest.
     """
-    if num_streams > min(2, *h.shape[-2:]) or not 0.0 < noise_power_w < math.inf:
+    if not _closed_form_fits(h.shape[-2:], num_streams, noise_power_w):
         return hybrid_link_rate(f2, h, f1, tx_power_w, num_streams, noise_power_w, reduced=True)
+    rates, rows = _gram_tail(*_gram_core(h, num_streams, grams), tx_power_w, noise_power_w)
+    deficient = np.zeros(rates.shape, dtype=bool)
+    if rows is not None:
+        f2, f1 = (np.broadcast_to(m, h.shape[:-2] + m.shape[-2:])[rows] for m in (f2, f1))
+        rates[rows], deficient[rows] = hybrid_link_rate(
+            f2, h[rows], f1, tx_power_w, num_streams, noise_power_w, reduced=True)
+    return rates, deficient
+
+
+def _closed_form_fits(shape, num_streams: int, noise_power_w: float) -> bool:
+    """Whether ``_gram_rates`` takes the closed form for a stack of (K2, K1) matrices: at most two
+    streams, no more than either side's beams, and a noise power that is positive and finite."""
+    return num_streams <= min(2, *shape) and 0.0 < noise_power_w < math.inf
+
+
+def _gram_core(h, num_streams: int, grams):
+    """The budget-free part of ``_gram_rates`` of the stack ``h``: (core, rows).
+
+    ``core`` is (S1, n, wt11, wt22, det Wt): the first ``num_streams`` singular values as
+    (..., num_streams) and the rest as (...,) arrays. ``rows`` marks the rows the pipeline
+    takes whatever the budget, those at or under the rank floor or with n <= 0 or
+    det Wt <= 0, and is None when there are none.
+    """
     u, s, vh = _lapack(_umath_linalg.svd_s, "D->DdD", h, failed="SVD did not converge")
     u, vh = u[..., :num_streams], vh[..., :num_streams, :]
     n = ((vh @ grams[0]) * vh.conj()).real.sum(axis=(-2, -1))
@@ -440,16 +465,56 @@ def _gram_rates(f2, h, f1, tx_power_w: float, num_streams: int, noise_power_w: f
     w11, w22, w12 = w[..., 0, 0].real, w[..., -1, -1].real, w[..., 0, -1]
     det = w11 if num_streams == 1 else w11 * w22 - (w12.real ** 2 + w12.imag ** 2)
     floor = max(h.shape[-2:]) * _EPS * s[..., 0]  # as ``EffectiveChannel._floor``
-    rows = ~((s[..., num_streams - 1] > floor) & (n > 0.0) & (det > 0.0))  # for the pipeline
-    if fallback := rows.any():
+    closed = (s[..., num_streams - 1] > floor) & (n > 0.0) & (det > 0.0)
+    return (s[..., :num_streams], n, w11, w22, det), None if closed.all() else ~closed
+
+
+def _core_array(core) -> np.ndarray:
+    """A ``_gram_core`` as one (..., 6) array: s1, s2, n, wt11, wt22 and det Wt per row, with
+    s2 = s1, wt22 = wt11 and det Wt = wt11 for one stream."""
+    s, *rest = core
+    return np.stack((s[..., 0], s[..., -1], *rest), axis=-1)
+
+
+def _core_of(array: np.ndarray, num_streams: int):
+    """The ``_gram_core`` that ``_core_array`` gave ``array``, as views of it."""
+    return (array[..., :num_streams], *(array[..., i] for i in range(2, 6)))
+
+
+# P / sigma^2 from which ``_gram_tail`` runs with overflow ignored. Under it, d1 d2 passes the
+# float range only for a row whose gain s^2 / n passes 2**256 as well, far past any physical link
+# budget; such a row still takes the pipeline, after numpy's warning.
+_GUARDED_SNR = 2.0 ** 256
+
+
+def _gram_tail(core, rows, tx_power_w: float, noise_power_w: float):
+    """The rates of a ``_gram_core`` at the budget, and the rows the pipeline must take: (rates,
+    rows), ``rows`` None when every rate is the closed form's.
+
+    Those rows are the core's ``rows`` (their rates are placeholders) and every row whose
+    closed-form rate is not finite, as an overflow of d1 d2 from a P / sigma^2 near the float
+    range gives.
+    """
+    s, n, w11, w22, det = core
+    if rows is not None:
         n, det = np.where(rows, 1.0, n), np.where(rows, 1.0, det)
-    d = (tx_power_w / noise_power_w) * s[..., :num_streams] ** 2 / n[..., None]
+    snr = tx_power_w / noise_power_w
+    if snr < _GUARDED_SNR:
+        rates = _closed_form(s, n, w11, w22, det, snr)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at a zero singular value
+            rates = _closed_form(s, n, w11, w22, det, snr)
+    if not math.isfinite(rates.sum()):  # finite rates, each at most 1,024, sum to a finite value
+        nonfinite = ~np.isfinite(rates)
+        rows = nonfinite if rows is None else rows | nonfinite
+    return rates, rows
+
+
+def _closed_form(s, n, w11, w22, det, snr: float) -> np.ndarray:
+    """log1p((d1 wt22 + d2 wt11 + d1 d2) / det Wt) / ln 2, or log1p(d1 / wt11) / ln 2 for one
+    stream, clamped at 0, with d_i = snr s_i^2 / n."""
+    d = snr * s ** 2 / n[..., None]
     d1, d2 = d[..., 0], d[..., -1]
-    rates = np.log1p((d1 if num_streams == 1 else d1 * w22 + d2 * w11 + d1 * d2) / det)
+    rates = np.log1p((d1 if s.shape[-1] == 1 else d1 * w22 + d2 * w11 + d1 * d2) / det)
     rates /= math.log(2.0)
-    rates, deficient = np.where(rates < 0.0, 0.0, rates), np.zeros(rates.shape, dtype=bool)
-    if fallback:
-        f2, f1 = (np.broadcast_to(m, h.shape[:-2] + m.shape[-2:])[rows] for m in (f2, f1))
-        rates[rows], deficient[rows] = hybrid_link_rate(
-            f2, h[rows], f1, tx_power_w, num_streams, noise_power_w, reduced=True)
-    return rates, deficient
+    return np.where(rates < 0.0, 0.0, rates)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineKind, build_scenario_pack, run_baseline, trial_channels
+from .baselines import BaselineKind, RelaySlots, build_scenario_pack, run_baseline, trial_channels
 from .channel import hop_ends, hops
 from .scenario import (
     ConfigError,
@@ -163,6 +163,7 @@ def monte_carlo_point(
     swept_value=None,
     dump_dir: Path | None = None,
     pso_seed: int | None = None,
+    relay_slots: RelaySlots | None = None,
 ) -> RateResult:
     """Average one baseline over ``trials`` frozen channel draws.
 
@@ -170,8 +171,9 @@ def monte_carlo_point(
     raises one of TRIAL_FAILURES or its rate is not finite; failures are
     recorded, never silently dropped, and the point is flagged when more
     than 10% of trials fail. Any other exception propagates.
+    ``relay_slots`` is a sweep's store of relay search calls (see ``sweep``).
     """
-    pack = build_scenario_pack(config, geometry, seed, pso_seed)
+    pack = build_scenario_pack(config, geometry, seed, pso_seed, relay_slots)
     rates: list[float] = []
     positions: list[tuple[float, float]] = []
     failed: list[int] = []
@@ -233,28 +235,39 @@ def sweep(
 
     All kinds at one value share the same seed-derived trials (common random
     numbers). A value ``sweep_points`` rejects raises ConfigError before any trial.
+    Where consecutive values differ in ``tx_power_dbm`` alone, every pack gets
+    one ``RelaySlots``, so each relay search call that visits the previous
+    value's points again reuses that call's hops and SVD; the store is emptied
+    when the sweep returns.
     """
+    points = sweep_points(spec, config, geometry)
+    relay = {BaselineKind.FD_RELAY, BaselineKind.HD_RELAY}.intersection(spec.baselines)
+    slots = RelaySlots() if relay and _power_steps(points) else None
     results: list[RateResult] = []
-    for value, point_config, point_geometry in sweep_points(spec, config, geometry):
-        for kind in spec.baselines:
-            point_dump = None
-            if dump_dir is not None:
-                label = format_swept_value(spec.kind, value).replace("/", "_")
-                point_dump = Path(dump_dir) / f"{spec.kind}_{label}"
-            results.append(
-                monte_carlo_point(
-                    point_config,
-                    point_geometry,
-                    kind,
-                    spec.trials,
-                    spec.seed,
-                    sweep_kind=spec.kind,
-                    swept_value=value,
-                    dump_dir=point_dump,
-                    pso_seed=spec.pso_seed,
-                )
-            )
+    try:
+        for value, point_config, point_geometry in points:
+            for kind in spec.baselines:
+                point_dump = None
+                if dump_dir is not None:
+                    label = format_swept_value(spec.kind, value).replace("/", "_")
+                    point_dump = Path(dump_dir) / f"{spec.kind}_{label}"
+                results.append(monte_carlo_point(
+                    point_config, point_geometry, kind, spec.trials, spec.seed,
+                    sweep_kind=spec.kind, swept_value=value, dump_dir=point_dump,
+                    pso_seed=spec.pso_seed, relay_slots=slots))
+    finally:
+        if slots is not None:
+            slots.clear()
     return results
+
+
+def _power_steps(points) -> bool:
+    """Whether there are two or more swept points and consecutive ones differ in
+    ``tx_power_dbm`` alone, the one setting that the relay search's hops do not read."""
+    return len(points) > 1 and all(
+        geometry == next_geometry
+        and replace(config, tx_power_dbm=next_config.tx_power_dbm) == next_config
+        for (_, config, geometry), (_, next_config, next_geometry) in zip(points, points[1:]))
 
 
 def write_results(

@@ -284,6 +284,8 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
                 rise = geometry.ris_height_m - node[2]  # no hop from this node is shorter
                 far = math.hypot(*(max(abs(lo - c), abs(hi - c))
                                    for c, (lo, hi) in zip(node, ranges)), rise)
+                if far >= 2.0 ** 511:  # ``channel._path_geometry`` squares a hop's length
+                    raise OverflowError(f"a node {far:.4g} m from the platform: its square")
                 path_amplitudes(config.carrier_frequency_ghz, (rise, far),
                                 config.path_loss_exponent, config.path_loss_mode)
         except (OverflowError, ZeroDivisionError) as exc:

@@ -217,6 +217,44 @@ def test_relay_search_takes_one_stacked_rate_call(monkeypatch):
             assert calls == [(6, 3, 3), (6, 6, 6)]
 
 
+def test_relay_slots_reuse_a_calls_core_and_never_keep_a_call_that_took_the_pipeline(
+        monkeypatch):
+    # a call at the points its slot holds takes only the tail of the stored core, with the
+    # bytes of the search without slots; each miss takes one (2, B, 3, 3) SVD
+    svds = []
+    real = baselines._gram_core
+
+    def counted(h, *args):
+        svds.append(h.shape)
+        return real(h, *args)
+
+    monkeypatch.setattr(baselines, "_gram_core", counted)
+    pack = _relay_pack()
+    trial = baselines.trial_channels(pack, 0)
+    states = [optimizer.RisState(p[:, 0], p[:, 1], None, p)
+              for p in (_relay_points(pack, 0, 6), _relay_points(pack, 1, 6))]
+
+    def search(power, slots=None):
+        return baselines._RelaySearch(
+            replace(pack, config=replace(pack.config, tx_power_dbm=power)), trial, slots)
+
+    expected = {power: search(power).search_rates(states[0]) for power in (30.0, 40.0, 2000.0)}
+    slots = {}
+    for power, state, svd in ((30.0, 0, True), (40.0, 0, False), (40.0, 1, True), (40.0, 0, True)):
+        svds.clear()
+        rates = search(power, slots).search_rates(states[state])
+        assert svds == [(2, 6, 3, 3)] * svd and list(slots) == [0]
+        assert slots[0][0] == states[state].xy.tobytes()
+        if state == 0:
+            assert rates.tobytes() == expected[power].tobytes()
+    # at 2000 dBm the closed form passes the float range: the hit's call runs again, as it
+    # runs without slots, and a call with such a row is not stored
+    assert search(2000.0, slots).search_rates(states[0]).tobytes() == expected[2000.0].tobytes()
+    unkept = {}
+    search(2000.0, unkept).search_rates(states[0])
+    assert unkept == {}
+
+
 def test_stacked_links_with_a_rank_deficient_row_run_link_by_link():
     # a rank-one row carries fewer streams, so the rows of both links run one at a time
     pack = _relay_pack()

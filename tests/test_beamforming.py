@@ -15,8 +15,12 @@ from movable_ris.beamforming import (
     EffectiveChannel,
     InvalidBeamError,
     _align_phases,
+    _core_array,
+    _core_of,
     _decompose,
+    _gram_core,
     _gram_rates,
+    _gram_tail,
     achievable_rate,
     bb_stages,
     design_relay_stages,
@@ -702,6 +706,13 @@ def test_gram_rates_match_the_pipeline(seed, shape, rows, links, streams):
     assert rates.shape == expected.shape == h.shape[:-2]
     np.testing.assert_allclose(rates, expected, rtol=FACTORED_RTOL, atol=0.0)
     assert deficient.tolist() == flags.tolist() and not flags.any()
+    # the budget-free core, then the tail that applies the budget, give _gram_rates' bytes, as
+    # does the tail of the core's six floats per row that the relay search stores
+    core, rows = _gram_core(h, streams, grams)
+    tail, pipeline_rows = _gram_tail(core, rows, budget[0], budget[2])
+    assert rows is None and pipeline_rows is None and tail.tobytes() == rates.tobytes()
+    stored = _core_of(_core_array(core), streams)
+    assert _gram_tail(stored, None, budget[0], budget[2])[0].tobytes() == rates.tobytes()
 
 
 @pytest.mark.parametrize("case", ["zero_row", "rank_one_row", "zero_precoder",

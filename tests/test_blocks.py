@@ -10,13 +10,14 @@ relative bound of the reference rates.
 import math
 import re
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -30,7 +31,13 @@ from movable_ris.channel import (
     steering_matrix,
     wavelength_m,
 )
-from movable_ris.scenario import PsoParams, default_config, path_amplitudes, rng_stream
+from movable_ris.scenario import (
+    PsoParams,
+    default_config,
+    path_amplitudes,
+    rng_stream,
+    validate,
+)
 from test_batch import FACTORED_RTOL, _objective_of
 from test_channel import hop_paths
 
@@ -339,6 +346,37 @@ def test_relay_loop_equals_per_particle_effective_channel(
         assert rates[b].tobytes() == min(rate1[0], rate2[0]).tobytes()
     searched, _ = baselines._RelaySearch(pack, trial).hop_rates(np.column_stack((x, y)), True)
     np.testing.assert_allclose(searched, rates, rtol=FACTORED_RTOL, atol=0.0)
+
+
+@given(power=st.floats(-400.0, 3200.0), psd=st.floats(-3200.0, 400.0),
+       draw_seed=st.integers(0, 10_000))
+@example(power=2000.0, psd=-174.0, draw_seed=0)
+@example(power=3000.0, psd=-174.0, draw_seed=0)
+@settings(max_examples=30, deadline=None)
+def test_search_rates_are_finite_wherever_the_reported_rate_is(power, psd, draw_seed):
+    # From about 1,563 dBm at the default noise the closed form's d1 d2 passes the float range;
+    # such rows take the pipeline, so both searches keep seeing the reported rate, and without
+    # a warning. Past where the reference's own I + W^-1 Q leaves the float range, from about
+    # 3,050 dBm at the default noise, the reported rate is not finite either: nothing is held.
+    default = _default_pack(4)
+    config = replace(default.config, tx_power_dbm=power, noise_psd_dbm_per_hz=psd)
+    assume(not validate(config, default.geometry))
+    pack = replace(default, config=config)
+    x, y = _positions(pack, draw_seed, 4, clamp=False)
+    phases = rng_stream(draw_seed, 3).uniform(0.0, 2.0 * math.pi, (4, config.num_ris))
+    contexts = (baselines.make_problem_context(pack, 0),
+                baselines._RelaySearch(pack, baselines.trial_channels(pack, 0)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        reference = [[context.rate_for(optimizer.RisState(float(x[b]), float(y[b]), phases[b]))
+                      for b in range(len(x))] for context in contexts]
+    if not np.isfinite(reference).all():
+        return
+    assert not caught, [str(w.message) for w in caught]
+    state = optimizer.RisState(x, y, phases, np.column_stack((x, y)))
+    for context, expected in zip(contexts, reference):
+        searched = context.search_rates(state)
+        np.testing.assert_allclose(searched, expected, rtol=FACTORED_RTOL, atol=LOW_RATE_ATOL)
 
 
 # --- per-axis projection onto the RF beams --------------------------------------

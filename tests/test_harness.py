@@ -1,11 +1,12 @@
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from movable_ris.baselines import BaselineKind, build_scenario_pack, trial_channels
@@ -376,6 +377,70 @@ def test_element_sweep_shares_trials_across_sizes():
     results = sweep(spec, config, geometry)
     # the relay does not involve the RIS: identical trials give identical rates
     assert results[0].per_trial_rates == results[1].per_trial_rates
+
+
+@contextmanager
+def _point_slots():
+    """Each ``monte_carlo_point`` call's store of relay calls (None without one), with its slot
+    count when the point is done, in call order."""
+    import movable_ris.harness as harness_mod
+
+    seen = []
+    real = harness_mod.monte_carlo_point
+
+    def recorded(*args, relay_slots=None, **kwargs):
+        result = real(*args, relay_slots=relay_slots, **kwargs)
+        count = None if relay_slots is None else sum(map(len, relay_slots.values()))
+        seen.append((relay_slots, count))
+        return result
+
+    harness_mod.monte_carlo_point = recorded
+    try:
+        yield seen
+    finally:
+        harness_mod.monte_carlo_point = real
+
+
+_RELAY = (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY)
+
+
+@given(seed=st.integers(0, 11),
+       powers=st.lists(st.sampled_from([-30.0, 0.0, 10.0, 20.0, 30.0, 40.0, 2000.0]),
+                       min_size=2, max_size=4),
+       trials=st.integers(1, 2), kinds=st.sampled_from([_RELAY, _RELAY[::-1]]))
+@example(seed=3, powers=[-30.0, 0.0, 40.0, 40.0, 2000.0], trials=1, kinds=_RELAY)
+@settings(max_examples=5, deadline=None)
+def test_power_sweep_reusing_relay_calls_equals_each_power_alone(seed, powers, trials, kinds):
+    # a power step's relay searches reuse the calls of the step before that revisit its points
+    # (a step up from -30 dBm moves most calls elsewhere); the results keep the bytes of a sweep
+    # of each power alone, which keeps no slots
+    config, geometry = default_config()
+    spec = SweepSpec(kind="power", values=tuple(powers), baselines=kinds, trials=trials, seed=seed)
+    with _point_slots() as seen:
+        results = sweep(spec, config, geometry)
+    stores = {id(store): store for store, _ in seen}
+    assert len(stores) == 1 and None not in stores.values()
+    assert not seen[0][0]  # emptied when the sweep returns
+    assert max(count for _, count in seen) <= trials * (config.pso.iterations + 1)
+    alone = [result for power in powers
+             for result in sweep(replace(spec, values=(power,)), config, geometry)]
+    assert repr(results) == repr(alone)
+
+
+@pytest.mark.parametrize("kind, values, baselines, slots", [
+    ("power", (10.0, 20.0, 20.0), _RELAY, True),
+    ("power", (10.0,), _RELAY, False),  # no step
+    ("power", (10.0, 20.0), (BaselineKind.FIXED_RIS_RANDOM_PHASE,), False),  # no relay
+    ("elements", (4, 16), _RELAY, False),
+    ("ue_scenarios", ((60.0, 90.0, 2.0), (70.0, 85.0, 2.0)), _RELAY, False),
+])
+def test_only_power_steps_with_a_relay_keep_relay_slots(kind, values, baselines, slots):
+    config, geometry = small_scenario()
+    spec = SweepSpec(kind=kind, values=values, baselines=baselines, trials=2, seed=3)
+    with _point_slots() as seen:
+        sweep(spec, config, geometry)
+    assert len(seen) == len(values) * len(baselines)
+    assert all((store is not None) == slots for store, _ in seen)
 
 
 # Config-file values a fuzzed line draws from: small counts (arrays of at most
