@@ -31,11 +31,12 @@ swarm iteration):
   cosines (``_end_blocks`` of the RIS search's ends);
 - ``relay_search_hops`` and ``relay_rate``: the relay search's two steps,
   both reduced relay hops of the batch (F2 H F1 each, one matmul per hop)
-  and their rate: ``_RelaySearch.hop_rates`` as the search calls it, with
-  its ``hops`` call answered by those reduced hops. Where both hops'
-  combiners, and both their precoders, have equal shapes, its rate step is
-  one call on the two reduced hops stacked as (2, B, 3, 3); otherwise it
-  takes one call per hop;
+  and their rate: ``_RelaySearch.search_rates`` as the search calls it, a
+  new call each time (a miss, where the tree keeps the calls), with its
+  ``hops`` call answered by those reduced hops. Where both hops' combiners,
+  and both their precoders, have equal shapes, its rate step works on the
+  two reduced hops stacked as (2, B, 3, 3); otherwise it takes one call per
+  hop;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack;
 - ``search_rate``: the RIS searches' rate step on that stack,
   ``ProblemContext._rates(..., reduced=True)``: the closed form of the SVD
@@ -47,10 +48,10 @@ swarm iteration):
 - ``objective.<kind>``: the batch objective each searching kind hands its swarm;
 - ``objective.fd_relay.slot_hit`` and ``objective.fd_relay.slot_miss``: the
   relay's objective as a power sweep runs it, with the calls of the previous
-  power in ``RelaySlots``: on a hit the call's platform points equal its
-  slot's, so it takes only the rate tail of the stored core; on a miss it
-  builds both hops, takes their SVD and stores the core. Only trees with
-  ``baselines.RelaySlots`` have them;
+  power in its store of search calls: on a hit the call's platform points
+  equal its slot's, so it takes only the rate tail of the stored core; on a
+  miss it builds both hops, takes their SVD and stores the core. Only trees
+  whose ``_RelaySearch`` takes a ``slots`` store have them;
 - ``objective.fd_relay.ue_85_75``: the relay's objective with the UE at
   (85, 75, 2), where the relay's RF stages carry unequal beam counts, so
   its hops do not stack;
@@ -76,7 +77,7 @@ calls, so what ran before in the measuring process does not move it.
 A layer that only some trees have is timed in those and gets no ratio.
 Trees need ``channel.platform_angles``, ``channel.hops``,
 ``beamforming._lapack``, ``ProblemContext._rates`` and
-``_RelaySearch.hop_rates``.
+``_RelaySearch.search_rates``.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -205,11 +206,12 @@ def layers_of(module, rows: int) -> dict:
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
     relay = baselines._RelaySearch(pack, trial)
     relay_reduced = relay_search_hops()
+    relay_state = optimizer.RisState(xy[:, 0], xy[:, 1], None, xy)
 
     def relay_rate():
         baselines.hops = lambda *args: relay_reduced  # the search's hops, already built
         try:
-            return relay.hop_rates(xy, True)
+            return relay.search_rates(relay_state)
         finally:
             baselines.hops = channel.hops
     reduced = (a * np.exp(2j * np.pi * joint[:, None, 2:])) @ c
@@ -247,7 +249,7 @@ def layers_of(module, rows: int) -> dict:
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
         batches[kind] = batch = rng.random((rows, _dimension(kind, config)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)
-    if hasattr(baselines, "RelaySlots"):
+    if "slots" in {field.name for field in fields(baselines._RelaySearch)}:
         hit, miss = (baselines._RelaySearch(pack, trial, {}) for _ in range(2))
         batch = batches["fd_relay"]
 

@@ -16,7 +16,8 @@ from enum import Enum
 import numpy as np
 
 from .beamforming import (_closed_form_fits, _core_array, _core_of, _gram_core, _gram_rates,
-                          _gram_tail, design_relay_stages, design_rf_stages, hybrid_link_rate)
+                          _gram_tail, _pipeline_rows, design_relay_stages, design_rf_stages,
+                          hybrid_link_rate)
 from .channel import HopEnds, TrialChannels, draw_trial, hop_ends, hops
 # Not called here; sweepbench/tracer.py wraps these names in this namespace, and
 # sweepbench/checks.py wraps run_pso here too.
@@ -37,7 +38,6 @@ from .scenario import (
 __all__ = [
     "BaselineKind",
     "TrialOutcome",
-    "RelaySlots",
     "ScenarioPack",
     "build_scenario_pack",
     "make_problem_context",
@@ -86,19 +86,6 @@ class TrialOutcome:
     flagged: bool = False
 
 
-class RelaySlots(dict):
-    """The relay search calls of one sweep kept for its next power step, by trial and call.
-
-    ``{trial: {call: (points, core)}}``: the bytes of a search call's (Z, 2) platform points
-    and the ``_gram_core`` of its two stacked hops as one (2, Z, 6) ``_core_array``, six floats
-    per hop and particle. ``harness.sweep`` makes one for a sweep whose consecutive points
-    differ in ``tx_power_dbm`` alone, hands it to every pack it builds and empties it when it
-    returns. Hashed and compared by identity, so the packs built with one are cached apart.
-    """
-
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-
 @dataclass(frozen=True)
 class ScenarioPack:
     """Per-scenario precomputation shared by every trial and baseline kind.
@@ -109,9 +96,11 @@ class ScenarioPack:
     its own receive/transmit stages; its arrays mirror the Rx and Tx antenna
     counts and do not scale with the RIS element count. ``fd_relay_outcomes``
     keeps each trial's full-duplex relay search, which the half-duplex relay
-    halves instead of searching again. ``relay_slots``, handed over by a sweep
-    of powers, keeps the relay search calls that the next power's searches
-    reuse (see ``_RelaySearch``).
+    halves instead of searching again. ``relay_slots`` keeps the relay search
+    calls, ``{trial: {call: (points bytes, (2, Z, 6) _core_array)}}``. Neither
+    they nor the stages read ``tx_power_dbm``, so a pack moved to another power
+    by ``replace`` with a fresh ``fd_relay_outcomes`` keeps them (see
+    ``_RelaySearch``); a pack replaced otherwise needs ``relay_slots={}``.
     """
 
     config: SystemConfig
@@ -125,7 +114,7 @@ class ScenarioPack:
     fd_relay_outcomes: dict[int, TrialOutcome] = field(
         default_factory=dict, repr=False, compare=False
     )
-    relay_slots: RelaySlots | None = field(default=None, repr=False, compare=False)
+    relay_slots: dict[int, dict] = field(default_factory=dict, repr=False, compare=False)
 
     @functools.cached_property
     def beams(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -153,21 +142,18 @@ class ScenarioPack:
                 "relay": hop_ends(config, relay.platform_shapes(config), beams)}
 
 
-@functools.lru_cache(maxsize=1)
 def build_scenario_pack(
     config: SystemConfig,
     geometry: DeploymentGeometry,
     seed: int,
     pso_seed: int | None = None,
-    relay_slots: RelaySlots | None = None,
 ) -> ScenarioPack:
     """Precompute RF stages; ``pso_seed`` re-keys only the search streams.
 
-    Consecutive calls with identical arguments return the same pack, so the
-    kinds at one swept value share it, and with it the fd_relay searches and
-    ``relay_slots``.
-    A configuration ``validate`` rejects, or one whose RF design is left with
-    fewer usable beams than streams, raises ConfigError.
+    Every call returns a new pack with empty stores; ``harness.sweep`` shares
+    one among the kinds at a swept value. A configuration ``validate`` rejects,
+    or one whose RF design is left with fewer usable beams than streams,
+    raises ConfigError.
     """
     if errors := validate(config, geometry):
         raise ConfigError("invalid configuration: " + "; ".join(errors))
@@ -177,8 +163,7 @@ def build_scenario_pack(
         if (beams := min(stage.shape)) < config.num_streams:  # never more beams than antennas
             raise ConfigError(f"RF stage {name} has {beams} usable beams for {config.num_streams} "
                               f"streams at spacing {config.element_spacing_wavelengths!r} wavelengths")
-    return ScenarioPack(config, geometry, seed, **stages, pso_seed=pso_seed,
-                        relay_slots=relay_slots)
+    return ScenarioPack(config, geometry, seed, **stages, pso_seed=pso_seed)
 
 
 def trial_channels(pack: ScenarioPack, trial_index: int) -> TrialChannels:
@@ -226,18 +211,18 @@ class _RelaySearch:
     min(hop rates). The stages of each hop, (receive, transmit), their Grams
     and their beam axes are read from the pack once.
 
-    ``slots`` holds this trial's search calls at a sweep's previous power, by
-    call index (see ``RelaySlots``). The hops, their SVD and the rest of
+    ``slots`` holds this trial's search calls by call index (its entry of
+    ``ScenarioPack.relay_slots``). The hops, their SVD and the rest of
     ``_gram_core`` do not depend on the power, so a call whose platform points
-    equal that call's there, byte for byte, takes only ``_gram_tail`` of the
-    stored core. Every other call stores its core in the slot, unless one of
-    its rows took the pipeline; a hit with such a row computes its call again.
-    Slots are kept only where the reduced hops stack and take the closed form.
+    equal its slot's, byte for byte, takes only ``_gram_tail`` of the stored
+    core. Every other call stores its core in the slot, unless one of its rows
+    took the pipeline. Slots are kept only where the reduced hops stack and
+    take the closed form.
     """
 
     pack: ScenarioPack
     trial: TrialChannels
-    slots: dict | None = None
+    slots: dict = field(default_factory=dict)
     saw_rank_deficiency: bool = field(default=False, init=False)
 
     def __post_init__(self):
@@ -249,35 +234,29 @@ class _RelaySearch:
                       pack.search_ends["relay"])
         self._budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
         # The search's (F2, F1) and Grams of both hops as (2, 1, ...) stacks, when equal stage
-        # shapes let the reduced hops stack.
+        # shapes let the reduced hops stack and they take the closed form.
         self._stacked = None
         f2s, f1s = zip(*self._stages)
-        if f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape:
-            self._stacked = tuple(np.stack(m)[:, None] for m in (f2s, f1s, *zip(*self._grams)))
-        if self._stacked is None or not _closed_form_fits(
+        if f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape and _closed_form_fits(
                 (f2s[0].shape[0], f1s[0].shape[1]), config.num_streams, config.noise_power_watts):
-            self.slots = None
+            self._stacked = tuple(np.stack(m)[:, None] for m in (f2s, f1s, *zip(*self._grams)))
         self._calls = 0  # search calls so far, the slot index of the next
+
+    def _hops(self, xy: np.ndarray, factored: bool):
+        return hops(self.pack.config, self.pack.geometry, self.trial, xy, self._ends[factored])
 
     def hop_rates(self, xy: np.ndarray, factored: bool):
         """(Z,) rates at the (Z, 2) points ``xy`` and whether either hop was rank deficient.
 
         The reference takes each hop matrix H of one ``hops`` call through the rate
-        pipeline; ``factored``, the search objective, projects both ends of each hop onto
-        their RF beams, which is F2 H F1 up to rounding, and takes the closed form of the
-        stages' Grams. Where those reduced hops stack, one rate call takes both, with the
-        bytes of the two per-hop calls.
+        pipeline; ``factored`` projects both ends of each hop onto their RF beams, which is
+        F2 H F1 up to rounding, and takes ``_gram_rates`` of each hop with its stages' Grams.
         """
-        both = hops(self.pack.config, self.pack.geometry, self.trial, xy, self._ends[factored])
-        if factored and self._stacked is not None:
-            f2, f1, *grams = self._stacked
-            (rate1, rate2), (deficient1, deficient2) = _gram_rates(
-                f2, np.stack(both), f1, *self._budget, grams)
-        else:
-            (rate1, deficient1), (rate2, deficient2) = (
-                _gram_rates(f2, hop, f1, *self._budget, grams) if factored
-                else hybrid_link_rate(f2, hop, f1, *self._budget)
-                for (f2, f1), grams, hop in zip(self._stages, self._grams, both))
+        both = self._hops(xy, factored)
+        (rate1, deficient1), (rate2, deficient2) = (
+            _gram_rates(f2, hop, f1, *self._budget, grams) if factored
+            else hybrid_link_rate(f2, hop, f1, *self._budget)
+            for (f2, f1), grams, hop in zip(self._stages, self._grams, both))
         rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
         return rate, deficient1 | deficient2
 
@@ -287,24 +266,28 @@ class _RelaySearch:
         return rates
 
     def search_rates(self, state: RisState) -> np.ndarray:
-        if self.slots is None:
+        """``hop_rates(factored=True)``'s bytes: where the reduced hops stack, the slot's or a
+        fresh core of both, then its ``_gram_tail``, then the pipeline for the rows left."""
+        if self._stacked is None:
             return self._rates(state, factored=True)
         call, points = self._calls, state.xy.tobytes()
         self._calls += 1
         power, streams, noise = self._budget
         stored = self.slots.get(call)
         if stored is not None and stored[0] == points:
-            (rate1, rate2), rows = _gram_tail(_core_of(stored[1], streams), None, power, noise)
+            core, rows, stack = _core_of(stored[1], streams), None, None
         else:
-            both = hops(self.pack.config, self.pack.geometry, self.trial, state.xy,
-                        self._ends[True])
-            core, rows = _gram_core(np.stack(both), streams, self._stacked[2:])
-            if rows is None:
-                (rate1, rate2), rows = _gram_tail(core, None, power, noise)
-                if rows is None:
-                    self.slots[call] = (points, _core_array(core))
-        if rows is not None:  # a row takes the pipeline: the call as it goes without slots
-            return self._rates(state, factored=True)
+            stack = np.stack(self._hops(state.xy, True))
+            core, rows = _gram_core(stack, streams, self._stacked[2:])
+        rates, rows = _gram_tail(core, rows, power, noise)
+        if rows is not None:
+            stack = np.stack(self._hops(state.xy, True)) if stack is None else stack
+            rates, deficient = _pipeline_rows(self._stacked[0], stack, self._stacked[1],
+                                              *self._budget, rates, rows)
+            self.saw_rank_deficiency |= bool(deficient.any())
+        elif stack is not None:
+            self.slots[call] = (points, _core_array(core))
+        rate1, rate2 = rates
         return np.where(rate2 < rate1, rate2, rate1)
 
     def rate_for(self, state: RisState) -> float:
@@ -316,14 +299,16 @@ def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcom
 
     The position search runs once per trial of a pack, for whichever mode
     asks first, and is stored on the pack; half duplex halves the stored
-    full-duplex outcome, so the identity holds exactly on every trial.
+    full-duplex outcome, so the identity holds exactly on every trial. The
+    search's calls go to the trial's entry of ``pack.relay_slots``, which a
+    pack moved to another power keeps.
     """
     if duplex not in ("fd", "hd"):
         raise ValueError(f"duplex must be 'fd' or 'hd', got {duplex!r}")
     fd = pack.fd_relay_outcomes.get(trial_index)
     if fd is None:
-        slots = None if pack.relay_slots is None else pack.relay_slots.setdefault(trial_index, {})
-        context = _RelaySearch(pack, trial_channels(pack, trial_index), slots)
+        context = _RelaySearch(pack, trial_channels(pack, trial_index),
+                               pack.relay_slots.setdefault(trial_index, {}))
         fd = pack.fd_relay_outcomes[trial_index] = _search(
             pack, trial_index, BaselineKind.FD_RELAY, context, _on_platform(pack.geometry, None))
     return fd if duplex == "fd" else replace(fd, rate=fd.rate / 2.0)

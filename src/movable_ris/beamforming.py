@@ -436,6 +436,13 @@ def _gram_rates(f2, h, f1, tx_power_w: float, num_streams: int, noise_power_w: f
     if not _closed_form_fits(h.shape[-2:], num_streams, noise_power_w):
         return hybrid_link_rate(f2, h, f1, tx_power_w, num_streams, noise_power_w, reduced=True)
     rates, rows = _gram_tail(*_gram_core(h, num_streams, grams), tx_power_w, noise_power_w)
+    return _pipeline_rows(f2, h, f1, tx_power_w, num_streams, noise_power_w, rates, rows)
+
+
+def _pipeline_rows(f2, h, f1, tx_power_w: float, num_streams: int, noise_power_w: float,
+                   rates: np.ndarray, rows):
+    """``rates`` of the stack ``h`` with its ``rows`` (None for none) taken by the pipeline, and
+    which of those were rank deficient: (rates, rank_deficient) as ``_gram_rates`` returns."""
     deficient = np.zeros(rates.shape, dtype=bool)
     if rows is not None:
         f2, f1 = (np.broadcast_to(m, h.shape[:-2] + m.shape[-2:])[rows] for m in (f2, f1))

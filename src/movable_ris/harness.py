@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineKind, RelaySlots, build_scenario_pack, run_baseline, trial_channels
+from .baselines import BaselineKind, ScenarioPack, build_scenario_pack, run_baseline, trial_channels
 from .channel import hop_ends, hops
 from .scenario import (
     ConfigError,
@@ -163,7 +163,7 @@ def monte_carlo_point(
     swept_value=None,
     dump_dir: Path | None = None,
     pso_seed: int | None = None,
-    relay_slots: RelaySlots | None = None,
+    packs: list[ScenarioPack] | None = None,
 ) -> RateResult:
     """Average one baseline over ``trials`` frozen channel draws.
 
@@ -171,9 +171,9 @@ def monte_carlo_point(
     raises one of TRIAL_FAILURES or its rate is not finite; failures are
     recorded, never silently dropped, and the point is flagged when more
     than 10% of trials fail. Any other exception propagates.
-    ``relay_slots`` is a sweep's store of relay search calls (see ``sweep``).
+    ``packs`` is a sweep's pack store (see ``_point_pack``), else the point builds its pack.
     """
-    pack = build_scenario_pack(config, geometry, seed, pso_seed, relay_slots)
+    pack = _point_pack(packs, config, geometry, seed, pso_seed)
     rates: list[float] = []
     positions: list[tuple[float, float]] = []
     failed: list[int] = []
@@ -225,6 +225,23 @@ def monte_carlo_point(
     )
 
 
+def _point_pack(packs: list[ScenarioPack] | None, config: SystemConfig,
+                geometry: DeploymentGeometry, seed: int, pso_seed: int | None) -> ScenarioPack:
+    """The pack of one point, then ``packs``'s one entry: the kept pack if its value is the
+    point's, so the kinds at one value share its fd_relay searches; the kept pack with a fresh
+    ``fd_relay_outcomes`` if the two differ in ``tx_power_dbm`` alone, since neither its RF
+    stages nor its ``relay_slots`` read the power; else a new pack."""
+    pack = packs[0] if packs else None
+    if pack is None or (pack.geometry, pack.seed, pack.pso_seed) != (geometry, seed, pso_seed) or (
+            replace(pack.config, tx_power_dbm=config.tx_power_dbm) != config):
+        pack = build_scenario_pack(config, geometry, seed, pso_seed)
+    elif pack.config != config:
+        pack = replace(pack, config=config, fd_relay_outcomes={})
+    if packs is not None:
+        packs[:] = [pack]
+    return pack
+
+
 def sweep(
     spec: SweepSpec,
     config: SystemConfig,
@@ -235,39 +252,24 @@ def sweep(
 
     All kinds at one value share the same seed-derived trials (common random
     numbers). A value ``sweep_points`` rejects raises ConfigError before any trial.
-    Where consecutive values differ in ``tx_power_dbm`` alone, every pack gets
-    one ``RelaySlots``, so each relay search call that visits the previous
-    value's points again reuses that call's hops and SVD; the store is emptied
-    when the sweep returns.
+    The sweep's pack store keeps the current value's pack only. Each point takes
+    its pack inside the point (``_point_pack``): a power step keeps the RF stages
+    and relay search calls of the step before, any other step builds a pack.
     """
     points = sweep_points(spec, config, geometry)
-    relay = {BaselineKind.FD_RELAY, BaselineKind.HD_RELAY}.intersection(spec.baselines)
-    slots = RelaySlots() if relay and _power_steps(points) else None
+    packs: list[ScenarioPack] = []
     results: list[RateResult] = []
-    try:
-        for value, point_config, point_geometry in points:
-            for kind in spec.baselines:
-                point_dump = None
-                if dump_dir is not None:
-                    label = format_swept_value(spec.kind, value).replace("/", "_")
-                    point_dump = Path(dump_dir) / f"{spec.kind}_{label}"
-                results.append(monte_carlo_point(
-                    point_config, point_geometry, kind, spec.trials, spec.seed,
-                    sweep_kind=spec.kind, swept_value=value, dump_dir=point_dump,
-                    pso_seed=spec.pso_seed, relay_slots=slots))
-    finally:
-        if slots is not None:
-            slots.clear()
+    for value, point_config, point_geometry in points:
+        for kind in spec.baselines:
+            point_dump = None
+            if dump_dir is not None:
+                label = format_swept_value(spec.kind, value).replace("/", "_")
+                point_dump = Path(dump_dir) / f"{spec.kind}_{label}"
+            results.append(monte_carlo_point(
+                point_config, point_geometry, kind, spec.trials, spec.seed,
+                sweep_kind=spec.kind, swept_value=value, dump_dir=point_dump,
+                pso_seed=spec.pso_seed, packs=packs))
     return results
-
-
-def _power_steps(points) -> bool:
-    """Whether there are two or more swept points and consecutive ones differ in
-    ``tx_power_dbm`` alone, the one setting that the relay search's hops do not read."""
-    return len(points) > 1 and all(
-        geometry == next_geometry
-        and replace(config, tx_power_dbm=next_config.tx_power_dbm) == next_config
-        for (_, config, geometry), (_, next_config, next_geometry) in zip(points, points[1:]))
 
 
 def write_results(

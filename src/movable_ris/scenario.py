@@ -280,6 +280,10 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
             if (noise := config.noise_power_watts) < sys.float_info.min:  # subnormal or 0
                 errors.append(f"noise power {noise!r} W underflows the float range; check "
                               "noise_psd_dbm_per_hz and bandwidth_hz")
+            elif math.isinf(config.tx_power_watts / noise):  # P / sigma^2 scales every rate
+                errors.append(f"transmit over noise power ({config.tx_power_watts:.4g} W / "
+                              f"{noise:.4g} W) passes the float range; check tx_power_dbm, "
+                              "noise_psd_dbm_per_hz and bandwidth_hz")
             for node in (geometry.tx_position, geometry.ue_position):
                 rise = geometry.ris_height_m - node[2]  # no hop from this node is shorter
                 far = math.hypot(*(max(abs(lo - c), abs(hi - c))

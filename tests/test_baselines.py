@@ -134,20 +134,18 @@ def test_hd_first_on_new_pack_is_half_fd():
         assert (hd.x, hd.y) == (fd.x, fd.y)
 
 
-def test_scenario_pack_reused_only_for_identical_arguments():
-    config, geometry = default_config()
-    pack = build_scenario_pack(config, geometry, 5, None)
-    assert build_scenario_pack(config, geometry, 5, None) is pack
-    for args in (
-        (config, geometry, 6, None),
-        (config, geometry, 5, 9),
-        (replace(config, tx_power_dbm=20.0), geometry, 5, None),
-        (config, replace(geometry, ue_position=(90.0, 100.0, 2.0)), 5, None),
-    ):
-        other = build_scenario_pack(*args)
-        assert other is not pack
-        assert build_scenario_pack(*args) is other
-        pack = other
+def test_scenario_packs_of_equal_arguments_share_no_mutable_state():
+    # no pack is handed out twice: a search on one leaves another of equal arguments as built
+    config, geometry, pack = small_pack(seed=5)
+    other = build_scenario_pack(config, geometry, 5)
+    assert other is not pack
+    for name in STAGES:
+        stage, same = getattr(pack, name), getattr(other, name)
+        assert stage.tobytes() == same.tobytes() and not np.shares_memory(stage, same)
+    relay_rate(pack, 0, "fd")
+    assert list(pack.fd_relay_outcomes) == list(pack.relay_slots) == [0]
+    assert other.fd_relay_outcomes == other.relay_slots == {}
+    assert other.beams is not pack.beams and other.search_ends is not pack.search_ends
 
 
 def test_unset_pso_seed_keys_the_searches_by_the_channel_seed():
@@ -284,6 +282,12 @@ _INVALID = [
      "up to 4.446e+302 rad across the platform; past 2**52 rad, float64 cannot resolve a radian"),
     ({"carrier_frequency_ghz": 1e307}, {}, "carrier_frequency_ghz = 1e+307 turns a path's phase by "
      "up to inf rad across the platform; past 2**52 rad, float64 cannot resolve a radian"),
+    # P / sigma^2 passes the float range from about 2,978.5 dBm at the default noise; the
+    # reference's I + W^-1 Q did from about 3,050 dBm, and it warned in slogdet
+    ({"tx_power_dbm": 3050.0}, {}, "transmit over noise power (1e+302 W / 3.981e-14 W) passes the "
+     "float range; check tx_power_dbm, noise_psd_dbm_per_hz and bandwidth_hz"),
+    ({"tx_power_dbm": 3100.0}, {}, "transmit over noise power (1e+307 W / 3.981e-14 W) passes the "
+     "float range; check tx_power_dbm, noise_psd_dbm_per_hz and bandwidth_hz"),
 ]
 
 

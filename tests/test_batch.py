@@ -56,7 +56,7 @@ def _ill_conditioned(pack, gap=1e-11):
         f2[1] = rf_stage([(lam_x + gap, lam_y)], (m_x, m_y), spacing)[0]
         return f2
     return replace(pack, f2=squeeze(pack.f2), relay_f2_hop1=squeeze(pack.relay_f2_hop1),
-                   fd_relay_outcomes={})
+                   fd_relay_outcomes={}, relay_slots={})  # the stored cores read the stages
 
 
 @contextmanager
@@ -77,8 +77,9 @@ def _objective_of(kind, pack, trial_index, zero_channel=False):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "run_pso", capture)
         mp.setattr(baselines, "trial_channels", trial_channels)
-        # a private outcome store: the placeholder search must not reach the cached pack
-        baselines.run_baseline(kind, replace(pack, fd_relay_outcomes={}), trial_index)
+        # private stores: the placeholder search, on a patched trial, must not reach ``pack``'s
+        baselines.run_baseline(kind, replace(pack, fd_relay_outcomes={}, relay_slots={}),
+                               trial_index)
         yield captured[0]
 
 
@@ -193,34 +194,38 @@ def test_relay_one_pass_equals_per_hop_rates(ue_position):
 
 
 def test_relay_search_takes_one_stacked_rate_call(monkeypatch):
+    # where the reduced hops stack, a search call that misses its slot takes one _gram_core of
+    # both and a hit takes none, each with the bytes of the per-hop calls; other stages take
+    # one _gram_rates per hop
     calls = []
-    real = baselines._gram_rates
-
-    def counted(f2, h, *args, **kwargs):
-        calls.append(h.shape)
-        return real(f2, h, *args, **kwargs)
-
-    monkeypatch.setattr(baselines, "_gram_rates", counted)
+    real_core, real_rates = baselines._gram_core, baselines._gram_rates
+    monkeypatch.setattr(baselines, "_gram_core",
+                        lambda h, *args: calls.append(("core", h.shape)) or real_core(h, *args))
+    monkeypatch.setattr(baselines, "_gram_rates", lambda f2, h, *args: calls.append(
+        ("rates", h.shape)) or real_rates(f2, h, *args))
     for pack, stages_stack in ((_relay_pack(), True), (_relay_pack((85.0, 75.0, 2.0)), False)):
         # both hops' combiners, and both precoders, have equal shapes: the reduced hops stack
         shapes = [[getattr(pack, name).shape for name in stage] for stage in zip(*_RELAY_HOPS)]
         assert (shapes[0][0] == shapes[0][1] and shapes[1][0] == shapes[1][1]) == stages_stack
         trial = baselines.trial_channels(pack, 0)
         points = _relay_points(pack, 0, 6)
-        calls.clear()
-        rates, _ = baselines._RelaySearch(pack, trial).hop_rates(points, True)
-        if stages_stack:
-            _, expected, _ = _per_hop_search(pack, trial, points)
-            assert calls == [(2, 6, 3, 3)]
+        state = optimizer.RisState(points[:, 0], points[:, 1], None, points)
+        _, expected, _ = _per_hop_search(pack, trial, points)
+        slots = {}
+        for hit in (False, True):  # a new search of the same trial: its first call, in its slot
+            calls.clear()
+            rates = baselines._RelaySearch(pack, trial, slots).search_rates(state)
             assert rates.tobytes() == expected.tobytes()
-        else:
-            assert calls == [(6, 3, 3), (6, 6, 6)]
+            if stages_stack:
+                assert calls == ([] if hit else [("core", (2, 6, 3, 3))]) and list(slots) == [0]
+            else:
+                assert calls == [("rates", (6, 3, 3)), ("rates", (6, 6, 6))] and slots == {}
 
 
 def test_relay_slots_reuse_a_calls_core_and_never_keep_a_call_that_took_the_pipeline(
         monkeypatch):
     # a call at the points its slot holds takes only the tail of the stored core, with the
-    # bytes of the search without slots; each miss takes one (2, B, 3, 3) SVD
+    # bytes of a search whose store starts empty; each miss takes one (2, B, 3, 3) SVD
     svds = []
     real = baselines._gram_core
 
@@ -234,11 +239,12 @@ def test_relay_slots_reuse_a_calls_core_and_never_keep_a_call_that_took_the_pipe
     states = [optimizer.RisState(p[:, 0], p[:, 1], None, p)
               for p in (_relay_points(pack, 0, 6), _relay_points(pack, 1, 6))]
 
-    def search(power, slots=None):
+    def search(power, slots):
         return baselines._RelaySearch(
             replace(pack, config=replace(pack.config, tx_power_dbm=power)), trial, slots)
 
-    expected = {power: search(power).search_rates(states[0]) for power in (30.0, 40.0, 2000.0)}
+    expected = {power: search(power, {}).search_rates(states[0])
+                for power in (30.0, 40.0, 2000.0)}
     slots = {}
     for power, state, svd in ((30.0, 0, True), (40.0, 0, False), (40.0, 1, True), (40.0, 0, True)):
         svds.clear()
@@ -247,9 +253,11 @@ def test_relay_slots_reuse_a_calls_core_and_never_keep_a_call_that_took_the_pipe
         assert slots[0][0] == states[state].xy.tobytes()
         if state == 0:
             assert rates.tobytes() == expected[power].tobytes()
-    # at 2000 dBm the closed form passes the float range: the hit's call runs again, as it
-    # runs without slots, and a call with such a row is not stored
+    # at 2000 dBm the closed form passes the float range: the hit takes those rows through the
+    # pipeline, with no SVD of its own, and a call with such a row is not stored
+    svds.clear()
     assert search(2000.0, slots).search_rates(states[0]).tobytes() == expected[2000.0].tobytes()
+    assert svds == [] and slots[0][0] == states[0].xy.tobytes()
     unkept = {}
     search(2000.0, unkept).search_rates(states[0])
     assert unkept == {}

@@ -380,25 +380,26 @@ def test_element_sweep_shares_trials_across_sizes():
 
 
 @contextmanager
-def _point_slots():
-    """Each ``monte_carlo_point`` call's store of relay calls (None without one), with its slot
-    count when the point is done, in call order."""
+def _point_packs():
+    """Each ``monte_carlo_point`` call's pack, with the count of relay search calls that its
+    store held when the point took it, in call order."""
     import movable_ris.harness as harness_mod
 
     seen = []
-    real = harness_mod.monte_carlo_point
+    real = harness_mod._point_pack
 
-    def recorded(*args, relay_slots=None, **kwargs):
-        result = real(*args, relay_slots=relay_slots, **kwargs)
-        count = None if relay_slots is None else sum(map(len, relay_slots.values()))
-        seen.append((relay_slots, count))
-        return result
+    def taken(*args):
+        pack = real(*args)
+        seen.append((pack, _slot_count(pack)))
+        return pack
 
-    harness_mod.monte_carlo_point = recorded
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness_mod, "_point_pack", taken)
         yield seen
-    finally:
-        harness_mod.monte_carlo_point = real
+
+
+def _slot_count(pack):
+    return sum(map(len, pack.relay_slots.values()))
 
 
 _RELAY = (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY)
@@ -413,15 +414,13 @@ _RELAY = (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY)
 def test_power_sweep_reusing_relay_calls_equals_each_power_alone(seed, powers, trials, kinds):
     # a power step's relay searches reuse the calls of the step before that revisit its points
     # (a step up from -30 dBm moves most calls elsewhere); the results keep the bytes of a sweep
-    # of each power alone, which keeps no slots
+    # of each power alone, whose relay store starts empty
     config, geometry = default_config()
     spec = SweepSpec(kind="power", values=tuple(powers), baselines=kinds, trials=trials, seed=seed)
-    with _point_slots() as seen:
+    with _point_packs() as seen:
         results = sweep(spec, config, geometry)
-    stores = {id(store): store for store, _ in seen}
-    assert len(stores) == 1 and None not in stores.values()
-    assert not seen[0][0]  # emptied when the sweep returns
-    assert max(count for _, count in seen) <= trials * (config.pso.iterations + 1)
+    assert len({id(pack.relay_slots) for pack, _ in seen}) == 1  # one store serves the chain
+    assert _slot_count(seen[-1][0]) <= trials * (config.pso.iterations + 1)
     alone = [result for power in powers
              for result in sweep(replace(spec, values=(power,)), config, geometry)]
     assert repr(results) == repr(alone)
@@ -435,12 +434,18 @@ def test_power_sweep_reusing_relay_calls_equals_each_power_alone(seed, powers, t
     ("ue_scenarios", ((60.0, 90.0, 2.0), (70.0, 85.0, 2.0)), _RELAY, False),
 ])
 def test_only_power_steps_with_a_relay_keep_relay_slots(kind, values, baselines, slots):
+    # a value's first point starts from the relay calls of the value before only at a power step;
+    # every other value builds its pack, with an empty store
     config, geometry = small_scenario()
     spec = SweepSpec(kind=kind, values=values, baselines=baselines, trials=2, seed=3)
-    with _point_slots() as seen:
+    with _point_packs() as seen:
         sweep(spec, config, geometry)
     assert len(seen) == len(values) * len(baselines)
-    assert all((store is not None) == slots for store, _ in seen)
+    firsts = seen[::len(baselines)]  # each value's first point; the kinds after it share its pack
+    assert all(seen[i][0] is seen[i - 1][0] for i in range(len(seen)) if i % len(baselines))
+    assert firsts[0][1] == 0 and all((taken > 0) == slots for _, taken in firsts[1:])
+    stores = {id(pack.relay_slots) for pack, _ in firsts}
+    assert len(stores) == (1 if kind == "power" else len(values))
 
 
 # Config-file values a fuzzed line draws from: small counts (arrays of at most

@@ -102,17 +102,48 @@ def test_every_search_reaches_the_percentile_spans(tracer, kind):
     assert stats["beamforming.achievable_rate"].calls >= 1
 
 
-def test_every_swept_value_traces_its_rf_stage_design(tracer):
-    # sweepbench/run.py reads beamforming.design_rf_stages per layer: each
-    # value's scenario pack designs its stages, so each value shows the design.
+def _small_config():
     config, geometry = default_config()
-    config = replace(config, tx_antennas=(4, 4), rx_antennas=(4, 4), ris_elements=(2, 2))
-    spec = harness.SweepSpec(kind="power", values=(10.0, 20.0),
-                             baselines=(BaselineKind.FIXED_RIS_RANDOM_PHASE,), trials=1, seed=3)
+    return replace(config, tx_antennas=(4, 4), rx_antennas=(4, 4), ris_elements=(2, 2),
+                   pso=PsoParams(swarm_size=3, iterations=2)), geometry
+
+
+def _traced_sweep(tracer, spec, config, geometry):
     spans = tracer.Tracer()
     with tracer.Patcher() as patcher:
         spans.patch(patcher)
         harness.sweep(spec, config, geometry)
-    second_value = spans.span_index("harness.monte_carlo_point", 1)
-    assert spans.stats(second_value)["beamforming.design_rf_stages"].calls == 1
-    assert spans.stats()["beamforming.design_rf_stages"].calls == 2
+    return spans
+
+
+_SWEEPS = [("power", (10.0, 20.0)), ("elements", (4, 16)),
+           ("ue_scenarios", ((60.0, 90.0, 2.0), (70.0, 85.0, 2.0)))]
+
+
+def test_every_swept_value_traces_its_rf_stage_design(tracer):
+    # sweepbench/run.py reads beamforming.design_rf_stages per layer. A power sweep keeps its
+    # first value's pack, whose stages do not read the power, so it designs them once; every
+    # other sweep designs them at each value's first point, never before it.
+    config, geometry = _small_config()
+    for kind, values in _SWEEPS:
+        spec = harness.SweepSpec(kind=kind, values=values,
+                                 baselines=(BaselineKind.FIXED_RIS_RANDOM_PHASE,), trials=1, seed=3)
+        spans = _traced_sweep(tracer, spec, config, geometry)
+        second_value = spans.span_index("harness.monte_carlo_point", 1)
+        assert spans.stats(second_value)["beamforming.design_rf_stages"].calls == 1
+        assert spans.stats()["beamforming.design_rf_stages"].calls == (1 if kind == "power" else 2)
+
+
+@pytest.mark.parametrize("kind, values", _SWEEPS)
+def test_first_value_spans_equal_a_sweep_of_the_first_value_alone(tracer, kind, values):
+    # the check of sweepbench/run.py's per_layer: the spans opened before the second value's
+    # first point count what a sweep of the first value alone does, so no later value's work,
+    # such as building its pack, runs ahead of that point
+    config, geometry = _small_config()
+    kinds = (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY, BaselineKind.MOVABLE_RIS_RANDOM_PHASE)
+    spec = harness.SweepSpec(kind=kind, values=values, baselines=kinds, trials=2, seed=3)
+    spans = _traced_sweep(tracer, spec, config, geometry)
+    alone = _traced_sweep(tracer, replace(spec, values=values[:1]), config, geometry)
+    first_value = spans.span_index("harness.monte_carlo_point", len(kinds))
+    assert first_value < len(spans.name)
+    assert spans.counts(first_value) == alone.counts()
