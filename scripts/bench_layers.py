@@ -50,8 +50,7 @@ swarm iteration):
   relay's objective as a power sweep runs it, with the calls of the previous
   power in its store of search calls: on a hit the call's platform points
   equal its slot's, so it takes only the rate tail of the stored core; on a
-  miss it builds both hops, takes their SVD and stores the core. Only trees
-  whose ``_RelaySearch`` takes a ``slots`` store have them;
+  miss it builds both hops, takes their SVD and stores the core;
 - ``objective.fd_relay.ue_85_75``: the relay's objective with the UE at
   (85, 75, 2), where the relay's RF stages carry unequal beam counts, so
   its hops do not stack;
@@ -136,11 +135,18 @@ def _captured_objectives(pack, baselines, optimizer, kinds=SEARCHES) -> dict:
     baselines.run_pso = optimizer.run_pso = capture
     try:
         for kind in kinds:
-            baselines.run_baseline(baselines.BaselineKind(kind),
-                                   replace(pack, fd_relay_outcomes={}), 0)
+            baselines.run_baseline(baselines.BaselineKind(kind), replace(pack), 0)
     finally:
         baselines.run_pso, optimizer.run_pso = real
     return captured
+
+
+def _relay_search(baselines, pack):
+    """A relay search of trial 0 whose store of search calls is its own: ``(pack, trial_index)``
+    on a pack of its own, or in older trees ``(pack, trial, slots)`` with an empty ``slots``."""
+    if "trial_index" in {field.name for field in fields(baselines._RelaySearch)}:
+        return baselines._RelaySearch(replace(pack), 0)
+    return baselines._RelaySearch(pack, baselines.trial_channels(pack, 0), {})
 
 
 def _dimension(kind: str, config) -> int:
@@ -204,7 +210,7 @@ def layers_of(module, rows: int) -> dict:
 
     c, a = ris_hops()
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-    relay = baselines._RelaySearch(pack, trial)
+    relay = _relay_search(baselines, pack)
     relay_reduced = relay_search_hops()
     relay_state = optimizer.RisState(xy[:, 0], xy[:, 1], None, xy)
 
@@ -249,17 +255,16 @@ def layers_of(module, rows: int) -> dict:
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
         batches[kind] = batch = rng.random((rows, _dimension(kind, config)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)
-    if "slots" in {field.name for field in fields(baselines._RelaySearch)}:
-        hit, miss = (baselines._RelaySearch(pack, trial, {}) for _ in range(2))
-        batch = batches["fd_relay"]
+    hit, miss = (_relay_search(baselines, pack) for _ in range(2))
+    batch = batches["fd_relay"]
 
-        def slot_hit():
-            hit._calls = 0  # every call is the search's first, whose slot holds these points
-            return hit.search_rates(optimizer.decode_on_platform(batch, geometry, None))
+    def slot_hit():
+        hit._calls = 0  # every call is the search's first, whose slot holds these points
+        return hit.search_rates(optimizer.decode_on_platform(batch, geometry, None))
 
-        layers["objective.fd_relay.slot_hit"] = slot_hit
-        layers["objective.fd_relay.slot_miss"] = (  # each call a new slot, as a first power's
-            lambda: miss.search_rates(optimizer.decode_on_platform(batch, geometry, None)))
+    layers["objective.fd_relay.slot_hit"] = slot_hit
+    layers["objective.fd_relay.slot_miss"] = (  # each call a new slot, as a first power's
+        lambda: miss.search_rates(optimizer.decode_on_platform(batch, geometry, None)))
     ue_pack = baselines.build_scenario_pack(config, ue_geometry, PACK_SEED)
     ue_relay = _captured_objectives(ue_pack, baselines, optimizer, ("fd_relay",))["fd_relay"]
     ue_batch = scenario.rng_stream(7, 1).random((rows, 2))

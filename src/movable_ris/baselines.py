@@ -97,10 +97,9 @@ class ScenarioPack:
     counts and do not scale with the RIS element count. ``fd_relay_outcomes``
     keeps each trial's full-duplex relay search, which the half-duplex relay
     halves instead of searching again. ``relay_slots`` keeps the relay search
-    calls, ``{trial: {call: (points bytes, (2, Z, 6) _core_array)}}``. Neither
-    they nor the stages read ``tx_power_dbm``, so a pack moved to another power
-    by ``replace`` with a fresh ``fd_relay_outcomes`` keeps them (see
-    ``_RelaySearch``); a pack replaced otherwise needs ``relay_slots={}``.
+    calls, ``{trial: {call: (points bytes, (2, Z, 6) _core_array)}}`` (see
+    ``_RelaySearch``). Both stores belong to the pack that fills them: every
+    pack starts with them empty, one made by ``replace`` too.
     """
 
     config: SystemConfig
@@ -111,10 +110,8 @@ class ScenarioPack:
     relay_f2_hop1: np.ndarray
     relay_f1_hop2: np.ndarray
     pso_seed: int | None = None  # None: the searches are keyed by ``seed``
-    fd_relay_outcomes: dict[int, TrialOutcome] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    relay_slots: dict[int, dict] = field(default_factory=dict, repr=False, compare=False)
+    fd_relay_outcomes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    relay_slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def beams(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -211,22 +208,23 @@ class _RelaySearch:
     min(hop rates). The stages of each hop, (receive, transmit), their Grams
     and their beam axes are read from the pack once.
 
-    ``slots`` holds this trial's search calls by call index (its entry of
-    ``ScenarioPack.relay_slots``). The hops, their SVD and the rest of
-    ``_gram_core`` do not depend on the power, so a call whose platform points
-    equal its slot's, byte for byte, takes only ``_gram_tail`` of the stored
-    core. Every other call stores its core in the slot, unless one of its rows
-    took the pipeline. Slots are kept only where the reduced hops stack and
-    take the closed form.
+    It draws its trial through ``trial_channels``. ``slots``, its pack's
+    ``relay_slots`` entry of that trial, holds its search calls by call index.
+    The hops, their SVD and the rest of ``_gram_core`` do not depend on the
+    power, so a call whose platform points equal its slot's, byte for byte,
+    takes only ``_gram_tail`` of the stored core. Every other call stores its
+    core in the slot, unless one of its rows took the pipeline. Slots are kept
+    only where the reduced hops stack and take the closed form.
     """
 
     pack: ScenarioPack
-    trial: TrialChannels
-    slots: dict = field(default_factory=dict)
+    trial_index: int
     saw_rank_deficiency: bool = field(default=False, init=False)
 
     def __post_init__(self):
         pack, config = self.pack, self.pack.config
+        self.trial = trial_channels(pack, self.trial_index)
+        self.slots = pack.relay_slots.setdefault(self.trial_index, {})
         stages = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))
         self._stages = tuple((getattr(pack, rx), getattr(pack, tx)) for rx, tx in stages)
         self._grams = tuple((f1.conj().T @ f1, f2 @ f2.conj().T) for f2, f1 in self._stages)
@@ -301,14 +299,13 @@ def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcom
     asks first, and is stored on the pack; half duplex halves the stored
     full-duplex outcome, so the identity holds exactly on every trial. The
     search's calls go to the trial's entry of ``pack.relay_slots``, which a
-    pack moved to another power keeps.
+    sweep's power step carries to the next power's pack.
     """
     if duplex not in ("fd", "hd"):
         raise ValueError(f"duplex must be 'fd' or 'hd', got {duplex!r}")
     fd = pack.fd_relay_outcomes.get(trial_index)
     if fd is None:
-        context = _RelaySearch(pack, trial_channels(pack, trial_index),
-                               pack.relay_slots.setdefault(trial_index, {}))
+        context = _RelaySearch(pack, trial_index)
         fd = pack.fd_relay_outcomes[trial_index] = _search(
             pack, trial_index, BaselineKind.FD_RELAY, context, _on_platform(pack.geometry, None))
     return fd if duplex == "fd" else replace(fd, rate=fd.rate / 2.0)

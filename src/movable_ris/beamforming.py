@@ -17,7 +17,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg  # the LAPACK gufuncs np.linalg wraps
 
 from .channel import platform_angles
-from .scenario import DeploymentGeometry, SystemConfig
+from .scenario import _COND_LIMIT, DeploymentGeometry, SystemConfig
 
 __all__ = [
     "InvalidBeamError",
@@ -37,10 +37,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# Largest condition number of the Gram matrix of one RF stage's beams. B2 = U1^H has
-# orthonormal rows, so every W through a designed F2 has cond(W) <= cond(F2 F2^H) <= this.
-_COND_LIMIT = 1e12
 
 _EPS = float(np.finfo(float).eps)
 

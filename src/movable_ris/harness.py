@@ -111,20 +111,38 @@ def format_swept_value(kind: str, value) -> str:
 def apply_swept_value(
     config: SystemConfig, geometry: DeploymentGeometry, kind: str, value
 ) -> tuple[SystemConfig, DeploymentGeometry]:
-    """Materialize one sweep point's configuration; bad values raise ConfigError."""
+    """Materialize one sweep point's configuration; bad values raise ConfigError.
+
+    A value is taken as it stands or refused, never coerced: an element count must be an
+    integer and no bool, a power a number, and a UE position three numbers.
+    """
     if kind in ("power", "single"):
-        return replace(config, tx_power_dbm=float(value)), geometry
+        return replace(config, tx_power_dbm=_number(value, "power")), geometry
     if kind == "elements":
-        side = math.isqrt(max(int(value), 0))  # a negative count is no square either
-        if side * side != int(value):
-            raise ConfigError(f"element count {value} is not a perfect square")
+        count = _number(value, "element count")
+        if isinstance(value, (bool, np.bool_)) or not count.is_integer():
+            raise ConfigError(f"element count {value!r} is not an integer")
+        side = math.isqrt(max(int(count), 0))  # a negative count is no square either
+        if side * side != count:
+            raise ConfigError(f"element count {value!r} is not a perfect square")
         return replace(config, ris_elements=(side, side)), geometry
     if kind == "ue_scenarios":
-        pos = tuple(float(v) for v in value)
+        try:
+            pos = tuple(float(v) for v in value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"ue position {value!r} is not three numbers") from exc
         if len(pos) != 3:
             raise ConfigError(f"ue position must have 3 coordinates, got {value!r}")
         return config, replace(geometry, ue_position=pos)
     raise ValueError(f"unknown sweep kind {kind!r}")
+
+
+def _number(value, name: str) -> float:
+    """``float(value)``, or ConfigError naming ``value`` where float rejects it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} {value!r} is not a number") from exc
 
 
 def sweep_points(
@@ -228,15 +246,16 @@ def monte_carlo_point(
 def _point_pack(packs: list[ScenarioPack] | None, config: SystemConfig,
                 geometry: DeploymentGeometry, seed: int, pso_seed: int | None) -> ScenarioPack:
     """The pack of one point, then ``packs``'s one entry: the kept pack if its value is the
-    point's, so the kinds at one value share its fd_relay searches; the kept pack with a fresh
-    ``fd_relay_outcomes`` if the two differ in ``tx_power_dbm`` alone, since neither its RF
-    stages nor its ``relay_slots`` read the power; else a new pack."""
+    point's, so the kinds at one value share its fd_relay searches; if the two differ in
+    ``tx_power_dbm`` alone, the kept pack at the point's power with its per-trial relay search
+    calls, which no more than its RF stages read the power; else a new pack."""
     pack = packs[0] if packs else None
     if pack is None or (pack.geometry, pack.seed, pack.pso_seed) != (geometry, seed, pso_seed) or (
             replace(pack.config, tx_power_dbm=config.tx_power_dbm) != config):
         pack = build_scenario_pack(config, geometry, seed, pso_seed)
     elif pack.config != config:
-        pack = replace(pack, config=config, fd_relay_outcomes={})
+        pack = replace(pack, config=config)
+        pack.relay_slots.update(packs[0].relay_slots)
     if packs is not None:
         packs[:] = [pack]
     return pack

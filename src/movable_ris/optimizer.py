@@ -129,9 +129,9 @@ class ProblemContext:
     f2: np.ndarray
     trial: TrialChannels
     ends: HopEnds  # ScenarioPack.search_ends["ris"]: the Tx and UE ends on F1's and F2's beams
-    saw_rank_deficiency: bool = False
-    _cache_key: tuple[float, float] | None = field(default=None, repr=False)
-    _cache: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    saw_rank_deficiency: bool = field(default=False, init=False)
+    _cache_key: tuple[float, float] | None = field(default=None, init=False, repr=False)
+    _cache: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._grams = (self.f1.conj().T @ self.f1, self.f2 @ self.f2.conj().T)  # for search_rates

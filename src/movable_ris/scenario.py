@@ -43,6 +43,15 @@ class ConfigError(ValueError):
 # Elements of the largest dense stack a run may build: 2**26 complex values are 1 GiB.
 MAX_STACK_ELEMENTS = 2**26
 
+# Largest condition number of the Gram matrix of one RF stage's beams, which
+# ``beamforming.select_beams`` keeps. B2 = U1^H has orthonormal rows, so every W through a
+# designed F2 has cond(W) <= cond(F2 F2^H) <= this.
+_COND_LIMIT = 1e12
+
+# A path's unit-variance complex gain z has |z|^2 ~ Exp(1), so |z| passes this with
+# probability exp(-100) per draw: the headroom ``validate``'s rate bound gives the gains.
+_GAIN_HEADROOM = 10.0
+
 
 @dataclass(frozen=True)
 class PsoParams:
@@ -284,14 +293,24 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
                 errors.append(f"transmit over noise power ({config.tx_power_watts:.4g} W / "
                               f"{noise:.4g} W) passes the float range; check tx_power_dbm, "
                               "noise_psd_dbm_per_hz and bandwidth_hz")
+            nearest = []  # each node's largest path amplitude
             for node in (geometry.tx_position, geometry.ue_position):
                 rise = geometry.ris_height_m - node[2]  # no hop from this node is shorter
                 far = math.hypot(*(max(abs(lo - c), abs(hi - c))
                                    for c, (lo, hi) in zip(node, ranges)), rise)
                 if far >= 2.0 ** 511:  # ``channel._path_geometry`` squares a hop's length
                     raise OverflowError(f"a node {far:.4g} m from the platform: its square")
-                path_amplitudes(config.carrier_frequency_ghz, (rise, far),
-                                config.path_loss_exponent, config.path_loss_mode)
+                nearest.append(path_amplitudes(config.carrier_frequency_ghz, (rise, far),
+                                               config.path_loss_exponent,
+                                               config.path_loss_mode)[0])
+            if not errors and (bound := _log_rate_bound(config, noise, nearest)) >= math.log(
+                    sys.float_info.max):
+                errors.append(f"tx_power_dbm = {config.tx_power_dbm!r} passes the float range in "
+                              f"the rate's I + W^-1 Q: over a noise power of {noise:.4g} W, at "
+                              f"the largest path amplitudes {nearest[0]:.4g} (Tx) and "
+                              f"{nearest[1]:.4g} (UE), its bound is e^{bound:.1f}; check "
+                              "tx_power_dbm, noise_psd_dbm_per_hz, path_loss_exponent and the "
+                              "node heights")
         except (OverflowError, ZeroDivisionError) as exc:
             errors.append(f"link budget leaves the float range ({exc}); check the powers, "
                           "path_loss_exponent and node distances")
@@ -304,6 +323,31 @@ def validate(config: SystemConfig, geometry: DeploymentGeometry) -> list[str]:
                       "float64 cannot resolve a radian")
 
     return errors
+
+
+def _log_rate_bound(config: SystemConfig, noise_w: float, nearest: list[float]) -> float:
+    """ln of a bound on every entry of I + W^-1 Q that a reference rate forms and factors.
+
+    Each RF stage has K <= min(max_rf_chains, M) unit-norm beams whose Gram, of trace K, has a
+    condition number of at most C = _COND_LIMIT: ||F||^2 <= K and its least eigenvalue is at
+    least 1 / C. So ||B1||^2 <= C P (``bb_stages`` sets ||F1 B1||_F^2 = P), ||W^-1|| <=
+    C / sigma^2 and ||Q|| <= C P K1 K2 ||H||^2. A hop of L paths has ||H|| <= L |z| a
+    sqrt(M_r M_t), with a the amplitude at the node's depth under the plane (``nearest``) and
+    |z| <= _GAIN_HEADROOM; the relay's arrays mirror the Rx and Tx arrays, and the RIS
+    composite is at most the product of its two hops. The solve and the log-det each grow
+    entries by at most 2**(N_s - 1), partial pivoting's bound.
+    """
+    def ln(x: float) -> float:
+        return math.log(x) if x > 0.0 else -math.inf
+
+    paths = ln(config.num_paths * _GAIN_HEADROOM)
+    hop = max(map(ln, nearest))
+    composite = paths + sum(map(ln, nearest)) + math.log(config.num_ris)
+    gain = paths + 0.5 * math.log(config.num_tx * config.num_rx) + max(hop, composite)
+    beams = min(config.max_rf_chains, config.num_tx) * min(config.max_rf_chains, config.num_rx)
+    log_c = math.log(_COND_LIMIT)
+    return (log_c + math.log(beams) + ln(config.tx_power_watts) + 2.0 * gain
+            + max(0.0, log_c - math.log(noise_w)) + 2 * (config.num_streams - 1) * math.log(2.0))
 
 
 # --- flat key/value config file -------------------------------------------

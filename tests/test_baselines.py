@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from movable_ris import optimizer
-from movable_ris.beamforming import _COND_LIMIT
+from movable_ris import baselines, optimizer
+from movable_ris.beamforming import _COND_LIMIT, rf_stage
 from movable_ris.baselines import (
     BaselineKind,
+    ScenarioPack,
     build_scenario_pack,
     make_problem_context,
     relay_rate,
@@ -128,8 +129,8 @@ def test_fd_then_hd_runs_one_search(monkeypatch):
 def test_hd_first_on_new_pack_is_half_fd():
     _, _, pack = small_pack(seed=44)
     for t in range(3):
-        hd = relay_rate(replace(pack, fd_relay_outcomes={}), t, "hd")
-        fd = relay_rate(replace(pack, fd_relay_outcomes={}), t, "fd")
+        hd = relay_rate(replace(pack), t, "hd")
+        fd = relay_rate(replace(pack), t, "fd")
         assert hd.rate == fd.rate / 2.0
         assert (hd.x, hd.y) == (fd.x, fd.y)
 
@@ -146,6 +147,37 @@ def test_scenario_packs_of_equal_arguments_share_no_mutable_state():
     assert list(pack.fd_relay_outcomes) == list(pack.relay_slots) == [0]
     assert other.fd_relay_outcomes == other.relay_slots == {}
     assert other.beams is not pack.beams and other.search_ends is not pack.search_ends
+
+
+def _beam_moved_one_cell(stage, shape, spacing):
+    """``stage`` with beam 0 moved one cell of its array's cosine grid along x."""
+    lam_x, lam_y = np.angle(stage[0, [shape[1], 1]] / stage[0, 0]) / (2 * math.pi * spacing)
+    stage = stage.copy()
+    stage[0] = rf_stage([(lam_x + 2.0 / shape[0], lam_y)], shape, spacing)[0]
+    return stage
+
+
+def test_a_replaced_pack_reuses_no_relay_search(monkeypatch):
+    # after a relay search on a pack, a pack made by replace with other stages gives the relay
+    # outcomes of a new pack of its fields, and one made by replace alone searches afresh
+    config, geometry = default_config()
+    pack = build_scenario_pack(config, geometry, 1)
+    searched = relay_rate(pack, 0, "fd")
+    stage = _beam_moved_one_cell(pack.relay_f2_hop1, config.rx_antennas,
+                                 config.element_spacing_wavelengths)
+    moved = replace(pack, relay_f2_hop1=stage)
+    built = ScenarioPack(config, geometry, 1, **{name: getattr(moved, name) for name in STAGES})
+    for duplex in ("fd", "hd"):
+        assert repr(relay_rate(moved, 0, duplex)) == repr(relay_rate(built, 0, duplex))
+    assert relay_rate(moved, 0, "fd").rate != searched.rate
+    searches = []
+    run_pso = optimizer.run_pso
+    monkeypatch.setattr(optimizer, "run_pso", lambda *args: searches.append(1) or run_pso(*args))
+    again = replace(pack)
+    assert again.fd_relay_outcomes == again.relay_slots == {}
+    fresh = relay_rate(again, 0, "fd")
+    assert searches == [1] and fresh is not searched and repr(fresh) == repr(searched)
+    assert again.relay_slots[0] is not pack.relay_slots[0]
 
 
 def test_unset_pso_seed_keys_the_searches_by_the_channel_seed():
@@ -178,7 +210,7 @@ def test_movable_joint_delegates_to_optimizer_run():
     assert (out.x, out.y) == (state.x, state.y)
 
 
-def test_relay_symmetric_geometry_prefers_midline():
+def test_relay_symmetric_geometry_prefers_midline(monkeypatch):
     # Tx and UE mirror-placed across the platform diagonal with a single
     # unit-gain path per hop: the min-hop surface is deterministic and
     # mirror-symmetric, so a dense grid oracle must peak on the hop-balancing
@@ -193,15 +225,15 @@ def test_relay_symmetric_geometry_prefers_midline():
     )
     geometry = replace(geometry, tx_position=(0.0, 0.0, 2.0), ue_position=(110.0, 110.0, 2.0))
     pack = build_scenario_pack(config, geometry, 7)
-    from movable_ris.baselines import _RelaySearch
-
     trial = trial_channels(pack, 0)
-    trial = replace(trial, gains=np.ones_like(trial.gains))
+    monkeypatch.setattr(baselines, "trial_channels",
+                        lambda pack, index: replace(trial, gains=np.ones_like(trial.gains)))
+    relay = baselines._RelaySearch(pack, 0)
     grid = np.linspace(40.0, 70.0, 13)
     best, best_xy = -1.0, None
     for x in grid:
         for y in grid:
-            r = _RelaySearch(pack, trial).hop_rates(np.array([[x, y]]), False)[0][0]
+            r = relay.hop_rates(np.array([[x, y]]), False)[0][0]
             if r > best:
                 best, best_xy = r, (float(x), float(y))
     step = grid[1] - grid[0]
@@ -288,6 +320,18 @@ _INVALID = [
      "float range; check tx_power_dbm, noise_psd_dbm_per_hz and bandwidth_hz"),
     ({"tx_power_dbm": 3100.0}, {}, "transmit over noise power (1e+307 W / 3.981e-14 W) passes the "
      "float range; check tx_power_dbm, noise_psd_dbm_per_hz and bandwidth_hz"),
+    # the path gains bound I + W^-1 Q too: with the Tx under the platform centre 1 m and 0.01 m
+    # below the RIS plane, the relay's reference warned in slogdet and gave NaN at these powers
+    ({"tx_power_dbm": 2978.547}, {"tx_position": (55.0, 55.0, 4.0)},
+     "tx_power_dbm = 2978.547 passes the float range in the rate's I + W^-1 Q: over a noise "
+     "power of 3.981e-14 W, at the largest path amplitudes 0.1277 (Tx) and 0.01767 (UE), its "
+     "bound is e^793.7; check tx_power_dbm, noise_psd_dbm_per_hz, path_loss_exponent and the "
+     "node heights"),
+    ({"tx_power_dbm": 2900.0}, {"tx_position": (55.0, 55.0, 4.99)},
+     "tx_power_dbm = 2900.0 passes the float range in the rate's I + W^-1 Q: over a noise "
+     "power of 3.981e-14 W, at the largest path amplitudes 508.3 (Tx) and 0.01767 (UE), its "
+     "bound is e^792.2; check tx_power_dbm, noise_psd_dbm_per_hz, path_loss_exponent and the "
+     "node heights"),
 ]
 
 
@@ -363,4 +407,4 @@ def test_default_scenario_at_two_wavelengths_carries_no_beam_twice():
     phases = rng_stream(SEED, 5).uniform(0.0, 2 * math.pi, (4, config.num_ris))
     assert np.all(np.isfinite(context.rate_for(optimizer.RisState(cx, cy, phases))))
     for kind in BaselineKind:
-        assert math.isfinite(run_baseline(kind, replace(pack, fd_relay_outcomes={}), 0).rate)
+        assert math.isfinite(run_baseline(kind, replace(pack), 0).rate)

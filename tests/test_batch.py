@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from movable_ris import baselines, beamforming, channel, optimizer
+from movable_ris import baselines, beamforming, channel, harness, optimizer
 from movable_ris.baselines import BaselineKind, build_scenario_pack
 from movable_ris.beamforming import hybrid_link_rate, rf_stage
 from movable_ris.harness import apply_swept_value
@@ -55,8 +55,7 @@ def _ill_conditioned(pack, gap=1e-11):
         f2 = f2.copy()
         f2[1] = rf_stage([(lam_x + gap, lam_y)], (m_x, m_y), spacing)[0]
         return f2
-    return replace(pack, f2=squeeze(pack.f2), relay_f2_hop1=squeeze(pack.relay_f2_hop1),
-                   fd_relay_outcomes={}, relay_slots={})  # the stored cores read the stages
+    return replace(pack, f2=squeeze(pack.f2), relay_f2_hop1=squeeze(pack.relay_f2_hop1))
 
 
 @contextmanager
@@ -77,9 +76,9 @@ def _objective_of(kind, pack, trial_index, zero_channel=False):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "run_pso", capture)
         mp.setattr(baselines, "trial_channels", trial_channels)
-        # private stores: the placeholder search, on a patched trial, must not reach ``pack``'s
-        baselines.run_baseline(kind, replace(pack, fd_relay_outcomes={}, relay_slots={}),
-                               trial_index)
+        # a replaced pack starts with empty stores: the placeholder search, on a patched trial,
+        # leaves ``pack``'s as they were
+        baselines.run_baseline(kind, replace(pack), trial_index)
         yield captured[0]
 
 
@@ -142,9 +141,8 @@ def _relay_points(pack, draw_seed, count):
 
 def test_relay_batch_equals_min_hop_rate_rows():
     for pack in (_pack(), _relay_pack(), _relay_pack((85.0, 75.0, 2.0))):
-        trial = baselines.trial_channels(pack, 2)
         points = _relay_points(pack, 12, 9)
-        relay = baselines._RelaySearch(pack, trial)
+        relay = baselines._RelaySearch(pack, 2)
         for factored in (False, True):
             rates, deficient = relay.hop_rates(points, factored)
             rows = [relay.hop_rates(points[i:i + 1], factored) for i in range(len(points))]
@@ -174,7 +172,7 @@ def _per_hop_search(pack, trial, points):
 
 
 @pytest.mark.parametrize("ue_position", [None, (85.0, 75.0, 2.0)])
-def test_relay_one_pass_equals_per_hop_rates(ue_position):
+def test_relay_one_pass_equals_per_hop_rates(ue_position, monkeypatch):
     # the default relay's four ends are 8x8 with 3 beams each; at (85, 75, 2) f2 and
     # relay_f1_hop2 carry 6 beams, so that pack keeps the per-hop calls
     pack = _relay_pack(ue_position)
@@ -182,13 +180,14 @@ def test_relay_one_pass_equals_per_hop_rates(ue_position):
         trial = baselines.trial_channels(pack, trial_index)
         points = _relay_points(pack, trial_index, count)
         _, expected, flags = _per_hop_search(pack, trial, points)
-        rates, deficient = baselines._RelaySearch(pack, trial).hop_rates(points, True)
+        rates, deficient = baselines._RelaySearch(pack, trial_index).hop_rates(points, True)
         _same_bytes(rates, expected)
         assert deficient.tolist() == flags.tolist()
     # without UE-hop gains that hop is rank 0 at every point: its rows take the pipeline
     trial = replace(trial, gains=trial.gains * np.array([1.0, 0.0])[:, None, None])
+    monkeypatch.setattr(baselines, "trial_channels", lambda pack, index: trial)
     _, expected, flags = _per_hop_search(pack, trial, points)
-    rates, deficient = baselines._RelaySearch(pack, trial).hop_rates(points, True)
+    rates, deficient = baselines._RelaySearch(pack, trial_index).hop_rates(points, True)
     _same_bytes(rates, expected)
     assert deficient.all() and flags.all()
 
@@ -211,11 +210,11 @@ def test_relay_search_takes_one_stacked_rate_call(monkeypatch):
         points = _relay_points(pack, 0, 6)
         state = optimizer.RisState(points[:, 0], points[:, 1], None, points)
         _, expected, _ = _per_hop_search(pack, trial, points)
-        slots = {}
         for hit in (False, True):  # a new search of the same trial: its first call, in its slot
             calls.clear()
-            rates = baselines._RelaySearch(pack, trial, slots).search_rates(state)
-            assert rates.tobytes() == expected.tobytes()
+            relay = baselines._RelaySearch(pack, 0)
+            assert relay.search_rates(state).tobytes() == expected.tobytes()
+            slots = relay.slots
             if stages_stack:
                 assert calls == ([] if hit else [("core", (2, 6, 3, 3))]) and list(slots) == [0]
             else:
@@ -225,7 +224,8 @@ def test_relay_search_takes_one_stacked_rate_call(monkeypatch):
 def test_relay_slots_reuse_a_calls_core_and_never_keep_a_call_that_took_the_pipeline(
         monkeypatch):
     # a call at the points its slot holds takes only the tail of the stored core, with the
-    # bytes of a search whose store starts empty; each miss takes one (2, B, 3, 3) SVD
+    # bytes of a search whose store starts empty; each miss takes one (2, B, 3, 3) SVD. The
+    # searches take their packs as a power sweep does, through ``harness._point_pack``
     svds = []
     real = baselines._gram_core
 
@@ -235,20 +235,22 @@ def test_relay_slots_reuse_a_calls_core_and_never_keep_a_call_that_took_the_pipe
 
     monkeypatch.setattr(baselines, "_gram_core", counted)
     pack = _relay_pack()
-    trial = baselines.trial_channels(pack, 0)
     states = [optimizer.RisState(p[:, 0], p[:, 1], None, p)
               for p in (_relay_points(pack, 0, 6), _relay_points(pack, 1, 6))]
 
-    def search(power, slots):
+    def search(power, packs):
+        """A search of trial 0 at ``power`` on the pack that a sweep holding ``packs`` takes."""
+        config = replace(pack.config, tx_power_dbm=power)
         return baselines._RelaySearch(
-            replace(pack, config=replace(pack.config, tx_power_dbm=power)), trial, slots)
+            harness._point_pack(packs, config, pack.geometry, pack.seed, None), 0)
 
-    expected = {power: search(power, {}).search_rates(states[0])
+    expected = {power: search(power, []).search_rates(states[0])
                 for power in (30.0, 40.0, 2000.0)}
-    slots = {}
+    packs = []
     for power, state, svd in ((30.0, 0, True), (40.0, 0, False), (40.0, 1, True), (40.0, 0, True)):
         svds.clear()
-        rates = search(power, slots).search_rates(states[state])
+        relay = search(power, packs)
+        rates, slots = relay.search_rates(states[state]), relay.slots
         assert svds == [(2, 6, 3, 3)] * svd and list(slots) == [0]
         assert slots[0][0] == states[state].xy.tobytes()
         if state == 0:
@@ -256,11 +258,12 @@ def test_relay_slots_reuse_a_calls_core_and_never_keep_a_call_that_took_the_pipe
     # at 2000 dBm the closed form passes the float range: the hit takes those rows through the
     # pipeline, with no SVD of its own, and a call with such a row is not stored
     svds.clear()
-    assert search(2000.0, slots).search_rates(states[0]).tobytes() == expected[2000.0].tobytes()
-    assert svds == [] and slots[0][0] == states[0].xy.tobytes()
-    unkept = {}
-    search(2000.0, unkept).search_rates(states[0])
-    assert unkept == {}
+    relay = search(2000.0, packs)
+    assert relay.search_rates(states[0]).tobytes() == expected[2000.0].tobytes()
+    assert svds == [] and relay.slots is slots and slots[0][0] == states[0].xy.tobytes()
+    unkept = search(2000.0, [])
+    unkept.search_rates(states[0])
+    assert unkept.slots == {}
 
 
 def test_stacked_links_with_a_rank_deficient_row_run_link_by_link():
@@ -447,8 +450,7 @@ def test_search_value_equals_the_reported_rate(monkeypatch):
         build_scenario_pack(*apply_swept_value(config, geometry, kind, value), 1)
         for kind, values in (("elements", (16, 36, 64, 100)), ("ue_scenarios", UE_POSITIONS))
         for value in values]
-    for pack in packs:
-        pack = replace(pack, fd_relay_outcomes={})  # every fd_relay trial searches here
+    for pack in packs:  # new packs: every fd_relay trial searches here
         for kind in SEARCHES:
             for trial_index in range(5):
                 values.clear()

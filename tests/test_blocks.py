@@ -331,8 +331,9 @@ def test_relay_loop_equals_per_particle_effective_channel(
     config = pack.config
     trial = baselines.trial_channels(pack, trial_index)
     x, y = _positions(pack, draw_seed, count, clamp)
+    relay, xy = baselines._RelaySearch(pack, trial_index), np.column_stack((x, y))
     with _effective_channels() as seen:
-        rates, _ = baselines._RelaySearch(pack, trial).hop_rates(np.column_stack((x, y)), False)
+        rates, _ = relay.hop_rates(xy, False)
     hop1, hop2 = seen
     for b in range(count):
         h1 = _reference_hop(config, pack.geometry, trial, x[b], y[b], "tx_ris", config.rx_antennas)
@@ -344,21 +345,20 @@ def test_relay_loop_equals_per_particle_effective_channel(
         rate1, _ = hybrid_link_rate(pack.relay_f2_hop1, h1[None], pack.f1, *args)
         rate2, _ = hybrid_link_rate(pack.f2, h2[None], pack.relay_f1_hop2, *args)
         assert rates[b].tobytes() == min(rate1[0], rate2[0]).tobytes()
-    searched, _ = baselines._RelaySearch(pack, trial).hop_rates(np.column_stack((x, y)), True)
+    searched, _ = relay.hop_rates(xy, True)
     np.testing.assert_allclose(searched, rates, rtol=FACTORED_RTOL, atol=0.0)
 
 
 @given(power=st.floats(-400.0, 3200.0), psd=st.floats(-3200.0, 400.0),
        draw_seed=st.integers(0, 10_000))
 @example(power=2000.0, psd=-174.0, draw_seed=0)
-@example(power=2978.547155599167, psd=-174.0, draw_seed=0)  # the largest power validate accepts
+@example(power=2631.302559851226, psd=-174.0, draw_seed=0)  # the largest power validate accepts
 @settings(max_examples=30, deadline=None)
 def test_search_rates_are_finite_wherever_the_reported_rate_is(power, psd, draw_seed):
     # From about 1,563 dBm at the default noise the closed form's d1 d2 passes the float range;
     # such rows take the pipeline, so both searches keep seeing the reported rate, and without
-    # a warning. validate bounds P / sigma^2 by the float range, which at the default noise
-    # ends before the reference's own I + W^-1 Q does; where a reported rate is not finite all
-    # the same, nothing is held.
+    # a warning. validate bounds the reference's own I + W^-1 Q by the float range; where a
+    # reported rate is not finite all the same, nothing is held.
     default = _default_pack(4)
     config = replace(default.config, tx_power_dbm=power, noise_psd_dbm_per_hz=psd)
     assume(not validate(config, default.geometry))
@@ -366,7 +366,7 @@ def test_search_rates_are_finite_wherever_the_reported_rate_is(power, psd, draw_
     x, y = _positions(pack, draw_seed, 4, clamp=False)
     phases = rng_stream(draw_seed, 3).uniform(0.0, 2.0 * math.pi, (4, config.num_ris))
     contexts = (baselines.make_problem_context(pack, 0),
-                baselines._RelaySearch(pack, baselines.trial_channels(pack, 0)))
+                baselines._RelaySearch(pack, 0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         reference = [[context.rate_for(optimizer.RisState(float(x[b]), float(y[b]), phases[b]))
@@ -378,6 +378,47 @@ def test_search_rates_are_finite_wherever_the_reported_rate_is(power, psd, draw_
     for context, expected in zip(contexts, reference):
         searched = context.search_rates(state)
         np.testing.assert_allclose(searched, expected, rtol=FACTORED_RTOL, atol=LOW_RATE_ATOL)
+
+
+def _largest_accepted_power(config, geometry) -> float:
+    """The largest ``tx_power_dbm`` that validate accepts with ``config`` and ``geometry``."""
+    accepted, rejected = -400.0, 3200.0
+    while (power := (accepted + rejected) / 2.0) not in (accepted, rejected):
+        if validate(replace(config, tx_power_dbm=power), geometry):
+            rejected = power
+        else:
+            accepted = power
+    return accepted
+
+
+@given(node=st.sampled_from(["tx_position", "ue_position"]), depth=st.floats(0.01, 4.99),
+       over=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), below=st.floats(0.0, 600.0),
+       draw_seed=st.integers(0, 10_000))
+# the Tx under the platform centre 1 m and 0.01 m below the RIS plane
+@example(node="tx_position", depth=1.0, over=(0.5, 0.5), below=0.0, draw_seed=0)
+@example(node="tx_position", depth=0.01, over=(0.5, 0.5), below=0.0, draw_seed=0)
+@settings(max_examples=15, deadline=None)
+def test_references_are_finite_up_to_the_largest_accepted_power(node, depth, over, below,
+                                                               draw_seed):
+    # validate bounds the reference's I + W^-1 Q through the largest path amplitude, that of
+    # a hop as short as the node's depth under the RIS plane: at any power it accepts, with the
+    # platform right over a node that close, the RIS and relay references are finite
+    config, geometry = default_config()
+    x, y = (lo + t * (hi - lo) for t, (lo, hi) in zip(over, (geometry.platform_x_range,
+                                                              geometry.platform_y_range)))
+    geometry = replace(geometry, **{node: (x, y, geometry.ris_height_m - depth)})
+    power = _largest_accepted_power(config, geometry) - below
+    pack = build_scenario_pack(replace(config, tx_power_dbm=power), geometry, 1)
+    px, py = _positions(pack, draw_seed, 3, clamp=False)
+    xy = np.column_stack((np.append(px, x), np.append(py, y)))  # and right over the node
+    phases = rng_stream(draw_seed, 3).uniform(0.0, 2.0 * math.pi, (2, config.num_ris))
+    context = baselines.make_problem_context(pack, 0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ris = [context.rate_for(optimizer.RisState(float(a), float(b), phases)) for a, b in xy]
+        relay, _ = baselines._RelaySearch(pack, 0).hop_rates(xy, False)
+    assert not caught, [str(w.message) for w in caught]
+    assert np.isfinite(ris).all() and np.isfinite(relay).all()
 
 
 # --- per-axis projection onto the RF beams --------------------------------------

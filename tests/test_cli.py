@@ -248,6 +248,19 @@ def test_subnormal_noise_power_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_power_past_the_rate_bound_is_an_error(tmp_path, capsys):
+    # the Tx 1 m under the RIS plane: validate's bound through its path amplitude
+    path = tmp_path / "near.cfg"
+    path.write_text(TINY_CONFIG + "tx_position = 55 55 4\n")
+    out = tmp_path / "out"
+    rc = main(["sweep-power", "--powers", "2978.547", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid power value 2978.547: tx_power_dbm = 2978.547 passes "
+                          "the float range in the rate's I + W^-1 Q") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_stage_short_of_beams_is_an_error_before_any_directory(tmp_path, capsys):
     # valid to scenario.validate, but every cell of a 2-cell axis aliases at 4 wavelengths
     path = tmp_path / "wide.cfg"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -84,12 +85,33 @@ def test_apply_swept_value():
     assert c2.tx_power_dbm == 17.0
     c3, _ = apply_swept_value(config, geometry, "elements", 36)
     assert c3.ris_elements == (6, 6)
+    assert apply_swept_value(config, geometry, "elements", 16.0)[0].ris_elements == (4, 4)
     _, g4 = apply_swept_value(config, geometry, "ue_scenarios", (80.0, 60.0, 2.0))
     assert g4.ue_position == (80.0, 60.0, 2.0)
     with pytest.raises(ConfigError):
         apply_swept_value(config, geometry, "elements", 35)  # not a square
     with pytest.raises(ConfigError):
         apply_swept_value(config, geometry, "ue_scenarios", (80.0, 60.0))
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("elements", 16.5), ("elements", 36.9), ("elements", True), ("elements", float("inf")),
+    ("elements", "abc"), ("power", "abc"), ("power", None), ("single", None),
+    ("ue_scenarios", None), ("ue_scenarios", 5.0), ("ue_scenarios", ("a", 60.0, 2.0)),
+])
+def test_swept_values_are_refused_not_coerced(kind, value, monkeypatch):
+    # a value float() or the element count would coerce raises ConfigError naming it, before
+    # any trial runs
+    config, geometry = small_scenario()
+    with pytest.raises(ConfigError, match=re.escape(repr(value))):
+        apply_swept_value(config, geometry, kind, value)
+    import movable_ris.harness as harness_mod
+
+    monkeypatch.setattr(harness_mod, "run_baseline", lambda *args: pytest.fail("a trial ran"))
+    spec = SweepSpec(kind=kind, values=(30.0, value) if kind == "power" else (value,),
+                     baselines=(BaselineKind.FIXED_RIS_RANDOM_PHASE,), trials=1)
+    with pytest.raises(ConfigError, match=re.escape(repr(value))):
+        sweep(spec, config, geometry)
 
 
 def test_sweep_cardinality_and_order():
@@ -402,24 +424,32 @@ def _slot_count(pack):
     return sum(map(len, pack.relay_slots.values()))
 
 
+def _trial_stores(pack):
+    """The identities of a pack's per-trial relay stores, in trial order."""
+    return [id(slots) for slots in pack.relay_slots.values()]
+
+
 _RELAY = (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY)
+# the relay kinds and a RIS kind that shares their pack at each power
+_POWER_KINDS = (*_RELAY, BaselineKind.MOVABLE_RIS_RANDOM_PHASE)
 
 
 @given(seed=st.integers(0, 11),
        powers=st.lists(st.sampled_from([-30.0, 0.0, 10.0, 20.0, 30.0, 40.0, 2000.0]),
                        min_size=2, max_size=4),
-       trials=st.integers(1, 2), kinds=st.sampled_from([_RELAY, _RELAY[::-1]]))
-@example(seed=3, powers=[-30.0, 0.0, 40.0, 40.0, 2000.0], trials=1, kinds=_RELAY)
+       trials=st.integers(1, 2), kinds=st.sampled_from([_POWER_KINDS, _POWER_KINDS[::-1]]))
+@example(seed=3, powers=[-30.0, 0.0, 40.0, 40.0, 2000.0], trials=1, kinds=_POWER_KINDS)
 @settings(max_examples=5, deadline=None)
 def test_power_sweep_reusing_relay_calls_equals_each_power_alone(seed, powers, trials, kinds):
     # a power step's relay searches reuse the calls of the step before that revisit its points
-    # (a step up from -30 dBm moves most calls elsewhere); the results keep the bytes of a sweep
-    # of each power alone, whose relay store starts empty
+    # (a step up from -30 dBm moves most calls elsewhere); the results, the RIS kind's too, keep
+    # the bytes of a sweep of each power alone, whose relay store starts empty
     config, geometry = default_config()
     spec = SweepSpec(kind="power", values=tuple(powers), baselines=kinds, trials=trials, seed=seed)
     with _point_packs() as seen:
         results = sweep(spec, config, geometry)
-    assert len({id(pack.relay_slots) for pack, _ in seen}) == 1  # one store serves the chain
+    first = _trial_stores(seen[0][0])
+    assert len(first) == trials and all(_trial_stores(pack) == first for pack, _ in seen)
     assert _slot_count(seen[-1][0]) <= trials * (config.pso.iterations + 1)
     alone = [result for power in powers
              for result in sweep(replace(spec, values=(power,)), config, geometry)]
@@ -444,7 +474,8 @@ def test_only_power_steps_with_a_relay_keep_relay_slots(kind, values, baselines,
     firsts = seen[::len(baselines)]  # each value's first point; the kinds after it share its pack
     assert all(seen[i][0] is seen[i - 1][0] for i in range(len(seen)) if i % len(baselines))
     assert firsts[0][1] == 0 and all((taken > 0) == slots for _, taken in firsts[1:])
-    stores = {id(pack.relay_slots) for pack, _ in firsts}
+    # a power step carries the per-trial stores of the value before; other steps start anew
+    stores = {tuple(_trial_stores(pack)) for pack, _ in firsts}
     assert len(stores) == (1 if kind == "power" else len(values))
 
 

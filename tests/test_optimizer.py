@@ -131,7 +131,7 @@ def test_outcome_positions_are_plain_floats(kind, monkeypatch):
     config, geometry = default_config()
     config = replace(config, tx_antennas=(2, 2), rx_antennas=(2, 2), ris_elements=(2, 2),
                      pso=PsoParams(swarm_size=4, iterations=3))
-    pack = replace(build_scenario_pack(config, geometry, 5), fd_relay_outcomes={})  # hd searches
+    pack = build_scenario_pack(config, geometry, 5)  # a new pack: hd searches
     best = []
 
     def spy(*args):
