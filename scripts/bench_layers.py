@@ -46,11 +46,18 @@ swarm iteration):
   ``rate.decompose`` (the SVD with its phase rotation), ``rate.bb_stages``
   and ``rate.achievable_rate``;
 - ``objective.<kind>``: the batch objective each searching kind hands its swarm;
-- ``objective.fd_relay.slot_hit`` and ``objective.fd_relay.slot_miss``: the
-  relay's objective as a power sweep runs it, with the calls of the previous
-  power in its store of search calls: on a hit the call's platform points
-  equal its slot's, so it takes only the rate tail of the stored core; on a
-  miss it builds both hops, takes their SVD and stores the core;
+  in trees with search traces (``optimizer.SearchTrace``) it is the first
+  evaluation of a search, which writes its core into its trace's row;
+- ``objective.<kind>.retraced``, in trees with search traces: that objective
+  as the search at the next power runs it where its first evaluation
+  retraces the previous power's, which scored the same batch: it takes only
+  the rate tail of the kept core;
+- ``objective.fd_relay.slot_hit`` and ``objective.fd_relay.slot_miss``, in
+  trees whose packs keep ``relay_slots``: the relay's objective as a power
+  sweep runs it, with the calls of the previous power in its store of search
+  calls: on a hit the call's platform points equal its slot's, so it takes
+  only the rate tail of the stored core; on a miss it builds both hops,
+  takes their SVD and stores the core;
 - ``objective.fd_relay.ue_85_75``: the relay's objective with the UE at
   (85, 75, 2), where the relay's RF stages carry unequal beam counts, so
   its hops do not stack;
@@ -123,11 +130,12 @@ def load_tree(name: str, src: Path):
     return lambda module: importlib.import_module(f"{name}.{module}")
 
 
-def _captured_objectives(pack, baselines, optimizer, kinds=SEARCHES) -> dict:
-    """The batch objective each of ``kinds`` hands its swarm, without searching."""
+def _captured_objectives(pack, baselines, optimizer, kinds=SEARCHES, fresh=True) -> dict:
+    """The batch objective each of ``kinds`` hands its swarm on trial 0, without searching; each
+    search on a pack of its own, or with ``fresh`` false on ``pack`` itself."""
     captured = {}
 
-    def capture(fitness_fn, dim, params, rng):
+    def capture(fitness_fn, dim, params, rng, decisions=None):
         captured[kind] = fitness_fn
         return np.full(dim, 0.5), 0.0, [0.0]
 
@@ -135,15 +143,28 @@ def _captured_objectives(pack, baselines, optimizer, kinds=SEARCHES) -> dict:
     baselines.run_pso = optimizer.run_pso = capture
     try:
         for kind in kinds:
-            baselines.run_baseline(baselines.BaselineKind(kind), replace(pack), 0)
+            searched = replace(pack) if fresh else pack
+            baselines.run_baseline(baselines.BaselineKind(kind), searched, 0)
     finally:
         baselines.run_pso, optimizer.run_pso = real
     return captured
 
 
+def _retraced_objectives(pack, baselines, harness, optimizer, batches: dict) -> dict:
+    """Each kind's objective at the next power step, 10 dB up, whose every call retraces the
+    previous power's first evaluation: that power's search scored ``batches[kind]`` first."""
+    previous = replace(pack)
+    for kind, objective in _captured_objectives(previous, baselines, optimizer, list(batches),
+                                                fresh=False).items():
+        objective(batches[kind])
+    config = replace(pack.config, tx_power_dbm=pack.config.tx_power_dbm + 10.0)
+    step = harness._point_pack([previous], config, pack.geometry, pack.seed, pack.pso_seed)
+    return _captured_objectives(step, baselines, optimizer, list(batches), fresh=False)
+
+
 def _relay_search(baselines, pack):
-    """A relay search of trial 0 whose store of search calls is its own: ``(pack, trial_index)``
-    on a pack of its own, or in older trees ``(pack, trial, slots)`` with an empty ``slots``."""
+    """A relay search of trial 0 that shares no store: ``(pack, trial_index)`` on a pack of its
+    own, or in older trees ``(pack, trial, slots)`` with an empty ``slots``."""
     if "trial_index" in {field.name for field in fields(baselines._RelaySearch)}:
         return baselines._RelaySearch(replace(pack), 0)
     return baselines._RelaySearch(pack, baselines.trial_channels(pack, 0), {})
@@ -255,16 +276,21 @@ def layers_of(module, rows: int) -> dict:
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
         batches[kind] = batch = rng.random((rows, _dimension(kind, config)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)
-    hit, miss = (_relay_search(baselines, pack) for _ in range(2))
-    batch = batches["fd_relay"]
+    if hasattr(optimizer, "SearchTrace"):
+        retraced = _retraced_objectives(pack, baselines, harness, optimizer, batches)
+        for kind, objective in retraced.items():
+            layers[f"objective.{kind}.retraced"] = lambda f=objective, b=batches[kind]: f(b)
+    if "relay_slots" in {field.name for field in fields(baselines.ScenarioPack)}:
+        hit, miss = (_relay_search(baselines, pack) for _ in range(2))
+        batch = batches["fd_relay"]
 
-    def slot_hit():
-        hit._calls = 0  # every call is the search's first, whose slot holds these points
-        return hit.search_rates(optimizer.decode_on_platform(batch, geometry, None))
+        def slot_hit():
+            hit._calls = 0  # every call is the search's first, whose slot holds these points
+            return hit.search_rates(optimizer.decode_on_platform(batch, geometry, None))
 
-    layers["objective.fd_relay.slot_hit"] = slot_hit
-    layers["objective.fd_relay.slot_miss"] = (  # each call a new slot, as a first power's
-        lambda: miss.search_rates(optimizer.decode_on_platform(batch, geometry, None)))
+        layers["objective.fd_relay.slot_hit"] = slot_hit
+        layers["objective.fd_relay.slot_miss"] = (  # each call a new slot, as a first power's
+            lambda: miss.search_rates(optimizer.decode_on_platform(batch, geometry, None)))
     ue_pack = baselines.build_scenario_pack(config, ue_geometry, PACK_SEED)
     ue_relay = _captured_objectives(ue_pack, baselines, optimizer, ("fd_relay",))["fd_relay"]
     ue_batch = scenario.rng_stream(7, 1).random((rows, 2))

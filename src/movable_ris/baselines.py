@@ -15,15 +15,15 @@ from enum import Enum
 
 import numpy as np
 
-from .beamforming import (_closed_form_fits, _core_array, _core_of, _gram_core, _gram_rates,
-                          _gram_tail, _pipeline_rows, design_relay_stages, design_rf_stages,
+from .beamforming import (_closed_form_fits, _gram_rates, design_relay_stages, design_rf_stages,
                           hybrid_link_rate)
 from .channel import HopEnds, TrialChannels, draw_trial, hop_ends, hops
 # Not called here; sweepbench/tracer.py wraps these names in this namespace, and
 # sweepbench/checks.py wraps run_pso here too.
 from .channel import link_channel  # noqa: F401
 from .optimizer import run_pso  # noqa: F401
-from .optimizer import ProblemContext, RisState, TWO_PI, _wrap_phases, decode_on_platform, run
+from .optimizer import (ProblemContext, RisState, SearchTrace, TWO_PI, _ClosedFormSearch,
+                        _wrap_phases, decode_on_platform, run)
 from .scenario import (
     STREAM_AUX,
     STREAM_CHANNEL,
@@ -96,10 +96,10 @@ class ScenarioPack:
     its own receive/transmit stages; its arrays mirror the Rx and Tx antenna
     counts and do not scale with the RIS element count. ``fd_relay_outcomes``
     keeps each trial's full-duplex relay search, which the half-duplex relay
-    halves instead of searching again. ``relay_slots`` keeps the relay search
-    calls, ``{trial: {call: (points bytes, (2, Z, 6) _core_array)}}`` (see
-    ``_RelaySearch``). Both stores belong to the pack that fills them: every
-    pack starts with them empty, one made by ``replace`` too.
+    halves instead of searching again. ``search_traces`` keeps each search's
+    ``SearchTrace`` by (searching kind, trial), hd_relay's under fd_relay. Both
+    stores belong to the pack that fills them: every pack starts with them
+    empty, one made by ``replace`` too.
     """
 
     config: SystemConfig
@@ -111,7 +111,7 @@ class ScenarioPack:
     relay_f1_hop2: np.ndarray
     pso_seed: int | None = None  # None: the searches are keyed by ``seed``
     fd_relay_outcomes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    relay_slots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    search_traces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def beams(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -186,10 +186,12 @@ def _random_phases(pack: ScenarioPack, trial_index: int, kind: BaselineKind) -> 
 
 def _search(pack: ScenarioPack, trial_index: int, kind: BaselineKind, context,
             space=None) -> TrialOutcome:
-    """One swarm search of ``kind`` over ``space`` (see ``optimizer.run``) on its own stream."""
+    """One swarm search of ``kind`` over ``space`` (see ``optimizer.run``) on its own stream,
+    with its trace in ``pack.search_traces``."""
     pso_seed = pack.seed if pack.pso_seed is None else pack.pso_seed
     rng = rng_stream(pso_seed, trial_index, STREAM_PSO, _PSO_FAMILY[kind])
-    state, rate, _ = run(context, pack.config.pso, rng, space)
+    trace = pack.search_traces.setdefault((kind, trial_index), SearchTrace())
+    state, rate, _ = run(context, pack.config.pso, rng, space, trace)
     return TrialOutcome(rate, state.x, state.y, state.phases, context.saw_rank_deficiency)
 
 
@@ -199,22 +201,17 @@ def _on_platform(geometry: DeploymentGeometry, phases):
 
 
 @dataclass
-class _RelaySearch:
+class _RelaySearch(_ClosedFormSearch):
     """The two-hop relay rate behind ProblemContext's search surface; states carry no phases.
 
     Hop 1 reuses the trial's transmitter-side draw into the relay's receive
     array, hop 2 the receiver-side draw out of its transmit array. No
     self-interference is modeled: the rate is the ideal full-duplex bound
     min(hop rates). The stages of each hop, (receive, transmit), their Grams
-    and their beam axes are read from the pack once.
-
-    It draws its trial through ``trial_channels``. ``slots``, its pack's
-    ``relay_slots`` entry of that trial, holds its search calls by call index.
-    The hops, their SVD and the rest of ``_gram_core`` do not depend on the
-    power, so a call whose platform points equal its slot's, byte for byte,
-    takes only ``_gram_tail`` of the stored core. Every other call stores its
-    core in the slot, unless one of its rows took the pipeline. Slots are kept
-    only where the reduced hops stack and take the closed form.
+    and their beam axes are read from the pack once. It draws its trial
+    through ``trial_channels``. Where the reduced hops stack and take the
+    closed form, the search's steps (``search_core``, ``core_rates``) work on
+    both hops as one (2, Z, K2, K1) stack.
     """
 
     pack: ScenarioPack
@@ -224,7 +221,6 @@ class _RelaySearch:
     def __post_init__(self):
         pack, config = self.pack, self.pack.config
         self.trial = trial_channels(pack, self.trial_index)
-        self.slots = pack.relay_slots.setdefault(self.trial_index, {})
         stages = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))
         self._stages = tuple((getattr(pack, rx), getattr(pack, tx)) for rx, tx in stages)
         self._grams = tuple((f1.conj().T @ f1, f2 @ f2.conj().T) for f2, f1 in self._stages)
@@ -233,12 +229,12 @@ class _RelaySearch:
         self._budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
         # The search's (F2, F1) and Grams of both hops as (2, 1, ...) stacks, when equal stage
         # shapes let the reduced hops stack and they take the closed form.
-        self._stacked = None
+        self._closed = None
         f2s, f1s = zip(*self._stages)
         if f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape and _closed_form_fits(
                 (f2s[0].shape[0], f1s[0].shape[1]), config.num_streams, config.noise_power_watts):
-            self._stacked = tuple(np.stack(m)[:, None] for m in (f2s, f1s, *zip(*self._grams)))
-        self._calls = 0  # search calls so far, the slot index of the next
+            f2, f1, *grams = (np.stack(m)[:, None] for m in (f2s, f1s, *zip(*self._grams)))
+            self._closed = (f2, f1, grams)
 
     def _hops(self, xy: np.ndarray, factored: bool):
         return hops(self.pack.config, self.pack.geometry, self.trial, xy, self._ends[factored])
@@ -263,30 +259,19 @@ class _RelaySearch:
         self.saw_rank_deficiency |= bool(deficient.any())
         return rates
 
-    def search_rates(self, state: RisState) -> np.ndarray:
-        """``hop_rates(factored=True)``'s bytes: where the reduced hops stack, the slot's or a
-        fresh core of both, then its ``_gram_tail``, then the pipeline for the rows left."""
-        if self._stacked is None:
-            return self._rates(state, factored=True)
-        call, points = self._calls, state.xy.tobytes()
-        self._calls += 1
-        power, streams, noise = self._budget
-        stored = self.slots.get(call)
-        if stored is not None and stored[0] == points:
-            core, rows, stack = _core_of(stored[1], streams), None, None
-        else:
-            stack = np.stack(self._hops(state.xy, True))
-            core, rows = _gram_core(stack, streams, self._stacked[2:])
-        rates, rows = _gram_tail(core, rows, power, noise)
-        if rows is not None:
-            stack = np.stack(self._hops(state.xy, True)) if stack is None else stack
-            rates, deficient = _pipeline_rows(self._stacked[0], stack, self._stacked[1],
-                                              *self._budget, rates, rows)
-            self.saw_rank_deficiency |= bool(deficient.any())
-        elif stack is not None:
-            self.slots[call] = (points, _core_array(core))
-        rate1, rate2 = rates
+    def _reduced(self, state: RisState) -> np.ndarray:
+        return np.stack(self._hops(state.xy, True))
+
+    def core_rates(self, state: RisState, core, rows=None, h=None) -> np.ndarray:
+        rate1, rate2 = super().core_rates(state, core, rows, h)
         return np.where(rate2 < rate1, rate2, rate1)
+
+    def search_rates(self, state: RisState) -> np.ndarray:
+        """``hop_rates(factored=True)``'s bytes: where the reduced hops stack, ``core_rates`` of
+        their ``search_core``."""
+        if self.closed_form:
+            return self.core_rates(state, *self.search_core(state))
+        return self._rates(state, factored=True)
 
     def rate_for(self, state: RisState) -> float:
         return float(self._rates(state, factored=False)[0])
@@ -298,8 +283,8 @@ def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcom
     The position search runs once per trial of a pack, for whichever mode
     asks first, and is stored on the pack; half duplex halves the stored
     full-duplex outcome, so the identity holds exactly on every trial. The
-    search's calls go to the trial's entry of ``pack.relay_slots``, which a
-    sweep's power step carries to the next power's pack.
+    search keeps its evaluations in ``pack.search_traces``, as every search
+    does, which a sweep's power step carries to the next power's pack.
     """
     if duplex not in ("fd", "hd"):
         raise ValueError(f"duplex must be 'fd' or 'hd', got {duplex!r}")

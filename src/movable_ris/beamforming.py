@@ -431,7 +431,8 @@ def _gram_rates(f2, h, f1, tx_power_w: float, num_streams: int, noise_power_w: f
     """
     if not _closed_form_fits(h.shape[-2:], num_streams, noise_power_w):
         return hybrid_link_rate(f2, h, f1, tx_power_w, num_streams, noise_power_w, reduced=True)
-    rates, rows = _gram_tail(*_gram_core(h, num_streams, grams), tx_power_w, noise_power_w)
+    core, rows = _gram_core(h, num_streams, grams)
+    rates, rows = _gram_tail(core, num_streams, rows, tx_power_w, noise_power_w)
     return _pipeline_rows(f2, h, f1, tx_power_w, num_streams, noise_power_w, rates, rows)
 
 
@@ -453,35 +454,31 @@ def _closed_form_fits(shape, num_streams: int, noise_power_w: float) -> bool:
     return num_streams <= min(2, *shape) and 0.0 < noise_power_w < math.inf
 
 
-def _gram_core(h, num_streams: int, grams):
+def _gram_core(h, num_streams: int, grams, out=None):
     """The budget-free part of ``_gram_rates`` of the stack ``h``: (core, rows).
 
-    ``core`` is (S1, n, wt11, wt22, det Wt): the first ``num_streams`` singular values as
-    (..., num_streams) and the rest as (...,) arrays. ``rows`` marks the rows the pipeline
-    takes whatever the budget, those at or under the rank floor or with n <= 0 or
-    det Wt <= 0, and is None when there are none.
+    ``core`` is one (6, ...) array, ``out`` if given, of s1, s2, n, wt11, wt22 and det Wt per
+    row: s1 and s2 are the first and the ``num_streams``-th singular values, so one stream has
+    s2 = s1, wt22 = wt11 and det Wt = wt11. ``rows`` marks the rows the pipeline takes whatever
+    the budget, those at or under the rank floor or with n <= 0 or det Wt <= 0, and is None when
+    there are none.
     """
     u, s, vh = _lapack(_umath_linalg.svd_s, "D->DdD", h, failed="SVD did not converge")
     u, vh = u[..., :num_streams], vh[..., :num_streams, :]
-    n = ((vh @ grams[0]) * vh.conj()).real.sum(axis=(-2, -1))
+    core = np.empty((6, *h.shape[:-2])) if out is None else out
+    core[0], core[1] = s[..., 0], s[..., num_streams - 1]
+    n = ((vh @ grams[0]) * vh.conj()).real.sum(axis=(-2, -1), out=core[2])
     w = _hermitian(u) @ grams[1] @ u
     w11, w22, w12 = w[..., 0, 0].real, w[..., -1, -1].real, w[..., 0, -1]
-    det = w11 if num_streams == 1 else w11 * w22 - (w12.real ** 2 + w12.imag ** 2)
+    core[3], core[4] = w11, w22
+    det = core[5]
+    if num_streams == 1:
+        det[...] = w11
+    else:
+        np.subtract(w11 * w22, w12.real ** 2 + w12.imag ** 2, out=det)
     floor = max(h.shape[-2:]) * _EPS * s[..., 0]  # as ``EffectiveChannel._floor``
     closed = (s[..., num_streams - 1] > floor) & (n > 0.0) & (det > 0.0)
-    return (s[..., :num_streams], n, w11, w22, det), None if closed.all() else ~closed
-
-
-def _core_array(core) -> np.ndarray:
-    """A ``_gram_core`` as one (..., 6) array: s1, s2, n, wt11, wt22 and det Wt per row, with
-    s2 = s1, wt22 = wt11 and det Wt = wt11 for one stream."""
-    s, *rest = core
-    return np.stack((s[..., 0], s[..., -1], *rest), axis=-1)
-
-
-def _core_of(array: np.ndarray, num_streams: int):
-    """The ``_gram_core`` that ``_core_array`` gave ``array``, as views of it."""
-    return (array[..., :num_streams], *(array[..., i] for i in range(2, 6)))
+    return core, None if closed.all() else ~closed
 
 
 # P / sigma^2 from which ``_gram_tail`` runs with overflow ignored. Under it, d1 d2 passes the
@@ -490,7 +487,7 @@ def _core_of(array: np.ndarray, num_streams: int):
 _GUARDED_SNR = 2.0 ** 256
 
 
-def _gram_tail(core, rows, tx_power_w: float, noise_power_w: float):
+def _gram_tail(core, num_streams: int, rows, tx_power_w: float, noise_power_w: float):
     """The rates of a ``_gram_core`` at the budget, and the rows the pipeline must take: (rates,
     rows), ``rows`` None when every rate is the closed form's.
 
@@ -498,7 +495,7 @@ def _gram_tail(core, rows, tx_power_w: float, noise_power_w: float):
     closed-form rate is not finite, as an overflow of d1 d2 from a P / sigma^2 near the float
     range gives.
     """
-    s, n, w11, w22, det = core
+    s, n, w11, w22, det = core[:num_streams], core[2], core[3], core[4], core[5]
     if rows is not None:
         n, det = np.where(rows, 1.0, n), np.where(rows, 1.0, det)
     snr = tx_power_w / noise_power_w
@@ -515,9 +512,9 @@ def _gram_tail(core, rows, tx_power_w: float, noise_power_w: float):
 
 def _closed_form(s, n, w11, w22, det, snr: float) -> np.ndarray:
     """log1p((d1 wt22 + d2 wt11 + d1 d2) / det Wt) / ln 2, or log1p(d1 / wt11) / ln 2 for one
-    stream, clamped at 0, with d_i = snr s_i^2 / n."""
-    d = snr * s ** 2 / n[..., None]
-    d1, d2 = d[..., 0], d[..., -1]
-    rates = np.log1p((d1 if s.shape[-1] == 1 else d1 * w22 + d2 * w11 + d1 * d2) / det)
+    stream, clamped at 0, with d_i = snr s_i^2 / n; ``s`` holds s_i at its index i."""
+    d = snr * s ** 2 / n
+    d1, d2 = d[0], d[-1]
+    rates = np.log1p((d1 if len(s) == 1 else d1 * w22 + d2 * w11 + d1 * d2) / det)
     rates /= math.log(2.0)
     return np.where(rates < 0.0, 0.0, rates)

@@ -247,15 +247,15 @@ def _point_pack(packs: list[ScenarioPack] | None, config: SystemConfig,
                 geometry: DeploymentGeometry, seed: int, pso_seed: int | None) -> ScenarioPack:
     """The pack of one point, then ``packs``'s one entry: the kept pack if its value is the
     point's, so the kinds at one value share its fd_relay searches; if the two differ in
-    ``tx_power_dbm`` alone, the kept pack at the point's power with its per-trial relay search
-    calls, which no more than its RF stages read the power; else a new pack."""
+    ``tx_power_dbm`` alone, the kept pack at the point's power with its searches' traces, whose
+    cores no more than its RF stages read the power; else a new pack."""
     pack = packs[0] if packs else None
     if pack is None or (pack.geometry, pack.seed, pack.pso_seed) != (geometry, seed, pso_seed) or (
             replace(pack.config, tx_power_dbm=config.tx_power_dbm) != config):
         pack = build_scenario_pack(config, geometry, seed, pso_seed)
     elif pack.config != config:
         pack = replace(pack, config=config)
-        pack.relay_slots.update(packs[0].relay_slots)
+        pack.search_traces.update(packs[0].search_traces)
     if packs is not None:
         packs[:] = [pack]
     return pack
@@ -273,7 +273,7 @@ def sweep(
     numbers). A value ``sweep_points`` rejects raises ConfigError before any trial.
     The sweep's pack store keeps the current value's pack only. Each point takes
     its pack inside the point (``_point_pack``): a power step keeps the RF stages
-    and relay search calls of the step before, any other step builds a pack.
+    and search traces of the step before, any other step builds a pack.
     """
     points = sweep_points(spec, config, geometry)
     packs: list[ScenarioPack] = []

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import _gram_rates, hybrid_link_rate
+from .beamforming import (_closed_form_fits, _gram_core, _gram_rates, _gram_tail, _pipeline_rows,
+                          hybrid_link_rate)
 # Not called here; sweepbench/tracer.py wraps these names in this namespace.
 from .beamforming import achievable_rate, bb_stages, effective_channel  # noqa: F401
 from .channel import HopEnds, TrialChannels, composite_channel, hops, realize_channels
@@ -30,6 +31,7 @@ from .scenario import ConfigError, DeploymentGeometry, PsoParams, SystemConfig
 __all__ = [
     "RisState",
     "ProblemContext",
+    "SearchTrace",
     "SwarmState",
     "decode",
     "decode_xy",
@@ -111,8 +113,39 @@ def decode(vector: np.ndarray, geometry: DeploymentGeometry) -> RisState:
     return decode_on_platform(v, geometry, _wrap_phases(v[..., 2:]))
 
 
+class _ClosedFormSearch:
+    """The two steps of a search objective whose rates take ``_gram_rates``' closed form.
+
+    ``search_core`` gives a decoded batch's budget-free ``_gram_core`` and ``core_rates`` the
+    rates of a core at the budget, which a core kept from another budget serves as well (see
+    ``SearchTrace``). A search takes them where ``closed_form`` holds; its ``_closed`` is then
+    (F2, F1, Grams) of its reduced stacks, which ``_reduced(state)`` builds.
+    """
+
+    @property
+    def closed_form(self) -> bool:
+        return self._closed is not None
+
+    def search_core(self, state: RisState, out=None):
+        """(core, rows, h): the ``_gram_core`` of the batch's reduced stack ``h``, in ``out``."""
+        h = self._reduced(state)
+        return (*_gram_core(h, self._budget[1], self._closed[2], out), h)
+
+    def core_rates(self, state: RisState, core, rows=None, h=None) -> np.ndarray:
+        """The rates of the batch ``state`` from its ``core``: the tail at the budget, then the
+        pipeline for the rows left, on ``h`` or, when not given, the batch's stack rebuilt."""
+        power, streams, noise = self._budget
+        rates, rows = _gram_tail(core, streams, rows, power, noise)
+        if rows is not None:
+            f2, f1, _ = self._closed
+            h = self._reduced(state) if h is None else h
+            rates, deficient = _pipeline_rows(f2, h, f1, *self._budget, rates, rows)
+            self.saw_rank_deficiency |= bool(deficient.any())
+        return rates
+
+
 @dataclass
-class ProblemContext:
+class ProblemContext(_ClosedFormSearch):
     """Everything a fitness evaluation needs, with frozen trial randomness.
 
     The RF stages are fixed for the whole search; only mean geometry (and
@@ -134,9 +167,11 @@ class ProblemContext:
     _cache: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self._grams = (self.f1.conj().T @ self.f1, self.f2 @ self.f2.conj().T)  # for search_rates
         self._budget = (self.config.tx_power_watts, self.config.num_streams,
                         self.config.noise_power_watts)  # the rate budget, P, N_s and sigma^2
+        self._grams = (self.f1.conj().T @ self.f1, self.f2 @ self.f2.conj().T)  # for search_rates
+        fits = _closed_form_fits((self.f2.shape[0], self.f1.shape[1]), *self._budget[1:])
+        self._closed = (self.f2, self.f1, self._grams) if fits else None
 
     def hop_matrices(self, x: float, y: float) -> tuple[np.ndarray, ...]:
         """H_TI, H_IR and their reductions F2 H_IR, H_TI F1 at one position."""
@@ -149,7 +184,7 @@ class ProblemContext:
         return self._cache
 
     def _rates(self, h, reduced: bool) -> np.ndarray:
-        """The pipeline's rates of the composites ``h``; with ``reduced``, the closed form's."""
+        """The pipeline's rates of the composites ``h``; with ``reduced``, ``_gram_rates``'."""
         args = (self.f2, h, self.f1, *self._budget)
         rates, deficient = _gram_rates(*args, self._grams) if reduced else hybrid_link_rate(*args)
         self.saw_rank_deficiency |= bool(deficient.any())
@@ -168,14 +203,13 @@ class ProblemContext:
         rates = self._rates(h, reduced=False)
         return rates if phases.ndim > 1 else float(rates[0])
 
-    def search_rates(self, state: RisState) -> np.ndarray:
-        """Search objective: ``rate_for`` up to rounding, for (Z,) positions and/or (Z, M_I) phases.
+    def _reduced(self, state: RisState) -> np.ndarray:
+        """The batch's reduced composites F2 H_IR diag(e^{j phi}) H_TI F1; no hop matrix is formed.
 
-        No hop or composite matrix is formed. At one position the cached
-        A = F2 H_IR and C = H_TI F1 give (A diag(e^{j phi})) C, as one (Z K2, M) @ (M, K1)
-        product when K2 > 1; per-particle positions take C and A as the ``hops`` whose Tx and
-        UE ends are projected onto F1's and F2's beams one array axis at a time. The rate is
-        the closed form of the reduced stack's SVD and the stages' Grams.
+        At one position the cached A = F2 H_IR and C = H_TI F1 give (A diag(e^{j phi})) C, as one
+        (Z K2, M) @ (M, K1) product when K2 > 1; per-particle positions take C and A as the
+        ``hops`` whose Tx and UE ends are projected onto F1's and F2's beams one array axis at a
+        time.
         """
         if isinstance(state.x, np.ndarray) or isinstance(state.y, np.ndarray):
             c, a = hops(self.config, self.geometry, self.trial, state.xy, self.ends)
@@ -183,8 +217,66 @@ class ProblemContext:
             _, _, a, c = self.hop_matrices(state.x, state.y)
         a = a * np.exp(1j * np.asarray(state.phases, dtype=float))[..., None, :]
         one = c.ndim == 2 and a.shape[-2] > 1  # numpy takes a one-row product as a vector's
-        h = (a.reshape(-1, c.shape[0]) @ c).reshape(*a.shape[:-1], -1) if one else a @ c
-        return self._rates(h, reduced=True)
+        return (a.reshape(-1, c.shape[0]) @ c).reshape(*a.shape[:-1], -1) if one else a @ c
+
+    def search_rates(self, state: RisState) -> np.ndarray:
+        """Search objective: ``rate_for`` up to rounding, for (Z,) positions and/or (Z, M_I) phases.
+
+        The rate of the reduced stack is the closed form of its SVD and the stages' Grams, or
+        the pipeline's where that does not fit.
+        """
+        if self.closed_form:
+            return self.core_rates(state, *self.search_core(state))
+        return self._rates(self._reduced(state), reduced=True)
+
+
+@dataclass
+class SearchTrace:
+    """One search's evaluations, kept for the same search, of one kind and trial, at another power.
+
+    A swarm's positions at evaluation c depend only on its rng stream, the same at every power,
+    and on what the evaluations before c decided (``run_pso``'s ``decisions``). So while every
+    decision of a run equals the last run's, its batches equal that run's byte for byte, and so
+    does their budget-free ``search_core``. ``decisions`` are the last run's, ``cores`` holds its
+    core of each evaluation as one row, and ``kept`` counts the leading rows that hold a core of
+    that run with no row that the pipeline takes whatever the budget.
+    """
+
+    decisions: list = field(default_factory=list)
+    cores: np.ndarray | None = field(default=None, repr=False)
+    kept: int = 0
+
+    def objective(self, context: _ClosedFormSearch, decoder, evaluations: int):
+        """(objective, decisions) of a run of ``evaluations`` calls that retraces the last run.
+
+        The objective is ``context.search_rates`` of the decoded batches. While the run's
+        ``decisions``, which ``run_pso`` fills, equal the last run's, an evaluation takes only
+        ``core_rates`` of its kept core; any other writes its core to its row. A batch whose
+        size is not the rows' is scored without the trace.
+        """
+        previous, kept = self.decisions, self.kept
+        decisions = self.decisions = []
+        self.kept = same = 0  # same: how many leading decisions equal the last run's
+
+        def objective(v: np.ndarray) -> np.ndarray:
+            nonlocal same
+            c, state, cores = len(decisions), decoder(v), self.cores
+            if same == c - 1 and c <= len(previous) and decisions[-1] == previous[c - 1]:
+                same = c
+            if cores is not None and cores.shape[-1] != len(v):  # not a batch of this search
+                return context.search_rates(state)
+            if same == c and c < kept:
+                core, rows, h = cores[c], None, None
+            else:
+                core, rows, h = context.search_core(state, None if cores is None else cores[c])
+                if cores is None:
+                    self.cores = np.empty((evaluations, *core.shape))
+                    self.cores[c] = core
+            if rows is None and self.kept == c:
+                self.kept = c + 1
+            return context.core_rates(state, core, rows, h)
+
+        return objective, decisions
 
 
 @dataclass
@@ -209,17 +301,21 @@ def _evaluate(fitness_fn, positions: np.ndarray) -> np.ndarray:
 
 
 def init_swarm(
-    fitness_fn, dim: int, params: PsoParams, rng: np.random.Generator
+    fitness_fn, dim: int, params: PsoParams, rng: np.random.Generator,
+    decisions: list | None = None,
 ) -> SwarmState:
     """Uniform positions, zero velocities, bests from the initial evaluation.
 
-    ``fitness_fn`` maps the (Z, D) positions to (Z,) values.
+    ``fitness_fn`` maps the (Z, D) positions to (Z,) values. ``decisions``, if
+    given, receives the evaluation's decision: the global best's index.
     """
     z = params.swarm_size
     positions = rng.random((z, dim))
     velocities = np.zeros((z, dim))
     values = _evaluate(fitness_fn, positions)
     g = _first_max(values)  # lowest particle index wins ties; a NaN is never picked
+    if decisions is not None:
+        decisions.append(g)
     return SwarmState(
         positions=positions,
         velocities=velocities,
@@ -257,6 +353,7 @@ def pso_step(
     t: int,
     rng: np.random.Generator,
     fitness_fn,
+    decisions: list | None = None,
 ) -> SwarmState:
     """One swarm iteration; mutates and returns ``state``.
 
@@ -266,7 +363,9 @@ def pso_step(
     is zeroed. Bests update only on strict improvement, which keeps the
     earliest iteration and lowest particle index on ties; a NaN value never
     becomes a best, and a best that is NaN (from a NaN initial value) gives
-    way to the first non-NaN value.
+    way to the first non-NaN value. ``decisions``, if given, receives the
+    evaluation's decision: the bytes of the improved-particle mask and the
+    index of the new global best, or None when it stays.
     """
     y1, y2 = rng.random((2, *state.positions.shape))  # the stream order of Y1's draw, then Y2's
     # (mu1 Y1)(gbest - p) + (mu2 Y2)(pbest - p) + inertia v, rounded term by term in that order
@@ -293,21 +392,29 @@ def pso_step(
     if _beats(best := float(state.best_values[i]), state.global_best_value):
         state.global_best_value = best
         state.global_best_position = state.best_positions[i].copy()
+    else:
+        i = None
+    if decisions is not None:
+        decisions.append((improved.tobytes(), i))
     state.history.append(state.global_best_value)
     return state
 
 
 def run_pso(
-    fitness_fn, dim: int, params: PsoParams, rng: np.random.Generator
+    fitness_fn, dim: int, params: PsoParams, rng: np.random.Generator,
+    decisions: list | None = None,
 ) -> tuple[np.ndarray, float, list[float]]:
     """Full search: returns (best vector, best value, history of length T+1).
 
     ``fitness_fn`` is called once per iteration on the (Z, D) positions and
-    returns their (Z,) values.
+    returns their (Z,) values. ``decisions``, if given, receives each
+    evaluation's decision (see ``init_swarm`` and ``pso_step``), right after
+    it. The positions of an evaluation depend only on the draws of ``rng``
+    and the decisions before it.
     """
-    state = init_swarm(fitness_fn, dim, params, rng)
+    state = init_swarm(fitness_fn, dim, params, rng, decisions)
     for t in range(1, params.iterations + 1):
-        pso_step(state, params, t, rng, fitness_fn)
+        pso_step(state, params, t, rng, fitness_fn, decisions)
     return state.global_best_position, state.global_best_value, state.history
 
 
@@ -316,6 +423,7 @@ def run(
     params: PsoParams,
     rng: np.random.Generator,
     space: tuple[int, Callable[[np.ndarray], RisState]] | None = None,
+    trace: SearchTrace | None = None,
 ) -> tuple[RisState, float, list[float]]:
     """Swarm search over one kind's ``space``: its dimension and its decoder to a ``RisState``.
 
@@ -323,10 +431,17 @@ def run(
     dimensions with ``decode``. The swarm climbs ``context.search_rates`` of
     the decoded (Z, D) batches; the rate returned is ``context.rate_for`` of
     the decoded best vector. The relay passes a context of its own with
-    that search surface.
+    that search surface. ``trace`` is this search's ``SearchTrace``: its last
+    run had the same space, ``params`` and ``rng`` state and a context that
+    differs from this one in the rate budget alone. Where the closed form
+    fits, the run retraces that one (see ``SearchTrace.objective``) and
+    leaves its own evaluations in ``trace``.
     """
     dim, decoder = space or (context.config.num_ris + 2, lambda v: decode(v, context.geometry))
-    best_vec, _, history = run_pso(lambda v: context.search_rates(decoder(v)), dim, params, rng)
+    objective, decisions = (lambda v: context.search_rates(decoder(v))), None
+    if trace is not None and context.closed_form:
+        objective, decisions = trace.objective(context, decoder, params.iterations + 1)
+    best_vec, _, history = run_pso(objective, dim, params, rng, decisions)
     state = decoder(best_vec)
     return state, context.rate_for(state), history
 

@@ -144,8 +144,9 @@ def test_scenario_packs_of_equal_arguments_share_no_mutable_state():
         stage, same = getattr(pack, name), getattr(other, name)
         assert stage.tobytes() == same.tobytes() and not np.shares_memory(stage, same)
     relay_rate(pack, 0, "fd")
-    assert list(pack.fd_relay_outcomes) == list(pack.relay_slots) == [0]
-    assert other.fd_relay_outcomes == other.relay_slots == {}
+    assert list(pack.fd_relay_outcomes) == [0]
+    assert list(pack.search_traces) == [(BaselineKind.FD_RELAY, 0)]
+    assert other.fd_relay_outcomes == other.search_traces == {}
     assert other.beams is not pack.beams and other.search_ends is not pack.search_ends
 
 
@@ -174,10 +175,11 @@ def test_a_replaced_pack_reuses_no_relay_search(monkeypatch):
     run_pso = optimizer.run_pso
     monkeypatch.setattr(optimizer, "run_pso", lambda *args: searches.append(1) or run_pso(*args))
     again = replace(pack)
-    assert again.fd_relay_outcomes == again.relay_slots == {}
+    assert again.fd_relay_outcomes == again.search_traces == {}
     fresh = relay_rate(again, 0, "fd")
     assert searches == [1] and fresh is not searched and repr(fresh) == repr(searched)
-    assert again.relay_slots[0] is not pack.relay_slots[0]
+    key = (BaselineKind.FD_RELAY, 0)
+    assert again.search_traces[key] is not pack.search_traces[key]
 
 
 def test_unset_pso_seed_keys_the_searches_by_the_channel_seed():
@@ -332,6 +334,7 @@ _INVALID = [
      "power of 3.981e-14 W, at the largest path amplitudes 508.3 (Tx) and 0.01767 (UE), its "
      "bound is e^792.2; check tx_power_dbm, noise_psd_dbm_per_hz, path_loss_exponent and the "
      "node heights"),
+    ({"rng_seed": -1}, {}, "rng_seed must be a non-negative 64-bit integer"),
 ]
 
 

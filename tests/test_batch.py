@@ -63,7 +63,7 @@ def _objective_of(kind, pack, trial_index, zero_channel=False):
     """The batch objective a search of ``kind`` hands to its swarm, without searching."""
     captured = []
 
-    def capture(fitness_fn, dim, params, rng):
+    def capture(fitness_fn, dim, params, rng, decisions=None):
         captured.append(fitness_fn)
         return np.full(dim, 0.5), 0.0, [0.0]
 
@@ -193,12 +193,11 @@ def test_relay_one_pass_equals_per_hop_rates(ue_position, monkeypatch):
 
 
 def test_relay_search_takes_one_stacked_rate_call(monkeypatch):
-    # where the reduced hops stack, a search call that misses its slot takes one _gram_core of
-    # both and a hit takes none, each with the bytes of the per-hop calls; other stages take
-    # one _gram_rates per hop
+    # where the reduced hops stack, a search call takes one _gram_core of both, with the bytes of
+    # the per-hop calls; other stages take one _gram_rates per hop
     calls = []
-    real_core, real_rates = baselines._gram_core, baselines._gram_rates
-    monkeypatch.setattr(baselines, "_gram_core",
+    real_core, real_rates = optimizer._gram_core, baselines._gram_rates
+    monkeypatch.setattr(optimizer, "_gram_core",
                         lambda h, *args: calls.append(("core", h.shape)) or real_core(h, *args))
     monkeypatch.setattr(baselines, "_gram_rates", lambda f2, h, *args: calls.append(
         ("rates", h.shape)) or real_rates(f2, h, *args))
@@ -210,60 +209,77 @@ def test_relay_search_takes_one_stacked_rate_call(monkeypatch):
         points = _relay_points(pack, 0, 6)
         state = optimizer.RisState(points[:, 0], points[:, 1], None, points)
         _, expected, _ = _per_hop_search(pack, trial, points)
-        for hit in (False, True):  # a new search of the same trial: its first call, in its slot
-            calls.clear()
-            relay = baselines._RelaySearch(pack, 0)
-            assert relay.search_rates(state).tobytes() == expected.tobytes()
-            slots = relay.slots
-            if stages_stack:
-                assert calls == ([] if hit else [("core", (2, 6, 3, 3))]) and list(slots) == [0]
-            else:
-                assert calls == [("rates", (6, 3, 3)), ("rates", (6, 6, 6))] and slots == {}
+        calls.clear()
+        relay = baselines._RelaySearch(pack, 0)
+        assert relay.closed_form == stages_stack
+        assert relay.search_rates(state).tobytes() == expected.tobytes()
+        if stages_stack:
+            assert calls == [("core", (2, 6, 3, 3))]
+        else:
+            assert calls == [("rates", (6, 3, 3)), ("rates", (6, 6, 6))]
 
 
-def test_relay_slots_reuse_a_calls_core_and_never_keep_a_call_that_took_the_pipeline(
-        monkeypatch):
-    # a call at the points its slot holds takes only the tail of the stored core, with the
-    # bytes of a search whose store starts empty; each miss takes one (2, B, 3, 3) SVD. The
-    # searches take their packs as a power sweep does, through ``harness._point_pack``
-    svds = []
-    real = baselines._gram_core
+def _zero_ue_hop(monkeypatch):
+    """Every trial without UE-hop gains: each core of every search has rows for the pipeline."""
+    real = baselines.trial_channels
 
-    def counted(h, *args):
-        svds.append(h.shape)
-        return real(h, *args)
+    def trial_channels(pack, index):
+        trial = real(pack, index)
+        return replace(trial, gains=trial.gains * np.array([1.0, 0.0])[:, None, None])
 
-    monkeypatch.setattr(baselines, "_gram_core", counted)
+    monkeypatch.setattr(baselines, "trial_channels", trial_channels)
+
+
+@pytest.mark.parametrize("kind", [BaselineKind.FD_RELAY, BaselineKind.FIXED_RIS_OPT_PHASE,
+                                  BaselineKind.MOVABLE_RIS_JOINT], ids=lambda kind: kind.value)
+def test_search_traces_reuse_cores_and_keep_none_the_pipeline_takes(kind, monkeypatch):
+    # a power step's search retraces the previous power's while their decisions agree: those
+    # evaluations take only the tail of the kept core, with no SVD, and every outcome keeps the
+    # bytes of a search at its power on a new pack. The packs come as a power sweep's do,
+    # through ``harness._point_pack``
+    svds, pipelines = [], []
+    real, real_rows = optimizer._gram_core, optimizer._pipeline_rows
+    monkeypatch.setattr(optimizer, "_gram_core",
+                        lambda h, *args: svds.append(h.shape[:-2]) or real(h, *args))
+    monkeypatch.setattr(optimizer, "_pipeline_rows",
+                        lambda *args: pipelines.append(1) or real_rows(*args))
     pack = _relay_pack()
-    states = [optimizer.RisState(p[:, 0], p[:, 1], None, p)
-              for p in (_relay_points(pack, 0, 6), _relay_points(pack, 1, 6))]
+    evaluations = pack.config.pso.iterations + 1
+    stack = (2,) * (kind == BaselineKind.FD_RELAY) + (pack.config.pso.swarm_size,)  # both hops
 
     def search(power, packs):
-        """A search of trial 0 at ``power`` on the pack that a sweep holding ``packs`` takes."""
+        """Trial 0 of ``kind`` at ``power`` on the pack that a sweep holding ``packs`` takes."""
         config = replace(pack.config, tx_power_dbm=power)
-        return baselines._RelaySearch(
-            harness._point_pack(packs, config, pack.geometry, pack.seed, None), 0)
-
-    expected = {power: search(power, []).search_rates(states[0])
-                for power in (30.0, 40.0, 2000.0)}
-    packs = []
-    for power, state, svd in ((30.0, 0, True), (40.0, 0, False), (40.0, 1, True), (40.0, 0, True)):
+        point = harness._point_pack(packs, config, pack.geometry, pack.seed, None)
         svds.clear()
-        relay = search(power, packs)
-        rates, slots = relay.search_rates(states[state]), relay.slots
-        assert svds == [(2, 6, 3, 3)] * svd and list(slots) == [0]
-        assert slots[0][0] == states[state].xy.tobytes()
-        if state == 0:
-            assert rates.tobytes() == expected[power].tobytes()
-    # at 2000 dBm the closed form passes the float range: the hit takes those rows through the
-    # pipeline, with no SVD of its own, and a call with such a row is not stored
-    svds.clear()
-    relay = search(2000.0, packs)
-    assert relay.search_rates(states[0]).tobytes() == expected[2000.0].tobytes()
-    assert svds == [] and relay.slots is slots and slots[0][0] == states[0].xy.tobytes()
-    unkept = search(2000.0, [])
-    unkept.search_rates(states[0])
-    assert unkept.slots == {}
+        pipelines.clear()
+        return point, repr(baselines.run_baseline(kind, point, 0))
+
+    powers = (30.0, 40.0, 40.0, 2000.0)
+    alone = {power: search(power, [])[1] for power in powers}
+    packs, misses = [], []
+    for power in powers:
+        point, outcome = search(power, packs)
+        trace = point.search_traces[kind, 0]
+        assert outcome == alone[power]
+        assert trace.cores.shape == (evaluations, 6, *stack) and trace.kept == evaluations
+        assert svds == [stack] * len(svds)
+        assert len(pipelines) == (evaluations if power == 2000.0 else 0)
+        misses.append(len(svds))
+    # the first power computes every core, a repeated power none, and every power step retraces
+    # at least its first evaluation; at 2000 dBm the closed form passes the float range, so every
+    # evaluation, a retraced one with its kept core too, sends its rows to the pipeline
+    assert misses[0] == evaluations and misses[2] == 0
+    assert misses[1] < evaluations and misses[3] < evaluations
+    # a core with rows that take the pipeline whatever the budget is not kept: with no UE-hop
+    # gains every core is rank 0, so the next power computes every core again
+    _zero_ue_hop(monkeypatch)
+    alone = {power: search(power, [])[1] for power in (30.0, 40.0)}
+    packs = []
+    for power in (30.0, 40.0):
+        point, outcome = search(power, packs)
+        assert outcome == alone[power] and "flagged=True" in outcome
+        assert point.search_traces[kind, 0].kept == 0 and len(svds) == evaluations
 
 
 def test_stacked_links_with_a_rank_deficient_row_run_link_by_link():

@@ -15,8 +15,6 @@ from movable_ris.beamforming import (
     EffectiveChannel,
     InvalidBeamError,
     _align_phases,
-    _core_array,
-    _core_of,
     _decompose,
     _gram_core,
     _gram_rates,
@@ -707,12 +705,15 @@ def test_gram_rates_match_the_pipeline(seed, shape, rows, links, streams):
     np.testing.assert_allclose(rates, expected, rtol=FACTORED_RTOL, atol=0.0)
     assert deficient.tolist() == flags.tolist() and not flags.any()
     # the budget-free core, then the tail that applies the budget, give _gram_rates' bytes, as
-    # does the tail of the core's six floats per row that the relay search stores
+    # does the core written into a row of a search trace's (evaluations, 6, ...) store
     core, rows = _gram_core(h, streams, grams)
-    tail, pipeline_rows = _gram_tail(core, rows, budget[0], budget[2])
+    tail, pipeline_rows = _gram_tail(core, streams, rows, budget[0], budget[2])
     assert rows is None and pipeline_rows is None and tail.tobytes() == rates.tobytes()
-    stored = _core_of(_core_array(core), streams)
-    assert _gram_tail(stored, None, budget[0], budget[2])[0].tobytes() == rates.tobytes()
+    store = np.full((3, *core.shape), np.nan)
+    stored, rows = _gram_core(h, streams, grams, store[1])
+    assert np.shares_memory(stored, store) and rows is None
+    assert store[1].tobytes() == core.tobytes() and np.isnan(store[[0, 2]]).all()
+    assert _gram_tail(store[1], streams, None, budget[0], budget[2])[0].tobytes() == rates.tobytes()
 
 
 @pytest.mark.parametrize("case", ["zero_row", "rank_one_row", "zero_precoder",

@@ -25,7 +25,7 @@ def test_bench_layers_times_every_layer_of_this_tree():
     finally:
         for name in [name for name in sys.modules if name.partition(".")[0] in TREES]:
             del sys.modules[name]
-    assert {"relay_rate", "objective.fd_relay", "objective.fd_relay.slot_hit",
-            "objective.fd_relay.slot_miss", "search_rate", "rate.svd"} <= set(times)
+    retraced = {f"objective.{kind}.retraced" for kind in bench.SEARCHES}
+    assert {"relay_rate", "objective.fd_relay", "search_rate", "rate.svd"} | retraced <= set(times)
     assert all(len(per_tree["this"]) == 1 for per_tree in times.values())
     assert peak > 0 and dict(os.environ) == environment

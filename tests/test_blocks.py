@@ -617,10 +617,7 @@ def test_phase_only_stack_is_one_product_with_the_bytes_of_row_products(z, m, k2
     phases = rng.uniform(0.0, 2 * math.pi, (z, m))
     context = baselines.make_problem_context(_default_pack(3), 0)
     context._cache_key, context._cache = (50.0, 60.0), (None, None, a, c)  # A and C at (50, 60)
-    stacks = []
-    context._rates = lambda h, reduced: stacks.append(h)  # the reduced stack the rate would take
-    context.search_rates(optimizer.RisState(50.0, 60.0, phases))
-    (h,) = stacks
+    h = context._reduced(optimizer.RisState(50.0, 60.0, phases))  # the stack the rate takes
     e = np.exp(1j * phases)
     assert h.shape == (z, k2, k1)
     assert h.tobytes() == ((a * e[:, None, :]) @ c).tobytes()

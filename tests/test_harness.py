@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import re
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from movable_ris import optimizer
 from movable_ris.baselines import BaselineKind, build_scenario_pack, trial_channels
 from movable_ris.channel import hop_ends, hops
 from movable_ris.harness import (
@@ -403,8 +406,8 @@ def test_element_sweep_shares_trials_across_sizes():
 
 @contextmanager
 def _point_packs():
-    """Each ``monte_carlo_point`` call's pack, with the count of relay search calls that its
-    store held when the point took it, in call order."""
+    """Each ``monte_carlo_point`` call's pack, with the count of kept evaluations that its
+    search traces held when the point took it, in call order."""
     import movable_ris.harness as harness_mod
 
     seen = []
@@ -412,7 +415,7 @@ def _point_packs():
 
     def taken(*args):
         pack = real(*args)
-        seen.append((pack, _slot_count(pack)))
+        seen.append((pack, _kept_count(pack)))
         return pack
 
     with pytest.MonkeyPatch.context() as mp:
@@ -420,52 +423,86 @@ def _point_packs():
         yield seen
 
 
-def _slot_count(pack):
-    return sum(map(len, pack.relay_slots.values()))
+def _kept_count(pack):
+    return sum(trace.kept for trace in pack.search_traces.values())
 
 
-def _trial_stores(pack):
-    """The identities of a pack's per-trial relay stores, in trial order."""
-    return [id(slots) for slots in pack.relay_slots.values()]
+def _traces(pack):
+    """The identities of a pack's search traces, by (searching kind, trial)."""
+    return {key: id(trace) for key, trace in pack.search_traces.items()}
+
+
+@contextmanager
+def _retrace_log():
+    """Per search trace, each run's evaluations in order, as (the particles' bytes, whether the
+    evaluation retraced the run before: it took no SVD of its own)."""
+    runs, svds = {}, []
+    real_objective, real_core = optimizer.SearchTrace.objective, optimizer._gram_core
+
+    def objective(trace, context, decoder, evaluations):
+        score, decisions = real_objective(trace, context, decoder, evaluations)
+        run = []
+        runs.setdefault(id(trace), []).append(run)
+
+        def logged(v):
+            count = len(svds)
+            values = score(v)
+            run.append((v.tobytes(), len(svds) == count))
+            return values
+        return logged, decisions
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer.SearchTrace, "objective", objective)
+        mp.setattr(optimizer, "_gram_core", lambda *args: svds.append(1) or real_core(*args))
+        yield runs
 
 
 _RELAY = (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY)
-# the relay kinds and a RIS kind that shares their pack at each power
-_POWER_KINDS = (*_RELAY, BaselineKind.MOVABLE_RIS_RANDOM_PHASE)
+_SEARCHING = (BaselineKind.MOVABLE_RIS_JOINT, BaselineKind.FIXED_RIS_OPT_PHASE,
+              BaselineKind.MOVABLE_RIS_RANDOM_PHASE, BaselineKind.FD_RELAY)
 
 
 @given(seed=st.integers(0, 11),
        powers=st.lists(st.sampled_from([-30.0, 0.0, 10.0, 20.0, 30.0, 40.0, 2000.0]),
                        min_size=2, max_size=4),
-       trials=st.integers(1, 2), kinds=st.sampled_from([_POWER_KINDS, _POWER_KINDS[::-1]]))
-@example(seed=3, powers=[-30.0, 0.0, 40.0, 40.0, 2000.0], trials=1, kinds=_POWER_KINDS)
+       trials=st.integers(1, 2), order=st.sampled_from([1, -1]))
+@example(seed=3, powers=[-30.0, 0.0, 40.0, 40.0, 2000.0], trials=1, order=1)
 @settings(max_examples=5, deadline=None)
-def test_power_sweep_reusing_relay_calls_equals_each_power_alone(seed, powers, trials, kinds):
-    # a power step's relay searches reuse the calls of the step before that revisit its points
-    # (a step up from -30 dBm moves most calls elsewhere); the results, the RIS kind's too, keep
-    # the bytes of a sweep of each power alone, whose relay store starts empty
+def test_power_sweep_retracing_searches_equals_each_power_alone(seed, powers, trials, order):
+    # a power step's searches, of every kind, retrace the step before's while their decisions
+    # agree, and every retraced evaluation scores the particles of the step before, byte for
+    # byte; the results keep the bytes of a sweep of each power alone, whose traces start empty
     config, geometry = default_config()
+    kinds = tuple(BaselineKind)[::order]
     spec = SweepSpec(kind="power", values=tuple(powers), baselines=kinds, trials=trials, seed=seed)
-    with _point_packs() as seen:
+    with _point_packs() as seen, _retrace_log() as runs:
         results = sweep(spec, config, geometry)
-    first = _trial_stores(seen[0][0])
-    assert len(first) == trials and all(_trial_stores(pack) == first for pack, _ in seen)
-    assert _slot_count(seen[-1][0]) <= trials * (config.pso.iterations + 1)
+    first = _traces(seen[0][0])
+    assert set(first) == {(kind, t) for kind in _SEARCHING for t in range(trials)}
+    assert all(_traces(pack) == first for pack, _ in seen)  # one trace per search, chain-wide
+    evaluations = config.pso.iterations + 1
+    assert all(trace.cores.shape[0] == evaluations for trace in seen[0][0].search_traces.values())
+    for chain in runs.values():
+        assert len(chain) <= len(powers)  # fd_relay does not search again at a repeated value
+        for before, after in zip(chain, chain[1:]):
+            assert after[0][1]  # the first evaluation's particles come from the rng stream alone
+            for (particles, again), (earlier, _) in zip(after, before):
+                assert not again or particles == earlier
     alone = [result for power in powers
              for result in sweep(replace(spec, values=(power,)), config, geometry)]
     assert repr(results) == repr(alone)
 
 
-@pytest.mark.parametrize("kind, values, baselines, slots", [
-    ("power", (10.0, 20.0, 20.0), _RELAY, True),
-    ("power", (10.0,), _RELAY, False),  # no step
-    ("power", (10.0, 20.0), (BaselineKind.FIXED_RIS_RANDOM_PHASE,), False),  # no relay
-    ("elements", (4, 16), _RELAY, False),
-    ("ue_scenarios", ((60.0, 90.0, 2.0), (70.0, 85.0, 2.0)), _RELAY, False),
+@pytest.mark.parametrize("kind, values, baselines, kept", [
+    ("power", (10.0, 20.0, 20.0), (*_SEARCHING, BaselineKind.HD_RELAY), True),
+    ("power", (10.0,), _SEARCHING, False),  # no step
+    ("power", (10.0, 20.0), (BaselineKind.FIXED_RIS_RANDOM_PHASE,), False),  # no search
+    ("elements", (4, 16), _SEARCHING, False),
+    ("ue_scenarios", ((60.0, 90.0, 2.0), (70.0, 85.0, 2.0)), _SEARCHING, False),
 ])
-def test_only_power_steps_with_a_relay_keep_relay_slots(kind, values, baselines, slots):
-    # a value's first point starts from the relay calls of the value before only at a power step;
-    # every other value builds its pack, with an empty store
+def test_only_power_steps_with_a_relay_keep_relay_slots(kind, values, baselines, kept):
+    # a value's first point starts from the search traces, of every searching kind, of the value
+    # before only at a power step; every other value builds its pack, with no trace
     config, geometry = small_scenario()
     spec = SweepSpec(kind=kind, values=values, baselines=baselines, trials=2, seed=3)
     with _point_packs() as seen:
@@ -473,10 +510,47 @@ def test_only_power_steps_with_a_relay_keep_relay_slots(kind, values, baselines,
     assert len(seen) == len(values) * len(baselines)
     firsts = seen[::len(baselines)]  # each value's first point; the kinds after it share its pack
     assert all(seen[i][0] is seen[i - 1][0] for i in range(len(seen)) if i % len(baselines))
-    assert firsts[0][1] == 0 and all((taken > 0) == slots for _, taken in firsts[1:])
-    # a power step carries the per-trial stores of the value before; other steps start anew
-    stores = {tuple(_trial_stores(pack)) for pack, _ in firsts}
-    assert len(stores) == (1 if kind == "power" else len(values))
+    assert firsts[0][1] == 0 and all((taken > 0) == kept for _, taken in firsts[1:])
+    # a power step carries the traces of the value before; other steps start anew
+    traces = {tuple(_traces(pack).items()) for pack, _ in firsts}
+    assert len(traces) == (1 if kind == "power" else len(values))
+
+
+def test_a_power_chains_traces_hold_one_core_row_per_evaluation():
+    # what one power chain's search traces hold, measured by tracemalloc: numpy arrays of at most
+    # (iterations + 1) x Z x 6 float64 per RIS search and twice that per relay search, and
+    # Python objects (the decision records, the traces and the stores' entries) of at most
+    # (iterations + 1) x (Z + 128) bytes per search
+    config, geometry = small_scenario()
+    spec = SweepSpec(kind="power", values=(10.0, 20.0, 30.0), baselines=tuple(BaselineKind),
+                     trials=2, seed=3)
+    domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)  # numpy's arrays
+
+    def held(snapshot):
+        """(numpy array bytes, other bytes) traced in ``snapshot``."""
+        arrays = snapshot.filter_traces([domain]).statistics("filename")
+        others = snapshot.filter_traces([tracemalloc.DomainFilter(False, domain.domain)])
+        return np.array([sum(stat.size for stat in stats)
+                         for stats in (arrays, others.statistics("filename"))])
+
+    with _point_packs() as seen:
+        tracemalloc.start()
+        try:
+            sweep(spec, config, geometry)
+            gc.collect()
+            kept = held(tracemalloc.take_snapshot())
+            for pack, _ in seen:
+                pack.search_traces.clear()
+            gc.collect()
+            arrays, others = kept - held(tracemalloc.take_snapshot())
+        finally:
+            tracemalloc.stop()
+    swarm, evaluations = config.pso.swarm_size, config.pso.iterations + 1
+    searches = spec.trials * len(_SEARCHING)
+    relays = spec.trials  # fd_relay's, whose cores hold both hops
+    assert arrays <= (searches + relays) * evaluations * swarm * 6 * 8
+    assert others <= searches * evaluations * (swarm + 128)
+    assert arrays > 0 and others > 0
 
 
 # Config-file values a fuzzed line draws from: small counts (arrays of at most

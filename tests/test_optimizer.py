@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -324,6 +324,65 @@ def test_run_pso_matches_per_particle_loop(seed, swarm_size, dim, iterations, ce
     assert history == ref_history
     assert all(a <= b for a, b in zip(history, history[1:]))
     assert history[-1] == best_val
+
+
+def _logged_run(fn, dim, params, seed):
+    """(positions' bytes, decisions) of each evaluation of a ``run_pso`` of ``fn``."""
+    positions, decisions = [], []
+    run_pso(lambda v: positions.append(v.tobytes()) or fn(v), dim, params, rng_stream(seed, 0),
+            decisions)
+    return positions, decisions
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    swarm_size=st.integers(min_value=1, max_value=6),
+    dim=st.integers(min_value=1, max_value=4),
+    iterations=st.integers(min_value=0, max_value=8),
+    centers=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
+    levels=st.sampled_from([1.0, 4.0, 1e6]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_equal_decisions_before_an_evaluation_give_its_positions(seed, swarm_size, dim,
+                                                                 iterations, centers, levels,
+                                                                 data):
+    # the positions of evaluation c depend only on the rng stream and the decisions before c:
+    # objectives that decide alike (one scaled by 2, as a budget rescales rates) score the same
+    # particles throughout, other objectives as long as their decisions agree, and a value of
+    # evaluation k changed to flip a decision changes the records from k on
+    def quadratic(center):
+        return lambda v: -np.round(((v - center) ** 2).sum(axis=1) * levels) / levels
+
+    params = PsoParams(swarm_size=swarm_size, iterations=iterations, velocity_clamp=0.8)
+    base = quadratic(centers[0])
+    positions, decisions = _logged_run(base, dim, params, seed)
+    assert len(positions) == len(decisions) == iterations + 1
+    first = 0 if swarm_size > 1 else 1  # a lone particle is evaluation 0's best whatever its value
+    assume(iterations >= first)
+    k = data.draw(st.integers(first, iterations), label="k")
+    j = data.draw(st.integers(0, swarm_size - 1), label="j")
+    decided = decisions[k] == j if k == 0 else np.frombuffer(decisions[k][0], dtype=bool)[j]
+    calls = []
+
+    def perturbed(v):
+        values = base(v)
+        if len(calls) == k:  # particle j's step k goes where base's did not: a new decision
+            values[j] = -math.inf if decided else math.inf
+        calls.append(1)
+        return values
+
+    runs = {name: _logged_run(fn, dim, params, seed)
+            for name, fn in (("scaled", lambda v: 2.0 * base(v)), ("other", quadratic(centers[1])),
+                             ("perturbed", perturbed))}
+    assert runs["scaled"] == (positions, decisions)
+    for other_positions, other_decisions in runs.values():
+        for c in range(iterations + 1):
+            if other_decisions[:c] == decisions[:c]:
+                assert other_positions[c] == positions[c], c
+    changed_positions, changed = runs["perturbed"]
+    assert changed[:k] == decisions[:k] and changed[k] != decisions[k]
+    assert changed_positions[:k + 1] == positions[:k + 1]
 
 
 def test_nan_at_the_first_particle_does_not_poison_the_search():
