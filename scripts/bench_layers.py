@@ -33,14 +33,14 @@ swarm iteration):
   both reduced relay hops of the batch (F2 H F1 each, one matmul per hop)
   and their rate: ``_RelaySearch.search_rates`` as the search calls it, a
   new call each time (a miss, where the tree keeps the calls), with its
-  ``hops`` call answered by those reduced hops. Where both hops' combiners,
-  and both their precoders, have equal shapes, its rate step works on the
-  two reduced hops stacked as (2, B, 3, 3); otherwise it takes one call per
-  hop;
+  ``hops`` call answered by those reduced hops. In trees whose searches hold
+  their links (``_ClosedFormSearch._links``) it takes one ``_gram_rates`` per
+  hop; older trees stack the two reduced hops as (2, B, 3, 3) where both
+  hops' combiners, and both their precoders, have equal shapes;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack;
 - ``search_rate``: the RIS searches' rate step on that stack,
-  ``ProblemContext._rates(..., reduced=True)``: the closed form of the SVD
-  and the stages' Grams where a tree has it, else the rate pipeline;
+  ``ProblemContext.search_rates`` with its ``_reduced`` answered by the
+  stack: the closed form of the SVD and the stages' Grams;
 - the pipeline's steps on that stack: ``rate.svd`` (the SVD call the route
   makes, numpy's LAPACK gufunc through ``beamforming._lapack``),
   ``rate.decompose`` (the SVD with its phase rotation), ``rate.bb_stages``
@@ -59,8 +59,10 @@ swarm iteration):
   only the rate tail of the stored core; on a miss it builds both hops,
   takes their SVD and stores the core;
 - ``objective.fd_relay.ue_85_75``: the relay's objective with the UE at
-  (85, 75, 2), where the relay's RF stages carry unequal beam counts, so
-  its hops do not stack;
+  (85, 75, 2), where the relay's RF stages carry unequal beam counts. Trees
+  with links take the closed form per hop there and keep a search trace, so
+  it is a first evaluation that writes its core; in older trees the hops do
+  not stack, and it takes one ``_gram_rates`` per hop with no trace;
 - ``objective.fixed_ris_opt_phase.m100``: the phase-only objective at a
   10x10 RIS, the largest point of the ``phase_search`` benchmark workload,
   where the phase decode and the composite grow with the element count;
@@ -82,7 +84,7 @@ calls, so what ran before in the measuring process does not move it.
 
 A layer that only some trees have is timed in those and gets no ratio.
 Trees need ``channel.platform_angles``, ``channel.hops``,
-``beamforming._lapack``, ``ProblemContext._rates`` and
+``beamforming._lapack``, ``ProblemContext.search_rates`` and ``_reduced``, and
 ``_RelaySearch.search_rates``.
 """
 
@@ -243,6 +245,8 @@ def layers_of(module, rows: int) -> dict:
             baselines.hops = channel.hops
     reduced = (a * np.exp(2j * np.pi * joint[:, None, 2:])) @ c
     context = baselines.make_problem_context(pack, 0)
+    ris_reduced = (reduced,) if hasattr(context, "_links") else reduced  # one stack per link
+    context._reduced = lambda state: ris_reduced  # the search's stack, already built
     eff = beamforming._decompose(reduced)
     stages = beamforming.bb_stages(eff, config.tx_power_watts, config.num_streams, pack.f1)
     stages.f2 = pack.f2
@@ -263,7 +267,7 @@ def layers_of(module, rows: int) -> dict:
         "relay_rate": relay_rate,
         "rate_pipeline": lambda: beamforming.hybrid_link_rate(pack.f2, reduced, pack.f1,
                                                               *budget, reduced=True),
-        "search_rate": lambda: context._rates(reduced, reduced=True),
+        "search_rate": lambda: context.search_rates(None),
         "rate.svd": lambda: beamforming._lapack(np.linalg._umath_linalg.svd_s, "D->DdD",
                                                 reduced, failed="SVD did not converge"),
         "rate.decompose": lambda: beamforming._decompose(reduced),

@@ -15,15 +15,14 @@ from enum import Enum
 
 import numpy as np
 
-from .beamforming import (_closed_form_fits, _gram_rates, design_relay_stages, design_rf_stages,
-                          hybrid_link_rate)
+from .beamforming import design_relay_stages, design_rf_stages, hybrid_link_rate
 from .channel import HopEnds, TrialChannels, draw_trial, hop_ends, hops
 # Not called here; sweepbench/tracer.py wraps these names in this namespace, and
 # sweepbench/checks.py wraps run_pso here too.
 from .channel import link_channel  # noqa: F401
 from .optimizer import run_pso  # noqa: F401
 from .optimizer import (ProblemContext, RisState, SearchTrace, TWO_PI, _ClosedFormSearch,
-                        _wrap_phases, decode_on_platform, run)
+                        _least, _wrap_phases, decode_on_platform, run)
 from .scenario import (
     STREAM_AUX,
     STREAM_CHANNEL,
@@ -207,11 +206,10 @@ class _RelaySearch(_ClosedFormSearch):
     Hop 1 reuses the trial's transmitter-side draw into the relay's receive
     array, hop 2 the receiver-side draw out of its transmit array. No
     self-interference is modeled: the rate is the ideal full-duplex bound
-    min(hop rates). The stages of each hop, (receive, transmit), their Grams
-    and their beam axes are read from the pack once. It draws its trial
-    through ``trial_channels``. Where the reduced hops stack and take the
-    closed form, the search's steps (``search_core``, ``core_rates``) work on
-    both hops as one (2, Z, K2, K1) stack.
+    min(hop rates). Its two links are the hops, each with its stages,
+    (receive, transmit), and their Grams, read from the pack once; the search
+    scores both through the base class's steps, whatever the stages' shapes.
+    It draws its trial through ``trial_channels``.
     """
 
     pack: ScenarioPack
@@ -222,59 +220,32 @@ class _RelaySearch(_ClosedFormSearch):
         pack, config = self.pack, self.pack.config
         self.trial = trial_channels(pack, self.trial_index)
         stages = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))
-        self._stages = tuple((getattr(pack, rx), getattr(pack, tx)) for rx, tx in stages)
-        self._grams = tuple((f1.conj().T @ f1, f2 @ f2.conj().T) for f2, f1 in self._stages)
+        self._links = tuple((f2, f1, (f1.conj().T @ f1, f2 @ f2.conj().T)) for f2, f1 in (
+            (getattr(pack, rx), getattr(pack, tx)) for rx, tx in stages))
         self._ends = (hop_ends(config, BaselineKind.FD_RELAY.platform_shapes(config)),
                       pack.search_ends["relay"])
         self._budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-        # The search's (F2, F1) and Grams of both hops as (2, 1, ...) stacks, when equal stage
-        # shapes let the reduced hops stack and they take the closed form.
-        self._closed = None
-        f2s, f1s = zip(*self._stages)
-        if f2s[0].shape == f2s[1].shape and f1s[0].shape == f1s[1].shape and _closed_form_fits(
-                (f2s[0].shape[0], f1s[0].shape[1]), config.num_streams, config.noise_power_watts):
-            f2, f1, *grams = (np.stack(m)[:, None] for m in (f2s, f1s, *zip(*self._grams)))
-            self._closed = (f2, f1, grams)
 
     def _hops(self, xy: np.ndarray, factored: bool):
         return hops(self.pack.config, self.pack.geometry, self.trial, xy, self._ends[factored])
 
-    def hop_rates(self, xy: np.ndarray, factored: bool):
-        """(Z,) rates at the (Z, 2) points ``xy`` and whether either hop was rank deficient.
-
-        The reference takes each hop matrix H of one ``hops`` call through the rate
-        pipeline; ``factored`` projects both ends of each hop onto their RF beams, which is
-        F2 H F1 up to rounding, and takes ``_gram_rates`` of each hop with its stages' Grams.
-        """
-        both = self._hops(xy, factored)
+    def hop_rates(self, xy: np.ndarray):
+        """The reference: (Z,) rates at the (Z, 2) points ``xy``, each hop matrix H of one
+        ``hops`` call through the rate pipeline, and whether either hop was rank deficient."""
         (rate1, deficient1), (rate2, deficient2) = (
-            _gram_rates(f2, hop, f1, *self._budget, grams) if factored
-            else hybrid_link_rate(f2, hop, f1, *self._budget)
-            for (f2, f1), grams, hop in zip(self._stages, self._grams, both))
-        rate = np.where(rate2 < rate1, rate2, rate1)  # min(rate1, rate2), NaN semantics kept
-        return rate, deficient1 | deficient2
+            hybrid_link_rate(f2, hop, f1, *self._budget)
+            for (f2, f1, _), hop in zip(self._links, self._hops(xy, False)))
+        return _least((rate1, rate2)), deficient1 | deficient2
 
-    def _rates(self, state: RisState, factored: bool) -> np.ndarray:
-        rates, deficient = self.hop_rates(state.xy, factored)
-        self.saw_rank_deficiency |= bool(deficient.any())
-        return rates
-
-    def _reduced(self, state: RisState) -> np.ndarray:
-        return np.stack(self._hops(state.xy, True))
-
-    def core_rates(self, state: RisState, core, rows=None, h=None) -> np.ndarray:
-        rate1, rate2 = super().core_rates(state, core, rows, h)
-        return np.where(rate2 < rate1, rate2, rate1)
-
-    def search_rates(self, state: RisState) -> np.ndarray:
-        """``hop_rates(factored=True)``'s bytes: where the reduced hops stack, ``core_rates`` of
-        their ``search_core``."""
-        if self.closed_form:
-            return self.core_rates(state, *self.search_core(state))
-        return self._rates(state, factored=True)
+    def _reduced(self, state: RisState) -> tuple[np.ndarray, np.ndarray]:
+        """Both hops at the batch's points with each end projected onto its RF beams: F2 H F1 of
+        each hop up to rounding."""
+        return self._hops(state.xy, True)
 
     def rate_for(self, state: RisState) -> float:
-        return float(self._rates(state, factored=False)[0])
+        rates, deficient = self.hop_rates(state.xy)
+        self.saw_rank_deficiency |= bool(deficient.any())
+        return float(rates[0])
 
 
 def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcome:

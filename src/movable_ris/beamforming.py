@@ -397,7 +397,8 @@ def hybrid_link_rate(
     stack already reduced to F2 H F1 (as a search's factored hops are); one
     matrix goes in as a stack of one. Returns (rates, rank_deficient) as (B,)
     arrays. N links whose stages share their shapes may be stacked, ``h``
-    (N, B, ...) with stages (N, 1, ...), for (N, B) results. Every stack takes
+    (N, B, ...) with stages (N, 1, ...), for (N, B) results; the searches take
+    each link on its own (``optimizer._ClosedFormSearch``). Every stack takes
     ``bb_stages`` and ``achievable_rate`` as one unit, save one whose rows
     carry mixed stream counts (rank-deficient ones carry fewer): its rows,
     across any link axis, run one at a time, each as a reduced stack of one.
@@ -450,7 +451,9 @@ def _pipeline_rows(f2, h, f1, tx_power_w: float, num_streams: int, noise_power_w
 
 def _closed_form_fits(shape, num_streams: int, noise_power_w: float) -> bool:
     """Whether ``_gram_rates`` takes the closed form for a stack of (K2, K1) matrices: at most two
-    streams, no more than either side's beams, and a noise power that is positive and finite."""
+    streams, no more than either side's beams, and a noise power that is positive and finite.
+    A search keeps its cores (``optimizer.SearchTrace``) where this holds for every link; the
+    links' shapes need not agree."""
     return num_streams <= min(2, *shape) and 0.0 < noise_power_w < math.inf
 
 

@@ -113,35 +113,67 @@ def decode(vector: np.ndarray, geometry: DeploymentGeometry) -> RisState:
     return decode_on_platform(v, geometry, _wrap_phases(v[..., 2:]))
 
 
-class _ClosedFormSearch:
-    """The two steps of a search objective whose rates take ``_gram_rates``' closed form.
+def _least(rates) -> np.ndarray:
+    """The least of the links' (Z,) rates, row by row: ``np.where(r2 < r1, r2, r1)``, NaN kept."""
+    least = rates[0]
+    for i in range(1, len(rates)):  # indexed: iterating an array costs more than one rates[0]
+        least = np.where(rates[i] < least, rates[i], least)
+    return least
 
-    ``search_core`` gives a decoded batch's budget-free ``_gram_core`` and ``core_rates`` the
-    rates of a core at the budget, which a core kept from another budget serves as well (see
-    ``SearchTrace``). A search takes them where ``closed_form`` holds; its ``_closed`` is then
-    (F2, F1, Grams) of its reduced stacks, which ``_reduced(state)`` builds.
+
+class _ClosedFormSearch:
+    """A search objective over one or more links, each scored as the baseband stage scores it.
+
+    A search's rate is the least of its links' rates: the RIS has one link, the relay two hops.
+    ``_links`` holds each link's (F2, F1, Grams), ``_budget`` the rate budget (P, N_s, sigma^2)
+    and ``_reduced(state)`` a decoded batch's reduced stack of each link. ``search_rates`` takes
+    ``_gram_rates`` of each stack; where ``closed_form`` holds, ``search_core`` and
+    ``core_rates`` split that into the budget-free ``_gram_core`` of every link and the rates at
+    the budget, which a core kept from another budget serves as well (see ``SearchTrace``).
     """
 
     @property
     def closed_form(self) -> bool:
-        return self._closed is not None
+        """Whether ``_gram_rates`` takes the closed form on every link."""
+        return all(_closed_form_fits((f2.shape[0], f1.shape[1]), *self._budget[1:])
+                   for f2, f1, _ in self._links)
+
+    def search_rates(self, state: RisState) -> np.ndarray:
+        """Search objective: the reference rate up to rounding, for the decoded batch ``state``."""
+        rates = []
+        for (f2, f1, grams), h in zip(self._links, self._reduced(state)):
+            link, deficient = _gram_rates(f2, h, f1, *self._budget, grams)
+            self.saw_rank_deficiency |= bool(deficient.any())
+            rates.append(link)
+        return _least(rates)
 
     def search_core(self, state: RisState, out=None):
-        """(core, rows, h): the ``_gram_core`` of the batch's reduced stack ``h``, in ``out``."""
+        """(core, rows, h): the (6, links, Z) core, in ``out`` if given, with link i's
+        ``_gram_core`` at ``core[:, i]`` and its rows for the pipeline at ``rows[i]`` (None for
+        none), of the batch's reduced stacks ``h``."""
         h = self._reduced(state)
-        return (*_gram_core(h, self._budget[1], self._closed[2], out), h)
+        core = np.empty((6, len(h), *h[0].shape[:-2])) if out is None else out
+        rows = None
+        for i, ((_, _, grams), hi) in enumerate(zip(self._links, h)):
+            left = _gram_core(hi, self._budget[1], grams, core[:, i])[1]
+            if left is not None:
+                rows = np.zeros(core.shape[1:], dtype=bool) if rows is None else rows
+                rows[i] = left
+        return core, rows, h
 
     def core_rates(self, state: RisState, core, rows=None, h=None) -> np.ndarray:
         """The rates of the batch ``state`` from its ``core``: the tail at the budget, then the
-        pipeline for the rows left, on ``h`` or, when not given, the batch's stack rebuilt."""
+        pipeline for each link's rows left, on ``h`` or, when not given, the batch's stacks
+        rebuilt; the least link rate."""
         power, streams, noise = self._budget
         rates, rows = _gram_tail(core, streams, rows, power, noise)
         if rows is not None:
-            f2, f1, _ = self._closed
             h = self._reduced(state) if h is None else h
-            rates, deficient = _pipeline_rows(f2, h, f1, *self._budget, rates, rows)
-            self.saw_rank_deficiency |= bool(deficient.any())
-        return rates
+            for (f2, f1, _), hi, link, left in zip(self._links, h, rates, rows):
+                if left.any():
+                    deficient = _pipeline_rows(f2, hi, f1, *self._budget, link, left)[1]
+                    self.saw_rank_deficiency |= bool(deficient.any())
+        return _least(rates)
 
 
 @dataclass
@@ -169,9 +201,8 @@ class ProblemContext(_ClosedFormSearch):
     def __post_init__(self):
         self._budget = (self.config.tx_power_watts, self.config.num_streams,
                         self.config.noise_power_watts)  # the rate budget, P, N_s and sigma^2
-        self._grams = (self.f1.conj().T @ self.f1, self.f2 @ self.f2.conj().T)  # for search_rates
-        fits = _closed_form_fits((self.f2.shape[0], self.f1.shape[1]), *self._budget[1:])
-        self._closed = (self.f2, self.f1, self._grams) if fits else None
+        grams = (self.f1.conj().T @ self.f1, self.f2 @ self.f2.conj().T)
+        self._links = ((self.f2, self.f1, grams),)  # the one link, Tx -> RIS -> UE
 
     def hop_matrices(self, x: float, y: float) -> tuple[np.ndarray, ...]:
         """H_TI, H_IR and their reductions F2 H_IR, H_TI F1 at one position."""
@@ -183,13 +214,6 @@ class ProblemContext(_ClosedFormSearch):
                            self.f2 @ real.h_ris_rx, real.h_tx_ris @ self.f1)
         return self._cache
 
-    def _rates(self, h, reduced: bool) -> np.ndarray:
-        """The pipeline's rates of the composites ``h``; with ``reduced``, ``_gram_rates``'."""
-        args = (self.f2, h, self.f1, *self._budget)
-        rates, deficient = _gram_rates(*args, self._grams) if reduced else hybrid_link_rate(*args)
-        self.saw_rank_deficiency |= bool(deficient.any())
-        return rates
-
     def rate_for(self, state: RisState) -> float | np.ndarray:
         """Reference rate (bps/Hz) at one position: a float for one phase vector, (Z,) for (Z, M_I).
 
@@ -200,11 +224,13 @@ class ProblemContext(_ClosedFormSearch):
         h_ti, h_ir, _, _ = self.hop_matrices(state.x, state.y)
         phases = np.asarray(state.phases, dtype=float)
         h = composite_channel(h_ir, phases.reshape(-1, self.config.num_ris), h_ti)
-        rates = self._rates(h, reduced=False)
+        rates, deficient = hybrid_link_rate(self.f2, h, self.f1, *self._budget)
+        self.saw_rank_deficiency |= bool(deficient.any())
         return rates if phases.ndim > 1 else float(rates[0])
 
-    def _reduced(self, state: RisState) -> np.ndarray:
-        """The batch's reduced composites F2 H_IR diag(e^{j phi}) H_TI F1; no hop matrix is formed.
+    def _reduced(self, state: RisState) -> tuple[np.ndarray]:
+        """The batch's reduced composites F2 H_IR diag(e^{j phi}) H_TI F1, the one link's stack;
+        no hop matrix is formed.
 
         At one position the cached A = F2 H_IR and C = H_TI F1 give (A diag(e^{j phi})) C, as one
         (Z K2, M) @ (M, K1) product when K2 > 1; per-particle positions take C and A as the
@@ -217,17 +243,7 @@ class ProblemContext(_ClosedFormSearch):
             _, _, a, c = self.hop_matrices(state.x, state.y)
         a = a * np.exp(1j * np.asarray(state.phases, dtype=float))[..., None, :]
         one = c.ndim == 2 and a.shape[-2] > 1  # numpy takes a one-row product as a vector's
-        return (a.reshape(-1, c.shape[0]) @ c).reshape(*a.shape[:-1], -1) if one else a @ c
-
-    def search_rates(self, state: RisState) -> np.ndarray:
-        """Search objective: ``rate_for`` up to rounding, for (Z,) positions and/or (Z, M_I) phases.
-
-        The rate of the reduced stack is the closed form of its SVD and the stages' Grams, or
-        the pipeline's where that does not fit.
-        """
-        if self.closed_form:
-            return self.core_rates(state, *self.search_core(state))
-        return self._rates(self._reduced(state), reduced=True)
+        return ((a.reshape(-1, c.shape[0]) @ c).reshape(*a.shape[:-1], -1) if one else a @ c,)
 
 
 @dataclass
@@ -238,8 +254,9 @@ class SearchTrace:
     and on what the evaluations before c decided (``run_pso``'s ``decisions``). So while every
     decision of a run equals the last run's, its batches equal that run's byte for byte, and so
     does their budget-free ``search_core``. ``decisions`` are the last run's, ``cores`` holds its
-    core of each evaluation as one row, and ``kept`` counts the leading rows that hold a core of
-    that run with no row that the pipeline takes whatever the budget.
+    (6, links, Z) core of each evaluation as one row of an (evaluations, 6, links, Z) array, and
+    ``kept`` counts the leading rows that hold a core of that run with no row, of any link, that
+    the pipeline takes whatever the budget.
     """
 
     decisions: list = field(default_factory=list)
@@ -430,12 +447,12 @@ def run(
     The default space is the joint position/phase search over M_I + 2
     dimensions with ``decode``. The swarm climbs ``context.search_rates`` of
     the decoded (Z, D) batches; the rate returned is ``context.rate_for`` of
-    the decoded best vector. The relay passes a context of its own with
-    that search surface. ``trace`` is this search's ``SearchTrace``: its last
-    run had the same space, ``params`` and ``rng`` state and a context that
-    differs from this one in the rate budget alone. Where the closed form
-    fits, the run retraces that one (see ``SearchTrace.objective``) and
-    leaves its own evaluations in ``trace``.
+    the decoded best vector. The relay passes a context of its own, with two
+    links. ``trace`` is this search's ``SearchTrace``: its last run had the
+    same space, ``params`` and ``rng`` state and a context that differs from
+    this one in the rate budget alone. Where the closed form fits every link,
+    the run retraces that one (see ``SearchTrace.objective``) and leaves its
+    own evaluations in ``trace``.
     """
     dim, decoder = space or (context.config.num_ris + 2, lambda v: decode(v, context.geometry))
     objective, decisions = (lambda v: context.search_rates(decoder(v))), None

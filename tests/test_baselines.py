@@ -235,7 +235,7 @@ def test_relay_symmetric_geometry_prefers_midline(monkeypatch):
     best, best_xy = -1.0, None
     for x in grid:
         for y in grid:
-            r = relay.hop_rates(np.array([[x, y]]), False)[0][0]
+            r = relay.hop_rates(np.array([[x, y]]))[0][0]
             if r > best:
                 best, best_xy = r, (float(x), float(y))
     step = grid[1] - grid[0]

@@ -139,15 +139,35 @@ def _relay_points(pack, draw_seed, count):
     return np.column_stack(optimizer.decode_xy(xy[:, 0], xy[:, 1], pack.geometry))
 
 
+def _relay_state(points):
+    """The relay search's decoded batch at the (Z, 2) platform ``points``."""
+    return optimizer.RisState(points[:, 0], points[:, 1], None, points)
+
+
+def _search_rows(relay, points):
+    """The relay search's rate and rank flag at each of the ``points`` alone."""
+    rows = []
+    for point in points:
+        relay.saw_rank_deficiency = False
+        rows.append((relay.search_rates(_relay_state(point[None]))[0], relay.saw_rank_deficiency))
+    relay.saw_rank_deficiency = False
+    return rows
+
+
 def test_relay_batch_equals_min_hop_rate_rows():
     for pack in (_pack(), _relay_pack(), _relay_pack((85.0, 75.0, 2.0))):
         points = _relay_points(pack, 12, 9)
         relay = baselines._RelaySearch(pack, 2)
-        for factored in (False, True):
-            rates, deficient = relay.hop_rates(points, factored)
-            rows = [relay.hop_rates(points[i:i + 1], factored) for i in range(len(points))]
-            _same_bytes(rates, [r[0] for r, _ in rows])
-            assert deficient.tolist() == [d[0] for _, d in rows]
+        rates, deficient = relay.hop_rates(points)
+        rows = [relay.hop_rates(points[i:i + 1]) for i in range(len(points))]
+        _same_bytes(rates, [r[0] for r, _ in rows])
+        assert deficient.tolist() == [d[0] for _, d in rows]
+        # the search's batch and its rows, with the per-hop flags of one rate call per hop
+        _, _, flags = _per_hop_search(pack, relay.trial, points)
+        rows = _search_rows(relay, points)
+        _same_bytes(relay.search_rates(_relay_state(points)), [r for r, _ in rows])
+        assert relay.saw_rank_deficiency == flags.any()
+        assert [d for _, d in rows] == flags.tolist()
 
 
 _RELAY_HOPS = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))  # (receive, transmit) stages
@@ -171,52 +191,75 @@ def _per_hop_search(pack, trial, points):
     return hops, np.where(rate2 < rate1, rate2, rate1), flags1 | flags2
 
 
+def _assert_search_is_per_hop(relay, points, expected, flags):
+    """The relay search's batch, its core's steps and its rows have the per-hop calls' bytes
+    and flags; each link's core holds that hop's ``_gram_core``."""
+    state = _relay_state(points)
+    _same_bytes(relay.search_rates(state), expected)
+    assert relay.saw_rank_deficiency == flags.any()
+    relay.saw_rank_deficiency = False
+    core, rows, hops = relay.search_core(state)
+    lefts = []
+    for i, ((_, _, grams), hop) in enumerate(zip(relay._links, hops)):
+        link, left = beamforming._gram_core(hop, relay._budget[1], grams)
+        assert core[:, i].tobytes() == link.tobytes()
+        lefts.append([False] * len(points) if left is None else left.tolist())
+    assert (rows is None and not np.any(lefts)) or rows.tolist() == lefts
+    _same_bytes(relay.core_rates(state, core, rows, hops), expected)
+    assert relay.saw_rank_deficiency == flags.any()
+    rows = _search_rows(relay, points)
+    _same_bytes([r for r, _ in rows], expected)
+    assert [d for _, d in rows] == flags.tolist()
+
+
 @pytest.mark.parametrize("ue_position", [None, (85.0, 75.0, 2.0)])
 def test_relay_one_pass_equals_per_hop_rates(ue_position, monkeypatch):
     # the default relay's four ends are 8x8 with 3 beams each; at (85, 75, 2) f2 and
-    # relay_f1_hop2 carry 6 beams, so that pack keeps the per-hop calls
+    # relay_f1_hop2 carry 6 beams, and the search takes its links' cores all the same
     pack = _relay_pack(ue_position)
     for trial_index, count in ((0, 1), (1, 10), (2, 40)):
         trial = baselines.trial_channels(pack, trial_index)
         points = _relay_points(pack, trial_index, count)
         _, expected, flags = _per_hop_search(pack, trial, points)
-        rates, deficient = baselines._RelaySearch(pack, trial_index).hop_rates(points, True)
-        _same_bytes(rates, expected)
-        assert deficient.tolist() == flags.tolist()
+        _assert_search_is_per_hop(baselines._RelaySearch(pack, trial_index), points, expected,
+                                  flags)
     # without UE-hop gains that hop is rank 0 at every point: its rows take the pipeline
     trial = replace(trial, gains=trial.gains * np.array([1.0, 0.0])[:, None, None])
     monkeypatch.setattr(baselines, "trial_channels", lambda pack, index: trial)
     _, expected, flags = _per_hop_search(pack, trial, points)
-    rates, deficient = baselines._RelaySearch(pack, trial_index).hop_rates(points, True)
-    _same_bytes(rates, expected)
-    assert deficient.all() and flags.all()
+    relay = baselines._RelaySearch(pack, trial_index)
+    _assert_search_is_per_hop(relay, points, expected, flags)
+    assert flags.all() and relay.search_core(_relay_state(points))[1][1].all()
 
 
-def test_relay_search_takes_one_stacked_rate_call(monkeypatch):
-    # where the reduced hops stack, a search call takes one _gram_core of both, with the bytes of
-    # the per-hop calls; other stages take one _gram_rates per hop
+def test_relay_search_takes_one_gram_core_per_link(monkeypatch):
+    # whatever its stages' shapes, a relay search step takes one _gram_core per hop into one
+    # (6, 2, Z) core, and a search call without a trace one _gram_rates per hop, with the bytes
+    # of the per-hop calls
     calls = []
-    real_core, real_rates = optimizer._gram_core, baselines._gram_rates
+    real_core, real_rates = optimizer._gram_core, optimizer._gram_rates
     monkeypatch.setattr(optimizer, "_gram_core",
                         lambda h, *args: calls.append(("core", h.shape)) or real_core(h, *args))
-    monkeypatch.setattr(baselines, "_gram_rates", lambda f2, h, *args: calls.append(
+    monkeypatch.setattr(optimizer, "_gram_rates", lambda f2, h, *args: calls.append(
         ("rates", h.shape)) or real_rates(f2, h, *args))
-    for pack, stages_stack in ((_relay_pack(), True), (_relay_pack((85.0, 75.0, 2.0)), False)):
-        # both hops' combiners, and both precoders, have equal shapes: the reduced hops stack
+    for pack, hop2 in ((_relay_pack(), (6, 3, 3)), (_relay_pack((85.0, 75.0, 2.0)), (6, 6, 6))):
+        # both hops' combiners, and both precoders, have equal shapes only at the default UE
         shapes = [[getattr(pack, name).shape for name in stage] for stage in zip(*_RELAY_HOPS)]
-        assert (shapes[0][0] == shapes[0][1] and shapes[1][0] == shapes[1][1]) == stages_stack
+        equal = shapes[0][0] == shapes[0][1] and shapes[1][0] == shapes[1][1]
+        assert equal == (hop2 == (6, 3, 3))
         trial = baselines.trial_channels(pack, 0)
         points = _relay_points(pack, 0, 6)
-        state = optimizer.RisState(points[:, 0], points[:, 1], None, points)
+        state = _relay_state(points)
         _, expected, _ = _per_hop_search(pack, trial, points)
         calls.clear()
         relay = baselines._RelaySearch(pack, 0)
-        assert relay.closed_form == stages_stack
+        assert relay.closed_form
+        core, rows, hops = relay.search_core(state)
+        assert core.shape == (6, 2, 6) and calls == [("core", (6, 3, 3)), ("core", hop2)]
+        assert relay.core_rates(state, core, rows, hops).tobytes() == expected.tobytes()
+        calls.clear()
         assert relay.search_rates(state).tobytes() == expected.tobytes()
-        if stages_stack:
-            assert calls == [("core", (2, 6, 3, 3))]
-        else:
-            assert calls == [("rates", (6, 3, 3)), ("rates", (6, 6, 6))]
+        assert calls == [("rates", (6, 3, 3)), ("rates", hop2)]
 
 
 def _zero_ue_hop(monkeypatch):
@@ -230,9 +273,15 @@ def _zero_ue_hop(monkeypatch):
     monkeypatch.setattr(baselines, "trial_channels", trial_channels)
 
 
-@pytest.mark.parametrize("kind", [BaselineKind.FD_RELAY, BaselineKind.FIXED_RIS_OPT_PHASE,
-                                  BaselineKind.MOVABLE_RIS_JOINT], ids=lambda kind: kind.value)
-def test_search_traces_reuse_cores_and_keep_none_the_pipeline_takes(kind, monkeypatch):
+@pytest.mark.parametrize("kind, ue_position", [
+    (BaselineKind.FD_RELAY, None),
+    # the relay's stages carry 3 and 6 beams: its two links take one core each all the same
+    (BaselineKind.FD_RELAY, (85.0, 75.0, 2.0)),
+    (BaselineKind.FIXED_RIS_OPT_PHASE, None),
+    (BaselineKind.MOVABLE_RIS_JOINT, None),
+], ids=["fd_relay", "fd_relay_ue_85_75", "fixed_ris_opt_phase", "movable_ris_joint"])
+def test_search_traces_reuse_cores_and_keep_none_the_pipeline_takes(kind, ue_position,
+                                                                     monkeypatch):
     # a power step's search retraces the previous power's while their decisions agree: those
     # evaluations take only the tail of the kept core, with no SVD, and every outcome keeps the
     # bytes of a search at its power on a new pack. The packs come as a power sweep's do,
@@ -243,9 +292,10 @@ def test_search_traces_reuse_cores_and_keep_none_the_pipeline_takes(kind, monkey
                         lambda h, *args: svds.append(h.shape[:-2]) or real(h, *args))
     monkeypatch.setattr(optimizer, "_pipeline_rows",
                         lambda *args: pipelines.append(1) or real_rows(*args))
-    pack = _relay_pack()
+    pack = _relay_pack(ue_position)
     evaluations = pack.config.pso.iterations + 1
-    stack = (2,) * (kind == BaselineKind.FD_RELAY) + (pack.config.pso.swarm_size,)  # both hops
+    links = 2 if kind == BaselineKind.FD_RELAY else 1  # the relay's two hops
+    swarm = (pack.config.pso.swarm_size,)
 
     def search(power, packs):
         """Trial 0 of ``kind`` at ``power`` on the pack that a sweep holding ``packs`` takes."""
@@ -262,10 +312,11 @@ def test_search_traces_reuse_cores_and_keep_none_the_pipeline_takes(kind, monkey
         point, outcome = search(power, packs)
         trace = point.search_traces[kind, 0]
         assert outcome == alone[power]
-        assert trace.cores.shape == (evaluations, 6, *stack) and trace.kept == evaluations
-        assert svds == [stack] * len(svds)
-        assert len(pipelines) == (evaluations if power == 2000.0 else 0)
-        misses.append(len(svds))
+        assert trace.cores.shape == (evaluations, 6, links, *swarm)
+        assert trace.kept == evaluations
+        assert svds == [swarm] * len(svds) and len(svds) % links == 0
+        assert len(pipelines) == (evaluations * links if power == 2000.0 else 0)
+        misses.append(len(svds) // links)
     # the first power computes every core, a repeated power none, and every power step retraces
     # at least its first evaluation; at 2000 dBm the closed form passes the float range, so every
     # evaluation, a retraced one with its kept core too, sends its rows to the pipeline
@@ -279,7 +330,7 @@ def test_search_traces_reuse_cores_and_keep_none_the_pipeline_takes(kind, monkey
     for power in (30.0, 40.0):
         point, outcome = search(power, packs)
         assert outcome == alone[power] and "flagged=True" in outcome
-        assert point.search_traces[kind, 0].kept == 0 and len(svds) == evaluations
+        assert point.search_traces[kind, 0].kept == 0 and len(svds) == evaluations * links
 
 
 def test_stacked_links_with_a_rank_deficient_row_run_link_by_link():
@@ -421,8 +472,11 @@ def test_search_objective_bytes_are_pinned():
                     update(context, objective(particles))
         _, context = _search_of(BaselineKind.MOVABLE_RIS_JOINT, pack, 0)
         shape = (pack.f2.shape[0], pack.f1.shape[1])
+        (f2, f1, grams), = context._links
         for stack in _mixed_rank_stack(rng_stream(p, 2), shape):
-            update(context, context._rates(stack, reduced=True))
+            rates, deficient = beamforming._gram_rates(f2, stack, f1, *context._budget, grams)
+            context.saw_rank_deficiency |= bool(deficient.any())
+            update(context, rates)
     assert digest.hexdigest() == OBJECTIVE_DIGEST
 
 

@@ -333,7 +333,7 @@ def test_relay_loop_equals_per_particle_effective_channel(
     x, y = _positions(pack, draw_seed, count, clamp)
     relay, xy = baselines._RelaySearch(pack, trial_index), np.column_stack((x, y))
     with _effective_channels() as seen:
-        rates, _ = relay.hop_rates(xy, False)
+        rates, _ = relay.hop_rates(xy)
     hop1, hop2 = seen
     for b in range(count):
         h1 = _reference_hop(config, pack.geometry, trial, x[b], y[b], "tx_ris", config.rx_antennas)
@@ -345,7 +345,7 @@ def test_relay_loop_equals_per_particle_effective_channel(
         rate1, _ = hybrid_link_rate(pack.relay_f2_hop1, h1[None], pack.f1, *args)
         rate2, _ = hybrid_link_rate(pack.f2, h2[None], pack.relay_f1_hop2, *args)
         assert rates[b].tobytes() == min(rate1[0], rate2[0]).tobytes()
-    searched, _ = relay.hop_rates(xy, True)
+    searched = relay.search_rates(optimizer.RisState(x, y, None, xy))
     np.testing.assert_allclose(searched, rates, rtol=FACTORED_RTOL, atol=0.0)
 
 
@@ -416,7 +416,7 @@ def test_references_are_finite_up_to_the_largest_accepted_power(node, depth, ove
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ris = [context.rate_for(optimizer.RisState(float(a), float(b), phases)) for a, b in xy]
-        relay, _ = baselines._RelaySearch(pack, 0).hop_rates(xy, False)
+        relay, _ = baselines._RelaySearch(pack, 0).hop_rates(xy)
     assert not caught, [str(w.message) for w in caught]
     assert np.isfinite(ris).all() and np.isfinite(relay).all()
 
@@ -617,7 +617,7 @@ def test_phase_only_stack_is_one_product_with_the_bytes_of_row_products(z, m, k2
     phases = rng.uniform(0.0, 2 * math.pi, (z, m))
     context = baselines.make_problem_context(_default_pack(3), 0)
     context._cache_key, context._cache = (50.0, 60.0), (None, None, a, c)  # A and C at (50, 60)
-    h = context._reduced(optimizer.RisState(50.0, 60.0, phases))  # the stack the rate takes
+    (h,) = context._reduced(optimizer.RisState(50.0, 60.0, phases))  # the one link's stack
     e = np.exp(1j * phases)
     assert h.shape == (z, k2, k1)
     assert h.tobytes() == ((a * e[:, None, :]) @ c).tobytes()
