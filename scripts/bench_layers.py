@@ -34,13 +34,23 @@ swarm iteration):
   and their rate: ``_RelaySearch.search_rates`` as the search calls it, a
   new call each time (a miss, where the tree keeps the calls), with its
   ``hops`` call answered by those reduced hops. In trees whose searches hold
-  their links (``_ClosedFormSearch._links``) it takes one ``_gram_rates`` per
-  hop; older trees stack the two reduced hops as (2, B, 3, 3) where both
-  hops' combiners, and both their precoders, have equal shapes;
+  their links (``_ClosedFormSearch._links``) it takes the closed form of
+  each hop, one ``_gram_core`` per hop into one core, then one tail over
+  both (``search_core``, then ``core_rates``); older trees stack the two
+  reduced hops as (2, B, 3, 3) where both hops' combiners, and both their
+  precoders, have equal shapes;
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack;
 - ``search_rate``: the RIS searches' rate step on that stack,
   ``ProblemContext.search_rates`` with its ``_reduced`` answered by the
-  stack: the closed form of the SVD and the stages' Grams;
+  stack: the closed form of the SVD and the stages' Grams, ``search_core``
+  then ``core_rates`` in trees whose searches hold their links;
+- ``reference.ris`` and ``reference.fd_relay``: the reference rate of one
+  state, what a trial outcome reports, ``rate_for`` of the batch's first
+  position (with its phases for the RIS). The RIS context keeps that
+  position's hop matrices cached after the first call, as a fixed-position
+  search does, so the composite and the rate pipeline are timed; the relay
+  builds both hop matrices from its unbeamed ends and takes the pipeline
+  per hop;
 - the pipeline's steps on that stack: ``rate.svd`` (the SVD call the route
   makes, numpy's LAPACK gufunc through ``beamforming._lapack``),
   ``rate.decompose`` (the SVD with its phase rotation), ``rate.bb_stages``
@@ -62,7 +72,7 @@ swarm iteration):
   (85, 75, 2), where the relay's RF stages carry unequal beam counts. Trees
   with links take the closed form per hop there and keep a search trace, so
   it is a first evaluation that writes its core; in older trees the hops do
-  not stack, and it takes one ``_gram_rates`` per hop with no trace;
+  not stack, and it takes the closed form once per hop with no trace;
 - ``objective.fixed_ris_opt_phase.m100``: the phase-only objective at a
   10x10 RIS, the largest point of the ``phase_search`` benchmark workload,
   where the phase decode and the composite grow with the element count;
@@ -84,8 +94,8 @@ calls, so what ran before in the measuring process does not move it.
 
 A layer that only some trees have is timed in those and gets no ratio.
 Trees need ``channel.platform_angles``, ``channel.hops``,
-``beamforming._lapack``, ``ProblemContext.search_rates`` and ``_reduced``, and
-``_RelaySearch.search_rates``.
+``beamforming._lapack``, ``ProblemContext.search_rates``, ``_reduced`` and
+``rate_for``, and ``_RelaySearch.search_rates`` and ``rate_for``.
 """
 
 from __future__ import annotations
@@ -244,6 +254,9 @@ def layers_of(module, rows: int) -> dict:
         finally:
             baselines.hops = channel.hops
     reduced = (a * np.exp(2j * np.pi * joint[:, None, 2:])) @ c
+    ris_reference = baselines.make_problem_context(pack, 0)
+    one_state = optimizer.RisState(float(xy[0, 0]), float(xy[0, 1]), 2 * np.pi * joint[0, 2:])
+    relay_one_state = optimizer.RisState(float(xy[0, 0]), float(xy[0, 1]), None)
     context = baselines.make_problem_context(pack, 0)
     ris_reduced = (reduced,) if hasattr(context, "_links") else reduced  # one stack per link
     context._reduced = lambda state: ris_reduced  # the search's stack, already built
@@ -268,6 +281,8 @@ def layers_of(module, rows: int) -> dict:
         "rate_pipeline": lambda: beamforming.hybrid_link_rate(pack.f2, reduced, pack.f1,
                                                               *budget, reduced=True),
         "search_rate": lambda: context.search_rates(None),
+        "reference.ris": lambda: ris_reference.rate_for(one_state),
+        "reference.fd_relay": lambda: relay.rate_for(relay_one_state),
         "rate.svd": lambda: beamforming._lapack(np.linalg._umath_linalg.svd_s, "D->DdD",
                                                 reduced, failed="SVD did not converge"),
         "rate.decompose": lambda: beamforming._decompose(reduced),

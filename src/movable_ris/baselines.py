@@ -15,14 +15,15 @@ from enum import Enum
 
 import numpy as np
 
-from .beamforming import design_relay_stages, design_rf_stages, hybrid_link_rate
+from .beamforming import design_relay_stages, design_rf_stages
 from .channel import HopEnds, TrialChannels, draw_trial, hop_ends, hops
 # Not called here; sweepbench/tracer.py wraps these names in this namespace, and
 # sweepbench/checks.py wraps run_pso here too.
+from .beamforming import hybrid_link_rate  # noqa: F401
 from .channel import link_channel  # noqa: F401
 from .optimizer import run_pso  # noqa: F401
 from .optimizer import (ProblemContext, RisState, SearchTrace, TWO_PI, _ClosedFormSearch,
-                        _least, _wrap_phases, decode_on_platform, run)
+                        _wrap_phases, decode_on_platform, run)
 from .scenario import (
     STREAM_AUX,
     STREAM_CHANNEL,
@@ -201,15 +202,15 @@ def _on_platform(geometry: DeploymentGeometry, phases):
 
 @dataclass
 class _RelaySearch(_ClosedFormSearch):
-    """The two-hop relay rate behind ProblemContext's search surface; states carry no phases.
+    """The two-hop relay as a search over two links; states carry no phases.
 
     Hop 1 reuses the trial's transmitter-side draw into the relay's receive
     array, hop 2 the receiver-side draw out of its transmit array. No
     self-interference is modeled: the rate is the ideal full-duplex bound
     min(hop rates). Its two links are the hops, each with its stages,
-    (receive, transmit), and their Grams, read from the pack once; the search
-    scores both through the base class's steps, whatever the stages' shapes.
-    It draws its trial through ``trial_channels``.
+    (receive, transmit), and their Grams, read from the pack once; the base
+    class scores both, the reference and the search, whatever the stages'
+    shapes. It draws its trial through ``trial_channels``.
     """
 
     pack: ScenarioPack
@@ -226,26 +227,15 @@ class _RelaySearch(_ClosedFormSearch):
                       pack.search_ends["relay"])
         self._budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
 
-    def _hops(self, xy: np.ndarray, factored: bool):
-        return hops(self.pack.config, self.pack.geometry, self.trial, xy, self._ends[factored])
-
-    def hop_rates(self, xy: np.ndarray):
-        """The reference: (Z,) rates at the (Z, 2) points ``xy``, each hop matrix H of one
-        ``hops`` call through the rate pipeline, and whether either hop was rank deficient."""
-        (rate1, deficient1), (rate2, deficient2) = (
-            hybrid_link_rate(f2, hop, f1, *self._budget)
-            for (f2, f1, _), hop in zip(self._links, self._hops(xy, False)))
-        return _least((rate1, rate2)), deficient1 | deficient2
+    def _channels(self, state: RisState, factored: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Both hop matrices H at the batch's points, from the unbeamed ends; with ``factored``,
+        each end projected onto its RF beams."""
+        pack = self.pack
+        return hops(pack.config, pack.geometry, self.trial, state.xy, self._ends[factored])
 
     def _reduced(self, state: RisState) -> tuple[np.ndarray, np.ndarray]:
-        """Both hops at the batch's points with each end projected onto its RF beams: F2 H F1 of
-        each hop up to rounding."""
-        return self._hops(state.xy, True)
-
-    def rate_for(self, state: RisState) -> float:
-        rates, deficient = self.hop_rates(state.xy)
-        self.saw_rank_deficiency |= bool(deficient.any())
-        return float(rates[0])
+        """Both hops at the batch's points, F2 H F1 of each up to rounding."""
+        return self._channels(state, True)
 
 
 def relay_rate(pack: ScenarioPack, trial_index: int, duplex: str) -> TrialOutcome:

@@ -397,8 +397,10 @@ def hybrid_link_rate(
     stack already reduced to F2 H F1 (as a search's factored hops are); one
     matrix goes in as a stack of one. Returns (rates, rank_deficient) as (B,)
     arrays. N links whose stages share their shapes may be stacked, ``h``
-    (N, B, ...) with stages (N, 1, ...), for (N, B) results; the searches take
-    each link on its own (``optimizer._ClosedFormSearch``). Every stack takes
+    (N, B, ...) with stages (N, 1, ...), for (N, B) results; the searches and
+    their references take each link on its own, unreduced for the reference
+    and ``reduced`` where a search falls back from the closed form
+    (``optimizer._ClosedFormSearch``). Every stack takes
     ``bb_stages`` and ``achievable_rate`` as one unit, save one whose rows
     carry mixed stream counts (rank-deficient ones carry fewer): its rows,
     across any link axis, run one at a time, each as a reduced stack of one.
@@ -417,30 +419,10 @@ def hybrid_link_rate(
     return achievable_rate(bf, eff, noise_power_w), bf.rank_deficient
 
 
-def _gram_rates(f2, h, f1, tx_power_w: float, num_streams: int, noise_power_w: float, grams):
-    """``hybrid_link_rate(reduced=True)`` of the stack ``h`` up to rounding, in closed form from
-    its SVD U S V^H and the stages' Grams ``grams``, (F1^H F1, F2 F2^H); no stage is applied.
-
-    B1 = sqrt(P/n) V1 with n = tr(V1^H F1^H F1 V1) and B2 = U1^H give Q = (P/n) S1^2 and
-    W = sigma^2 Wt, Wt = U1^H F2 F2^H U1, so with d_i = P s_i^2 / (sigma^2 n) the rate is
-    log1p((d1 wt22 + d2 wt11 + d1 d2) / det Wt) / ln 2 for two streams and log1p(d1 / wt11) / ln 2
-    for one; the phase alignment cancels. More streams or a noise power that is not positive and
-    finite send the stack to ``hybrid_link_rate``. A row at or under the rank floor, with
-    n <= 0 or det Wt <= 0, or whose closed-form rate is not finite goes there alone, so every
-    row's bytes are its own. ``_gram_core`` takes the part that does not depend on the budget
-    and ``_gram_tail`` the rest.
-    """
-    if not _closed_form_fits(h.shape[-2:], num_streams, noise_power_w):
-        return hybrid_link_rate(f2, h, f1, tx_power_w, num_streams, noise_power_w, reduced=True)
-    core, rows = _gram_core(h, num_streams, grams)
-    rates, rows = _gram_tail(core, num_streams, rows, tx_power_w, noise_power_w)
-    return _pipeline_rows(f2, h, f1, tx_power_w, num_streams, noise_power_w, rates, rows)
-
-
 def _pipeline_rows(f2, h, f1, tx_power_w: float, num_streams: int, noise_power_w: float,
                    rates: np.ndarray, rows):
     """``rates`` of the stack ``h`` with its ``rows`` (None for none) taken by the pipeline, and
-    which of those were rank deficient: (rates, rank_deficient) as ``_gram_rates`` returns."""
+    which of those were rank deficient: (rates, rank_deficient) as ``hybrid_link_rate`` returns."""
     deficient = np.zeros(rates.shape, dtype=bool)
     if rows is not None:
         f2, f1 = (np.broadcast_to(m, h.shape[:-2] + m.shape[-2:])[rows] for m in (f2, f1))
@@ -450,15 +432,20 @@ def _pipeline_rows(f2, h, f1, tx_power_w: float, num_streams: int, noise_power_w
 
 
 def _closed_form_fits(shape, num_streams: int, noise_power_w: float) -> bool:
-    """Whether ``_gram_rates`` takes the closed form for a stack of (K2, K1) matrices: at most two
-    streams, no more than either side's beams, and a noise power that is positive and finite.
-    A search keeps its cores (``optimizer.SearchTrace``) where this holds for every link; the
-    links' shapes need not agree."""
+    """Whether the closed form scores a stack of reduced (K2, K1) matrices: at most two streams,
+    no more than either side's beams, and a noise power that is positive and finite. Where this
+    holds for every link, a search takes ``_gram_core`` then ``_gram_tail`` and keeps its cores
+    (``optimizer.SearchTrace``), and otherwise the pipeline; the links' shapes need not agree."""
     return num_streams <= min(2, *shape) and 0.0 < noise_power_w < math.inf
 
 
 def _gram_core(h, num_streams: int, grams, out=None):
-    """The budget-free part of ``_gram_rates`` of the stack ``h``: (core, rows).
+    """The budget-free part of the closed-form rate of the reduced stack ``h``: (core, rows).
+
+    The closed form is ``hybrid_link_rate(reduced=True)`` of ``h`` up to rounding, from its SVD
+    U S V^H and the stages' Grams ``grams``, (F1^H F1, F2 F2^H); no stage is applied. B1 =
+    sqrt(P/n) V1 with n = tr(V1^H F1^H F1 V1) and B2 = U1^H give Q = (P/n) S1^2 and W = sigma^2
+    Wt, Wt = U1^H F2 F2^H U1, and the phase alignment cancels; ``_closed_form`` has the rate.
 
     ``core`` is one (6, ...) array, ``out`` if given, of s1, s2, n, wt11, wt22 and det Wt per
     row: s1 and s2 are the first and the ``num_streams``-th singular values, so one stream has
@@ -496,7 +483,8 @@ def _gram_tail(core, num_streams: int, rows, tx_power_w: float, noise_power_w: f
 
     Those rows are the core's ``rows`` (their rates are placeholders) and every row whose
     closed-form rate is not finite, as an overflow of d1 d2 from a P / sigma^2 near the float
-    range gives.
+    range gives. The pipeline takes those rows apart from the rest (``_pipeline_rows``), so every
+    row keeps the bytes it has alone.
     """
     s, n, w11, w22, det = core[:num_streams], core[2], core[3], core[4], core[5]
     if rows is not None:
@@ -515,7 +503,8 @@ def _gram_tail(core, num_streams: int, rows, tx_power_w: float, noise_power_w: f
 
 def _closed_form(s, n, w11, w22, det, snr: float) -> np.ndarray:
     """log1p((d1 wt22 + d2 wt11 + d1 d2) / det Wt) / ln 2, or log1p(d1 / wt11) / ln 2 for one
-    stream, clamped at 0, with d_i = snr s_i^2 / n; ``s`` holds s_i at its index i."""
+    stream, clamped at 0, with d_i = snr s_i^2 / n = P s_i^2 / (sigma^2 n); ``s`` holds s_i at
+    its index i. This is log2 det(I + W^-1 Q) for the ``_gram_core`` quantities."""
     d = snr * s ** 2 / n
     d1, d2 = d[0], d[-1]
     rates = np.log1p((d1 if len(s) == 1 else d1 * w22 + d2 * w11 + d1 * d2) / det)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import (_closed_form_fits, _gram_core, _gram_rates, _gram_tail, _pipeline_rows,
+from .beamforming import (_closed_form_fits, _gram_core, _gram_tail, _pipeline_rows,
                           hybrid_link_rate)
 # Not called here; sweepbench/tracer.py wraps these names in this namespace.
 from .beamforming import achievable_rate, bb_stages, effective_channel  # noqa: F401
@@ -122,30 +122,45 @@ def _least(rates) -> np.ndarray:
 
 
 class _ClosedFormSearch:
-    """A search objective over one or more links, each scored as the baseband stage scores it.
+    """A search over one or more links, each scored as the baseband stage scores it.
 
-    A search's rate is the least of its links' rates: the RIS has one link, the relay two hops.
-    ``_links`` holds each link's (F2, F1, Grams), ``_budget`` the rate budget (P, N_s, sigma^2)
-    and ``_reduced(state)`` a decoded batch's reduced stack of each link. ``search_rates`` takes
-    ``_gram_rates`` of each stack; where ``closed_form`` holds, ``search_core`` and
-    ``core_rates`` split that into the budget-free ``_gram_core`` of every link and the rates at
-    the budget, which a core kept from another budget serves as well (see ``SearchTrace``).
+    A state's rate is the least of its links' rates: the RIS has one link, the relay two hops.
+    ``_links`` holds each link's (F2, F1, Grams), ``_budget`` the rate budget (P, N_s, sigma^2),
+    ``_channels(state)`` each link's unreduced stack H and ``_reduced(state)`` a decoded batch's
+    reduced stack F2 H F1 of each link. ``rate_for``, the reference, takes every H through the
+    rate pipeline. ``search_rates``, the search objective, takes every reduced stack: where
+    ``closed_form`` holds, as ``search_core`` and ``core_rates``, the budget-free ``_gram_core``
+    of every link and the rates at the budget, which a core kept from another budget serves as
+    well (see ``SearchTrace``); otherwise through the pipeline.
     """
 
     @property
     def closed_form(self) -> bool:
-        """Whether ``_gram_rates`` takes the closed form on every link."""
+        """Whether every link takes the closed form at this budget (``_closed_form_fits``)."""
         return all(_closed_form_fits((f2.shape[0], f1.shape[1]), *self._budget[1:])
                    for f2, f1, _ in self._links)
 
-    def search_rates(self, state: RisState) -> np.ndarray:
-        """Search objective: the reference rate up to rounding, for the decoded batch ``state``."""
+    def _pipeline_rates(self, stacks, reduced: bool) -> np.ndarray:
+        """The least link rate of the links' ``stacks`` through the rate pipeline."""
         rates = []
-        for (f2, f1, grams), h in zip(self._links, self._reduced(state)):
-            link, deficient = _gram_rates(f2, h, f1, *self._budget, grams)
+        for (f2, f1, _), h in zip(self._links, stacks):
+            link, deficient = hybrid_link_rate(f2, h, f1, *self._budget, reduced=reduced)
             self.saw_rank_deficiency |= bool(deficient.any())
             rates.append(link)
         return _least(rates)
+
+    def rate_for(self, state: RisState) -> float | np.ndarray:
+        """Reference rate (bps/Hz): a float for one state, (Z,) for a batch, of phase vectors at
+        one position (the RIS) or of positions (the relay). Each link's unreduced stack goes
+        through the rate pipeline; reported rates and the grid oracle come from here."""
+        rates = self._pipeline_rates(self._channels(state), False)
+        return float(rates[0]) if np.ndim(state.x) == 0 and np.ndim(state.phases) < 2 else rates
+
+    def search_rates(self, state: RisState) -> np.ndarray:
+        """Search objective: the reference rate up to rounding, for the decoded batch ``state``."""
+        if self.closed_form:
+            return self.core_rates(state, *self.search_core(state))
+        return self._pipeline_rates(self._reduced(state), True)
 
     def search_core(self, state: RisState, out=None):
         """(core, rows, h): the (6, links, Z) core, in ``out`` if given, with link i's
@@ -214,19 +229,12 @@ class ProblemContext(_ClosedFormSearch):
                            self.f2 @ real.h_ris_rx, real.h_tx_ris @ self.f1)
         return self._cache
 
-    def rate_for(self, state: RisState) -> float | np.ndarray:
-        """Reference rate (bps/Hz) at one position: a float for one phase vector, (Z,) for (Z, M_I).
-
-        The composites H_IR diag(e^{j phi}) H_TI are formed as one stack from
-        the cached hop matrices and reduced by the rate pipeline. Reported
-        rates and the grid oracle come from here.
-        """
+    def _channels(self, state: RisState) -> tuple[np.ndarray]:
+        """The composites H_IR diag(e^{j phi}) H_TI of the state's phases at its one position, as
+        one stack from the cached hop matrices."""
         h_ti, h_ir, _, _ = self.hop_matrices(state.x, state.y)
-        phases = np.asarray(state.phases, dtype=float)
-        h = composite_channel(h_ir, phases.reshape(-1, self.config.num_ris), h_ti)
-        rates, deficient = hybrid_link_rate(self.f2, h, self.f1, *self._budget)
-        self.saw_rank_deficiency |= bool(deficient.any())
-        return rates if phases.ndim > 1 else float(rates[0])
+        phases = np.asarray(state.phases, dtype=float).reshape(-1, self.config.num_ris)
+        return (composite_channel(h_ir, phases, h_ti),)
 
     def _reduced(self, state: RisState) -> tuple[np.ndarray]:
         """The batch's reduced composites F2 H_IR diag(e^{j phi}) H_TI F1, the one link's stack;
@@ -268,8 +276,7 @@ class SearchTrace:
 
         The objective is ``context.search_rates`` of the decoded batches. While the run's
         ``decisions``, which ``run_pso`` fills, equal the last run's, an evaluation takes only
-        ``core_rates`` of its kept core; any other writes its core to its row. A batch whose
-        size is not the rows' is scored without the trace.
+        ``core_rates`` of its kept core; any other writes its core to its row.
         """
         previous, kept = self.decisions, self.kept
         decisions = self.decisions = []
@@ -280,8 +287,6 @@ class SearchTrace:
             c, state, cores = len(decisions), decoder(v), self.cores
             if same == c - 1 and c <= len(previous) and decisions[-1] == previous[c - 1]:
                 same = c
-            if cores is not None and cores.shape[-1] != len(v):  # not a batch of this search
-                return context.search_rates(state)
             if same == c and c < kept:
                 core, rows, h = cores[c], None, None
             else:
@@ -436,7 +441,7 @@ def run_pso(
 
 
 def run(
-    context: ProblemContext,
+    context: _ClosedFormSearch,
     params: PsoParams,
     rng: np.random.Generator,
     space: tuple[int, Callable[[np.ndarray], RisState]] | None = None,
@@ -445,10 +450,11 @@ def run(
     """Swarm search over one kind's ``space``: its dimension and its decoder to a ``RisState``.
 
     The default space is the joint position/phase search over M_I + 2
-    dimensions with ``decode``. The swarm climbs ``context.search_rates`` of
-    the decoded (Z, D) batches; the rate returned is ``context.rate_for`` of
-    the decoded best vector. The relay passes a context of its own, with two
-    links. ``trace`` is this search's ``SearchTrace``: its last run had the
+    dimensions with ``decode``. ``context`` is the RIS's ``ProblemContext``,
+    one link, or the relay's search, two. The swarm climbs its
+    ``search_rates`` of the decoded (Z, D) batches; the rate returned is its
+    reference, ``rate_for``, of the decoded best vector, a float. ``trace`` is
+    this search's ``SearchTrace``: its last run had the
     same space, ``params`` and ``rng`` state and a context that differs from
     this one in the rate budget alone. Where the closed form fits every link,
     the run retraces that one (see ``SearchTrace.objective``) and leaves its

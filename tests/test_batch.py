@@ -120,7 +120,10 @@ def test_batch_objective_equals_per_particle(kind, trial_index, draw_seed, count
     particles = _particles(draw_seed, count, dim, clamp, duplicate)
     with _objective_of(kind, pack, trial_index, zero_channel) as objective:
         batch = objective(particles)
-        rows = [objective(p[None])[0] for p in particles]
+    rows = []
+    for p in particles:  # each row the first evaluation of a search of its own, as the batch is
+        with _objective_of(kind, pack, trial_index, zero_channel) as objective:
+            rows.append(objective(p[None])[0])
     _same_bytes(batch, rows)
     if zero_channel:
         assert not np.any(batch)
@@ -155,19 +158,49 @@ def _search_rows(relay, points):
 
 
 def test_relay_batch_equals_min_hop_rate_rows():
+    # the search's batch and its rows, with the per-hop flags of one rate call per hop
     for pack in (_pack(), _relay_pack(), _relay_pack((85.0, 75.0, 2.0))):
         points = _relay_points(pack, 12, 9)
         relay = baselines._RelaySearch(pack, 2)
-        rates, deficient = relay.hop_rates(points)
-        rows = [relay.hop_rates(points[i:i + 1]) for i in range(len(points))]
-        _same_bytes(rates, [r[0] for r, _ in rows])
-        assert deficient.tolist() == [d[0] for _, d in rows]
-        # the search's batch and its rows, with the per-hop flags of one rate call per hop
-        _, _, flags = _per_hop_search(pack, relay.trial, points)
+        _, expected, flags = _per_hop_search(pack, relay.trial, points)
         rows = _search_rows(relay, points)
         _same_bytes(relay.search_rates(_relay_state(points)), [r for r, _ in rows])
+        _same_bytes(expected, [r for r, _ in rows])
         assert relay.saw_rank_deficiency == flags.any()
         assert [d for _, d in rows] == flags.tolist()
+
+
+@pytest.mark.parametrize("zero_ue_hop", [False, True], ids=["ue_hop", "zero_ue_hop"])
+@pytest.mark.parametrize("ue_position", [None, (85.0, 75.0, 2.0)], ids=["default", "ue_85_75"])
+@pytest.mark.parametrize("kind", ["ris", "fd_relay"])
+def test_reference_batch_equals_each_state(kind, ue_position, zero_ue_hop, monkeypatch):
+    # rate_for of a batch, of phase vectors at one position for the RIS and of positions for the
+    # relay, is each state's own call in bytes and in the rank flag; one state gives a float.
+    # Without UE-hop gains every state is rank deficient
+    if zero_ue_hop:
+        _zero_ue_hop(monkeypatch)
+    for pack in [_relay_pack(ue_position)] + [_pack()] * (ue_position is None):
+        for trial_index in (0, 3):
+            rng = rng_stream(trial_index, 6)
+            if kind == "ris":
+                search = baselines.make_problem_context(pack, trial_index)
+                x, y = optimizer.decode_xy(*rng.random(2), pack.geometry)
+                phases = rng.uniform(0.0, 2.0 * math.pi, (7, pack.config.num_ris))
+                batch = optimizer.RisState(x, y, phases)
+                states = [optimizer.RisState(x, y, row) for row in phases]
+            else:
+                search = baselines._RelaySearch(pack, trial_index)
+                points = _relay_points(pack, trial_index, 7)
+                batch = _relay_state(points)
+                states = [optimizer.RisState(float(a), float(b), None) for a, b in points]
+            rows = []
+            for state in states:
+                search.saw_rank_deficiency = False
+                rows.append((search.rate_for(state), search.saw_rank_deficiency))
+                assert type(rows[-1][0]) is float
+            search.saw_rank_deficiency = False
+            _same_bytes(search.rate_for(batch), [r for r, _ in rows])
+            assert search.saw_rank_deficiency == any(d for _, d in rows) == zero_ue_hop
 
 
 _RELAY_HOPS = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))  # (receive, transmit) stages
@@ -178,16 +211,38 @@ def _grams(f2, f1):
     return f1.conj().T @ f1, f2 @ f2.conj().T
 
 
+def _stack_search(links, budget, stacks):
+    """A search over ``links``, each (F2, F1, Grams), at the rate ``budget`` whose ``_reduced``
+    answers the reduced ``stacks``, one per link, whatever the state."""
+    search = optimizer._ClosedFormSearch()
+    search._links, search._budget, search.saw_rank_deficiency = tuple(links), budget, False
+    search._reduced = lambda state: stacks
+    return search
+
+
+def _link_rates(f2, h, f1, budget):
+    """The search route's rates of one link's reduced stack ``h``, and the rank flag of each row
+    scored alone, whose any() is the batch's flag."""
+    link = [(f2, f1, _grams(f2, f1))]
+    search = _stack_search(link, budget, (h,))
+    rates, flags = search.search_rates(None), []
+    for row in h:
+        alone = _stack_search(link, budget, (row[None],))
+        alone.search_rates(None)
+        flags.append(alone.saw_rank_deficiency)
+    assert search.saw_rank_deficiency == any(flags)
+    return rates, np.array(flags)
+
+
 def _per_hop_search(pack, trial, points):
-    """The relay search's reduced hops, one matmul each, and its rates and flags from one call
-    of the search's rate step per hop."""
+    """The relay search's reduced hops, one matmul each, and its rates and flags from a search
+    of one link per hop."""
     config = pack.config
     hops = channel.hops(config, pack.geometry, trial, points, pack.search_ends["relay"])
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
     stages = [(getattr(pack, rx), getattr(pack, tx)) for rx, tx in _RELAY_HOPS]
     (rate1, flags1), (rate2, flags2) = (
-        beamforming._gram_rates(f2, hop, f1, *budget, _grams(f2, f1))
-        for (f2, f1), hop in zip(stages, hops))
+        _link_rates(f2, hop, f1, budget) for (f2, f1), hop in zip(stages, hops))
     return hops, np.where(rate2 < rate1, rate2, rate1), flags1 | flags2
 
 
@@ -233,15 +288,12 @@ def test_relay_one_pass_equals_per_hop_rates(ue_position, monkeypatch):
 
 
 def test_relay_search_takes_one_gram_core_per_link(monkeypatch):
-    # whatever its stages' shapes, a relay search step takes one _gram_core per hop into one
-    # (6, 2, Z) core, and a search call without a trace one _gram_rates per hop, with the bytes
-    # of the per-hop calls
+    # whatever its stages' shapes, a relay search step, and a search call without a trace, takes
+    # one _gram_core per hop into one (6, 2, Z) core, with the bytes of the per-hop calls
     calls = []
-    real_core, real_rates = optimizer._gram_core, optimizer._gram_rates
+    real_core = optimizer._gram_core
     monkeypatch.setattr(optimizer, "_gram_core",
                         lambda h, *args: calls.append(("core", h.shape)) or real_core(h, *args))
-    monkeypatch.setattr(optimizer, "_gram_rates", lambda f2, h, *args: calls.append(
-        ("rates", h.shape)) or real_rates(f2, h, *args))
     for pack, hop2 in ((_relay_pack(), (6, 3, 3)), (_relay_pack((85.0, 75.0, 2.0)), (6, 6, 6))):
         # both hops' combiners, and both precoders, have equal shapes only at the default UE
         shapes = [[getattr(pack, name).shape for name in stage] for stage in zip(*_RELAY_HOPS)]
@@ -259,7 +311,7 @@ def test_relay_search_takes_one_gram_core_per_link(monkeypatch):
         assert relay.core_rates(state, core, rows, hops).tobytes() == expected.tobytes()
         calls.clear()
         assert relay.search_rates(state).tobytes() == expected.tobytes()
-        assert calls == [("rates", (6, 3, 3)), ("rates", hop2)]
+        assert calls == [("core", (6, 3, 3)), ("core", hop2)]
 
 
 def _zero_ue_hop(monkeypatch):
@@ -472,11 +524,9 @@ def test_search_objective_bytes_are_pinned():
                     update(context, objective(particles))
         _, context = _search_of(BaselineKind.MOVABLE_RIS_JOINT, pack, 0)
         shape = (pack.f2.shape[0], pack.f1.shape[1])
-        (f2, f1, grams), = context._links
         for stack in _mixed_rank_stack(rng_stream(p, 2), shape):
-            rates, deficient = beamforming._gram_rates(f2, stack, f1, *context._budget, grams)
-            context.saw_rank_deficiency |= bool(deficient.any())
-            update(context, rates)
+            context._reduced = lambda state, stack=stack: (stack,)
+            update(context, context.search_rates(None))
     assert digest.hexdigest() == OBJECTIVE_DIGEST
 
 

@@ -17,7 +17,6 @@ from movable_ris.beamforming import (
     _align_phases,
     _decompose,
     _gram_core,
-    _gram_rates,
     _gram_tail,
     achievable_rate,
     bb_stages,
@@ -30,7 +29,7 @@ from movable_ris.beamforming import (
     support_points,
 )
 from movable_ris.scenario import default_config, rng_stream
-from test_batch import FACTORED_RTOL
+from test_batch import FACTORED_RTOL, _link_rates, _stack_search
 
 FULL_DISK = AngleSupport((0.0, math.pi / 2), (-math.pi, math.pi))
 
@@ -670,6 +669,11 @@ def test_design_rf_stages_shapes_and_modulus():
 
 
 # --- the searches' closed-form rate ------------------------------------------------
+#
+# A search scores its links' reduced stacks through ``optimizer._ClosedFormSearch``: the closed
+# form of the stages' Grams (``_gram_core``, then ``_gram_tail`` at the budget) where it fits,
+# and the pipeline for every row it leaves. These tests score each stack through a search whose
+# ``_reduced`` answers it (``test_batch._stack_search``).
 
 
 def _grams(f2, f1):
@@ -686,34 +690,40 @@ _SHAPES = st.sampled_from([(3, 3), (5, 3), (6, 3), (5, 6), (6, 6)])
 
 
 @given(seed=st.integers(0, 10_000), shape=_SHAPES, rows=st.sampled_from([1, 10, 40]),
-       links=st.sampled_from([0, 2]), streams=st.sampled_from([1, 2]))
+       links=st.sampled_from([1, 2]), streams=st.sampled_from([1, 2]))
 @settings(max_examples=60, deadline=None)
 def test_gram_rates_match_the_pipeline(seed, shape, rows, links, streams):
-    # full-rank stacks, and (2, B) stacks of two links with (2, 1, ...) stages and Grams
+    # full-rank stacks of one link, and of two links with stages of their own
     rng = rng_stream(seed, 40)
-    h = _random_complex(rng, (links, rows, *shape) if links else (rows, *shape))
-    stages = [_stages(rng, shape) for _ in range(links or 1)]
-    f2, f1 = stages[0]
-    grams = _grams(f2, f1)
-    if links:
-        f2, f1, *grams = (np.stack(m)[:, None] for m in (*zip(*stages),
-                                                            *zip(*(_grams(*s) for s in stages))))
+    h = _random_complex(rng, (links, rows, *shape))
+    stages = [_stages(rng, shape) for _ in range(links)]
     budget = (2.0, streams, 1e-3)
-    rates, deficient = _gram_rates(f2, h, f1, *budget, grams)
-    expected, flags = hybrid_link_rate(f2, h, f1, *budget, reduced=True)
-    assert rates.shape == expected.shape == h.shape[:-2]
-    np.testing.assert_allclose(rates, expected, rtol=FACTORED_RTOL, atol=0.0)
-    assert deficient.tolist() == flags.tolist() and not flags.any()
-    # the budget-free core, then the tail that applies the budget, give _gram_rates' bytes, as
-    # does the core written into a row of a search trace's (evaluations, 6, ...) store
-    core, rows = _gram_core(h, streams, grams)
-    tail, pipeline_rows = _gram_tail(core, streams, rows, budget[0], budget[2])
-    assert rows is None and pipeline_rows is None and tail.tobytes() == rates.tobytes()
+    search = _stack_search([(f2, f1, _grams(f2, f1)) for f2, f1 in stages], budget, tuple(h))
+    rates = search.search_rates(None)
+    per_link = []
+    for (f2, f1), hop in zip(stages, h):
+        link, deficient = _link_rates(f2, hop, f1, budget)
+        expected, flags = hybrid_link_rate(f2, hop, f1, *budget, reduced=True)
+        assert link.shape == expected.shape == (rows,)
+        np.testing.assert_allclose(link, expected, rtol=FACTORED_RTOL, atol=0.0)
+        assert deficient.tolist() == flags.tolist() and not flags.any()
+        per_link.append(link)
+    assert rates.tobytes() == optimizer._least(per_link).tobytes()
+    assert not search.saw_rank_deficiency
+    # the budget-free core, then the tail that applies the budget, give each link's bytes, as
+    # does the core written into a row of a search trace's (evaluations, 6, links, ...) store;
+    # one _gram_core of the links stacked, with their Grams stacked, gives the same core
+    core, left, _ = search.search_core(None)
+    tail, pipeline_rows = _gram_tail(core, streams, left, budget[0], budget[2])
+    assert left is None and pipeline_rows is None
+    assert tail.tobytes() == np.stack(per_link).tobytes()
+    stacked = [np.stack(g)[:, None] for g in zip(*(_grams(*s) for s in stages))]
+    assert _gram_core(h, streams, stacked)[0].tobytes() == core.tobytes()
     store = np.full((3, *core.shape), np.nan)
-    stored, rows = _gram_core(h, streams, grams, store[1])
-    assert np.shares_memory(stored, store) and rows is None
+    stored, left, _ = search.search_core(None, store[1])
+    assert np.shares_memory(stored, store) and left is None
     assert store[1].tobytes() == core.tobytes() and np.isnan(store[[0, 2]]).all()
-    assert _gram_tail(store[1], streams, None, budget[0], budget[2])[0].tobytes() == rates.tobytes()
+    assert search.core_rates(None, store[1]).tobytes() == rates.tobytes()
 
 
 @pytest.mark.parametrize("case", ["zero_row", "rank_one_row", "zero_precoder",
@@ -731,13 +741,13 @@ def test_gram_rates_fall_back_to_the_pipeline_bytes_and_flags(case):
     elif case == "zero_precoder":  # n = 0 on every row
         f1 = np.zeros_like(f1)
     budget = (2.0, streams, noise)
-    rates, deficient = _gram_rates(f2, h, f1, *budget, _grams(f2, f1))
+    rates, deficient = _link_rates(f2, h, f1, budget)
     if case in ("zero_row", "rank_one_row"):
         # that row takes the pipeline alone; every row keeps the bytes it has alone
         expected, flags = hybrid_link_rate(f2, h[2:3], f1, *budget, reduced=True)
         assert rates[2:3].tobytes() == expected.tobytes() and flags.tolist() == [True]
-        rows = [_gram_rates(f2, h[i:i + 1], f1, *budget, _grams(f2, f1)) for i in range(len(h))]
-        assert rates.tobytes() == np.concatenate([r for r, _ in rows]).tobytes()
+        rows = [_link_rates(f2, h[i:i + 1], f1, budget)[0] for i in range(len(h))]
+        assert rates.tobytes() == np.concatenate(rows).tobytes()
         assert deficient.tolist() == [i == 2 for i in range(len(h))]
     else:
         expected, flags = hybrid_link_rate(f2, h, f1, *budget, reduced=True)
@@ -752,8 +762,10 @@ def test_gram_rates_of_a_singular_noise_gram_raise_the_pipelines_error():
     eye = np.eye(2, dtype=complex)
     with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
         hybrid_link_rate(f2, h, eye, 1.0, 2, 1.0, reduced=True)
+    search = _stack_search([(f2, eye, _grams(f2, eye))], (1.0, 2, 1.0), (h,))
+    assert search.closed_form
     with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
-        _gram_rates(f2, h, eye, 1.0, 2, 1.0, _grams(f2, eye))
+        search.search_rates(None)
 
 
 @given(seed=st.integers(0, 10_000), shape=st.sampled_from([(3, 3), (5, 6)]),
@@ -761,6 +773,8 @@ def test_gram_rates_of_a_singular_noise_gram_raise_the_pipelines_error():
 @settings(max_examples=40, deadline=None)
 def test_gram_rates_of_stacked_links_equal_link_by_link_and_row_by_row(seed, shape, rows,
                                                                       streams, data):
+    # a search of two links is the least of each link's search, and each link's rates and flags
+    # are its rows' alone, whatever rows of either link take the pipeline
     rng = rng_stream(seed, 42)
     h = _random_complex(rng, (2, rows, *shape))
     for i in data.draw(st.sets(st.integers(0, rows - 1))):  # rank-one rows in link 1
@@ -768,17 +782,17 @@ def test_gram_rates_of_stacked_links_equal_link_by_link_and_row_by_row(seed, sha
     if data.draw(st.booleans()):
         h[0, 0] = 0.0
     stages = [_stages(rng, shape) for _ in range(2)]
-    grams = [_grams(*s) for s in stages]
-    f2, f1, *stacked = (np.stack(m)[:, None] for m in (*zip(*stages), *zip(*grams)))
     budget = (2.0, streams, 1e-3)
-    rates, deficient = _gram_rates(f2, h, f1, *budget, stacked)
-    links = [_gram_rates(f2_i, hop, f1_i, *budget, g)
-             for (f2_i, f1_i), g, hop in zip(stages, grams, h)]
-    assert rates.tobytes() == np.stack([r for r, _ in links]).tobytes()
-    assert deficient.tolist() == [d.tolist() for _, d in links]
-    for (f2_i, f1_i), g, hop, link in zip(stages, grams, h, rates):
-        alone = [_gram_rates(f2_i, hop[b:b + 1], f1_i, *budget, g)[0] for b in range(rows)]
+    search = _stack_search([(f2, f1, _grams(f2, f1)) for f2, f1 in stages], budget, tuple(h))
+    rates = search.search_rates(None)
+    links = [_link_rates(f2, hop, f1, budget) for (f2, f1), hop in zip(stages, h)]
+    assert rates.tobytes() == optimizer._least([r for r, _ in links]).tobytes()
+    assert search.saw_rank_deficiency == any(d.any() for _, d in links)
+    for (f2, f1), hop, (link, deficient) in zip(stages, h, links):
+        alone = [_link_rates(f2, hop[b:b + 1], f1, budget)[0] for b in range(rows)]
         assert link.tobytes() == np.concatenate(alone).tobytes()
+        _, flags = hybrid_link_rate(f2, hop, f1, *budget, reduced=True)
+        assert deficient.tolist() == flags.tolist()
 
 
 # How far the closed form may sit from an exact evaluation of the pipeline's log-det at any
@@ -816,11 +830,11 @@ def test_gram_rates_hold_low_rates_to_an_exact_evaluation(spacing, trial_index, 
     state = optimizer.decode(rng_stream(draw_seed, 43).random((3, config.num_ris + 2)), geometry)
     c, a = channel.hops(pack.config, geometry, context.trial, state.xy, context.ends)
     h = (a * np.exp(1j * state.phases)[..., None, :]) @ c
-    grams = _grams(pack.f2, pack.f1)
-    slope = _gram_rates(pack.f2, h, pack.f1, 1e-30, streams, 1.0, grams)[0] / 1e-30
+    link = [(pack.f2, pack.f1, _grams(pack.f2, pack.f1))]
+    slope = _stack_search(link, (1e-30, streams, 1.0), (h,)).search_rates(None) / 1e-30
     with mpmath.workdps(40):
         for row, power in zip(h, target / slope):
-            (rate,), _ = _gram_rates(pack.f2, row[None], pack.f1, power, streams, 1.0, grams)
+            (rate,) = _stack_search(link, (power, streams, 1.0), (row[None],)).search_rates(None)
             exact = _exact_rate(mpmath, row, pack.f1, pack.f2, power, streams, 1.0)
             assert 0.5 * target < rate < 2.0 * target
             assert abs(rate - exact) <= LOW_RATE_ULPS * np.finfo(float).eps * exact, (rate, exact)

@@ -26,6 +26,7 @@ def test_bench_layers_times_every_layer_of_this_tree():
         for name in [name for name in sys.modules if name.partition(".")[0] in TREES]:
             del sys.modules[name]
     retraced = {f"objective.{kind}.retraced" for kind in bench.SEARCHES}
-    assert {"relay_rate", "objective.fd_relay", "search_rate", "rate.svd"} | retraced <= set(times)
+    assert {"relay_rate", "objective.fd_relay", "search_rate", "rate.svd", "reference.ris",
+            "reference.fd_relay"} | retraced <= set(times)
     assert all(len(per_tree["this"]) == 1 for per_tree in times.values())
     assert peak > 0 and dict(os.environ) == environment

@@ -500,7 +500,7 @@ def test_power_sweep_retracing_searches_equals_each_power_alone(seed, powers, tr
     ("elements", (4, 16), _SEARCHING, False),
     ("ue_scenarios", ((60.0, 90.0, 2.0), (70.0, 85.0, 2.0)), _SEARCHING, False),
 ])
-def test_only_power_steps_with_a_relay_keep_relay_slots(kind, values, baselines, kept):
+def test_only_power_steps_carry_every_search_trace(kind, values, baselines, kept):
     # a value's first point starts from the search traces, of every searching kind, of the value
     # before only at a power step; every other value builds its pack, with no trace
     config, geometry = small_scenario()
