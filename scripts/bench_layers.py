@@ -31,19 +31,15 @@ swarm iteration):
   cosines (``_end_blocks`` of the RIS search's ends);
 - ``relay_search_hops`` and ``relay_rate``: the relay search's two steps,
   both reduced relay hops of the batch (F2 H F1 each, one matmul per hop)
-  and their rate: ``_RelaySearch.search_rates`` as the search calls it, a
-  new call each time (a miss, where the tree keeps the calls), with its
-  ``hops`` call answered by those reduced hops. In trees whose searches hold
-  their links (``_ClosedFormSearch._links``) it takes the closed form of
-  each hop, one ``_gram_core`` per hop into one core, then one tail over
-  both (``search_core``, then ``core_rates``); older trees stack the two
-  reduced hops as (2, B, 3, 3) where both hops' combiners, and both their
-  precoders, have equal shapes;
+  and their rate: ``_RelaySearch.search_rates`` as the search calls it,
+  with its ``hops`` call answered by those reduced hops. It takes the
+  closed form of each hop, one ``_gram_core`` per hop into one core, then
+  one tail over both (``search_core``, then ``core_rates``);
 - ``rate_pipeline``: ``hybrid_link_rate`` on the batch's reduced 3x3 stack;
 - ``search_rate``: the RIS searches' rate step on that stack,
   ``ProblemContext.search_rates`` with its ``_reduced`` answered by the
   stack: the closed form of the SVD and the stages' Grams, ``search_core``
-  then ``core_rates`` in trees whose searches hold their links;
+  then ``core_rates``;
 - ``reference.ris`` and ``reference.fd_relay``: the reference rate of one
   state, what a trial outcome reports, ``rate_for`` of the batch's first
   position (with its phases for the RIS). The RIS context keeps that
@@ -55,24 +51,16 @@ swarm iteration):
   makes, numpy's LAPACK gufunc through ``beamforming._lapack``),
   ``rate.decompose`` (the SVD with its phase rotation), ``rate.bb_stages``
   and ``rate.achievable_rate``;
-- ``objective.<kind>``: the batch objective each searching kind hands its swarm;
-  in trees with search traces (``optimizer.SearchTrace``) it is the first
-  evaluation of a search, which writes its core into its trace's row;
-- ``objective.<kind>.retraced``, in trees with search traces: that objective
-  as the search at the next power runs it where its first evaluation
-  retraces the previous power's, which scored the same batch: it takes only
-  the rate tail of the kept core;
-- ``objective.fd_relay.slot_hit`` and ``objective.fd_relay.slot_miss``, in
-  trees whose packs keep ``relay_slots``: the relay's objective as a power
-  sweep runs it, with the calls of the previous power in its store of search
-  calls: on a hit the call's platform points equal its slot's, so it takes
-  only the rate tail of the stored core; on a miss it builds both hops,
-  takes their SVD and stores the core;
+- ``objective.<kind>``: the batch objective each searching kind hands its
+  swarm, as the first evaluation of a search (``optimizer.SearchTrace``),
+  which computes its core and keeps it in its trace's row;
+- ``objective.<kind>.retraced``: that objective as the search at the next
+  power runs it where its first evaluation retraces the previous power's,
+  which scored the same batch: it takes only the rate tail of the kept core;
 - ``objective.fd_relay.ue_85_75``: the relay's objective with the UE at
-  (85, 75, 2), where the relay's RF stages carry unequal beam counts. Trees
-  with links take the closed form per hop there and keep a search trace, so
-  it is a first evaluation that writes its core; in older trees the hops do
-  not stack, and it takes the closed form once per hop with no trace;
+  (85, 75, 2), where the relay's RF stages carry unequal beam counts. It
+  takes the closed form per hop there and keeps a search trace, so it is a
+  first evaluation that computes its core;
 - ``objective.fixed_ris_opt_phase.m100``: the phase-only objective at a
   10x10 RIS, the largest point of the ``phase_search`` benchmark workload,
   where the phase decode and the composite grow with the element count;
@@ -114,7 +102,7 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -169,17 +157,11 @@ def _retraced_objectives(pack, baselines, harness, optimizer, batches: dict) -> 
     for kind, objective in _captured_objectives(previous, baselines, optimizer, list(batches),
                                                 fresh=False).items():
         objective(batches[kind])
+        # the decision of that evaluation, as ``init_swarm`` records one: the last run made it
+        previous.search_traces[baselines.BaselineKind(kind), 0].decisions.append(0)
     config = replace(pack.config, tx_power_dbm=pack.config.tx_power_dbm + 10.0)
     step = harness._point_pack([previous], config, pack.geometry, pack.seed, pack.pso_seed)
     return _captured_objectives(step, baselines, optimizer, list(batches), fresh=False)
-
-
-def _relay_search(baselines, pack):
-    """A relay search of trial 0 that shares no store: ``(pack, trial_index)`` on a pack of its
-    own, or in older trees ``(pack, trial, slots)`` with an empty ``slots``."""
-    if "trial_index" in {field.name for field in fields(baselines._RelaySearch)}:
-        return baselines._RelaySearch(replace(pack), 0)
-    return baselines._RelaySearch(pack, baselines.trial_channels(pack, 0), {})
 
 
 def _dimension(kind: str, config) -> int:
@@ -243,7 +225,7 @@ def layers_of(module, rows: int) -> dict:
 
     c, a = ris_hops()
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-    relay = _relay_search(baselines, pack)
+    relay = baselines._RelaySearch(replace(pack), 0)  # a search of trial 0 on a pack of its own
     relay_reduced = relay_search_hops()
     relay_state = optimizer.RisState(xy[:, 0], xy[:, 1], None, xy)
 
@@ -258,8 +240,7 @@ def layers_of(module, rows: int) -> dict:
     one_state = optimizer.RisState(float(xy[0, 0]), float(xy[0, 1]), 2 * np.pi * joint[0, 2:])
     relay_one_state = optimizer.RisState(float(xy[0, 0]), float(xy[0, 1]), None)
     context = baselines.make_problem_context(pack, 0)
-    ris_reduced = (reduced,) if hasattr(context, "_links") else reduced  # one stack per link
-    context._reduced = lambda state: ris_reduced  # the search's stack, already built
+    context._reduced = lambda state: (reduced,)  # the search's one link's stack, already built
     eff = beamforming._decompose(reduced)
     stages = beamforming.bb_stages(eff, config.tx_power_watts, config.num_streams, pack.f1)
     stages.f2 = pack.f2
@@ -295,21 +276,9 @@ def layers_of(module, rows: int) -> dict:
     for kind, objective in _captured_objectives(pack, baselines, optimizer).items():
         batches[kind] = batch = rng.random((rows, _dimension(kind, config)))
         layers[f"objective.{kind}"] = lambda f=objective, b=batch: f(b)
-    if hasattr(optimizer, "SearchTrace"):
-        retraced = _retraced_objectives(pack, baselines, harness, optimizer, batches)
-        for kind, objective in retraced.items():
-            layers[f"objective.{kind}.retraced"] = lambda f=objective, b=batches[kind]: f(b)
-    if "relay_slots" in {field.name for field in fields(baselines.ScenarioPack)}:
-        hit, miss = (_relay_search(baselines, pack) for _ in range(2))
-        batch = batches["fd_relay"]
-
-        def slot_hit():
-            hit._calls = 0  # every call is the search's first, whose slot holds these points
-            return hit.search_rates(optimizer.decode_on_platform(batch, geometry, None))
-
-        layers["objective.fd_relay.slot_hit"] = slot_hit
-        layers["objective.fd_relay.slot_miss"] = (  # each call a new slot, as a first power's
-            lambda: miss.search_rates(optimizer.decode_on_platform(batch, geometry, None)))
+    retraced = _retraced_objectives(pack, baselines, harness, optimizer, batches)
+    for kind, objective in retraced.items():
+        layers[f"objective.{kind}.retraced"] = lambda f=objective, b=batches[kind]: f(b)
     ue_pack = baselines.build_scenario_pack(config, ue_geometry, PACK_SEED)
     ue_relay = _captured_objectives(ue_pack, baselines, optimizer, ("fd_relay",))["fd_relay"]
     ue_batch = scenario.rng_stream(7, 1).random((rows, 2))

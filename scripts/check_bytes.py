@@ -22,7 +22,10 @@ The report gives:
   each at its (workload, seed, value, kind, trial); the relative one is
   taken against the first tree's rate;
 - the trials whose reported RIS or relay position moved;
-- the trials whose failed or flagged status changed.
+- the trials whose failed or flagged status changed;
+- per tree, workload and searching kind, the objective evaluations and the
+  retraced ones, those that computed no core (``search_core``) and took a
+  core a search trace kept from the power before.
 
 It is printed and, with ``--out``, written as JSON. The exit status is 0
 when every file is identical and 1 otherwise.
@@ -36,6 +39,8 @@ import json
 import math
 import sys
 import tempfile
+from collections import Counter, defaultdict
+from contextlib import contextmanager
 from pathlib import Path
 
 from bench_layers import REPO, load_tree, src_digest  # pins one BLAS thread before numpy
@@ -61,22 +66,74 @@ def read_workloads(path: Path = WORKLOADS) -> tuple[dict, tuple, int]:
     return workloads, names["POOL"], names["TRIALS"]
 
 
-def run_sweeps(module, workloads: dict, seeds: list[int], trials: int, out: Path) -> dict:
+@contextmanager
+def counted_evaluations(baselines, optimizer):
+    """Counts, while open, each searching kind's objective evaluations and the retraced ones,
+    those that ran inside a search trace's objective and called no ``search_core``, as
+    ``{kind: Counter(evaluations=..., retraced=...)}``."""
+    counts, kind, cores = defaultdict(Counter), [None], [0]
+    search, run_pso = baselines._search, optimizer.run_pso
+    objective, search_core = optimizer.SearchTrace.objective, optimizer._ClosedFormSearch.search_core
+
+    def searched(pack, trial_index, searching, *args):
+        kind[0] = searching.value
+        return search(pack, trial_index, searching, *args)
+
+    def swarm(fitness_fn, *args):
+        def evaluate(v):
+            counts[kind[0]]["evaluations"] += 1
+            return fitness_fn(v)
+        return run_pso(evaluate, *args)
+
+    def traced(trace, *args):
+        score, decisions = objective(trace, *args)
+
+        def evaluate(v):
+            before = cores[0]
+            values = score(v)
+            counts[kind[0]]["retraced"] += cores[0] == before
+            return values
+        return evaluate, decisions
+
+    def core(context, *args):
+        cores[0] += 1
+        return search_core(context, *args)
+
+    patches = ((baselines, "_search", searched), (optimizer, "run_pso", swarm),
+               (optimizer.SearchTrace, "objective", traced),
+               (optimizer._ClosedFormSearch, "search_core", core))
+    real = [getattr(owner, name) for owner, name, _ in patches]
+    for owner, name, value in patches:
+        setattr(owner, name, value)
+    try:
+        yield counts
+    finally:
+        for (owner, name, _), value in zip(patches, real):
+            setattr(owner, name, value)
+
+
+def run_sweeps(module, workloads: dict, seeds: list[int], trials: int, out: Path):
     """Every (workload, seed) sweep of one tree, its files under ``out/<workload>/seed<n>``:
-    the ``RateResult`` list of each, by (workload, seed)."""
-    baselines, harness, scenario = map(module, ("baselines", "harness", "scenario"))
+    (the ``RateResult`` list of each, by (workload, seed); each workload's
+    ``counted_evaluations`` over its seeds, by kind)."""
+    baselines, harness, optimizer, scenario = map(
+        module, ("baselines", "harness", "optimizer", "scenario"))
     names = {"__builtins__": {}, "tuple": tuple, "BaselineKind": baselines.BaselineKind}
-    runs = {}
+    runs, evaluations = {}, {}
     for name, (sweep_kind, values, kinds) in workloads.items():
         kinds = eval(compile(kinds, str(WORKLOADS), "eval"), names)
-        for seed in seeds:
-            config, geometry = scenario.default_config()
-            spec = harness.SweepSpec(kind=sweep_kind, values=values, baselines=kinds,
-                                     trials=trials, seed=seed)
-            results = harness.sweep(spec, config, geometry)
-            harness.write_results(results, out / name / f"seed{seed}", config, geometry)
-            runs[name, seed] = results
-    return runs
+        with counted_evaluations(baselines, optimizer) as counts:
+            for seed in seeds:
+                config, geometry = scenario.default_config()
+                spec = harness.SweepSpec(kind=sweep_kind, values=values, baselines=kinds,
+                                         trials=trials, seed=seed)
+                results = harness.sweep(spec, config, geometry)
+                harness.write_results(results, out / name / f"seed{seed}", config, geometry)
+                runs[name, seed] = results
+        evaluations[name] = {kind: {"evaluations": count["evaluations"],
+                                    "retraced": count["retraced"]}
+                             for kind, count in sorted(counts.items())}
+    return runs, evaluations
 
 
 def _trials(result) -> dict:
@@ -129,17 +186,18 @@ def check(trees: dict, workloads: list[str] | None = None,
     chosen = {name: defined[name] for name in workloads or defined}
     seeds = list(pool) if seeds is None else seeds
     with tempfile.TemporaryDirectory(prefix="check_bytes_") as tmp:
-        outs, runs = [], []
+        outs, runs, evaluations = [], [], {}
         for i, (label, src) in enumerate(trees.items()):
             outs.append(Path(tmp) / label)
-            runs.append(run_sweeps(load_tree(f"_bytes_tree_{i}", src), chosen, seeds, trials,
-                                   outs[-1]))
+            results, evaluations[label] = run_sweeps(load_tree(f"_bytes_tree_{i}", src), chosen,
+                                                     seeds, trials, outs[-1])
+            runs.append(results)
         files, differ = diff_files(*outs)
     return {
         "trees": {label: {"src_digest": src_digest(src)} for label, src in trees.items()},
         "workloads": list(chosen), "seeds": seeds, "trials": trials,
         "sweeps": len(runs[0]), "files": files, "differing_files": differ,
-        "identical": not differ, **diff_results(*runs),
+        "identical": not differ, **diff_results(*runs), "evaluations": evaluations,
     }
 
 

@@ -97,9 +97,10 @@ class ScenarioPack:
     counts and do not scale with the RIS element count. ``fd_relay_outcomes``
     keeps each trial's full-duplex relay search, which the half-duplex relay
     halves instead of searching again. ``search_traces`` keeps each search's
-    ``SearchTrace`` by (searching kind, trial), hd_relay's under fd_relay. Both
-    stores belong to the pack that fills them: every pack starts with them
-    empty, one made by ``replace`` too.
+    ``SearchTrace``, its last run's decisions and its core of each evaluation,
+    by (searching kind, trial), hd_relay's under fd_relay. Both stores belong
+    to the pack that fills them: every pack starts with them empty, one made
+    by ``replace`` too.
     """
 
     config: SystemConfig
@@ -220,12 +221,9 @@ class _RelaySearch(_ClosedFormSearch):
     def __post_init__(self):
         pack, config = self.pack, self.pack.config
         self.trial = trial_channels(pack, self.trial_index)
-        stages = (("relay_f2_hop1", "f1"), ("f2", "relay_f1_hop2"))
-        self._links = tuple((f2, f1, (f1.conj().T @ f1, f2 @ f2.conj().T)) for f2, f1 in (
-            (getattr(pack, rx), getattr(pack, tx)) for rx, tx in stages))
+        self._set_links(config, ((pack.relay_f2_hop1, pack.f1), (pack.f2, pack.relay_f1_hop2)))
         self._ends = (hop_ends(config, BaselineKind.FD_RELAY.platform_shapes(config)),
                       pack.search_ends["relay"])
-        self._budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
 
     def _channels(self, state: RisState, factored: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Both hop matrices H at the batch's points, from the unbeamed ends; with ``factored``,

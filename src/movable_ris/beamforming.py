@@ -391,41 +391,36 @@ def hybrid_link_rate(
     noise_power_w: float,
     reduced: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full pipeline for a (B, M_2, M_1) stack of channel matrices.
+    """Full pipeline for one link's (B, M_2, M_1) stack of channel matrices.
 
-    ``h`` is reduced by ``effective_channel``, or with ``reduced`` is a
-    stack already reduced to F2 H F1 (as a search's factored hops are); one
-    matrix goes in as a stack of one. Returns (rates, rank_deficient) as (B,)
-    arrays. N links whose stages share their shapes may be stacked, ``h``
-    (N, B, ...) with stages (N, 1, ...), for (N, B) results; the searches and
-    their references take each link on its own, unreduced for the reference
-    and ``reduced`` where a search falls back from the closed form
-    (``optimizer._ClosedFormSearch``). Every stack takes
-    ``bb_stages`` and ``achievable_rate`` as one unit, save one whose rows
-    carry mixed stream counts (rank-deficient ones carry fewer): its rows,
-    across any link axis, run one at a time, each as a reduced stack of one.
+    ``h`` is reduced by ``effective_channel`` through the link's stages F2
+    (K2, M_2) and F1 (M_1, K1), or with ``reduced`` is a stack already
+    reduced to F2 H F1 (as a search's factored hops are); one matrix goes in
+    as a stack of one. Returns (rates, rank_deficient) as (B,) arrays. The
+    references take it unreduced and a search, where it falls back from the
+    closed form, ``reduced`` (``optimizer._ClosedFormSearch``), each link on
+    its own. Every stack takes ``bb_stages`` and ``achievable_rate`` as one
+    unit, save one whose rows carry mixed stream counts (rank-deficient ones
+    carry fewer): its rows run one at a time, each as a reduced stack of one.
     """
     eff = _decompose(h) if reduced else effective_channel(f2, h, f1)
     try:
         bf = bb_stages(eff, tx_power_w, num_streams, f1)
     except _MixedStreamCounts:
-        batch = eff.matrix.shape[:-2]
-        stacks = (np.broadcast_to(m, batch + m.shape[-2:]).reshape(-1, *m.shape[-2:])
-                  for m in (f2, eff.matrix, f1))
-        rows = [hybrid_link_rate(rx, m[None], tx, tx_power_w, num_streams, noise_power_w,
-                                 reduced=True) for rx, m, tx in zip(*stacks)]
-        return tuple(np.concatenate(parts).reshape(batch) for parts in zip(*rows))
+        rows = [hybrid_link_rate(f2, m[None], f1, tx_power_w, num_streams, noise_power_w,
+                                 reduced=True) for m in eff.matrix]
+        return tuple(np.concatenate(parts) for parts in zip(*rows))
     bf.f2 = f2
     return achievable_rate(bf, eff, noise_power_w), bf.rank_deficient
 
 
 def _pipeline_rows(f2, h, f1, tx_power_w: float, num_streams: int, noise_power_w: float,
                    rates: np.ndarray, rows):
-    """``rates`` of the stack ``h`` with its ``rows`` (None for none) taken by the pipeline, and
-    which of those were rank deficient: (rates, rank_deficient) as ``hybrid_link_rate`` returns."""
+    """``rates`` of one link's reduced stack ``h``, of its stages ``f2`` and ``f1``, with its
+    ``rows`` (None for none) taken by the pipeline, and which of those were rank deficient:
+    (rates, rank_deficient) as ``hybrid_link_rate`` returns."""
     deficient = np.zeros(rates.shape, dtype=bool)
     if rows is not None:
-        f2, f1 = (np.broadcast_to(m, h.shape[:-2] + m.shape[-2:])[rows] for m in (f2, f1))
         rates[rows], deficient[rows] = hybrid_link_rate(
             f2, h[rows], f1, tx_power_w, num_streams, noise_power_w, reduced=True)
     return rates, deficient

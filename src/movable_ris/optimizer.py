@@ -125,14 +125,21 @@ class _ClosedFormSearch:
     """A search over one or more links, each scored as the baseband stage scores it.
 
     A state's rate is the least of its links' rates: the RIS has one link, the relay two hops.
-    ``_links`` holds each link's (F2, F1, Grams), ``_budget`` the rate budget (P, N_s, sigma^2),
-    ``_channels(state)`` each link's unreduced stack H and ``_reduced(state)`` a decoded batch's
-    reduced stack F2 H F1 of each link. ``rate_for``, the reference, takes every H through the
-    rate pipeline. ``search_rates``, the search objective, takes every reduced stack: where
-    ``closed_form`` holds, as ``search_core`` and ``core_rates``, the budget-free ``_gram_core``
-    of every link and the rates at the budget, which a core kept from another budget serves as
-    well (see ``SearchTrace``); otherwise through the pipeline.
+    ``_set_links`` sets ``_links``, each link's (F2, F1, Grams), and ``_budget``, the rate budget
+    (P, N_s, sigma^2). ``_channels(state)`` gives each link's unreduced stack H and
+    ``_reduced(state)`` a decoded batch's reduced stack F2 H F1 of each link. ``rate_for``, the
+    reference, takes every H through the rate pipeline. ``search_rates``, the search objective,
+    takes every reduced stack: where ``closed_form`` holds, as ``search_core`` and
+    ``core_rates``, the budget-free ``_gram_core`` of every link and the rates at the budget,
+    which a core kept from another budget serves as well (see ``SearchTrace``); otherwise through
+    the pipeline.
     """
+
+    def _set_links(self, config: SystemConfig, stages) -> None:
+        """The budget of ``config`` and, for each (F2, F1) of ``stages``, the link (F2, F1,
+        (F1^H F1, F2 F2^H)): the stages' Grams, formed once."""
+        self._budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
+        self._links = tuple((f2, f1, (f1.conj().T @ f1, f2 @ f2.conj().T)) for f2, f1 in stages)
 
     @property
     def closed_form(self) -> bool:
@@ -162,12 +169,12 @@ class _ClosedFormSearch:
             return self.core_rates(state, *self.search_core(state))
         return self._pipeline_rates(self._reduced(state), True)
 
-    def search_core(self, state: RisState, out=None):
-        """(core, rows, h): the (6, links, Z) core, in ``out`` if given, with link i's
-        ``_gram_core`` at ``core[:, i]`` and its rows for the pipeline at ``rows[i]`` (None for
-        none), of the batch's reduced stacks ``h``."""
+    def search_core(self, state: RisState):
+        """(core, rows, h): the (6, links, Z) core with link i's ``_gram_core`` at ``core[:, i]``
+        and its rows for the pipeline at ``rows[i]`` (None for none), of the batch's reduced
+        stacks ``h``."""
         h = self._reduced(state)
-        core = np.empty((6, len(h), *h[0].shape[:-2])) if out is None else out
+        core = np.empty((6, len(h), *h[0].shape[:-2]))
         rows = None
         for i, ((_, _, grams), hi) in enumerate(zip(self._links, h)):
             left = _gram_core(hi, self._budget[1], grams, core[:, i])[1]
@@ -214,10 +221,7 @@ class ProblemContext(_ClosedFormSearch):
     _cache: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self._budget = (self.config.tx_power_watts, self.config.num_streams,
-                        self.config.noise_power_watts)  # the rate budget, P, N_s and sigma^2
-        grams = (self.f1.conj().T @ self.f1, self.f2 @ self.f2.conj().T)
-        self._links = ((self.f2, self.f1, grams),)  # the one link, Tx -> RIS -> UE
+        self._set_links(self.config, ((self.f2, self.f1),))  # the one link, Tx -> RIS -> UE
 
     def hop_matrices(self, x: float, y: float) -> tuple[np.ndarray, ...]:
         """H_TI, H_IR and their reductions F2 H_IR, H_TI F1 at one position."""
@@ -261,41 +265,35 @@ class SearchTrace:
     A swarm's positions at evaluation c depend only on its rng stream, the same at every power,
     and on what the evaluations before c decided (``run_pso``'s ``decisions``). So while every
     decision of a run equals the last run's, its batches equal that run's byte for byte, and so
-    does their budget-free ``search_core``. ``decisions`` are the last run's, ``cores`` holds its
-    (6, links, Z) core of each evaluation as one row of an (evaluations, 6, links, Z) array, and
-    ``kept`` counts the leading rows that hold a core of that run with no row, of any link, that
-    the pipeline takes whatever the budget.
+    does their budget-free ``search_core``. ``decisions`` are the last run's, one per evaluation
+    it made, and ``cores`` holds its (6, links, Z) core of each evaluation as one row of an
+    (evaluations, 6, links, Z) array: a row of NaN where a row of any link takes the pipeline
+    whatever the budget.
     """
 
     decisions: list = field(default_factory=list)
     cores: np.ndarray | None = field(default=None, repr=False)
-    kept: int = 0
 
     def objective(self, context: _ClosedFormSearch, decoder, evaluations: int):
         """(objective, decisions) of a run of ``evaluations`` calls that retraces the last run.
 
-        The objective is ``context.search_rates`` of the decoded batches. While the run's
-        ``decisions``, which ``run_pso`` fills, equal the last run's, an evaluation takes only
-        ``core_rates`` of its kept core; any other writes its core to its row.
+        The objective is ``context.search_rates`` of the decoded batches. An evaluation that the
+        last run made, whose every decision before it (``run_pso`` fills ``decisions``) equals
+        that run's and whose row holds a core, takes only ``core_rates`` of that core; any other
+        computes its core and writes it to its row.
         """
-        previous, kept = self.decisions, self.kept
+        previous = self.decisions
         decisions = self.decisions = []
-        self.kept = same = 0  # same: how many leading decisions equal the last run's
 
         def objective(v: np.ndarray) -> np.ndarray:
-            nonlocal same
             c, state, cores = len(decisions), decoder(v), self.cores
-            if same == c - 1 and c <= len(previous) and decisions[-1] == previous[c - 1]:
-                same = c
-            if same == c and c < kept:
-                core, rows, h = cores[c], None, None
-            else:
-                core, rows, h = context.search_core(state, None if cores is None else cores[c])
-                if cores is None:
-                    self.cores = np.empty((evaluations, *core.shape))
-                    self.cores[c] = core
-            if rows is None and self.kept == c:
-                self.kept = c + 1
+            kept = cores[c] if c < len(previous) and decisions == previous[:c] else None
+            if kept is not None and not math.isnan(kept[0, 0, 0]):  # a NaN row holds no core
+                return context.core_rates(state, kept)
+            core, rows, h = context.search_core(state)
+            if cores is None:
+                cores = self.cores = np.empty((evaluations, *core.shape))
+            cores[c] = core if rows is None else math.nan
             return context.core_rates(state, core, rows, h)
 
         return objective, decisions

@@ -325,6 +325,14 @@ def _zero_ue_hop(monkeypatch):
     monkeypatch.setattr(baselines, "trial_channels", trial_channels)
 
 
+def _power_step(pack, kind, power, packs):
+    """Trial 0 of ``kind`` at ``power`` on the pack that a power sweep holding ``packs`` takes
+    (``harness._point_pack``): (the pack, the outcome's repr)."""
+    config = replace(pack.config, tx_power_dbm=power)
+    point = harness._point_pack(packs, config, pack.geometry, pack.seed, None)
+    return point, repr(baselines.run_baseline(kind, point, 0))
+
+
 @pytest.mark.parametrize("kind, ue_position", [
     (BaselineKind.FD_RELAY, None),
     # the relay's stages carry 3 and 6 beams: its two links take one core each all the same
@@ -336,8 +344,7 @@ def test_search_traces_reuse_cores_and_keep_none_the_pipeline_takes(kind, ue_pos
                                                                      monkeypatch):
     # a power step's search retraces the previous power's while their decisions agree: those
     # evaluations take only the tail of the kept core, with no SVD, and every outcome keeps the
-    # bytes of a search at its power on a new pack. The packs come as a power sweep's do,
-    # through ``harness._point_pack``
+    # bytes of a search at its power on a new pack. The packs come as a power sweep's do
     svds, pipelines = [], []
     real, real_rows = optimizer._gram_core, optimizer._pipeline_rows
     monkeypatch.setattr(optimizer, "_gram_core",
@@ -350,12 +357,9 @@ def test_search_traces_reuse_cores_and_keep_none_the_pipeline_takes(kind, ue_pos
     swarm = (pack.config.pso.swarm_size,)
 
     def search(power, packs):
-        """Trial 0 of ``kind`` at ``power`` on the pack that a sweep holding ``packs`` takes."""
-        config = replace(pack.config, tx_power_dbm=power)
-        point = harness._point_pack(packs, config, pack.geometry, pack.seed, None)
         svds.clear()
         pipelines.clear()
-        return point, repr(baselines.run_baseline(kind, point, 0))
+        return _power_step(pack, kind, power, packs)
 
     powers = (30.0, 40.0, 40.0, 2000.0)
     alone = {power: search(power, [])[1] for power in powers}
@@ -365,7 +369,7 @@ def test_search_traces_reuse_cores_and_keep_none_the_pipeline_takes(kind, ue_pos
         trace = point.search_traces[kind, 0]
         assert outcome == alone[power]
         assert trace.cores.shape == (evaluations, 6, links, *swarm)
-        assert trace.kept == evaluations
+        assert not np.isnan(trace.cores).any()  # every row holds a core
         assert svds == [swarm] * len(svds) and len(svds) % links == 0
         assert len(pipelines) == (evaluations * links if power == 2000.0 else 0)
         misses.append(len(svds) // links)
@@ -374,34 +378,102 @@ def test_search_traces_reuse_cores_and_keep_none_the_pipeline_takes(kind, ue_pos
     # evaluation, a retraced one with its kept core too, sends its rows to the pipeline
     assert misses[0] == evaluations and misses[2] == 0
     assert misses[1] < evaluations and misses[3] < evaluations
-    # a core with rows that take the pipeline whatever the budget is not kept: with no UE-hop
-    # gains every core is rank 0, so the next power computes every core again
+    # a core with rows that take the pipeline whatever the budget is not kept, its row NaN: with
+    # no UE-hop gains every core is rank 0, so the next power computes every core again
     _zero_ue_hop(monkeypatch)
     alone = {power: search(power, [])[1] for power in (30.0, 40.0)}
     packs = []
     for power in (30.0, 40.0):
         point, outcome = search(power, packs)
         assert outcome == alone[power] and "flagged=True" in outcome
-        assert point.search_traces[kind, 0].kept == 0 and len(svds) == evaluations * links
+        assert np.isnan(point.search_traces[kind, 0].cores).all()
+        assert len(svds) == evaluations * links
 
 
-def test_stacked_links_with_a_rank_deficient_row_run_link_by_link():
-    # a rank-one row carries fewer streams, so the rows of both links run one at a time
+@pytest.mark.parametrize("kind", [BaselineKind.FD_RELAY, BaselineKind.FIXED_RIS_OPT_PHASE,
+                                  BaselineKind.MOVABLE_RIS_JOINT],
+                         ids=["fd_relay", "fixed_ris_opt_phase", "movable_ris_joint"])
+def test_a_core_with_pipeline_rows_ends_no_retrace(kind, monkeypatch):
+    # one mid-run evaluation's core has a row for the pipeline, whatever the budget: its trace
+    # keeps a NaN row for it, and the next power computes that core again while every
+    # evaluation before and after it whose decisions so far match the last run's retraces;
+    # every outcome keeps the bytes of a search at its power on a new pack
+    pack = _relay_pack()
+    evaluations = pack.config.pso.iterations + 1
+    links = 2 if kind == BaselineKind.FD_RELAY else 1
+    middle = evaluations // 2
+    real = optimizer._gram_core
+    batches = []
+    monkeypatch.setattr(optimizer, "_gram_core",
+                        lambda h, *args: batches.append(h.tobytes()) or real(h, *args))
+    _power_step(pack, kind, 40.0, [])
+    target = batches[middle * links]  # the first link's batch at evaluation ``middle``
+    computed, current = [], {}
+
+    def gram_core(h, *args):
+        """``_gram_core``, with row 0 of the target batch for the pipeline; logs the evaluation."""
+        core, rows = real(h, *args)
+        computed.append(len(current["trace"].decisions))
+        if h.tobytes() == target:
+            rows = np.zeros(h.shape[:-2], dtype=bool) if rows is None else rows
+            rows[0] = True
+        return core, rows
+
+    monkeypatch.setattr(optimizer, "_gram_core", gram_core)
+
+    def search(power, packs):
+        """``_power_step``: (the pack, the outcome's repr, the evaluations that took an SVD)."""
+        config = replace(pack.config, tx_power_dbm=power)
+        point = harness._point_pack(packs, config, pack.geometry, pack.seed, None)
+        current["trace"] = point.search_traces.setdefault((kind, 0), optimizer.SearchTrace())
+        computed.clear()
+        outcome = repr(baselines.run_baseline(kind, point, 0))
+        assert computed == sorted(computed) and len(computed) % links == 0
+        return point, outcome, sorted(set(computed))
+
+    # a repeated power does not search the relay again; its decisions at 40 dBm match 30 dBm's
+    powers = (30.0, 40.0) if kind == BaselineKind.FD_RELAY else (30.0, 40.0, 40.0)
+    alone = {power: search(power, [])[1] for power in powers}
+    packs, last, steps = [], None, []
+    for power in powers:
+        point, outcome, took = search(power, packs)
+        trace = point.search_traces[kind, 0]
+        assert outcome == alone[power]
+        expected = range(evaluations)
+        if last is not None:  # retraced: every decision before it and its kept core are the last's
+            decisions, cores = last
+            expected = [c for c in expected
+                        if np.isnan(cores[c]).all() or trace.decisions[:c] != decisions[:c]]
+        assert took == list(expected)
+        if power == 40.0:  # the target is that power's batch at evaluation ``middle``
+            assert np.isnan(trace.cores).all(axis=(1, 2, 3)).tolist() == [
+                c == middle for c in range(evaluations)]
+            assert not np.isnan(np.delete(trace.cores, middle, axis=0)).any()
+        last = list(trace.decisions), trace.cores.copy()  # the next run rewrites both
+        steps.append(took)
+    assert [middle] in steps[1:]  # a step whose every other evaluation retraced
+
+
+def test_a_hop_with_a_rank_deficient_row_runs_row_by_row():
+    # a rank-one row of hop 2 carries fewer streams, so that hop's rows run one at a time, each
+    # with the hop's own stages, and keep their bytes and flags as each row alone; hop 1's
+    # rows are all full rank and run as one stack
     pack = _relay_pack()
     config = pack.config
     trial = baselines.trial_channels(pack, 3)
-    stack = np.stack(channel.hops(config, pack.geometry, trial, _relay_points(pack, 3, 6),
-                                  pack.search_ends["relay"]))
-    stack[1, 2] = np.outer(stack[1, 2][:, 0], stack[1, 2][0])  # rank one: one stream
-    stages = [[getattr(pack, name) for name in hop] for hop in _RELAY_HOPS]
-    f2, f1 = (np.stack(stage)[:, None] for stage in zip(*stages))
+    hops = channel.hops(config, pack.geometry, trial, _relay_points(pack, 3, 6),
+                        pack.search_ends["relay"])
+    hops[1][2] = np.outer(hops[1][2][:, 0], hops[1][2][0])  # rank one: one stream
     budget = (config.tx_power_watts, config.num_streams, config.noise_power_watts)
-    rates, deficient = hybrid_link_rate(f2, stack, f1, *budget, reduced=True)
-    links = [hybrid_link_rate(rx, hop, tx, *budget, reduced=True)
-             for (rx, tx), hop in zip(stages, stack)]
-    assert rates.tobytes() == np.stack([r for r, _ in links]).tobytes()
-    assert deficient.tolist() == [d.tolist() for _, d in links] == [
-        [False] * 6, [False] * 2 + [True] + [False] * 3]
+    flags = []
+    for (rx, tx), hop in zip(_RELAY_HOPS, hops):
+        f2, f1 = getattr(pack, rx), getattr(pack, tx)
+        rates, deficient = hybrid_link_rate(f2, hop, f1, *budget, reduced=True)
+        rows = [hybrid_link_rate(f2, row[None], f1, *budget, reduced=True) for row in hop]
+        _same_bytes(rates, [r[0] for r, _ in rows])
+        assert deficient.tolist() == [d[0] for _, d in rows]
+        flags.append(deficient.tolist())
+    assert flags == [[False] * 6, [False] * 2 + [True] + [False] * 3]
 
 
 def _random_stack(rng, count, rows, cols, zero_rows, rank_one_rows):

@@ -710,20 +710,16 @@ def test_gram_rates_match_the_pipeline(seed, shape, rows, links, streams):
         per_link.append(link)
     assert rates.tobytes() == optimizer._least(per_link).tobytes()
     assert not search.saw_rank_deficiency
-    # the budget-free core, then the tail that applies the budget, give each link's bytes, as
-    # does the core written into a row of a search trace's (evaluations, 6, links, ...) store;
-    # one _gram_core of the links stacked, with their Grams stacked, gives the same core
+    # the budget-free (6, links, rows) core, then the tail that applies the budget, give each
+    # link's bytes, and the core alone, as a search trace keeps it, the search's; one _gram_core
+    # of the links stacked, with their Grams stacked, gives the same core
     core, left, _ = search.search_core(None)
     tail, pipeline_rows = _gram_tail(core, streams, left, budget[0], budget[2])
-    assert left is None and pipeline_rows is None
+    assert core.shape == (6, links, rows) and left is None and pipeline_rows is None
     assert tail.tobytes() == np.stack(per_link).tobytes()
     stacked = [np.stack(g)[:, None] for g in zip(*(_grams(*s) for s in stages))]
     assert _gram_core(h, streams, stacked)[0].tobytes() == core.tobytes()
-    store = np.full((3, *core.shape), np.nan)
-    stored, left, _ = search.search_core(None, store[1])
-    assert np.shares_memory(stored, store) and left is None
-    assert store[1].tobytes() == core.tobytes() and np.isnan(store[[0, 2]]).all()
-    assert search.core_rates(None, store[1]).tobytes() == rates.tobytes()
+    assert search.core_rates(None, core).tobytes() == rates.tobytes()
 
 
 @pytest.mark.parametrize("case", ["zero_row", "rank_one_row", "zero_precoder",

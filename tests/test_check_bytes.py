@@ -41,6 +41,10 @@ def test_check_bytes_reads_this_tree_identical_to_itself(check_bytes):
     largest = report["largest_abs_rate_diff"]
     assert largest["value"] == 0.0 and largest["at"][:2] == ["phase_search", 0]
     assert report["largest_rel_rate_diff"]["value"] == 0.0
+    # the same objective evaluations in both; an element sweep has no power step to retrace
+    evaluations = report["evaluations"]
+    assert evaluations["a"] == evaluations["b"] == {"phase_search": {
+        "fixed_ris_opt_phase": {"evaluations": 4 * 10 * 31, "retraced": 0}}}
 
 
 def test_check_bytes_takes_exactly_two_trees(check_bytes, capsys):

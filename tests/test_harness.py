@@ -424,7 +424,9 @@ def _point_packs():
 
 
 def _kept_count(pack):
-    return sum(trace.kept for trace in pack.search_traces.values())
+    """How many evaluations' cores, rows that are not NaN, a pack's search traces hold."""
+    return sum(int((~np.isnan(trace.cores[:, 0, 0, 0])).sum())
+               for trace in pack.search_traces.values() if trace.cores is not None)
 
 
 def _traces(pack):
@@ -517,10 +519,10 @@ def test_only_power_steps_carry_every_search_trace(kind, values, baselines, kept
 
 
 def test_a_power_chains_traces_hold_one_core_row_per_evaluation():
-    # what one power chain's search traces hold, measured by tracemalloc: numpy arrays of at most
-    # (iterations + 1) x Z x 6 float64 per RIS search and twice that per relay search, and
-    # Python objects (the decision records, the traces and the stores' entries) of at most
-    # (iterations + 1) x (Z + 128) bytes per search
+    # what one power chain's search traces hold: one (6, links, Z) core row per evaluation and,
+    # measured by tracemalloc, numpy arrays of at most (iterations + 1) x Z x 6 float64 per RIS
+    # search and twice that per relay search, and Python objects (the decision records, the
+    # traces and the stores' entries) of at most (iterations + 1) x (Z + 128) bytes per search
     config, geometry = small_scenario()
     spec = SweepSpec(kind="power", values=(10.0, 20.0, 30.0), baselines=tuple(BaselineKind),
                      trials=2, seed=3)
@@ -533,19 +535,24 @@ def test_a_power_chains_traces_hold_one_core_row_per_evaluation():
         return np.array([sum(stat.size for stat in stats)
                          for stats in (arrays, others.statistics("filename"))])
 
+    swarm, evaluations = config.pso.swarm_size, config.pso.iterations + 1
     with _point_packs() as seen:
         tracemalloc.start()
         try:
             sweep(spec, config, geometry)
             gc.collect()
             kept = held(tracemalloc.take_snapshot())
+            traces = seen[-1][0].search_traces
+            assert sorted(traces) == sorted((kind, t) for kind in _SEARCHING for t in range(2))
+            for (kind, _), trace in traces.items():
+                links = 2 if kind in _RELAY else 1
+                assert trace.cores.shape == (evaluations, 6, links, swarm)
             for pack, _ in seen:
                 pack.search_traces.clear()
             gc.collect()
             arrays, others = kept - held(tracemalloc.take_snapshot())
         finally:
             tracemalloc.stop()
-    swarm, evaluations = config.pso.swarm_size, config.pso.iterations + 1
     searches = spec.trials * len(_SEARCHING)
     relays = spec.trials  # fd_relay's, whose cores hold both hops
     assert arrays <= (searches + relays) * evaluations * swarm * 6 * 8
