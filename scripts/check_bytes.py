@@ -25,7 +25,9 @@ The report gives:
 - the trials whose failed or flagged status changed;
 - per tree, workload and searching kind, the objective evaluations and the
   retraced ones, those that computed no core (``search_core``) and took a
-  core a search trace kept from the power before.
+  core a search trace kept from the power before;
+- per tree, the lines of its package sources, and the second tree's count
+  less the first's.
 
 It is printed and, with ``--out``, written as JSON. The exit status is 0
 when every file is identical and 1 otherwise.
@@ -112,6 +114,11 @@ def counted_evaluations(baselines, optimizer):
             setattr(owner, name, value)
 
 
+def src_lines(src: Path) -> int:
+    """The lines of the tree's package sources, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "movable_ris").rglob("*.py"))
+
+
 def run_sweeps(module, workloads: dict, seeds: list[int], trials: int, out: Path):
     """Every (workload, seed) sweep of one tree, its files under ``out/<workload>/seed<n>``:
     (the ``RateResult`` list of each, by (workload, seed); each workload's
@@ -193,8 +200,11 @@ def check(trees: dict, workloads: list[str] | None = None,
                                                      seeds, trials, outs[-1])
             runs.append(results)
         files, differ = diff_files(*outs)
+    lines = [src_lines(src) for src in trees.values()]
     return {
-        "trees": {label: {"src_digest": src_digest(src)} for label, src in trees.items()},
+        "trees": {label: {"src_digest": src_digest(src), "src_lines": count}
+                  for (label, src), count in zip(trees.items(), lines)},
+        "src_lines_diff": lines[1] - lines[0],
         "workloads": list(chosen), "seeds": seeds, "trials": trials,
         "sweeps": len(runs[0]), "files": files, "differing_files": differ,
         "identical": not differ, **diff_results(*runs), "evaluations": evaluations,

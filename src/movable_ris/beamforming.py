@@ -71,14 +71,17 @@ class EffectiveChannel:
     singular_values: np.ndarray
     vh: np.ndarray           # right singular vectors, conjugate-transposed
 
-    def _floor(self) -> np.ndarray:
-        """Each channel's rank floor: max(M_2, M_1) eps times its largest singular value."""
-        return max(self.matrix.shape[-2:]) * _EPS * self.singular_values[..., 0]
-
     @property
     def ranks(self) -> list[int]:
-        rank = (self.singular_values > self._floor()[..., None]).sum(axis=-1)
+        s = self.singular_values
+        rank = (s > _rank_floor(self.matrix, s)[..., None]).sum(axis=-1)
         return np.reshape(rank, -1).tolist()
+
+
+def _rank_floor(h: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The rank floor of each (M_2, M_1) matrix of ``h``, whose singular values ``s`` fall:
+    max(M_2, M_1) eps times its largest singular value."""
+    return max(h.shape[-2:]) * _EPS * s[..., 0]
 
 
 @dataclass
@@ -329,7 +332,8 @@ def bb_stages(
     streams, deficient = num_streams, np.zeros(s.shape[:-1], dtype=bool)
     # Singular values fall along each channel, so its rank reaches num_streams
     # exactly when its num_streams-th value clears the rank floor.
-    if num_streams > s.shape[-1] or not (s[..., num_streams - 1] > eff._floor()).all():
+    floor = _rank_floor(eff.matrix, s)
+    if num_streams > s.shape[-1] or not (s[..., num_streams - 1] > floor).all():
         # Rank bookkeeping in Python ints: integer-array ufuncs would map numpy
         # code that nothing else in a sweep touches, which shows in peak RSS.
         ranks = eff.ranks
@@ -414,39 +418,28 @@ def hybrid_link_rate(
     return achievable_rate(bf, eff, noise_power_w), bf.rank_deficient
 
 
-def _pipeline_rows(f2, h, f1, tx_power_w: float, num_streams: int, noise_power_w: float,
-                   rates: np.ndarray, rows):
-    """``rates`` of one link's reduced stack ``h``, of its stages ``f2`` and ``f1``, with its
-    ``rows`` (None for none) taken by the pipeline, and which of those were rank deficient:
-    (rates, rank_deficient) as ``hybrid_link_rate`` returns."""
-    deficient = np.zeros(rates.shape, dtype=bool)
-    if rows is not None:
-        rates[rows], deficient[rows] = hybrid_link_rate(
-            f2, h[rows], f1, tx_power_w, num_streams, noise_power_w, reduced=True)
-    return rates, deficient
-
-
 def _closed_form_fits(shape, num_streams: int, noise_power_w: float) -> bool:
     """Whether the closed form scores a stack of reduced (K2, K1) matrices: at most two streams,
     no more than either side's beams, and a noise power that is positive and finite. Where this
-    holds for every link, a search takes ``_gram_core`` then ``_gram_tail`` and keeps its cores
-    (``optimizer.SearchTrace``), and otherwise the pipeline; the links' shapes need not agree."""
+    holds for every link, a search takes ``_gram_core`` then ``_gram_tail``, with the pipeline
+    for each row whose rate is not finite, and keeps its cores (``optimizer.SearchTrace``), and
+    otherwise the pipeline alone; the links' shapes need not agree."""
     return num_streams <= min(2, *shape) and 0.0 < noise_power_w < math.inf
 
 
 def _gram_core(h, num_streams: int, grams, out=None):
-    """The budget-free part of the closed-form rate of the reduced stack ``h``: (core, rows).
+    """The budget-free part of the closed-form rate of the reduced stack ``h``, its core.
 
     The closed form is ``hybrid_link_rate(reduced=True)`` of ``h`` up to rounding, from its SVD
     U S V^H and the stages' Grams ``grams``, (F1^H F1, F2 F2^H); no stage is applied. B1 =
     sqrt(P/n) V1 with n = tr(V1^H F1^H F1 V1) and B2 = U1^H give Q = (P/n) S1^2 and W = sigma^2
     Wt, Wt = U1^H F2 F2^H U1, and the phase alignment cancels; ``_closed_form`` has the rate.
 
-    ``core`` is one (6, ...) array, ``out`` if given, of s1, s2, n, wt11, wt22 and det Wt per
+    The core is one (6, ...) array, ``out`` if given, of s1, s2, n, wt11, wt22 and det Wt per
     row: s1 and s2 are the first and the ``num_streams``-th singular values, so one stream has
-    s2 = s1, wt22 = wt11 and det Wt = wt11. ``rows`` marks the rows the pipeline takes whatever
-    the budget, those at or under the rank floor or with n <= 0 or det Wt <= 0, and is None when
-    there are none.
+    s2 = s1, wt22 = wt11 and det Wt = wt11. A row the closed form cannot score whatever the
+    budget, at or under the rank floor or with n <= 0 or det Wt <= 0, is NaN in all six
+    entries, so its rate is NaN and the pipeline takes it.
     """
     u, s, vh = _lapack(_umath_linalg.svd_s, "D->DdD", h, failed="SVD did not converge")
     u, vh = u[..., :num_streams], vh[..., :num_streams, :]
@@ -461,9 +454,10 @@ def _gram_core(h, num_streams: int, grams, out=None):
         det[...] = w11
     else:
         np.subtract(w11 * w22, w12.real ** 2 + w12.imag ** 2, out=det)
-    floor = max(h.shape[-2:]) * _EPS * s[..., 0]  # as ``EffectiveChannel._floor``
-    closed = (s[..., num_streams - 1] > floor) & (n > 0.0) & (det > 0.0)
-    return core, None if closed.all() else ~closed
+    closed = (core[1] > _rank_floor(h, s)) & (n > 0.0) & (det > 0.0)
+    if not closed.all():
+        core[:, ~closed] = math.nan
+    return core
 
 
 # P / sigma^2 from which ``_gram_tail`` runs with overflow ignored. Under it, d1 d2 passes the
@@ -472,28 +466,20 @@ def _gram_core(h, num_streams: int, grams, out=None):
 _GUARDED_SNR = 2.0 ** 256
 
 
-def _gram_tail(core, num_streams: int, rows, tx_power_w: float, noise_power_w: float):
-    """The rates of a ``_gram_core`` at the budget, and the rows the pipeline must take: (rates,
-    rows), ``rows`` None when every rate is the closed form's.
+def _gram_tail(core, num_streams: int, tx_power_w: float, noise_power_w: float):
+    """The closed-form rates of a ``_gram_core`` at the budget.
 
-    Those rows are the core's ``rows`` (their rates are placeholders) and every row whose
-    closed-form rate is not finite, as an overflow of d1 d2 from a P / sigma^2 near the float
-    range gives. The pipeline takes those rows apart from the rest (``_pipeline_rows``), so every
-    row keeps the bytes it has alone.
+    A rate that is not finite is the pipeline's to give: a NaN core row gives NaN, and an
+    overflow of d1 d2 from a P / sigma^2 near the float range gives inf or NaN. The caller
+    (``optimizer._ClosedFormSearch.core_rates``) sends exactly those rows to the pipeline, each
+    link's apart from the rest, so every row keeps the bytes it has alone.
     """
     s, n, w11, w22, det = core[:num_streams], core[2], core[3], core[4], core[5]
-    if rows is not None:
-        n, det = np.where(rows, 1.0, n), np.where(rows, 1.0, det)
     snr = tx_power_w / noise_power_w
     if snr < _GUARDED_SNR:
-        rates = _closed_form(s, n, w11, w22, det, snr)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at a zero singular value
-            rates = _closed_form(s, n, w11, w22, det, snr)
-    if not math.isfinite(rates.sum()):  # finite rates, each at most 1,024, sum to a finite value
-        nonfinite = ~np.isfinite(rates)
-        rows = nonfinite if rows is None else rows | nonfinite
-    return rates, rows
+        return _closed_form(s, n, w11, w22, det, snr)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at a zero singular value
+        return _closed_form(s, n, w11, w22, det, snr)
 
 
 def _closed_form(s, n, w11, w22, det, snr: float) -> np.ndarray:

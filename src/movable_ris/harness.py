@@ -69,6 +69,11 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if not self.values:
             raise ValueError("swept value list must be nonempty")
+        if not self.baselines:
+            raise ValueError("baseline list must be nonempty")
+        for kind in self.baselines:
+            if not isinstance(kind, BaselineKind):
+                raise ValueError(f"baseline {kind!r} is not a BaselineKind")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0 or (self.pso_seed or 0) < 0:

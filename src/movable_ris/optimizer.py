@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import (_closed_form_fits, _gram_core, _gram_tail, _pipeline_rows,
-                          hybrid_link_rate)
+from .beamforming import _closed_form_fits, _gram_core, _gram_tail, hybrid_link_rate
 # Not called here; sweepbench/tracer.py wraps these names in this namespace.
 from .beamforming import achievable_rate, bb_stages, effective_channel  # noqa: F401
 from .channel import HopEnds, TrialChannels, composite_channel, hops, realize_channels
@@ -131,8 +130,8 @@ class _ClosedFormSearch:
     reference, takes every H through the rate pipeline. ``search_rates``, the search objective,
     takes every reduced stack: where ``closed_form`` holds, as ``search_core`` and
     ``core_rates``, the budget-free ``_gram_core`` of every link and the rates at the budget,
-    which a core kept from another budget serves as well (see ``SearchTrace``); otherwise through
-    the pipeline.
+    which a core kept from another budget serves as well (see ``SearchTrace``), the pipeline
+    taking each row whose rate is not finite; otherwise through the pipeline alone.
     """
 
     def _set_links(self, config: SystemConfig, stages) -> None:
@@ -170,30 +169,26 @@ class _ClosedFormSearch:
         return self._pipeline_rates(self._reduced(state), True)
 
     def search_core(self, state: RisState):
-        """(core, rows, h): the (6, links, Z) core with link i's ``_gram_core`` at ``core[:, i]``
-        and its rows for the pipeline at ``rows[i]`` (None for none), of the batch's reduced
-        stacks ``h``."""
+        """(core, h): the (6, links, Z) core with link i's ``_gram_core`` at ``core[:, i]``, of
+        the batch's reduced stacks ``h``."""
         h = self._reduced(state)
         core = np.empty((6, len(h), *h[0].shape[:-2]))
-        rows = None
         for i, ((_, _, grams), hi) in enumerate(zip(self._links, h)):
-            left = _gram_core(hi, self._budget[1], grams, core[:, i])[1]
-            if left is not None:
-                rows = np.zeros(core.shape[1:], dtype=bool) if rows is None else rows
-                rows[i] = left
-        return core, rows, h
+            _gram_core(hi, self._budget[1], grams, core[:, i])
+        return core, h
 
-    def core_rates(self, state: RisState, core, rows=None, h=None) -> np.ndarray:
+    def core_rates(self, state: RisState, core, h=None) -> np.ndarray:
         """The rates of the batch ``state`` from its ``core``: the tail at the budget, then the
-        pipeline for each link's rows left, on ``h`` or, when not given, the batch's stacks
-        rebuilt; the least link rate."""
+        pipeline for each link's rows whose rate is not finite (NaN core rows and overflows),
+        on ``h`` or, when not given, the batch's stacks rebuilt; the least link rate."""
         power, streams, noise = self._budget
-        rates, rows = _gram_tail(core, streams, rows, power, noise)
-        if rows is not None:
+        rates = _gram_tail(core, streams, power, noise)
+        if not math.isfinite(rates.sum()):  # finite rates, each at most 1,024, have a finite sum
             h = self._reduced(state) if h is None else h
-            for (f2, f1, _), hi, link, left in zip(self._links, h, rates, rows):
-                if left.any():
-                    deficient = _pipeline_rows(f2, hi, f1, *self._budget, link, left)[1]
+            for (f2, f1, _), hi, link in zip(self._links, h, rates):
+                if (left := ~np.isfinite(link)).any():
+                    link[left], deficient = hybrid_link_rate(f2, hi[left], f1, *self._budget,
+                                                             reduced=True)
                     self.saw_rank_deficiency |= bool(deficient.any())
         return _least(rates)
 
@@ -266,9 +261,9 @@ class SearchTrace:
     and on what the evaluations before c decided (``run_pso``'s ``decisions``). So while every
     decision of a run equals the last run's, its batches equal that run's byte for byte, and so
     does their budget-free ``search_core``. ``decisions`` are the last run's, one per evaluation
-    it made, and ``cores`` holds its (6, links, Z) core of each evaluation as one row of an
-    (evaluations, 6, links, Z) array: a row of NaN where a row of any link takes the pipeline
-    whatever the budget.
+    it made, and ``cores`` holds its (6, links, Z) core of each evaluation, as computed, as one
+    row of an (evaluations, 6, links, Z) array; a NaN core row, one the closed form cannot score
+    whatever the budget, takes the pipeline at every budget (``core_rates``).
     """
 
     decisions: list = field(default_factory=list)
@@ -279,22 +274,21 @@ class SearchTrace:
 
         The objective is ``context.search_rates`` of the decoded batches. An evaluation that the
         last run made, whose every decision before it (``run_pso`` fills ``decisions``) equals
-        that run's and whose row holds a core, takes only ``core_rates`` of that core; any other
-        computes its core and writes it to its row.
+        that run's, takes only ``core_rates`` of that run's core, its NaN rows on the batch's
+        stacks rebuilt; any other computes its core and writes it to its row.
         """
         previous = self.decisions
         decisions = self.decisions = []
 
         def objective(v: np.ndarray) -> np.ndarray:
             c, state, cores = len(decisions), decoder(v), self.cores
-            kept = cores[c] if c < len(previous) and decisions == previous[:c] else None
-            if kept is not None and not math.isnan(kept[0, 0, 0]):  # a NaN row holds no core
-                return context.core_rates(state, kept)
-            core, rows, h = context.search_core(state)
+            if c < len(previous) and decisions == previous[:c]:
+                return context.core_rates(state, cores[c])
+            core, h = context.search_core(state)
             if cores is None:
                 cores = self.cores = np.empty((evaluations, *core.shape))
-            cores[c] = core if rows is None else math.nan
-            return context.core_rates(state, core, rows, h)
+            cores[c] = core
+            return context.core_rates(state, core, h)
 
         return objective, decisions
 

@@ -248,20 +248,19 @@ def _per_hop_search(pack, trial, points):
 
 def _assert_search_is_per_hop(relay, points, expected, flags):
     """The relay search's batch, its core's steps and its rows have the per-hop calls' bytes
-    and flags; each link's core holds that hop's ``_gram_core``."""
+    and flags; each link's core holds that hop's ``_gram_core``, NaN rows included, and the core
+    alone, on the hops rebuilt, gives the same bytes."""
     state = _relay_state(points)
     _same_bytes(relay.search_rates(state), expected)
     assert relay.saw_rank_deficiency == flags.any()
-    relay.saw_rank_deficiency = False
-    core, rows, hops = relay.search_core(state)
-    lefts = []
+    core, hops = relay.search_core(state)
     for i, ((_, _, grams), hop) in enumerate(zip(relay._links, hops)):
-        link, left = beamforming._gram_core(hop, relay._budget[1], grams)
+        link = beamforming._gram_core(hop, relay._budget[1], grams)
         assert core[:, i].tobytes() == link.tobytes()
-        lefts.append([False] * len(points) if left is None else left.tolist())
-    assert (rows is None and not np.any(lefts)) or rows.tolist() == lefts
-    _same_bytes(relay.core_rates(state, core, rows, hops), expected)
-    assert relay.saw_rank_deficiency == flags.any()
+    for given in (hops, None):
+        relay.saw_rank_deficiency = False
+        _same_bytes(relay.core_rates(state, core, given), expected)
+        assert relay.saw_rank_deficiency == flags.any()
     rows = _search_rows(relay, points)
     _same_bytes([r for r, _ in rows], expected)
     assert [d for _, d in rows] == flags.tolist()
@@ -278,13 +277,15 @@ def test_relay_one_pass_equals_per_hop_rates(ue_position, monkeypatch):
         _, expected, flags = _per_hop_search(pack, trial, points)
         _assert_search_is_per_hop(baselines._RelaySearch(pack, trial_index), points, expected,
                                   flags)
-    # without UE-hop gains that hop is rank 0 at every point: its rows take the pipeline
+    # without UE-hop gains that hop is rank 0 at every point: its core rows are NaN, and the
+    # pipeline takes them
     trial = replace(trial, gains=trial.gains * np.array([1.0, 0.0])[:, None, None])
     monkeypatch.setattr(baselines, "trial_channels", lambda pack, index: trial)
     _, expected, flags = _per_hop_search(pack, trial, points)
     relay = baselines._RelaySearch(pack, trial_index)
     _assert_search_is_per_hop(relay, points, expected, flags)
-    assert flags.all() and relay.search_core(_relay_state(points))[1][1].all()
+    core = relay.search_core(_relay_state(points))[0]
+    assert flags.all() and np.isnan(core[:, 1]).all() and not np.isnan(core[:, 0]).any()
 
 
 def test_relay_search_takes_one_gram_core_per_link(monkeypatch):
@@ -306,9 +307,9 @@ def test_relay_search_takes_one_gram_core_per_link(monkeypatch):
         calls.clear()
         relay = baselines._RelaySearch(pack, 0)
         assert relay.closed_form
-        core, rows, hops = relay.search_core(state)
+        core, hops = relay.search_core(state)
         assert core.shape == (6, 2, 6) and calls == [("core", (6, 3, 3)), ("core", hop2)]
-        assert relay.core_rates(state, core, rows, hops).tobytes() == expected.tobytes()
+        assert relay.core_rates(state, core, hops).tobytes() == expected.tobytes()
         calls.clear()
         assert relay.search_rates(state).tobytes() == expected.tobytes()
         assert calls == [("core", (6, 3, 3)), ("core", hop2)]
@@ -323,6 +324,20 @@ def _zero_ue_hop(monkeypatch):
         return replace(trial, gains=trial.gains * np.array([1.0, 0.0])[:, None, None])
 
     monkeypatch.setattr(baselines, "trial_channels", trial_channels)
+
+
+def _log_pipeline(monkeypatch, log, index=lambda: None):
+    """Log to ``log`` each stack the searches' closed form sends to the pipeline, at
+    ``hybrid_link_rate(reduced=True)``: (``index()``, its row count). The references' calls,
+    unreduced, are not logged."""
+    real = optimizer.hybrid_link_rate
+
+    def logged(f2, h, f1, *budget, reduced=False):
+        if reduced:
+            log.append((index(), len(h)))
+        return real(f2, h, f1, *budget, reduced=reduced)
+
+    monkeypatch.setattr(optimizer, "hybrid_link_rate", logged)
 
 
 def _power_step(pack, kind, power, packs):
@@ -346,11 +361,10 @@ def test_search_traces_reuse_cores_and_keep_none_the_pipeline_takes(kind, ue_pos
     # evaluations take only the tail of the kept core, with no SVD, and every outcome keeps the
     # bytes of a search at its power on a new pack. The packs come as a power sweep's do
     svds, pipelines = [], []
-    real, real_rows = optimizer._gram_core, optimizer._pipeline_rows
+    real = optimizer._gram_core
     monkeypatch.setattr(optimizer, "_gram_core",
                         lambda h, *args: svds.append(h.shape[:-2]) or real(h, *args))
-    monkeypatch.setattr(optimizer, "_pipeline_rows",
-                        lambda *args: pipelines.append(1) or real_rows(*args))
+    _log_pipeline(monkeypatch, pipelines)
     pack = _relay_pack(ue_position)
     evaluations = pack.config.pso.iterations + 1
     links = 2 if kind == BaselineKind.FD_RELAY else 1  # the relay's two hops
@@ -369,35 +383,39 @@ def test_search_traces_reuse_cores_and_keep_none_the_pipeline_takes(kind, ue_pos
         trace = point.search_traces[kind, 0]
         assert outcome == alone[power]
         assert trace.cores.shape == (evaluations, 6, links, *swarm)
-        assert not np.isnan(trace.cores).any()  # every row holds a core
+        assert not np.isnan(trace.cores).any()  # no row the closed form cannot score
         assert svds == [swarm] * len(svds) and len(svds) % links == 0
-        assert len(pipelines) == (evaluations * links if power == 2000.0 else 0)
+        assert pipelines == ([(None, *swarm)] * evaluations * links if power == 2000.0 else [])
         misses.append(len(svds) // links)
     # the first power computes every core, a repeated power none, and every power step retraces
     # at least its first evaluation; at 2000 dBm the closed form passes the float range, so every
     # evaluation, a retraced one with its kept core too, sends its rows to the pipeline
     assert misses[0] == evaluations and misses[2] == 0
     assert misses[1] < evaluations and misses[3] < evaluations
-    # a core with rows that take the pipeline whatever the budget is not kept, its row NaN: with
-    # no UE-hop gains every core is rank 0, so the next power computes every core again
+    # a core row the closed form cannot score whatever the budget is kept NaN, and takes the
+    # pipeline at every power: with no UE-hop gains every row of that hop is rank 0, every
+    # rate 0, and the next power retraces every evaluation, computing no core
     _zero_ue_hop(monkeypatch)
     alone = {power: search(power, [])[1] for power in (30.0, 40.0)}
-    packs = []
+    packs, misses = [], []
     for power in (30.0, 40.0):
         point, outcome = search(power, packs)
+        cores = point.search_traces[kind, 0].cores
         assert outcome == alone[power] and "flagged=True" in outcome
-        assert np.isnan(point.search_traces[kind, 0].cores).all()
-        assert len(svds) == evaluations * links
+        assert np.isnan(cores[:, :, -1]).all() and not np.isnan(cores[:, :, :-1]).any()
+        assert pipelines == [(None, *swarm)] * evaluations  # the UE hop's rows, each evaluation
+        misses.append(len(svds) // links)
+    assert misses == [evaluations, 0]
 
 
 @pytest.mark.parametrize("kind", [BaselineKind.FD_RELAY, BaselineKind.FIXED_RIS_OPT_PHASE,
                                   BaselineKind.MOVABLE_RIS_JOINT],
                          ids=["fd_relay", "fixed_ris_opt_phase", "movable_ris_joint"])
 def test_a_core_with_pipeline_rows_ends_no_retrace(kind, monkeypatch):
-    # one mid-run evaluation's core has a row for the pipeline, whatever the budget: its trace
-    # keeps a NaN row for it, and the next power computes that core again while every
-    # evaluation before and after it whose decisions so far match the last run's retraces;
-    # every outcome keeps the bytes of a search at its power on a new pack
+    # one mid-run evaluation's core has a row the closed form cannot score, whatever the budget:
+    # its trace keeps that row NaN, and the next power retraces it as it retraces every
+    # evaluation whose decisions so far match the last run's, with only its NaN row taking the
+    # pipeline; every outcome keeps the bytes of a search at its power on a new pack
     pack = _relay_pack()
     evaluations = pack.config.pso.iterations + 1
     links = 2 if kind == BaselineKind.FD_RELAY else 1
@@ -408,50 +426,55 @@ def test_a_core_with_pipeline_rows_ends_no_retrace(kind, monkeypatch):
                         lambda h, *args: batches.append(h.tobytes()) or real(h, *args))
     _power_step(pack, kind, 40.0, [])
     target = batches[middle * links]  # the first link's batch at evaluation ``middle``
-    computed, current = [], {}
+    computed, pipelined, current = [], [], {}
+
+    def evaluation():
+        return len(current["trace"].decisions)
 
     def gram_core(h, *args):
-        """``_gram_core``, with row 0 of the target batch for the pipeline; logs the evaluation."""
-        core, rows = real(h, *args)
-        computed.append(len(current["trace"].decisions))
+        """``_gram_core``, with row 0 of the target batch NaN; logs the evaluation."""
+        core = real(h, *args)
+        computed.append(evaluation())
         if h.tobytes() == target:
-            rows = np.zeros(h.shape[:-2], dtype=bool) if rows is None else rows
-            rows[0] = True
-        return core, rows
+            core[:, 0] = math.nan
+        return core
 
     monkeypatch.setattr(optimizer, "_gram_core", gram_core)
+    _log_pipeline(monkeypatch, pipelined, evaluation)
 
     def search(power, packs):
-        """``_power_step``: (the pack, the outcome's repr, the evaluations that took an SVD)."""
+        """``_power_step``: (the pack, the outcome's repr, the evaluations that took an SVD, and
+        those that took the pipeline with their row counts)."""
         config = replace(pack.config, tx_power_dbm=power)
         point = harness._point_pack(packs, config, pack.geometry, pack.seed, None)
         current["trace"] = point.search_traces.setdefault((kind, 0), optimizer.SearchTrace())
         computed.clear()
+        pipelined.clear()
         outcome = repr(baselines.run_baseline(kind, point, 0))
         assert computed == sorted(computed) and len(computed) % links == 0
-        return point, outcome, sorted(set(computed))
+        return point, outcome, sorted(set(computed)), list(pipelined)
 
     # a repeated power does not search the relay again; its decisions at 40 dBm match 30 dBm's
     powers = (30.0, 40.0) if kind == BaselineKind.FD_RELAY else (30.0, 40.0, 40.0)
     alone = {power: search(power, [])[1] for power in powers}
-    packs, last, steps = [], None, []
+    packs, last, retraced = [], None, []
     for power in powers:
-        point, outcome, took = search(power, packs)
+        point, outcome, took, pipeline = search(power, packs)
         trace = point.search_traces[kind, 0]
         assert outcome == alone[power]
         expected = range(evaluations)
-        if last is not None:  # retraced: every decision before it and its kept core are the last's
-            decisions, cores = last
-            expected = [c for c in expected
-                        if np.isnan(cores[c]).all() or trace.decisions[:c] != decisions[:c]]
+        if last is not None:  # retraced: every decision before it is the last run's
+            expected = [c for c in expected if trace.decisions[:c] != last[:c]]
         assert took == list(expected)
-        if power == 40.0:  # the target is that power's batch at evaluation ``middle``
-            assert np.isnan(trace.cores).all(axis=(1, 2, 3)).tolist() == [
-                c == middle for c in range(evaluations)]
-            assert not np.isnan(np.delete(trace.cores, middle, axis=0)).any()
-        last = list(trace.decisions), trace.cores.copy()  # the next run rewrites both
-        steps.append(took)
-    assert [middle] in steps[1:]  # a step whose every other evaluation retraced
+        # the only NaN core row is row 0 of the first link at the target, which its run holds
+        # at evaluation ``middle``; that one row, and no other, takes the pipeline
+        nan = np.argwhere(np.isnan(trace.cores)).tolist()
+        assert nan in ([], [[middle, entry, 0, 0] for entry in range(6)])
+        assert pipeline == ([(middle, 1)] if nan else [])
+        if nan and middle not in took:
+            retraced.append(power)
+        last = list(trace.decisions)  # the next run rewrites them
+    assert 40.0 in retraced  # a power step whose evaluation ``middle`` retraced its NaN row
 
 
 def test_a_hop_with_a_rank_deficient_row_runs_row_by_row():

@@ -712,13 +712,14 @@ def test_gram_rates_match_the_pipeline(seed, shape, rows, links, streams):
     assert not search.saw_rank_deficiency
     # the budget-free (6, links, rows) core, then the tail that applies the budget, give each
     # link's bytes, and the core alone, as a search trace keeps it, the search's; one _gram_core
-    # of the links stacked, with their Grams stacked, gives the same core
-    core, left, _ = search.search_core(None)
-    tail, pipeline_rows = _gram_tail(core, streams, left, budget[0], budget[2])
-    assert core.shape == (6, links, rows) and left is None and pipeline_rows is None
-    assert tail.tobytes() == np.stack(per_link).tobytes()
+    # of the links stacked, with their Grams stacked, gives the same core. No row of it is NaN,
+    # and no rate of the tail is left for the pipeline
+    core, _ = search.search_core(None)
+    tail = _gram_tail(core, streams, budget[0], budget[2])
+    assert core.shape == (6, links, rows) and not np.isnan(core).any()
+    assert np.isfinite(tail).all() and tail.tobytes() == np.stack(per_link).tobytes()
     stacked = [np.stack(g)[:, None] for g in zip(*(_grams(*s) for s in stages))]
-    assert _gram_core(h, streams, stacked)[0].tobytes() == core.tobytes()
+    assert _gram_core(h, streams, stacked).tobytes() == core.tobytes()
     assert search.core_rates(None, core).tobytes() == rates.tobytes()
 
 
@@ -789,6 +790,45 @@ def test_gram_rates_of_stacked_links_equal_link_by_link_and_row_by_row(seed, sha
         assert link.tobytes() == np.concatenate(alone).tobytes()
         _, flags = hybrid_link_rate(f2, hop, f1, *budget, reduced=True)
         assert deficient.tolist() == flags.tolist()
+
+
+@given(seed=st.integers(0, 10_000), shape=_SHAPES, rows=st.integers(1, 12),
+       links=st.sampled_from([1, 2]), streams=st.sampled_from([1, 2]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_nan_core_row_never_touches_its_neighbours(seed, shape, rows, links, streams, data):
+    # forced NaN rows of a core take the pipeline, each with the bytes of that row alone, on the
+    # stacks given or rebuilt; every other row of every link keeps the bytes of the core unforced
+    rng = rng_stream(seed, 43)
+    h = _random_complex(rng, (links, rows, *shape))
+    stages = [_stages(rng, shape) for _ in range(links)]
+    budget = (2.0, streams, 1e-3)
+    search = _stack_search([(f2, f1, _grams(f2, f1)) for f2, f1 in stages], budget, tuple(h))
+    core, _ = search.search_core(None)
+    forced = np.zeros((links, rows), dtype=bool)
+    for link, row in data.draw(st.sets(st.tuples(st.integers(0, links - 1),
+                                                 st.integers(0, rows - 1)), min_size=1)):
+        forced[link, row] = True
+    nan_core = core.copy()
+    nan_core[:, forced] = math.nan
+    real_least, per_link = optimizer._least, []
+    with pytest.MonkeyPatch.context() as mp:  # each call's link rates, before the least
+        mp.setattr(optimizer, "_least", lambda rates: per_link.append(rates.copy()) or
+                   real_least(rates))
+        unforced = search.core_rates(None, core, tuple(h))
+        for given in (tuple(h), None):
+            search.saw_rank_deficiency = False
+            rates = search.core_rates(None, nan_core, given)
+            assert not search.saw_rank_deficiency
+    assert np.isfinite(per_link[0]).all()
+    for kept in per_link[1:]:
+        assert kept[~forced].tobytes() == per_link[0][~forced].tobytes()
+        for (link, row), rate in zip(np.argwhere(forced), kept[forced]):
+            (f2, f1), alone = stages[link], h[link, row:row + 1]
+            expected, flags = hybrid_link_rate(f2, alone, f1, *budget, reduced=True)
+            assert np.float64(rate).tobytes() == expected.tobytes() and not flags.any()
+    assert rates.tobytes() == real_least(per_link[-1]).tobytes()
+    untouched = ~forced.any(axis=0)  # the rows no link forced
+    assert rates[untouched].tobytes() == unforced[untouched].tobytes()
 
 
 # How far the closed form may sit from an exact evaluation of the pipeline's log-det at any

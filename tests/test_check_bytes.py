@@ -41,6 +41,11 @@ def test_check_bytes_reads_this_tree_identical_to_itself(check_bytes):
     largest = report["largest_abs_rate_diff"]
     assert largest["value"] == 0.0 and largest["at"][:2] == ["phase_search", 0]
     assert report["largest_rel_rate_diff"]["value"] == 0.0
+    # each tree's source line count, a direct count of this checkout's package, and no difference
+    lines = sum(len(path.read_text().splitlines())
+                for path in (ROOT / "src" / "movable_ris").glob("*.py"))
+    assert report["trees"]["a"]["src_lines"] == report["trees"]["b"]["src_lines"] == lines
+    assert report["src_lines_diff"] == 0
     # the same objective evaluations in both; an element sweep has no power step to retrace
     evaluations = report["evaluations"]
     assert evaluations["a"] == evaluations["b"] == {"phase_search": {

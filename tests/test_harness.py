@@ -135,6 +135,12 @@ def test_sweep_rejects_bad_spec():
         SweepSpec(kind="nope", values=(1,))
     with pytest.raises(ValueError):
         SweepSpec(kind="power", values=(1,), trials=0)
+    # baselines are refused where they enter: none, a name, or an unknown name
+    with pytest.raises(ValueError, match="baseline list must be nonempty"):
+        SweepSpec(kind="power", values=(30.0,), baselines=(), trials=1)
+    for kind in ("fd_relay", "nope"):
+        with pytest.raises(ValueError, match=f"baseline '{kind}' is not a BaselineKind"):
+            SweepSpec(kind="power", values=(30.0,), baselines=(kind,), trials=1)
 
 
 @pytest.mark.parametrize("kind, value", [
@@ -424,9 +430,9 @@ def _point_packs():
 
 
 def _kept_count(pack):
-    """How many evaluations' cores, rows that are not NaN, a pack's search traces hold."""
-    return sum(int((~np.isnan(trace.cores[:, 0, 0, 0])).sum())
-               for trace in pack.search_traces.values() if trace.cores is not None)
+    """How many evaluations' cores a pack's search traces hold, one per row of each trace."""
+    return sum(len(trace.cores) for trace in pack.search_traces.values()
+               if trace.cores is not None)
 
 
 def _traces(pack):
