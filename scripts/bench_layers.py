@@ -205,7 +205,7 @@ def layers_of(module, rows: int) -> dict:
     trial = baselines.trial_channels(pack, 0)
     rng = scenario.rng_stream(7, 0)
     joint = rng.random((rows, config.num_ris + 2))
-    xy = np.column_stack(optimizer.decode_xy(joint[:, 0], joint[:, 1], geometry))
+    xy = optimizer.decode_on_platform(joint, geometry, None).points
     means, _ = channel.platform_angles(geometry, xy)
     el, az = means[..., None] + trial.offsets  # (end, hop, B, L), the ends' path angles
     tx_angles = el[1, 0], az[1, 0]  # the Tx end of the Tx hop

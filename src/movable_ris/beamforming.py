@@ -314,19 +314,18 @@ def bb_stages(
     eff: EffectiveChannel,
     tx_power_w: float,
     num_streams: int,
-    f1: np.ndarray | None = None,
+    f1: np.ndarray,
 ) -> BeamformerSet:
     """Digital precoder/combiner from the dominant singular subspace.
 
-    B1 = sqrt(P_T/N_S) * V_1 and B2 = U_1^H. When ``f1`` is supplied, B1 is
-    rescaled by a single scalar so that the transmit power ||F1 B1||_F^2
-    equals P_T exactly even for non-orthogonal analog beams (the factor is 1
-    to machine precision at half-wavelength spacing). Rank-deficient
-    channels degrade to rank-many streams (a zero channel to one) and are
-    flagged, not resampled. Every channel of a stack must have the same
-    stream count; ``hybrid_link_rate`` runs a stack of mixed counts row by
-    row. The stages come as a BeamformerSet holding ``f1`` and no F2, which
-    ``hybrid_link_rate`` fills in.
+    B1 = sqrt(P_T/N_S) * V_1 and B2 = U_1^H. Each B1 is then rescaled by a single scalar so that
+    the transmit power ||F1 B1||_F^2 through the analog stage ``f1`` equals P_T exactly even for
+    non-orthogonal analog beams (the factor is 1 to machine precision at half-wavelength
+    spacing); a B1 with F1 B1 = 0 stays unscaled. Rank-deficient channels degrade to rank-many
+    streams (a zero channel to one) and are flagged, not resampled. Every channel of a stack
+    must have the same stream count; ``hybrid_link_rate`` runs a stack of mixed counts row by
+    row. The stages come as a BeamformerSet holding ``f1`` and no F2, which ``hybrid_link_rate``
+    fills in.
     """
     s = eff.singular_values
     streams, deficient = num_streams, np.zeros(s.shape[:-1], dtype=bool)
@@ -343,14 +342,13 @@ def bb_stages(
         streams = counts.pop()
         deficient = np.reshape([rank < num_streams for rank in ranks], deficient.shape)
     b1 = math.sqrt(tx_power_w / streams) * _hermitian(eff.vh[..., :streams, :])
-    if f1 is not None:  # a matrix with F1 B1 = 0 stays unscaled
-        fb1 = f1 @ b1
-        flat = fb1.reshape(-1, fb1.shape[-2] * fb1.shape[-1])
-        # np.linalg.norm(m) ** 2 per matrix m, from the two dots that norm takes itself
-        actual = np.reshape([np.sqrt(re.dot(re) + im.dot(im)) ** 2
-                             for re, im in zip(flat.real, flat.imag)], fb1.shape[:-2])
-        scaled = actual > 0.0
-        b1[scaled] *= np.sqrt(tx_power_w / actual[scaled])[..., None, None]
+    fb1 = f1 @ b1
+    flat = fb1.reshape(-1, fb1.shape[-2] * fb1.shape[-1])
+    # np.linalg.norm(m) ** 2 per matrix m, from the two dots that norm takes itself
+    actual = np.reshape([np.sqrt(re.dot(re) + im.dot(im)) ** 2
+                         for re, im in zip(flat.real, flat.imag)], fb1.shape[:-2])
+    scaled = actual > 0.0
+    b1[scaled] *= np.sqrt(tx_power_w / actual[scaled])[..., None, None]
     return BeamformerSet(f1, b1, None, _hermitian(eff.u[..., :streams]), streams,
                          deficient if deficient.ndim else bool(deficient))
 
@@ -427,7 +425,7 @@ def _closed_form_fits(shape, num_streams: int, noise_power_w: float) -> bool:
     return num_streams <= min(2, *shape) and 0.0 < noise_power_w < math.inf
 
 
-def _gram_core(h, num_streams: int, grams, out=None):
+def _gram_core(h, num_streams: int, grams, core):
     """The budget-free part of the closed-form rate of the reduced stack ``h``, its core.
 
     The closed form is ``hybrid_link_rate(reduced=True)`` of ``h`` up to rounding, from its SVD
@@ -435,15 +433,14 @@ def _gram_core(h, num_streams: int, grams, out=None):
     sqrt(P/n) V1 with n = tr(V1^H F1^H F1 V1) and B2 = U1^H give Q = (P/n) S1^2 and W = sigma^2
     Wt, Wt = U1^H F2 F2^H U1, and the phase alignment cancels; ``_closed_form`` has the rate.
 
-    The core is one (6, ...) array, ``out`` if given, of s1, s2, n, wt11, wt22 and det Wt per
-    row: s1 and s2 are the first and the ``num_streams``-th singular values, so one stream has
-    s2 = s1, wt22 = wt11 and det Wt = wt11. A row the closed form cannot score whatever the
-    budget, at or under the rank floor or with n <= 0 or det Wt <= 0, is NaN in all six
-    entries, so its rate is NaN and the pipeline takes it.
+    The core is written into ``core``, one (6, ...) array, and returned: s1, s2, n, wt11, wt22
+    and det Wt per row. s1 and s2 are the first and the ``num_streams``-th singular values, so
+    one stream has s2 = s1, wt22 = wt11 and det Wt = wt11. A row the closed form cannot score
+    whatever the budget, at or under the rank floor or with n <= 0 or det Wt <= 0, is NaN in all
+    six entries, so its rate is NaN and the pipeline takes it.
     """
     u, s, vh = _lapack(_umath_linalg.svd_s, "D->DdD", h, failed="SVD did not converge")
     u, vh = u[..., :num_streams], vh[..., :num_streams, :]
-    core = np.empty((6, *h.shape[:-2])) if out is None else out
     core[0], core[1] = s[..., 0], s[..., num_streams - 1]
     n = ((vh @ grams[0]) * vh.conj()).real.sum(axis=(-2, -1), out=core[2])
     w = _hermitian(u) @ grams[1] @ u

@@ -38,12 +38,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_scenario(parser)
     parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trials per point")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--baselines", type=str, default=None,
-                        help="comma-separated kinds (default: all six)")
     parser.add_argument("--dump-channels", type=Path, default=None, metavar="DIR",
                         help="dump per-trial channel matrices under DIR")
     parser.add_argument("--pso-particles", type=int, default=None, help="swarm size override")
     parser.add_argument("--pso-iters", type=int, default=None, help="swarm iterations override")
+
+
+def _add_sweep(parser: argparse.ArgumentParser) -> None:
+    """The common flags and ``--baselines``, which ``single-run`` replaces by ``--baseline``."""
+    _add_common(parser)
+    parser.add_argument("--baselines", type=str, default=None,
+                        help="comma-separated kinds (default: all six)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,19 +61,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-power", help="achievable rate vs transmit power")
     p.add_argument("--powers", type=str, default=None,
                    help="comma-separated P_T values in dBm")
-    _add_common(p)
+    _add_sweep(p)
 
     p = sub.add_parser("sweep-elements", help="achievable rate vs RIS element count")
     p.add_argument("--elements", type=str, default=None,
                    help="comma-separated element counts (perfect squares)")
     p.add_argument("--power-dbm", type=float, default=None, help=POWER_HELP)
-    _add_common(p)
+    _add_sweep(p)
 
     p = sub.add_parser("ue-scenarios", help="compare schemes across UE positions")
     p.add_argument("--ue-positions", type=str, default=None,
                    help="semicolon-separated x,y,z triples")
     p.add_argument("--power-dbm", type=float, default=None, help=POWER_HELP)
-    _add_common(p)
+    _add_sweep(p)
 
     p = sub.add_parser("single-run", help="one baseline at one operating point")
     p.add_argument("--baseline", type=str, default=BaselineKind.MOVABLE_RIS_JOINT.value)
@@ -189,7 +194,7 @@ def _run_sweep(args, kind: str, values: tuple | None, out_name: str) -> int:
 
 
 def _cmd_single_run(args) -> int:
-    args.baselines = _baseline_kind(args.baseline).value
+    args.baselines = _baseline_kind(args.baseline).value  # single-run has no --baselines
     return _run_sweep(args, "single", None, "single-run")
 
 

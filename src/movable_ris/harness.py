@@ -177,31 +177,33 @@ def _dump_matrix(path: Path, matrix: np.ndarray) -> None:
 
 
 def monte_carlo_point(
+    spec: SweepSpec,
+    value,
     config: SystemConfig,
     geometry: DeploymentGeometry,
     kind: BaselineKind,
-    trials: int,
-    seed: int,
-    sweep_kind: str = "single",
-    swept_value=None,
-    dump_dir: Path | None = None,
-    pso_seed: int | None = None,
-    packs: list[ScenarioPack] | None = None,
+    packs: list[ScenarioPack],
+    dump_root: Path | None,
 ) -> RateResult:
-    """Average one baseline over ``trials`` frozen channel draws.
+    """Average one baseline over the spec's trials at one swept value.
 
-    Trial t consumes substreams keyed by (seed, t). A trial fails when it
-    raises one of TRIAL_FAILURES or its rate is not finite; failures are
-    recorded, never silently dropped, and the point is flagged when more
-    than 10% of trials fail. Any other exception propagates.
-    ``packs`` is a sweep's pack store (see ``_point_pack``), else the point builds its pack.
+    ``config`` and ``geometry`` are the point's, as ``sweep_points`` gives them for ``value``,
+    and ``packs`` is the sweep's pack store (``_point_pack``). Trial t consumes substreams keyed
+    by (spec.seed, t). A trial fails when it raises one of TRIAL_FAILURES or its rate is not
+    finite; failures are recorded, never silently dropped, and the point is flagged when more
+    than 10% of trials fail. Any other exception propagates. With a ``dump_root`` each trial's
+    hops go to ``<sweep kind>_<value>`` under it, the value formatted as in the RateResult with
+    "/" turned into "_".
     """
-    pack = _point_pack(packs, config, geometry, seed, pso_seed)
+    label = format_swept_value(spec.kind, value)
+    dump_dir = (None if dump_root is None
+                else Path(dump_root) / f"{spec.kind}_{label.replace('/', '_')}")
+    pack = _point_pack(packs, config, geometry, spec.seed, spec.pso_seed)
     rates: list[float] = []
     positions: list[tuple[float, float]] = []
     failed: list[int] = []
     flagged: list[int] = []
-    for t in range(trials):
+    for t in range(spec.trials):
         try:
             outcome = run_baseline(kind, pack, t)
         except TRIAL_FAILURES:
@@ -228,19 +230,18 @@ def monte_carlo_point(
     mean = float(arr.mean()) if arr.size else math.nan
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     best = int(np.argmax(arr)) if arr.size else -1
-    value = swept_value if swept_value is not None else config.tx_power_dbm
     return RateResult(
-        sweep_kind=sweep_kind,
-        swept_value=format_swept_value(sweep_kind, value),
+        sweep_kind=spec.kind,
+        swept_value=label,
         baseline=kind,
         mean_rate=mean,
         stderr=stderr,
-        trials=trials,
-        seed=seed,
-        config_digest=config_digest(config, geometry, pso_seed),
+        trials=spec.trials,
+        seed=spec.seed,
+        config_digest=config_digest(config, geometry, spec.pso_seed),
         ris_x=positions[best][0] if best >= 0 else math.nan,
         ris_y=positions[best][1] if best >= 0 else math.nan,
-        pso_seed=pso_seed,
+        pso_seed=spec.pso_seed,
         per_trial_rates=rates,
         per_trial_positions=positions,
         failed_trials=failed,
@@ -248,12 +249,12 @@ def monte_carlo_point(
     )
 
 
-def _point_pack(packs: list[ScenarioPack] | None, config: SystemConfig,
+def _point_pack(packs: list[ScenarioPack], config: SystemConfig,
                 geometry: DeploymentGeometry, seed: int, pso_seed: int | None) -> ScenarioPack:
-    """The pack of one point, then ``packs``'s one entry: the kept pack if its value is the
-    point's, so the kinds at one value share its fd_relay searches; if the two differ in
+    """The pack of one point, then the store ``packs``'s one entry: the kept pack if its value is
+    the point's, so the kinds at one value share its fd_relay searches; if the two differ in
     ``tx_power_dbm`` alone, the kept pack at the point's power with its searches' traces, whose
-    cores no more than its RF stages read the power; else a new pack."""
+    cores no more than its RF stages read the power; else, and for an empty store, a new pack."""
     pack = packs[0] if packs else None
     if pack is None or (pack.geometry, pack.seed, pack.pso_seed) != (geometry, seed, pso_seed) or (
             replace(pack.config, tx_power_dbm=config.tx_power_dbm) != config):
@@ -261,8 +262,7 @@ def _point_pack(packs: list[ScenarioPack] | None, config: SystemConfig,
     elif pack.config != config:
         pack = replace(pack, config=config)
         pack.search_traces.update(packs[0].search_traces)
-    if packs is not None:
-        packs[:] = [pack]
+    packs[:] = [pack]
     return pack
 
 
@@ -278,22 +278,13 @@ def sweep(
     numbers). A value ``sweep_points`` rejects raises ConfigError before any trial.
     The sweep's pack store keeps the current value's pack only. Each point takes
     its pack inside the point (``_point_pack``): a power step keeps the RF stages
-    and search traces of the step before, any other step builds a pack.
+    and search traces of the step before, any other step builds a pack. Each point
+    names its own directory under ``dump_dir`` (``monte_carlo_point``).
     """
-    points = sweep_points(spec, config, geometry)
     packs: list[ScenarioPack] = []
-    results: list[RateResult] = []
-    for value, point_config, point_geometry in points:
-        for kind in spec.baselines:
-            point_dump = None
-            if dump_dir is not None:
-                label = format_swept_value(spec.kind, value).replace("/", "_")
-                point_dump = Path(dump_dir) / f"{spec.kind}_{label}"
-            results.append(monte_carlo_point(
-                point_config, point_geometry, kind, spec.trials, spec.seed,
-                sweep_kind=spec.kind, swept_value=value, dump_dir=point_dump,
-                pso_seed=spec.pso_seed, packs=packs))
-    return results
+    return [monte_carlo_point(spec, value, point_config, point_geometry, kind, packs, dump_dir)
+            for value, point_config, point_geometry in sweep_points(spec, config, geometry)
+            for kind in spec.baselines]
 
 
 def write_results(

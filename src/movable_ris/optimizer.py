@@ -33,7 +33,6 @@ __all__ = [
     "SearchTrace",
     "SwarmState",
     "decode",
-    "decode_xy",
     "decode_on_platform",
     "init_swarm",
     "pso_step",
@@ -74,26 +73,17 @@ class RisState:
         return np.stack(np.broadcast_arrays(self.x, self.y), axis=-1).reshape(-1, 2)
 
 
-def decode_xy(px, py, geometry: DeploymentGeometry):
-    """Platform coordinates of unit-square coordinates, element-wise for arrays."""
-    x0, x1 = geometry.platform_x_range
-    y0, y1 = geometry.platform_y_range
-    x = x0 + np.asarray(px, dtype=float) * (x1 - x0)
-    y = y0 + np.asarray(py, dtype=float) * (y1 - y0)
-    if x.ndim == 0:
-        return float(x), float(y)  # plain floats: positions end up in CSV fields via repr
-    return x, y
-
-
 def decode_on_platform(v: np.ndarray, geometry: DeploymentGeometry, phases) -> RisState:
     """The state at the unit-square points v[..., :2], one (D,) or a (Z, D) batch, with ``phases``.
 
-    One point gets ``decode_xy``'s floats, a batch its values as one (Z, 2) ``RisState.points``.
+    The one affine map onto the platform: lo + v * (hi - lo) per axis. One point gets its
+    coordinates as plain floats, since positions end up in CSV fields via repr; a batch gets
+    them as one (Z, 2) ``RisState.points`` and that array's columns.
     """
-    if v.ndim == 1:
-        return RisState(*decode_xy(v[0], v[1], geometry), phases)
     lo, hi = np.array((geometry.platform_x_range, geometry.platform_y_range)).T
-    points = lo + v[:, :2] * (hi - lo)
+    points = lo + v[..., :2] * (hi - lo)
+    if points.ndim == 1:
+        return RisState(float(points[0]), float(points[1]), phases)
     return RisState(points[:, 0], points[:, 1], phases, points)
 
 
@@ -490,14 +480,14 @@ def brute_force_joint(
 
     best_vec = None
     best_val = -math.inf
-    for px, py in itertools.product(pos_grid, pos_grid):
-        x, y = decode_xy(px, py, context.geometry)
+    for point in itertools.product(pos_grid, pos_grid):
         rows = itertools.product(phase_grid, repeat=num_phases)
         while chunk := list(itertools.islice(rows, _ORACLE_CHUNK)):
             grid = np.array(chunk)
-            values = context.rate_for(RisState(x, y, _wrap_phases(grid)))
+            state = decode_on_platform(np.array(point), context.geometry, _wrap_phases(grid))
+            values = context.rate_for(state)
             i = _first_max(values)
             if values[i] > best_val:
                 best_val = float(values[i])
-                best_vec = np.concatenate(([px, py], grid[i]))
+                best_vec = np.concatenate((point, grid[i]))
     return decode(best_vec, context.geometry), best_val

@@ -176,13 +176,13 @@ def wavelength_m(carrier_ghz: float) -> float:
 
 
 def path_amplitudes(
-    carrier_ghz: float, distances_m, exponent: float, mode: str = "alpha"
+    carrier_ghz: float, distances_m, exponent: float, mode: str
 ) -> list[float]:
-    """Per-path amplitude attenuation factor of each distance under the chosen convention.
+    """Per-path amplitude attenuation factor of each distance under the convention ``mode``.
 
     "alpha": power attenuation = (32.4 + 20*log10(f_GHz)) * tau^eta with the
-    reference term applied as a raw coefficient (default; calibrated to the
-    indoor operating points the bundled experiments target).
+    reference term applied as a raw coefficient (the config's default mode;
+    calibrated to the indoor operating points the bundled experiments target).
     "db": power attenuation = 10^((32.4 + 20*log10(f_GHz) + 10*eta*log10(tau))/10),
     i.e. the full close-in expression interpreted in decibels. The
     reference term is taken once for all distances.

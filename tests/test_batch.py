@@ -139,7 +139,7 @@ def _relay_pack(ue_position=None):
 
 def _relay_points(pack, draw_seed, count):
     xy = _particles(draw_seed, count, 2, clamp=True, duplicate=True)
-    return np.column_stack(optimizer.decode_xy(xy[:, 0], xy[:, 1], pack.geometry))
+    return optimizer.decode_on_platform(xy, pack.geometry, None).points
 
 
 def _relay_state(points):
@@ -184,7 +184,8 @@ def test_reference_batch_equals_each_state(kind, ue_position, zero_ue_hop, monke
             rng = rng_stream(trial_index, 6)
             if kind == "ris":
                 search = baselines.make_problem_context(pack, trial_index)
-                x, y = optimizer.decode_xy(*rng.random(2), pack.geometry)
+                point = optimizer.decode_on_platform(rng.random(2), pack.geometry, None)
+                x, y = point.x, point.y
                 phases = rng.uniform(0.0, 2.0 * math.pi, (7, pack.config.num_ris))
                 batch = optimizer.RisState(x, y, phases)
                 states = [optimizer.RisState(x, y, row) for row in phases]
@@ -255,7 +256,7 @@ def _assert_search_is_per_hop(relay, points, expected, flags):
     assert relay.saw_rank_deficiency == flags.any()
     core, hops = relay.search_core(state)
     for i, ((_, _, grams), hop) in enumerate(zip(relay._links, hops)):
-        link = beamforming._gram_core(hop, relay._budget[1], grams)
+        link = beamforming._gram_core(hop, relay._budget[1], grams, np.empty(core[:, i].shape))
         assert core[:, i].tobytes() == link.tobytes()
     for given in (hops, None):
         relay.saw_rank_deficiency = False

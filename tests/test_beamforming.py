@@ -357,7 +357,7 @@ def test_decompose_mixed_lead_entries_match_each_row_alone():
 
 def test_bb_stages_identity_channel():
     eff = effective_channel(np.eye(2), np.eye(2), np.eye(2))
-    bb = bb_stages(eff, tx_power_w=2.0, num_streams=2)
+    bb = bb_stages(eff, tx_power_w=2.0, num_streams=2, f1=np.eye(2))
     np.testing.assert_allclose(np.abs(bb.b1), np.eye(2), atol=1e-12)
     np.testing.assert_allclose(bb.b2 @ bb.b2.conj().T, np.eye(2), atol=1e-12)
     assert not bb.rank_deficient
@@ -369,7 +369,7 @@ def test_bb_stages_diagonalizes():
     h = _random_complex(rng, (8, 8))
     f1 = _random_complex(rng, (8, 4))
     eff = effective_channel(f2, h, f1)
-    bb = bb_stages(eff, tx_power_w=1.0, num_streams=2)
+    bb = bb_stages(eff, tx_power_w=1.0, num_streams=2, f1=f1)
     g = bb.b2 @ eff.matrix @ bb.b1
     off = g - np.diag(np.diag(g))
     assert np.linalg.norm(off) < 1e-8 * np.linalg.norm(np.diag(g))
@@ -379,7 +379,7 @@ def test_bb_stages_flags_a_zero_channel_in_a_single_stream_stack():
     # a zero channel (rank 0) carries one stream like a rank-1 one, but only it is deficient
     u = np.array([[1.0], [0.0]])
     eff = effective_channel(np.eye(2), np.stack((np.zeros((2, 2)), u @ u.T)), np.eye(2))
-    bb = bb_stages(eff, tx_power_w=1.0, num_streams=1)
+    bb = bb_stages(eff, tx_power_w=1.0, num_streams=1, f1=np.eye(2))
     assert bb.streams == 1
     assert bb.rank_deficient.tolist() == [True, False]
     # through an F1 that drops the second axis, a row whose B1 lies on that axis has
@@ -401,7 +401,7 @@ def test_bb_stages_rank_deficient_degrades_and_flags():
     # rank-1 effective channel with two requested streams
     u = np.array([[1.0], [0.0]])
     eff = effective_channel(np.eye(2), u @ u.T, np.eye(2))
-    bb = bb_stages(eff, tx_power_w=1.0, num_streams=2)
+    bb = bb_stages(eff, tx_power_w=1.0, num_streams=2, f1=np.eye(2))
     assert bb.rank_deficient
     assert bb.streams == 1
     # a stack with two leading axes, rank one or full rank, keeps both axes in its flags
@@ -409,7 +409,7 @@ def test_bb_stages_rank_deficient_degrades_and_flags():
     vectors = _random_complex(rng, (2, 3, 4, 2))
     for stack, streams in ((vectors[..., :1] @ vectors[..., 1:].swapaxes(-1, -2), 1),
                            (_random_complex(rng, (2, 3, 4, 4)), 2)):
-        bb = bb_stages(_decompose(stack), tx_power_w=1.0, num_streams=2)
+        bb = bb_stages(_decompose(stack), tx_power_w=1.0, num_streams=2, f1=np.eye(4))
         assert bb.streams == streams and bb.b1.shape == (2, 3, 4, streams)
         assert bb.rank_deficient.tolist() == [[streams < 2] * 3] * 2
 
@@ -444,7 +444,7 @@ def test_rate_zero_channel():
     f1 = np.eye(4)
     f2 = np.eye(4)
     eff = effective_channel(f2, np.zeros((4, 4)), f1)
-    bb = bb_stages(eff, 1.0, 2)
+    bb = bb_stages(eff, 1.0, 2, f1)
     bf = BeamformerSet(f1, bb.b1, f2, bb.b2, bb.streams, bb.rank_deficient)
     assert achievable_rate(bf, eff, 1e-3) == 0.0
 
@@ -719,7 +719,7 @@ def test_gram_rates_match_the_pipeline(seed, shape, rows, links, streams):
     assert core.shape == (6, links, rows) and not np.isnan(core).any()
     assert np.isfinite(tail).all() and tail.tobytes() == np.stack(per_link).tobytes()
     stacked = [np.stack(g)[:, None] for g in zip(*(_grams(*s) for s in stages))]
-    assert _gram_core(h, streams, stacked).tobytes() == core.tobytes()
+    assert _gram_core(h, streams, stacked, np.empty(core.shape)).tobytes() == core.tobytes()
     assert search.core_rates(None, core).tobytes() == rates.tobytes()
 
 

@@ -259,7 +259,8 @@ def _positions(pack, draw_seed, count, clamp):
     if clamp:  # platform walls, as pso_step leaves particles
         p[rng.random((count, 2)) < 0.3] = 0.0
         p[rng.random((count, 2)) < 0.3] = 1.0
-    return optimizer.decode_xy(p[:, 0], p[:, 1], pack.geometry)
+    # x and y as two contiguous arrays
+    return tuple(optimizer.decode_on_platform(p, pack.geometry, None).points.T.copy())
 
 
 # The reference side of a factored comparison takes slogdet(I + W^-1 Q) / ln 2, and adding I

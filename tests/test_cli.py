@@ -188,6 +188,19 @@ def test_unknown_baseline_is_an_error(tmp_path, capsys):
     assert "unknown baseline" in capsys.readouterr().err
 
 
+def test_single_run_refuses_the_sweeps_baselines_flag(tmp_path, monkeypatch, capsys):
+    # single-run takes one --baseline; argparse refuses the sweeps' --baselines
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["single-run", "--baselines", "fd_relay", "--trials", "1",
+              "--pso-particles", "2", "--pso-iters", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --baselines fd_relay" in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
 def test_single_run_unknown_baseline_is_an_error_before_any_trial(tmp_path, capsys):
     rc = main(["single-run", "--baseline", "bogus", "--out", str(tmp_path)])
     assert rc == 2
@@ -375,15 +388,14 @@ def test_pso_seed_folds_into_the_digest(tmp_path, tiny_config_file):
 
 
 @pytest.mark.parametrize("command", [
-    ["sweep-elements", "--elements", "4"],
-    ["ue-scenarios", "--ue-positions", "60,90,2"],
+    ["sweep-elements", "--elements", "4", "--baselines", "fixed_ris_random_phase"],
+    ["ue-scenarios", "--ue-positions", "60,90,2", "--baselines", "fixed_ris_random_phase"],
     ["single-run", "--baseline", "fixed_ris_random_phase"],
 ])
 def test_power_dbm_overrides_the_config_only_when_given(tmp_path, command):
     path = tmp_path / "power.cfg"
     path.write_text(TINY_CONFIG + "tx_power_dbm = 10.0\n")
-    args = command + ["--baselines", "fixed_ris_random_phase", "--trials", "1",
-                      "--config", str(path)]
+    args = command + ["--trials", "1", "--config", str(path)]
     powers = {}
     for name, extra in (("config", []), ("flag", ["--power-dbm", "20"])):
         out = tmp_path / name

@@ -20,7 +20,6 @@ from movable_ris.harness import (
     SweepSpec,
     apply_swept_value,
     emit_plot_script,
-    monte_carlo_point,
     sweep,
     write_results,
 )
@@ -46,9 +45,16 @@ def small_scenario():
     return config, geometry
 
 
+def single_point(config, geometry, kind, trials, seed, pso_seed=None, dump_dir=None):
+    """One point as ``single-run`` runs it: a sweep of the config's power and one kind."""
+    spec = SweepSpec("single", (config.tx_power_dbm,), (kind,), trials, seed, pso_seed)
+    (result,) = sweep(spec, config, geometry, dump_dir)
+    return result
+
+
 def test_single_trial_mean_and_zero_stderr():
     config, geometry = small_scenario()
-    r = monte_carlo_point(config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 1, 9)
+    r = single_point(config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 1, 9)
     assert r.trials == 1
     assert r.mean_rate == r.per_trial_rates[0]
     assert r.stderr == 0.0
@@ -56,8 +62,8 @@ def test_single_trial_mean_and_zero_stderr():
 
 def test_monte_carlo_deterministic():
     config, geometry = small_scenario()
-    a = monte_carlo_point(config, geometry, BaselineKind.MOVABLE_RIS_JOINT, 4, 9)
-    b = monte_carlo_point(config, geometry, BaselineKind.MOVABLE_RIS_JOINT, 4, 9)
+    a = single_point(config, geometry, BaselineKind.MOVABLE_RIS_JOINT, 4, 9)
+    b = single_point(config, geometry, BaselineKind.MOVABLE_RIS_JOINT, 4, 9)
     assert a.per_trial_rates == b.per_trial_rates
     assert a.mean_rate == b.mean_rate
     assert (a.ris_x, a.ris_y) == (b.ris_x, b.ris_y)
@@ -65,7 +71,7 @@ def test_monte_carlo_deterministic():
 
 def test_mean_is_average_and_position_in_platform():
     config, geometry = small_scenario()
-    r = monte_carlo_point(config, geometry, BaselineKind.MOVABLE_RIS_RANDOM_PHASE, 6, 9)
+    r = single_point(config, geometry, BaselineKind.MOVABLE_RIS_RANDOM_PHASE, 6, 9)
     assert r.mean_rate == pytest.approx(np.mean(r.per_trial_rates), rel=1e-12)
     assert geometry.contains(r.ris_x, r.ris_y)
     for x, y in r.per_trial_positions:
@@ -76,8 +82,8 @@ def test_trial_count_consistency():
     # 50- and 200-trial Monte Carlo estimates agree within 3 pooled SEs
     config, geometry = small_scenario()
     kind = BaselineKind.FIXED_RIS_RANDOM_PHASE
-    small = monte_carlo_point(config, geometry, kind, 50, 9)
-    large = monte_carlo_point(config, geometry, kind, 200, 9)
+    small = single_point(config, geometry, kind, 50, 9)
+    large = single_point(config, geometry, kind, 200, 9)
     pooled = math.hypot(small.stderr, large.stderr)
     assert abs(small.mean_rate - large.mean_rate) <= 3 * pooled
 
@@ -260,17 +266,17 @@ def test_plot_script_refuses_mixed_kinds(tmp_path):
 
 def test_dump_channels_written(tmp_path):
     config, geometry = small_scenario()
-    monte_carlo_point(
-        config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 2, 9, dump_dir=tmp_path
-    )
-    files = sorted(p.name for p in tmp_path.iterdir())
+    single_point(config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 2, 9, dump_dir=tmp_path)
+    point_dir = tmp_path / f"single_{config.tx_power_dbm!r}"
+    assert list(tmp_path.iterdir()) == [point_dir]
+    files = sorted(p.name for p in point_dir.iterdir())
     assert files == [
         "fixed_ris_random_phase_trial000_ris_rx.txt",
         "fixed_ris_random_phase_trial000_tx_ris.txt",
         "fixed_ris_random_phase_trial001_ris_rx.txt",
         "fixed_ris_random_phase_trial001_tx_ris.txt",
     ]
-    header, *rows = (tmp_path / files[0]).read_text().splitlines()
+    header, *rows = (point_dir / files[0]).read_text().splitlines()
     assert header == "# complex matrix 16 4"
     assert len(rows) == 16
     assert len(rows[0].split()) == 8  # 4 columns as re/im pairs
@@ -280,14 +286,14 @@ def test_dump_channels_written(tmp_path):
 def test_dumped_hops_have_the_platform_node_s_arrays(tmp_path, kind):
     config, geometry = small_scenario()
     config = replace(config, rx_antennas=(2, 4))  # 8 receive antennas against 16 transmit
-    result = monte_carlo_point(config, geometry, kind, 1, 9, dump_dir=tmp_path)
+    result = single_point(config, geometry, kind, 1, 9, dump_dir=tmp_path)
     relay = kind in (BaselineKind.FD_RELAY, BaselineKind.HD_RELAY)
     # a relay receives hop 1 on its receive array and sends hop 2 from its transmit array
     platform = (config.num_rx, config.num_tx) if relay else (config.num_ris, config.num_ris)
     shapes = {"tx_ris": (platform[0], config.num_tx), "ris_rx": (config.num_rx, platform[1])}
-    dumped = {}
+    dumped, point_dir = {}, tmp_path / f"single_{config.tx_power_dbm!r}"
     for link, shape in shapes.items():
-        header, *rows = (tmp_path / f"{kind.value}_trial000_{link}.txt").read_text().splitlines()
+        header, *rows = (point_dir / f"{kind.value}_trial000_{link}.txt").read_text().splitlines()
         assert header == "# complex matrix {} {}".format(*shape)
         dumped[link] = np.array([row.split() for row in rows], dtype=float).view(complex)
     if relay:  # the hops the relay's reported rate is taken on
@@ -296,6 +302,20 @@ def test_dumped_hops_have_the_platform_node_s_arrays(tmp_path, kind):
                           hop_ends(config, (config.rx_antennas, config.tx_antennas)))
         for link, (hop,) in zip(shapes, relay_hops):
             assert dumped[link].tobytes() == hop.tobytes()
+
+
+def test_each_point_dumps_under_its_sweep_kind_and_value(tmp_path):
+    # a point's directory is <sweep kind>_<its swept_value field>, each "/" turned into "_"
+    config, geometry = small_scenario()
+    kind = BaselineKind.FIXED_RIS_RANDOM_PHASE
+    spec = SweepSpec("ue_scenarios", ((60.0, 90.0, 2.0), (70, 85, 2)), (kind,), 1, 9)
+    results = sweep(spec, config, geometry, tmp_path)
+    assert [r.swept_value for r in results] == ["60.0/90.0/2.0", "70.0/85.0/2.0"]
+    names = ["ue_scenarios_60.0_90.0_2.0", "ue_scenarios_70.0_85.0_2.0"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == [
+            f"{kind.value}_trial000_{link}.txt" for link in ("ris_rx", "tx_ris")]
 
 
 def test_sweep_spec_rejects_negative_seeds():
@@ -308,13 +328,13 @@ def test_sweep_spec_rejects_negative_seeds():
 def test_pso_seed_rekeys_search_only():
     config, geometry = small_scenario()
     kind = BaselineKind.MOVABLE_RIS_JOINT
-    base = monte_carlo_point(config, geometry, kind, 3, 9)
-    rekeyed = monte_carlo_point(config, geometry, kind, 3, 9, pso_seed=777)
+    base = single_point(config, geometry, kind, 3, 9)
+    rekeyed = single_point(config, geometry, kind, 3, 9, pso_seed=777)
     assert base.per_trial_rates != rekeyed.per_trial_rates
     # schemes without a search are untouched by the pso seed
     kind = BaselineKind.FIXED_RIS_RANDOM_PHASE
-    a = monte_carlo_point(config, geometry, kind, 3, 9)
-    b = monte_carlo_point(config, geometry, kind, 3, 9, pso_seed=777)
+    a = single_point(config, geometry, kind, 3, 9)
+    b = single_point(config, geometry, kind, 3, 9, pso_seed=777)
     assert a.per_trial_rates == b.per_trial_rates
 
 
@@ -330,9 +350,7 @@ def test_trial_failures_recorded_and_point_flagged(monkeypatch):
         return real_run(kind, pack, trial_index)
 
     monkeypatch.setattr(harness_mod, "run_baseline", flaky)
-    r = harness_mod.monte_carlo_point(
-        config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 9, 9
-    )
+    r = single_point(config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 9, 9)
     assert r.failed_trials == [0, 3, 6]
     assert r.point_flagged  # 3/9 > 10%
     assert len(r.per_trial_rates) == 6
@@ -349,9 +367,7 @@ def test_trial_bug_propagates(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "run_baseline", broken)
     with pytest.raises(IndexError, match="injected shape bug"):
-        harness_mod.monte_carlo_point(
-            config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 3, 9
-        )
+        single_point(config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 3, 9)
 
 
 def test_non_finite_rate_is_a_failed_trial(monkeypatch):
@@ -367,9 +383,7 @@ def test_non_finite_rate_is_a_failed_trial(monkeypatch):
         return outcome
 
     monkeypatch.setattr(harness_mod, "run_baseline", nan_on_one)
-    r = harness_mod.monte_carlo_point(
-        config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 4, 9
-    )
+    r = single_point(config, geometry, BaselineKind.FIXED_RIS_RANDOM_PHASE, 4, 9)
     assert r.failed_trials == [1]
     assert len(r.per_trial_rates) == len(r.per_trial_positions) == 3
     assert all(math.isfinite(rate) for rate in r.per_trial_rates)
@@ -617,5 +631,5 @@ def test_fuzzed_config_ends_in_an_error_a_recorded_failure_or_a_finite_rate(text
         return
     assert not errors, (errors, text)
     for kind in BaselineKind:
-        result = monte_carlo_point(config, geometry, kind, 1, config.rng_seed)
+        result = single_point(config, geometry, kind, 1, config.rng_seed)
         assert result.failed_trials or math.isfinite(result.mean_rate), (kind, text)

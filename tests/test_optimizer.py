@@ -115,10 +115,19 @@ unit_coordinate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0
     data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_batch_platform_points_equal_stacked_decode_xy(z, dim, geometry, data):
-    """The (Z, 2) points a batch hands the search are ``decode_xy``'s values, byte for byte."""
+def test_batch_platform_points_equal_each_decoded_point(z, dim, geometry, data):
+    """Row i of the (Z, 2) points a batch hands the search is the one-point decode of row i,
+    byte for byte, and that decode is x0 + v * (x1 - x0) per axis in plain floats."""
     v = data.draw(hnp.arrays(float, (z, dim), elements=unit_coordinate))
-    want = np.column_stack(optimizer.decode_xy(v[:, 0], v[:, 1], geometry))
+    (x0, x1), (y0, y1) = geometry.platform_x_range, geometry.platform_y_range
+    want = []
+    for row in v:
+        point = optimizer.decode_on_platform(row, geometry, None)
+        assert type(point.x) is float and type(point.y) is float
+        px, py = row[:2].tolist()
+        assert (point.x, point.y) == (x0 + px * (x1 - x0), y0 + py * (y1 - y0))
+        want.append((point.x, point.y))
+    want = np.array(want)
     for state in (decode(v, geometry), optimizer.decode_on_platform(v, geometry, None)):
         assert state.xy.shape == (z, 2)
         assert state.xy.tobytes() == want.tobytes()
@@ -144,7 +153,8 @@ def test_outcome_positions_are_plain_floats(kind, monkeypatch):
     outcome = run_baseline(kind, pack, 0)
     assert type(outcome.x) is float and type(outcome.y) is float
     if best and len(best[0]) != config.num_ris:  # the search moved the platform
-        assert (outcome.x, outcome.y) == optimizer.decode_xy(*best[0][:2], geometry)
+        point = optimizer.decode_on_platform(best[0][:2], geometry, None)
+        assert (outcome.x, outcome.y) == (point.x, point.y)
     else:
         assert (outcome.x, outcome.y) == geometry.platform_center()
 

@@ -94,7 +94,8 @@ def test_every_search_reaches_the_percentile_spans(tracer, kind):
     spans = tracer.Tracer()
     with tracer.Patcher() as patcher:
         spans.patch(patcher)
-        harness.monte_carlo_point(config, geometry, kind, 1, 3)
+        harness.sweep(harness.SweepSpec("single", (config.tx_power_dbm,), (kind,), 1, 3),
+                      config, geometry)
     stats = spans.stats()
     assert stats["optimizer.run"].calls == 1  # every searching kind goes through the one routine
     assert stats["optimizer.run_pso"].calls == 1
